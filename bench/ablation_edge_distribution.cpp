@@ -27,7 +27,7 @@ int main(int argc, char** argv) {
   if (opt.quick) color_counts = {4, 13};
 
   for (const std::uint32_t c : color_counts) {
-    tc::TcConfig cfg;
+    engine::EngineConfig cfg;
     cfg.num_colors = c;
     cfg.seed = opt.seed;
     tc::PimTriangleCounter counter(cfg);

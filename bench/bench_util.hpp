@@ -16,15 +16,66 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
+#include <stdexcept>
 #include <string>
+#include <string_view>
 
+#include "../tools/cli_args.hpp"
 #include "common/prng.hpp"
+#include "engine/config.hpp"
 #include "graph/coo.hpp"
 #include "graph/paper_graphs.hpp"
 #include "graph/preprocess.hpp"
 
 namespace pimtc::bench {
+
+/// True when `supported` (flags as printed in the usage line, e.g.
+/// "--scale= --quick") lists the flag named `key`.
+inline bool lists_flag(std::string_view supported, std::string_view key) {
+  for (std::size_t pos = supported.find("--"); pos != std::string_view::npos;
+       pos = supported.find("--", pos + 2)) {
+    const std::string_view rest = supported.substr(pos + 2);
+    if (rest.starts_with(key) &&
+        (rest.size() == key.size() || rest[key.size()] == '=' ||
+         rest[key.size()] == ' ')) {
+      return true;
+    }
+  }
+  return false;
+}
+
+/// Strict flag parsing shared by every bench binary: `read` pulls the
+/// options out of the cli::Args bag (tools/cli_args.hpp), whose numeric
+/// accessors reject malformed values.  A bad value, a positional argument or
+/// a flag `supported` does not list prints one error line and exits 2.
+template <typename Read>
+auto parse_flags(int argc, char** argv, std::string_view supported,
+                 Read read) {
+  try {
+    const cli::Args args(argc, argv, 1);
+    for (const std::string& key : args.keys()) {
+      if (!lists_flag(supported, key)) {
+        throw std::invalid_argument("unknown argument '--" + key + "'");
+      }
+    }
+    return read(args);
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "%s (supported: %.*s)\n", e.what(),
+                 static_cast<int>(supported.size()), supported.data());
+    std::exit(2);
+  }
+}
+
+/// --colors=<int> (0 = auto), checked by EngineConfig::validate() on the
+/// default machine, so a C no engine accepts (e.g. 1) exits 2 in
+/// parse_flags instead of aborting when the counter is built.
+inline std::uint32_t colors_flag(const cli::Args& args,
+                                 std::uint32_t fallback) {
+  engine::EngineConfig check;
+  check.num_colors = args.u32("colors", fallback);
+  check.validate();
+  return check.num_colors;
+}
 
 struct BenchOptions {
   double scale = 0.5;
@@ -34,26 +85,15 @@ struct BenchOptions {
 };
 
 inline BenchOptions parse_options(int argc, char** argv) {
-  BenchOptions opt;
-  for (int i = 1; i < argc; ++i) {
-    const char* arg = argv[i];
-    if (std::strncmp(arg, "--scale=", 8) == 0) {
-      opt.scale = std::atof(arg + 8);
-    } else if (std::strncmp(arg, "--colors=", 9) == 0) {
-      opt.colors = static_cast<std::uint32_t>(std::atoi(arg + 9));
-    } else if (std::strncmp(arg, "--seed=", 7) == 0) {
-      opt.seed = static_cast<std::uint64_t>(std::atoll(arg + 7));
-    } else if (std::strcmp(arg, "--quick") == 0) {
-      opt.quick = true;
-    } else {
-      std::fprintf(stderr,
-                   "unknown argument '%s' "
-                   "(supported: --scale= --colors= --seed= --quick)\n",
-                   arg);
-      std::exit(2);
-    }
-  }
-  return opt;
+  return parse_flags(argc, argv, "--scale= --colors= --seed= --quick",
+                     [](const cli::Args& args) {
+                       BenchOptions opt;
+                       opt.scale = args.f64("scale", opt.scale);
+                       opt.colors = colors_flag(args, opt.colors);
+                       opt.seed = args.u64("seed", opt.seed);
+                       opt.quick = args.flag("quick");
+                       return opt;
+                     });
 }
 
 /// Builds the preprocessed (dedup + shuffle) stand-in for one paper graph.

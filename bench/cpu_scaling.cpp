@@ -17,10 +17,10 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
+#include "bench_util.hpp"
 #include "engine/registry.hpp"
 #include "graph/generators.hpp"
 #include "graph/preprocess.hpp"
@@ -33,7 +33,7 @@ struct Options {
   double scale = 0.5;
   std::uint64_t seed = 42;
   std::vector<std::uint32_t> threads = {1, 2, 4, 8};
-  int repeat = 3;
+  std::uint32_t repeat = 3;
   bool json = false;
   bool quick = false;
 };
@@ -59,32 +59,24 @@ std::vector<std::uint32_t> parse_threads(const char* list) {
 }
 
 Options parse(int argc, char** argv) {
-  Options opt;
-  for (int i = 1; i < argc; ++i) {
-    const char* arg = argv[i];
-    if (std::strncmp(arg, "--scale=", 8) == 0) {
-      opt.scale = std::atof(arg + 8);
-    } else if (std::strncmp(arg, "--seed=", 7) == 0) {
-      opt.seed = static_cast<std::uint64_t>(std::atoll(arg + 7));
-    } else if (std::strncmp(arg, "--threads=", 10) == 0) {
-      opt.threads = parse_threads(arg + 10);
-    } else if (std::strncmp(arg, "--repeat=", 9) == 0) {
-      opt.repeat = std::max(1, std::atoi(arg + 9));
-    } else if (std::strcmp(arg, "--json") == 0) {
-      opt.json = true;
-    } else if (std::strcmp(arg, "--quick") == 0) {
-      opt.quick = true;
-      opt.scale = std::min(opt.scale, 0.1);
-      opt.repeat = std::min(opt.repeat, 2);
-    } else {
-      std::fprintf(stderr,
-                   "unknown argument '%s' (supported: --scale= --seed= "
-                   "--threads=1,2,4 --repeat= --quick --json)\n",
-                   arg);
-      std::exit(2);
-    }
-  }
-  return opt;
+  return bench::parse_flags(
+      argc, argv, "--scale= --seed= --threads=1,2,4 --repeat= --quick --json",
+      [](const cli::Args& args) {
+        Options opt;
+        opt.quick = args.flag("quick");
+        opt.scale = args.f64("scale", opt.scale);
+        opt.repeat = std::max(1u, args.u32("repeat", opt.repeat));
+        if (opt.quick) {
+          opt.scale = std::min(opt.scale, 0.1);
+          opt.repeat = std::min(opt.repeat, 2u);
+        }
+        opt.seed = args.u64("seed", opt.seed);
+        if (args.flag("threads")) {
+          opt.threads = parse_threads(args.str("threads").c_str());
+        }
+        opt.json = args.flag("json");
+        return opt;
+      });
 }
 
 /// The hub-heavy BA+hubs stand-in (same recipe as bench_kernel_instr): BA
@@ -146,7 +138,7 @@ int main(int argc, char** argv) {
     }
     // Interleave repeats across every cell so transient machine noise is
     // spread evenly instead of landing on whichever backend ran last.
-    for (int rep = 0; rep < opt.repeat; ++rep) {
+    for (std::uint32_t rep = 0; rep < opt.repeat; ++rep) {
       for (Cell& cell : run.cells) run_once(g, cell, opt.seed);
     }
     runs.push_back(std::move(run));
@@ -171,7 +163,7 @@ int main(int argc, char** argv) {
   const bool pass = estimates_identical && (headline == 0.0 || headline >= gate);
 
   if (opt.json) {
-    std::printf("{\"bench\":\"cpu_scaling\",\"seed\":%llu,\"repeat\":%d,"
+    std::printf("{\"bench\":\"cpu_scaling\",\"seed\":%llu,\"repeat\":%u,"
                 "\"sizes\":[",
                 static_cast<unsigned long long>(opt.seed), opt.repeat);
     for (std::size_t s = 0; s < runs.size(); ++s) {
@@ -198,7 +190,7 @@ int main(int argc, char** argv) {
 
   std::printf("==============================================================\n");
   std::printf("Exact CPU backend scaling on the hub-heavy BA+hubs graph\n");
-  std::printf("(scale=%.2f seed=%llu repeat=%d, min over interleaved runs)\n",
+  std::printf("(scale=%.2f seed=%llu repeat=%u, min over interleaved runs)\n",
               opt.scale, static_cast<unsigned long long>(opt.seed), opt.repeat);
   std::printf("==============================================================\n");
   for (const SizeRun& run : runs) {

@@ -20,11 +20,10 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
+#include "bench_util.hpp"
 #include "engine/registry.hpp"
 #include "graph/generators.hpp"
 #include "graph/preprocess.hpp"
@@ -42,29 +41,18 @@ struct Options {
 };
 
 Options parse(int argc, char** argv) {
-  Options opt;
-  for (int i = 1; i < argc; ++i) {
-    const char* arg = argv[i];
-    if (std::strncmp(arg, "--scale=", 8) == 0) {
-      opt.scale = std::atof(arg + 8);
-    } else if (std::strncmp(arg, "--seed=", 7) == 0) {
-      opt.seed = static_cast<std::uint64_t>(std::atoll(arg + 7));
-    } else if (std::strncmp(arg, "--colors=", 9) == 0) {
-      opt.colors = static_cast<std::uint32_t>(std::atoi(arg + 9));
-    } else if (std::strcmp(arg, "--json") == 0) {
-      opt.json = true;
-    } else if (std::strcmp(arg, "--quick") == 0) {
-      opt.quick = true;
-      opt.scale = std::min(opt.scale, 0.1);
-    } else {
-      std::fprintf(stderr,
-                   "unknown argument '%s' (supported: --scale= --seed= "
-                   "--colors= --quick --json)\n",
-                   arg);
-      std::exit(2);
-    }
-  }
-  return opt;
+  return bench::parse_flags(
+      argc, argv, "--scale= --seed= --colors= --quick --json",
+      [](const cli::Args& args) {
+        Options opt;
+        opt.quick = args.flag("quick");
+        opt.scale = args.f64("scale", opt.scale);
+        if (opt.quick) opt.scale = std::min(opt.scale, 0.1);
+        opt.seed = args.u64("seed", opt.seed);
+        opt.colors = bench::colors_flag(args, opt.colors);
+        opt.json = args.flag("json");
+        return opt;
+      });
 }
 
 graph::EdgeList make_graph(double scale, std::uint64_t seed) {

@@ -38,17 +38,17 @@ int main(int argc, char** argv) {
     const graph::EdgeList list = bench::load_graph(g, opt);
     const graph::DegreeStats deg = graph::degree_stats(list);
 
-    tc::TcConfig cfg;
+    engine::EngineConfig cfg;
     cfg.num_colors = opt.colors;
     cfg.seed = opt.seed;
     tc::PimTriangleCounter counter(cfg);
-    const tc::TcResult r = counter.count(list);
+    const engine::CountReport r = counter.count(list);
 
     Row row;
     row.name = graph::paper_graph_info(g).name;
     row.max_degree = deg.max_degree;
     row.edges = list.num_edges();
-    row.ingest_ms = r.times.sample_creation_s * 1e3;
+    row.ingest_ms = r.times.ingest_s * 1e3;
     row.count_ms = r.times.count_s * 1e3;
     row.throughput = static_cast<double>(list.num_edges()) / row.count_ms;
     row.wire_pad = r.transfers.push_padding();

@@ -18,13 +18,12 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <span>
 #include <string>
 #include <vector>
 
+#include "bench_util.hpp"
 #include "engine/ingest.hpp"
 #include "engine/registry.hpp"
 #include "graph/generators.hpp"
@@ -40,45 +39,34 @@ struct Options {
   double scale = 1.0;
   std::uint64_t seed = 42;
   std::size_t chunk_edges = std::size_t{1} << 18;
-  int repeat = 3;
+  std::uint32_t repeat = 3;
   bool json = false;
   bool quick = false;
   bool keep = false;  ///< leave the generated files on disk
 };
 
 Options parse(int argc, char** argv) {
-  Options opt;
-  for (int i = 1; i < argc; ++i) {
-    const char* arg = argv[i];
-    if (std::strncmp(arg, "--scale=", 8) == 0) {
-      opt.scale = std::atof(arg + 8);
-    } else if (std::strncmp(arg, "--seed=", 7) == 0) {
-      opt.seed = static_cast<std::uint64_t>(std::atoll(arg + 7));
-    } else if (std::strncmp(arg, "--chunk-edges=", 14) == 0) {
-      opt.chunk_edges = static_cast<std::size_t>(std::atoll(arg + 14));
-    } else if (std::strncmp(arg, "--repeat=", 9) == 0) {
-      opt.repeat = std::max(1, std::atoi(arg + 9));
-    } else if (std::strcmp(arg, "--json") == 0) {
-      opt.json = true;
-    } else if (std::strcmp(arg, "--keep") == 0) {
-      opt.keep = true;
-    } else if (std::strcmp(arg, "--quick") == 0) {
-      opt.quick = true;
-      opt.scale = std::min(opt.scale, 0.1);
-      opt.repeat = std::min(opt.repeat, 2);
-    } else {
-      std::fprintf(stderr,
-                   "unknown argument '%s' (supported: --scale= --seed= "
-                   "--chunk-edges= --repeat= --quick --keep --json)\n",
-                   arg);
-      std::exit(2);
-    }
-    if (opt.chunk_edges == 0) {
-      std::fprintf(stderr, "--chunk-edges must be >= 1\n");
-      std::exit(2);
-    }
-  }
-  return opt;
+  return bench::parse_flags(
+      argc, argv,
+      "--scale= --seed= --chunk-edges= --repeat= --quick --keep --json",
+      [](const cli::Args& args) {
+        Options opt;
+        opt.quick = args.flag("quick");
+        opt.scale = args.f64("scale", opt.scale);
+        opt.repeat = std::max(1u, args.u32("repeat", opt.repeat));
+        if (opt.quick) {
+          opt.scale = std::min(opt.scale, 0.1);
+          opt.repeat = std::min(opt.repeat, 2u);
+        }
+        opt.seed = args.u64("seed", opt.seed);
+        opt.chunk_edges = args.u64("chunk-edges", opt.chunk_edges);
+        if (opt.chunk_edges == 0) {
+          throw std::invalid_argument("--chunk-edges must be >= 1");
+        }
+        opt.json = args.flag("json");
+        opt.keep = args.flag("keep");
+        return opt;
+      });
 }
 
 /// The fig-bench BA+hubs recipe scaled ~20x: ~2M edges at --scale=1.
@@ -151,7 +139,7 @@ int main(int argc, char** argv) {
   for (Cell& c : cells) c.bytes = fs::file_size(c.path);
 
   // Interleave repeats so transient machine noise spreads across formats.
-  for (int rep = 0; rep < opt.repeat; ++rep) {
+  for (std::uint32_t rep = 0; rep < opt.repeat; ++rep) {
     for (Cell& c : cells) run_once(c, opt.chunk_edges);
   }
 
@@ -186,7 +174,7 @@ int main(int argc, char** argv) {
 
   if (opt.json) {
     std::printf("{\"bench\":\"ingest\",\"seed\":%llu,\"scale\":%.3g,"
-                "\"repeat\":%d,\"chunk_edges\":%zu,\"edges\":%llu,"
+                "\"repeat\":%u,\"chunk_edges\":%zu,\"edges\":%llu,"
                 "\"nodes\":%u,\"formats\":[",
                 static_cast<unsigned long long>(opt.seed), opt.scale,
                 opt.repeat, opt.chunk_edges,
@@ -209,7 +197,7 @@ int main(int argc, char** argv) {
   std::printf("==============================================================\n");
   std::printf("Out-of-core ingest throughput (chunked streaming reader)\n");
   std::printf("graph: BA+hubs, %llu edges, %u nodes; chunk=%zu edges; "
-              "min over %d repeats\n",
+              "min over %u repeats\n",
               static_cast<unsigned long long>(g.num_edges()), g.num_nodes(),
               opt.chunk_edges, opt.repeat);
   std::printf("==============================================================\n");

@@ -14,15 +14,13 @@
 // against.
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
+#include "bench_util.hpp"
 #include "graph/generators.hpp"
 #include "graph/preprocess.hpp"
 #include "tc/host.hpp"
-#include "tc/intersect.hpp"
 
 namespace {
 
@@ -35,50 +33,55 @@ struct Options {
 };
 
 Options parse(int argc, char** argv) {
-  Options opt;
-  for (int i = 1; i < argc; ++i) {
-    const char* arg = argv[i];
-    if (std::strncmp(arg, "--scale=", 8) == 0) {
-      opt.scale = std::atof(arg + 8);
-    } else if (std::strncmp(arg, "--seed=", 7) == 0) {
-      opt.seed = static_cast<std::uint64_t>(std::atoll(arg + 7));
-    } else if (std::strcmp(arg, "--json") == 0) {
-      opt.json = true;
-    } else if (std::strcmp(arg, "--quick") == 0) {
-      opt.scale = std::min(opt.scale, 0.1);
-    } else {
-      std::fprintf(stderr,
-                   "unknown argument '%s' "
-                   "(supported: --scale= --seed= --quick --json)\n",
-                   arg);
-      std::exit(2);
-    }
-  }
-  return opt;
+  return bench::parse_flags(
+      argc, argv, "--scale= --seed= --quick --json", [](const cli::Args& args) {
+        Options opt;
+        opt.scale = args.f64("scale", opt.scale);
+        if (args.flag("quick")) opt.scale = std::min(opt.scale, 0.1);
+        opt.seed = args.u64("seed", opt.seed);
+        opt.json = args.flag("json");
+        return opt;
+      });
 }
 
 struct Sample {
   const char* name;
   double estimate = 0.0;
-  std::uint64_t instructions = 0;        ///< whole kernel (copy+sort+count)
-  std::uint64_t count_instructions = 0;  ///< counting phase alone
   double count_s = 0.0;
-  tc::IntersectTally tally;
+  /// `instructions` is the whole kernel (copy + sort + count),
+  /// `count_instructions` the counting phase alone.
+  engine::KernelStats kernel;
 };
+
+/// Adds the per-recount kernel tallies of `r` into `sum`.
+void accumulate(engine::KernelStats& sum, const engine::KernelStats& r) {
+  sum.instructions += r.instructions;
+  sum.count_instructions += r.count_instructions;
+  sum.merge_isects += r.merge_isects;
+  sum.gallop_isects += r.gallop_isects;
+  sum.merge_picks += r.merge_picks;
+  sum.gallop_probes += r.gallop_probes;
+  sum.chunks_claimed += r.chunks_claimed;
+}
+
+engine::EngineConfig base_config(std::uint64_t seed) {
+  engine::EngineConfig cfg;
+  cfg.num_colors = 4;
+  cfg.seed = seed;
+  return cfg;
+}
 
 Sample run_static(const char* name, const graph::EdgeList& g,
                   tc::IntersectPolicy policy, bool degree_remap,
                   bool region_cache, std::uint64_t seed) {
-  tc::TcConfig cfg;
-  cfg.seed = seed;
+  engine::EngineConfig cfg = base_config(seed);
   cfg.intersect = policy;
   cfg.region_cache = region_cache;
   cfg.misra_gries_enabled = degree_remap;
   cfg.degree_ordered_remap = degree_remap;
   tc::PimTriangleCounter counter(cfg);
-  const tc::TcResult r = counter.count(g);
-  return {name,          r.estimate,      r.kernel_instructions,
-          r.count_instructions, r.times.count_s, r.kernel};
+  const engine::CountReport r = counter.count(g);
+  return {name, r.estimate, r.times.count_s, r.kernel};
 }
 
 void print_sample_json(const Sample& s, bool first) {
@@ -88,13 +91,13 @@ void print_sample_json(const Sample& s, bool first) {
       "\"count_s\":%.9g,\"merge_isects\":%llu,\"gallop_isects\":%llu,"
       "\"merge_picks\":%llu,\"gallop_probes\":%llu,\"chunks_claimed\":%llu}",
       first ? "" : ",", s.name, s.estimate,
-      static_cast<unsigned long long>(s.instructions),
-      static_cast<unsigned long long>(s.count_instructions), s.count_s,
-      static_cast<unsigned long long>(s.tally.merge_isects),
-      static_cast<unsigned long long>(s.tally.gallop_isects),
-      static_cast<unsigned long long>(s.tally.merge_picks),
-      static_cast<unsigned long long>(s.tally.gallop_probes),
-      static_cast<unsigned long long>(s.tally.chunks_claimed));
+      static_cast<unsigned long long>(s.kernel.instructions),
+      static_cast<unsigned long long>(s.kernel.count_instructions), s.count_s,
+      static_cast<unsigned long long>(s.kernel.merge_isects),
+      static_cast<unsigned long long>(s.kernel.gallop_isects),
+      static_cast<unsigned long long>(s.kernel.merge_picks),
+      static_cast<unsigned long long>(s.kernel.gallop_probes),
+      static_cast<unsigned long long>(s.kernel.chunks_claimed));
 }
 
 }  // namespace
@@ -134,19 +137,16 @@ int main(int argc, char** argv) {
   Sample inc{"incremental_updates"};
   Sample inc_full{"incremental_first_count"};
   {
-    tc::TcConfig cfg;
-    cfg.seed = opt.seed;
+    engine::EngineConfig cfg = base_config(opt.seed);
     cfg.incremental = true;
     tc::PimTriangleCounter counter(cfg);
     const auto edges = g.edges();
     const std::size_t first = edges.size() * 6 / 10;
     counter.add_edges(edges.subspan(0, first));
-    tc::TcResult r = counter.recount();
+    engine::CountReport r = counter.recount();
     inc_full.estimate = r.estimate;
-    inc_full.instructions = r.kernel_instructions;
-    inc_full.count_instructions = r.count_instructions;
     inc_full.count_s = r.times.count_s;
-    inc_full.tally = r.kernel;
+    inc_full.kernel = r.kernel;
     double prev_count_s = r.times.count_s;
     std::size_t done = first;
     for (int b = 0; b < 4; ++b) {
@@ -154,10 +154,8 @@ int main(int argc, char** argv) {
           b == 3 ? edges.size() : done + edges.size() / 10;
       counter.add_edges(edges.subspan(done, hi - done));
       r = counter.recount();
-      inc.instructions += r.kernel_instructions;
-      inc.count_instructions += r.count_instructions;
       inc.count_s += r.times.count_s - prev_count_s;
-      inc.tally += r.kernel;
+      accumulate(inc.kernel, r.kernel);
       prev_count_s = r.times.count_s;
       done = hi;
     }
@@ -175,9 +173,9 @@ int main(int argc, char** argv) {
   const Sample& legacy = statics[0];
   const Sample& adaptive = statics[2];
   const double reduction =
-      adaptive.count_instructions > 0
-          ? static_cast<double>(legacy.count_instructions) /
-                static_cast<double>(adaptive.count_instructions)
+      adaptive.kernel.count_instructions > 0
+          ? static_cast<double>(legacy.kernel.count_instructions) /
+                static_cast<double>(adaptive.kernel.count_instructions)
           : 0.0;
 
   if (opt.json) {
@@ -209,13 +207,13 @@ int main(int argc, char** argv) {
   const auto row = [](const Sample& s) {
     std::printf("  %-22s %12llu %14llu %10.2f %9llu %9llu %12llu %12llu\n",
                 s.name,
-                static_cast<unsigned long long>(s.count_instructions),
-                static_cast<unsigned long long>(s.instructions),
+                static_cast<unsigned long long>(s.kernel.count_instructions),
+                static_cast<unsigned long long>(s.kernel.instructions),
                 s.count_s * 1e3,
-                static_cast<unsigned long long>(s.tally.merge_isects),
-                static_cast<unsigned long long>(s.tally.gallop_isects),
-                static_cast<unsigned long long>(s.tally.merge_picks),
-                static_cast<unsigned long long>(s.tally.gallop_probes));
+                static_cast<unsigned long long>(s.kernel.merge_isects),
+                static_cast<unsigned long long>(s.kernel.gallop_isects),
+                static_cast<unsigned long long>(s.kernel.merge_picks),
+                static_cast<unsigned long long>(s.kernel.gallop_probes));
   };
   for (const Sample& s : statics) row(s);
   row(inc_full);

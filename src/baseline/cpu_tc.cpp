@@ -11,8 +11,8 @@ namespace pimtc::baseline {
 CpuTriangleCounter::CpuTriangleCounter(ThreadPool* pool)
     : pool_(pool ? pool : &ThreadPool::global()) {}
 
-CpuTcResult CpuTriangleCounter::count(const graph::EdgeList& coo) const {
-  CpuTcResult result;
+CpuCountResult CpuTriangleCounter::count(const graph::EdgeList& coo) const {
+  CpuCountResult result;
   result.profile.edges = coo.num_edges();
   result.profile.nodes = coo.num_nodes();
 

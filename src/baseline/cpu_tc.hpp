@@ -25,7 +25,7 @@ namespace pimtc::baseline {
 /// directly.
 using TcWorkProfile = pimtc::WorkProfile;
 
-struct CpuTcResult {
+struct CpuCountResult {
   TriangleCount triangles = 0;
   TcWorkProfile profile;
   double measured_convert_s = 0.0;  ///< local wall-clock, COO -> CSR
@@ -39,7 +39,7 @@ class CpuTriangleCounter {
 
   /// Full run: internal CSR conversion + count (the conversion is charged on
   /// every call — exactly the property the dynamic experiment exposes).
-  [[nodiscard]] CpuTcResult count(const graph::EdgeList& coo) const;
+  [[nodiscard]] CpuCountResult count(const graph::EdgeList& coo) const;
 
  private:
   ThreadPool* pool_;

@@ -59,7 +59,7 @@ class CpuFastEngine final : public engine::TriangleCountEngine {
   std::uint64_t edges_streamed_ = 0;
   std::uint64_t edges_deleted_ = 0;
   std::uint64_t delete_misses_ = 0;
-  engine::PhaseTimes times_;
+  PhaseTimes times_;
 };
 
 }  // namespace pimtc::cpufast

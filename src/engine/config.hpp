@@ -1,12 +1,11 @@
 // Unified configuration for every triangle-counting backend.
 //
-// EngineConfig absorbs the former tc::TcConfig (pipeline knobs), the
-// pim::PimSystemConfig (machine model) and the baseline's threading knob so
-// that one struct configures any engine from the registry.  Backends read
+// One struct configures any engine from the registry: the PIM pipeline
+// knobs, the machine model (`pim`) and the threading knob.  Backends read
 // the subset they understand: the CPU engines only look at `host_threads`
-// and `seed`; the PIM engine consumes everything.  validate() rejects
-// configurations that are nonsense for *any* backend, so a config accepted
-// once is accepted by every engine.
+// and `seed`; the PIM counter (tc::PimTriangleCounter) consumes everything.
+// validate() rejects configurations that are nonsense for *any* backend, so
+// a config accepted once is accepted by every engine.
 #pragma once
 
 #include <cstdint>
@@ -14,7 +13,7 @@
 
 #include "coloring/partition_plan.hpp"
 #include "pim/config.hpp"
-#include "tc/config.hpp"
+#include "tc/intersect.hpp"
 
 namespace pimtc::engine {
 
@@ -128,12 +127,9 @@ struct EngineConfig {
   pim::KernelCostModel cost{};
 
   /// Throws std::invalid_argument describing the first violated invariant.
-  /// make_engine() calls this before constructing any backend.
+  /// The TriangleCountEngine constructor calls this before any backend
+  /// member is built.
   void validate() const;
-
-  /// Projection onto the legacy PIM pipeline config (internal use by the
-  /// PIM engine; kept public so white-box tests can cross-check).
-  [[nodiscard]] tc::TcConfig to_tc_config() const;
 };
 
 }  // namespace pimtc::engine

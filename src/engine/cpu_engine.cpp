@@ -22,7 +22,7 @@ void CpuEngine::add_edges(std::span<const Edge> batch) {
 
 CountReport CpuEngine::recount() {
   if (!dirty_ && has_report_) return cached_;
-  const baseline::CpuTcResult c = counter_.count(accumulated_);
+  const baseline::CpuCountResult c = counter_.count(accumulated_);
   times_.ingest_s += c.measured_convert_s;
   times_.count_s += c.measured_count_s;
 

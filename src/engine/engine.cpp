@@ -122,31 +122,4 @@ void EngineConfig::validate() const {
   if (!fault_spec.empty()) (void)pim::FaultSpec::parse(fault_spec);
 }
 
-tc::TcConfig EngineConfig::to_tc_config() const {
-  tc::TcConfig cfg;
-  cfg.num_colors = num_colors;
-  cfg.tasklets = tasklets;
-  cfg.host_threads = host_threads;
-  cfg.sample_capacity_edges = sample_capacity_edges;
-  cfg.uniform_p = uniform_p;
-  cfg.misra_gries_enabled = misra_gries_enabled;
-  cfg.mg_capacity = mg_capacity;
-  cfg.mg_top = mg_top;
-  cfg.degree_ordered_remap = degree_ordered_remap;
-  cfg.intersect = intersect;
-  cfg.gallop_margin = gallop_margin;
-  cfg.region_cache = region_cache;
-  cfg.wram_buffer_edges = wram_buffer_edges;
-  cfg.staging_capacity_edges = staging_capacity_edges;
-  cfg.pipelined_ingest = pipelined_ingest;
-  cfg.incremental = incremental;
-  cfg.seed = seed;
-  cfg.fault_spec = fault_spec;
-  cfg.placement = placement;
-  cfg.rebalance_enabled = rebalance_enabled;
-  cfg.rebalance_min_gain = rebalance_min_gain;
-  cfg.cost = cost;
-  return cfg;
-}
-
 }  // namespace pimtc::engine

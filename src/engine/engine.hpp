@@ -105,7 +105,12 @@ class TriangleCountEngine {
   virtual void reset_timers() = 0;
 
  protected:
-  explicit TriangleCountEngine(const EngineConfig& config) : config_(config) {}
+  /// Runs EngineConfig::validate() (throws std::invalid_argument) before any
+  /// backend member is built, so every backend rejects a bad config exactly
+  /// once, whether built directly or through make_engine().
+  explicit TriangleCountEngine(const EngineConfig& config) : config_(config) {
+    config_.validate();
+  }
 
   EngineConfig config_;
 };

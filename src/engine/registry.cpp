@@ -8,7 +8,7 @@
 #include "common/mutex.hpp"
 #include "cpufast/cpu_fast_engine.hpp"
 #include "engine/cpu_engine.hpp"
-#include "engine/pim_engine.hpp"
+#include "tc/host.hpp"
 
 namespace pimtc::engine {
 
@@ -23,7 +23,7 @@ struct Registry {
 
   Registry() {
     factories.emplace("pim", [](const EngineConfig& cfg) {
-      return std::make_unique<PimEngine>(cfg);
+      return std::make_unique<tc::PimTriangleCounter>(cfg);
     });
     factories.emplace("cpu", [](const EngineConfig& cfg) {
       return std::make_unique<CpuEngine>(cfg);
@@ -62,7 +62,6 @@ std::unique_ptr<TriangleCountEngine> make_engine(std::string_view name,
     }
     factory = it->second;
   }
-  config.validate();
   return factory(config);
 }
 

@@ -26,7 +26,7 @@ namespace pimtc::engine {
 using EngineFactory =
     std::function<std::unique_ptr<TriangleCountEngine>(const EngineConfig&)>;
 
-/// Constructs the backend registered under `name` after validating
+/// Constructs the backend registered under `name`, which validates
 /// `config`.  Throws std::invalid_argument for an unknown name (the message
 /// lists the registered backends) or an invalid config.
 [[nodiscard]] std::unique_ptr<TriangleCountEngine> make_engine(

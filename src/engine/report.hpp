@@ -1,9 +1,9 @@
 // Unified result of one triangle-counting run, shared by every backend.
 //
-// CountReport is the superset of the former tc::TcResult (PIM) and
-// baseline::CpuTcResult: a statistical estimate with exactness flag, a
-// phase-time breakdown, a platform-independent work profile, and the
-// load-balance / sampling diagnostics that the benches and the CLI print.
+// CountReport is what every engine's recount() returns, the PIM counter
+// included: a statistical estimate with exactness flag, a phase-time
+// breakdown, a platform-independent work profile, and the load-balance /
+// sampling diagnostics that the benches and the CLI print.
 // Fields a backend cannot populate stay at their zero defaults; the
 // capability flags on the engine (see engine.hpp) say which groups are
 // meaningful.  See DESIGN.md "Engine architecture".
@@ -14,37 +14,13 @@
 #include <string>
 #include <vector>
 
+#include "common/phase_times.hpp"
 #include "common/types.hpp"
 #include "common/work_profile.hpp"
 #include "pim/fault.hpp"
 #include "pim/transfer_stats.hpp"
 
 namespace pimtc::engine {
-
-/// Wall-clock of one run split into the paper's phases (Section 4.1).
-/// For the PIM backend the first three fields are *simulated* seconds from
-/// the timing model and `host_s` is measured local host time; for the CPU
-/// backends everything is measured locally (`ingest_s` = structure build /
-/// conversion, `count_s` = counting).  Engines report times accumulated
-/// since construction or the last reset_timers().
-struct PhaseTimes {
-  double setup_s = 0.0;   ///< allocation + program load (PIM only)
-  double ingest_s = 0.0;  ///< sample creation / CSR conversion / batch merge
-  double count_s = 0.0;   ///< the counting kernel itself
-  double host_s = 0.0;    ///< measured host-CPU orchestration time
-
-  [[nodiscard]] double total_s() const noexcept {
-    return setup_s + ingest_s + count_s + host_s;
-  }
-
-  PhaseTimes& operator+=(const PhaseTimes& other) noexcept {
-    setup_s += other.setup_s;
-    ingest_s += other.ingest_s;
-    count_s += other.count_s;
-    host_s += other.host_s;
-    return *this;
-  }
-};
 
 /// Platform-independent operation counts of one run (common/work_profile.hpp);
 /// feeds the analytic platform models for cross-hardware projection.

@@ -30,7 +30,7 @@ PimSystem::PimSystem(const PimSystemConfig& config, std::uint32_t num_dpus,
 }
 
 double PimSystem::charge_bulk(std::span<const std::uint64_t> per_dpu_bytes,
-                              bool push, double PimPhaseTimes::* phase) {
+                              bool push, double PhaseTimes::* phase) {
   if (per_dpu_bytes.size() != num_dpus()) {
     throw std::invalid_argument(
         "PimSystem: bulk transfer needs one span per DPU (got " +
@@ -84,7 +84,7 @@ double PimSystem::charge_bulk(std::span<const std::uint64_t> per_dpu_bytes,
 }
 
 double PimSystem::scatter(std::span<const ScatterSpan> spans,
-                          double PimPhaseTimes::* phase) {
+                          double PhaseTimes::* phase) {
   if (spans.size() != num_dpus()) {
     throw std::invalid_argument("PimSystem::scatter: one span per DPU");
   }
@@ -104,7 +104,7 @@ double PimSystem::scatter(std::span<const ScatterSpan> spans,
 }
 
 double PimSystem::gather(std::span<const GatherSpan> spans,
-                         double PimPhaseTimes::* phase) {
+                         double PhaseTimes::* phase) {
   if (spans.size() != num_dpus()) {
     throw std::invalid_argument("PimSystem::gather: one span per DPU");
   }
@@ -149,7 +149,7 @@ void PimSystem::flip_mram_bit(std::uint32_t dpu, std::uint64_t byte_offset,
 // cap only matters at corruption rates near 1.0 — the final re-push is then
 // taken as delivered.
 double PimSystem::corrupt_scatter(std::span<const ScatterSpan> spans,
-                                  double PimPhaseTimes::* phase) {
+                                  double PhaseTimes::* phase) {
   const FaultSpec& spec = fault_plan_->spec();
   constexpr std::uint32_t kMaxRepairRounds = 8;
   double extra = 0.0;
@@ -190,7 +190,7 @@ double PimSystem::corrupt_scatter(std::span<const ScatterSpan> spans,
 // Pull-side counterpart: the flip lands in the host destination buffer and a
 // detected mismatch re-reads the (intact) MRAM content.
 double PimSystem::corrupt_gather(std::span<const GatherSpan> spans,
-                                 double PimPhaseTimes::* phase) {
+                                 double PhaseTimes::* phase) {
   const FaultSpec& spec = fault_plan_->spec();
   constexpr std::uint32_t kMaxRepairRounds = 8;
   double extra = 0.0;
@@ -231,7 +231,7 @@ double PimSystem::corrupt_gather(std::span<const GatherSpan> spans,
 
 PimSystem::LaunchReport PimSystem::launch_checked(
     std::span<const std::uint32_t> dpu_ids,
-    const std::function<void(Dpu&)>& kernel, double PimPhaseTimes::* phase) {
+    const std::function<void(Dpu&)>& kernel, double PhaseTimes::* phase) {
   LaunchReport report;
   if (dpu_ids.empty()) return report;
   const std::uint64_t step = fault_plan_ != nullptr ? fault_step_++ : 0;
@@ -308,18 +308,18 @@ PimSystem::LaunchReport PimSystem::launch_checked(
   return report;
 }
 
-void PimSystem::charge_host(double seconds, double PimPhaseTimes::* phase) {
+void PimSystem::charge_host(double seconds, double PhaseTimes::* phase) {
   times_.*phase += seconds;
 }
 
 void PimSystem::launch(const std::function<void(Dpu&)>& kernel,
-                       double PimPhaseTimes::* phase) {
+                       double PhaseTimes::* phase) {
   launch_on(num_dpus(), kernel, phase);
 }
 
 void PimSystem::launch_on(std::uint32_t count,
                           const std::function<void(Dpu&)>& kernel,
-                          double PimPhaseTimes::* phase) {
+                          double PhaseTimes::* phase) {
   if (count > num_dpus()) {
     throw std::invalid_argument("PimSystem::launch_on: count > num_dpus");
   }

@@ -1,5 +1,7 @@
-// Host-side orchestration of the PIM triangle counter — the public entry
-// point of the library.
+// Host-side orchestration of the PIM triangle counter — the "pim" engine of
+// the registry.  It is configured by engine::EngineConfig (the machine
+// model is `config.pim`) and reports through engine::CountReport, like
+// every other backend.
 //
 // Pipeline per batch of COO edges (paper Sections 3.1-3.3):
 //   1. host threads stream their chunk of the batch: uniform sampling
@@ -39,7 +41,12 @@
 //
 // The class is stateful to support the dynamic-graph use case (Figure 7):
 // add_edges() may be called repeatedly, and recount() reuses the resident
-// samples — only new edges are transferred.
+// samples — only new edges are transferred.  In incremental mode
+// (`config.incremental`) recount() processes only the edges added since the
+// previous count against a persistent sorted arc array per core (paper
+// Section 4.6), falling back to a full pass whenever a reservoir
+// overflowed; with Misra-Gries on, the remap table freezes at the first
+// count so that state stays consistent.
 #pragma once
 
 #include <cstdint>
@@ -52,27 +59,25 @@
 #include "coloring/partition_plan.hpp"
 #include "coloring/partitioner.hpp"
 #include "coloring/triplets.hpp"
+#include "engine/engine.hpp"
 #include "graph/coo.hpp"
 #include "pim/system.hpp"
 #include "sketch/misra_gries.hpp"
 #include "sketch/reservoir.hpp"
-#include "tc/config.hpp"
-#include "tc/result.hpp"
 
 namespace pimtc::tc {
 
-class PimTriangleCounter {
+class PimTriangleCounter final : public engine::TriangleCountEngine {
  public:
-  explicit PimTriangleCounter(const TcConfig& config,
-                              const pim::PimSystemConfig& pim_config = {});
-
-  /// One-shot static counting: stream the whole graph, then count.
-  TcResult count(const graph::EdgeList& graph);
+  /// Throws std::invalid_argument when `config.validate()` does.  Auto color
+  /// selection (num_colors == 0) is resolved here, so config().num_colors is
+  /// the C in effect.
+  explicit PimTriangleCounter(const engine::EngineConfig& config);
 
   /// Streams one batch of edges into the PIM cores (dynamic updates).
   /// Self loops are dropped; edges are expected deduplicated (see
   /// graph::preprocess).
-  void add_edges(std::span<const Edge> batch);
+  void add_edges(std::span<const Edge> batch) override;
 
   /// Streams one batch of a fully-dynamic (±) update stream.  Insertions
   /// behave exactly like add_edges (an all-insert batch takes that code
@@ -87,15 +92,17 @@ class PimTriangleCounter {
   /// oracle for it).  Throws std::invalid_argument when the batch contains
   /// deletions and uniform_p < 1 — the keep coin of the original insertion
   /// is not reconstructible, so DOULION cannot compose with deletions.
-  void apply(std::span<const EdgeUpdate> batch);
-
-  /// Convenience wrapper: apply() with every update a deletion.
-  void remove_edges(std::span<const Edge> batch);
+  void apply(std::span<const EdgeUpdate> batch) override;
 
   /// Runs the counting kernel over the resident samples and returns the
-  /// corrected estimate.  Idempotent: recounting without new edges returns
-  /// the same result.
-  TcResult recount();
+  /// corrected estimate (DESIGN.md "Correction math") with the modeled
+  /// phase times, transfer and kernel diagnostics, and the Misra-Gries
+  /// top-t summary when enabled.  Idempotent: recounting without new edges
+  /// returns the same result.
+  engine::CountReport recount() override;
+
+  [[nodiscard]] engine::EngineCapabilities capabilities() const override;
+  [[nodiscard]] const char* name() const noexcept override { return "pim"; }
 
   /// Re-plans placement from the observed per-triplet loads (LPT: heaviest
   /// first, chunked into ranks) and migrates resident samples to their new
@@ -132,7 +139,7 @@ class PimTriangleCounter {
   /// Zeroes the accumulated phase times and transfer diagnostics.  An
   /// in-flight pipelined flush belongs to the pre-reset window, so it is
   /// settled first and cannot leak into the next measurement window.
-  void reset_timers() {
+  void reset_timers() override {
     drain_in_flight(0.0);
     system_->reset_times();
   }
@@ -148,22 +155,12 @@ class PimTriangleCounter {
   [[nodiscard]] const color::TripletTable& triplets() const noexcept {
     return plan_.table();
   }
-  /// The effective config: auto color selection (num_colors == 0) is
-  /// resolved here.
-  [[nodiscard]] const TcConfig& config() const noexcept { return config_; }
   [[nodiscard]] std::uint64_t sample_capacity() const noexcept {
     return capacity_;
-  }
-  [[nodiscard]] const sketch::MisraGries& heavy_hitters() const noexcept {
-    return global_mg_;
   }
   /// Edges ever offered to each PIM core, indexed by *triplet* (the t_d of
   /// the estimator; map through plan().dpu_of() for the physical core).
   [[nodiscard]] std::vector<std::uint64_t> per_dpu_edges_seen() const;
-  /// Host threads in the partitioning/staging pool.
-  [[nodiscard]] std::uint32_t host_threads() const noexcept {
-    return static_cast<std::uint32_t>(pool().size());
-  }
   /// Sample migrations performed so far (rebalance / migrate_to).
   [[nodiscard]] std::uint32_t rebalances() const noexcept {
     return rebalances_;
@@ -241,8 +238,6 @@ class PimTriangleCounter {
     return pool_ ? *pool_ : ThreadPool::global();
   }
 
-  TcConfig config_;
-  pim::PimSystemConfig pim_config_;
   std::unique_ptr<ThreadPool> pool_;
   color::PartitionPlan plan_;
   ColorHash hash_;

@@ -51,7 +51,7 @@ TEST(CpuTcTest, HandlesDirtyInput) {
 
 TEST(CpuTcTest, ProfileIsPopulated) {
   graph::EdgeList g = graph::gen::erdos_renyi(500, 4000, 2);
-  const CpuTcResult r = CpuTriangleCounter().count(g);
+  const CpuCountResult r = CpuTriangleCounter().count(g);
   EXPECT_EQ(r.profile.edges, 4000u);
   EXPECT_GT(r.profile.conversion_ops, 3 * 4000u);
   EXPECT_GT(r.profile.intersection_steps, 0u);
@@ -61,7 +61,7 @@ TEST(CpuTcTest, ProfileIsPopulated) {
 }
 
 TEST(CpuTcTest, EmptyGraph) {
-  const CpuTcResult r = CpuTriangleCounter().count(graph::EdgeList{});
+  const CpuCountResult r = CpuTriangleCounter().count(graph::EdgeList{});
   EXPECT_EQ(r.triangles, 0u);
 }
 
@@ -103,7 +103,7 @@ TEST(DynamicCpuTest, RecountPaysFullConversionEveryTime) {
 
 TEST(DeviceModelTest, GpuFasterThanCpuOnStaticRuns) {
   graph::EdgeList g = graph::gen::erdos_renyi(2000, 20000, 7);
-  const CpuTcResult r = CpuTriangleCounter().count(g);
+  const CpuCountResult r = CpuTriangleCounter().count(g);
   const double cpu = xeon_4215_model().static_seconds(r.profile);
   const double gpu = a100_model().static_seconds(r.profile);
   EXPECT_LT(gpu, cpu);

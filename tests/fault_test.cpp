@@ -27,12 +27,6 @@
 namespace pimtc {
 namespace {
 
-pim::PimSystemConfig small_banks() {
-  pim::PimSystemConfig cfg;
-  cfg.mram_bytes = 8ull << 20;
-  return cfg;
-}
-
 /// The acceptance graph family: BA preferential attachment plus planted
 /// hubs, so triplet loads are skewed and a dropped triplet actually hurts.
 graph::EdgeList ba_hub_graph(std::uint64_t seed) {
@@ -42,20 +36,22 @@ graph::EdgeList ba_hub_graph(std::uint64_t seed) {
   return g;
 }
 
-tc::TcConfig base_config(std::uint64_t seed = 42) {
-  tc::TcConfig cfg;
+engine::EngineConfig base_config(std::uint64_t seed = 42) {
+  engine::EngineConfig cfg;
   cfg.num_colors = 4;
   cfg.seed = seed;
+  cfg.pim.mram_bytes = 8ull << 20;
   return cfg;
 }
 
 /// One full static session under `spec` (empty = injection off).
-tc::TcResult run_with_spec(const graph::EdgeList& g, const std::string& spec,
-                           std::uint32_t colors = 4) {
-  tc::TcConfig cfg = base_config();
+engine::CountReport run_with_spec(const graph::EdgeList& g,
+                                  const std::string& spec,
+                                  std::uint32_t colors = 4) {
+  engine::EngineConfig cfg = base_config();
   cfg.num_colors = colors;
   cfg.fault_spec = spec;
-  tc::PimTriangleCounter counter(cfg, small_banks());
+  tc::PimTriangleCounter counter(cfg);
   return counter.count(g);
 }
 
@@ -170,15 +166,15 @@ TEST(FaultInjectionTest, InertPlanIsBitIdenticalToNoPlan) {
   // the exactness verdict, or the modeled phase times in any config.
   const graph::EdgeList g = ba_hub_graph(21);
   for (const std::uint32_t colors : {3u, 4u, 5u}) {
-    const tc::TcResult off = run_with_spec(g, "", colors);
+    const engine::CountReport off = run_with_spec(g, "", colors);
     // checksum=off: not even the modeled checksum detection cost is
     // charged, so the phase times match to the bit as well.
-    const tc::TcResult inert =
+    const engine::CountReport inert =
         run_with_spec(g, "seed=9,checksum=off", colors);
     EXPECT_EQ(inert.estimate, off.estimate) << colors;
     EXPECT_EQ(inert.exact, off.exact) << colors;
     EXPECT_EQ(inert.times.setup_s, off.times.setup_s) << colors;
-    EXPECT_EQ(inert.times.sample_creation_s, off.times.sample_creation_s)
+    EXPECT_EQ(inert.times.ingest_s, off.times.ingest_s)
         << colors;
     EXPECT_EQ(inert.times.count_s, off.times.count_s) << colors;
     EXPECT_TRUE(inert.faults.injected);
@@ -187,7 +183,7 @@ TEST(FaultInjectionTest, InertPlanIsBitIdenticalToNoPlan) {
 
     // With checksums on, the estimate is still untouched; only the modeled
     // detection cost appears.
-    const tc::TcResult guarded = run_with_spec(g, "seed=9", colors);
+    const engine::CountReport guarded = run_with_spec(g, "seed=9", colors);
     EXPECT_EQ(guarded.estimate, off.estimate) << colors;
     EXPECT_GT(guarded.faults.checksum_bytes, 0u) << colors;
     EXPECT_GE(guarded.times.count_s, off.times.count_s) << colors;
@@ -198,8 +194,8 @@ TEST(FaultInjectionTest, InertPlanIsBitIdenticalToNoPlan) {
 
 TEST(FaultRecoveryTest, TransientRetriesAreBitIdentical) {
   const graph::EdgeList g = ba_hub_graph(22);
-  const tc::TcResult clean = run_with_spec(g, "");
-  const tc::TcResult faulty =
+  const engine::CountReport clean = run_with_spec(g, "");
+  const engine::CountReport faulty =
       run_with_spec(g, "seed=5,launch-transient=0.08");
   EXPECT_EQ(faulty.estimate, clean.estimate);
   EXPECT_EQ(faulty.exact, clean.exact);
@@ -212,8 +208,8 @@ TEST(FaultRecoveryTest, TransientRetriesAreBitIdentical) {
 
 TEST(FaultRecoveryTest, DeadBankRematerializesBitIdentical) {
   const graph::EdgeList g = ba_hub_graph(23);
-  const tc::TcResult clean = run_with_spec(g, "");
-  const tc::TcResult faulty =
+  const engine::CountReport clean = run_with_spec(g, "");
+  const engine::CountReport faulty =
       run_with_spec(g, "seed=5,launch-permanent=0.05,spares=32");
   EXPECT_EQ(faulty.estimate, clean.estimate);
   EXPECT_EQ(faulty.exact, clean.exact);
@@ -234,16 +230,17 @@ TEST(FaultRecoveryTest, ChurnedSessionRematerializesBitIdentical) {
     deletes.push_back(delete_of(g[i]));
   }
   const auto run = [&](const std::string& spec) {
-    tc::TcConfig cfg = base_config();
+    engine::EngineConfig cfg = base_config();
     cfg.fault_spec = spec;
-    tc::PimTriangleCounter counter(cfg, small_banks());
+    tc::PimTriangleCounter counter(cfg);
     counter.add_edges(g.edges());
     (void)counter.recount();
     counter.apply(deletes);
     return counter.recount();
   };
-  const tc::TcResult clean = run("");
-  const tc::TcResult faulty = run("seed=6,launch-permanent=0.1,spares=32");
+  const engine::CountReport clean = run("");
+  const engine::CountReport faulty =
+      run("seed=6,launch-permanent=0.1,spares=32");
   EXPECT_EQ(faulty.estimate, clean.estimate);
   EXPECT_GT(faulty.faults.rematerializations, 0u);
   EXPECT_FALSE(faulty.faults.degraded);
@@ -253,15 +250,14 @@ TEST(FaultRecoveryTest, RankOutageRecoversThroughSpares) {
   // Kill whole ranks (8 DPUs each here); generous spares must absorb them
   // with no estimate change.
   const graph::EdgeList g = ba_hub_graph(25);
-  pim::PimSystemConfig sys = small_banks();
-  sys.dpus_per_rank = 8;
-  tc::TcConfig cfg = base_config();
-  tc::PimTriangleCounter clean_counter(cfg, sys);
-  const tc::TcResult clean = clean_counter.count(g);
+  engine::EngineConfig cfg = base_config();
+  cfg.pim.dpus_per_rank = 8;
+  tc::PimTriangleCounter clean_counter(cfg);
+  const engine::CountReport clean = clean_counter.count(g);
 
   cfg.fault_spec = "seed=19,rank-outage=0.25,spares=64";
-  tc::PimTriangleCounter faulty_counter(cfg, sys);
-  const tc::TcResult faulty = faulty_counter.count(g);
+  tc::PimTriangleCounter faulty_counter(cfg);
+  const engine::CountReport faulty = faulty_counter.count(g);
   ASSERT_GT(faulty.faults.rank_outages, 0u) << "seed drew no outage; pick "
                                                "another seed";
   EXPECT_EQ(faulty.estimate, clean.estimate);
@@ -275,7 +271,7 @@ TEST(FaultRecoveryTest, DegradedModeStaysWithinReportedBound) {
   // must sit inside the widened bound the report advertises.
   const graph::EdgeList g = ba_hub_graph(26);
   const auto truth = static_cast<double>(graph::reference_triangle_count(g));
-  const tc::TcResult r =
+  const engine::CountReport r =
       run_with_spec(g, "seed=8,launch-permanent=0.15,recovery=degrade");
   ASSERT_GT(r.faults.dropped_triplets, 0u);
   EXPECT_TRUE(r.faults.degraded);
@@ -291,7 +287,7 @@ TEST(FaultRecoveryTest, DegradedModeStaysWithinReportedBound) {
 
 TEST(FaultRecoveryTest, RetryPolicyDropsDeadBanksInsteadOfMigrating) {
   const graph::EdgeList g = ba_hub_graph(27);
-  const tc::TcResult r =
+  const engine::CountReport r =
       run_with_spec(g, "seed=8,launch-permanent=0.1,recovery=retry");
   ASSERT_GT(r.faults.dead_dpus, 0u);
   EXPECT_EQ(r.faults.rematerializations, 0u);
@@ -303,8 +299,8 @@ TEST(FaultRecoveryTest, RetryPolicyDropsDeadBanksInsteadOfMigrating) {
 
 TEST(TransferCorruptionTest, ChecksummedRepairIsBitIdentical) {
   const graph::EdgeList g = ba_hub_graph(28);
-  const tc::TcResult clean = run_with_spec(g, "");
-  const tc::TcResult faulty = run_with_spec(g, "seed=4,corrupt=0.08");
+  const engine::CountReport clean = run_with_spec(g, "");
+  const engine::CountReport faulty = run_with_spec(g, "seed=4,corrupt=0.08");
   ASSERT_GT(faulty.faults.transfer_corruptions, 0u);
   EXPECT_EQ(faulty.estimate, clean.estimate);
   EXPECT_EQ(faulty.exact, clean.exact);
@@ -320,7 +316,8 @@ TEST(TransferCorruptionTest, UncheckedCorruptionGoesUndetected) {
   // no detection counters, no repair cost.  (The estimate may or may not
   // move; silence is the property under test.)
   const graph::EdgeList g = ba_hub_graph(28);
-  const tc::TcResult r = run_with_spec(g, "seed=4,corrupt=0.01,checksum=off");
+  const engine::CountReport r =
+      run_with_spec(g, "seed=4,corrupt=0.01,checksum=off");
   EXPECT_EQ(r.faults.transfer_corruptions, 0u);
   EXPECT_EQ(r.faults.transfer_retries, 0u);
   EXPECT_EQ(r.faults.checksum_bytes, 0u);
@@ -331,8 +328,8 @@ TEST(TransferCorruptionTest, UncheckedCorruptionGoesUndetected) {
 
 TEST(BitflipTest, ScrubRestoreIsBitIdentical) {
   const graph::EdgeList g = ba_hub_graph(29);
-  const tc::TcResult clean = run_with_spec(g, "");
-  const tc::TcResult faulty = run_with_spec(g, "seed=2,bitflip=0.2");
+  const engine::CountReport clean = run_with_spec(g, "");
+  const engine::CountReport faulty = run_with_spec(g, "seed=2,bitflip=0.2");
   ASSERT_GT(faulty.faults.mram_bitflips, 0u);
   EXPECT_EQ(faulty.faults.sample_restores, faulty.faults.mram_bitflips);
   EXPECT_EQ(faulty.estimate, clean.estimate);
@@ -343,7 +340,8 @@ TEST(BitflipTest, ScrubRestoreIsBitIdentical) {
 
 TEST(BitflipTest, WithoutChecksumsFlipsAreCountedButNotScrubbed) {
   const graph::EdgeList g = ba_hub_graph(29);
-  const tc::TcResult r = run_with_spec(g, "seed=2,bitflip=0.2,checksum=off");
+  const engine::CountReport r =
+      run_with_spec(g, "seed=2,bitflip=0.2,checksum=off");
   EXPECT_GT(r.faults.mram_bitflips, 0u);
   EXPECT_EQ(r.faults.sample_restores, 0u);
   EXPECT_FALSE(r.faults.degraded);  // the sample is corrupt, not lost
@@ -357,12 +355,12 @@ TEST(RestoreBankTest, RestoreIsBitIdenticalOnInsertOnlySession) {
   const graph::EdgeList g = ba_hub_graph(30);
   const std::size_t half = g.num_edges() / 2;
 
-  tc::TcConfig cfg = base_config();
-  tc::PimTriangleCounter uninterrupted(cfg, small_banks());
+  engine::EngineConfig cfg = base_config();
+  tc::PimTriangleCounter uninterrupted(cfg);
   uninterrupted.add_edges(g.edges());
-  const tc::TcResult want = uninterrupted.recount();
+  const engine::CountReport want = uninterrupted.recount();
 
-  tc::PimTriangleCounter counter(cfg, small_banks());
+  tc::PimTriangleCounter counter(cfg);
   counter.add_edges(g.edges().subspan(0, half));
   (void)counter.recount();
   counter.ensure_mirrors();
@@ -372,7 +370,7 @@ TEST(RestoreBankTest, RestoreIsBitIdenticalOnInsertOnlySession) {
     counter.restore_bank(t);
   }
   counter.add_edges(g.edges().subspan(half));
-  const tc::TcResult got = counter.recount();
+  const engine::CountReport got = counter.recount();
   EXPECT_EQ(got.estimate, want.estimate);
   EXPECT_EQ(got.exact, want.exact);
 }
@@ -383,27 +381,27 @@ TEST(RestoreBankTest, RestoreIsBitIdenticalOnChurnedSession) {
   for (std::size_t i = 0; i < g.num_edges(); i += 5) {
     churn.push_back(delete_of(g[i]));
   }
-  tc::TcConfig cfg = base_config();
+  engine::EngineConfig cfg = base_config();
 
-  tc::PimTriangleCounter uninterrupted(cfg, small_banks());
+  tc::PimTriangleCounter uninterrupted(cfg);
   uninterrupted.add_edges(g.edges());
   uninterrupted.apply(churn);
-  const tc::TcResult want = uninterrupted.recount();
+  const engine::CountReport want = uninterrupted.recount();
 
-  tc::PimTriangleCounter counter(cfg, small_banks());
+  tc::PimTriangleCounter counter(cfg);
   counter.add_edges(g.edges());
   (void)counter.recount();
   counter.ensure_mirrors();
   counter.restore_bank(0);
   counter.restore_bank(counter.triplets().num_triplets() - 1);
   counter.apply(churn);
-  const tc::TcResult got = counter.recount();
+  const engine::CountReport got = counter.recount();
   EXPECT_EQ(got.estimate, want.estimate);
 }
 
 TEST(RestoreBankTest, PreconditionsAreEnforced) {
-  tc::TcConfig cfg = base_config();
-  tc::PimTriangleCounter counter(cfg, small_banks());
+  engine::EngineConfig cfg = base_config();
+  tc::PimTriangleCounter counter(cfg);
   counter.add_edges(ba_hub_graph(32).edges());
   EXPECT_THROW(counter.restore_bank(1u << 20), std::invalid_argument);
   EXPECT_THROW(counter.restore_bank(0), std::logic_error);  // no mirrors yet

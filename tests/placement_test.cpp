@@ -111,19 +111,19 @@ TEST(PartitionPlanTest, LoadImbalanceDiagnostics) {
 
 // ---- estimator invariance under placement -----------------------------------
 
-tc::TcConfig stress_config(std::uint64_t seed) {
-  tc::TcConfig cfg;
-  cfg.num_colors = 4;
-  cfg.seed = seed;
-  cfg.uniform_p = 0.6;              // uniform sampler engaged
-  cfg.sample_capacity_edges = 500;  // reservoirs overflow (replacements)
+engine::EngineConfig small_config(std::uint32_t colors) {
+  engine::EngineConfig cfg;
+  cfg.num_colors = colors;
+  cfg.pim.mram_bytes = 8ull << 20;
+  cfg.pim.dpus_per_rank = 4;  // several ranks even at small C
   return cfg;
 }
 
-pim::PimSystemConfig small_banks() {
-  pim::PimSystemConfig cfg;
-  cfg.mram_bytes = 8ull << 20;
-  cfg.dpus_per_rank = 4;  // several ranks even at small C
+engine::EngineConfig stress_config(std::uint64_t seed) {
+  engine::EngineConfig cfg = small_config(4);
+  cfg.seed = seed;
+  cfg.uniform_p = 0.6;              // uniform sampler engaged
+  cfg.sample_capacity_edges = 500;  // reservoirs overflow (replacements)
   return cfg;
 }
 
@@ -148,9 +148,9 @@ TEST(PlacementInvarianceTest, EstimateBitIdenticalAcrossPolicies) {
     for (const auto policy :
          {PlacementPolicy::kIdentity, PlacementPolicy::kKindInterleave,
           PlacementPolicy::kGreedyBalance}) {
-      tc::TcConfig cfg = stress_config(seed);
+      engine::EngineConfig cfg = stress_config(seed);
       cfg.placement = policy;
-      tc::PimTriangleCounter counter(cfg, small_banks());
+      tc::PimTriangleCounter counter(cfg);
       const double estimate = run_stream(counter, g.edges());
       if (policy == PlacementPolicy::kIdentity) {
         identity_estimate = estimate;
@@ -168,13 +168,13 @@ TEST(PlacementInvarianceTest, EstimateSurvivesArbitraryPermutationMidStream) {
   graph::preprocess(g, 43);
   const auto edges = g.edges();
 
-  tc::PimTriangleCounter baseline(stress_config(21), small_banks());
+  tc::PimTriangleCounter baseline(stress_config(21));
   const double expected = run_stream(baseline, edges);
 
   // Same stream, but a seeded random permutation is installed (and the
   // resident samples migrated) between the batches.
-  tc::TcConfig cfg = stress_config(21);
-  tc::PimTriangleCounter counter(cfg, small_banks());
+  engine::EngineConfig cfg = stress_config(21);
+  tc::PimTriangleCounter counter(cfg);
   counter.add_edges(edges.subspan(0, edges.size() / 3));
   counter.add_edges(
       edges.subspan(edges.size() / 3, edges.size() / 3));
@@ -203,16 +203,15 @@ TEST(PlacementInvarianceTest, RebalanceKeepsEstimateAndExactness) {
   graph::EdgeList first_half;
   first_half.append(edges.subspan(0, half));
 
-  tc::TcConfig cfg;
-  cfg.num_colors = 4;
+  engine::EngineConfig cfg = small_config(4);
   cfg.seed = 5;
-  tc::PimTriangleCounter counter(cfg, small_banks());
+  tc::PimTriangleCounter counter(cfg);
   counter.add_edges(edges.subspan(0, half));
   EXPECT_EQ(counter.recount().rounded(),
             graph::reference_triangle_count(first_half));
   counter.rebalance();
   counter.add_edges(edges.subspan(half));
-  const tc::TcResult r = counter.recount();
+  const engine::CountReport r = counter.recount();
   EXPECT_TRUE(r.exact);
   EXPECT_EQ(r.rounded(), truth);
 }
@@ -224,14 +223,14 @@ TEST(PlacementInvarianceTest, RebalanceUnderReservoirOverflow) {
   const std::size_t half = edges.size() / 2;
 
   const auto run = [&](bool rebalance_mid_stream) {
-    tc::PimTriangleCounter counter(stress_config(77), small_banks());
+    tc::PimTriangleCounter counter(stress_config(77));
     counter.add_edges(edges.subspan(0, half));
     if (rebalance_mid_stream) counter.rebalance();
     counter.add_edges(edges.subspan(half));
     return counter.recount();
   };
-  const tc::TcResult plain = run(false);
-  const tc::TcResult rebalanced = run(true);
+  const engine::CountReport plain = run(false);
+  const engine::CountReport rebalanced = run(true);
   EXPECT_GT(plain.reservoir_overflows, 0u);
   EXPECT_EQ(plain.estimate, rebalanced.estimate);
 }
@@ -243,11 +242,10 @@ TEST(RebalanceTest, MigrationMovesSamplesWithModeledTransfers) {
   graph::gen::add_hubs(g, 1, 500, 72);
   graph::preprocess(g, 73);
 
-  tc::TcConfig cfg;
-  cfg.num_colors = 4;
+  engine::EngineConfig cfg = small_config(4);
   cfg.seed = 9;
   cfg.placement = PlacementPolicy::kIdentity;
-  tc::PimTriangleCounter counter(cfg, small_banks());
+  tc::PimTriangleCounter counter(cfg);
   counter.add_edges(g.edges());
   const pim::TransferStats before = counter.system().transfer_stats();
 
@@ -270,18 +268,17 @@ TEST(RebalanceTest, AutoRebalanceTriggersOnImbalanceAndCountsStayExact) {
   graph::preprocess(g, 83);
   const TriangleCount truth = graph::reference_triangle_count(g);
 
-  tc::TcConfig cfg;
-  cfg.num_colors = 4;
+  engine::EngineConfig cfg = small_config(4);
   cfg.seed = 3;
   cfg.rebalance_enabled = true;
   cfg.rebalance_min_gain = 1.01;
-  tc::PimTriangleCounter counter(cfg, small_banks());
-  const tc::TcResult r = counter.count(g);
+  tc::PimTriangleCounter counter(cfg);
+  const engine::CountReport r = counter.count(g);
   EXPECT_TRUE(r.exact);
   EXPECT_EQ(r.rounded(), truth);
   EXPECT_GE(r.rebalances, 1u);
   // A second recount must not thrash: placement is already balanced.
-  const tc::TcResult again = counter.recount();
+  const engine::CountReport again = counter.recount();
   EXPECT_EQ(again.rebalances, r.rebalances);
   EXPECT_EQ(again.rounded(), truth);
 }
@@ -294,15 +291,14 @@ TEST(PlacementTimingTest, GreedyBalanceShrinksScatterPaddingOnHubGraph) {
   graph::preprocess(g, 93);
 
   const auto run = [&](PlacementPolicy policy) {
-    tc::TcConfig cfg;
-    cfg.num_colors = 5;
+    engine::EngineConfig cfg = small_config(5);
     cfg.seed = 17;
     cfg.placement = policy;
-    tc::PimTriangleCounter counter(cfg, small_banks());
+    tc::PimTriangleCounter counter(cfg);
     return counter.count(g);
   };
-  const tc::TcResult identity = run(PlacementPolicy::kIdentity);
-  const tc::TcResult greedy = run(PlacementPolicy::kGreedyBalance);
+  const engine::CountReport identity = run(PlacementPolicy::kIdentity);
+  const engine::CountReport greedy = run(PlacementPolicy::kGreedyBalance);
   EXPECT_EQ(identity.estimate, greedy.estimate);  // functional parity
   EXPECT_LT(greedy.transfers.push_wire_bytes,
             identity.transfers.push_wire_bytes);
@@ -312,15 +308,14 @@ TEST(PlacementTimingTest, GreedyBalanceShrinksScatterPaddingOnHubGraph) {
 TEST(PlacementTimingTest, KindLoadHistogramFollowsTheN3N6NModel) {
   graph::EdgeList g = graph::gen::erdos_renyi(4000, 40000, 5);
   graph::preprocess(g, 6);
-  tc::TcConfig cfg;
-  cfg.num_colors = 5;
+  engine::EngineConfig cfg = small_config(5);
   cfg.seed = 2;
-  tc::PimTriangleCounter counter(cfg, small_banks());
-  const tc::TcResult r = counter.count(g);
+  tc::PimTriangleCounter counter(cfg);
+  const engine::CountReport r = counter.count(g);
   // C=5: 5 kind-1, 20 kind-2, 10 kind-3 cores.
-  EXPECT_EQ(r.kind_dpus[0], 5u);
-  EXPECT_EQ(r.kind_dpus[1], 20u);
-  EXPECT_EQ(r.kind_dpus[2], 10u);
+  EXPECT_EQ(r.kind_units[0], 5u);
+  EXPECT_EQ(r.kind_units[1], 20u);
+  EXPECT_EQ(r.kind_units[2], 10u);
   const std::uint64_t total = r.kind_edges_seen[0] + r.kind_edges_seen[1] +
                               r.kind_edges_seen[2];
   EXPECT_EQ(total, r.edges_replicated);

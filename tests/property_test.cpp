@@ -18,9 +18,10 @@
 namespace pimtc {
 namespace {
 
-pim::PimSystemConfig small_banks() {
-  pim::PimSystemConfig cfg;
-  cfg.mram_bytes = 8ull << 20;
+engine::EngineConfig small_config(std::uint32_t colors) {
+  engine::EngineConfig cfg;
+  cfg.num_colors = colors;
+  cfg.pim.mram_bytes = 8ull << 20;
   return cfg;
 }
 
@@ -33,8 +34,7 @@ TEST(ComposedSamplingTest, UniformAndReservoirTogetherStayUnbiased) {
   graph::preprocess(g, 8);
   const auto truth = static_cast<double>(graph::reference_triangle_count(g));
 
-  tc::TcConfig cfg;
-  cfg.num_colors = 3;
+  engine::EngineConfig cfg = small_config(3);
   cfg.uniform_p = 0.5;
   cfg.sample_capacity_edges = static_cast<std::uint64_t>(
       0.5 * 0.5 * 6.0 * static_cast<double>(g.num_edges()) / 9.0);
@@ -43,8 +43,8 @@ TEST(ComposedSamplingTest, UniformAndReservoirTogetherStayUnbiased) {
   const int trials = 6;
   for (int s = 0; s < trials; ++s) {
     cfg.seed = 4000 + s;
-    tc::PimTriangleCounter counter(cfg, small_banks());
-    const tc::TcResult r = counter.count(g);
+    tc::PimTriangleCounter counter(cfg);
+    const engine::CountReport r = counter.count(g);
     EXPECT_FALSE(r.exact);
     sum += r.estimate;
   }
@@ -61,17 +61,16 @@ TEST_P(InvarianceTest, CountInvariantUnderShuffleAndOrientation) {
   graph::EdgeList g = graph::gen::rmat(
       11, 6000, graph::gen::RmatParams{0.45, 0.22, 0.22, 0.11}, seed);
 
-  tc::TcConfig cfg;
-  cfg.num_colors = 4;
+  engine::EngineConfig cfg = small_config(4);
   cfg.seed = 7;
-  tc::PimTriangleCounter base(cfg, small_banks());
+  tc::PimTriangleCounter base(cfg);
   const TriangleCount expected = base.count(g).rounded();
 
   graph::shuffle_edges(g, seed + 1);
   for (Edge& e : g.mutable_edges()) {
     if ((e.u ^ e.v ^ seed) & 1) e = e.reversed();
   }
-  tc::PimTriangleCounter other(cfg, small_banks());
+  tc::PimTriangleCounter other(cfg);
   EXPECT_EQ(other.count(g).rounded(), expected);
   EXPECT_EQ(expected, graph::reference_triangle_count(g));
 }
@@ -82,10 +81,9 @@ TEST_P(InvarianceTest, CountInvariantUnderColoringSeed) {
   graph::EdgeList g = graph::gen::barabasi_albert(500, 4, seed);
   const TriangleCount expected = graph::reference_triangle_count(g);
   for (std::uint64_t color_seed = 0; color_seed < 3; ++color_seed) {
-    tc::TcConfig cfg;
-    cfg.num_colors = 5;
+    engine::EngineConfig cfg = small_config(5);
     cfg.seed = color_seed * 977 + 13;
-    tc::PimTriangleCounter counter(cfg, small_banks());
+    tc::PimTriangleCounter counter(cfg);
     EXPECT_EQ(counter.count(g).rounded(), expected)
         << "color seed " << color_seed;
   }
@@ -95,13 +93,12 @@ TEST_P(InvarianceTest, CountInvariantUnderIdPermutation) {
   // Triangle count is a graph invariant: permuting node ids changes nothing.
   const std::uint64_t seed = GetParam();
   graph::EdgeList g = graph::gen::community(800, 40, 0.5, 500, seed);
-  tc::TcConfig cfg;
-  cfg.num_colors = 3;
-  tc::PimTriangleCounter a(cfg, small_banks());
+  engine::EngineConfig cfg = small_config(3);
+  tc::PimTriangleCounter a(cfg);
   const TriangleCount before = a.count(g).rounded();
 
   graph::gen::permute_ids(g, seed + 99);
-  tc::PimTriangleCounter b(cfg, small_banks());
+  tc::PimTriangleCounter b(cfg);
   EXPECT_EQ(b.count(g).rounded(), before);
 }
 
@@ -114,8 +111,7 @@ TEST_P(InvarianceTest, EstimateBitIdenticalUnderIntersectPolicy) {
   graph::gen::add_hubs(g, 2, 200, seed + 1);
   graph::preprocess(g, seed + 2);
 
-  tc::TcConfig cfg;
-  cfg.num_colors = 3;
+  engine::EngineConfig cfg = small_config(3);
   cfg.uniform_p = 0.8;
   cfg.seed = 31 + seed;
   cfg.misra_gries_enabled = true;
@@ -124,14 +120,14 @@ TEST_P(InvarianceTest, EstimateBitIdenticalUnderIntersectPolicy) {
   cfg.sample_capacity_edges = g.num_edges() / 3;  // forces overflow somewhere
 
   cfg.intersect = tc::IntersectPolicy::kAuto;
-  tc::PimTriangleCounter base(cfg, small_banks());
-  const tc::TcResult ref = base.count(g);
+  tc::PimTriangleCounter base(cfg);
+  const engine::CountReport ref = base.count(g);
 
   for (const tc::IntersectPolicy policy :
        {tc::IntersectPolicy::kMerge, tc::IntersectPolicy::kGallop}) {
     cfg.intersect = policy;
-    tc::PimTriangleCounter counter(cfg, small_banks());
-    const tc::TcResult r = counter.count(g);
+    tc::PimTriangleCounter counter(cfg);
+    const engine::CountReport r = counter.count(g);
     EXPECT_EQ(r.estimate, ref.estimate) << tc::to_string(policy);
     EXPECT_EQ(r.raw_total, ref.raw_total) << tc::to_string(policy);
   }
@@ -150,15 +146,14 @@ TEST_P(InvarianceTest, IncrementalEstimateBitIdenticalUnderIntersectPolicy) {
   for (const tc::IntersectPolicy policy :
        {tc::IntersectPolicy::kAuto, tc::IntersectPolicy::kMerge,
         tc::IntersectPolicy::kGallop}) {
-    tc::TcConfig cfg;
-    cfg.num_colors = 3;
+    engine::EngineConfig cfg = small_config(3);
     cfg.incremental = true;
     cfg.intersect = policy;
-    tc::PimTriangleCounter counter(cfg, small_banks());
+    tc::PimTriangleCounter counter(cfg);
     counter.add_edges(edges.subspan(0, half));
     (void)counter.recount();
     counter.add_edges(edges.subspan(half));
-    const tc::TcResult r = counter.recount();
+    const engine::CountReport r = counter.recount();
     EXPECT_TRUE(r.used_incremental);
     if (ref_estimate < 0.0) {
       ref_estimate = r.estimate;
@@ -190,19 +185,18 @@ TEST_P(InvarianceTest, MixedStreamEstimateBitIdenticalUnderPolicies) {
     for (const tc::IntersectPolicy intersect :
          {tc::IntersectPolicy::kAuto, tc::IntersectPolicy::kMerge,
           tc::IntersectPolicy::kGallop}) {
-      tc::TcConfig cfg;
-      cfg.num_colors = 3;
+      engine::EngineConfig cfg = small_config(3);
       cfg.seed = 17 + seed;
       cfg.placement = placement;
       cfg.intersect = intersect;
       cfg.sample_capacity_edges = edges.size() / 4;  // overflow somewhere
-      tc::PimTriangleCounter counter(cfg, small_banks());
+      tc::PimTriangleCounter counter(cfg);
       counter.add_edges(edges.subspan(0, cut));
       counter.remove_edges(edges.subspan(100, 150));
       counter.add_edges(edges.subspan(cut));
       counter.remove_edges(edges.subspan(0, 60));
       counter.add_edges(edges.subspan(100, 50));  // re-insert some deleted
-      const tc::TcResult r = counter.recount();
+      const engine::CountReport r = counter.recount();
       if (ref < 0.0) {
         ref = r.estimate;
       } else {
@@ -226,20 +220,20 @@ TEST(AdaptiveIntersectionTest, CutsStaticCountInstructionsOnHubGraphs) {
   graph::gen::permute_ids(g, 13);
   graph::preprocess(g, 14);
 
-  tc::TcConfig legacy_cfg;
+  engine::EngineConfig legacy_cfg = small_config(4);
   legacy_cfg.intersect = tc::IntersectPolicy::kMerge;
   legacy_cfg.region_cache = false;
-  tc::PimTriangleCounter legacy(legacy_cfg, small_banks());
-  const tc::TcResult legacy_r = legacy.count(g);
+  tc::PimTriangleCounter legacy(legacy_cfg);
+  const engine::CountReport legacy_r = legacy.count(g);
 
-  tc::TcConfig adaptive_cfg;  // defaults: auto policy, cache on
-  tc::PimTriangleCounter adaptive(adaptive_cfg, small_banks());
-  const tc::TcResult adaptive_r = adaptive.count(g);
+  // Defaults: auto policy, cache on.
+  tc::PimTriangleCounter adaptive(small_config(4));
+  const engine::CountReport adaptive_r = adaptive.count(g);
 
   EXPECT_EQ(adaptive_r.estimate, legacy_r.estimate);
-  EXPECT_GT(adaptive_r.count_instructions, 0u);
-  EXPECT_GE(static_cast<double>(legacy_r.count_instructions),
-            1.5 * static_cast<double>(adaptive_r.count_instructions));
+  EXPECT_GT(adaptive_r.kernel.count_instructions, 0u);
+  EXPECT_GE(static_cast<double>(legacy_r.kernel.count_instructions),
+            1.5 * static_cast<double>(adaptive_r.kernel.count_instructions));
   // The modeled count phase must improve too, not just the op counts.
   EXPECT_LT(adaptive_r.times.count_s, legacy_r.times.count_s);
 }
@@ -247,14 +241,13 @@ TEST(AdaptiveIntersectionTest, CutsStaticCountInstructionsOnHubGraphs) {
 // ---- simulated-time sanity -------------------------------------------------
 
 TEST(TimingPropertiesTest, MoreEdgesNeverFaster) {
-  tc::TcConfig cfg;
-  cfg.num_colors = 4;
+  engine::EngineConfig cfg = small_config(4);
   double prev = 0.0;
   for (const EdgeCount m : {2'000ull, 8'000ull, 32'000ull}) {
     graph::EdgeList g = graph::gen::erdos_renyi(4000, m, 5);
-    tc::PimTriangleCounter counter(cfg, small_banks());
-    const tc::TcResult r = counter.count(g);
-    const double sim = r.times.sample_creation_s + r.times.count_s;
+    tc::PimTriangleCounter counter(cfg);
+    const engine::CountReport r = counter.count(g);
+    const double sim = r.times.ingest_s + r.times.count_s;
     EXPECT_GT(sim, prev) << m;
     prev = sim;
   }
@@ -264,11 +257,10 @@ TEST(TimingPropertiesTest, MoreTaskletsNeverSlower) {
   graph::EdgeList g = graph::gen::erdos_renyi(2000, 16'000, 9);
   double prev = 1e300;
   for (const std::uint32_t tasklets : {1u, 4u, 16u}) {
-    tc::TcConfig cfg;
-    cfg.num_colors = 3;
+    engine::EngineConfig cfg = small_config(3);
     cfg.tasklets = tasklets;
-    tc::PimTriangleCounter counter(cfg, small_banks());
-    const tc::TcResult r = counter.count(g);
+    tc::PimTriangleCounter counter(cfg);
+    const engine::CountReport r = counter.count(g);
     EXPECT_LT(r.times.count_s, prev * 1.02) << tasklets;
     prev = r.times.count_s;
   }
@@ -277,12 +269,11 @@ TEST(TimingPropertiesTest, MoreTaskletsNeverSlower) {
 TEST(TimingPropertiesTest, UniformSamplingSpeedsUpSimulatedPhases) {
   graph::EdgeList g = graph::gen::erdos_renyi(5000, 60'000, 11);
   const auto run = [&](double p) {
-    tc::TcConfig cfg;
-    cfg.num_colors = 4;
+    engine::EngineConfig cfg = small_config(4);
     cfg.uniform_p = p;
-    tc::PimTriangleCounter counter(cfg, small_banks());
-    const tc::TcResult r = counter.count(g);
-    return r.times.sample_creation_s + r.times.count_s;
+    tc::PimTriangleCounter counter(cfg);
+    const engine::CountReport r = counter.count(g);
+    return r.times.ingest_s + r.times.count_s;
   };
   const double exact = run(1.0);
   const double sampled = run(0.1);
@@ -295,9 +286,8 @@ TEST(LoadPropertiesTest, SeenEdgesSumToReplicationFactor) {
   graph::EdgeList g = graph::gen::erdos_renyi(1500, 12'000, 3);
   graph::preprocess(g, 4);
   for (const std::uint32_t colors : {2u, 5u, 9u}) {
-    tc::TcConfig cfg;
-    cfg.num_colors = colors;
-    tc::PimTriangleCounter counter(cfg, small_banks());
+    engine::EngineConfig cfg = small_config(colors);
+    tc::PimTriangleCounter counter(cfg);
     counter.add_edges(g.edges());
     const auto seen = counter.per_dpu_edges_seen();
     const std::uint64_t total =
@@ -310,9 +300,8 @@ TEST(LoadPropertiesTest, MonoTripletCoresSeeOnlyMonochromaticEdges) {
   // A (c,c,c) core receives an edge iff both endpoints hash to c, so its
   // load must be ~ |E| / C^2 in expectation.
   graph::EdgeList g = graph::gen::erdos_renyi(20'000, 60'000, 13);
-  tc::TcConfig cfg;
-  cfg.num_colors = 4;
-  tc::PimTriangleCounter counter(cfg, small_banks());
+  engine::EngineConfig cfg = small_config(4);
+  tc::PimTriangleCounter counter(cfg);
   counter.add_edges(g.edges());
   const auto seen = counter.per_dpu_edges_seen();
   const double expected =
@@ -350,32 +339,27 @@ TEST(EstimatorPropertiesTest, ReservoirCorrectionMonotoneInOverflow) {
 // ---- failure injection ---------------------------------------------------------
 
 TEST(FailureInjectionTest, MramTooSmallIsRejectedAtConstruction) {
-  pim::PimSystemConfig tiny;
-  tiny.mram_bytes = 1024;  // cannot hold even the fixed layout
-  tc::TcConfig cfg;
-  cfg.num_colors = 2;
-  EXPECT_THROW(tc::PimTriangleCounter(cfg, tiny), std::invalid_argument);
+  engine::EngineConfig cfg = small_config(2);
+  cfg.pim.mram_bytes = 1024;  // cannot hold even the fixed layout
+  EXPECT_THROW(tc::PimTriangleCounter{cfg}, std::invalid_argument);
 }
 
 TEST(FailureInjectionTest, CapacityClampedToBankLayout) {
-  pim::PimSystemConfig banks;
-  banks.mram_bytes = 1 << 20;
-  tc::TcConfig cfg;
-  cfg.num_colors = 2;
+  engine::EngineConfig cfg = small_config(2);
+  cfg.pim.mram_bytes = 1 << 20;
   cfg.sample_capacity_edges = 1ull << 40;  // absurd request
-  tc::PimTriangleCounter counter(cfg, banks);
+  tc::PimTriangleCounter counter(cfg);
   EXPECT_LE(counter.sample_capacity(),
-            tc::MramLayout::max_capacity(banks.mram_bytes));
+            tc::MramLayout::max_capacity(cfg.pim.mram_bytes));
   // And the run still works within the clamp.
   graph::EdgeList g = graph::gen::complete(16);
   EXPECT_EQ(counter.count(g).rounded(), binomial(16, 3));
 }
 
 TEST(FailureInjectionTest, EmptyGraphCountsZero) {
-  tc::TcConfig cfg;
-  cfg.num_colors = 3;
-  tc::PimTriangleCounter counter(cfg, small_banks());
-  const tc::TcResult r = counter.count(graph::EdgeList{});
+  engine::EngineConfig cfg = small_config(3);
+  tc::PimTriangleCounter counter(cfg);
+  const engine::CountReport r = counter.count(graph::EdgeList{});
   EXPECT_TRUE(r.exact);
   EXPECT_EQ(r.rounded(), 0u);
 }
@@ -383,9 +367,8 @@ TEST(FailureInjectionTest, EmptyGraphCountsZero) {
 TEST(FailureInjectionTest, LoopOnlyGraphCountsZero) {
   graph::EdgeList g;
   for (NodeId u = 0; u < 50; ++u) g.push_back({u, u});
-  tc::TcConfig cfg;
-  cfg.num_colors = 2;
-  tc::PimTriangleCounter counter(cfg, small_banks());
+  engine::EngineConfig cfg = small_config(2);
+  tc::PimTriangleCounter counter(cfg);
   EXPECT_EQ(counter.count(g).rounded(), 0u);
 }
 

@@ -1,0 +1,251 @@
+// Golden pin of the "pim" engine's CountReport.  One small seeded BA+hubs
+// graph runs under six configurations; every report field except the
+// measured times.host_s is written one per line and compared with
+// tests/golden/pim_reports.golden.  Estimates, tallies, instruction counts
+// and modeled times are pure functions of graph, config and seed (ingest is
+// serial and host threads are pinned), so a refactor must leave this text
+// unchanged.  Integers and strings match exactly; doubles match to 1e-12
+// relative, since another compiler may contract floating-point math
+// differently.  On a deliberate model change, replace the golden file with
+// the actual text the failure message prints.
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cmath>
+#include <cstdio>
+#include <cstdlib>
+#include <filesystem>
+#include <fstream>
+#include <string>
+#include <vector>
+
+#include "engine/registry.hpp"
+#include "graph/generators.hpp"
+#include "graph/preprocess.hpp"
+
+namespace pimtc {
+namespace {
+
+struct Line {
+  std::string key;
+  std::string value;
+  bool is_double = false;
+};
+
+void append_report(const std::string& tag, const engine::CountReport& r,
+                   std::vector<Line>& out) {
+  const auto s = [&](const std::string& key, std::string value) {
+    out.push_back({tag + "." + key, std::move(value), false});
+  };
+  const auto i = [&](const std::string& key, std::uint64_t value) {
+    s(key, std::to_string(value));
+  };
+  const auto d = [&](const std::string& key, double value) {
+    char buf[32];
+    std::snprintf(buf, sizeof buf, "%.17g", value);
+    out.push_back({tag + "." + key, buf, true});
+  };
+
+  s("backend", r.backend);
+  d("estimate", r.estimate);
+  i("exact", r.exact);
+  i("raw_total", r.raw_total);
+  d("times.setup_s", r.times.setup_s);
+  d("times.ingest_s", r.times.ingest_s);
+  d("times.count_s", r.times.count_s);
+  i("simulated_times", r.simulated_times);
+  i("work.edges", r.work.edges);
+  i("work.nodes", r.work.nodes);
+  i("work.conversion_ops", r.work.conversion_ops);
+  i("work.intersection_steps", r.work.intersection_steps);
+  i("work.triangles", r.work.triangles);
+  i("transfers.push_transfers", r.transfers.push_transfers);
+  i("transfers.push_payload_bytes", r.transfers.push_payload_bytes);
+  i("transfers.push_wire_bytes", r.transfers.push_wire_bytes);
+  i("transfers.pull_transfers", r.transfers.pull_transfers);
+  i("transfers.pull_payload_bytes", r.transfers.pull_payload_bytes);
+  i("transfers.pull_wire_bytes", r.transfers.pull_wire_bytes);
+  d("transfers.overlap_saved_s", r.transfers.overlap_saved_s);
+  i("num_units", r.num_units);
+  i("num_ranks", r.num_ranks);
+  i("host_threads", r.host_threads);
+  i("edges_streamed", r.edges_streamed);
+  i("edges_kept", r.edges_kept);
+  i("edges_replicated", r.edges_replicated);
+  i("min_unit_edges", r.min_unit_edges);
+  i("max_unit_edges", r.max_unit_edges);
+  i("reservoir_overflows", r.reservoir_overflows);
+  i("used_incremental", r.used_incremental);
+  i("edges_deleted", r.edges_deleted);
+  i("sample_evictions", r.sample_evictions);
+  i("delete_misses", r.delete_misses);
+  i("dirty_full_recounts", r.dirty_full_recounts);
+  i("num_colors", r.num_colors);
+  s("placement", r.placement);
+  d("dpu_utilization", r.dpu_utilization);
+  d("load_imbalance", r.load_imbalance);
+  for (std::size_t k = 0; k < 3; ++k) {
+    i("kind_edges_seen." + std::to_string(k), r.kind_edges_seen[k]);
+    i("kind_units." + std::to_string(k), r.kind_units[k]);
+  }
+  i("rebalances", r.rebalances);
+  s("kernel.intersect", r.kernel.intersect);
+  i("kernel.merge_isects", r.kernel.merge_isects);
+  i("kernel.gallop_isects", r.kernel.gallop_isects);
+  i("kernel.bitmap_isects", r.kernel.bitmap_isects);
+  i("kernel.merge_picks", r.kernel.merge_picks);
+  i("kernel.gallop_probes", r.kernel.gallop_probes);
+  i("kernel.bitmap_probes", r.kernel.bitmap_probes);
+  i("kernel.chunks_claimed", r.kernel.chunks_claimed);
+  i("kernel.instructions", r.kernel.instructions);
+  i("kernel.count_instructions", r.kernel.count_instructions);
+  i("faults.injected", r.faults.injected);
+  i("faults.degraded", r.faults.degraded);
+  d("faults.coverage", r.faults.coverage);
+  d("faults.error_bound", r.faults.error_bound);
+  i("faults.launch_transients", r.faults.launch_transients);
+  i("faults.launch_retries", r.faults.launch_retries);
+  i("faults.dead_dpus", r.faults.dead_dpus);
+  i("faults.rank_outages", r.faults.rank_outages);
+  i("faults.rematerializations", r.faults.rematerializations);
+  i("faults.migrations", r.faults.migrations);
+  i("faults.dropped_triplets", r.faults.dropped_triplets);
+  i("faults.transfer_corruptions", r.faults.transfer_corruptions);
+  i("faults.transfer_retries", r.faults.transfer_retries);
+  i("faults.mram_bitflips", r.faults.mram_bitflips);
+  i("faults.sample_restores", r.faults.sample_restores);
+  i("faults.checksum_bytes", r.faults.checksum_bytes);
+  d("faults.detection_s", r.faults.detection_s);
+  d("faults.recovery_s", r.faults.recovery_s);
+  i("heavy_hitters", r.heavy_hitters.size());
+  for (std::size_t k = 0; k < r.heavy_hitters.size(); ++k) {
+    s("heavy_hitters." + std::to_string(k),
+      std::to_string(r.heavy_hitters[k].node) + ":" +
+          std::to_string(r.heavy_hitters[k].estimated_degree));
+  }
+}
+
+std::string render(const std::vector<Line>& lines) {
+  std::string text;
+  for (const Line& l : lines) text += l.key + " = " + l.value + "\n";
+  return text;
+}
+
+bool value_matches(const Line& actual, const std::string& expected) {
+  if (actual.value == expected) return true;
+  if (!actual.is_double) return false;
+  char* end = nullptr;
+  const double want = std::strtod(expected.c_str(), &end);
+  if (end == expected.c_str() || *end != '\0') return false;
+  const double got = std::strtod(actual.value.c_str(), nullptr);
+  return std::abs(got - want) <=
+         1e-12 * std::max(std::abs(got), std::abs(want));
+}
+
+graph::EdgeList golden_graph() {
+  graph::EdgeList g = graph::gen::barabasi_albert(1200, 5, 7);
+  graph::gen::add_hubs(g, 3, 300, 8);
+  graph::preprocess(g, 9);
+  return g;
+}
+
+engine::EngineConfig base_config() {
+  engine::EngineConfig cfg;
+  cfg.num_colors = 6;
+  cfg.host_threads = 2;
+  cfg.pipelined_ingest = false;
+  cfg.pim.mram_bytes = 8ull << 20;
+  return cfg;
+}
+
+std::vector<Line> run_all() {
+  const graph::EdgeList g = golden_graph();
+  std::vector<Line> lines;
+  const auto one_shot = [&](const std::string& tag,
+                            const engine::EngineConfig& cfg) {
+    append_report(tag, engine::make_engine("pim", cfg)->count(g), lines);
+  };
+
+  one_shot("exact", base_config());
+
+  engine::EngineConfig sampled = base_config();
+  sampled.uniform_p = 0.5;
+  sampled.sample_capacity_edges = 512;
+  sampled.misra_gries_enabled = true;
+  one_shot("sampled", sampled);
+
+  engine::EngineConfig remap = base_config();
+  remap.misra_gries_enabled = true;
+  remap.degree_ordered_remap = true;
+  remap.intersect = tc::IntersectPolicy::kGallop;
+  one_shot("remap_gallop", remap);
+
+  // Ranks of 8 cores, so placement moves the padded wire bytes.  Greedy
+  // plans from a tiny first batch; the rest of the graph shifts the loads
+  // far enough for the recount to rebalance.
+  engine::EngineConfig greedy = base_config();
+  greedy.placement = color::PlacementPolicy::kGreedyBalance;
+  greedy.rebalance_enabled = true;
+  greedy.pim.dpus_per_rank = 8;
+  {
+    auto eng = engine::make_engine("pim", greedy);
+    eng->add_edges(g.edges().subspan(0, 64));
+    eng->add_edges(g.edges().subspan(64));
+    append_report("greedy_rebalance", eng->recount(), lines);
+  }
+
+  engine::EngineConfig staged = base_config();
+  staged.staging_capacity_edges = 64;
+  one_shot("staging64", staged);
+
+  // Incremental ± session with dead banks re-materialized onto spares; the
+  // report's times and fault ledger accumulate over both recounts.
+  engine::EngineConfig churn = base_config();
+  churn.incremental = true;
+  churn.fault_spec = "seed=3,launch-permanent=0.02,recovery=rematerialize";
+  {
+    auto eng = engine::make_engine("pim", churn);
+    const std::size_t half = g.num_edges() / 2;
+    eng->add_edges(g.edges().subspan(0, half));
+    (void)eng->recount();
+    std::vector<EdgeUpdate> mixed;
+    for (std::size_t k = half; k < g.num_edges(); ++k) {
+      mixed.push_back(insert_of(g[k]));
+    }
+    for (std::size_t k = 0; k < half; k += 5) mixed.push_back(delete_of(g[k]));
+    eng->apply(mixed);
+    append_report("churn", eng->recount(), lines);
+  }
+  return lines;
+}
+
+TEST(ReportGoldenTest, PimReportsMatchGoldenFile) {
+  const std::vector<Line> actual = run_all();
+  const std::filesystem::path path =
+      std::filesystem::path(__FILE__).parent_path() / "golden" /
+      "pim_reports.golden";
+  std::ifstream in(path);
+  ASSERT_TRUE(in) << "cannot open " << path << "\nactual:\n"
+                  << render(actual);
+  std::vector<std::string> expected;
+  for (std::string line; std::getline(in, line);) expected.push_back(line);
+
+  std::size_t matched = 0;
+  while (matched < actual.size() && matched < expected.size()) {
+    const Line& a = actual[matched];
+    const std::string prefix = a.key + " = ";
+    const std::string& e = expected[matched];
+    if (e.compare(0, prefix.size(), prefix) != 0 ||
+        !value_matches(a, e.substr(prefix.size()))) {
+      break;
+    }
+    ++matched;
+  }
+  const bool same = matched == actual.size() && matched == expected.size();
+  EXPECT_TRUE(same) << "first difference at line " << matched + 1 << " of "
+                    << path << "\nactual:\n"
+                    << render(actual);
+}
+
+}  // namespace
+}  // namespace pimtc

@@ -12,21 +12,16 @@
 #include "graph/preprocess.hpp"
 #include "graph/reference_tc.hpp"
 #include "tc/host.hpp"
-#include "tc/kernel.hpp"
 
 namespace pimtc::tc {
 namespace {
 
-pim::PimSystemConfig small_banks() {
-  pim::PimSystemConfig cfg;
-  cfg.mram_bytes = 8ull << 20;  // keep simulated banks small in tests
-  return cfg;
-}
-
-TcConfig exact_config(std::uint32_t colors, std::uint64_t seed = 42) {
-  TcConfig cfg;
+engine::EngineConfig exact_config(std::uint32_t colors,
+                                  std::uint64_t seed = 42) {
+  engine::EngineConfig cfg;
   cfg.num_colors = colors;
   cfg.seed = seed;
+  cfg.pim.mram_bytes = 8ull << 20;  // keep simulated banks small in tests
   return cfg;
 }
 
@@ -43,8 +38,8 @@ TEST_P(ExactCountTest, MatchesReferenceOnErdosRenyi) {
   const TriangleCount expected = graph::reference_triangle_count(g);
 
   PimTriangleCounter counter(
-      exact_config(colors, static_cast<std::uint64_t>(seed)), small_banks());
-  const TcResult result = counter.count(g);
+      exact_config(colors, static_cast<std::uint64_t>(seed)));
+  const engine::CountReport result = counter.count(g);
   EXPECT_TRUE(result.exact);
   EXPECT_EQ(result.rounded(), expected)
       << "colors=" << colors << " seed=" << seed;
@@ -52,7 +47,7 @@ TEST_P(ExactCountTest, MatchesReferenceOnErdosRenyi) {
 
 INSTANTIATE_TEST_SUITE_P(
     ColorsAndSeeds, ExactCountTest,
-    ::testing::Combine(::testing::Values(1u, 2u, 3u, 4u, 6u, 8u),
+    ::testing::Combine(::testing::Values(2u, 3u, 4u, 6u, 8u),
                        ::testing::Values(1, 2, 3)));
 
 TEST(TcIntegrationTest, ExactOnStructuredGraphs) {
@@ -63,8 +58,8 @@ TEST(TcIntegrationTest, ExactOnStructuredGraphs) {
            {graph::gen::cycle(50), 0},
            {graph::gen::star(100), 0},
        }) {
-    PimTriangleCounter counter(exact_config(4), small_banks());
-    const TcResult result = counter.count(g);
+    PimTriangleCounter counter(exact_config(4));
+    const engine::CountReport result = counter.count(g);
     EXPECT_TRUE(result.exact);
     EXPECT_EQ(result.rounded(), expected);
   }
@@ -74,7 +69,7 @@ TEST(TcIntegrationTest, ExactOnSkewedGraph) {
   graph::EdgeList g = graph::gen::barabasi_albert(800, 6, 3);
   graph::preprocess(g, 5);
   const TriangleCount expected = graph::reference_triangle_count(g);
-  PimTriangleCounter counter(exact_config(5), small_banks());
+  PimTriangleCounter counter(exact_config(5));
   EXPECT_EQ(counter.count(g).rounded(), expected);
 }
 
@@ -84,34 +79,30 @@ TEST(TcIntegrationTest, ExactWithMisraGriesRemapEnabled) {
   graph::preprocess(g, 13);
   const TriangleCount expected = graph::reference_triangle_count(g);
 
-  TcConfig cfg = exact_config(4);
+  engine::EngineConfig cfg = exact_config(4);
   cfg.misra_gries_enabled = true;
   cfg.mg_capacity = 64;
   cfg.mg_top = 12;
-  PimTriangleCounter counter(cfg, small_banks());
-  const TcResult result = counter.count(g);
+  PimTriangleCounter counter(cfg);
+  const engine::CountReport result = counter.count(g);
   EXPECT_TRUE(result.exact);
   EXPECT_EQ(result.rounded(), expected);
 }
 
 TEST(TcIntegrationTest, MonochromaticCorrectionIsExercised) {
-  // With a single color every triangle is monochromatic and counted by the
-  // one DPU; with two colors monochromatic triangles are counted twice and
-  // corrected.  Both must give the exact result.
+  // With two colors monochromatic triangles are counted twice and
+  // corrected; the result must still be exact.
   graph::EdgeList g = graph::gen::complete(25);
-  const TriangleCount expected = binomial(25, 3);
-  for (const std::uint32_t colors : {1u, 2u}) {
-    PimTriangleCounter counter(exact_config(colors), small_banks());
-    EXPECT_EQ(counter.count(g).rounded(), expected) << "C=" << colors;
-  }
+  PimTriangleCounter counter(exact_config(2));
+  EXPECT_EQ(counter.count(g).rounded(), binomial(25, 3));
 }
 
 TEST(TcIntegrationTest, RawTotalOvercountsWithoutCorrection) {
   // Sanity check that the correction is doing real work: the raw sum over
   // cores must exceed the true count whenever monochromatic triangles exist.
   graph::EdgeList g = graph::gen::complete(20);
-  PimTriangleCounter counter(exact_config(3), small_banks());
-  const TcResult result = counter.count(g);
+  PimTriangleCounter counter(exact_config(3));
+  const engine::CountReport result = counter.count(g);
   EXPECT_GT(result.raw_total, result.rounded());
 }
 
@@ -121,8 +112,8 @@ TEST(TcIntegrationTest, EdgesReplicatedExactlyCTimes) {
   graph::EdgeList g = graph::gen::erdos_renyi(300, 2000, 1);
   graph::preprocess(g, 2);
   for (const std::uint32_t colors : {2u, 5u, 7u}) {
-    PimTriangleCounter counter(exact_config(colors), small_banks());
-    const TcResult result = counter.count(g);
+    PimTriangleCounter counter(exact_config(colors));
+    const engine::CountReport result = counter.count(g);
     EXPECT_EQ(result.edges_replicated,
               static_cast<std::uint64_t>(colors) * g.num_edges());
   }
@@ -130,9 +121,9 @@ TEST(TcIntegrationTest, EdgesReplicatedExactlyCTimes) {
 
 TEST(TcIntegrationTest, UsesBinomialNumberOfDpus) {
   graph::EdgeList g = graph::gen::erdos_renyi(100, 500, 1);
-  for (const std::uint32_t colors : {1u, 3u, 6u}) {
-    PimTriangleCounter counter(exact_config(colors), small_banks());
-    EXPECT_EQ(counter.count(g).num_dpus, num_triplets(colors));
+  for (const std::uint32_t colors : {3u, 6u}) {
+    PimTriangleCounter counter(exact_config(colors));
+    EXPECT_EQ(counter.count(g).num_units, num_triplets(colors));
   }
 }
 
@@ -140,7 +131,7 @@ TEST(TcIntegrationTest, SelfLoopsIgnored) {
   graph::EdgeList g = graph::gen::complete(10);
   g.push_back({3, 3});
   g.push_back({7, 7});
-  PimTriangleCounter counter(exact_config(3), small_banks());
+  PimTriangleCounter counter(exact_config(3));
   EXPECT_EQ(counter.count(g).rounded(), binomial(10, 3));
 }
 
@@ -152,7 +143,7 @@ TEST(TcIntegrationTest, UniformSamplingApproximates) {
   const auto truth =
       static_cast<double>(graph::reference_triangle_count(g));
 
-  TcConfig cfg = exact_config(3);
+  engine::EngineConfig cfg = exact_config(3);
   cfg.uniform_p = 0.5;
   // Average over a few seeds: DOULION at p=0.5 on a triangle-rich graph
   // should land within a few percent.
@@ -160,8 +151,8 @@ TEST(TcIntegrationTest, UniformSamplingApproximates) {
   const int trials = 5;
   for (int s = 0; s < trials; ++s) {
     cfg.seed = 1000 + s;
-    PimTriangleCounter counter(cfg, small_banks());
-    const TcResult r = counter.count(g);
+    PimTriangleCounter counter(cfg);
+    const engine::CountReport r = counter.count(g);
     EXPECT_FALSE(r.exact);
     sum += r.estimate;
   }
@@ -170,10 +161,10 @@ TEST(TcIntegrationTest, UniformSamplingApproximates) {
 
 TEST(TcIntegrationTest, UniformSamplingReducesTransferVolume) {
   graph::EdgeList g = graph::gen::erdos_renyi(2000, 20000, 5);
-  TcConfig cfg = exact_config(3);
+  engine::EngineConfig cfg = exact_config(3);
   cfg.uniform_p = 0.1;
-  PimTriangleCounter counter(cfg, small_banks());
-  const TcResult r = counter.count(g);
+  PimTriangleCounter counter(cfg);
+  const engine::CountReport r = counter.count(g);
   // ~10% of edges kept (binomial concentration), each replicated C times.
   EXPECT_NEAR(static_cast<double>(r.edges_kept), 2000.0, 300.0);
   EXPECT_EQ(r.edges_replicated, 3 * r.edges_kept);
@@ -187,7 +178,7 @@ TEST(TcIntegrationTest, ReservoirKicksInWhenCapacityLimited) {
   const auto truth =
       static_cast<double>(graph::reference_triangle_count(g));
 
-  TcConfig cfg = exact_config(2);
+  engine::EngineConfig cfg = exact_config(2);
   // Expected max per-core load is 6|E|/C^2; cap at a quarter of it.
   cfg.sample_capacity_edges = static_cast<std::uint64_t>(
       0.25 * 6.0 * static_cast<double>(g.num_edges()) / 4.0);
@@ -196,8 +187,8 @@ TEST(TcIntegrationTest, ReservoirKicksInWhenCapacityLimited) {
   const int trials = 5;
   for (int s = 0; s < trials; ++s) {
     cfg.seed = 2000 + s;
-    PimTriangleCounter counter(cfg, small_banks());
-    const TcResult r = counter.count(g);
+    PimTriangleCounter counter(cfg);
+    const engine::CountReport r = counter.count(g);
     EXPECT_FALSE(r.exact);
     EXPECT_GT(r.reservoir_overflows, 0u);
     sum += r.estimate;
@@ -208,10 +199,10 @@ TEST(TcIntegrationTest, ReservoirKicksInWhenCapacityLimited) {
 TEST(TcIntegrationTest, ReservoirExactWhenCapacitySuffices) {
   graph::EdgeList g = graph::gen::erdos_renyi(400, 3000, 8);
   const TriangleCount expected = graph::reference_triangle_count(g);
-  TcConfig cfg = exact_config(2);
+  engine::EngineConfig cfg = exact_config(2);
   cfg.sample_capacity_edges = 3000 * 6;  // comfortably above any t_d
-  PimTriangleCounter counter(cfg, small_banks());
-  const TcResult r = counter.count(g);
+  PimTriangleCounter counter(cfg);
+  const engine::CountReport r = counter.count(g);
   EXPECT_TRUE(r.exact);
   EXPECT_EQ(r.rounded(), expected);
 }
@@ -223,7 +214,7 @@ TEST(TcIntegrationTest, DynamicUpdatesMatchStaticRecount) {
   graph::preprocess(g, 42);
   const auto edges = g.edges();
 
-  PimTriangleCounter dynamic(exact_config(3), small_banks());
+  PimTriangleCounter dynamic(exact_config(3));
   const std::size_t step = edges.size() / 4;
   graph::EdgeList accumulated;
   for (int i = 0; i < 4; ++i) {
@@ -232,7 +223,7 @@ TEST(TcIntegrationTest, DynamicUpdatesMatchStaticRecount) {
     dynamic.add_edges(edges.subspan(lo, hi - lo));
     accumulated.append(edges.subspan(lo, hi - lo));
 
-    const TcResult r = dynamic.recount();
+    const engine::CountReport r = dynamic.recount();
     EXPECT_TRUE(r.exact);
     EXPECT_EQ(r.rounded(), graph::reference_triangle_count(accumulated))
         << "after update " << i;
@@ -241,10 +232,10 @@ TEST(TcIntegrationTest, DynamicUpdatesMatchStaticRecount) {
 
 TEST(TcIntegrationTest, RecountWithoutNewEdgesIsStable) {
   graph::EdgeList g = graph::gen::erdos_renyi(300, 2500, 9);
-  PimTriangleCounter counter(exact_config(3), small_banks());
+  PimTriangleCounter counter(exact_config(3));
   counter.add_edges(g.edges());
-  const TcResult a = counter.recount();
-  const TcResult b = counter.recount();
+  const engine::CountReport a = counter.recount();
+  const engine::CountReport b = counter.recount();
   EXPECT_EQ(a.rounded(), b.rounded());
 }
 
@@ -255,9 +246,9 @@ TEST(TcIncrementalTest, MatchesStaticAcrossUpdates) {
   graph::preprocess(g, 62);
   const auto edges = g.edges();
 
-  TcConfig cfg = exact_config(3);
+  engine::EngineConfig cfg = exact_config(3);
   cfg.incremental = true;
-  PimTriangleCounter dynamic(cfg, small_banks());
+  PimTriangleCounter dynamic(cfg);
   graph::EdgeList accumulated;
   const std::size_t step = edges.size() / 5;
   for (int i = 0; i < 5; ++i) {
@@ -266,7 +257,7 @@ TEST(TcIncrementalTest, MatchesStaticAcrossUpdates) {
     dynamic.add_edges(edges.subspan(lo, hi - lo));
     accumulated.append(edges.subspan(lo, hi - lo));
 
-    const TcResult r = dynamic.recount();
+    const engine::CountReport r = dynamic.recount();
     EXPECT_TRUE(r.exact);
     // First recount is the full pass; all later ones take the fast path.
     EXPECT_EQ(r.used_incremental, i > 0) << "update " << i;
@@ -281,16 +272,16 @@ TEST(TcIncrementalTest, AgreesWithNonIncrementalAndMisraGries) {
   const auto edges = g.edges();
   const std::size_t half = edges.size() / 2;
 
-  TcConfig cfg = exact_config(4);
+  engine::EngineConfig cfg = exact_config(4);
   cfg.misra_gries_enabled = true;
   cfg.mg_capacity = 128;
   cfg.mg_top = 16;
 
-  TcConfig inc_cfg = cfg;
+  engine::EngineConfig inc_cfg = cfg;
   inc_cfg.incremental = true;
 
-  PimTriangleCounter plain(cfg, small_banks());
-  PimTriangleCounter inc(inc_cfg, small_banks());
+  PimTriangleCounter plain(cfg);
+  PimTriangleCounter inc(inc_cfg);
   for (const auto part : {edges.subspan(0, half), edges.subspan(half)}) {
     plain.add_edges(part);
     inc.add_edges(part);
@@ -300,12 +291,12 @@ TEST(TcIncrementalTest, AgreesWithNonIncrementalAndMisraGries) {
 
 TEST(TcIncrementalTest, RecountWithoutNewEdgesStable) {
   graph::EdgeList g = graph::gen::erdos_renyi(400, 3000, 81);
-  TcConfig cfg = exact_config(3);
+  engine::EngineConfig cfg = exact_config(3);
   cfg.incremental = true;
-  PimTriangleCounter counter(cfg, small_banks());
+  PimTriangleCounter counter(cfg);
   counter.add_edges(g.edges());
-  const TcResult a = counter.recount();
-  const TcResult b = counter.recount();  // no new edges
+  const engine::CountReport a = counter.recount();
+  const engine::CountReport b = counter.recount();  // no new edges
   EXPECT_EQ(a.rounded(), b.rounded());
   EXPECT_TRUE(b.used_incremental);
 }
@@ -313,15 +304,15 @@ TEST(TcIncrementalTest, RecountWithoutNewEdgesStable) {
 TEST(TcIncrementalTest, FallsBackToFullOnReservoirOverflow) {
   graph::EdgeList g = graph::gen::erdos_renyi(800, 12000, 91);
   graph::preprocess(g, 92);
-  TcConfig cfg = exact_config(2);
+  engine::EngineConfig cfg = exact_config(2);
   cfg.incremental = true;
   cfg.sample_capacity_edges = 2000;  // well below the per-core load
-  PimTriangleCounter counter(cfg, small_banks());
+  PimTriangleCounter counter(cfg);
   const auto edges = g.edges();
   counter.add_edges(edges.subspan(0, edges.size() / 2));
-  const TcResult first = counter.recount();
+  const engine::CountReport first = counter.recount();
   counter.add_edges(edges.subspan(edges.size() / 2));
-  const TcResult second = counter.recount();
+  const engine::CountReport second = counter.recount();
   // Overflow forces full recounts; the estimate stays close to truth.
   EXPECT_FALSE(first.used_incremental);
   EXPECT_FALSE(second.used_incremental);
@@ -337,9 +328,9 @@ TEST(TcIncrementalTest, IncrementalRecountIsCheaper) {
   const std::size_t step = edges.size() / 6;
 
   const auto run = [&](bool incremental) {
-    TcConfig cfg = exact_config(4);
+    engine::EngineConfig cfg = exact_config(4);
     cfg.incremental = incremental;
-    PimTriangleCounter counter(cfg, small_banks());
+    PimTriangleCounter counter(cfg);
     double count_s = 0.0;
     for (int i = 0; i < 6; ++i) {
       const std::size_t lo = i * step;
@@ -365,12 +356,12 @@ TEST(TcIngestTest, PipelinedAndSerialEstimatesAreBitIdentical) {
   const auto edges = g.edges();
 
   const auto run = [&](bool pipelined, std::uint64_t staging_cap) {
-    TcConfig cfg = exact_config(3, /*seed=*/77);
+    engine::EngineConfig cfg = exact_config(3, /*seed=*/77);
     cfg.uniform_p = 0.6;               // uniform sampler engaged
     cfg.sample_capacity_edges = 800;   // reservoirs overflow
     cfg.pipelined_ingest = pipelined;
     cfg.staging_capacity_edges = staging_cap;
-    PimTriangleCounter counter(cfg, small_banks());
+    PimTriangleCounter counter(cfg);
     const std::size_t step = edges.size() / 3;
     counter.add_edges(edges.subspan(0, step));
     counter.add_edges(edges.subspan(step, step));
@@ -389,14 +380,14 @@ TEST(TcIngestTest, OneBulkScatterPerBatchWhenStagingUnbounded) {
   graph::preprocess(g, 13);
   const auto edges = g.edges();
 
-  PimTriangleCounter counter(exact_config(3), small_banks());
+  PimTriangleCounter counter(exact_config(3));
   const std::size_t step = edges.size() / 4;
   for (int b = 0; b < 4; ++b) {
     const std::size_t lo = b * step;
     const std::size_t hi = (b == 3) ? edges.size() : lo + step;
     counter.add_edges(edges.subspan(lo, hi - lo));
   }
-  const TcResult r = counter.recount();
+  const engine::CountReport r = counter.recount();
   // One edge scatter per batch + one control-block push at recount.
   EXPECT_EQ(r.transfers.push_transfers, 4u + 1u);
   EXPECT_EQ(r.transfers.pull_transfers, 1u);
@@ -407,13 +398,13 @@ TEST(TcIngestTest, StagingCapacityBoundsSplitIntoMoreScatters) {
   graph::EdgeList g = graph::gen::erdos_renyi(500, 4000, 12);
   graph::preprocess(g, 13);
 
-  TcConfig bounded = exact_config(3);
+  engine::EngineConfig bounded = exact_config(3);
   bounded.staging_capacity_edges = 100;  // far below the per-DPU batch load
-  PimTriangleCounter counter(bounded, small_banks());
-  const TcResult r = counter.count(g);
+  PimTriangleCounter counter(bounded);
+  const engine::CountReport r = counter.count(g);
 
-  PimTriangleCounter unbounded(exact_config(3), small_banks());
-  const TcResult u = unbounded.count(g);
+  PimTriangleCounter unbounded(exact_config(3));
+  const engine::CountReport u = unbounded.count(g);
 
   EXPECT_GT(r.transfers.push_transfers, u.transfers.push_transfers);
   EXPECT_EQ(r.rounded(), u.rounded());  // functional parity
@@ -428,16 +419,16 @@ TEST(TcIngestTest, BulkScatterIssuesFarFewerMramWritesThanPerEdge) {
   graph::preprocess(g, 24);
   const auto edges = g.edges();
 
-  TcConfig cfg = exact_config(3);
+  engine::EngineConfig cfg = exact_config(3);
   cfg.sample_capacity_edges = 2000;  // some replacement traffic too
-  PimTriangleCounter counter(cfg, small_banks());
+  PimTriangleCounter counter(cfg);
   const std::size_t step = edges.size() / 10;
   for (int b = 0; b < 10; ++b) {
     const std::size_t lo = b * step;
     const std::size_t hi = (b == 9) ? edges.size() : lo + step;
     counter.add_edges(edges.subspan(lo, hi - lo));
   }
-  const TcResult r = counter.recount();
+  const engine::CountReport r = counter.recount();
 
   std::uint64_t writes = 0;
   for (std::uint32_t d = 0; d < counter.system().num_dpus(); ++d) {
@@ -454,9 +445,9 @@ TEST(TcIngestTest, PipeliningReportsOverlapAndNeverInflatesIngest) {
   const auto edges = g.edges();
 
   const auto run = [&](bool pipelined) {
-    TcConfig cfg = exact_config(3);
+    engine::EngineConfig cfg = exact_config(3);
     cfg.pipelined_ingest = pipelined;
-    PimTriangleCounter counter(cfg, small_banks());
+    PimTriangleCounter counter(cfg);
     const std::size_t step = edges.size() / 5;
     for (int b = 0; b < 5; ++b) {
       const std::size_t lo = b * step;
@@ -466,28 +457,26 @@ TEST(TcIngestTest, PipeliningReportsOverlapAndNeverInflatesIngest) {
     return counter.recount();
   };
 
-  const TcResult serial = run(false);
-  const TcResult pipelined = run(true);
+  const engine::CountReport serial = run(false);
+  const engine::CountReport pipelined = run(true);
   EXPECT_EQ(serial.rounded(), pipelined.rounded());
   EXPECT_DOUBLE_EQ(serial.transfers.overlap_saved_s, 0.0);
   // Hidden time is real host-measured overlap; the modeled ingest phase can
   // only shrink (conservation: charged + saved == serial charge).
   EXPECT_GE(pipelined.transfers.overlap_saved_s, 0.0);
-  EXPECT_NEAR(pipelined.times.sample_creation_s +
-                  pipelined.transfers.overlap_saved_s,
-              serial.times.sample_creation_s,
-              1e-9 + serial.times.sample_creation_s * 1e-6);
+  EXPECT_NEAR(pipelined.times.ingest_s + pipelined.transfers.overlap_saved_s,
+              serial.times.ingest_s, 1e-9 + serial.times.ingest_s * 1e-6);
 }
 
 TEST(TcIngestTest, RankTopologyReportedAndPaddingTracked) {
   graph::EdgeList g = graph::gen::erdos_renyi(400, 3000, 31);
   graph::preprocess(g, 32);
 
-  pim::PimSystemConfig banks = small_banks();
-  banks.dpus_per_rank = 4;  // 10 DPUs for C=3 -> 3 ranks
-  PimTriangleCounter counter(exact_config(3), banks);
-  const TcResult r = counter.count(g);
-  EXPECT_EQ(r.num_dpus, 10u);
+  engine::EngineConfig cfg = exact_config(3);
+  cfg.pim.dpus_per_rank = 4;  // 10 DPUs for C=3 -> 3 ranks
+  PimTriangleCounter counter(cfg);
+  const engine::CountReport r = counter.count(g);
+  EXPECT_EQ(r.num_units, 10u);
   EXPECT_EQ(r.num_ranks, 3u);
   // Per-DPU loads differ, so padding to the per-rank max must show up.
   EXPECT_GT(r.transfers.push_wire_bytes, r.transfers.push_payload_bytes);
@@ -497,10 +486,10 @@ TEST(TcIngestTest, RankTopologyReportedAndPaddingTracked) {
 
 TEST(TcIntegrationTest, PhaseTimesArePopulated) {
   graph::EdgeList g = graph::gen::erdos_renyi(500, 4000, 3);
-  PimTriangleCounter counter(exact_config(4), small_banks());
-  const TcResult r = counter.count(g);
+  PimTriangleCounter counter(exact_config(4));
+  const engine::CountReport r = counter.count(g);
   EXPECT_GT(r.times.setup_s, 0.0);
-  EXPECT_GT(r.times.sample_creation_s, 0.0);
+  EXPECT_GT(r.times.ingest_s, 0.0);
   EXPECT_GT(r.times.count_s, 0.0);
 }
 
@@ -509,75 +498,39 @@ TEST(TcIntegrationTest, LoadBalanceWithinTripletKinds) {
   // stochastic slack).
   graph::EdgeList g = graph::gen::erdos_renyi(3000, 30000, 6);
   graph::preprocess(g, 6);
-  PimTriangleCounter counter(exact_config(5), small_banks());
-  const TcResult r = counter.count(g);
-  ASSERT_GT(r.min_dpu_edges, 0u);
-  EXPECT_LE(static_cast<double>(r.max_dpu_edges),
-            8.0 * static_cast<double>(r.min_dpu_edges));
+  PimTriangleCounter counter(exact_config(5));
+  const engine::CountReport r = counter.count(g);
+  ASSERT_GT(r.min_unit_edges, 0u);
+  EXPECT_LE(static_cast<double>(r.max_unit_edges),
+            8.0 * static_cast<double>(r.min_unit_edges));
 }
 
 // ---- configuration validation -------------------------------------------------------
 
-TEST(TcConfigTest, ZeroColorsAutoSelectsTheLargestFit) {
+TEST(PimCounterConfigTest, ZeroColorsAutoSelectsTheLargestFit) {
   // num_colors == 0 fills the machine: the largest C with binom(C+2, 3)
   // triplets fitting max_dpus (here 8 cores -> C = 2 -> 4 triplets).
-  pim::PimSystemConfig tiny = small_banks();
-  tiny.max_dpus = 8;
-  PimTriangleCounter counter(exact_config(0), tiny);
+  engine::EngineConfig cfg = exact_config(0);
+  cfg.pim.max_dpus = 8;
+  cfg.pim.dpus_per_rank = 8;
+  PimTriangleCounter counter(cfg);
   EXPECT_EQ(counter.config().num_colors, 2u);
   EXPECT_EQ(counter.system().num_dpus(), 4u);
 }
 
-TEST(TcConfigTest, RejectsInvalidConfigs) {
-  TcConfig bad_p = exact_config(2);
-  bad_p.uniform_p = 0.0;
-  EXPECT_THROW(PimTriangleCounter(bad_p, small_banks()),
-               std::invalid_argument);
-  bad_p.uniform_p = 1.5;
-  EXPECT_THROW(PimTriangleCounter(bad_p, small_banks()),
-               std::invalid_argument);
-
-  TcConfig bad_tasklets = exact_config(2);
-  bad_tasklets.tasklets = 0;
-  EXPECT_THROW(PimTriangleCounter(bad_tasklets, small_banks()),
-               std::invalid_argument);
-
-  // Remapping more nodes than Misra-Gries tracks silently degrades; reject.
-  TcConfig bad_mg = exact_config(2);
-  bad_mg.misra_gries_enabled = true;
-  bad_mg.mg_capacity = 16;
-  bad_mg.mg_top = 17;
-  EXPECT_THROW(PimTriangleCounter(bad_mg, small_banks()),
-               std::invalid_argument);
-
-  // WRAM buffer validated against the scratchpad budget, not clamped.
-  TcConfig bad_buf = exact_config(2);
-  bad_buf.wram_buffer_edges =
-      max_wram_buffer_edges(small_banks(), bad_buf.tasklets) + 1;
-  EXPECT_THROW(PimTriangleCounter(bad_buf, small_banks()),
-               std::invalid_argument);
-  bad_buf.wram_buffer_edges = 0;
-  EXPECT_THROW(PimTriangleCounter(bad_buf, small_banks()),
-               std::invalid_argument);
-
-  TcConfig bad_gain = exact_config(2);
-  bad_gain.rebalance_min_gain = 0.5;
-  EXPECT_THROW(PimTriangleCounter(bad_gain, small_banks()),
-               std::invalid_argument);
-
-  // Too many colors for the machine.
-  pim::PimSystemConfig tiny = small_banks();
-  tiny.max_dpus = 4;
-  EXPECT_THROW(PimTriangleCounter(exact_config(3), tiny),
-               std::invalid_argument);
+TEST(PimCounterConfigTest, RejectsInvalidConfigs) {
+  // Built directly rather than through make_engine(), the counter still
+  // runs EngineConfig::validate() (ConfigValidationTest covers each field).
+  engine::EngineConfig bad = exact_config(2);
+  bad.uniform_p = 0.0;
+  EXPECT_THROW(PimTriangleCounter{bad}, std::invalid_argument);
 }
 
-TEST(TcConfigTest, PaperScaleColorsFitPaperMachine) {
+TEST(PimCounterConfigTest, PaperScaleColorsFitPaperMachine) {
   // C=23 -> 2300 DPUs <= 2560: constructible (tiny banks to stay light).
-  pim::PimSystemConfig cfg;
-  cfg.mram_bytes = 1 << 20;
-  TcConfig tc = exact_config(23);
-  EXPECT_NO_THROW(PimTriangleCounter(tc, cfg));
+  engine::EngineConfig cfg = exact_config(23);
+  cfg.pim.mram_bytes = 1 << 20;
+  EXPECT_NO_THROW(PimTriangleCounter{cfg});
 }
 
 }  // namespace

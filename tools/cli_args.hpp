@@ -1,5 +1,6 @@
-// --key=value argument bag shared by the pimtc CLI (tools/pimtc_cli.cpp)
-// and the parser fuzz harnesses (tests/fuzz/fuzz_update_stream.cpp).
+// --key=value argument bag shared by the pimtc CLI (tools/pimtc_cli.cpp),
+// the bench binaries (bench/bench_util.hpp) and the parser fuzz harnesses
+// (tests/fuzz/fuzz_update_stream.cpp).
 //
 // Numeric accessors parse strictly: trailing garbage ("--edges=10k"),
 // negative values for unsigned flags and overflow are all rejected with the
@@ -22,6 +23,7 @@
 #include <map>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 namespace pimtc::cli {
 
@@ -102,6 +104,14 @@ class Args {
 
   [[nodiscard]] bool flag(const std::string& key) const {
     return kv_.contains(key);
+  }
+
+  /// Every flag given, by name, so a caller can reject the ones it does
+  /// not know.
+  [[nodiscard]] std::vector<std::string> keys() const {
+    std::vector<std::string> names;
+    for (const auto& [key, value] : kv_) names.push_back(key);
+    return names;
   }
 
  private:
