@@ -29,21 +29,6 @@
 
 namespace pimtc::bench {
 
-/// True when `supported` (flags as printed in the usage line, e.g.
-/// "--scale= --quick") lists the flag named `key`.
-inline bool lists_flag(std::string_view supported, std::string_view key) {
-  for (std::size_t pos = supported.find("--"); pos != std::string_view::npos;
-       pos = supported.find("--", pos + 2)) {
-    const std::string_view rest = supported.substr(pos + 2);
-    if (rest.starts_with(key) &&
-        (rest.size() == key.size() || rest[key.size()] == '=' ||
-         rest[key.size()] == ' ')) {
-      return true;
-    }
-  }
-  return false;
-}
-
 /// Strict flag parsing shared by every bench binary: `read` pulls the
 /// options out of the cli::Args bag (tools/cli_args.hpp), whose numeric
 /// accessors reject malformed values.  A bad value, a positional argument or
@@ -53,11 +38,7 @@ auto parse_flags(int argc, char** argv, std::string_view supported,
                  Read read) {
   try {
     const cli::Args args(argc, argv, 1);
-    for (const std::string& key : args.keys()) {
-      if (!lists_flag(supported, key)) {
-        throw std::invalid_argument("unknown argument '--" + key + "'");
-      }
-    }
+    args.require_known(supported);
     return read(args);
   } catch (const std::invalid_argument& e) {
     std::fprintf(stderr, "%s (supported: %.*s)\n", e.what(),

@@ -3,8 +3,9 @@
 // Real UPMEM deployments see DPU launch failures (transient and permanent),
 // whole-rank outages, and corrupted dpu_push_xfer transfers; TCIM-style
 // in-MRAM residency additionally motivates modeling bit errors on the
-// resident samples.  The simulator models a perfect machine by default —
-// this header is the switch that makes it imperfect *reproducibly*:
+// resident samples.  The simulator models a perfect machine by default (a
+// default-constructed FaultPlan) — this header is the switch that makes it
+// imperfect *reproducibly*:
 //
 //   FaultSpec   the parsed `--inject-faults=` / EngineConfig.fault_spec
 //               string: per-event rates, the fault-stream seed, the
@@ -132,6 +133,10 @@ struct FaultStats {
 /// configured rate; no internal state, so call order cannot perturb it.
 class FaultPlan {
  public:
+  /// The perfect machine, which every PimSystem holds unless given a spec:
+  /// all rates zero (no draw ever fires) and checksums off (no detection
+  /// cost is charged).
+  FaultPlan() noexcept { spec_.checksums = false; }
   explicit FaultPlan(FaultSpec spec) noexcept : spec_(spec) {}
 
   [[nodiscard]] const FaultSpec& spec() const noexcept { return spec_; }

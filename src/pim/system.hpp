@@ -61,9 +61,10 @@ struct GatherSpan {
 class PimSystem {
  public:
   /// Allocates `num_dpus` DPUs (throws if the machine has fewer) and charges
-  /// the allocation + program-load cost to the setup phase.
+  /// the allocation + program-load cost to the setup phase.  `faults` is
+  /// the machine's fault plan; the default is the perfect machine.
   PimSystem(const PimSystemConfig& config, std::uint32_t num_dpus,
-            ThreadPool* pool = nullptr);
+            ThreadPool* pool = nullptr, FaultPlan faults = {});
 
   [[nodiscard]] std::uint32_t num_dpus() const noexcept {
     return static_cast<std::uint32_t>(dpus_.size());
@@ -127,48 +128,38 @@ class PimSystem {
   /// phase.
   void charge_host(double seconds, double PhaseTimes::* phase);
 
-  /// Runs `kernel(dpu)` on every DPU (host-thread parallel).  Simulated
-  /// duration = launch overhead + max over ranks of (per-rank boot skew +
-  /// the slowest kernel in the rank); accumulated into `phase`.
-  void launch(const std::function<void(Dpu&)>& kernel,
-              double PhaseTimes::* phase);
-
-  /// Same, but only over DPUs [0, count).
-  void launch_on(std::uint32_t count, const std::function<void(Dpu&)>& kernel,
-                 double PhaseTimes::* phase);
-
-  // ---- fault injection ------------------------------------------------------
-  /// Per-bank outcome of one launch_checked() call.  Faulted banks never ran
-  /// the kernel, so their device state is untouched and a retry replays the
-  /// identical input.
+  // ---- kernel launch & faults -----------------------------------------------
+  /// Per-bank outcome of one launch().  Faulted banks never ran the kernel,
+  /// so their device state is untouched and a retry replays the identical
+  /// input.
   struct LaunchReport {
     std::vector<std::uint32_t> ok;
     std::vector<std::uint32_t> transient;  ///< launch failed, bank survives
     std::vector<std::uint32_t> dead;       ///< bank permanently lost
   };
 
-  /// Arms deterministic fault injection.  Until called (the default), every
-  /// path in this class behaves — and charges — exactly as before.
-  void install_fault_plan(std::shared_ptr<const FaultPlan> plan);
-  [[nodiscard]] const FaultPlan* fault_plan() const noexcept {
-    return fault_plan_.get();
+  /// Runs `kernel(dpu)` on the listed DPUs (host-thread parallel) under the
+  /// fault plan: rank outages and per-bank launch faults are drawn for this
+  /// launch step, the kernel runs only on the surviving banks, and the rest
+  /// are reported; callers own the recovery policy (see
+  /// tc::PimTriangleCounter).  Simulated duration = launch overhead + max
+  /// over ranks of (per-rank boot skew + the slowest kernel in the rank);
+  /// accumulated into `phase`.  An out-of-range id throws
+  /// std::invalid_argument before any state changes.
+  LaunchReport launch(std::span<const std::uint32_t> dpu_ids,
+                      const std::function<void(Dpu&)>& kernel,
+                      double PhaseTimes::* phase);
+
+  [[nodiscard]] const FaultPlan& fault_plan() const noexcept {
+    return fault_plan_;
   }
   [[nodiscard]] bool dpu_dead(std::uint32_t i) const noexcept {
-    return i < dead_.size() && dead_[i] != 0;
+    return dead_[i] != 0;
   }
   [[nodiscard]] std::uint32_t dead_dpu_count() const noexcept;
   [[nodiscard]] const FaultCounters& fault_counters() const noexcept {
     return fault_counters_;
   }
-
-  /// launch() restricted to an explicit bank list, with fault semantics:
-  /// rank outages and per-bank launch faults are drawn for this launch step,
-  /// the kernel runs only on the surviving banks (charged with the usual
-  /// overhead + absolute-rank boot skew), and everything else is reported.
-  /// Callers own the recovery policy (see tc::PimTriangleCounter).
-  LaunchReport launch_checked(std::span<const std::uint32_t> dpu_ids,
-                              const std::function<void(Dpu&)>& kernel,
-                              double PhaseTimes::* phase);
 
   [[nodiscard]] const PhaseTimes& times() const noexcept { return times_; }
   /// Zeroes the phase times *and* the transfer diagnostics (both are
@@ -178,18 +169,13 @@ class PimSystem {
     stats_ = {};
   }
 
-  /// Sum of MRAM high-water marks — how much DRAM-bank memory the run used.
-  [[nodiscard]] std::uint64_t total_mram_high_water() const noexcept;
-
  private:
   double charge_bulk(std::span<const std::uint64_t> per_dpu_bytes, bool push,
                      double PhaseTimes::* phase);
-  void flip_mram_bit(std::uint32_t dpu, std::uint64_t byte_offset,
-                     std::uint32_t bit);
-  double corrupt_scatter(std::span<const ScatterSpan> spans,
-                         double PhaseTimes::* phase);
-  double corrupt_gather(std::span<const GatherSpan> spans,
-                        double PhaseTimes::* phase);
+  /// scatter()/gather(): moves the spans, charges the bulk transfer, then
+  /// draws wire corruption and repairs what the checksums catch.
+  template <typename Span>
+  double transfer(std::span<const Span> spans, double PhaseTimes::* phase);
 
   PimSystemConfig config_;
   std::vector<std::unique_ptr<Dpu>> dpus_;
@@ -197,11 +183,12 @@ class PimSystem {
   PhaseTimes times_;
   TransferStats stats_;
 
-  std::shared_ptr<const FaultPlan> fault_plan_;
+  FaultPlan fault_plan_;
   std::vector<std::uint8_t> dead_;  ///< per-bank permanent-failure flags
   FaultCounters fault_counters_;
-  /// Serial operation index feeding the deterministic draws: each bulk
-  /// transfer, repair attempt, and checked launch consumes one step.
+  /// Serial operation index feeding the deterministic draws: each launch
+  /// consumes one step, and so do each bulk transfer and repair round while
+  /// transfer corruption is armed.
   std::uint64_t fault_step_ = 0;
 };
 

@@ -43,24 +43,30 @@ PimTriangleCounter::PimTriangleCounter(const engine::EngineConfig& config)
       global_mg_(std::max<std::uint32_t>(1, config.mg_capacity)) {
   config_.num_colors = plan_.num_colors();
   const pim::PimSystemConfig& machine = config_.pim;
-  if (!config_.fault_spec.empty()) {
-    const pim::FaultSpec fspec = pim::FaultSpec::parse(config_.fault_spec);
-    std::uint32_t spares = 0;
-    if (fspec.recovery == pim::FaultSpec::Recovery::kRematerialize &&
-        (fspec.launch_permanent > 0.0 || fspec.rank_outage > 0.0)) {
-      // Spare banks are migration targets for dead-bank re-materialization,
-      // clamped to what the machine has beyond the triplet count.  Only
-      // provisioned when some rate can actually kill a bank: idle spares
-      // widen every per-rank padded transfer, which would break the
-      // inert-plan timing-identity guarantee.
-      const std::uint32_t triplets = plan_.num_triplets();
-      const std::uint64_t headroom =
-          machine.max_dpus > triplets ? machine.max_dpus - triplets : 0;
-      spares = static_cast<std::uint32_t>(
-          std::min<std::uint64_t>(fspec.spare_banks, headroom));
-    }
-    plan_.add_spare_banks(spares);
-    fault_plan_ = std::make_shared<const pim::FaultPlan>(fspec);
+  // An empty fault spec is the perfect machine, the default plan: no spare
+  // banks and no host mirrors to pay for.
+  const bool armed = !config_.fault_spec.empty();
+  const pim::FaultPlan faults =
+      armed ? pim::FaultPlan(pim::FaultSpec::parse(config_.fault_spec))
+            : pim::FaultPlan();
+  const pim::FaultSpec& fspec = faults.spec();
+  // Always-on mirrors make any bank restorable with zero device reads; both
+  // ingest paths maintain them once valid, so the mirror is exact at every
+  // point of the stream.
+  mirrors_valid_ =
+      armed && fspec.recovery == pim::FaultSpec::Recovery::kRematerialize;
+  if (mirrors_valid_ &&
+      (fspec.launch_permanent > 0.0 || fspec.rank_outage > 0.0)) {
+    // Spare banks are migration targets for dead-bank re-materialization,
+    // clamped to what the machine has beyond the triplet count.  Only
+    // provisioned when some rate can actually kill a bank: idle spares widen
+    // every per-rank padded transfer, which would break the inert-plan
+    // timing-identity guarantee.
+    const std::uint32_t triplets = plan_.num_triplets();
+    const std::uint64_t headroom =
+        machine.max_dpus > triplets ? machine.max_dpus - triplets : 0;
+    plan_.add_spare_banks(static_cast<std::uint32_t>(
+        std::min<std::uint64_t>(fspec.spare_banks, headroom)));
   }
   const std::uint32_t dpus = plan_.num_dpus();
 
@@ -69,31 +75,14 @@ PimTriangleCounter::PimTriangleCounter(const engine::EngineConfig& config)
                   ? max_cap
                   : std::min(config_.sample_capacity_edges, max_cap);
 
-  system_ = std::make_unique<pim::PimSystem>(machine, dpus, pool_.get());
-  if (fault_plan_ != nullptr) {
-    system_->install_fault_plan(fault_plan_);
-    // Always-on mirrors make any bank restorable with zero device reads;
-    // both ingest paths maintain them once valid, so the mirror is exact
-    // at every point of the stream.
-    if (fault_plan_->spec().recovery ==
-        pim::FaultSpec::Recovery::kRematerialize) {
-      mirrors_valid_ = true;
-    }
-  }
+  system_ =
+      std::make_unique<pim::PimSystem>(machine, dpus, pool_.get(), faults);
   const std::uint32_t triplets = plan_.num_triplets();
   reservoirs_.reserve(triplets);
   for (std::uint32_t t = 0; t < triplets; ++t) {
     // Seeded by triplet index, not bank index: the estimator's RNG stream
     // must not depend on where the plan places a triplet.
     reservoirs_.emplace_back(capacity_, derive_seed(config_.seed, 0xd00 + t));
-  }
-  for (std::uint32_t b = 0; b < dpus; ++b) {
-    // Initialize every bank's control block (spares included) so later
-    // read-modify-write cycles (which preserve kernel-owned fields like
-    // sorted_size) start from zeros.
-    DpuMeta meta;
-    meta.sample_capacity = capacity_;
-    system_->dpu(b).mram().write_t(MramLayout::kMetaOffset, meta);
   }
 
   // Persistent ingestion state: sized once, reused by every batch.
@@ -111,7 +100,6 @@ PimTriangleCounter::PimTriangleCounter(const engine::EngineConfig& config)
   batch_totals_.resize(triplets);
   flush_bytes_.resize(dpus);
   cycles_before_.resize(dpus);
-  received_.resize(triplets);
 }
 
 void PimTriangleCounter::add_edges(std::span<const Edge> batch) {
@@ -176,22 +164,21 @@ void PimTriangleCounter::drain_in_flight(double host_overlap_s) {
   in_flight_device_s_ = 0.0;
 }
 
-void PimTriangleCounter::insert_into_samples(double host_window_s) {
-  const std::uint32_t num_dpus = system_->num_dpus();
+template <typename Update>
+void PimTriangleCounter::flush_in_rounds(
+    const std::vector<std::vector<std::vector<Update>>>& partition,
+    double host_window_s, const std::function<std::uint64_t()>& replay,
+    const StageFn& stage) {
   const std::uint32_t num_triplets = plan_.num_triplets();
-  const std::uint32_t recv_tasklets = config_.tasklets;
-  const std::uint64_t sample_base = MramLayout::sample_offset();
-
-  // How many staging rounds does the slowest triplet need?
-  std::uint64_t max_per_triplet = 0;
+  std::uint64_t max_batch = 0;
   for (std::uint32_t t = 0; t < num_triplets; ++t) {
     std::uint64_t total = 0;
-    for (const auto& per_triplet : partition_) total += per_triplet[t].size();
+    for (const auto& per_triplet : partition) total += per_triplet[t].size();
     batch_totals_[t] = total;
-    max_per_triplet = std::max(max_per_triplet, total);
-    cursors_[t] = {0, 0};
+    max_batch = std::max(max_batch, total);
+    edges_replicated_ += total;
   }
-  if (max_per_triplet == 0) {
+  if (max_batch == 0) {
     // Nothing survived sampling: no scatter, but the host work just done
     // still overlaps any in-flight receive of the previous batch.
     drain_in_flight(host_window_s);
@@ -207,93 +194,104 @@ void PimTriangleCounter::insert_into_samples(double host_window_s) {
     apply_placement(plan_.balanced_placement(batch_totals_));
   }
 
+  // Host work since the previous settle is the window that hides the
+  // previous flush's in-flight device time; round 0's window also covers
+  // the work before this call and the replay.
+  WallTimer window;
+  const std::uint64_t max_items = replay ? replay() : max_batch;
+  if (max_items == 0) {
+    drain_in_flight(host_window_s + window.elapsed_s());
+    return;
+  }
   const std::uint64_t round_cap = config_.staging_capacity_edges == 0
-                                      ? max_per_triplet
+                                      ? max_items
                                       : config_.staging_capacity_edges;
-  const std::uint64_t rounds = ceil_div(max_per_triplet, round_cap);
-
-  std::fill(received_.begin(), received_.end(), 0);
-
+  const std::uint64_t rounds = ceil_div(max_items, round_cap);
   for (std::uint64_t round = 0; round < rounds; ++round) {
-    WallTimer stage_timer;
-    for (std::uint32_t d = 0; d < num_dpus; ++d) {
+    if (round > 0) window.reset();
+    for (std::uint32_t d = 0; d < system_->num_dpus(); ++d) {
       cycles_before_[d] = system_->dpu(d).cycles();
     }
     // Banks without an occupant (spares) stage nothing this round.
     std::fill(flush_bytes_.begin(), flush_bytes_.end(), 0);
-
-    pool().parallel_for(num_triplets, [&](std::size_t t) {
+    const std::uint64_t begin = round * round_cap;
+    const std::uint64_t end = begin + std::min(round_cap, max_items - begin);
+    pool().parallel_for(num_triplets, [&](std::size_t i) {
       // The plan is an injection, so each triplet touches its own bank.
-      pim::Dpu& dpu = system_->dpu(plan_.dpu_of(static_cast<std::uint32_t>(t)));
-      sketch::ReservoirPolicy& reservoir = reservoirs_[t];
-      sketch::SampleMirror<Edge>& mirror = mirrors_[t];
-      sketch::ReservoirStaging<Edge>& staging = staging_[t];
-      auto& [thread_idx, offset] = cursors_[t];
-
-      // Stage up to round_cap reservoir decisions host-side.  Once a
-      // deletion has materialized the mirrors, they track the decisions
-      // too, so the host keeps knowing the banks' resident content;
-      // insert-only sessions skip that bookkeeping entirely.
-      staging.begin(reservoir.stored());
-      std::uint64_t budget = round_cap;
-      while (budget > 0 && thread_idx < partition_.size()) {
-        const auto& src = partition_[thread_idx][t];
-        while (offset < src.size() && budget > 0) {
-          const sketch::ReservoirDecision d = reservoir.offer();
-          staging.stage_decision(d, src[offset]);
-          if (mirrors_valid_) mirror.apply(d, src[offset]);
-          ++offset;
-          --budget;
-          ++received_[t];
-        }
-        if (offset == src.size()) {
-          ++thread_idx;
-          offset = 0;
-        }
-      }
-
-      // Flush the image: one contiguous write for the append run, one per
-      // maximal run of consecutive replaced slots — bulk traffic, not
-      // per-edge stores.
-      const std::uint64_t append_bytes =
-          staging.appends().size() * sizeof(Edge);
-      if (append_bytes > 0) {
-        dpu.mram().write(sample_base + staging.base_slot() * sizeof(Edge),
-                         staging.appends().data(),
-                         static_cast<std::size_t>(append_bytes));
-      }
-      const std::uint64_t staged_bytes =
-          append_bytes + staging.replace_count() * kStagedReplaceBytes;
-
-      // DPU-side receive cost: stream the staged image in, copy each record
-      // into place (tasklet-parallel; the decisions were made host-side),
-      // contiguous appends as one bulk burst, replacement runs as scattered
-      // DMA stores.
-      dpu.charge_dma_bulk(staged_bytes, 2048);  // landing-zone read
-      dpu.charge_parallel_instr(
-          staging.staged_items() * config_.cost.edge_copy, recv_tasklets);
-      dpu.charge_dma_bulk(append_bytes, 2048);
-      staging.for_each_replace_run(
-          [&](std::uint64_t first_slot, const Edge* items, std::size_t n) {
-            const std::uint64_t bytes = n * sizeof(Edge);
-            dpu.mram().write(sample_base + first_slot * sizeof(Edge), items,
-                             static_cast<std::size_t>(bytes));
-            dpu.serial_dma(bytes);
-          });
-
-      flush_bytes_[plan_.dpu_of(static_cast<std::uint32_t>(t))] = staged_bytes;
+      const auto t = static_cast<std::uint32_t>(i);
+      const std::uint32_t bank = plan_.dpu_of(t);
+      flush_bytes_[bank] = stage(t, system_->dpu(bank), begin, end);
     });
-
-    // The host work of this staging round (plus, for the first round, the
-    // partitioning that preceded it) is the window that hides the previous
-    // flush's in-flight device time.
     settle_flush_round((round == 0 ? host_window_s : 0.0) +
-                       stage_timer.elapsed_s());
+                       window.elapsed_s());
   }
+}
 
-  for (std::uint32_t t = 0; t < num_triplets; ++t) {
-    edges_replicated_ += received_[t];
-  }
+void PimTriangleCounter::insert_into_samples(double host_window_s) {
+  const std::uint32_t recv_tasklets = config_.tasklets;
+  const std::uint64_t sample_base = MramLayout::sample_offset();
+  std::fill(cursors_.begin(), cursors_.end(),
+            std::pair<std::size_t, std::size_t>{0, 0});
+  flush_in_rounds(
+      partition_, host_window_s, nullptr,
+      [&](std::uint32_t t, pim::Dpu& dpu, std::uint64_t begin,
+          std::uint64_t end) {
+        sketch::ReservoirPolicy& reservoir = reservoirs_[t];
+        sketch::SampleMirror<Edge>& mirror = mirrors_[t];
+        sketch::ReservoirStaging<Edge>& staging = staging_[t];
+        auto& [thread_idx, offset] = cursors_[t];
+
+        // Stage the round's reservoir decisions host-side.  Once a deletion
+        // has materialized the mirrors, they track the decisions too, so
+        // the host keeps knowing the banks' resident content; insert-only
+        // sessions skip that bookkeeping entirely.
+        staging.begin(reservoir.stored());
+        std::uint64_t budget = end - begin;
+        while (budget > 0 && thread_idx < partition_.size()) {
+          const auto& src = partition_[thread_idx][t];
+          while (offset < src.size() && budget > 0) {
+            const sketch::ReservoirDecision d = reservoir.offer();
+            staging.stage_decision(d, src[offset]);
+            if (mirrors_valid_) mirror.apply(d, src[offset]);
+            ++offset;
+            --budget;
+          }
+          if (offset == src.size()) {
+            ++thread_idx;
+            offset = 0;
+          }
+        }
+
+        // Flush the image: one contiguous write for the append run, one per
+        // maximal run of consecutive replaced slots — bulk traffic, not
+        // per-edge stores.
+        const std::uint64_t append_bytes =
+            staging.appends().size() * sizeof(Edge);
+        if (append_bytes > 0) {
+          dpu.mram().write(sample_base + staging.base_slot() * sizeof(Edge),
+                           staging.appends().data(),
+                           static_cast<std::size_t>(append_bytes));
+        }
+        const std::uint64_t staged_bytes =
+            append_bytes + staging.replace_count() * kStagedReplaceBytes;
+
+        // DPU-side receive cost: stream the staged image in, copy each
+        // record into place (tasklet-parallel; the decisions were made
+        // host-side), contiguous appends as one bulk burst, replacement runs
+        // as scattered DMA stores.
+        dpu.charge_dma_bulk(staged_bytes, 2048);  // landing-zone read
+        dpu.charge_parallel_instr(
+            staging.staged_items() * config_.cost.edge_copy, recv_tasklets);
+        dpu.charge_dma_bulk(append_bytes, 2048);
+        staging.for_each_replace_run(
+            [&](std::uint64_t first_slot, const Edge* items, std::size_t n) {
+              const std::uint64_t bytes = n * sizeof(Edge);
+              dpu.mram().write(sample_base + first_slot * sizeof(Edge), items,
+                               static_cast<std::size_t>(bytes));
+              dpu.serial_dma(bytes);
+            });
+        return staged_bytes;
+      });
 }
 
 void PimTriangleCounter::settle_flush_round(double host_window_s) {
@@ -415,169 +413,111 @@ void PimTriangleCounter::apply(std::span<const EdgeUpdate> batch) {
 }
 
 void PimTriangleCounter::apply_updates_to_samples(double host_window_s) {
-  const std::uint32_t num_dpus = system_->num_dpus();
   const std::uint32_t num_triplets = plan_.num_triplets();
   const std::uint32_t recv_tasklets = config_.tasklets;
   const std::uint64_t sample_base = MramLayout::sample_offset();
 
-  std::uint64_t max_per_triplet = 0;
-  for (std::uint32_t t = 0; t < num_triplets; ++t) {
-    std::uint64_t total = 0;
-    for (const auto& per_triplet : update_partition_) {
-      total += per_triplet[t].size();
-    }
-    batch_totals_[t] = total;
-    max_per_triplet = std::max(max_per_triplet, total);
-  }
-  if (max_per_triplet == 0) {
-    drain_in_flight(host_window_s);
-    return;
-  }
-
-  if (plan_.policy() == color::PlacementPolicy::kGreedyBalance &&
-      !placement_observed_) {
-    placement_observed_ = true;
-    apply_placement(plan_.balanced_placement(batch_totals_));
-  }
-
-  WallTimer stage_timer;
-  std::fill(received_.begin(), received_.end(), 0);
-
-  // Phase 1 (host only): replay each triplet's update list in stream
-  // order against its policy and mirror, collecting the touched slots.
-  // The mirror's final content is the ground truth the flush reads, so
-  // intermediate values never need materializing.
-  pool().parallel_for(num_triplets, [&](std::size_t t) {
-    sketch::ReservoirPolicy& reservoir = reservoirs_[t];
-    sketch::SampleMirror<Edge>& mirror = mirrors_[t];
-    std::vector<std::uint64_t>& touched = touched_slots_[t];
-    touched.clear();
-
-    bool lost_resident = false;
-    for (const auto& per_triplet : update_partition_) {
-      for (const EdgeUpdate& u : per_triplet[t]) {
-        if (u.is_insert) {
-          const sketch::ReservoirDecision d = reservoir.offer();
-          mirror.apply(d, u.edge);
-          if (d.action != sketch::ReservoirDecision::Action::kDiscard) {
-            touched.push_back(d.slot);
-          }
-        } else {
-          // Deletions match either orientation of the stored edge.
-          auto slot = mirror.evict(u.edge);
-          if (!slot) slot = mirror.evict(u.edge.reversed());
-          if (slot) {
-            reservoir.remove_resident();
-            lost_resident = true;
-            touched.push_back(*slot);
-          } else {
-            (void)reservoir.remove_missing();
-          }
-        }
-        ++received_[t];
-      }
-    }
-    if (lost_resident) triplet_dirty_[t] = 1;
-
-    // Collapse to the set of live touched slots; dead slots (at or above
-    // the final stored prefix) never reach the device.
-    std::sort(touched.begin(), touched.end());
-    touched.erase(std::unique(touched.begin(), touched.end()), touched.end());
-    const std::uint64_t stored = reservoir.stored();
-    while (!touched.empty() && touched.back() >= stored) touched.pop_back();
-  });
-
-  // Phase 2: flush the touched slots (final values, runs of consecutive
-  // slots — the staged-record shape of the insert path's replacement
-  // runs), in rounds bounded by the same per-DPU staging capacity the
-  // insert path honors.
-  std::uint64_t max_touched = 0;
-  for (std::uint32_t t = 0; t < num_triplets; ++t) {
-    max_touched = std::max<std::uint64_t>(max_touched,
-                                          touched_slots_[t].size());
-  }
-  if (max_touched == 0) {
-    drain_in_flight(host_window_s + stage_timer.elapsed_s());
-    for (std::uint32_t t = 0; t < num_triplets; ++t) {
-      edges_replicated_ += received_[t];
-    }
-    return;
-  }
-  const std::uint64_t round_cap = config_.staging_capacity_edges == 0
-                                      ? max_touched
-                                      : config_.staging_capacity_edges;
-  const std::uint64_t rounds = ceil_div(max_touched, round_cap);
-
-  for (std::uint64_t round = 0; round < rounds; ++round) {
-    WallTimer round_timer;
-    for (std::uint32_t d = 0; d < num_dpus; ++d) {
-      cycles_before_[d] = system_->dpu(d).cycles();
-    }
-    // Banks without an occupant (spares) stage nothing this round.
-    std::fill(flush_bytes_.begin(), flush_bytes_.end(), 0);
-
+  // Replay (host only): each triplet's update list in stream order against
+  // its policy and mirror, collecting the touched slots.  The mirror's
+  // final content is the ground truth the flush reads, so intermediate
+  // values never need materializing.
+  const auto replay = [&] {
     pool().parallel_for(num_triplets, [&](std::size_t t) {
-      pim::Dpu& dpu =
-          system_->dpu(plan_.dpu_of(static_cast<std::uint32_t>(t)));
-      const sketch::SampleMirror<Edge>& mirror = mirrors_[t];
-      const std::vector<std::uint64_t>& touched = touched_slots_[t];
-      const std::size_t lo =
-          static_cast<std::size_t>(std::min<std::uint64_t>(
-              round * round_cap, touched.size()));
-      const std::size_t hi =
-          static_cast<std::size_t>(std::min<std::uint64_t>(
-              (round + 1) * round_cap, touched.size()));
+      sketch::ReservoirPolicy& reservoir = reservoirs_[t];
+      sketch::SampleMirror<Edge>& mirror = mirrors_[t];
+      std::vector<std::uint64_t>& touched = touched_slots_[t];
+      touched.clear();
 
-      std::uint64_t staged_bytes = 0;
-      std::vector<Edge> run;
-      std::size_t i = lo;
-      while (i < hi) {
-        run.clear();
-        const std::uint64_t first = touched[i];
-        std::uint64_t expected = first;
-        while (i < hi && touched[i] == expected) {
-          run.push_back(mirror.at(expected));
-          ++expected;
-          ++i;
+      bool lost_resident = false;
+      for (const auto& per_triplet : update_partition_) {
+        for (const EdgeUpdate& u : per_triplet[t]) {
+          if (u.is_insert) {
+            const sketch::ReservoirDecision d = reservoir.offer();
+            mirror.apply(d, u.edge);
+            if (d.action != sketch::ReservoirDecision::Action::kDiscard) {
+              touched.push_back(d.slot);
+            }
+          } else {
+            // Deletions match either orientation of the stored edge.
+            auto slot = mirror.evict(u.edge);
+            if (!slot) slot = mirror.evict(u.edge.reversed());
+            if (slot) {
+              reservoir.remove_resident();
+              lost_resident = true;
+              touched.push_back(*slot);
+            } else {
+              (void)reservoir.remove_missing();
+            }
+          }
         }
-        const std::uint64_t bytes = run.size() * sizeof(Edge);
-        dpu.mram().write(sample_base + first * sizeof(Edge), run.data(),
-                         static_cast<std::size_t>(bytes));
-        dpu.serial_dma(bytes);
-        staged_bytes += run.size() * kStagedReplaceBytes;
       }
-      if (staged_bytes > 0) {
-        dpu.charge_dma_bulk(staged_bytes, 2048);  // landing-zone read
-        dpu.charge_parallel_instr(
-            (staged_bytes / kStagedReplaceBytes) * config_.cost.edge_copy,
-            recv_tasklets);
-      }
-      flush_bytes_[plan_.dpu_of(static_cast<std::uint32_t>(t))] =
-          staged_bytes;
+      if (lost_resident) triplet_dirty_[t] = 1;
+
+      // Collapse to the set of live touched slots; dead slots (at or above
+      // the final stored prefix) never reach the device.
+      std::sort(touched.begin(), touched.end());
+      touched.erase(std::unique(touched.begin(), touched.end()),
+                    touched.end());
+      const std::uint64_t stored = reservoir.stored();
+      while (!touched.empty() && touched.back() >= stored) touched.pop_back();
     });
+    std::uint64_t max_touched = 0;
+    for (const auto& touched : touched_slots_) {
+      max_touched = std::max<std::uint64_t>(max_touched, touched.size());
+    }
+    return max_touched;
+  };
 
-    settle_flush_round(
-        (round == 0 ? host_window_s + stage_timer.elapsed_s() : 0.0) +
-        round_timer.elapsed_s());
-  }
+  // Flush the touched slots (final values, runs of consecutive slots — the
+  // staged-record shape of the insert path's replacement runs), in rounds
+  // bounded by the same per-DPU staging capacity the insert path honors.
+  flush_in_rounds(
+      update_partition_, host_window_s, replay,
+      [&](std::uint32_t t, pim::Dpu& dpu, std::uint64_t begin,
+          std::uint64_t end) {
+        const sketch::SampleMirror<Edge>& mirror = mirrors_[t];
+        const std::vector<std::uint64_t>& touched = touched_slots_[t];
+        const auto lo = static_cast<std::size_t>(
+            std::min<std::uint64_t>(begin, touched.size()));
+        const auto hi = static_cast<std::size_t>(
+            std::min<std::uint64_t>(end, touched.size()));
 
-  for (std::uint32_t t = 0; t < num_triplets; ++t) {
-    edges_replicated_ += received_[t];
-  }
+        std::uint64_t staged_bytes = 0;
+        std::vector<Edge> run;
+        std::size_t i = lo;
+        while (i < hi) {
+          run.clear();
+          const std::uint64_t first = touched[i];
+          std::uint64_t expected = first;
+          while (i < hi && touched[i] == expected) {
+            run.push_back(mirror.at(expected));
+            ++expected;
+            ++i;
+          }
+          const std::uint64_t bytes = run.size() * sizeof(Edge);
+          dpu.mram().write(sample_base + first * sizeof(Edge), run.data(),
+                           static_cast<std::size_t>(bytes));
+          dpu.serial_dma(bytes);
+          staged_bytes += run.size() * kStagedReplaceBytes;
+        }
+        if (staged_bytes > 0) {
+          dpu.charge_dma_bulk(staged_bytes, 2048);  // landing-zone read
+          dpu.charge_parallel_instr(
+              (staged_bytes / kStagedReplaceBytes) * config_.cost.edge_copy,
+              recv_tasklets);
+        }
+        return staged_bytes;
+      });
 }
 
 bool PimTriangleCounter::rebalance() {
-  // An explicit re-plan counts as an observation: greedy_balance must not
-  // overwrite it at the next batch.
-  placement_observed_ = true;
-  const std::vector<std::uint64_t> loads = per_dpu_edges_seen();
-  if (!apply_placement(plan_.balanced_placement(loads))) return false;
-  ++rebalances_;
-  return true;
+  return migrate_to(plan_.balanced_placement(per_dpu_edges_seen()));
 }
 
 bool PimTriangleCounter::migrate_to(
     std::span<const std::uint32_t> dpu_of_triplet) {
+  // An explicit re-plan counts as an observation: greedy_balance must not
+  // overwrite it at the next batch.
   placement_observed_ = true;
   if (!apply_placement(dpu_of_triplet)) return false;
   ++rebalances_;
@@ -596,7 +536,7 @@ bool PimTriangleCounter::apply_placement(
   if (std::equal(old.begin(), old.end(), dpu_of_triplet.begin())) {
     return false;  // no-op re-plan: no sync point, no migration
   }
-  if (fault_plan_ != nullptr && system_->dead_dpu_count() > 0) {
+  if (system_->dead_dpu_count() > 0) {
     throw std::logic_error(
         "PimTriangleCounter: placement migration after bank failures is "
         "unsupported (recovery owns the placement)");
@@ -629,19 +569,9 @@ bool PimTriangleCounter::apply_placement(
     system_->scatter(scatters, &PhaseTimes::ingest_s);
   }
 
-  // Every bank whose occupant changed gets a fresh control block: the
-  // kernel-owned sorted state it holds belongs to the previous occupant.
-  for (std::uint32_t t = 0; t < num_triplets; ++t) {
-    if (old[t] == plan_.dpu_of(t)) continue;
-    DpuMeta meta;
-    meta.sample_size = reservoirs_[t].stored();
-    meta.edges_seen = reservoirs_[t].seen();
-    meta.sample_capacity = capacity_;
-    system_->dpu(plan_.dpu_of(t)).mram().write_t(MramLayout::kMetaOffset,
-                                                 meta);
-    // The persistent sorted arcs did not move with the sample.
-    sorted_valid_ = false;
-  }
+  // The persistent sorted arcs did not move with the samples: the next
+  // recount is a full pass, which writes every bank a fresh control block.
+  sorted_valid_ = false;
   return true;
 }
 
@@ -650,15 +580,22 @@ engine::CountReport PimTriangleCounter::recount() {
   // run, and the count depends on it — nothing left to hide it under, so
   // any remainder is charged in full.
   drain_in_flight(0.0);
+  inject_and_scrub_bitflips();
+  rebalance_if_worthwhile();
+  // Persistent sorted arcs need append-only samples.  The gate is
+  // effective_seen (net size + pending deletions): it is non-decreasing and
+  // exceeds the capacity exactly when a reservoir has ever replaced — on
+  // insert-only streams it equals seen(), the legacy condition.
+  const bool persist = config_.incremental && !any_reservoir_overflowed();
+  freeze_remap();
+  push_control_blocks(persist);
+  engine::CountReport result;
+  launch_kernels(persist, result);
+  finish_report(gather_results(result), result);
+  return result;
+}
 
-  const std::uint32_t num_dpus = system_->num_dpus();
-  const std::uint32_t num_triplets = plan_.num_triplets();
-
-  // Deterministic MRAM bit-rot: one scrub epoch per recount.  With
-  // checksums on, a flipped sample is detected and re-materialized from
-  // the host mirror (or the triplet is lost when no mirror exists).
-  if (fault_plan_ != nullptr) inject_and_scrub_bitflips();
-
+void PimTriangleCounter::rebalance_if_worthwhile() {
   // Automatic rebalancing: re-plan from observed loads and migrate when the
   // projected rank-padded scatter wire shrinks by at least the configured
   // gain (hysteresis — near-ties never thrash the placement).  The bar is
@@ -667,39 +604,26 @@ engine::CountReport PimTriangleCounter::recount() {
   // incremental mode) is charged to the timeline where reports make the
   // trade visible, and once balanced, later recounts no-op so it is paid
   // at most once per load shift.  Raise rebalance_min_gain for streams
-  // where migrations are not worth small padding wins.
-  if (config_.rebalance_enabled &&
-      !(fault_plan_ != nullptr && system_->dead_dpu_count() > 0)) {
-    const std::vector<std::uint64_t> loads = per_dpu_edges_seen();
-    std::vector<std::uint64_t> bytes(loads.size());
-    for (std::size_t t = 0; t < loads.size(); ++t) {
-      bytes[t] = loads[t] * sizeof(Edge);
-    }
-    const std::vector<std::uint32_t> proposed =
-        plan_.balanced_placement(loads);
-    const std::uint64_t current_wire =
-        plan_.padded_wire_bytes(bytes, config_.pim.dma_alignment_bytes);
-    const std::uint64_t proposed_wire = plan_.padded_wire_bytes(
-        bytes, proposed, config_.pim.dma_alignment_bytes);
-    if (static_cast<double>(current_wire) >
-        static_cast<double>(proposed_wire) * config_.rebalance_min_gain) {
-      if (apply_placement(proposed)) ++rebalances_;
-    }
+  // where migrations are not worth small padding wins.  Recovery owns the
+  // placement once a bank has died.
+  if (!config_.rebalance_enabled || system_->dead_dpu_count() > 0) return;
+  const std::vector<std::uint64_t> loads = per_dpu_edges_seen();
+  std::vector<std::uint64_t> bytes(loads.size());
+  for (std::size_t t = 0; t < loads.size(); ++t) {
+    bytes[t] = loads[t] * sizeof(Edge);
   }
-
-  // Can this recount take the incremental path?  Requires a prior full
-  // count with persistence and append-only samples since then.  The gate is
-  // effective_seen (net size + pending deletions): it is non-decreasing and
-  // exceeds the capacity exactly when a reservoir has ever replaced — on
-  // insert-only streams it equals seen(), the legacy condition.  Triplets
-  // whose sample lost an edge (triplet_dirty_) are handled per core below:
-  // they alone fall back to a full pass while the rest stay incremental.
-  bool overflowed = false;
-  for (const auto& r : reservoirs_) {
-    overflowed |= r.effective_seen() > capacity_;
+  const std::vector<std::uint32_t> proposed = plan_.balanced_placement(loads);
+  const std::uint64_t current_wire =
+      plan_.padded_wire_bytes(bytes, config_.pim.dma_alignment_bytes);
+  const std::uint64_t proposed_wire = plan_.padded_wire_bytes(
+      bytes, proposed, config_.pim.dma_alignment_bytes);
+  if (static_cast<double>(current_wire) >
+      static_cast<double>(proposed_wire) * config_.rebalance_min_gain) {
+    migrate_to(proposed);
   }
-  const bool incremental = config_.incremental && sorted_valid_ && !overflowed;
+}
 
+void PimTriangleCounter::freeze_remap() {
   // High-degree remap table, broadcast to every core and frozen once
   // incremental state exists (the persistent sorted arcs were built under
   // the old mapping).  Heavy-hitter mode remaps the top-t hubs; degree-
@@ -707,58 +631,72 @@ engine::CountReport PimTriangleCounter::recount() {
   // region sizes anti-correlate with degree (degree orientation).  top()
   // returns highest-estimate first and remapped_id() descends with rank, so
   // the order of the table *is* the degree order.
-  if (config_.misra_gries_enabled && !sorted_valid_) {
-    const std::size_t want =
-        config_.degree_ordered_remap
-            ? std::min<std::size_t>(config_.mg_capacity, MramLayout::kMaxRemap)
-            : std::min<std::size_t>(config_.mg_top, MramLayout::kMaxRemap);
-    if (want > 0) frozen_remap_ = global_mg_.top(want);
-  }
-  const std::vector<NodeId>& remap = frozen_remap_;
+  if (!config_.misra_gries_enabled || sorted_valid_) return;
+  const std::size_t want =
+      config_.degree_ordered_remap
+          ? std::min<std::size_t>(config_.mg_capacity, MramLayout::kMaxRemap)
+          : std::min<std::size_t>(config_.mg_top, MramLayout::kMaxRemap);
+  if (want > 0) frozen_remap_ = global_mg_.top(want);
+}
 
-  // Write control blocks (read-modify-write: the kernel owns sorted_size
-  // and the sorted-valid flag).  The plan routes each triplet's block to
-  // its bank.  A dirty triplet (its sample lost an edge since the last
-  // count) gets its persistent sorted arcs invalidated here — only its
-  // core pays the full rebuild, the rest keep their S*.
-  for (std::uint32_t t = 0; t < num_triplets; ++t) {
+std::uint64_t PimTriangleCounter::write_control_block(std::uint32_t t,
+                                                      std::uint32_t bank,
+                                                      bool persist,
+                                                      bool keep_sorted) {
+  pim::MramBank& mram = system_->dpu(bank).mram();
+  DpuMeta meta = keep_sorted
+                     ? mram.read_t<DpuMeta>(MramLayout::kMetaOffset)
+                     : DpuMeta{};
+  meta.sample_size = reservoirs_[t].stored();
+  meta.edges_seen = reservoirs_[t].seen();
+  meta.sample_capacity = capacity_;
+  meta.num_remap = static_cast<std::uint32_t>(frozen_remap_.size());
+  if (persist) meta.flags |= DpuMeta::kFlagPersistSorted;
+  mram.write_t(MramLayout::kMetaOffset, meta);
+  if (!frozen_remap_.empty()) {
+    mram.write(MramLayout::kRemapOffset, frozen_remap_.data(),
+               frozen_remap_.size() * sizeof(NodeId));
+  }
+  return sizeof(DpuMeta) + frozen_remap_.size() * sizeof(NodeId);
+}
+
+void PimTriangleCounter::push_control_blocks(bool persist) {
+  // The plan routes each triplet's block to its bank, and the push is one
+  // broadcast (uniform spans on occupied, surviving banks: no padding when
+  // the placement is bank-dense).  A core keeps its persistent sorted arcs
+  // only when they are valid and its triplet is clean; a dirty triplet (its
+  // sample lost an edge since the last count) rebuilds them, so only its
+  // core pays the full pass while the rest keep their S*.
+  std::vector<std::uint64_t> bytes(system_->num_dpus(), 0);
+  for (std::uint32_t t = 0; t < plan_.num_triplets(); ++t) {
     if (triplet_lost_[t]) continue;  // nothing resident to count
-    pim::Dpu& dpu = system_->dpu(plan_.dpu_of(t));
-    DpuMeta meta = dpu.mram().read_t<DpuMeta>(MramLayout::kMetaOffset);
-    meta.sample_size = reservoirs_[t].stored();
-    meta.edges_seen = reservoirs_[t].seen();
-    meta.sample_capacity = capacity_;
-    meta.num_remap = static_cast<std::uint32_t>(remap.size());
-    const bool valid_t = sorted_valid_ && !triplet_dirty_[t];
-    if (config_.incremental && !overflowed && valid_t) {
-      meta.flags |= DpuMeta::kFlagPersistSorted;
-    } else if (config_.incremental && !overflowed) {
-      meta.flags |= DpuMeta::kFlagPersistSorted;
-      meta.flags &= ~DpuMeta::kFlagSortedValid;
-      meta.sorted_size = 0;
-    } else {
-      meta.flags &= ~DpuMeta::kFlagPersistSorted;
-      meta.flags &= ~DpuMeta::kFlagSortedValid;
-      meta.sorted_size = 0;
-    }
-    dpu.mram().write_t(MramLayout::kMetaOffset, meta);
-    if (!remap.empty()) {
-      dpu.mram().write(MramLayout::kRemapOffset, remap.data(),
-                       remap.size() * sizeof(NodeId));
-    }
+    const bool keep_sorted = persist && sorted_valid_ && !triplet_dirty_[t];
+    bytes[plan_.dpu_of(t)] =
+        write_control_block(t, plan_.dpu_of(t), persist, keep_sorted);
   }
+  system_->charge_scatter(bytes, &PhaseTimes::count_s);
+}
 
-  // Control-block + remap broadcast push (uniform spans on occupied,
-  // surviving banks: no padding when the placement is bank-dense).
-  std::vector<std::uint64_t> meta_bytes(num_dpus, 0);
-  for (std::uint32_t t = 0; t < num_triplets; ++t) {
+void PimTriangleCounter::launch_kernels(bool persist,
+                                        engine::CountReport& result) {
+  const std::uint32_t num_dpus = system_->num_dpus();
+  // With valid persistent arcs every clean core counts just its new edges;
+  // a dirty core (a deletion evicted a resident edge) re-runs the full
+  // pipeline, rebuilding its arcs.
+  const bool incremental = persist && sorted_valid_;
+  result.used_incremental = incremental;
+  std::vector<std::uint8_t> full_pass(num_dpus, incremental ? 0 : 1);
+  std::vector<std::uint32_t> pending;
+  for (std::uint32_t t = 0; t < plan_.num_triplets(); ++t) {
     if (triplet_lost_[t]) continue;
-    meta_bytes[plan_.dpu_of(t)] =
-        sizeof(DpuMeta) + remap.size() * sizeof(NodeId);
+    pending.push_back(plan_.dpu_of(t));
+    if (incremental && triplet_dirty_[t]) {
+      full_pass[plan_.dpu_of(t)] = 1;
+      ++result.dirty_full_recounts;
+    }
   }
-  system_->charge_scatter(meta_bytes, &PhaseTimes::count_s);
+  std::sort(pending.begin(), pending.end());
 
-  // Launch the counting kernel on every core.
   KernelParams params;
   params.tasklets = config_.tasklets;
   params.buffer_edges = config_.wram_buffer_edges;  // validated in range
@@ -766,24 +704,6 @@ engine::CountReport PimTriangleCounter::recount() {
   params.gallop_margin = config_.gallop_margin;
   params.region_cache = config_.region_cache;
   params.cost = config_.cost;
-  std::uint64_t instr_before = 0;
-  for (std::uint32_t d = 0; d < num_dpus; ++d) {
-    instr_before += system_->dpu(d).total_instructions();
-  }
-  // Per-core kernel selection: in incremental mode, only the cores whose
-  // triplet went dirty (deletion evicted a resident edge) re-run the full
-  // pipeline — rebuilding their persistent arcs — while every clean core
-  // counts just its new edges.
-  std::uint32_t dirty_full = 0;
-  std::vector<std::uint8_t> full_pass(num_dpus, incremental ? 0 : 1);
-  if (incremental) {
-    for (std::uint32_t t = 0; t < num_triplets; ++t) {
-      if (triplet_dirty_[t] && !triplet_lost_[t]) {
-        full_pass[plan_.dpu_of(t)] = 1;
-        ++dirty_full;
-      }
-    }
-  }
   const auto kernel = [&params, &full_pass](pim::Dpu& dpu) {
     if (full_pass[dpu.id()]) {
       run_count_kernel(dpu, params);
@@ -791,51 +711,72 @@ engine::CountReport PimTriangleCounter::recount() {
       run_incremental_kernel(dpu, params);
     }
   };
-  if (fault_plan_ == nullptr) {
-    system_->launch(kernel, &PhaseTimes::count_s);
-  } else {
-    run_launch_with_recovery(kernel, full_pass);
+  const auto instructions = [&] {
+    std::uint64_t total = 0;
+    for (std::uint32_t d = 0; d < num_dpus; ++d) {
+      total += system_->dpu(d).total_instructions();
+    }
+    return total;
+  };
+  const std::uint64_t instr_before = instructions();
+
+  // Launch until every surviving bank has run.  Transient launch failures
+  // fire before the kernel touches device state, so a retry replays the
+  // identical input: capped exponential backoff, charged to the modeled
+  // count phase.  Dead banks — and transients past the retry budget or
+  // under the degrade policy — go through recover_unusable_bank(), which
+  // moves the triplet to a spare (a full pass rebuilds its sorted arcs) or
+  // drops it.  On the perfect machine this is one launch.
+  const pim::FaultSpec& spec = system_->fault_plan().spec();
+  std::uint32_t backoff_round = 0;
+  std::vector<std::uint32_t> next;
+  const auto recover = [&](std::uint32_t bank) {
+    const std::uint32_t target = recover_unusable_bank(plan_.triplet_of(bank));
+    if (target == color::PartitionPlan::kNoTriplet) return;
+    full_pass[target] = 1;
+    next.push_back(target);
+  };
+  while (!pending.empty()) {
+    const pim::PimSystem::LaunchReport report =
+        system_->launch(pending, kernel, &PhaseTimes::count_s);
+    next.clear();
+    for (const std::uint32_t bank : report.dead) recover(bank);
+    if (!report.transient.empty() &&
+        spec.recovery != pim::FaultSpec::Recovery::kDegrade &&
+        backoff_round < spec.max_retries) {
+      ++backoff_round;
+      const double backoff_s =
+          spec.backoff_base_s * static_cast<double>(1u << (backoff_round - 1));
+      system_->charge_host(backoff_s, &PhaseTimes::count_s);
+      fault_tally_.recovery_s += backoff_s;
+      fault_tally_.launch_retries += report.transient.size();
+      next.insert(next.end(), report.transient.begin(),
+                  report.transient.end());
+    } else {
+      for (const std::uint32_t bank : report.transient) recover(bank);
+    }
+    std::sort(next.begin(), next.end());
+    pending.swap(next);
   }
+  result.kernel.instructions = instructions() - instr_before;
   // After this launch every persisted arc array is fresh again: clean cores
   // merged their batch, dirty and first-time cores rebuilt from scratch.
-  sorted_valid_ = config_.incremental && !overflowed;
+  sorted_valid_ = persist;
   std::fill(triplet_dirty_.begin(), triplet_dirty_.end(), 0);
-  std::uint64_t instr_after = 0;
-  for (std::uint32_t d = 0; d < num_dpus; ++d) {
-    instr_after += system_->dpu(d).total_instructions();
-  }
+}
 
-  // Gather per-core results in one rank-parallel pull (only banks that ran
-  // a kernel: spares and lost triplets' banks have nothing to report).
-  std::vector<DpuMeta> metas(num_dpus);
-  std::vector<pim::GatherSpan> gather_spans(num_dpus);
-  for (std::uint32_t t = 0; t < num_triplets; ++t) {
+std::vector<DpuMeta> PimTriangleCounter::gather_results(
+    engine::CountReport& result) {
+  // One rank-parallel pull of every control block that holds a result
+  // (spares and lost triplets' banks have nothing to report).
+  std::vector<DpuMeta> metas(system_->num_dpus());
+  std::vector<pim::GatherSpan> spans(system_->num_dpus());
+  for (std::uint32_t t = 0; t < plan_.num_triplets(); ++t) {
     if (triplet_lost_[t]) continue;
     const std::uint32_t d = plan_.dpu_of(t);
-    gather_spans[d] = {MramLayout::kMetaOffset, &metas[d], sizeof(DpuMeta)};
+    spans[d] = {MramLayout::kMetaOffset, &metas[d], sizeof(DpuMeta)};
   }
-  system_->gather(gather_spans, &PhaseTimes::count_s);
-
-  // ---- statistical corrections (DESIGN.md, "Correction math") -------------
-  engine::CountReport result;
-  result.backend = name();
-  result.simulated_times = true;
-  result.num_units = num_dpus;
-  result.num_ranks = system_->num_ranks();
-  result.host_threads = static_cast<std::uint32_t>(pool().size());
-  result.edges_streamed = edges_streamed_;
-  result.edges_kept = edges_kept_;
-  result.edges_replicated = edges_replicated_;
-  result.used_incremental = incremental;
-  result.dirty_full_recounts = dirty_full;
-  result.edges_deleted = edges_deleted_;
-  result.num_colors = config_.num_colors;
-  result.placement = color::to_string(plan_.policy());
-  result.dpu_utilization = static_cast<double>(num_dpus) /
-                           static_cast<double>(config_.pim.max_dpus);
-  result.rebalances = rebalances_;
-  result.kernel.intersect = to_string(config_.intersect);
-  result.kernel.instructions = instr_after - instr_before;
+  system_->gather(spans, &PhaseTimes::count_s);
   for (const DpuMeta& m : metas) {
     result.kernel.merge_picks += m.merge_picks;
     result.kernel.gallop_probes += m.gallop_probes;
@@ -844,7 +785,29 @@ engine::CountReport PimTriangleCounter::recount() {
     result.kernel.chunks_claimed += m.chunks_claimed;
     result.kernel.count_instructions += m.count_instructions;
   }
+  return metas;
+}
 
+void PimTriangleCounter::finish_report(const std::vector<DpuMeta>& metas,
+                                       engine::CountReport& result) {
+  const std::uint32_t num_triplets = plan_.num_triplets();
+  result.backend = name();
+  result.simulated_times = true;
+  result.num_units = system_->num_dpus();
+  result.num_ranks = system_->num_ranks();
+  result.host_threads = static_cast<std::uint32_t>(pool().size());
+  result.edges_streamed = edges_streamed_;
+  result.edges_kept = edges_kept_;
+  result.edges_replicated = edges_replicated_;
+  result.edges_deleted = edges_deleted_;
+  result.num_colors = config_.num_colors;
+  result.placement = color::to_string(plan_.policy());
+  result.dpu_utilization = static_cast<double>(system_->num_dpus()) /
+                           static_cast<double>(config_.pim.max_dpus);
+  result.rebalances = rebalances_;
+  result.kernel.intersect = to_string(config_.intersect);
+
+  // ---- statistical corrections (DESIGN.md, "Correction math") -------------
   double total_scaled = 0.0;
   double mono_scaled = 0.0;
   double total_weight = 0.0;      // Σ seen over all triplets
@@ -917,7 +880,7 @@ engine::CountReport PimTriangleCounter::recount() {
   result.times = system_->times();
   result.transfers = system_->transfer_stats();
 
-  if (fault_plan_ != nullptr) {
+  if (!config_.fault_spec.empty()) {
     pim::FaultStats f = fault_tally_;
     f.injected = true;
     f.degraded = lost_triplets > 0;
@@ -956,7 +919,6 @@ engine::CountReport PimTriangleCounter::recount() {
       result.heavy_hitters.push_back({node, global_mg_.estimate(node)});
     }
   }
-  return result;
 }
 
 engine::EngineCapabilities PimTriangleCounter::capabilities() const {
@@ -976,67 +938,8 @@ engine::EngineCapabilities PimTriangleCounter::capabilities() const {
   return caps;
 }
 
-void PimTriangleCounter::run_launch_with_recovery(
-    const std::function<void(pim::Dpu&)>& kernel,
-    std::vector<std::uint8_t>& full_pass) {
-  const pim::FaultSpec& spec = fault_plan_->spec();
-  std::vector<std::uint32_t> pending;
-  for (std::uint32_t t = 0; t < plan_.num_triplets(); ++t) {
-    if (!triplet_lost_[t]) pending.push_back(plan_.dpu_of(t));
-  }
-  std::sort(pending.begin(), pending.end());
-  std::uint32_t backoff_round = 0;
-  while (!pending.empty()) {
-    const pim::PimSystem::LaunchReport report =
-        system_->launch_checked(pending, kernel, &PhaseTimes::count_s);
-    std::vector<std::uint32_t> next;
-
-    // Permanently dead banks: migrate their triplet to a healthy spare and
-    // re-materialize from the host mirror (full kernel pass rebuilds the
-    // sorted arcs), or drop the triplet when no spare/mirror exists.
-    for (const std::uint32_t bank : report.dead) {
-      const std::uint32_t target =
-          recover_unusable_bank(plan_.triplet_of(bank));
-      if (target != color::PartitionPlan::kNoTriplet) {
-        full_pass[target] = 1;
-        next.push_back(target);
-      }
-    }
-
-    // Transient launch failures fire before the kernel touches device
-    // state, so a retry replays the identical input — capped exponential
-    // backoff, charged to the modeled count phase.
-    if (!report.transient.empty()) {
-      if (spec.recovery != pim::FaultSpec::Recovery::kDegrade &&
-          backoff_round < spec.max_retries) {
-        ++backoff_round;
-        const double backoff_s =
-            spec.backoff_base_s * static_cast<double>(1u << (backoff_round - 1));
-        system_->charge_host(backoff_s, &PhaseTimes::count_s);
-        fault_tally_.recovery_s += backoff_s;
-        fault_tally_.launch_retries += report.transient.size();
-        next.insert(next.end(), report.transient.begin(),
-                    report.transient.end());
-      } else {
-        // Retry budget exhausted (or degrade-only policy): treat the bank
-        // as unusable for this count.
-        for (const std::uint32_t bank : report.transient) {
-          const std::uint32_t target =
-              recover_unusable_bank(plan_.triplet_of(bank));
-          if (target != color::PartitionPlan::kNoTriplet) {
-            full_pass[target] = 1;
-            next.push_back(target);
-          }
-        }
-      }
-    }
-    std::sort(next.begin(), next.end());
-    pending = std::move(next);
-  }
-}
-
 std::uint32_t PimTriangleCounter::recover_unusable_bank(std::uint32_t t) {
-  if (fault_plan_->spec().recovery ==
+  if (system_->fault_plan().spec().recovery ==
           pim::FaultSpec::Recovery::kRematerialize &&
       mirrors_valid_) {
     const std::uint32_t banks = system_->num_dpus();
@@ -1069,22 +972,10 @@ double PimTriangleCounter::materialize_bank(std::uint32_t t,
   }
   // Fresh control block: the kernel-owned sorted state of whatever occupied
   // this bank before is meaningless for the restored sample.
-  DpuMeta meta;
-  meta.sample_size = reservoirs_[t].stored();
-  meta.edges_seen = reservoirs_[t].seen();
-  meta.sample_capacity = capacity_;
-  meta.num_remap = static_cast<std::uint32_t>(frozen_remap_.size());
-  if (config_.incremental && !any_reservoir_overflowed()) {
-    meta.flags |= DpuMeta::kFlagPersistSorted;
-  }
-  pim::Dpu& dpu = system_->dpu(bank);
-  dpu.mram().write_t(MramLayout::kMetaOffset, meta);
-  if (!frozen_remap_.empty()) {
-    dpu.mram().write(MramLayout::kRemapOffset, frozen_remap_.data(),
-                     frozen_remap_.size() * sizeof(NodeId));
-  }
   std::vector<std::uint64_t> meta_bytes(system_->num_dpus(), 0);
-  meta_bytes[bank] = sizeof(DpuMeta) + frozen_remap_.size() * sizeof(NodeId);
+  meta_bytes[bank] = write_control_block(
+      t, bank, config_.incremental && !any_reservoir_overflowed(),
+      /*keep_sorted=*/false);
   seconds += system_->charge_scatter(meta_bytes, &PhaseTimes::count_s);
   return seconds;
 }
@@ -1093,7 +984,8 @@ void PimTriangleCounter::inject_and_scrub_bitflips() {
   // The epoch advances every recount, fired or not: the draw stream must
   // not depend on what earlier epochs happened to hit.
   const std::uint64_t epoch = fault_epoch_++;
-  const pim::FaultSpec& spec = fault_plan_->spec();
+  const pim::FaultPlan& faults = system_->fault_plan();
+  const pim::FaultSpec& spec = faults.spec();
   if (spec.mram_bitflip <= 0.0) return;
   for (std::uint32_t t = 0; t < plan_.num_triplets(); ++t) {
     if (triplet_lost_[t]) continue;
@@ -1101,10 +993,10 @@ void PimTriangleCounter::inject_and_scrub_bitflips() {
     if (stored == 0) continue;
     const std::uint32_t bank = plan_.dpu_of(t);
     if (system_->dpu_dead(bank)) continue;
-    if (!fault_plan_->mram_bitflip(epoch, t)) continue;
+    if (!faults.mram_bitflip(epoch, t)) continue;
 
     const std::uint64_t bytes = stored * sizeof(Edge);
-    const std::uint64_t bit = fault_plan_->corrupt_bit(epoch, t, bytes * 8);
+    const std::uint64_t bit = faults.corrupt_bit(epoch, t, bytes * 8);
     auto& mram = system_->dpu(bank).mram();
     const std::uint64_t addr = MramLayout::sample_offset() + bit / 8;
     std::uint8_t byte = 0;

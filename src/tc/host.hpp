@@ -35,9 +35,17 @@
 // remainder is charged there in full.  This is timing-only: estimates are
 // bit-identical with pipelining on or off.
 //
-// `recount()` then runs the counting kernel on every core, gathers the
-// per-core counts and applies the statistical corrections (reservoir factor,
-// monochromatic-triangle overcount, uniform-sampling factor).
+// `recount()` is a fixed sequence of named stages (the paper's "triangle
+// count" phase, Section 4.1):
+//   1. sync — settle the in-flight flush — and bit-flip scrub,
+//   2. rebalance check (rebalance_enabled),
+//   3. remap freeze (Misra-Gries),
+//   4. control-block push,
+//   5. kernel launch, with the fault-recovery loop (one launch on the
+//      perfect machine),
+//   6. result gather,
+//   7. correction and report: reservoir factor, monochromatic-triangle
+//      overcount, uniform-sampling factor, degraded-coverage extrapolation.
 //
 // The class is stateful to support the dynamic-graph use case (Figure 7):
 // add_edges() may be called repeatedly, and recount() reuses the resident
@@ -50,6 +58,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <span>
 #include <vector>
@@ -64,6 +73,7 @@
 #include "pim/system.hpp"
 #include "sketch/misra_gries.hpp"
 #include "sketch/reservoir.hpp"
+#include "tc/layout.hpp"
 
 namespace pimtc::tc {
 
@@ -167,19 +177,36 @@ class PimTriangleCounter final : public engine::TriangleCountEngine {
   }
 
  private:
-  /// Computes reservoir decisions for the partitioned batch, flushes the
-  /// staging images via bulk scatter(s) and charges / pipelines the modeled
-  /// device time.  `host_window_s` is measured host time preceding the
-  /// first flush (the overlap window for any in-flight device work).
+  /// Stages items [begin, end) of triplet `t`'s flush onto its bank `dpu`
+  /// and returns the staged payload bytes.
+  using StageFn = std::function<std::uint64_t(
+      std::uint32_t t, pim::Dpu& dpu, std::uint64_t begin, std::uint64_t end)>;
+
+  /// The round loop both ingest paths share.  Tallies each triplet's share
+  /// of the partitioned batch (the replicated-edge count and the
+  /// greedy_balance first-batch placement input), runs `replay` — host-only
+  /// staging that returns the most items any triplet flushes; null flushes
+  /// the batch items themselves — and then flushes in rounds of at most
+  /// staging_capacity_edges items per triplet: `stage` fills each bank's
+  /// image, and every round is settled against the host work since the
+  /// previous one (round 0 also counts `host_window_s`).
+  template <typename Update>
+  void flush_in_rounds(
+      const std::vector<std::vector<std::vector<Update>>>& partition,
+      double host_window_s, const std::function<std::uint64_t()>& replay,
+      const StageFn& stage);
+
+  /// Computes reservoir decisions for the partitioned batch and flushes the
+  /// staging images (flush_in_rounds).  `host_window_s` is measured host
+  /// time preceding the first flush (the overlap window for any in-flight
+  /// device work).
   void insert_into_samples(double host_window_s);
 
   /// The fully-dynamic analogue: replays each triplet's ± update list in
   /// stream order against its reservoir policy and sample mirror, then
   /// flushes the touched slots (final values, runs of consecutive slots)
-  /// in rank-parallel scatters — staging_capacity_edges bounds the
-  /// records per round exactly as it bounds the insert path's images.
-  /// Marks triplets whose resident sample lost an edge as dirty: their
-  /// persistent sorted arcs are stale.
+  /// through the same round loop.  Marks triplets whose resident sample
+  /// lost an edge as dirty: their persistent sorted arcs are stale.
   void apply_updates_to_samples(double host_window_s);
 
   /// Builds the per-triplet sample mirrors from the resident bank contents
@@ -203,14 +230,43 @@ class PimTriangleCounter final : public engine::TriangleCountEngine {
   /// set_placement + sample migration; returns false when nothing changed.
   bool apply_placement(std::span<const std::uint32_t> dpu_of_triplet);
 
-  // ---- fault recovery internals -------------------------------------------
-  /// recount()'s launch loop under an armed fault plan: launch the assigned
-  /// live banks, retry transients with capped exponential backoff (modeled
-  /// time charged to the count phase), and route dead banks through
-  /// recover_unusable_bank() until every surviving bank has run.
-  void run_launch_with_recovery(const std::function<void(pim::Dpu&)>& kernel,
-                                std::vector<std::uint8_t>& full_pass);
+  // ---- recount() stages, in call order -------------------------------------
+  /// Migrates to the balanced plan when rebalance_enabled and the projected
+  /// scatter wire shrinks by at least rebalance_min_gain.
+  void rebalance_if_worthwhile();
 
+  /// Freezes the Misra-Gries remap table until the sorted arcs go stale.
+  void freeze_remap();
+
+  /// Writes every surviving triplet's control block and the remap table to
+  /// its bank and charges the push.  `persist` asks the kernels to keep
+  /// persistent sorted arcs.
+  void push_control_blocks(bool persist);
+
+  /// Runs the kernel on every surviving bank — incremental where the sorted
+  /// arcs are valid and the triplet clean, full elsewhere — recovering from
+  /// launch faults per the fault plan, and records the kernel's
+  /// instructions and dirty-core count in `result`.
+  void launch_kernels(bool persist, engine::CountReport& result);
+
+  /// Pulls the surviving banks' control blocks in one gather and sums their
+  /// intersection tallies into `result`.
+  std::vector<DpuMeta> gather_results(engine::CountReport& result);
+
+  /// Applies the statistical corrections to the gathered raw counts and
+  /// fills the rest of `result` (DESIGN.md "Correction math").
+  void finish_report(const std::vector<DpuMeta>& metas,
+                     engine::CountReport& result);
+
+  /// Writes triplet `t`'s control block and the frozen remap table onto
+  /// `bank` and returns their wire bytes.  With `keep_sorted` the kernel-
+  /// owned fields (cumulative count, sorted arcs) are read back from the
+  /// bank; otherwise they start from zero and the next kernel run on the
+  /// bank is a full pass.
+  std::uint64_t write_control_block(std::uint32_t t, std::uint32_t bank,
+                                    bool persist, bool keep_sorted);
+
+  // ---- fault recovery internals -------------------------------------------
   /// Recovery decision for triplet `t` whose bank is unusable: under the
   /// rematerialize policy (with mirrors) patch the placement onto the first
   /// healthy spare bank, restore the sample there and return the new bank;
@@ -273,9 +329,8 @@ class PimTriangleCounter final : public engine::TriangleCountEngine {
   std::vector<std::uint64_t> batch_totals_;
   /// Per-DPU staged payload bytes of the current round's scatter.
   std::vector<std::uint64_t> flush_bytes_;
-  /// Per-DPU cycle snapshot / per-triplet offered-edge tally (reused).
+  /// Per-DPU cycle snapshot at the start of a flush round (reused).
   std::vector<double> cycles_before_;
-  std::vector<std::uint64_t> received_;
   /// Modeled scatter+receive seconds of the last flush, not yet charged
   /// (pipelined ingest keeps it in flight until host work overlaps it).
   double in_flight_device_s_ = 0.0;
@@ -297,10 +352,9 @@ class PimTriangleCounter final : public engine::TriangleCountEngine {
   /// Remap table in effect; frozen at the first count in incremental mode.
   std::vector<NodeId> frozen_remap_;
 
-  // ---- fault injection state ----------------------------------------------
-  /// Armed fault plan (shared with the PimSystem); null = injection off and
-  /// every path above behaves byte-identically to a build without faults.
-  std::shared_ptr<const pim::FaultPlan> fault_plan_;
+  // ---- fault recovery state -----------------------------------------------
+  // The fault plan itself lives in the PimSystem: the perfect machine unless
+  // config.fault_spec names one.
   /// Per-triplet "contribution lost to an unrecoverable fault" flags.
   /// Persistent: a lost triplet stays lost for the rest of the session.
   std::vector<std::uint8_t> triplet_lost_;

@@ -231,7 +231,9 @@ TEST(PimSystemTest, LaunchTakesMaxOverDpus) {
   const PimSystemConfig cfg = small_config();
   PimSystem sys(cfg, 4);
   sys.reset_times();
-  sys.launch(
+  const std::vector<std::uint32_t> all = {0, 1, 2, 3};
+  const PimSystem::LaunchReport report = sys.launch(
+      all,
       [](Dpu& dpu) {
         // DPU i charges (i+1) x 1e6 instructions on a saturated pipeline.
         dpu.parallel(16, [&](Tasklet& t) {
@@ -244,6 +246,26 @@ TEST(PimSystemTest, LaunchTakesMaxOverDpus) {
               cfg.launch_overhead_s +
                   expected_kernel_cycles / (cfg.dpu_mhz * 1e6),
               1e-9);
+  // The default fault plan is the perfect machine: every bank runs.
+  EXPECT_EQ(report.ok, all);
+  EXPECT_TRUE(report.transient.empty());
+  EXPECT_TRUE(report.dead.empty());
+}
+
+TEST(PimSystemTest, LaunchRejectsBadIdsBeforeTouchingState) {
+  // Every id is validated before the rank-outage draws index per-rank
+  // state, so a bad id throws instead of writing past it.
+  PimSystem sys(small_config(), 4, nullptr,
+                FaultPlan(FaultSpec::parse("rank-outage=0.5")));
+  const std::vector<std::uint32_t> ids = {1000};
+  bool ran = false;
+  EXPECT_THROW(
+      (void)sys.launch(
+          ids, [&](Dpu& /*dpu*/) { ran = true; }, &PhaseTimes::count_s),
+      std::invalid_argument);
+  EXPECT_FALSE(ran);
+  EXPECT_EQ(sys.dead_dpu_count(), 0u);
+  EXPECT_EQ(sys.fault_counters().rank_outages, 0u);
 }
 
 TEST(PimSystemTest, TransferTimeScalesWithBytes) {

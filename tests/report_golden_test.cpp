@@ -1,5 +1,5 @@
 // Golden pin of the "pim" engine's CountReport.  One small seeded BA+hubs
-// graph runs under six configurations; every report field except the
+// graph runs under eight configurations; every report field except the
 // measured times.host_s is written one per line and compared with
 // tests/golden/pim_reports.golden.  Estimates, tallies, instruction counts
 // and modeled times are pure functions of graph, config and seed (ingest is
@@ -163,7 +163,9 @@ std::vector<Line> run_all() {
   std::vector<Line> lines;
   const auto one_shot = [&](const std::string& tag,
                             const engine::EngineConfig& cfg) {
-    append_report(tag, engine::make_engine("pim", cfg)->count(g), lines);
+    const engine::CountReport r = engine::make_engine("pim", cfg)->count(g);
+    append_report(tag, r, lines);
+    return r;
   };
 
   one_shot("exact", base_config());
@@ -216,6 +218,30 @@ std::vector<Line> run_all() {
     eng->apply(mixed);
     append_report("churn", eng->recount(), lines);
   }
+
+  // Every repair path of the fault machinery in one count: launch retries,
+  // transfer retransmits and bit-flip scrubs, restored from the host
+  // mirrors (recovered) or dropped with a coverage-extrapolated estimate
+  // (degraded).  The repair counters must be nonzero, or the pin is vacuous.
+  engine::EngineConfig recovered = base_config();
+  recovered.fault_spec =
+      "seed=5,launch-transient=0.1,corrupt=0.1,bitflip=0.1,"
+      "recovery=rematerialize";
+  const engine::CountReport rec = one_shot("recovered", recovered);
+  EXPECT_GT(rec.faults.launch_retries, 0u);
+  EXPECT_GT(rec.faults.transfer_retries, 0u);
+  EXPECT_GT(rec.faults.sample_restores, 0u);
+  EXPECT_TRUE(rec.exact);
+
+  engine::EngineConfig degraded = base_config();
+  degraded.fault_spec =
+      "seed=5,launch-transient=0.05,corrupt=0.05,bitflip=0.05,recovery=retry";
+  const engine::CountReport deg = one_shot("degraded", degraded);
+  EXPECT_GT(deg.faults.launch_retries, 0u);
+  EXPECT_GT(deg.faults.transfer_retries, 0u);
+  EXPECT_GT(deg.faults.mram_bitflips, 0u);
+  EXPECT_GT(deg.faults.dropped_triplets, 0u);
+  EXPECT_TRUE(deg.faults.degraded);
   return lines;
 }
 

@@ -5,7 +5,8 @@
 // Numeric accessors parse strictly: trailing garbage ("--edges=10k"),
 // negative values for unsigned flags and overflow are all rejected with the
 // offending flag named — never silently truncated through an atof
-// round-trip (which also lost precision on 64-bit seeds above 2^53).
+// round-trip (which also lost precision on 64-bit seeds above 2^53), and
+// require_known() rejects any flag the command does not take.
 //
 // Malformed *positional* syntax (an argument that does not start with "--")
 // calls the `on_syntax_error` handler when one is supplied — the CLI passes
@@ -23,7 +24,7 @@
 #include <map>
 #include <stdexcept>
 #include <string>
-#include <vector>
+#include <string_view>
 
 namespace pimtc::cli {
 
@@ -106,15 +107,33 @@ class Args {
     return kv_.contains(key);
   }
 
-  /// Every flag given, by name, so a caller can reject the ones it does
-  /// not know.
-  [[nodiscard]] std::vector<std::string> keys() const {
-    std::vector<std::string> names;
-    for (const auto& [key, value] : kv_) names.push_back(key);
-    return names;
+  /// Throws std::invalid_argument naming the first flag given that
+  /// `supported` (flags as printed in a usage line, e.g. "--scale= --quick")
+  /// does not list: a misspelt flag is an error, never silently ignored.
+  void require_known(std::string_view supported) const {
+    for (const auto& [key, value] : kv_) {
+      if (!lists_flag(supported, key)) {
+        throw std::invalid_argument("unknown argument '--" + key + "'");
+      }
+    }
   }
 
  private:
+  /// True when `supported` lists the flag named `key`.
+  [[nodiscard]] static bool lists_flag(std::string_view supported,
+                                       std::string_view key) {
+    for (std::size_t pos = supported.find("--");
+         pos != std::string_view::npos; pos = supported.find("--", pos + 2)) {
+      const std::string_view rest = supported.substr(pos + 2);
+      if (rest.starts_with(key) &&
+          (rest.size() == key.size() || rest[key.size()] == '=' ||
+           rest[key.size()] == ' ')) {
+        return true;
+      }
+    }
+    return false;
+  }
+
   [[noreturn]] static void bad(const std::string& key, const std::string& value,
                                const char* expected) {
     throw std::invalid_argument("--" + key + " must be " + expected +

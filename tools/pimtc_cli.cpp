@@ -49,6 +49,7 @@
 #include <span>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -80,7 +81,7 @@ using namespace pimtc;
       stderr,
       "usage:\n"
       "  pimtc generate --kind=<rmat|er|ba|ba-hubs|community|road|paper:NAME>\n"
-      "                 --edges=<n> --out=<file> [--seed=<s>]\n"
+      "                 --edges=<n> --out=<file> [--seed=<s>] [--scale=<f>]\n"
       "  pimtc convert  --in=<file> --out=<file> [--chunk-edges=<n>]\n"
       "                 [--no-mmap] [--dedup] [--drop-loops] [--orient]\n"
       "                 [--no-checksum] [--no-verify]\n"
@@ -104,7 +105,8 @@ using namespace pimtc;
       "                 [--policy=block|reject] [--queue-cap=<updates>]\n"
       "                 [--budget=<updates>] [--workers=<n>]\n"
       "                 [--recount-every=<batches>] [--queriers=<n>]\n"
-      "                 [--session-threads=<n>] [--no-parity] [--json]\n"
+      "                 [--session-threads=<n>] [--recount-retries=<n>]\n"
+      "                 [--scale=<f>] [--no-parity] [--json]\n"
       "                 [--graph=<file>] [--chunk-edges=<n>] [--no-mmap]\n"
       "                 plus any engine flag accepted by count\n"
       "  pimtc backends\n"
@@ -132,6 +134,18 @@ using namespace pimtc;
 /// syntax routes to usage() via the handler, numeric accessors throw
 /// std::invalid_argument (caught in main, exit 2).
 using Args = cli::Args;
+
+/// Rejects a flag the subcommand does not take: one `pimtc: ...` line
+/// naming it and the supported flags, exit 2.
+void check_flags(const Args& args, std::string_view supported) {
+  try {
+    args.require_known(supported);
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "pimtc: %s (supported: %.*s)\n", e.what(),
+                 static_cast<int>(supported.size()), supported.data());
+    std::exit(2);
+  }
+}
 
 /// Pre-flight check of a user-supplied input file: missing files,
 /// directories and zero-length files all fail with one clean
@@ -211,6 +225,7 @@ std::vector<EdgeUpdate> churn_deletes(const graph::EdgeList& g, double frac,
 }
 
 int cmd_generate(const Args& args) {
+  check_flags(args, "--kind= --edges= --out= --seed= --scale=");
   const std::string kind = args.str("kind", "rmat");
   const EdgeCount edges = args.u64("edges", 100'000);
   const std::uint64_t seed = args.u64("seed", 42);
@@ -232,6 +247,9 @@ int cmd_generate(const Args& args) {
 }
 
 int cmd_convert(const Args& args) {
+  check_flags(args,
+              "--in= --out= --chunk-edges= --no-mmap --dedup --drop-loops "
+              "--orient --no-checksum --no-verify");
   const std::string in = args.str("in");
   const std::string out = args.str("out");
   if (in.empty() || out.empty()) usage();
@@ -309,6 +327,7 @@ int cmd_convert(const Args& args) {
 }
 
 int cmd_stats(const Args& args) {
+  check_flags(args, "--graph=");
   const std::string path = args.str("graph");
   if (path.empty()) usage();
   require_input_file(path);
@@ -330,12 +349,21 @@ int cmd_stats(const Args& args) {
   return 0;
 }
 
-int cmd_backends() {
+int cmd_backends(const Args& args) {
+  check_flags(args, "");
   for (const std::string& name : engine::registered_backends()) {
     std::printf("%s\n", name.c_str());
   }
   return 0;
 }
+
+/// The engine flags count and serve share: --backend= picks the engine and
+/// config_from_args reads the rest.
+constexpr std::string_view kEngineFlags =
+    "--backend= --colors= --placement= --rebalance --p= --capacity= "
+    "--misra-gries --mg-top= --degree-remap --intersect= --gallop-margin= "
+    "--hub-degree= --no-region-cache --incremental --threads= --seed= "
+    "--staging= --no-pipeline --dpus-per-rank= --inject-faults=";
 
 engine::EngineConfig config_from_args(const Args& args) {
   engine::EngineConfig cfg;
@@ -658,6 +686,10 @@ void print_report_text(const engine::CountReport& r, std::uint64_t edges,
 }
 
 int cmd_count(const Args& args) {
+  check_flags(args, std::string(kEngineFlags) +
+                        " --graph= --stream= --delete-frac= --chunk-edges= "
+                        "--no-mmap --no-dedup --json --exact-check "
+                        "--check-backend=");
   const std::string path = args.str("graph");
   const std::string stream_path = args.str("stream");
   if (path.empty() && stream_path.empty()) usage();
@@ -805,6 +837,13 @@ LatencySummary summarize_latency(std::vector<double> seconds) {
 }
 
 int cmd_serve(const Args& args) {
+  check_flags(args, std::string(kEngineFlags) +
+                        " --sessions= --session-edges= --batch-updates= "
+                        "--delete-frac= --kind= --scale= --policy= "
+                        "--queue-cap= --budget= --workers= --recount-every= "
+                        "--recount-retries= --queriers= --session-threads= "
+                        "--no-parity --json --graph= --chunk-edges= "
+                        "--no-mmap");
   const std::uint32_t num_sessions = args.u32("sessions", 8);
   if (num_sessions == 0) {
     throw std::invalid_argument("--sessions must be >= 1");
@@ -1115,7 +1154,7 @@ int main(int argc, char** argv) {
     if (cmd == "stats") return cmd_stats(args);
     if (cmd == "count") return cmd_count(args);
     if (cmd == "serve") return cmd_serve(args);
-    if (cmd == "backends") return cmd_backends();
+    if (cmd == "backends") return cmd_backends(args);
   } catch (const graph::IoError& e) {
     // One clean line per bad input file, documented exit status (README
     // "Exit codes"); the generic handler below keeps the legacy shape for
