@@ -1,6 +1,5 @@
 #include "graph/io.hpp"
 
-#include <array>
 #include <charconv>
 #include <cstdint>
 #include <cstdio>
@@ -9,15 +8,13 @@
 #include <stdexcept>
 #include <string>
 
+#include "common/hash.hpp"
 #include "graph/io_error.hpp"
 #include "graph/pbin.hpp"
 #include "graph/stream_reader.hpp"
 
 namespace pimtc::graph {
 namespace {
-
-constexpr std::array<char, 8> kLegacyMagic = {'P', 'I', 'M', 'T',
-                                              'C', 'C', 'O', '1'};
 
 /// Width of the count fields in padded (back-patched) text/mtx headers:
 /// wide enough for any uint64, and the patch rewrites exactly these bytes.
@@ -33,48 +30,10 @@ constexpr int kPadWidth = 20;
   fail(path, "line " + std::to_string(line) + ": " + what);
 }
 
-/// First non-blank character of `line`, or nullptr for a whitespace-only
-/// line.
-const char* skip_blank(const std::string& line) {
-  const char* p = line.c_str();
-  while (*p == ' ' || *p == '\t' || *p == '\r' || *p == '\f' || *p == '\v') {
-    ++p;
-  }
-  return *p == '\0' ? nullptr : p;
-}
-
-/// Parses "u v" starting at `p`; fails (with the line number) on malformed
-/// input or overflow-sized ids.
-Edge parse_edge_pair(const char* p, const std::filesystem::path& path,
-                     std::uint64_t line) {
-  char* end = nullptr;
-  const std::uint64_t u = std::strtoull(p, &end, 10);
-  if (end == p) fail_line(path, line, "malformed line (expected two integers)");
-  p = end;
-  const std::uint64_t v = std::strtoull(p, &end, 10);
-  if (end == p) fail_line(path, line, "malformed line (expected two integers)");
-  if (u > 0xffffffffull || v > 0xffffffffull) {
-    fail_line(path, line, "node id > 2^32-1");
-  }
-  return Edge{static_cast<NodeId>(u), static_cast<NodeId>(v)};
-}
-
-/// Drains a chunked reader into an in-memory list (the one-shot readers).
-EdgeList read_all(const std::filesystem::path& path, FileFormat format) {
-  ChunkedEdgeReader reader(path, format);
-  EdgeList list;
-  if (const auto declared = reader.declared_edges()) list.reserve(*declared);
-  for (std::span<const Edge> chunk = reader.next(); !chunk.empty();
-       chunk = reader.next()) {
-    list.append(chunk);
-  }
-  return list;
-}
-
 // ---------------------------------------------------------------------------
-// Streaming writer sinks.  Each buffers formatted output in one reused block
-// and back-patches its header on finish() when the counts were not declared
-// up front.
+// Streaming writer sinks over one FileSink.  Each back-patches its header on
+// finish() when the counts were not declared up front; `.pbin` always does,
+// because its header also carries the payload checksum.
 
 class FileSink {
  public:
@@ -271,77 +230,67 @@ class MtxSink final : public EdgeWriter {
   bool finished_ = false;
 };
 
-/// Legacy ".bin" sink: magic + u64 count (patched on finish) + raw records.
-class LegacyBinSink final : public EdgeWriter {
+/// `.pbin` sink: raw records behind a placeholder header that finish()
+/// overwrites with the real counts and the payload checksum.
+class PbinSink final : public EdgeWriter {
  public:
-  explicit LegacyBinSink(const std::filesystem::path& path) : sink_(path) {
-    sink_.write(kLegacyMagic.data(), kLegacyMagic.size());
-    const std::uint64_t zero = 0;
-    sink_.write(&zero, sizeof zero);
+  PbinSink(const std::filesystem::path& path, const WriterOptions& options)
+      : sink_(path), with_checksum_(options.with_checksum) {
+    write_header(0);
   }
 
-  ~LegacyBinSink() override {
+  ~PbinSink() override {
     try {
       finish();
-    } catch (...) {
+    } catch (...) {  // a half-patched header fails the checks on read
     }
   }
 
   void append(std::span<const Edge> chunk) override {
-    if (!chunk.empty()) sink_.write(chunk.data(), chunk.size_bytes());
+    if (chunk.empty()) return;
+    sink_.write(chunk.data(), chunk.size_bytes());
+    if (with_checksum_) hash_.update(chunk.data(), chunk.size_bytes());
     account(chunk);
   }
 
   void finish() override {
     if (finished_) return;
     finished_ = true;
-    const std::uint64_t count = edges_;
-    sink_.patch_at(8, &count, sizeof count);
+    write_header(with_checksum_ ? hash_.digest() : 0);
     sink_.close();
   }
 
  private:
-  FileSink sink_;
-  bool finished_ = false;
-};
-
-/// `.pbin` sink: a thin EdgeWriter adapter over PbinWriter.
-class PbinSink final : public EdgeWriter {
- public:
-  PbinSink(const std::filesystem::path& path, const WriterOptions& options)
-      : writer_(path, options.with_checksum) {}
-
-  void append(std::span<const Edge> chunk) override {
-    writer_.append(chunk);
-    account(chunk);
+  /// Writes the header at offset 0 with the counts accounted so far.
+  void write_header(std::uint64_t checksum) {
+    PbinInfo info;
+    info.version = kPbinVersion;
+    info.flags = with_checksum_ ? kPbinFlagChecksum : 0;
+    info.num_nodes = nodes_;
+    info.num_edges = edges_;
+    info.checksum = checksum;
+    unsigned char raw[kPbinHeaderBytes];
+    encode_pbin_header(info, raw);
+    sink_.patch_at(0, raw, sizeof raw);
   }
 
-  void finish() override { writer_.finish(); }
-
- private:
-  PbinWriter writer_;
+  FileSink sink_;
+  Xxh64 hash_;
+  bool with_checksum_;
+  bool finished_ = false;
 };
 
 }  // namespace
 
-EdgeList read_coo_text(const std::filesystem::path& path) {
-  return read_all(path, FileFormat::kText);
-}
-
-EdgeList read_coo_binary(const std::filesystem::path& path) {
-  return read_all(path, FileFormat::kBinLegacy);
-}
-
-EdgeList read_coo_mtx(const std::filesystem::path& path) {
-  return read_all(path, FileFormat::kMtx);
-}
-
 EdgeList read_coo(const std::filesystem::path& path) {
-  const FileFormat format = file_format_of(path);
-  // `.pbin` goes through the one-shot reader for the header node-bound
-  // cross-check; everything else drains the chunked reader.
-  if (format == FileFormat::kPbin) return read_bin(path);
-  return read_all(path, format);
+  ChunkedEdgeReader reader(path);
+  EdgeList list;
+  if (const auto declared = reader.declared_edges()) list.reserve(*declared);
+  for (std::span<const Edge> chunk = reader.next(); !chunk.empty();
+       chunk = reader.next()) {
+    list.append(chunk);
+  }
+  return list;
 }
 
 std::vector<EdgeUpdate> read_update_stream(const std::filesystem::path& path) {
@@ -352,14 +301,24 @@ std::vector<EdgeUpdate> read_update_stream(const std::filesystem::path& path) {
   std::uint64_t line_no = 0;
   while (std::getline(in, line)) {
     ++line_no;
-    const char* p = skip_blank(line);
-    if (p == nullptr || *p == '#' || *p == '%') continue;
+    const char* p = line.data();
+    const char* end = p + line.size();
+    while (p != end && is_blank(*p)) ++p;
+    if (p == end || *p == '#' || *p == '%') continue;
     bool is_insert = true;
     if (*p == '+' || *p == '-') {
       is_insert = *p == '+';
       ++p;
     }
-    const Edge e = parse_edge_pair(p, path, line_no);
+    std::uint64_t u = 0;
+    std::uint64_t v = 0;
+    if (!parse_u64(p, end, u) || !parse_u64(p, end, v)) {
+      fail_line(path, line_no, "malformed line (expected two integers)");
+    }
+    if (u >= kInvalidNode || v >= kInvalidNode) {
+      fail_line(path, line_no, "node id > 2^32-2");
+    }
+    const Edge e{static_cast<NodeId>(u), static_cast<NodeId>(v)};
     updates.push_back(is_insert ? insert_of(e) : delete_of(e));
   }
   return updates;
@@ -374,28 +333,11 @@ void write_coo_text(const EdgeList& list, const std::filesystem::path& path) {
   sink.finish();
 }
 
-void write_coo_mtx(const EdgeList& list, const std::filesystem::path& path) {
-  WriterOptions options;
-  options.declared_edges = list.num_edges();
-  options.declared_nodes = list.num_nodes();
-  MtxSink sink(path, options);
-  sink.append(list.edges());
-  sink.finish();
-}
-
-void write_coo_binary(const EdgeList& list, const std::filesystem::path& path) {
-  LegacyBinSink sink(path);
-  sink.append(list.edges());
-  sink.finish();
-}
-
 std::unique_ptr<EdgeWriter> make_edge_writer(const std::filesystem::path& path,
                                              WriterOptions options) {
   switch (file_format_of(path)) {
     case FileFormat::kPbin:
       return std::make_unique<PbinSink>(path, options);
-    case FileFormat::kBinLegacy:
-      return std::make_unique<LegacyBinSink>(path);
     case FileFormat::kMtx:
       return std::make_unique<MtxSink>(path, options);
     case FileFormat::kText:

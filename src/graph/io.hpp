@@ -1,26 +1,27 @@
-// COO file IO.
+// COO file IO: the in-memory entry points over the one reader and the one
+// writer of graph files.
 //
 // Text format: one "u v" pair per line; lines whose first non-blank
 // character is '#' or '%' are comments (SNAP / KONECT conventions) and
 // whitespace-only lines are skipped — downloaded datasets routinely carry
-// a trailing blank line or indented comments.  Legacy binary format
-// (".bin"): magic "PIMTCCO1", a uint64 edge count, then raw little-endian
-// Edge records.  The current binary format is ".pbin" (graph/pbin.hpp):
-// versioned header, node/edge counts and an XXH64 payload checksum.
-// MatrixMarket (".mtx") coordinate files — the SuiteSparse collection's
-// native format — load directly: the banner and '%' comments are handled,
-// entries are 1-based and converted, and any value column
-// (real/integer/pattern) is ignored.
+// a trailing blank line or indented comments.  The binary format is
+// ".pbin" (graph/pbin.hpp): versioned header, node/edge counts and an
+// XXH64 payload checksum.  MatrixMarket (".mtx") coordinate files — the
+// SuiteSparse collection's native format — load directly: the banner and
+// '%' comments are handled, entries are 1-based and converted, and any
+// value column (real/integer/pattern) is ignored.  Node ids run up to
+// 2^32-2 in every format; 2^32-1 is the reserved kInvalidNode.
 //
-// All readers here are one-shot conveniences over the chunked streaming
-// reader (graph/stream_reader.hpp); errors name the file and, for the
-// line-oriented formats, the 1-based line.  The EdgeWriter sinks are the
-// streaming write side — `pimtc convert` pipes reader chunks into one, so
-// any-format-to-any-format conversion runs in O(chunk) memory.
+// read_coo drains the chunked streaming reader (graph/stream_reader.hpp),
+// which does every check; errors name the file and, for the line-oriented
+// formats, the 1-based line.  The EdgeWriter sinks from make_edge_writer
+// are the one write side — `pimtc convert` pipes reader chunks into one,
+// so any-format-to-any-format conversion runs in O(chunk) memory.
 //
 // Update-stream format (fully-dynamic counting, `pimtc count --stream=`):
 // one update per line — "+u v" inserts, "-u v" deletes, a bare "u v" is an
-// insert; the sign may be separated from u by whitespace.  Comments and
+// insert; the sign may be separated from u by whitespace, and the ids take
+// the text-COO grammar (digits only, no sign of their own).  Comments and
 // blank lines follow the text-COO rules.
 #pragma once
 
@@ -36,27 +37,17 @@
 
 namespace pimtc::graph {
 
-[[nodiscard]] EdgeList read_coo_text(const std::filesystem::path& path);
-void write_coo_text(const EdgeList& list, const std::filesystem::path& path);
-
-[[nodiscard]] EdgeList read_coo_binary(const std::filesystem::path& path);
-void write_coo_binary(const EdgeList& list, const std::filesystem::path& path);
-
-/// MatrixMarket coordinate reader (SuiteSparse graphs).  Requires a
-/// "matrix coordinate" banner (object "array" is rejected); accepts any
-/// field (pattern/real/integer/complex) and symmetry tag — each stored
-/// entry becomes one edge, values are discarded, indices shift to 0-based.
-/// Self loops and duplicates are kept (graph::preprocess removes them).
-[[nodiscard]] EdgeList read_coo_mtx(const std::filesystem::path& path);
-
-/// MatrixMarket coordinate writer: "pattern general" banner, square
-/// dimensions equal to the node bound, one 1-based entry per edge.
-void write_coo_mtx(const EdgeList& list, const std::filesystem::path& path);
-
-/// Dispatches on extension via file_format_of: ".pbin", ".bin", ".mtx",
-/// or a text extension.  Unknown extensions throw, naming the supported
-/// formats — they are not silently parsed as text.
+/// The whole file as one list, read through ChunkedEdgeReader (format by
+/// extension: ".pbin", ".mtx" or a text extension; unknown extensions
+/// throw, naming the supported formats — they are not parsed as text).
+/// MatrixMarket needs a "matrix coordinate" banner and accepts any field
+/// and symmetry tag: each stored entry becomes one edge, values are
+/// discarded.  Self loops and duplicates are kept (graph::preprocess
+/// removes them).
 [[nodiscard]] EdgeList read_coo(const std::filesystem::path& path);
+
+/// Text COO with a "# pimtc COO edge list; <m> edges, <n> nodes" header.
+void write_coo_text(const EdgeList& list, const std::filesystem::path& path);
 
 /// Reads a ± update stream ("+u v" / "-u v" / bare "u v" per line) for the
 /// fully-dynamic counting session.
@@ -108,7 +99,9 @@ class EdgeWriter {
 };
 
 /// Streaming writer for `path`, dispatched by extension (same table as
-/// file_format_of; unknown extensions throw).
+/// file_format_of; unknown extensions throw): text COO, MatrixMarket
+/// ("pattern general" banner, square dimensions equal to the node bound,
+/// 1-based entries) or `.pbin`.
 [[nodiscard]] std::unique_ptr<EdgeWriter> make_edge_writer(
     const std::filesystem::path& path, WriterOptions options = {});
 

@@ -1,9 +1,9 @@
 #include "graph/pbin.hpp"
 
 #include <bit>
+#include <cstdio>
 #include <cstring>
 #include <string>
-#include <vector>
 
 #include "graph/io_error.hpp"
 
@@ -14,15 +14,8 @@ namespace pimtc::graph {
 static_assert(std::endian::native == std::endian::little,
               ".pbin IO assumes a little-endian host");
 
-namespace {
-
-[[noreturn]] void fail(const std::filesystem::path& path,
-                       const std::string& what) {
-  throw IoError(path, what);
-}
-
-/// Serializes `info` into the fixed 40-byte on-disk header.
-void encode_header(const PbinInfo& info, unsigned char out[kPbinHeaderBytes]) {
+void encode_pbin_header(const PbinInfo& info,
+                        unsigned char out[kPbinHeaderBytes]) noexcept {
   std::memcpy(out, kPbinMagic.data(), kPbinMagic.size());
   std::memcpy(out + 8, &info.version, 4);
   std::memcpy(out + 12, &info.flags, 4);
@@ -31,10 +24,11 @@ void encode_header(const PbinInfo& info, unsigned char out[kPbinHeaderBytes]) {
   std::memcpy(out + 32, &info.checksum, 8);
 }
 
-PbinInfo decode_header(const unsigned char in[kPbinHeaderBytes],
-                       const std::filesystem::path& path) {
+PbinInfo decode_pbin_header(const unsigned char in[kPbinHeaderBytes],
+                            std::uint64_t file_bytes,
+                            const std::filesystem::path& path) {
   if (std::memcmp(in, kPbinMagic.data(), kPbinMagic.size()) != 0) {
-    fail(path, "bad magic (not a .pbin edge file)");
+    throw IoError(path, "bad magic (not a .pbin edge file)");
   }
   PbinInfo info;
   std::memcpy(&info.version, in + 8, 4);
@@ -43,134 +37,32 @@ PbinInfo decode_header(const unsigned char in[kPbinHeaderBytes],
   std::memcpy(&info.num_edges, in + 24, 8);
   std::memcpy(&info.checksum, in + 32, 8);
   if (info.version != kPbinVersion) {
-    fail(path, "unsupported .pbin version " + std::to_string(info.version) +
-                   " (this build reads version " +
-                   std::to_string(kPbinVersion) + ")");
+    throw IoError(path, "unsupported .pbin version " +
+                            std::to_string(info.version) +
+                            " (this build reads version " +
+                            std::to_string(kPbinVersion) + ")");
   }
   if ((info.flags & ~kPbinFlagChecksum) != 0) {
     // A version-1 file must not carry flag bits this build cannot honor:
     // silently ignoring them risks misreading the payload.
     char hex[16];
     std::snprintf(hex, sizeof hex, "%x", info.flags & ~kPbinFlagChecksum);
-    fail(path, "unknown .pbin flag bits 0x" + std::string(hex) +
-                   " (this build understands only the checksum flag)");
+    throw IoError(path, "unknown .pbin flag bits 0x" + std::string(hex) +
+                            " (this build understands only the checksum "
+                            "flag)");
   }
-  return info;
-}
-
-}  // namespace
-
-PbinInfo read_bin_header(const std::filesystem::path& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) fail(path, "cannot open for reading");
-  unsigned char raw[kPbinHeaderBytes];
-  const std::size_t got = std::fread(raw, 1, sizeof raw, f);
-  std::fclose(f);
-  if (got != sizeof raw) fail(path, "truncated header");
-  const PbinInfo info = decode_header(raw, path);
-  std::error_code ec;
-  const std::uintmax_t size = std::filesystem::file_size(path, ec);
+  if (info.num_nodes > kInvalidNode) {
+    throw IoError(path, "header node bound " + std::to_string(info.num_nodes) +
+                            " > 2^32-1 (node ids stop at 2^32-2)");
+  }
   // Divide instead of multiplying: `num_edges * sizeof(Edge)` wraps for a
-  // hostile header (num_edges ~ 2^61), which would pass the size check and
-  // send a multi-exabyte allocation to read_bin.
-  if (!ec && (size < kPbinHeaderBytes ||
-              (size - kPbinHeaderBytes) / sizeof(Edge) < info.num_edges)) {
-    fail(path, "truncated edge payload (header declares " +
-                   std::to_string(info.num_edges) + " edges)");
+  // hostile header (num_edges ~ 2^61), which would pass the size check.
+  if (file_bytes < kPbinHeaderBytes ||
+      (file_bytes - kPbinHeaderBytes) / sizeof(Edge) < info.num_edges) {
+    throw IoError(path, "truncated edge payload (header declares " +
+                            std::to_string(info.num_edges) + " edges)");
   }
   return info;
-}
-
-PbinWriter::PbinWriter(const std::filesystem::path& path, bool with_checksum)
-    : path_(path), with_checksum_(with_checksum) {
-  file_ = std::fopen(path.c_str(), "wb");
-  if (file_ == nullptr) fail(path_, "cannot open for writing");
-  // Placeholder header; finish() rewrites it with the real counts.
-  unsigned char raw[kPbinHeaderBytes] = {};
-  PbinInfo info;
-  info.version = kPbinVersion;
-  info.flags = with_checksum_ ? kPbinFlagChecksum : 0;
-  encode_header(info, raw);
-  if (std::fwrite(raw, 1, sizeof raw, file_) != sizeof raw) {
-    std::fclose(file_);
-    file_ = nullptr;
-    fail(path_, "write failed");
-  }
-}
-
-PbinWriter::~PbinWriter() {
-  if (finished_) return;
-  try {
-    finish();
-  } catch (...) {
-    // Destructor path: the file is left behind but never silently valid —
-    // a half-patched header fails the magic/size checks on read.
-  }
-}
-
-void PbinWriter::append(std::span<const Edge> chunk) {
-  if (finished_) fail(path_, "append after finish");
-  if (chunk.empty()) return;
-  const std::size_t bytes = chunk.size_bytes();
-  if (std::fwrite(chunk.data(), 1, bytes, file_) != bytes) {
-    fail(path_, "write failed");
-  }
-  if (with_checksum_) hash_.update(chunk.data(), bytes);
-  edges_ += chunk.size();
-  for (const Edge& e : chunk) {
-    const std::uint64_t bound = std::uint64_t{e.u > e.v ? e.u : e.v} + 1;
-    if (bound > nodes_) nodes_ = bound;
-  }
-}
-
-void PbinWriter::finish() {
-  if (finished_) return;
-  finished_ = true;
-  PbinInfo info;
-  info.version = kPbinVersion;
-  info.flags = with_checksum_ ? kPbinFlagChecksum : 0;
-  info.num_nodes = nodes_;
-  info.num_edges = edges_;
-  info.checksum = with_checksum_ ? hash_.digest() : 0;
-  unsigned char raw[kPbinHeaderBytes];
-  encode_header(info, raw);
-  std::FILE* f = file_;
-  file_ = nullptr;
-  const bool ok = std::fseek(f, 0, SEEK_SET) == 0 &&
-                  std::fwrite(raw, 1, sizeof raw, f) == sizeof raw;
-  if (std::fclose(f) != 0 || !ok) fail(path_, "write failed");
-}
-
-void write_bin(const EdgeList& list, const std::filesystem::path& path,
-               bool with_checksum) {
-  PbinWriter writer(path, with_checksum);
-  writer.append(list.edges());
-  writer.finish();
-}
-
-EdgeList read_bin(const std::filesystem::path& path, bool verify_checksum) {
-  const PbinInfo info = read_bin_header(path);
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) fail(path, "cannot open for reading");
-  std::vector<Edge> edges(info.num_edges);
-  bool ok = std::fseek(f, kPbinHeaderBytes, SEEK_SET) == 0;
-  ok = ok && (edges.empty() ||
-              std::fread(edges.data(), sizeof(Edge), edges.size(), f) ==
-                  edges.size());
-  std::fclose(f);
-  if (!ok) fail(path, "truncated edge payload");
-  if (verify_checksum && info.has_checksum()) {
-    const std::uint64_t got =
-        xxhash64(edges.data(), edges.size() * sizeof(Edge));
-    if (got != info.checksum) {
-      fail(path, "payload checksum mismatch (file corrupt?)");
-    }
-  }
-  EdgeList list(std::move(edges));
-  if (list.num_nodes() > info.num_nodes) {
-    fail(path, "header node bound smaller than the payload's largest id");
-  }
-  return list;
 }
 
 }  // namespace pimtc::graph

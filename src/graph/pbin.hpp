@@ -18,19 +18,19 @@
 //
 // The checksum is optional (--no-checksum on `pimtc convert`) because
 // scratch conversions of huge files may not want the extra read pass; when
-// present, both read_bin and the streaming reader verify it.  Writers that
-// do not know the edge count up front stream through PbinWriter, which
-// back-patches the header on finish().
+// present, the chunked reader verifies it.  This file only defines the
+// format: the one reader is ChunkedEdgeReader (stream_reader.hpp), which
+// also checks every record against num_nodes, and the one writer is the
+// `.pbin` EdgeWriter from make_edge_writer (io.hpp), which back-patches the
+// header on finish().
 #pragma once
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
-#include <cstdio>
 #include <filesystem>
-#include <span>
 
-#include "common/hash.hpp"
-#include "graph/coo.hpp"
+#include "common/types.hpp"
 
 namespace pimtc::graph {
 
@@ -53,49 +53,16 @@ struct PbinInfo {
   }
 };
 
-/// Reads and validates the header only (magic, version, payload size vs the
-/// file size).  Cheap: one 40-byte read plus a stat.
-[[nodiscard]] PbinInfo read_bin_header(const std::filesystem::path& path);
+/// Serializes `info` (with the magic) into the fixed on-disk header.
+void encode_pbin_header(const PbinInfo& info,
+                        unsigned char out[kPbinHeaderBytes]) noexcept;
 
-/// Streaming `.pbin` writer: append edge chunks in arrival order, then
-/// finish() seeks back and writes the real header (edge count, node bound,
-/// payload checksum).  This is what `pimtc convert` uses so a text source
-/// of unknown length converts in O(chunk) memory.  The destructor calls
-/// finish() best-effort; call it explicitly to see write errors.
-class PbinWriter {
- public:
-  explicit PbinWriter(const std::filesystem::path& path,
-                      bool with_checksum = true);
-  ~PbinWriter();
-
-  PbinWriter(const PbinWriter&) = delete;
-  PbinWriter& operator=(const PbinWriter&) = delete;
-
-  void append(std::span<const Edge> chunk);
-  void finish();
-
-  [[nodiscard]] EdgeCount edges_written() const noexcept { return edges_; }
-  /// One past the largest node id appended so far.
-  [[nodiscard]] std::uint64_t node_bound() const noexcept { return nodes_; }
-
- private:
-  std::filesystem::path path_;
-  std::FILE* file_ = nullptr;
-  Xxh64 hash_;
-  bool with_checksum_;
-  bool finished_ = false;
-  EdgeCount edges_ = 0;
-  std::uint64_t nodes_ = 0;
-};
-
-/// One-shot writer: the whole list through a PbinWriter.
-void write_bin(const EdgeList& list, const std::filesystem::path& path,
-               bool with_checksum = true);
-
-/// One-shot reader: the whole payload into memory, checksum verified when
-/// present (and `verify_checksum`).  The streaming path for graphs beyond
-/// RAM is ChunkedEdgeReader / engine::ingest_file.
-[[nodiscard]] EdgeList read_bin(const std::filesystem::path& path,
-                                bool verify_checksum = true);
+/// Decodes and validates a header read from a file of `file_bytes` bytes:
+/// magic, version, flag bits, a node bound of at most 2^32-1 (the largest
+/// id is 2^32-2; kInvalidNode is reserved), and a declared payload that
+/// fits the file.  Throws IoError naming `path`.
+[[nodiscard]] PbinInfo decode_pbin_header(
+    const unsigned char in[kPbinHeaderBytes], std::uint64_t file_bytes,
+    const std::filesystem::path& path);
 
 }  // namespace pimtc::graph

@@ -1,8 +1,6 @@
 #include "graph/stream_reader.hpp"
 
-#include <array>
 #include <cstring>
-#include <limits>
 #include <sstream>
 #include <stdexcept>
 
@@ -24,42 +22,12 @@ namespace {
 
 constexpr std::size_t kReadBlock = std::size_t{1} << 20;  // buffered IO block
 
-constexpr std::array<char, 8> kLegacyMagic = {'P', 'I', 'M', 'T',
-                                              'C', 'C', 'O', '1'};
-
-[[nodiscard]] bool is_blank(char c) noexcept {
-  return c == ' ' || c == '\t' || c == '\r' || c == '\f' || c == '\v';
-}
-
-/// Strict base-10 u64 parse over a non-NUL-terminated range: skips leading
-/// blanks, then consumes digits only (no sign, no hex).  Saturates instead
-/// of wrapping on overflow so the caller's range check still fires.
-[[nodiscard]] bool parse_u64(const char*& p, const char* end,
-                             std::uint64_t& out) noexcept {
-  while (p != end && is_blank(*p)) ++p;
-  if (p == end || *p < '0' || *p > '9') return false;
-  std::uint64_t v = 0;
-  bool overflow = false;
-  while (p != end && *p >= '0' && *p <= '9') {
-    const std::uint64_t digit = static_cast<std::uint64_t>(*p - '0');
-    if (v > (std::numeric_limits<std::uint64_t>::max() - digit) / 10) {
-      overflow = true;
-    } else {
-      v = v * 10 + digit;
-    }
-    ++p;
-  }
-  out = overflow ? std::numeric_limits<std::uint64_t>::max() : v;
-  return true;
-}
-
 }  // namespace
 
 const char* to_string(FileFormat format) noexcept {
   switch (format) {
     case FileFormat::kText: return "text";
     case FileFormat::kMtx: return "mtx";
-    case FileFormat::kBinLegacy: return "bin";
     case FileFormat::kPbin: return "pbin";
   }
   return "?";
@@ -68,34 +36,27 @@ const char* to_string(FileFormat format) noexcept {
 FileFormat file_format_of(const std::filesystem::path& path) {
   const std::string ext = path.extension().string();
   if (ext == ".pbin") return FileFormat::kPbin;
-  if (ext == ".bin") return FileFormat::kBinLegacy;
   if (ext == ".mtx") return FileFormat::kMtx;
   if (ext == ".txt" || ext == ".text" || ext == ".el" || ext == ".edges" ||
       ext == ".coo" || ext == ".graph" || ext == ".tsv") {
     return FileFormat::kText;
   }
-  throw std::runtime_error(
-      "pimtc::graph IO error on '" + path.string() +
-      "': unsupported graph file extension '" + ext +
-      "' (supported: .txt/.text/.el/.edges/.coo/.graph/.tsv text COO, "
-      ".mtx MatrixMarket, .bin legacy binary, .pbin pimtc binary)");
+  throw IoError(path,
+                "unsupported graph file extension '" + ext +
+                    "' (supported: .txt/.text/.el/.edges/.coo/.graph/.tsv "
+                    "text COO, .mtx MatrixMarket, .pbin pimtc binary)");
 }
 
 ChunkedEdgeReader::ChunkedEdgeReader(const std::filesystem::path& path,
                                      ReaderOptions options)
-    : ChunkedEdgeReader(path, file_format_of(path), options) {}
-
-ChunkedEdgeReader::ChunkedEdgeReader(const std::filesystem::path& path,
-                                     FileFormat format, ReaderOptions options)
-    : path_(path), format_(format), options_(options) {
+    : path_(path), format_(file_format_of(path)), options_(options) {
   if (options_.chunk_edges == 0) {
     throw std::invalid_argument("ChunkedEdgeReader: chunk_edges must be >= 1");
   }
   open_input();
   switch (format_) {
     case FileFormat::kPbin:
-    case FileFormat::kBinLegacy:
-      parse_binary_header();
+      parse_pbin_header();
       break;
     case FileFormat::kMtx:
       parse_mtx_header();
@@ -156,46 +117,21 @@ void ChunkedEdgeReader::open_input() {
   win_ = win_end_ = nullptr;
 }
 
-void ChunkedEdgeReader::parse_binary_header() {
-  const bool pbin = format_ == FileFormat::kPbin;
-  const std::size_t header_bytes = pbin ? kPbinHeaderBytes : 16;
-  if (pbin) {
-    // read_bin_header validates magic, version and payload size.
-    const PbinInfo info = read_bin_header(path_);
-    declared_edges_ = info.num_edges;
-    declared_nodes_ = info.num_nodes;
-    has_checksum_ = options_.verify_checksum && info.has_checksum();
-    checksum_expect_ = info.checksum;
-  } else {
-    unsigned char raw[16];
-    if (file_bytes_ < sizeof raw) fail("truncated header");
-    if (map_ != nullptr) {
-      std::memcpy(raw, map_, sizeof raw);
-    } else {
-      if (std::fread(raw, 1, sizeof raw, file_) != sizeof raw) {
-        fail("truncated header");
-      }
-    }
-    if (std::memcmp(raw, kLegacyMagic.data(), kLegacyMagic.size()) != 0) {
-      fail("bad magic (not a pimtc COO file)");
-    }
-    std::uint64_t count = 0;
-    std::memcpy(&count, raw + 8, sizeof count);
-    declared_edges_ = count;
-    // file_bytes_ >= sizeof raw was checked above; divide rather than
-    // multiply so a hostile count near 2^64 cannot wrap past the check.
-    if ((file_bytes_ - sizeof raw) / sizeof(Edge) < count) {
-      fail("truncated edge payload");
-    }
+void ChunkedEdgeReader::parse_pbin_header() {
+  unsigned char raw[kPbinHeaderBytes];
+  if (file_bytes_ < sizeof raw) fail("truncated header");
+  if (map_ != nullptr) {
+    std::memcpy(raw, map_, sizeof raw);
+  } else if (std::fread(raw, 1, sizeof raw, file_) != sizeof raw) {
+    fail("truncated header");
   }
-  if (map_ == nullptr && pbin) {
-    // The pbin header was read through read_bin_header; advance the stream.
-    if (std::fseek(file_, static_cast<long>(header_bytes), SEEK_SET) != 0) {
-      fail("truncated header");
-    }
-  }
-  payload_offset_ = header_bytes;
-  payload_end_ = header_bytes + *declared_edges_ * sizeof(Edge);
+  const PbinInfo info = decode_pbin_header(raw, file_bytes_, path_);
+  declared_edges_ = info.num_edges;
+  declared_nodes_ = info.num_nodes;
+  has_checksum_ = options_.verify_checksum && info.has_checksum();
+  checksum_expect_ = info.checksum;
+  payload_offset_ = sizeof raw;
+  payload_end_ = sizeof raw + info.num_edges * sizeof(Edge);
 }
 
 std::string ChunkedEdgeReader::take_header_line() {
@@ -254,16 +190,16 @@ void ChunkedEdgeReader::parse_mtx_header() {
         !parse_u64(p, end, nnz)) {
       fail_line("malformed size line (expected 'rows cols nnz')");
     }
-    // Indices are 1-based, so a dimension of 2^32 still fits NodeId after
-    // the -1 shift.
-    if (rows > (1ull << 32) || cols > (1ull << 32)) {
-      fail_line("matrix dimension > 2^32");
+    // Indices are 1-based, so a dimension of 2^32-1 puts the largest id
+    // at 2^32-2 after the -1 shift: kInvalidNode stays reserved.
+    if (rows > kInvalidNode || cols > kInvalidNode) {
+      fail_line("matrix dimension > 2^32-1");
     }
     // Plausibility bound on nnz before anyone trusts it for a reserve():
     // every entry needs at least "1 1" plus a separating newline, so a file
     // of B bytes cannot hold more than B/4 + 1 entries.  A hostile size
-    // line (nnz ~ 2^60) would otherwise turn the one-shot reader's
-    // reserve(nnz) into a giant allocation.
+    // line (nnz ~ 2^60) would otherwise turn read_coo's reserve(nnz) into
+    // a giant allocation.
     if (nnz > file_bytes_ / 4 + 1) {
       fail_line("size line declares more entries than the file could hold");
     }
@@ -319,7 +255,7 @@ void ChunkedEdgeReader::consume_line(const char* p, const char* end,
     --mtx_remaining_;
     return;
   }
-  if (u > 0xffffffffull || v > 0xffffffffull) fail_line("node id > 2^32-1");
+  if (u >= kInvalidNode || v >= kInvalidNode) fail_line("node id > 2^32-2");
   out.push_back(Edge{static_cast<NodeId>(u), static_cast<NodeId>(v)});
 }
 
@@ -331,8 +267,7 @@ std::span<const Edge> ChunkedEdgeReader::next_lines() {
 
   while (out.size() < options_.chunk_edges) {
     if (format_ == FileFormat::kMtx && mtx_remaining_ == 0) {
-      // The size line's promise is fulfilled; trailing content is ignored
-      // (same contract as the one-shot reader).
+      // The size line's promise is fulfilled; trailing content is ignored.
       done_ = true;
       break;
     }
@@ -357,7 +292,7 @@ std::span<const Edge> ChunkedEdgeReader::next_lines() {
   return out;
 }
 
-std::span<const Edge> ChunkedEdgeReader::next_binary() {
+std::span<const Edge> ChunkedEdgeReader::next_pbin() {
   const std::size_t remaining =
       (payload_end_ - payload_offset_) / sizeof(Edge);
   const std::size_t n =
@@ -389,6 +324,17 @@ std::span<const Edge> ChunkedEdgeReader::next_binary() {
     }
     result = out;
   }
+  // The header's node bound (at most 2^32-1, so kInvalidNode never passes)
+  // must cover every record, or a later consumer sizes its tables too small.
+  // Value ternaries, not std::max: they compile to cmov, not to branches.
+  NodeId top = 0;
+  for (const Edge& e : result) {
+    const NodeId hi = e.u > e.v ? e.u : e.v;
+    top = top > hi ? top : hi;
+  }
+  if (top >= *declared_nodes_) {
+    fail("header node bound smaller than the payload's largest id");
+  }
   payload_offset_ += n * sizeof(Edge);
   edges_read_ += n;
 
@@ -408,8 +354,7 @@ std::span<const Edge> ChunkedEdgeReader::next() {
   if (done_) return {};
   switch (format_) {
     case FileFormat::kPbin:
-    case FileFormat::kBinLegacy:
-      return next_binary();
+      return next_pbin();
     case FileFormat::kMtx:
     case FileFormat::kText:
       return next_lines();

@@ -1,12 +1,16 @@
-// ChunkedEdgeReader — the streaming half of the out-of-core ingest path.
+// ChunkedEdgeReader — the one reader of graph files.
 //
-// Reads any supported edge-file format (text COO, MatrixMarket, legacy
-// ".bin", ".pbin") and yields fixed-size edge chunks without ever
-// materializing the graph: peak reader memory is O(chunk_edges), not O(m).
-// Binary formats are mmap-ed when the platform allows it (POSIX, with a
-// silent buffered-read fallback), in which case next() returns zero-copy
-// views straight into the mapping; text formats parse block-at-a-time from
-// the mapping or from a reused read buffer — no per-line allocation.
+// Reads every supported edge-file format (text COO, MatrixMarket, `.pbin`)
+// and yields fixed-size edge chunks without ever materializing the graph:
+// peak reader memory is O(chunk_edges), not O(m).  read_coo, the ingest
+// pipeline, `pimtc convert` and `serve --graph` all drain it, so every
+// graph file is checked here: `.pbin` headers are decoded from the reader's
+// own open input, every `.pbin` chunk is checked against the header's node
+// bound, and no format yields the reserved id kInvalidNode (2^32-1).
+// `.pbin` is mmap-ed when the platform allows it (POSIX, with a silent
+// buffered-read fallback), in which case next() returns zero-copy views
+// straight into the mapping; text formats parse block-at-a-time from the
+// mapping or from a reused read buffer — no per-line allocation.
 //
 // Chunk-view lifetime: the span returned by next() stays valid until the
 // *second* following next() call.  Internally the non-mapped paths
@@ -14,7 +18,8 @@
 // double-buffered ingest pipeline (engine::ingest_file) needs: the consumer
 // processes chunk k while a producer task parses chunk k+1.
 //
-// Errors name the file and, for line-oriented formats, the 1-based line:
+// Errors are graph::IoError naming the file and, for line-oriented
+// formats, the 1-based line:
 //   "pimtc::graph IO error on 'web.txt': line 17482: malformed line ..."
 // `.pbin` payload checksums are verified incrementally; a mismatch throws
 // when the final chunk is consumed.
@@ -24,6 +29,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
+#include <limits>
 #include <optional>
 #include <span>
 #include <string>
@@ -36,19 +42,44 @@ namespace pimtc::graph {
 
 /// The supported on-disk edge formats, dispatched by extension.
 enum class FileFormat {
-  kText,       ///< "u v" per line (.txt/.text/.el/.edges/.coo/.graph)
-  kMtx,        ///< MatrixMarket coordinate (.mtx)
-  kBinLegacy,  ///< "PIMTCCO1" + u64 count + raw edges (.bin)
-  kPbin,       ///< versioned header + checksum (.pbin, see pbin.hpp)
+  kText,  ///< "u v" per line (.txt/.text/.el/.edges/.coo/.graph/.tsv)
+  kMtx,   ///< MatrixMarket coordinate (.mtx)
+  kPbin,  ///< versioned header + checksum (.pbin, see pbin.hpp)
 };
 
 [[nodiscard]] const char* to_string(FileFormat format) noexcept;
 
-/// Extension dispatch shared by read_coo, the chunked reader and the CLI
-/// converter.  Throws std::runtime_error naming the supported formats for
-/// an unknown (or missing) extension — a typo'd path fails loudly instead
-/// of being parsed as text.
+/// Extension dispatch shared by the chunked reader and make_edge_writer.
+/// Throws IoError naming the supported formats for an unknown (or missing)
+/// extension — a typo'd path fails loudly instead of being parsed as text.
 [[nodiscard]] FileFormat file_format_of(const std::filesystem::path& path);
+
+[[nodiscard]] inline bool is_blank(char c) noexcept {
+  return c == ' ' || c == '\t' || c == '\r' || c == '\f' || c == '\v';
+}
+
+/// Strict base-10 u64 parse over a non-NUL-terminated range, the id
+/// grammar of every text input (edge lines and update streams): skips
+/// leading blanks, then consumes digits only (no sign, no hex).  Saturates
+/// instead of wrapping on overflow so the caller's range check still fires.
+[[nodiscard]] inline bool parse_u64(const char*& p, const char* end,
+                                    std::uint64_t& out) noexcept {
+  while (p != end && is_blank(*p)) ++p;
+  if (p == end || *p < '0' || *p > '9') return false;
+  std::uint64_t v = 0;
+  bool overflow = false;
+  while (p != end && *p >= '0' && *p <= '9') {
+    const std::uint64_t digit = static_cast<std::uint64_t>(*p - '0');
+    if (v > (std::numeric_limits<std::uint64_t>::max() - digit) / 10) {
+      overflow = true;
+    } else {
+      v = v * 10 + digit;
+    }
+    ++p;
+  }
+  out = overflow ? std::numeric_limits<std::uint64_t>::max() : v;
+  return true;
+}
 
 struct ReaderOptions {
   /// Edges per chunk (also the reader's working-set bound: two chunk
@@ -70,11 +101,6 @@ class ChunkedEdgeReader {
   explicit ChunkedEdgeReader(const std::filesystem::path& path,
                              ReaderOptions options = {});
 
-  /// Opens `path` as an explicit format (the read_coo_text/... entry
-  /// points, where the caller has already decided).
-  ChunkedEdgeReader(const std::filesystem::path& path, FileFormat format,
-                    ReaderOptions options = {});
-
   ~ChunkedEdgeReader();
 
   ChunkedEdgeReader(const ChunkedEdgeReader&) = delete;
@@ -88,14 +114,14 @@ class ChunkedEdgeReader {
   [[nodiscard]] FileFormat format() const noexcept { return format_; }
 
   /// True when the file is being served from an mmap (zero-copy chunks for
-  /// the binary formats).
+  /// `.pbin`).
   [[nodiscard]] bool mapped() const noexcept { return map_ != nullptr; }
 
   /// Edges handed out so far.
   [[nodiscard]] EdgeCount edges_read() const noexcept { return edges_read_; }
 
   /// Edge count declared by the header, when the format has one (.pbin,
-  /// .bin, .mtx nnz).  Lets callers reserve() exactly.
+  /// .mtx nnz).  Lets callers reserve() exactly.
   [[nodiscard]] std::optional<EdgeCount> declared_edges() const noexcept {
     return declared_edges_;
   }
@@ -108,9 +134,9 @@ class ChunkedEdgeReader {
 
  private:
   void open_input();
-  void parse_binary_header();
+  void parse_pbin_header();
   void parse_mtx_header();
-  [[nodiscard]] std::span<const Edge> next_binary();
+  [[nodiscard]] std::span<const Edge> next_pbin();
   [[nodiscard]] std::span<const Edge> next_lines();
 
   /// Buffered text path: tops up the window, carrying a partial trailing
@@ -138,7 +164,7 @@ class ChunkedEdgeReader {
 
   std::FILE* file_ = nullptr;
 
-  // Binary cursor (over the mapping or the file).
+  // `.pbin` cursor (over the mapping or the file).
   std::size_t payload_offset_ = 0;  ///< next unread byte
   std::size_t payload_end_ = 0;
   Xxh64 hash_;

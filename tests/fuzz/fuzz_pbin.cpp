@@ -1,16 +1,19 @@
-// Fuzz harness for the graph-file front end: read_bin_header / read_bin
-// and ChunkedEdgeReader across every supported on-disk format.
+// Fuzz harness for the graph-file front end: ChunkedEdgeReader, the one
+// reader of graph files, across every supported on-disk format.
 //
 // The first input byte selects the format (so one corpus exercises all
-// four parsers); the rest is the file body, written to a scratch file and
-// fed through both the one-shot and the chunked reader, mmap and buffered.
-// Expected rejections throw graph::IoError and are swallowed; any other
-// escape — std::length_error from an unchecked reserve, bad_alloc from a
-// wrapped size check, a sanitizer report — is a finding.  This is the
-// harness that flagged the `num_edges * sizeof(Edge)` overflow in the
-// .pbin / legacy-.bin size checks and the unbounded MatrixMarket nnz
-// reserve (fixed in src/graph/pbin.cpp and src/graph/stream_reader.cpp,
-// regression-pinned in tests/parser_hardening_test.cpp).
+// three parsers): `data[0] % 4` picks `.pbin` for 0 and 1, MatrixMarket for
+// 2 and text for 3 — slot 1 was the retired legacy `.bin` format, and
+// keeping the modulus keeps every corpus file on its parser.  The rest is
+// the file body, written to a scratch file with that extension and fed
+// through read_coo and the chunked reader, mmap and buffered.  Expected
+// rejections throw graph::IoError and are swallowed; any other escape —
+// std::length_error from an unchecked reserve, bad_alloc from a wrapped
+// size check, a sanitizer report — is a finding.  This is the harness that
+// flagged the `num_edges * sizeof(Edge)` overflow in the binary size checks
+// and the unbounded MatrixMarket nnz reserve (fixed in src/graph/pbin.cpp
+// and src/graph/stream_reader.cpp, regression-pinned in
+// tests/parser_hardening_test.cpp).
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -20,7 +23,6 @@
 
 #include "graph/io.hpp"
 #include "graph/io_error.hpp"
-#include "graph/pbin.hpp"
 #include "graph/stream_reader.hpp"
 #include "fuzz_util.hpp"
 
@@ -28,20 +30,17 @@ namespace {
 
 namespace fs = std::filesystem;
 using pimtc::graph::ChunkedEdgeReader;
-using pimtc::graph::FileFormat;
 
-/// Per-process scratch file reused for every input (named, because the
-/// readers open by path; extension-free, because the format is passed
-/// explicitly).
-const fs::path& scratch_path() {
-  static const fs::path path = [] {
-    const fs::path dir =
-        fs::temp_directory_path() /
-        ("pimtc_fuzz_pbin_" + std::to_string(::getpid()));
-    fs::create_directories(dir);
-    return dir / "input";
+/// Per-process scratch directory for the input file (named, because the
+/// reader opens by path and dispatches on the extension).
+const fs::path& scratch_dir() {
+  static const fs::path dir = [] {
+    const fs::path d = fs::temp_directory_path() /
+                       ("pimtc_fuzz_pbin_" + std::to_string(::getpid()));
+    fs::create_directories(d);
+    return d;
   }();
-  return path;
+  return dir;
 }
 
 void drain(ChunkedEdgeReader& reader) {
@@ -50,24 +49,21 @@ void drain(ChunkedEdgeReader& reader) {
   }
 }
 
-void exercise(const fs::path& path, FileFormat format) {
+void exercise(const fs::path& path) {
   // Small chunks force many refill/boundary transitions per input.
   for (const bool use_mmap : {true, false}) {
     try {
       pimtc::graph::ReaderOptions options;
       options.chunk_edges = 3;
       options.use_mmap = use_mmap;
-      ChunkedEdgeReader reader(path, format, options);
+      ChunkedEdgeReader reader(path, options);
       drain(reader);
     } catch (const pimtc::graph::IoError&) {
     }
   }
-  if (format == FileFormat::kPbin) {
-    try {
-      (void)pimtc::graph::read_bin_header(path);
-      (void)pimtc::graph::read_bin(path);
-    } catch (const pimtc::graph::IoError&) {
-    }
+  try {
+    (void)pimtc::graph::read_coo(path);
+  } catch (const pimtc::graph::IoError&) {
   }
 }
 
@@ -76,15 +72,15 @@ void exercise(const fs::path& path, FileFormat format) {
 extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
                                       std::size_t size) {
   if (size == 0) return 0;
-  static constexpr FileFormat kFormats[] = {
-      FileFormat::kPbin, FileFormat::kBinLegacy, FileFormat::kMtx,
-      FileFormat::kText};
-  const FileFormat format = kFormats[data[0] % 4];
+  static constexpr const char* kExtensions[] = {".pbin", ".pbin", ".mtx",
+                                                ".txt"};
+  const fs::path path =
+      scratch_dir() / (std::string("input") + kExtensions[data[0] % 4]);
   {
-    std::ofstream out(scratch_path(), std::ios::binary | std::ios::trunc);
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
     out.write(reinterpret_cast<const char*>(data + 1),
               static_cast<std::streamsize>(size - 1));
   }
-  exercise(scratch_path(), format);
+  exercise(path);
   return 0;
 }

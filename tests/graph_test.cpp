@@ -242,16 +242,7 @@ TEST_F(IoTest, TextRoundTrip) {
   const EdgeList g = gen::wheel(9);
   const auto path = dir_ / "wheel.txt";
   write_coo_text(g, path);
-  const EdgeList back = read_coo_text(path);
-  ASSERT_EQ(back.num_edges(), g.num_edges());
-  for (std::size_t i = 0; i < g.num_edges(); ++i) EXPECT_EQ(back[i], g[i]);
-}
-
-TEST_F(IoTest, BinaryRoundTrip) {
-  const EdgeList g = gen::complete(20);
-  const auto path = dir_ / "k20.bin";
-  write_coo_binary(g, path);
-  const EdgeList back = read_coo(path);  // dispatches on .bin
+  const EdgeList back = read_coo(path);
   ASSERT_EQ(back.num_edges(), g.num_edges());
   for (std::size_t i = 0; i < g.num_edges(); ++i) EXPECT_EQ(back[i], g[i]);
 }
@@ -261,7 +252,7 @@ TEST_F(IoTest, TextSkipsComments) {
   std::ofstream out(path);
   out << "# SNAP-style comment\n% KONECT-style comment\n1 2\n3 4\n";
   out.close();
-  const EdgeList g = read_coo_text(path);
+  const EdgeList g = read_coo(path);
   ASSERT_EQ(g.num_edges(), 2u);
   EXPECT_EQ(g[0], (Edge{1, 2}));
   EXPECT_EQ(g[1], (Edge{3, 4}));
@@ -280,7 +271,7 @@ TEST_F(IoTest, TextSkipsBlankishLinesAndIndentedComments) {
       << "  3 4\n"
       << "   \n";
   out.close();
-  const EdgeList g = read_coo_text(path);
+  const EdgeList g = read_coo(path);
   ASSERT_EQ(g.num_edges(), 2u);
   EXPECT_EQ(g[0], (Edge{1, 2}));
   EXPECT_EQ(g[1], (Edge{3, 4}));
@@ -291,7 +282,7 @@ TEST_F(IoTest, TextStillRejectsMalformedLines) {
   std::ofstream out(path);
   out << "1 2\nnot an edge\n";
   out.close();
-  EXPECT_THROW(read_coo_text(path), std::runtime_error);
+  EXPECT_THROW(read_coo(path), std::runtime_error);
 }
 
 TEST_F(IoTest, UpdateStreamParsesSignsCommentsAndBlanks) {
@@ -324,8 +315,8 @@ TEST_F(IoTest, UpdateStreamRejectsGarbage) {
 }
 
 TEST_F(IoTest, MissingFileThrows) {
-  EXPECT_THROW(read_coo_text(dir_ / "nope.txt"), std::runtime_error);
-  EXPECT_THROW(read_coo_binary(dir_ / "nope.bin"), std::runtime_error);
+  EXPECT_THROW(read_coo(dir_ / "nope.txt"), std::runtime_error);
+  EXPECT_THROW(read_coo(dir_ / "nope.pbin"), std::runtime_error);
   EXPECT_THROW(read_update_stream(dir_ / "nope.txt"), std::runtime_error);
 }
 
@@ -356,7 +347,7 @@ TEST_F(IoTest, MatrixMarketIgnoresValueColumn) {
       << "1 2 3.5\n"
       << "4 3 -1.25e2\n";
   out.close();
-  const EdgeList g = read_coo_mtx(path);
+  const EdgeList g = read_coo(path);
   ASSERT_EQ(g.num_edges(), 2u);
   EXPECT_EQ(g[0], (Edge{0, 1}));
   EXPECT_EQ(g[1], (Edge{3, 2}));
@@ -365,35 +356,27 @@ TEST_F(IoTest, MatrixMarketIgnoresValueColumn) {
 TEST_F(IoTest, MatrixMarketRejectsBadFiles) {
   const auto no_banner = dir_ / "nobanner.mtx";
   std::ofstream(no_banner) << "3 3 1\n1 2\n";
-  EXPECT_THROW(read_coo_mtx(no_banner), std::runtime_error);
+  EXPECT_THROW(read_coo(no_banner), std::runtime_error);
 
   const auto dense = dir_ / "dense.mtx";
   std::ofstream(dense) << "%%MatrixMarket matrix array real general\n3 3\n";
-  EXPECT_THROW(read_coo_mtx(dense), std::runtime_error);
+  EXPECT_THROW(read_coo(dense), std::runtime_error);
 
   const auto truncated = dir_ / "short.mtx";
   std::ofstream(truncated)
       << "%%MatrixMarket matrix coordinate pattern general\n3 3 5\n1 2\n";
-  EXPECT_THROW(read_coo_mtx(truncated), std::runtime_error);
+  EXPECT_THROW(read_coo(truncated), std::runtime_error);
 
   const auto zero_based = dir_ / "zero.mtx";
   std::ofstream(zero_based)
       << "%%MatrixMarket matrix coordinate pattern general\n3 3 1\n0 2\n";
-  EXPECT_THROW(read_coo_mtx(zero_based), std::runtime_error);
+  EXPECT_THROW(read_coo(zero_based), std::runtime_error);
 
   const auto out_of_range = dir_ / "range.mtx";
   std::ofstream(out_of_range)
       << "%%MatrixMarket matrix coordinate pattern general\n3 3 1\n"
       << "6000000000 1\n";
-  EXPECT_THROW(read_coo_mtx(out_of_range), std::runtime_error);
-}
-
-TEST_F(IoTest, BadMagicThrows) {
-  const auto path = dir_ / "bad.bin";
-  std::ofstream out(path, std::ios::binary);
-  out << "NOTMAGIC01234567";
-  out.close();
-  EXPECT_THROW(read_coo_binary(path), std::runtime_error);
+  EXPECT_THROW(read_coo(out_of_range), std::runtime_error);
 }
 
 }  // namespace

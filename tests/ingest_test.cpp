@@ -13,6 +13,7 @@
 #include <span>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "engine/ingest.hpp"
@@ -79,6 +80,48 @@ class IngestTest : public ::testing::Test {
     return out;
   }
 
+  /// Writes `g` through the extension-dispatched sink, counts declared up
+  /// front (the `pimtc generate` path).
+  static void write_graph(const graph::EdgeList& g, const fs::path& path,
+                          bool with_checksum = true) {
+    graph::WriterOptions wopt;
+    wopt.with_checksum = with_checksum;
+    wopt.declared_edges = g.num_edges();
+    wopt.declared_nodes = g.num_nodes();
+    const auto writer = graph::make_edge_writer(path, wopt);
+    writer->append(g.edges());
+    writer->finish();
+  }
+
+  /// The decoded header of a `.pbin` file (a file shorter than a header
+  /// reads as zero padding, which fails the magic check).
+  [[nodiscard]] graph::PbinInfo pbin_header(const fs::path& path) const {
+    std::string bytes = slurp(path);
+    const std::uint64_t file_bytes = bytes.size();
+    if (bytes.size() < graph::kPbinHeaderBytes) {
+      bytes.resize(graph::kPbinHeaderBytes);
+    }
+    return graph::decode_pbin_header(
+        reinterpret_cast<const unsigned char*>(bytes.data()), file_bytes,
+        path);
+  }
+
+  /// Expects reading `path` to fail naming every needle: through read_coo
+  /// and through the chunked reader on the mmap and the buffered path.
+  void expect_read_error(const fs::path& path,
+                         const std::vector<std::string>& needles) {
+    expect_error_containing([&] { (void)graph::read_coo(path); }, needles);
+    for (const bool use_mmap : {true, false}) {
+      expect_error_containing(
+          [&] {
+            graph::ChunkedEdgeReader reader(
+                path, {.chunk_edges = 4, .use_mmap = use_mmap});
+            (void)drain(reader);
+          },
+          needles);
+    }
+  }
+
   fs::path dir_;
 };
 
@@ -87,17 +130,37 @@ class IngestTest : public ::testing::Test {
 TEST_F(IngestTest, PbinRoundTripPreservesOrderAndCounts) {
   const graph::EdgeList g = dirty_graph();
   const auto path = dir_ / "g.pbin";
-  graph::write_bin(g, path);
+  write_graph(g, path);
 
-  const graph::PbinInfo info = graph::read_bin_header(path);
+  const graph::PbinInfo info = pbin_header(path);
   EXPECT_EQ(info.version, graph::kPbinVersion);
   EXPECT_TRUE(info.has_checksum());
   EXPECT_EQ(info.num_edges, g.num_edges());
   EXPECT_EQ(info.num_nodes, g.num_nodes());
 
-  const graph::EdgeList back = graph::read_bin(path);
+  const graph::EdgeList back = graph::read_coo(path);
   ASSERT_EQ(back.num_edges(), g.num_edges());
   EXPECT_EQ(back.num_nodes(), g.num_nodes());
+  for (std::size_t i = 0; i < g.num_edges(); ++i) EXPECT_EQ(back[i], g[i]);
+}
+
+TEST_F(IngestTest, PbinWithoutChecksumHasZeroFieldsAndReadsBack) {
+  // The `convert --no-checksum` sink: flags and checksum stay 0, the
+  // records are the checksummed file's, and the file reads back.
+  const graph::EdgeList g = dirty_graph();
+  write_graph(g, dir_ / "sum.pbin");
+  write_graph(g, dir_ / "nosum.pbin", /*with_checksum=*/false);
+
+  const graph::PbinInfo info = pbin_header(dir_ / "nosum.pbin");
+  EXPECT_EQ(info.flags, 0u);
+  EXPECT_EQ(info.checksum, 0u);
+  EXPECT_EQ(info.num_edges, g.num_edges());
+  EXPECT_EQ(info.num_nodes, g.num_nodes());
+  EXPECT_EQ(slurp(dir_ / "nosum.pbin").substr(graph::kPbinHeaderBytes),
+            slurp(dir_ / "sum.pbin").substr(graph::kPbinHeaderBytes));
+
+  const graph::EdgeList back = graph::read_coo(dir_ / "nosum.pbin");
+  ASSERT_EQ(back.num_edges(), g.num_edges());
   for (std::size_t i = 0; i < g.num_edges(); ++i) EXPECT_EQ(back[i], g[i]);
 }
 
@@ -110,21 +173,12 @@ TEST_F(IngestTest, TextToPbinToTextIsByteStable) {
   const auto back = dir_ / "back.txt";
   graph::write_coo_text(g, txt);
 
-  {
-    graph::ChunkedEdgeReader reader(txt, {.chunk_edges = 64});
-    graph::PbinWriter writer(pbin);
-    for (std::span<const Edge> c = reader.next(); !c.empty();
-         c = reader.next()) {
-      writer.append(c);
-    }
-    writer.finish();
-  }
-  {
-    graph::ChunkedEdgeReader reader(pbin, {.chunk_edges = 64});
+  for (const auto& [from, to] : {std::pair{txt, pbin}, std::pair{pbin, back}}) {
+    graph::ChunkedEdgeReader reader(from, {.chunk_edges = 64});
     graph::WriterOptions wopt;
     wopt.declared_edges = reader.declared_edges();
     wopt.declared_nodes = reader.declared_nodes();
-    auto writer = graph::make_edge_writer(back, wopt);
+    const auto writer = graph::make_edge_writer(to, wopt);
     for (std::span<const Edge> c = reader.next(); !c.empty();
          c = reader.next()) {
       writer->append(c);
@@ -135,96 +189,67 @@ TEST_F(IngestTest, TextToPbinToTextIsByteStable) {
 }
 
 TEST_F(IngestTest, PbinRejectsCorruptedMagic) {
-  graph::write_bin(graph::gen::wheel(8), dir_ / "g.pbin");
+  write_graph(graph::gen::wheel(8), dir_ / "g.pbin");
   std::string bytes = slurp(dir_ / "g.pbin");
   bytes[0] = 'X';
   std::ofstream(dir_ / "bad.pbin", std::ios::binary) << bytes;
-  expect_error_containing([&] { (void)graph::read_bin(dir_ / "bad.pbin"); },
-                          {"bad.pbin", "magic"});
+  expect_read_error(dir_ / "bad.pbin", {"bad.pbin", "magic"});
 }
 
 TEST_F(IngestTest, PbinRejectsTruncatedPayload) {
-  graph::write_bin(graph::gen::wheel(8), dir_ / "g.pbin");
+  write_graph(graph::gen::wheel(8), dir_ / "g.pbin");
   std::string bytes = slurp(dir_ / "g.pbin");
   bytes.resize(bytes.size() - 5);
   std::ofstream(dir_ / "cut.pbin", std::ios::binary) << bytes;
-  expect_error_containing([&] { (void)graph::read_bin(dir_ / "cut.pbin"); },
-                          {"cut.pbin", "truncated"});
+  expect_read_error(dir_ / "cut.pbin", {"cut.pbin", "truncated"});
 }
 
 TEST_F(IngestTest, PbinRejectsChecksumMismatchOnBothPaths) {
-  graph::write_bin(graph::gen::wheel(8), dir_ / "g.pbin");
+  write_graph(graph::gen::wheel(8), dir_ / "g.pbin");
   std::string bytes = slurp(dir_ / "g.pbin");
   // Flip a low payload bit: the edge stays within the header's node bound,
   // so only the checksum can catch the corruption.
   bytes[graph::kPbinHeaderBytes] ^= 0x01;
   std::ofstream(dir_ / "flip.pbin", std::ios::binary) << bytes;
-
-  expect_error_containing([&] { (void)graph::read_bin(dir_ / "flip.pbin"); },
-                          {"flip.pbin", "checksum"});
-  expect_error_containing(
-      [&] {
-        graph::ChunkedEdgeReader reader(dir_ / "flip.pbin", {.chunk_edges = 4});
-        (void)drain(reader);
-      },
-      {"flip.pbin", "checksum"});
+  expect_read_error(dir_ / "flip.pbin", {"flip.pbin", "checksum"});
 
   // Opting out of verification reads the corrupted payload fine.
-  EXPECT_EQ(graph::read_bin(dir_ / "flip.pbin", /*verify_checksum=*/false)
-                .num_edges(),
-            graph::gen::wheel(8).num_edges());
+  for (const bool use_mmap : {true, false}) {
+    graph::ChunkedEdgeReader reader(
+        dir_ / "flip.pbin",
+        {.chunk_edges = 4, .use_mmap = use_mmap, .verify_checksum = false});
+    EXPECT_EQ(drain(reader).size(), graph::gen::wheel(8).num_edges());
+  }
 }
 
 TEST_F(IngestTest, PbinRejectsUnknownFlagBitsOnBothPaths) {
   // A version-1 file carrying flag bits this build cannot honor must be
   // rejected, not silently half-read.  Flags live at header offset 12.
-  graph::write_bin(graph::gen::wheel(8), dir_ / "g.pbin");
+  write_graph(graph::gen::wheel(8), dir_ / "g.pbin");
   std::string bytes = slurp(dir_ / "g.pbin");
   bytes[12] = static_cast<char>(bytes[12] | 0x40);
   std::ofstream(dir_ / "flags.pbin", std::ios::binary) << bytes;
-  expect_error_containing([&] { (void)graph::read_bin(dir_ / "flags.pbin"); },
-                          {"flags.pbin", "unknown .pbin flag bits"});
-  expect_error_containing(
-      [&] {
-        graph::ChunkedEdgeReader reader(dir_ / "flags.pbin",
-                                        {.chunk_edges = 4});
-        (void)drain(reader);
-      },
-      {"flags.pbin", "unknown .pbin flag bits"});
+  expect_read_error(dir_ / "flags.pbin",
+                    {"flags.pbin", "unknown .pbin flag bits"});
 }
 
 TEST_F(IngestTest, PbinRejectsZeroLengthFileOnBothPaths) {
   std::ofstream(dir_ / "empty.pbin", std::ios::binary).flush();
-  expect_error_containing([&] { (void)graph::read_bin(dir_ / "empty.pbin"); },
-                          {"empty.pbin", "truncated header"});
-  expect_error_containing(
-      [&] {
-        graph::ChunkedEdgeReader reader(dir_ / "empty.pbin",
-                                        {.chunk_edges = 4});
-        (void)drain(reader);
-      },
-      {"empty.pbin", "truncated header"});
+  expect_read_error(dir_ / "empty.pbin", {"empty.pbin", "truncated header"});
 }
 
 TEST_F(IngestTest, PbinRejectsHeaderPayloadSizeMismatch) {
   // A header declaring more edges than the payload holds — a payload-size
   // mismatch rather than a mid-write truncation — names the file too.
-  graph::write_bin(graph::gen::wheel(8), dir_ / "g.pbin");
+  write_graph(graph::gen::wheel(8), dir_ / "g.pbin");
   std::string bytes = slurp(dir_ / "g.pbin");
   std::uint64_t m = 0;
   std::memcpy(&m, bytes.data() + 24, 8);
   m += 3;
   std::memcpy(bytes.data() + 24, &m, 8);
   std::ofstream(dir_ / "short.pbin", std::ios::binary) << bytes;
-  expect_error_containing([&] { (void)graph::read_bin(dir_ / "short.pbin"); },
-                          {"short.pbin", "truncated edge payload"});
-  expect_error_containing(
-      [&] {
-        graph::ChunkedEdgeReader reader(dir_ / "short.pbin",
-                                        {.chunk_edges = 4});
-        (void)drain(reader);
-      },
-      {"short.pbin", "truncated edge payload"});
+  expect_read_error(dir_ / "short.pbin",
+                    {"short.pbin", "truncated edge payload"});
 }
 
 TEST_F(IngestTest, PbinErrorsAreTypedIoErrors) {
@@ -232,7 +257,7 @@ TEST_F(IngestTest, PbinErrorsAreTypedIoErrors) {
   // not just the legacy what() string.
   std::ofstream(dir_ / "empty.pbin", std::ios::binary).flush();
   try {
-    (void)graph::read_bin(dir_ / "empty.pbin");
+    (void)graph::read_coo(dir_ / "empty.pbin");
     FAIL() << "expected graph::IoError";
   } catch (const graph::IoError& e) {
     EXPECT_EQ(e.path().filename(), "empty.pbin");
@@ -244,13 +269,13 @@ TEST_F(IngestTest, PbinErrorsAreTypedIoErrors) {
 
 TEST_F(IngestTest, ChunkSizeDoesNotChangeTheStream) {
   const graph::EdgeList g = dirty_graph();
-  for (const char* name : {"g.txt", "g.mtx", "g.pbin", "g.bin"}) {
+  for (const char* name : {"g.txt", "g.mtx", "g.pbin"}) {
     const auto path = dir_ / name;
     auto w = graph::make_edge_writer(path);
     w->append(g.edges());
     w->finish();
     // chunk=1, a ragged size, and chunk > m must all yield the same edges
-    // in the same order as the one-shot reader.
+    // in the same order as read_coo.
     const graph::EdgeList oneshot = graph::read_coo(path);
     ASSERT_EQ(oneshot.num_edges(), g.num_edges()) << name;
     for (const std::size_t chunk :
@@ -285,8 +310,8 @@ TEST_F(IngestTest, MmapAndBufferedPathsAgree) {
 
 TEST_F(IngestTest, DeclaredCountsComeFromHeaders) {
   const graph::EdgeList g = graph::gen::wheel(9);
-  graph::write_bin(g, dir_ / "g.pbin");
-  graph::write_coo_mtx(g, dir_ / "g.mtx");
+  write_graph(g, dir_ / "g.pbin");
+  write_graph(g, dir_ / "g.mtx");
   graph::write_coo_text(g, dir_ / "g.txt");
 
   graph::ChunkedEdgeReader pbin(dir_ / "g.pbin");
@@ -319,14 +344,14 @@ TEST_F(IngestTest, MtxErrorsNameFileAndLine) {
       << "5 5 3\n"
       << "1 2\n"
       << "2 3\n";
-  expect_error_containing([&] { (void)graph::read_coo_mtx(dir_ / "short.mtx"); },
+  expect_error_containing([&] { (void)graph::read_coo(dir_ / "short.mtx"); },
                           {"short.mtx", "fewer entries"});
 
   std::ofstream(dir_ / "oob.mtx")
       << "%%MatrixMarket matrix coordinate pattern general\n"
       << "3 3 1\n"
       << "4 1\n";
-  expect_error_containing([&] { (void)graph::read_coo_mtx(dir_ / "oob.mtx"); },
+  expect_error_containing([&] { (void)graph::read_coo(dir_ / "oob.mtx"); },
                           {"oob.mtx", "line 3", "exceeds"});
 }
 
@@ -350,7 +375,7 @@ TEST_F(IngestTest, StreamedEstimatesBitIdenticalToOneShot) {
   graph::EdgeList g = graph::gen::barabasi_albert(300, 4, 13);
   graph::gen::add_hubs(g, 2, 40, 14);
   const auto path = dir_ / "g.pbin";
-  graph::write_bin(g, path);
+  write_graph(g, path);
 
   for (const char* backend : {"cpu-fast", "pim", "cpu"}) {
     engine::EngineConfig cfg;
@@ -378,7 +403,7 @@ TEST_F(IngestTest, StreamedEstimatesBitIdenticalToOneShot) {
 TEST_F(IngestTest, FiltersDropLoopsAndDuplicatesOrderPreserving) {
   const graph::EdgeList g = dirty_graph();  // 2 loops, 2 duplicates appended
   const auto path = dir_ / "g.pbin";
-  graph::write_bin(g, path);
+  write_graph(g, path);
 
   engine::IngestOptions iopt;
   iopt.reader.chunk_edges = 16;
@@ -407,7 +432,7 @@ TEST_F(IngestTest, ChunkDedupOnlySeesWithinChunkDuplicates) {
   g.push_back({2, 3});
   g.push_back({0, 1});  // duplicate of chunk 1, lands in chunk 2
   const auto path = dir_ / "dup.pbin";
-  graph::write_bin(g, path);
+  write_graph(g, path);
 
   engine::IngestOptions iopt;
   iopt.reader.chunk_edges = 2;
@@ -422,7 +447,7 @@ TEST_F(IngestTest, ChunkDedupOnlySeesWithinChunkDuplicates) {
 TEST_F(IngestTest, DegreeHistogramMatchesInMemoryCount)  {
   const graph::EdgeList g = dirty_graph();
   const auto path = dir_ / "g.pbin";
-  graph::write_bin(g, path);
+  write_graph(g, path);
 
   const std::vector<std::uint32_t> degrees = engine::stream_degrees(path);
   std::vector<std::uint32_t> expect(g.num_nodes(), 0);
@@ -438,7 +463,7 @@ TEST_F(IngestTest, DegreeHistogramMatchesInMemoryCount)  {
 }
 
 TEST_F(IngestTest, EmptyGraphStreamsCleanly) {
-  graph::write_bin(graph::EdgeList{}, dir_ / "empty.pbin");
+  write_graph(graph::EdgeList{}, dir_ / "empty.pbin");
   auto eng = engine::make_engine("cpu-fast", {});
   const engine::IngestStats stats =
       engine::ingest_file(*eng, dir_ / "empty.pbin");
@@ -452,7 +477,7 @@ TEST_F(IngestTest, EmptyGraphStreamsCleanly) {
 TEST_F(IngestTest, SessionManagerIngestFileMatchesSubmit) {
   const graph::EdgeList g = graph::gen::barabasi_albert(200, 3, 21);
   const auto path = dir_ / "g.pbin";
-  graph::write_bin(g, path);
+  write_graph(g, path);
 
   engine::EngineConfig cfg;
   cfg.num_colors = 4;

@@ -15,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "common/types.hpp"
 #include "graph/io.hpp"
 #include "graph/io_error.hpp"
 #include "graph/pbin.hpp"
@@ -42,52 +43,136 @@ class ParserHardeningTest : public ::testing::Test {
     return path;
   }
 
-  /// A syntactically valid .pbin header declaring `num_edges` edges.
-  [[nodiscard]] static std::string pbin_header(std::uint64_t num_edges) {
+  /// A syntactically valid .pbin header (no checksum) declaring
+  /// `num_edges` edges over `num_nodes` nodes.
+  [[nodiscard]] static std::string pbin_header(std::uint64_t num_edges,
+                                               std::uint64_t num_nodes = 4) {
     std::string raw(graph::kPbinHeaderBytes, '\0');
     std::memcpy(raw.data(), graph::kPbinMagic.data(),
                 graph::kPbinMagic.size());
     const std::uint32_t version = graph::kPbinVersion;
     std::memcpy(raw.data() + 8, &version, 4);
-    const std::uint64_t nodes = 4;
-    std::memcpy(raw.data() + 16, &nodes, 8);
+    std::memcpy(raw.data() + 16, &num_nodes, 8);
     std::memcpy(raw.data() + 24, &num_edges, 8);
     return raw;
   }
 
-  /// A legacy .bin header declaring `count` edges.
-  [[nodiscard]] static std::string legacy_header(std::uint64_t count) {
-    std::string raw = "PIMTCCO1";
-    raw.resize(16, '\0');
-    std::memcpy(raw.data() + 8, &count, 8);
+  /// A whole .pbin file: header with node bound `num_nodes`, then `edges`.
+  [[nodiscard]] static std::string pbin_file(std::uint64_t num_nodes,
+                                             const std::vector<Edge>& edges) {
+    std::string raw = pbin_header(edges.size(), num_nodes);
+    raw.append(reinterpret_cast<const char*>(edges.data()),
+               edges.size() * sizeof(Edge));
     return raw;
+  }
+
+  /// Expects `fn` to throw an IoError whose reason contains `needle`.
+  template <typename Fn>
+  static void expect_io_error(Fn&& fn, const std::string& needle,
+                              const std::string& what) {
+    try {
+      fn();
+      ADD_FAILURE() << what << ": expected IoError";
+    } catch (const graph::IoError& e) {
+      EXPECT_NE(e.reason().find(needle), std::string::npos)
+          << what << ": " << e.what();
+    }
   }
 
   fs::path dir_;
 };
 
 // A num_edges chosen so that num_edges * sizeof(Edge) wraps to a tiny
-// value: the pre-fix size check passed and read_bin tried to allocate
-// 2^61 Edge records.  Must now fail as a truncated payload.
+// value: the pre-fix size check passed and the one-shot reader tried to
+// allocate 2^61 Edge records.  Must now fail as a truncated payload.
 TEST_F(ParserHardeningTest, PbinHeaderEdgeCountOverflowIsTruncation) {
   const std::uint64_t wrap = (std::uint64_t{1} << 61) + 1;  // *8 == 8 mod 2^64
   const fs::path path = write_file("wrap.pbin", pbin_header(wrap));
-  EXPECT_THROW((void)graph::read_bin_header(path), graph::IoError);
-  EXPECT_THROW((void)graph::read_bin(path), graph::IoError);
-  EXPECT_THROW(graph::ChunkedEdgeReader reader(path), graph::IoError);
+  EXPECT_THROW((void)graph::read_coo(path), graph::IoError);
+  for (const bool use_mmap : {true, false}) {
+    EXPECT_THROW(graph::ChunkedEdgeReader reader(path, {.use_mmap = use_mmap}),
+                 graph::IoError);
+  }
 }
 
 TEST_F(ParserHardeningTest, PbinHonestOversizedCountIsStillTruncation) {
   // No overflow, just a plain lie: 1000 declared edges, zero payload bytes.
   const fs::path path = write_file("lie.pbin", pbin_header(1000));
-  EXPECT_THROW((void)graph::read_bin_header(path), graph::IoError);
+  for (const bool use_mmap : {true, false}) {
+    EXPECT_THROW(graph::ChunkedEdgeReader reader(path, {.use_mmap = use_mmap}),
+                 graph::IoError);
+  }
 }
 
-TEST_F(ParserHardeningTest, LegacyBinEdgeCountOverflowIsTruncation) {
-  const std::uint64_t wrap = (std::uint64_t{1} << 61) + 1;
-  const fs::path path = write_file("wrap.bin", legacy_header(wrap));
-  EXPECT_THROW(graph::ChunkedEdgeReader reader(path), graph::IoError);
-  EXPECT_THROW((void)graph::read_coo_binary(path), graph::IoError);
+// A header whose node bound is below a record's id.  The chunked reader
+// behind `convert`, `count --chunk-edges` and `serve --graph` used to pass
+// it through, so `convert` wrote an .mtx whose size line was below its
+// entries.  The check runs per chunk, so it fires mid-stream.
+TEST_F(ParserHardeningTest, PbinUnderstatedNodeBoundIsRejectedWhileStreaming) {
+  const fs::path path =
+      write_file("lie.pbin", pbin_file(4, {Edge{0, 1}, Edge{4, 10}}));
+  for (const bool use_mmap : {true, false}) {
+    graph::ChunkedEdgeReader reader(path,
+                                    {.chunk_edges = 1, .use_mmap = use_mmap});
+    EXPECT_EQ(reader.next().size(), 1u);  // (0, 1) is within the bound
+    expect_io_error([&] { (void)reader.next(); }, "header node bound",
+                    use_mmap ? "mmap" : "buffered");
+  }
+  expect_io_error([&] { (void)graph::read_coo(path); }, "header node bound",
+                  "read_coo");
+}
+
+// Node id 2^32-1 is kInvalidNode: EdgeList's node bound (id + 1 in 32 bits)
+// wrapped to 0 on it and `pimtc stats` crashed.  Every input format rejects
+// it, and 2^32-2 still loads.
+TEST_F(ParserHardeningTest, ReservedNodeIdIsRejectedInEveryFormat) {
+  const std::string mtx = "%%MatrixMarket matrix coordinate pattern general\n";
+  const auto rejects = [](const fs::path& path, const std::string& needle) {
+    expect_io_error([&] { (void)graph::read_coo(path); }, needle,
+                    path.filename().string());
+  };
+  rejects(write_file("max.txt", "0 4294967295\n"), "line 1: node id");
+  const std::string max_mtx = mtx + "4294967296 4294967296 1\n1 4294967296\n";
+  rejects(write_file("max.mtx", max_mtx), "matrix dimension");
+  rejects(write_file("bound.pbin", pbin_file(4294967296, {Edge{0, 1}})),
+          "header node bound");
+  const Edge reserved{0, kInvalidNode};
+  rejects(write_file("max.pbin", pbin_file(kInvalidNode, {reserved})),
+          "header node bound");
+  expect_io_error(
+      [&] {
+        (void)graph::read_update_stream(
+            write_file("max_stream.txt", "+0 4294967295\n"));
+      },
+      "line 1: node id", "update stream");
+
+  const Edge top{0, kInvalidNode - 1};
+  EXPECT_EQ(graph::read_coo(write_file("top.txt", "0 4294967294\n"))[0], top);
+  const std::string top_mtx = mtx + "4294967295 4294967295 1\n1 4294967295\n";
+  EXPECT_EQ(graph::read_coo(write_file("top.mtx", top_mtx))[0], top);
+  const std::string top_pbin = pbin_file(kInvalidNode, {top});
+  EXPECT_EQ(graph::read_coo(write_file("top.pbin", top_pbin))[0], top);
+  EXPECT_EQ(graph::read_update_stream(
+                write_file("top_stream.txt", "+0 4294967294\n"))[0],
+            insert_of(top));
+}
+
+// The update-stream sign belongs to the line, not to the ids: strtoull took
+// a sign per id, so `+1 +4` inserted (1,4) — which the edge-file reader
+// rejects as `1 +4` — and `+1 -4` failed as an out-of-range id after -4
+// wrapped.  The ids now take the edge-file grammar.
+TEST_F(ParserHardeningTest, UpdateStreamIdsTakeNoSign) {
+  for (const char* line : {"+1 +4", "+1 -4", "-+1 4", "1 +4"}) {
+    const fs::path path = write_file("signed.txt", line);
+    expect_io_error([&] { (void)graph::read_update_stream(path); },
+                    "malformed line", line);
+  }
+  // A sign set apart from the pair is still the line's sign.
+  const std::vector<EdgeUpdate> ok =
+      graph::read_update_stream(write_file("ok.txt", "- 2 3\n+ 1 4\n"));
+  ASSERT_EQ(ok.size(), 2u);
+  EXPECT_EQ(ok[0], delete_of(Edge{2, 3}));
+  EXPECT_EQ(ok[1], insert_of(Edge{1, 4}));
 }
 
 TEST_F(ParserHardeningTest, MtxHostileNnzIsRejectedBeforeReserve) {
@@ -99,7 +184,7 @@ TEST_F(ParserHardeningTest, MtxHostileNnzIsRejectedBeforeReserve) {
       "3 3 1152921504606846976\n"
       "1 2\n");
   try {
-    (void)graph::read_coo_mtx(path);
+    (void)graph::read_coo(path);
     FAIL() << "expected IoError";
   } catch (const graph::IoError& e) {
     EXPECT_NE(std::string(e.what()).find("more entries"), std::string::npos)
@@ -115,7 +200,7 @@ TEST_F(ParserHardeningTest, MtxPlausibleFilesStillParse) {
                                    "3 3 2\n"
                                    "1 2\n"
                                    "2 3\n");
-  const graph::EdgeList list = graph::read_coo_mtx(path);
+  const graph::EdgeList list = graph::read_coo(path);
   EXPECT_EQ(list.num_edges(), 2u);
 }
 

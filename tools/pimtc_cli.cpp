@@ -13,7 +13,7 @@
 //   pimtc backends
 //
 // `convert` streams any supported format into any other in O(chunk)
-// memory (text / .mtx / legacy .bin / .pbin, both directions); --dedup
+// memory (text / .mtx / .pbin, both directions); --dedup
 // drops duplicate undirected edges, --orient rewrites each edge
 // lower-(degree, id) endpoint first (the DODG orientation, precomputed
 // once at rest instead of at every load).  `count --chunk-edges=N`
@@ -110,9 +110,9 @@ using namespace pimtc;
       "                 [--graph=<file>] [--chunk-edges=<n>] [--no-mmap]\n"
       "                 plus any engine flag accepted by count\n"
       "  pimtc backends\n"
-      "graphs load by extension: .pbin (pimtc binary v1), .bin (legacy\n"
-      "binary), .mtx (MatrixMarket), .txt/.text/.el/.edges/.coo/.graph/.tsv\n"
-      "('u v' text); other extensions are rejected\n"
+      "graphs load by extension: .pbin (pimtc binary v1), .mtx\n"
+      "(MatrixMarket), .txt/.text/.el/.edges/.coo/.graph/.tsv ('u v' text);\n"
+      "other extensions are rejected\n"
       "count needs --graph and/or --stream; --stream replays a fully-dynamic\n"
       "update file ('+u v' inserts, '-u v' deletes, bare 'u v' inserts)\n"
       "after the graph; --delete-frac=<f> then deletes a seeded random\n"
@@ -234,7 +234,7 @@ int cmd_generate(const Args& args) {
 
   const graph::EdgeList g =
       generate_graph(kind, edges, seed, args.f64("scale", 0.5));
-  // Extension-dispatched sink: text, .mtx, .bin or .pbin all work.
+  // Extension-dispatched sink: text, .mtx or .pbin.
   graph::WriterOptions wopt;
   wopt.declared_edges = g.num_edges();
   wopt.declared_nodes = g.num_nodes();
