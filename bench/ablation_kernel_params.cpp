@@ -67,9 +67,9 @@ int main(int argc, char** argv) {
     std::printf("  %9u %12.2f %9.2fx\n", t, ms, base_ms / ms);
   }
 
-  // Buffer sizes above ~62 edges are clamped by the kernel so that five
-  // simultaneous per-tasklet buffers plus the static WRAM tables still fit
-  // the 64 KB scratchpad.
+  // Buffer sizes above 64 edges (the bound at 16 tasklets) are clamped by
+  // the kernel so that five simultaneous per-tasklet buffers plus the
+  // static WRAM tables still fit the 64 KB scratchpad.
   std::printf("\nbuffer-size sweep (16 tasklets):\n");
   std::printf("  %9s %12s\n", "edges/buf", "kernel (ms)");
   std::vector<std::uint32_t> buffer_grid = {4, 8, 16, 32, 48, 62};

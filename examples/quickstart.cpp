@@ -35,11 +35,11 @@ int main(int argc, char** argv) {
               pre.removed_duplicates);
 
   // 3. Configure the engine: 8 colors -> binom(10,3) = 120 PIM cores,
-  //    16 tasklets each, exact mode.  Any registered backend accepts the
-  //    same config — that is the whole point of the engine layer.
+  //    exact mode (each core runs the paper's 16 tasklets).  Any registered
+  //    backend accepts the same config — that is the whole point of the
+  //    engine layer.
   engine::EngineConfig config;
   config.num_colors = 8;
-  config.tasklets = 16;
 
   // 4. Count on the PIM backend.
   auto pim = engine::make_engine("pim", config);

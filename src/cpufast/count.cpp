@@ -19,93 +19,6 @@ namespace {
 /// counter is off the hot path.
 constexpr std::uint64_t kChunkRows = 256;
 
-/// Window below which the gallop stops subdividing and resolves with one
-/// block probe.  Matches the 8-lane SIMD width so the scalar and AVX2
-/// resolves count identically.
-constexpr std::size_t kBlockWidth = 8;
-
-/// True when x occurs in the sorted block b[0, len), len <= kBlockWidth.
-bool block_contains(const NodeId* b, std::size_t len, NodeId x) noexcept {
-#if defined(__AVX2__)
-  alignas(32) static constexpr std::int32_t kLane[8] = {0, 1, 2, 3, 4, 5, 6, 7};
-  const __m256i lane = _mm256_load_si256(reinterpret_cast<const __m256i*>(kLane));
-  // Lanes >= len are masked out of both the load and the compare, so the
-  // zeros maskload writes there can never alias a genuine x == 0 match.
-  const __m256i live = _mm256_cmpgt_epi32(_mm256_set1_epi32(static_cast<std::int32_t>(len)), lane);
-  const __m256i block = _mm256_maskload_epi32(reinterpret_cast<const int*>(b), live);
-  const __m256i hit = _mm256_and_si256(
-      _mm256_cmpeq_epi32(block, _mm256_set1_epi32(static_cast<std::int32_t>(x))), live);
-  return _mm256_movemask_epi8(hit) != 0;
-#else
-  for (std::size_t i = 0; i < len; ++i) {
-    if (b[i] == x) return true;
-  }
-  return false;
-#endif
-}
-
-/// Branch-light sorted-list intersection count; every iteration advances at
-/// least one cursor, so `picks` is the classic merge-step tally.
-TriangleCount merge_count(const NodeId* a, std::size_t na, const NodeId* b,
-                          std::size_t nb, std::uint64_t& picks) noexcept {
-  TriangleCount matches = 0;
-  std::size_t i = 0;
-  std::size_t j = 0;
-  std::uint64_t steps = 0;
-  while (i < na && j < nb) {
-    const NodeId x = a[i];
-    const NodeId y = b[j];
-    ++steps;
-    matches += (x == y);
-    i += (x <= y);
-    j += (y <= x);
-  }
-  picks += steps;
-  return matches;
-}
-
-/// Galloping intersection count: each element of the (sorted) small side is
-/// exponential-searched into large[lo, nl), narrowing to a <= kBlockWidth
-/// window resolved by one block probe.  `lo` only moves forward across
-/// elements, so the whole small side costs O(small * log(large / small)).
-/// Probes = search steps + one block resolve per element, identical for the
-/// scalar and SIMD resolves.
-TriangleCount gallop_count(const NodeId* small, std::size_t ns,
-                           const NodeId* large, std::size_t nl,
-                           std::uint64_t& probes) noexcept {
-  TriangleCount matches = 0;
-  std::size_t lo = 0;
-  std::uint64_t p = 0;
-  for (std::size_t i = 0; i < ns && lo < nl; ++i) {
-    const NodeId x = small[i];
-    // Exponentially bracket the first element >= x inside [lo, nl).
-    std::size_t left = lo;
-    std::size_t right = nl;
-    std::size_t bound = 1;
-    while (lo + bound < nl && large[lo + bound] < x) {
-      ++p;
-      bound <<= 1;
-    }
-    left = lo + (bound >> 1);
-    right = std::min(lo + bound + 1, nl);
-    // Binary-narrow to a block, then resolve with one probe.
-    while (right - left > kBlockWidth) {
-      ++p;
-      const std::size_t mid = left + (right - left) / 2;
-      if (large[mid] < x) {
-        left = mid + 1;
-      } else {
-        right = mid;
-      }
-    }
-    ++p;
-    matches += block_contains(large + left, right - left, x);
-    lo = left;  // everything before `left` is < x <= every later element
-  }
-  probes += p;
-  return matches;
-}
-
 /// Resolved neighbor row of one out-arc target: base offset + length in the
 /// targets array.  Written by the resolve pass, consumed by the probe pass.
 struct RowRef {
@@ -152,15 +65,13 @@ std::uint64_t bitmap_count(const std::uint64_t* bitmap, const NodeId* ws,
   return matches;
 }
 
-void count_from_source(const Dodg& g, const CountConfig& cfg, NodeId u,
-                       WorkerState& ws) {
+void count_from_source(const Dodg& g, NodeId u, WorkerState& ws) {
   const std::span<const NodeId> out_u = g.neighbors(u);
   const std::size_t du = out_u.size();
-  if (du < 2) return;
+  if (du < 2) return;  // a triangle needs two out-neighbors of its apex
   CountStats& s = ws.stats;
   const std::uint32_t* offs = g.offsets().data();
   const NodeId* tgt = g.targets().data();
-  const NodeId* order = out_u.data();
 
   // Resolve pass: fetch every neighbor row's bounds and prefetch its data.
   // Done up front so the per-pair miss chain (offsets[v], then the row
@@ -168,62 +79,36 @@ void count_from_source(const Dodg& g, const CountConfig& cfg, NodeId u,
   // serialized two-deep chain per pair.
   ws.rows.resize(du);
   for (std::size_t i = 0; i < du; ++i) {
-    const NodeId v = order[i];
+    const NodeId v = out_u[i];
     const std::uint32_t begin = offs[v];
     ws.rows[i] = {begin, offs[v + 1] - begin};
     __builtin_prefetch(tgt + begin);
   }
 
-  if (cfg.hub_degree != 0 && du >= cfg.hub_degree) {
-    if (ws.bitmap.empty()) {
-      ws.bitmap.assign((static_cast<std::size_t>(g.num_nodes()) + 63) / 64, 0);
-    }
-    for (const NodeId v : out_u) {
-      ws.bitmap[v >> 6] |= 1ull << (v & 63);
-    }
-    TriangleCount matches = 0;
-    std::uint64_t probes = 0;
-    for (std::size_t i = 0; i < du; ++i) {
-      const RowRef row = ws.rows[i];
-      matches += bitmap_count(ws.bitmap.data(), tgt + row.off, row.len);
-      probes += row.len;
-      ++s.bitmap_isects;
-    }
-    for (const NodeId v : out_u) {
-      ws.bitmap[v >> 6] &= ~(1ull << (v & 63));
-    }
-    s.triangles += matches;
-    s.bitmap_probes += probes;
-    return;
+  if (ws.bitmap.empty()) {
+    ws.bitmap.assign((static_cast<std::size_t>(g.num_nodes()) + 63) / 64, 0);
   }
-
-  for (std::size_t i = 0; i + 1 < du; ++i) {
+  for (const NodeId v : out_u) {
+    ws.bitmap[v >> 6] |= 1ull << (v & 63);
+  }
+  TriangleCount matches = 0;
+  std::uint64_t probes = 0;
+  for (std::size_t i = 0; i < du; ++i) {
     const RowRef row = ws.rows[i];
-    const std::size_t nb = row.len;
-    if (nb == 0) continue;
-    // Everything in N+(v) ranks above v, so the prefix of N+(u) through v
-    // cannot match: intersect only the strict suffix.
-    const NodeId* a = order + i + 1;
-    const std::size_t na = du - i - 1;
-    const NodeId* b = tgt + row.off;
-    const NodeId* small = na <= nb ? a : b;
-    const std::size_t ns = std::min(na, nb);
-    const NodeId* large = na <= nb ? b : a;
-    const std::size_t nl = std::max(na, nb);
-    if (tc::choose_gallop(cfg.policy, cfg.gallop_margin, ns, nl)) {
-      ++s.gallop_isects;
-      s.triangles += gallop_count(small, ns, large, nl, s.gallop_probes);
-    } else {
-      ++s.merge_isects;
-      s.triangles += merge_count(a, na, b, nb, s.merge_picks);
-    }
+    matches += bitmap_count(ws.bitmap.data(), tgt + row.off, row.len);
+    probes += row.len;
+    ++s.bitmap_isects;
   }
+  for (const NodeId v : out_u) {
+    ws.bitmap[v >> 6] &= ~(1ull << (v & 63));
+  }
+  s.triangles += matches;
+  s.bitmap_probes += probes;
 }
 
 }  // namespace
 
-CountStats count_triangles(const Dodg& g, const CountConfig& cfg,
-                           ThreadPool& pool) {
+CountStats count_triangles(const Dodg& g, ThreadPool& pool) {
   WallTimer timer;
   const NodeId n = g.num_nodes();
   CountStats total;
@@ -247,18 +132,14 @@ CountStats count_triangles(const Dodg& g, const CountConfig& cfg,
       const NodeId end = static_cast<NodeId>(
           std::min<std::uint64_t>(n, (chunk + 1) * kChunkRows));
       for (NodeId u = begin; u < end; ++u) {
-        count_from_source(g, cfg, u, ws);
+        count_from_source(g, u, ws);
       }
     }
   });
   for (const WorkerState& ws : states) {
     const CountStats& s = ws.stats;
     total.triangles += s.triangles;
-    total.merge_isects += s.merge_isects;
-    total.gallop_isects += s.gallop_isects;
     total.bitmap_isects += s.bitmap_isects;
-    total.merge_picks += s.merge_picks;
-    total.gallop_probes += s.gallop_probes;
     total.bitmap_probes += s.bitmap_probes;
     total.chunks_claimed += s.chunks_claimed;
   }

@@ -1,60 +1,32 @@
-// Thread-parallel adaptive triangle counting over a Dodg.
+// Thread-parallel bitmap triangle counting over a Dodg.
 //
 // Sources are claimed in fixed-size row chunks from a shared atomic counter
 // (hub rows cluster at the top of the rank range, so static blocks would
-// leave the last thread holding every hub).  Each (u, v) arc intersects
-// N+(u) with N+(v) through one of three strategies:
-//
-//  * merge  — branch-light linear co-advance (similar-size lists),
-//  * gallop — exponential + binary search of the small side into the large
-//    one, resolved by an 8-wide SIMD block probe where AVX2 is available
-//    (skewed pairs, per tc::choose_gallop's cost model),
-//  * bitmap — for hub sources with out-degree >= hub_degree, N+(u) is
-//    splatted into a per-thread packed bitmap and every w in N+(v) becomes
-//    an O(1) membership probe.
-//
-// The match set — and therefore the count — is identical under every
-// strategy; only the work counters move.  Counters are deterministic
-// across thread counts: a chunk contributes the same work whichever thread
-// claims it.
+// leave the last thread holding every hub).  Each source u with at least
+// two out-neighbors splats N+(u) into a per-thread packed bitmap, and every
+// w in N+(v), for each arc u -> v, becomes an O(1) membership probe (AVX2:
+// eight gathered words per step) — the bitmap intersection TCIM builds on.
+// Counters are deterministic across thread counts: a chunk contributes the
+// same work whichever thread claims it.
 #pragma once
 
 #include <cstdint>
 
 #include "common/thread_pool.hpp"
 #include "cpufast/dodg.hpp"
-#include "tc/intersect.hpp"
 
 namespace pimtc::cpufast {
 
-struct CountConfig {
-  tc::IntersectPolicy policy = tc::IntersectPolicy::kAuto;
-  std::uint32_t gallop_margin = 3;
-  /// Out-degree at which a source switches to the packed-bitmap path;
-  /// 0 disables the bitmap entirely (pure merge/gallop).
-  std::uint32_t hub_degree = 256;
-};
-
 /// Result + work counters of one counting pass (engine::KernelStats shape,
-/// plus the bitmap split).
+/// bitmap split).
 struct CountStats {
   TriangleCount triangles = 0;
-  std::uint64_t merge_isects = 0;   ///< (u,v) pairs resolved by merge
-  std::uint64_t gallop_isects = 0;  ///< (u,v) pairs resolved by gallop
   std::uint64_t bitmap_isects = 0;  ///< (u,v) pairs resolved by bitmap
-  std::uint64_t merge_picks = 0;    ///< merge loop iterations
-  std::uint64_t gallop_probes = 0;  ///< search steps + block resolves
   std::uint64_t bitmap_probes = 0;  ///< bitmap membership tests
   std::uint64_t chunks_claimed = 0; ///< row chunks pulled from the counter
   double count_s = 0.0;             ///< wall-clock of the parallel section
-
-  /// Total intersection operations (the backend's "kernel instructions").
-  [[nodiscard]] std::uint64_t ops() const noexcept {
-    return merge_picks + gallop_probes + bitmap_probes;
-  }
 };
 
-[[nodiscard]] CountStats count_triangles(const Dodg& g, const CountConfig& cfg,
-                                         ThreadPool& pool);
+[[nodiscard]] CountStats count_triangles(const Dodg& g, ThreadPool& pool);
 
 }  // namespace pimtc::cpufast

@@ -5,6 +5,7 @@
 #include "common/timer.hpp"
 #include "cpufast/count.hpp"
 #include "cpufast/dodg.hpp"
+#include "tc/intersect.hpp"
 
 namespace pimtc::cpufast {
 
@@ -75,11 +76,7 @@ engine::CountReport CpuFastEngine::recount() {
 
   BuildTimes build_times;
   const Dodg g = Dodg::build(edges, pool(), &build_times);
-  CountConfig cc;
-  cc.policy = config_.intersect;
-  cc.gallop_margin = config_.gallop_margin;
-  cc.hub_degree = config_.cpu_fast_hub_degree;
-  const CountStats cs = count_triangles(g, cc, pool());
+  const CountStats cs = count_triangles(g, pool());
   times_.ingest_s += build_times.total_s();
   times_.count_s += cs.count_s;
 
@@ -95,7 +92,7 @@ engine::CountReport CpuFastEngine::recount() {
   // Degree + orientation-count + scatter passes over the raw COO, plus the
   // row sort/compaction over the oriented arcs.
   report.work.conversion_ops = 3 * edges.size() + 2 * g.num_arcs();
-  report.work.intersection_steps = cs.ops();
+  report.work.intersection_steps = cs.bitmap_probes;
   report.work.triangles = cs.triangles;
   report.num_units = static_cast<std::uint32_t>(pool().size());
   report.host_threads = report.num_units;
@@ -104,16 +101,13 @@ engine::CountReport CpuFastEngine::recount() {
   report.edges_deleted = edges_deleted_;
   report.sample_evictions = edges_deleted_;  // exact engine: every hit evicts
   report.delete_misses = delete_misses_;
+  // One strategy, the bitmap probe; the configured policy name is echoed.
   report.kernel.intersect = tc::to_string(config_.intersect);
-  report.kernel.merge_isects = cs.merge_isects;
-  report.kernel.gallop_isects = cs.gallop_isects;
   report.kernel.bitmap_isects = cs.bitmap_isects;
-  report.kernel.merge_picks = cs.merge_picks;
-  report.kernel.gallop_probes = cs.gallop_probes;
   report.kernel.bitmap_probes = cs.bitmap_probes;
   report.kernel.chunks_claimed = cs.chunks_claimed;
-  report.kernel.instructions = cs.ops();
-  report.kernel.count_instructions = cs.ops();
+  report.kernel.instructions = cs.bitmap_probes;
+  report.kernel.count_instructions = cs.bitmap_probes;
 
   cached_ = report;
   has_report_ = true;

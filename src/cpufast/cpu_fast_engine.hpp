@@ -1,5 +1,5 @@
-// "cpu-fast" — the fast exact CPU backend: parallel DODG build + adaptive
-// merge/gallop/bitmap counting (count.hpp).  The contract is exactness, not
+// "cpu-fast" — the fast exact CPU backend: parallel DODG build + SIMD
+// bitmap counting (count.hpp).  The contract is exactness, not
 // incrementality: updates mark the session dirty and recount() rebuilds the
 // DODG from the live edge set, bit-identical to "cpu" on any insert stream
 // and to "cpu-incremental" on any ± stream.

@@ -3,7 +3,11 @@
 // One struct configures any engine from the registry: the PIM pipeline
 // knobs, the machine model (`pim`) and the threading knob.  Backends read
 // the subset they understand: the CPU engines only look at `host_threads`
-// and `seed`; the PIM counter (tc::PimTriangleCounter) consumes everything.
+// and `seed` (cpu-fast also echoes `intersect` in its report); the PIM
+// counter (tc::PimTriangleCounter) consumes everything.  Each field has a
+// user outside the tests (README "Knobs and their users"); values nothing
+// sets are constants instead: tc::kTasklets, tc::kGallopMargin,
+// pim::KernelCostModel and the machine constants of pim::PimSystemConfig.
 // validate() rejects configurations that are nonsense for *any* backend, so
 // a config accepted once is accepted by every engine.
 #pragma once
@@ -61,12 +65,8 @@ struct EngineConfig {
 
   /// Runtime rebalancing: recount() re-plans placement from observed loads
   /// and migrates resident samples (modeled gather + scatter) when the
-  /// projected scatter wire bytes shrink by >= rebalance_min_gain.
+  /// projected scatter wire bytes shrink by a fixed 1.05x.
   bool rebalance_enabled = false;
-  double rebalance_min_gain = 1.05;
-
-  /// PIM threads per core; the paper evaluates with 16.
-  std::uint32_t tasklets = 16;
 
   /// Misra-Gries high-degree remapping (paper Section 3.5).
   bool misra_gries_enabled = false;
@@ -81,32 +81,15 @@ struct EngineConfig {
   /// bijection (see DESIGN.md "Intersection strategy & degree ordering").
   bool degree_ordered_remap = false;
 
-  /// Intersection strategy of the counting kernels: kAuto picks merge vs
-  /// block-gallop per intersection; kMerge/kGallop force one.  Estimates
+  /// Intersection strategy of the PIM counting kernels: kAuto picks merge
+  /// vs block-gallop per intersection; kMerge/kGallop force one.  Estimates
   /// are bit-identical under every policy — only modeled work moves.
+  /// cpu-fast always runs its bitmap probe and only echoes the name.
   tc::IntersectPolicy intersect = tc::IntersectPolicy::kAuto;
-
-  /// Auto-policy crossover margin: gallop when its modeled cost times this
-  /// factor undercuts the linear merge.  Must be >= 1.
-  std::uint32_t gallop_margin = 3;
-
-  /// cpu-fast backend: DODG out-degree at which a source vertex switches
-  /// from adaptive merge/gallop to the packed-bitmap intersection path.
-  /// 0 disables the bitmap; otherwise must be >= 2 (sources with fewer
-  /// than two out-neighbors close no triangles).  Count-invariant — the
-  /// three strategies find the same matches.  Default 2 = bitmap-first: on
-  /// a DODG every out-list is already the small side of its intersections,
-  /// and the branchless membership probes beat the merge's serialized
-  /// cursor chain at every out-degree measured (DESIGN.md "Fast exact CPU
-  /// backend"); raise it (or set 0) to study the merge/gallop paths.
-  std::uint32_t cpu_fast_hub_degree = 2;
 
   /// WRAM RegionCache for the kernels' region lookups; false degrades every
   /// lookup to the full-table MRAM binary search (ablation baseline).
   bool region_cache = true;
-
-  /// Per-stream WRAM staging buffer, in edges, for the counting kernel.
-  std::uint32_t wram_buffer_edges = 64;
 
   // ---- rank-aware ingestion (PIM backend) ----------------------------------
   /// Per-DPU host staging-buffer capacity in edges; a batch staging more
@@ -122,9 +105,6 @@ struct EngineConfig {
   /// Machine model of the simulated UPMEM system.  `pim.dpus_per_rank`
   /// shapes the rank topology the transfer model pads over.
   pim::PimSystemConfig pim{};
-
-  /// Instruction-cost table used by the simulated kernels.
-  pim::KernelCostModel cost{};
 
   /// Throws std::invalid_argument describing the first violated invariant.
   /// The TriangleCountEngine constructor calls this before any backend

@@ -6,7 +6,6 @@
 
 #include "common/math_util.hpp"
 #include "pim/fault.hpp"
-#include "tc/kernel.hpp"
 #include "tc/layout.hpp"
 
 namespace pimtc::engine {
@@ -55,23 +54,8 @@ void EngineConfig::validate() const {
         std::to_string(dpus) + " PIM cores but the system has " +
         std::to_string(pim.max_dpus));
   }
-  if (tasklets == 0 || tasklets > pim.max_tasklets) {
-    throw std::invalid_argument(
-        "EngineConfig: tasklets must be in [1, " +
-        std::to_string(pim.max_tasklets) + "], got " +
-        std::to_string(tasklets));
-  }
   if (!(uniform_p > 0.0 && uniform_p <= 1.0)) {  // also rejects NaN
     throw std::invalid_argument("EngineConfig: uniform_p must be in (0, 1]");
-  }
-  const std::uint32_t max_buffer = tc::max_wram_buffer_edges(pim, tasklets);
-  if (wram_buffer_edges < 4 || wram_buffer_edges > max_buffer) {
-    throw std::invalid_argument(
-        "EngineConfig: wram_buffer_edges must be in [4, " +
-        std::to_string(max_buffer) +
-        "] (kernel minimum burst; worst-case per-tasklet buffers must fit "
-        "the WRAM budget), got " +
-        std::to_string(wram_buffer_edges));
   }
   if (misra_gries_enabled && (mg_capacity == 0 || mg_top == 0)) {
     throw std::invalid_argument(
@@ -87,20 +71,6 @@ void EngineConfig::validate() const {
     throw std::invalid_argument(
         "EngineConfig: degree_ordered_remap requires misra_gries_enabled "
         "(the ordering comes from the Misra-Gries degree estimates)");
-  }
-  if (gallop_margin == 0) {
-    throw std::invalid_argument(
-        "EngineConfig: gallop_margin must be >= 1 (auto-policy crossover "
-        "factor)");
-  }
-  if (cpu_fast_hub_degree == 1) {
-    throw std::invalid_argument(
-        "EngineConfig: cpu_fast_hub_degree must be 0 (bitmap disabled) or "
-        ">= 2 (a source needs two out-neighbors to close a triangle)");
-  }
-  if (!(rebalance_min_gain >= 1.0)) {  // also rejects NaN
-    throw std::invalid_argument(
-        "EngineConfig: rebalance_min_gain must be >= 1");
   }
   if (pim.dpus_per_rank == 0) {
     throw std::invalid_argument(

@@ -37,16 +37,16 @@ struct HeavyHitter {
 /// Zero for backends without a transfer model.
 using TransferBreakdown = pim::TransferStats;
 
-/// Counting-kernel diagnostics of the adaptive intersection engine, summed
-/// over cores for the last recount (PIM and cpu-fast backends; zeros
-/// elsewhere).  The merge/gallop/bitmap split says how the per-intersection
-/// strategy choice resolved; `instructions` is the kernel-instruction total
-/// BENCH_kernel.json tracks.
+/// Counting-kernel diagnostics, summed over cores for the last recount (PIM
+/// and cpu-fast backends; zeros elsewhere).  The PIM kernels' merge/gallop
+/// split says how the per-intersection strategy choice resolved; cpu-fast
+/// resolves every intersection with its bitmap.  `instructions` is the
+/// kernel-instruction total BENCH_kernel.json tracks.
 struct KernelStats {
   std::string intersect;             ///< policy name ("auto"|"merge"|"gallop")
   std::uint64_t merge_isects = 0;    ///< intersections resolved by merge
   std::uint64_t gallop_isects = 0;   ///< intersections resolved by gallop
-  std::uint64_t bitmap_isects = 0;   ///< resolved by hub bitmap (cpu-fast)
+  std::uint64_t bitmap_isects = 0;   ///< resolved by bitmap (cpu-fast)
   std::uint64_t merge_picks = 0;     ///< elements consumed by merge loops
   std::uint64_t gallop_probes = 0;   ///< MRAM bursts of block binary searches
   std::uint64_t bitmap_probes = 0;   ///< bitmap membership tests (cpu-fast)

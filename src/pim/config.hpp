@@ -22,7 +22,11 @@
 //    with the number of ranks touched — this is what makes small graphs
 //    regress at high core counts in Figure 4.
 //
-// Everything is a plain struct field so ablation benches can sweep it.
+// The machine is the paper's: only the three fields something sets (the
+// rank width, the DPU budget and the MRAM bank size, which the scaling
+// bench, the CLI and tests shrink) are data members; every other
+// calibration constant is a `static constexpr`, as it is a build-time
+// constant of the real kernel.
 #pragma once
 
 #include <cstdint>
@@ -34,43 +38,45 @@ struct PimSystemConfig {
   std::uint32_t dpus_per_rank = 64;   ///< 8 chips x 8 DPUs per rank
   std::uint32_t max_dpus = 2560;      ///< 20 DIMMs x 2 ranks x 64 DPUs
   std::uint64_t mram_bytes = 64ull << 20;  ///< DRAM bank per DPU
-  std::uint32_t wram_bytes = 64u << 10;    ///< scratchpad per DPU
-  std::uint32_t iram_bytes = 24u << 10;    ///< instruction memory per DPU
-  std::uint32_t max_tasklets = 24;         ///< hardware thread contexts
+  static constexpr std::uint32_t wram_bytes = 64u << 10;  ///< scratchpad
+  static constexpr std::uint32_t max_tasklets = 24;  ///< thread contexts
 
   // ---- DPU pipeline -------------------------------------------------------
-  double dpu_mhz = 350.0;
+  static constexpr double dpu_mhz = 350.0;
   /// A single tasklet issues one instruction every `pipeline_depth` cycles;
   /// this many resident tasklets are needed for full 1-instr/cycle issue.
-  std::uint32_t pipeline_saturation_tasklets = 11;
+  static constexpr std::uint32_t pipeline_saturation_tasklets = 11;
 
   // ---- MRAM <-> WRAM DMA --------------------------------------------------
   /// Latency observed by the *issuing tasklet* per transfer; hidden by the
   /// other resident tasklets (fine-grained multithreading).
-  double dma_setup_cycles = 77.0;
+  static constexpr double dma_setup_cycles = 77.0;
   /// Shared-engine occupancy per transfer (request handling); transfers
   /// from different tasklets serialize only on this plus the byte time.
-  double dma_engine_cycles = 24.0;
-  double dma_cycles_per_byte = 0.5;
+  static constexpr double dma_engine_cycles = 24.0;
+  static constexpr double dma_cycles_per_byte = 0.5;
   /// DMA transfer size granularity (hardware moves 8-byte aligned bursts).
-  std::uint32_t dma_alignment_bytes = 8;
+  static constexpr std::uint32_t dma_alignment_bytes = 8;
 
   // ---- host <-> MRAM transfer engine -------------------------------------
   /// Aggregate push bandwidth when all ranks transfer in parallel.
-  double host_push_gb_s = 6.0;
+  static constexpr double host_push_gb_s = 6.0;
   /// Gather direction is slower on real hardware.
-  double host_pull_gb_s = 4.7;
+  static constexpr double host_pull_gb_s = 4.7;
   /// Fixed software cost per transfer batch (driver + rank programming).
-  double host_xfer_latency_s = 30e-6;
+  static constexpr double host_xfer_latency_s = 30e-6;
   /// Per-rank bandwidth share; with few ranks the aggregate cannot reach the
   /// cap above: effective_bw = min(cap, ranks * per_rank).
-  double host_per_rank_gb_s = 0.35;
+  static constexpr double host_per_rank_gb_s = 0.35;
 
   // ---- setup phase --------------------------------------------------------
-  double alloc_base_s = 2.0e-3;      ///< dpu_alloc() fixed cost
-  double alloc_per_rank_s = 0.9e-3;  ///< rank discovery / reset
-  double program_load_per_rank_s = 0.35e-3;  ///< broadcast IRAM image
-  double launch_overhead_s = 25e-6;  ///< per kernel launch (boot + fault poll)
+  static constexpr double alloc_base_s = 2.0e-3;  ///< dpu_alloc() fixed cost
+  /// Rank discovery / reset.
+  static constexpr double alloc_per_rank_s = 0.9e-3;
+  /// Broadcast of the IRAM program image.
+  static constexpr double program_load_per_rank_s = 0.35e-3;
+  /// Per kernel launch (boot + fault poll).
+  static constexpr double launch_overhead_s = 25e-6;
   /// The host boots ranks sequentially (one boot-register broadcast per
   /// rank), so rank r starts ~r * this after rank 0.  A launch completes at
   /// max over ranks of (start skew + slowest kernel in the rank) — placing
@@ -78,7 +84,7 @@ struct PimSystemConfig {
   /// A per-rank boot broadcast is one control-interface write (~µs); small
   /// next to the kernels (36 ranks ≈ 35 µs) but it is what makes placement
   /// visible to the count phase.
-  double launch_skew_per_rank_s = 1e-6;
+  static constexpr double launch_skew_per_rank_s = 1e-6;
 
   /// Number of ranks needed for `dpus` DPUs.
   [[nodiscard]] std::uint32_t ranks_for(std::uint32_t dpus) const noexcept {
@@ -123,19 +129,25 @@ struct PimSystemConfig {
 };
 
 /// Abstract instruction-cost table for the kernels (counts of issued
-/// instructions per algorithmic step).  Derived from hand-counting the
-/// inner loops of the equivalent UPMEM C kernels; kept in one place so the
-/// ablation bench can stress the model's sensitivity.
+/// instructions per algorithmic step), hand-counted from the inner loops of
+/// the equivalent UPMEM C kernels and kept in one place.
 struct KernelCostModel {
-  std::uint32_t sort_step = 14;        ///< per element-compare-swap in WRAM quicksort
-  std::uint32_t merge_pick = 10;       ///< per element consumed in a 2-way MRAM merge
-  std::uint32_t binary_search_step = 16;  ///< per probe (index arithmetic + compare)
-  std::uint32_t count_merge_step = 9;  ///< per comparison in the neighbor merge
-  std::uint32_t reservoir_offer = 12;  ///< coin toss + slot pick
-  std::uint32_t edge_copy = 4;         ///< register moves per edge staged
-  std::uint32_t remap_lookup = 11;     ///< hash-table probe for high-degree remap
-  std::uint32_t region_scan_step = 7;  ///< per edge when building the region index
-  std::uint32_t loop_overhead = 3;     ///< per outer-loop iteration bookkeeping
+  /// Per element-compare-swap in the WRAM quicksort.
+  static constexpr std::uint32_t sort_step = 14;
+  /// Per element consumed in a 2-way MRAM merge.
+  static constexpr std::uint32_t merge_pick = 10;
+  /// Per probe (index arithmetic + compare).
+  static constexpr std::uint32_t binary_search_step = 16;
+  /// Per comparison in the neighbor merge.
+  static constexpr std::uint32_t count_merge_step = 9;
+  /// Register moves per edge staged.
+  static constexpr std::uint32_t edge_copy = 4;
+  /// Hash-table probe for the high-degree remap.
+  static constexpr std::uint32_t remap_lookup = 11;
+  /// Per edge when building the region index.
+  static constexpr std::uint32_t region_scan_step = 7;
+  /// Per outer-loop iteration bookkeeping.
+  static constexpr std::uint32_t loop_overhead = 3;
 };
 
 }  // namespace pimtc::pim

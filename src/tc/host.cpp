@@ -228,7 +228,6 @@ void PimTriangleCounter::flush_in_rounds(
 }
 
 void PimTriangleCounter::insert_into_samples(double host_window_s) {
-  const std::uint32_t recv_tasklets = config_.tasklets;
   const std::uint64_t sample_base = MramLayout::sample_offset();
   std::fill(cursors_.begin(), cursors_.end(),
             std::pair<std::size_t, std::size_t>{0, 0});
@@ -281,7 +280,8 @@ void PimTriangleCounter::insert_into_samples(double host_window_s) {
         // as scattered DMA stores.
         dpu.charge_dma_bulk(staged_bytes, 2048);  // landing-zone read
         dpu.charge_parallel_instr(
-            staging.staged_items() * config_.cost.edge_copy, recv_tasklets);
+            staging.staged_items() * pim::KernelCostModel::edge_copy,
+            kTasklets);
         dpu.charge_dma_bulk(append_bytes, 2048);
         staging.for_each_replace_run(
             [&](std::uint64_t first_slot, const Edge* items, std::size_t n) {
@@ -414,7 +414,6 @@ void PimTriangleCounter::apply(std::span<const EdgeUpdate> batch) {
 
 void PimTriangleCounter::apply_updates_to_samples(double host_window_s) {
   const std::uint32_t num_triplets = plan_.num_triplets();
-  const std::uint32_t recv_tasklets = config_.tasklets;
   const std::uint64_t sample_base = MramLayout::sample_offset();
 
   // Replay (host only): each triplet's update list in stream order against
@@ -502,9 +501,9 @@ void PimTriangleCounter::apply_updates_to_samples(double host_window_s) {
         }
         if (staged_bytes > 0) {
           dpu.charge_dma_bulk(staged_bytes, 2048);  // landing-zone read
-          dpu.charge_parallel_instr(
-              (staged_bytes / kStagedReplaceBytes) * config_.cost.edge_copy,
-              recv_tasklets);
+          dpu.charge_parallel_instr((staged_bytes / kStagedReplaceBytes) *
+                                        pim::KernelCostModel::edge_copy,
+                                    kTasklets);
         }
         return staged_bytes;
       });
@@ -597,15 +596,14 @@ engine::CountReport PimTriangleCounter::recount() {
 
 void PimTriangleCounter::rebalance_if_worthwhile() {
   // Automatic rebalancing: re-plan from observed loads and migrate when the
-  // projected rank-padded scatter wire shrinks by at least the configured
-  // gain (hysteresis — near-ties never thrash the placement).  The bar is
+  // projected rank-padded scatter wire shrinks by at least kRebalanceMinGain
+  // (hysteresis — near-ties never thrash the placement).  The bar is
   // deliberately on the *recurring* scatter shape, not the one-time
   // migration cost: that cost (and the full recount it forces in
   // incremental mode) is charged to the timeline where reports make the
   // trade visible, and once balanced, later recounts no-op so it is paid
-  // at most once per load shift.  Raise rebalance_min_gain for streams
-  // where migrations are not worth small padding wins.  Recovery owns the
-  // placement once a bank has died.
+  // at most once per load shift.  Recovery owns the placement once a bank
+  // has died.
   if (!config_.rebalance_enabled || system_->dead_dpu_count() > 0) return;
   const std::vector<std::uint64_t> loads = per_dpu_edges_seen();
   std::vector<std::uint64_t> bytes(loads.size());
@@ -618,7 +616,7 @@ void PimTriangleCounter::rebalance_if_worthwhile() {
   const std::uint64_t proposed_wire = plan_.padded_wire_bytes(
       bytes, proposed, config_.pim.dma_alignment_bytes);
   if (static_cast<double>(current_wire) >
-      static_cast<double>(proposed_wire) * config_.rebalance_min_gain) {
+      static_cast<double>(proposed_wire) * kRebalanceMinGain) {
     migrate_to(proposed);
   }
 }
@@ -698,12 +696,8 @@ void PimTriangleCounter::launch_kernels(bool persist,
   std::sort(pending.begin(), pending.end());
 
   KernelParams params;
-  params.tasklets = config_.tasklets;
-  params.buffer_edges = config_.wram_buffer_edges;  // validated in range
   params.intersect = config_.intersect;
-  params.gallop_margin = config_.gallop_margin;
   params.region_cache = config_.region_cache;
-  params.cost = config_.cost;
   const auto kernel = [&params, &full_pass](pim::Dpu& dpu) {
     if (full_pass[dpu.id()]) {
       run_count_kernel(dpu, params);

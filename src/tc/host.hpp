@@ -25,7 +25,7 @@
 // observed per-triplet loads and migrates resident samples between banks
 // with one modeled gather + scatter; with `rebalance_enabled` recount()
 // does this automatically whenever the projected scatter wire bytes shrink
-// by at least `rebalance_min_gain`.
+// by at least a fixed 1.05x (`kRebalanceMinGain`).
 //
 // With pipelined ingestion enabled the modeled transfer + receive time of a
 // flush is not charged immediately: it is held "in flight" and overlapped
@@ -231,8 +231,11 @@ class PimTriangleCounter final : public engine::TriangleCountEngine {
   bool apply_placement(std::span<const std::uint32_t> dpu_of_triplet);
 
   // ---- recount() stages, in call order -------------------------------------
+  /// Projected scatter-wire shrink that justifies a migration.
+  static constexpr double kRebalanceMinGain = 1.05;
+
   /// Migrates to the balanced plan when rebalance_enabled and the projected
-  /// scatter wire shrinks by at least rebalance_min_gain.
+  /// scatter wire shrinks by at least kRebalanceMinGain.
   void rebalance_if_worthwhile();
 
   /// Freezes the Misra-Gries remap table until the sorted arcs go stale.

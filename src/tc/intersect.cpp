@@ -7,13 +7,13 @@ namespace pimtc::tc {
 namespace {
 
 using pim::Tasklet;
+using Cost = pim::KernelCostModel;
 
 /// Binary search restricted to a cache-provided window: index of the first
 /// region with node >= key.  Each probe is an 8-byte DMA read.
-std::uint64_t lower_bound_region_window(Tasklet& t,
-                                        const pim::KernelCostModel& cost,
-                                        std::uint64_t reg, NodeId key,
-                                        std::uint64_t lo, std::uint64_t hi) {
+std::uint64_t lower_bound_region_window(Tasklet& t, std::uint64_t reg,
+                                        NodeId key, std::uint64_t lo,
+                                        std::uint64_t hi) {
   std::uint64_t instr = 0;
   while (lo < hi) {
     const std::uint64_t mid = lo + (hi - lo) / 2;
@@ -24,7 +24,7 @@ std::uint64_t lower_bound_region_window(Tasklet& t,
     } else {
       hi = mid;
     }
-    instr += cost.binary_search_step;
+    instr += Cost::binary_search_step;
   }
   t.instr(instr);
   return lo;
@@ -101,9 +101,8 @@ std::pair<std::uint64_t, std::uint64_t> RegionCache::window(
   return {begin, end};
 }
 
-Region find_region(Tasklet& t, const pim::KernelCostModel& cost,
-                   std::uint64_t reg, std::uint64_t num_regions, NodeId key,
-                   std::uint64_t n, const RegionCache& cache) {
+Region find_region(Tasklet& t, std::uint64_t reg, std::uint64_t num_regions,
+                   NodeId key, std::uint64_t n, const RegionCache& cache) {
   std::uint64_t instr = 0;
   const auto [w_lo, w_hi] = cache.window(key, instr);
   t.instr(instr);
@@ -116,7 +115,7 @@ Region find_region(Tasklet& t, const pim::KernelCostModel& cost,
         std::min<std::uint64_t>(w_hi - w_lo + 1, num_regions - w_lo);
     t.mram_read(reg + w_lo * sizeof(RegionEntry), win,
                 fetch * sizeof(RegionEntry));
-    t.instr(cost.binary_search_step + fetch * 2);
+    t.instr(Cost::binary_search_step + fetch * 2);
     for (std::uint64_t i = 0; i < fetch; ++i) {
       if (win[i].node == key) {
         const std::uint64_t end =
@@ -132,33 +131,30 @@ Region find_region(Tasklet& t, const pim::KernelCostModel& cost,
     return {~0ull, ~0ull};
   }
 
-  const std::uint64_t r =
-      lower_bound_region_window(t, cost, reg, key, w_lo, w_hi);
+  const std::uint64_t r = lower_bound_region_window(t, reg, key, w_lo, w_hi);
   if (r >= num_regions) return {~0ull, ~0ull};
   // Fetch entries r and r+1 in one 16-byte burst (region end = next begin).
   RegionEntry pair[2] = {};
   const std::size_t fetch = r + 1 < num_regions ? 2 : 1;
   t.mram_read(reg + r * sizeof(RegionEntry), pair,
               fetch * sizeof(RegionEntry));
-  t.instr(cost.binary_search_step);
+  t.instr(Cost::binary_search_step);
   if (pair[0].node != key) return {~0ull, ~0ull};
   return {pair[0].begin, fetch == 2 ? pair[1].begin : n};
 }
 
-bool choose_gallop(IntersectPolicy policy, std::uint32_t gallop_margin,
-                   std::uint64_t small_size,
+bool choose_gallop(IntersectPolicy policy, std::uint64_t small_size,
                    std::uint64_t large_size) noexcept {
   if (policy == IntersectPolicy::kMerge) return false;
   if (policy == IntersectPolicy::kGallop) return true;
   const std::uint64_t gallop_cost =
       small_size * (ceil_log2(large_size + 1) + 2);
-  return gallop_cost * gallop_margin < small_size + large_size;
+  return gallop_cost * kGallopMargin < small_size + large_size;
 }
 
-std::uint64_t gallop_lower_bound(Tasklet& t, const pim::KernelCostModel& cost,
-                                 std::uint64_t sorted, const Region& r,
-                                 NodeId w, IntersectTally& tally,
-                                 std::uint64_t& instr) {
+std::uint64_t gallop_lower_bound(Tasklet& t, std::uint64_t sorted,
+                                 const Region& r, NodeId w,
+                                 IntersectTally& tally, std::uint64_t& instr) {
   std::uint64_t lo = r.begin;
   std::uint64_t hi = r.end;
   std::uint64_t probes = 0;
@@ -184,12 +180,12 @@ std::uint64_t gallop_lower_bound(Tasklet& t, const pim::KernelCostModel& cost,
     }
     ++probes;
   }
-  instr += probes * (cost.binary_search_step + 8);
+  instr += probes * (Cost::binary_search_step + 8);
   if (hi != lo) {
     // Final linear resolve over the <= 8 remaining entries.
     const std::uint64_t fetch = hi - lo;
     t.mram_read(sorted + lo * sizeof(Edge), block, fetch * sizeof(Edge));
-    instr += cost.binary_search_step + fetch;
+    instr += Cost::binary_search_step + fetch;
     ++probes;
     std::uint64_t i = 0;
     while (i < fetch && block[i].v < w) ++i;

@@ -227,22 +227,24 @@ class RegionCache {
 /// Region bounds of `key` (end = next region's begin, or n), using the WRAM
 /// region cache to keep MRAM probes at ~log2(stride).  Not-found regions
 /// return found() == false.
-[[nodiscard]] Region find_region(pim::Tasklet& t,
-                                 const pim::KernelCostModel& cost,
-                                 std::uint64_t reg, std::uint64_t num_regions,
-                                 NodeId key, std::uint64_t n,
-                                 const RegionCache& cache);
+[[nodiscard]] Region find_region(pim::Tasklet& t, std::uint64_t reg,
+                                 std::uint64_t num_regions, NodeId key,
+                                 std::uint64_t n, const RegionCache& cache);
 
 // ---------------------------------------------------------------------------
 // Adaptive intersection
 // ---------------------------------------------------------------------------
 
+/// Auto-policy crossover margin: gallop when its modeled cost times this
+/// factor undercuts the linear merge.  It absorbs the probe's higher
+/// per-step constant and DMA latency.
+inline constexpr std::uint64_t kGallopMargin = 3;
+
 /// True when this intersection should gallop: forced by policy, or (auto)
 /// when binary-searching each small-side element into the large side
-/// undercuts the linear merge by at least `gallop_margin`x under the block
+/// undercuts the linear merge by the factor kGallopMargin under the block
 /// search's cost model.
 [[nodiscard]] bool choose_gallop(IntersectPolicy policy,
-                                 std::uint32_t gallop_margin,
                                  std::uint64_t small_size,
                                  std::uint64_t large_size) noexcept;
 
@@ -252,7 +254,6 @@ class RegionCache {
 /// handles the <= 8 remaining entries.  Probes are counted into `tally`,
 /// instructions into `instr`.
 [[nodiscard]] std::uint64_t gallop_lower_bound(pim::Tasklet& t,
-                                               const pim::KernelCostModel& cost,
                                                std::uint64_t sorted,
                                                const Region& r, NodeId w,
                                                IntersectTally& tally,
@@ -264,7 +265,7 @@ class RegionCache {
 /// two sides may arrive in either order).  Strategy per `policy`:
 ///
 ///  * merge — stream both regions through `buf_a`/`buf_b` and linearly
-///    co-advance (cost.count_merge_step per pick),
+///    co-advance (KernelCostModel::count_merge_step per pick),
 ///  * gallop — stream the smaller region through `buf_a` and binary-search
 ///    each of its elements into the larger one (hub-incident edges pair a
 ///    tiny region with a huge one, where a merge would walk the hub's full
@@ -273,31 +274,31 @@ class RegionCache {
 /// The match set is identical under every policy, so counts built on top
 /// are bit-identical; only the charged work differs.
 template <typename OnMatch>
-void intersect_regions(pim::Tasklet& t, const pim::KernelCostModel& cost,
-                       IntersectPolicy policy, std::uint32_t gallop_margin,
+void intersect_regions(pim::Tasklet& t, IntersectPolicy policy,
                        std::uint64_t sorted, const Region& a, const Region& b,
                        std::span<Edge> buf_a, std::span<Edge> buf_b,
                        IntersectTally& tally, std::uint64_t& instr,
                        OnMatch&& on_match) {
+  using Cost = pim::KernelCostModel;
   const Region& small = a.size() <= b.size() ? a : b;
   const Region& large = a.size() <= b.size() ? b : a;
   // An empty side means no work under either strategy; skip it before the
   // tally so the merge/gallop split counts only intersections that ran.
   if (small.size() == 0) return;
 
-  if (choose_gallop(policy, gallop_margin, small.size(), large.size())) {
+  if (choose_gallop(policy, small.size(), large.size())) {
     ++tally.gallop_isects;
     EdgeReader stream_s(t, buf_a, sorted, small.begin, small.end);
     Edge es;
     while (stream_s.next(es)) {
       const NodeId w = es.v;
       const std::uint64_t lo =
-          gallop_lower_bound(t, cost, sorted, large, w, tally, instr);
-      instr += cost.loop_overhead;
+          gallop_lower_bound(t, sorted, large, w, tally, instr);
+      instr += Cost::loop_overhead;
       if (lo >= large.end) continue;
       const Edge m = t.mram_read_t<Edge>(sorted + lo * sizeof(Edge));
       ++tally.gallop_probes;
-      instr += cost.binary_search_step;
+      instr += Cost::binary_search_step;
       if (m.v != w) continue;
       on_match(stream_s.last_index(), es, lo, m);
     }
@@ -312,7 +313,7 @@ void intersect_regions(pim::Tasklet& t, const pim::KernelCostModel& cost,
   bool has_a = stream_a.next(ea);
   bool has_b = stream_b.next(eb);
   while (has_a && has_b) {
-    instr += cost.count_merge_step;
+    instr += Cost::count_merge_step;
     ++tally.merge_picks;
     if (ea.v == eb.v) {
       on_match(stream_a.last_index(), ea, stream_b.last_index(), eb);

@@ -8,6 +8,7 @@
 
 #include "common/hash.hpp"
 #include "common/math_util.hpp"
+#include "pim/config.hpp"
 #include "tc/intersect.hpp"
 
 namespace pimtc::tc {
@@ -15,6 +16,7 @@ namespace {
 
 using pim::Dpu;
 using pim::Tasklet;
+using Cost = pim::KernelCostModel;
 
 // ---------------------------------------------------------------------------
 // High-degree remap table (WRAM open-addressing hash, Section 3.5)
@@ -31,9 +33,9 @@ class RemapTable {
   /// Builds the table (tasklet-0 boot work).  The table models a
   /// *statically allocated* WRAM structure that lives for the whole kernel
   /// — unlike the per-phase stream buffers — so it owns its storage here;
-  /// its WRAM footprint is budgeted in clamp_buffers().  `num_remap` may be
-  /// 0, yielding a no-op table.
-  RemapTable(Dpu& dpu, const KernelParams& p, std::uint32_t num_remap) {
+  /// its WRAM footprint is budgeted in max_wram_buffer_edges().
+  /// `num_remap` may be 0, yielding a no-op table.
+  RemapTable(Dpu& dpu, std::uint32_t num_remap) {
     if (num_remap == 0) return;
     slots_ = 16;
     while (slots_ < 4ull * num_remap) slots_ *= 2;
@@ -51,7 +53,7 @@ class RemapTable {
         }
         table_[slot] = RemapEntry{by_rank[r], remapped_id(r)};
       }
-      t.instr((num_remap + slots_) * p.cost.remap_lookup);
+      t.instr((num_remap + slots_) * Cost::remap_lookup);
     });
   }
 
@@ -109,10 +111,10 @@ void copy_remap(Dpu& dpu, const KernelParams& p, const RemapTable& remap,
       const Edge c = e.canonical();
       writer.put(c);
       if (arcs) writer.put(c.reversed());
-      instr += p.cost.edge_copy + p.cost.loop_overhead;
+      instr += Cost::edge_copy + Cost::loop_overhead;
     }
     writer.flush();
-    t.instr(instr + probes * p.cost.remap_lookup);
+    t.instr(instr + probes * Cost::remap_lookup);
   });
 }
 
@@ -144,7 +146,7 @@ std::uint64_t external_sort(Dpu& dpu, const KernelParams& p,
       const std::uint64_t len = std::min(chunk, n - begin);
       t.mram_read(off_a + begin * sizeof(Edge), buf.data(), len * sizeof(Edge));
       std::sort(buf.begin(), buf.begin() + static_cast<std::ptrdiff_t>(len));
-      t.instr(len * (ceil_log2(len) + 1) * p.cost.sort_step);
+      t.instr(len * (ceil_log2(len) + 1) * Cost::sort_step);
       t.mram_write(off_a + begin * sizeof(Edge), buf.data(),
                    len * sizeof(Edge));
     }
@@ -180,7 +182,7 @@ std::uint64_t external_sort(Dpu& dpu, const KernelParams& p,
           }
           ++probes;
         }
-        t.instr(probes * p.cost.binary_search_step);
+        t.instr(probes * Cost::binary_search_step);
         return b;
       };
 
@@ -203,7 +205,7 @@ std::uint64_t external_sort(Dpu& dpu, const KernelParams& p,
             out.put(r);
             has_r = right.next(r);
           }
-          instr += p.cost.merge_pick;
+          instr += Cost::merge_pick;
         }
         out.flush();
         t.instr(instr);
@@ -263,7 +265,7 @@ void copy_edges(Dpu& dpu, const KernelParams& p, std::uint64_t src,
           std::min<std::uint64_t>(buf.size(), blk.end - pos);
       t.mram_read(src + pos * sizeof(Edge), buf.data(), len * sizeof(Edge));
       t.mram_write(dst + pos * sizeof(Edge), buf.data(), len * sizeof(Edge));
-      t.instr(p.cost.loop_overhead);
+      t.instr(Cost::loop_overhead);
     }
   });
 }
@@ -301,7 +303,7 @@ std::uint64_t build_regions(Dpu& dpu, const KernelParams& p,
         ++local;
         prev = e.u;
       }
-      instr += p.cost.region_scan_step;
+      instr += Cost::region_scan_step;
     }
     counts[t.id()] = local;
     t.instr(instr);
@@ -334,7 +336,7 @@ std::uint64_t build_regions(Dpu& dpu, const KernelParams& p,
             RegionEntry{e.u, static_cast<std::uint32_t>(reader.last_index())});
         prev = e.u;
       }
-      instr += p.cost.region_scan_step;
+      instr += Cost::region_scan_step;
     }
     writer.flush();
     t.instr(instr);
@@ -383,22 +385,21 @@ std::uint64_t count_full(Dpu& dpu, const KernelParams& p, std::uint64_t sorted,
       EdgeReader scan(t, scan_buf, sorted, c_lo, c_hi);
       Edge e;
       while (scan.next(e)) {
-        instr += p.cost.loop_overhead;
+        instr += Cost::loop_overhead;
         if (e.u == e.v) continue;  // defensive: self loops count nothing
         if (e.u != cur_u) {
           cur_u = e.u;
-          ru = find_region(t, p.cost, reg, num_regions, e.u, n, cache);
+          ru = find_region(t, reg, num_regions, e.u, n, cache);
         }
         if (!ru.found()) continue;  // cannot happen: e itself is in `sorted`
-        const Region rv =
-            find_region(t, p.cost, reg, num_regions, e.v, n, cache);
+        const Region rv = find_region(t, reg, num_regions, e.v, n, cache);
         if (!rv.found()) continue;
 
         // Edges after (u,v) in u's region x v's full region; every common
         // second endpoint w closes the triangle u < v < w.
         const Region u_rest{scan.last_index() + 1, ru.end};
-        intersect_regions(t, p.cost, p.intersect, p.gallop_margin, sorted,
-                          u_rest, rv, u_buf, v_buf, tl, instr,
+        intersect_regions(t, p.intersect, sorted, u_rest, rv, u_buf, v_buf,
+                          tl, instr,
                           [&](std::uint64_t, const Edge&, std::uint64_t,
                               const Edge&) { ++count; });
       }
@@ -455,7 +456,7 @@ void merge_with_flags(Dpu& dpu, const KernelParams& p, std::uint64_t sorted,
         } else {
           hi = mid;
         }
-        instr += p.cost.binary_search_step;
+        instr += Cost::binary_search_step;
       }
       batch_split[w] = lo;
     }
@@ -500,7 +501,7 @@ void merge_with_flags(Dpu& dpu, const KernelParams& p, std::uint64_t sorted,
         out_f.put(1);
         has_b = new_r.next(b);
       }
-      instr += p.cost.merge_pick;
+      instr += Cost::merge_pick;
     }
     out_e.flush();
     out_f.flush();
@@ -544,13 +545,11 @@ std::uint64_t count_incremental(Dpu& dpu, const KernelParams& p,
       EdgeReader scan(t, scan_buf, batch, c_lo, c_hi);
       Edge e;
       while (scan.next(e)) {
-        instr += p.cost.loop_overhead;
+        instr += Cost::loop_overhead;
         if (e.u >= e.v) continue;  // process each new edge once
-        const Region ru =
-            find_region(t, p.cost, reg, num_regions, e.u, n, cache);
+        const Region ru = find_region(t, reg, num_regions, e.u, n, cache);
         if (!ru.found()) continue;  // cannot happen: e itself is in S*
-        const Region rv =
-            find_region(t, p.cost, reg, num_regions, e.v, n, cache);
+        const Region rv = find_region(t, reg, num_regions, e.v, n, cache);
         if (!rv.found()) continue;
 
         // Triangle (e.u, e.v, w) with w the matched second endpoint; e is
@@ -559,8 +558,7 @@ std::uint64_t count_incremental(Dpu& dpu, const KernelParams& p,
         // triangle).  Matches are rare, so new-flags are fetched lazily per
         // match instead of streamed alongside the edges.
         intersect_regions(
-            t, p.cost, p.intersect, p.gallop_margin, sorted, ru, rv, u_buf,
-            v_buf, tl, instr,
+            t, p.intersect, sorted, ru, rv, u_buf, v_buf, tl, instr,
             [&](std::uint64_t ia, const Edge& ea, std::uint64_t ib,
                 const Edge& eb) {
               const auto fa = t.mram_read_t<std::uint8_t>(flags + ia);
@@ -596,27 +594,48 @@ void clear_flags(Dpu& dpu, const KernelParams& p, std::uint64_t flags,
       const std::uint64_t len =
           std::min<std::uint64_t>(buf.size(), blk.end - pos);
       t.mram_write(flags + pos, buf.data(), len);
-      t.instr(p.cost.loop_overhead);
+      t.instr(Cost::loop_overhead);
     }
   });
 }
 
+/// Largest stream-buffer size, in edges, for which the worst-case
+/// simultaneous WRAM allocation (five stream buffers per tasklet plus the
+/// static remap hash table and sampled region cache) fits the scratchpad —
+/// the bound a real kernel is sized against at build time.
+constexpr std::uint32_t max_wram_buffer_edges(
+    std::uint32_t tasklets) noexcept {
+  constexpr std::uint64_t wram = pim::PimSystemConfig::wram_bytes;
+  constexpr std::uint64_t statics =
+      MramLayout::kMaxRemap * 2 * sizeof(NodeId) +  // remap hash table
+      RegionCache::kSlots * sizeof(RegionEntry);    // sampled region index
+  static_assert(statics < wram);
+  if (tasklets == 0) return 0;
+  // Worst case the kernels allocate five stream buffers per tasklet at once.
+  return static_cast<std::uint32_t>((wram - statics) /
+                                    (5ull * tasklets * sizeof(Edge)));
+}
+
+// The host runs the default buffers at the paper's tasklet count, so they
+// must fit the WRAM budget there without clamping.
+static_assert(KernelParams{}.buffer_edges >= 4 &&
+              KernelParams{}.buffer_edges <= max_wram_buffer_edges(kTasklets));
+
 /// Clamps the stream-buffer size into [4, max_wram_buffer_edges] — a safety
-/// net for callers driving the kernel directly; host configs are validated
-/// against the same bound up front, so they never hit the clamp.
-KernelParams clamp_buffers(const pim::Dpu& dpu, const KernelParams& in) {
+/// net for callers driving the kernel directly with other tasklet counts or
+/// buffer sizes.
+KernelParams clamp_buffers(const KernelParams& in) {
   KernelParams params = in;
-  const std::uint32_t max_buffer =
-      max_wram_buffer_edges(dpu.config(), params.tasklets);
+  const std::uint32_t max_buffer = max_wram_buffer_edges(params.tasklets);
   params.buffer_edges = std::max(4u, std::min(params.buffer_edges, max_buffer));
   return params;
 }
 
-DpuMeta read_meta(Dpu& dpu, const KernelParams& p) {
+DpuMeta read_meta(Dpu& dpu) {
   DpuMeta meta{};
   dpu.parallel(1, [&](Tasklet& t) {
     meta = t.mram_read_t<DpuMeta>(MramLayout::kMetaOffset);
-    t.instr(p.cost.loop_overhead);
+    t.instr(Cost::loop_overhead);
   });
   if (meta.sample_capacity > MramLayout::kMaxCapacityEdges) {
     throw std::logic_error(
@@ -626,10 +645,10 @@ DpuMeta read_meta(Dpu& dpu, const KernelParams& p) {
   return meta;
 }
 
-void write_meta(Dpu& dpu, const KernelParams& p, const DpuMeta& meta) {
+void write_meta(Dpu& dpu, const DpuMeta& meta) {
   dpu.parallel(1, [&](Tasklet& t) {
     t.mram_write_t(MramLayout::kMetaOffset, meta);
-    t.instr(p.cost.loop_overhead);
+    t.instr(Cost::loop_overhead);
   });
 }
 
@@ -645,20 +664,9 @@ void store_tally(DpuMeta& meta, const IntersectTally& tally,
 
 }  // namespace
 
-std::uint32_t max_wram_buffer_edges(const pim::PimSystemConfig& config,
-                                    std::uint32_t tasklets) noexcept {
-  const std::uint64_t statics =
-      MramLayout::kMaxRemap * 2 * sizeof(NodeId) +  // remap hash table
-      RegionCache::kSlots * sizeof(RegionEntry);    // sampled region index
-  if (config.wram_bytes <= statics || tasklets == 0) return 0;
-  // Worst case the kernels allocate five stream buffers per tasklet at once.
-  return static_cast<std::uint32_t>((config.wram_bytes - statics) /
-                                    (5ull * tasklets * sizeof(Edge)));
-}
-
 void run_count_kernel(pim::Dpu& dpu, const KernelParams& params_in) {
-  const KernelParams params = clamp_buffers(dpu, params_in);
-  DpuMeta meta = read_meta(dpu, params);
+  const KernelParams params = clamp_buffers(params_in);
+  DpuMeta meta = read_meta(dpu);
   const std::uint64_t n = meta.sample_size;
   const std::uint64_t cap = meta.sample_capacity;
 
@@ -673,12 +681,12 @@ void run_count_kernel(pim::Dpu& dpu, const KernelParams& params_in) {
       // later incremental recount.
       meta.flags |= DpuMeta::kFlagSortedValid;
     }
-    write_meta(dpu, params, meta);
+    write_meta(dpu, meta);
     return;
   }
 
   dpu.wram().reset();
-  const RemapTable remap(dpu, params, meta.num_remap);
+  const RemapTable remap(dpu, meta.num_remap);
   copy_remap(dpu, params, remap, MramLayout::sample_offset(), 0, n,
              MramLayout::work_a_offset(cap), /*arcs=*/false);
 
@@ -711,12 +719,12 @@ void run_count_kernel(pim::Dpu& dpu, const KernelParams& params_in) {
     meta.sorted_size = n;
     meta.flags |= DpuMeta::kFlagSortedValid;
   }
-  write_meta(dpu, params, meta);
+  write_meta(dpu, meta);
 }
 
 void run_incremental_kernel(pim::Dpu& dpu, const KernelParams& params_in) {
-  const KernelParams params = clamp_buffers(dpu, params_in);
-  DpuMeta meta = read_meta(dpu, params);
+  const KernelParams params = clamp_buffers(params_in);
+  DpuMeta meta = read_meta(dpu);
   const std::uint64_t cap = meta.sample_capacity;
   const std::uint64_t n_old = meta.sorted_size;
   const std::uint64_t n = meta.sample_size;
@@ -728,7 +736,7 @@ void run_incremental_kernel(pim::Dpu& dpu, const KernelParams& params_in) {
   const std::uint64_t n_b = n - n_old;
   if (n_b == 0) {
     store_tally(meta, IntersectTally{}, 0);
-    write_meta(dpu, params, meta);
+    write_meta(dpu, meta);
     return;
   }
 
@@ -743,7 +751,7 @@ void run_incremental_kernel(pim::Dpu& dpu, const KernelParams& params_in) {
 
   // 1. remap + copy (both orientations) + sort the new batch.
   dpu.wram().reset();
-  const RemapTable remap(dpu, params, meta.num_remap);
+  const RemapTable remap(dpu, meta.num_remap);
   copy_remap(dpu, params, remap, MramLayout::sample_offset(), n_old, n,
              work_a, /*arcs=*/true);
   const std::uint64_t batch = external_sort(dpu, params, work_a, work_b,
@@ -773,7 +781,7 @@ void run_incremental_kernel(pim::Dpu& dpu, const KernelParams& params_in) {
   clear_flags(dpu, params, flags, arcs_total);
 
   meta.triangle_count += delta;
-  write_meta(dpu, params, meta);
+  write_meta(dpu, meta);
 }
 
 }  // namespace pimtc::tc

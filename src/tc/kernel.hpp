@@ -30,36 +30,32 @@
 //   5. clear the flags; add the delta to the cumulative count.
 #pragma once
 
-#include "pim/config.hpp"
 #include "pim/dpu.hpp"
 #include "tc/intersect.hpp"
 #include "tc/layout.hpp"
 
 namespace pimtc::tc {
 
+/// PIM threads per core: the paper's NR_TASKLETS, fixed at build time as in
+/// the reference kernel.
+inline constexpr std::uint32_t kTasklets = 16;
+
+/// Execution parameters of one kernel run.  The host runs the defaults with
+/// its configured `intersect` and `region_cache`; the white-box tests and
+/// the ablation bench sweep the rest.
 struct KernelParams {
-  std::uint32_t tasklets = 16;
-  std::uint32_t buffer_edges = 64;  ///< WRAM staging granularity per stream
+  std::uint32_t tasklets = kTasklets;
+  /// WRAM staging granularity per stream, in edges.  The kernels clamp it
+  /// to what fits the scratchpad at `tasklets`; 64 is that bound at 16.
+  std::uint32_t buffer_edges = 64;
   /// Intersection strategy of the counting phases; counts are bit-identical
   /// under every policy (tc/intersect.hpp).
   IntersectPolicy intersect = IntersectPolicy::kAuto;
-  /// Auto-policy crossover margin: gallop when its modeled cost times this
-  /// factor undercuts the linear merge.  Must be >= 1.
-  std::uint32_t gallop_margin = 3;
   /// WRAM RegionCache for region lookups; false degrades every lookup to
   /// the full-table MRAM binary search (ablation baseline — the pre-cache
   /// kernel behavior).
   bool region_cache = true;
-  pim::KernelCostModel cost{};
 };
-
-/// Largest `wram_buffer_edges` for which the worst-case simultaneous WRAM
-/// allocation (five stream buffers per tasklet plus the static remap hash
-/// table and sampled region cache) fits the scratchpad — the bound a real
-/// kernel is sized against at build time.  Configs above it are rejected at
-/// validation instead of silently clamped.
-[[nodiscard]] std::uint32_t max_wram_buffer_edges(
-    const pim::PimSystemConfig& config, std::uint32_t tasklets) noexcept;
 
 /// Executes the full kernel.  Reads DpuMeta at offset 0 and writes back
 /// `triangle_count` (total over the whole sample) plus `num_regions`; when

@@ -1,14 +1,12 @@
 // Tests for the fast exact CPU backend (src/cpufast): DODG construction
 // invariants and count preservation, bit-exact parity with the cpu oracle
-// across a graph-shape x batch-split x policy x hub-threshold grid,
-// fully-dynamic deletion semantics against the incremental adjacency
-// oracle, recount memoization (here and on CpuEngine), config validation
-// of the hub threshold, and counter determinism across thread counts.
+// across a graph-shape x batch-split grid, fully-dynamic deletion
+// semantics against the incremental adjacency oracle, recount memoization
+// (here and on CpuEngine), and counter determinism across thread counts.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <set>
-#include <stdexcept>
 #include <vector>
 
 #include "common/thread_pool.hpp"
@@ -84,31 +82,24 @@ TEST(DodgTest, DuplicatesLoopsAndIsolatedHighIdVertex) {
   const Dodg d = Dodg::build(edges, ThreadPool::global());
   EXPECT_EQ(d.num_nodes(), 100u);
   EXPECT_EQ(d.num_arcs(), 3u);
-  CountConfig cfg;
-  EXPECT_EQ(count_triangles(d, cfg, ThreadPool::global()).triangles, 1u);
+  EXPECT_EQ(count_triangles(d, ThreadPool::global()).triangles, 1u);
 }
 
 TEST(DodgTest, EmptyGraph) {
   const Dodg d = Dodg::build({}, ThreadPool::global());
   EXPECT_EQ(d.num_nodes(), 0u);
   EXPECT_EQ(d.num_arcs(), 0u);
-  CountConfig cfg;
-  EXPECT_EQ(count_triangles(d, cfg, ThreadPool::global()).triangles, 0u);
+  EXPECT_EQ(count_triangles(d, ThreadPool::global()).triangles, 0u);
 }
 
 TEST(DodgTest, OrientationPreservesExactCountProperty) {
-  // Property: for any graph (and any hub threshold), counting on the DODG
-  // equals the trusted reference count — the (degree, id) renumbering is a
-  // bijection and each triangle is counted once at its lowest-rank apex.
+  // Property: for any graph, counting on the DODG equals the trusted
+  // reference count — the (degree, id) renumbering is a bijection and each
+  // triangle is counted once at its lowest-rank apex.
   for (const graph::EdgeList& g : grid_graphs()) {
     const TriangleCount truth = graph::reference_triangle_count(g);
     const Dodg d = Dodg::build(g.edges(), ThreadPool::global());
-    for (const std::uint32_t hub : {0u, 2u, 16u}) {
-      CountConfig cfg;
-      cfg.hub_degree = hub;
-      EXPECT_EQ(count_triangles(d, cfg, ThreadPool::global()).triangles, truth)
-          << "hub_degree=" << hub;
-    }
+    EXPECT_EQ(count_triangles(d, ThreadPool::global()).triangles, truth);
   }
 }
 
@@ -119,50 +110,26 @@ TEST(CpuFastEngineTest, BitIdenticalToCpuAcrossTheGrid) {
     const double cpu = engine::make_engine("cpu")->count(g).estimate;
     const auto edges = g.edges();
     for (const std::size_t batches : {std::size_t{1}, std::size_t{3}}) {
-      for (const tc::IntersectPolicy policy :
-           {tc::IntersectPolicy::kAuto, tc::IntersectPolicy::kMerge,
-            tc::IntersectPolicy::kGallop}) {
-        for (const std::uint32_t hub : {0u, 2u, 16u}) {
-          engine::EngineConfig cfg;
-          cfg.intersect = policy;
-          cfg.cpu_fast_hub_degree = hub;
-          auto eng = engine::make_engine("cpu-fast", cfg);
-          const std::size_t step = std::max<std::size_t>(
-              1, edges.size() / batches);
-          for (std::size_t lo = 0; lo < edges.size(); lo += step) {
-            eng->add_edges(
-                edges.subspan(lo, std::min(step, edges.size() - lo)));
-          }
-          const engine::CountReport r = eng->recount();
-          EXPECT_TRUE(r.exact);
-          EXPECT_EQ(r.estimate, cpu)
-              << "batches=" << batches << " policy=" << static_cast<int>(policy)
-              << " hub=" << hub;
-        }
+      auto eng = engine::make_engine("cpu-fast");
+      const std::size_t step = std::max<std::size_t>(1, edges.size() / batches);
+      for (std::size_t lo = 0; lo < edges.size(); lo += step) {
+        eng->add_edges(edges.subspan(lo, std::min(step, edges.size() - lo)));
       }
+      const engine::CountReport r = eng->recount();
+      EXPECT_TRUE(r.exact);
+      EXPECT_EQ(r.estimate, cpu) << "batches=" << batches;
     }
   }
 }
 
-TEST(CpuFastEngineTest, StrategyCountersFollowTheConfig) {
+TEST(CpuFastEngineTest, StrategyCountersShowTheBitmapPath) {
   graph::EdgeList g = graph::gen::barabasi_albert(1000, 5, 7);
   graph::preprocess(g, 8);
 
-  engine::EngineConfig bitmap_first;
-  bitmap_first.cpu_fast_hub_degree = 2;
-  const engine::CountReport b =
-      engine::make_engine("cpu-fast", bitmap_first)->count(g);
+  const engine::CountReport b = engine::make_engine("cpu-fast")->count(g);
   EXPECT_GT(b.kernel.bitmap_isects, 0u);
   EXPECT_EQ(b.kernel.merge_isects, 0u);
   EXPECT_EQ(b.kernel.gallop_isects, 0u);
-
-  engine::EngineConfig no_bitmap;
-  no_bitmap.cpu_fast_hub_degree = 0;
-  const engine::CountReport m =
-      engine::make_engine("cpu-fast", no_bitmap)->count(g);
-  EXPECT_EQ(m.kernel.bitmap_isects, 0u);
-  EXPECT_GT(m.kernel.merge_isects + m.kernel.gallop_isects, 0u);
-  EXPECT_EQ(m.estimate, b.estimate);
 }
 
 // ---- fully-dynamic deletions ------------------------------------------------
@@ -260,18 +227,6 @@ TEST(MemoizationTest, ResetTimersZeroesTheCachedTimes) {
 
 // ---- config -----------------------------------------------------------------
 
-TEST(CpuFastConfigTest, RejectsHubDegreeOne) {
-  engine::EngineConfig cfg;
-  cfg.cpu_fast_hub_degree = 1;
-  EXPECT_THROW(engine::make_engine("cpu-fast", cfg), std::invalid_argument);
-  // Validation is backend-independent.
-  EXPECT_THROW(engine::make_engine("cpu", cfg), std::invalid_argument);
-  cfg.cpu_fast_hub_degree = 0;
-  EXPECT_NO_THROW(cfg.validate());
-  cfg.cpu_fast_hub_degree = 2;
-  EXPECT_NO_THROW(cfg.validate());
-}
-
 // ---- determinism ------------------------------------------------------------
 
 TEST(CpuFastEngineTest, CountersDeterministicAcrossThreadCounts) {
@@ -289,8 +244,6 @@ TEST(CpuFastEngineTest, CountersDeterministicAcrossThreadCounts) {
   EXPECT_EQ(reports[0].estimate, reports[1].estimate);
   EXPECT_EQ(reports[0].kernel.bitmap_isects, reports[1].kernel.bitmap_isects);
   EXPECT_EQ(reports[0].kernel.bitmap_probes, reports[1].kernel.bitmap_probes);
-  EXPECT_EQ(reports[0].kernel.merge_picks, reports[1].kernel.merge_picks);
-  EXPECT_EQ(reports[0].kernel.gallop_probes, reports[1].kernel.gallop_probes);
   EXPECT_EQ(reports[0].work.intersection_steps,
             reports[1].work.intersection_steps);
 }

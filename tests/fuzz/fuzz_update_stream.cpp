@@ -1,10 +1,11 @@
 // Fuzz harness for the dynamic-update front end: graph::read_update_stream
-// (the `--stream` "+u v" / "-u v" file grammar) and the strict CLI numeric
-// parsers (cli::Args::u64/u32/f64 from tools/cli_args.hpp).
+// (the `--stream` "+u v" / "-u v" file grammar) and the strict CLI flag
+// parsers (cli::Args::u64/u32/f64 and the require_known name/shape check
+// from tools/cli_args.hpp).
 //
 // The first input byte selects the target; the rest is either written to a
 // scratch file and parsed as an update stream, or split on newlines into a
-// synthetic "--key=value" argv and pushed through every numeric accessor.
+// synthetic "--key=value" argv and pushed through every accessor.
 // Expected rejections (IoError for streams, invalid_argument for flags)
 // are swallowed; anything else is a finding.
 #include <cstdint>
@@ -71,7 +72,7 @@ void fuzz_cli_args(const std::uint8_t* data, std::size_t size) {
     // Hit every accessor for a spread of keys the CLI actually uses; the
     // fallback value must come back only when the key is absent.
     for (const char* key : {"edges", "seed", "chunk-edges", "colors",
-                            "threads", "p", "delete-frac", "gallop-margin"}) {
+                            "threads", "p", "delete-frac", "staging"}) {
       try {
         (void)args.u64(key, 7);
       } catch (const std::invalid_argument&) {
@@ -87,6 +88,7 @@ void fuzz_cli_args(const std::uint8_t* data, std::size_t size) {
       (void)args.str(key);
       (void)args.flag(key);
     }
+    args.require_known("--edges= --seed= --chunk-edges= --json --no-mmap");
   } catch (const std::invalid_argument&) {
   }
 }

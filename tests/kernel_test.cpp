@@ -370,19 +370,6 @@ TEST(IntersectPolicyTest, TallyReflectsForcedPolicy) {
             out_m.merge_isects + out_m.gallop_isects);
 }
 
-TEST(IntersectPolicyTest, GallopMarginShiftsTheCrossover) {
-  const graph::EdgeList g = adversarial_graphs()[3].second;  // skewed
-  KernelParams p;
-  p.gallop_margin = 1;  // most gallop-happy
-  pim::Dpu loose(test_config(), 0);
-  const DpuMeta out_loose = run_kernel_on(loose, to_vector(g), p);
-  p.gallop_margin = 64;  // pushes nearly everything back to merge
-  pim::Dpu strict(test_config(), 1);
-  const DpuMeta out_strict = run_kernel_on(strict, to_vector(g), p);
-  EXPECT_GT(out_loose.gallop_isects, out_strict.gallop_isects);
-  EXPECT_EQ(out_loose.triangle_count, out_strict.triangle_count);
-}
-
 // ---- incremental kernel --------------------------------------------------
 
 /// Loads `prefix` edges, runs a persisting full count, appends the rest in

@@ -1,6 +1,6 @@
-// Regression tests for parser hardening: hostile headers and fault-spec
-// strings that used to slip past validation (found by the fuzz harnesses in
-// tests/fuzz/).  Each case pins the *graceful* failure mode — a typed
+// Regression tests for parser hardening: hostile headers, fault-spec
+// strings and command-line flags that used to slip past validation (mostly
+// found by the fuzz harnesses in tests/fuzz/).  Each case pins the *graceful* failure mode — a typed
 // IoError / invalid_argument naming the problem — where the seed behavior
 // was an unchecked giant allocation (length_error / bad_alloc) or a
 // silently wrong value (NaN rate, wrapped negative integer).
@@ -21,6 +21,7 @@
 #include "graph/pbin.hpp"
 #include "graph/stream_reader.hpp"
 #include "pim/fault.hpp"
+#include "../tools/cli_args.hpp"
 
 namespace pimtc {
 namespace {
@@ -241,6 +242,40 @@ TEST(FaultSpecHardeningTest, BoundaryValuesStillParse) {
             std::numeric_limits<std::uint64_t>::max());
   EXPECT_DOUBLE_EQ(pim::FaultSpec::parse("corrupt=1.0").transfer_corrupt, 1.0);
   EXPECT_DOUBLE_EQ(pim::FaultSpec::parse("corrupt=0").transfer_corrupt, 0.0);
+}
+
+// ---- command-line flag shape -------------------------------------------------
+
+TEST(CliArgsTest, FlagShapeMatchesTheSupportedList) {
+  // A bare valued flag used to read as "1" (--chunk-edges streamed 1-edge
+  // chunks) and a switch with a value counted as set (--json=0 printed
+  // JSON); both are now errors naming the flag.
+  constexpr std::string_view kSupported = "--chunk-edges= --colors= --json";
+  const auto check = [&](std::vector<std::string> argv) {
+    std::vector<char*> ptrs;
+    for (std::string& a : argv) ptrs.push_back(a.data());
+    const cli::Args args(static_cast<int>(ptrs.size()), ptrs.data(), 0);
+    args.require_known(kSupported);
+    return args;
+  };
+  const auto error_of = [&](std::vector<std::string> argv) {
+    try {
+      (void)check(std::move(argv));
+    } catch (const std::invalid_argument& e) {
+      return std::string(e.what());
+    }
+    return std::string("no error");
+  };
+  EXPECT_EQ(error_of({"--chunk-edges"}), "--chunk-edges needs a value");
+  EXPECT_EQ(error_of({"--json", "--colors"}), "--colors needs a value");
+  EXPECT_EQ(error_of({"--json=0"}), "--json takes no value");
+  EXPECT_EQ(error_of({"--json="}), "--json takes no value");
+  EXPECT_EQ(error_of({"--colour=4"}), "unknown argument '--colour'");
+
+  const cli::Args ok = check({"--chunk-edges=4096", "--json", "--colors="});
+  EXPECT_EQ(ok.u64("chunk-edges", 0), 4096u);
+  EXPECT_TRUE(ok.flag("json"));
+  EXPECT_EQ(ok.str("colors", "8"), "");
 }
 
 }  // namespace

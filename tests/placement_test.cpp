@@ -271,7 +271,6 @@ TEST(RebalanceTest, AutoRebalanceTriggersOnImbalanceAndCountsStayExact) {
   engine::EngineConfig cfg = small_config(4);
   cfg.seed = 3;
   cfg.rebalance_enabled = true;
-  cfg.rebalance_min_gain = 1.01;
   tc::PimTriangleCounter counter(cfg);
   const engine::CountReport r = counter.count(g);
   EXPECT_TRUE(r.exact);

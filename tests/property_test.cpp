@@ -253,19 +253,6 @@ TEST(TimingPropertiesTest, MoreEdgesNeverFaster) {
   }
 }
 
-TEST(TimingPropertiesTest, MoreTaskletsNeverSlower) {
-  graph::EdgeList g = graph::gen::erdos_renyi(2000, 16'000, 9);
-  double prev = 1e300;
-  for (const std::uint32_t tasklets : {1u, 4u, 16u}) {
-    engine::EngineConfig cfg = small_config(3);
-    cfg.tasklets = tasklets;
-    tc::PimTriangleCounter counter(cfg);
-    const engine::CountReport r = counter.count(g);
-    EXPECT_LT(r.times.count_s, prev * 1.02) << tasklets;
-    prev = r.times.count_s;
-  }
-}
-
 TEST(TimingPropertiesTest, UniformSamplingSpeedsUpSimulatedPhases) {
   graph::EdgeList g = graph::gen::erdos_renyi(5000, 60'000, 11);
   const auto run = [&](double p) {

@@ -6,7 +6,8 @@
 // negative values for unsigned flags and overflow are all rejected with the
 // offending flag named — never silently truncated through an atof
 // round-trip (which also lost precision on 64-bit seeds above 2^53), and
-// require_known() rejects any flag the command does not take.
+// require_known() rejects any flag the command does not take or gives in
+// the wrong shape (a value for a switch, none for a valued flag).
 //
 // Malformed *positional* syntax (an argument that does not start with "--")
 // calls the `on_syntax_error` handler when one is supplied — the CLI passes
@@ -22,6 +23,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <map>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -43,9 +45,9 @@ class Args {
       }
       const char* eq = std::strchr(a, '=');
       if (eq) {
-        kv_[std::string(a + 2, eq)] = eq + 1;
+        kv_[std::string(a + 2, eq)] = std::string(eq + 1);
       } else {
-        kv_[a + 2] = "1";
+        kv_[a + 2] = std::nullopt;
       }
     }
   }
@@ -53,7 +55,7 @@ class Args {
   [[nodiscard]] std::string str(const std::string& key,
                                 const std::string& fallback = "") const {
     const auto it = kv_.find(key);
-    return it == kv_.end() ? fallback : it->second;
+    return it == kv_.end() ? fallback : it->second.value_or("");
   }
 
   /// Unsigned 64-bit integer flag (full seed range, no double round-trip).
@@ -61,7 +63,7 @@ class Args {
                                   std::uint64_t fallback) const {
     const auto it = kv_.find(key);
     if (it == kv_.end()) return fallback;
-    const std::string& value = it->second;
+    const std::string value = it->second.value_or("");
     if (value.empty() || value[0] == '-' || value[0] == '+' ||
         std::isspace(static_cast<unsigned char>(value[0]))) {
       bad(key, value, "a non-negative integer");
@@ -88,7 +90,7 @@ class Args {
   [[nodiscard]] double f64(const std::string& key, double fallback) const {
     const auto it = kv_.find(key);
     if (it == kv_.end()) return fallback;
-    const std::string& value = it->second;
+    const std::string value = it->second.value_or("");
     if (value.empty() || value[0] == '-' ||
         std::isspace(static_cast<unsigned char>(value[0]))) {
       bad(key, value, "a non-negative number");
@@ -109,29 +111,37 @@ class Args {
 
   /// Throws std::invalid_argument naming the first flag given that
   /// `supported` (flags as printed in a usage line, e.g. "--scale= --quick")
-  /// does not list: a misspelt flag is an error, never silently ignored.
+  /// does not list, or lists in another shape: a flag listed as "--x="
+  /// needs a value and one listed as "--x" takes none.  A misspelt or
+  /// misshapen flag is an error, never silently ignored or guessed at.
   void require_known(std::string_view supported) const {
     for (const auto& [key, value] : kv_) {
-      if (!lists_flag(supported, key)) {
+      const std::optional<bool> valued = listed_shape(supported, key);
+      if (!valued) {
         throw std::invalid_argument("unknown argument '--" + key + "'");
+      }
+      if (*valued && !value) {
+        throw std::invalid_argument("--" + key + " needs a value");
+      }
+      if (!*valued && value) {
+        throw std::invalid_argument("--" + key + " takes no value");
       }
     }
   }
 
  private:
-  /// True when `supported` lists the flag named `key`.
-  [[nodiscard]] static bool lists_flag(std::string_view supported,
-                                       std::string_view key) {
+  /// Whether `supported` lists the flag named `key` with a value
+  /// ("--key=...") or without; nullopt when it does not list it.
+  [[nodiscard]] static std::optional<bool> listed_shape(
+      std::string_view supported, std::string_view key) {
     for (std::size_t pos = supported.find("--");
          pos != std::string_view::npos; pos = supported.find("--", pos + 2)) {
       const std::string_view rest = supported.substr(pos + 2);
-      if (rest.starts_with(key) &&
-          (rest.size() == key.size() || rest[key.size()] == '=' ||
-           rest[key.size()] == ' ')) {
-        return true;
-      }
+      if (!rest.starts_with(key)) continue;
+      if (rest.size() == key.size() || rest[key.size()] == ' ') return false;
+      if (rest[key.size()] == '=') return true;
     }
-    return false;
+    return std::nullopt;
   }
 
   [[noreturn]] static void bad(const std::string& key, const std::string& value,
@@ -140,7 +150,8 @@ class Args {
                                 ", got '" + value + "'");
   }
 
-  std::map<std::string, std::string> kv_;
+  /// Flag name -> value text; nullopt for a flag given without '='.
+  std::map<std::string, std::optional<std::string>> kv_;
 };
 
 }  // namespace pimtc::cli

@@ -27,7 +27,7 @@
 // over the same stream through the same code path and verifies parity.
 // --stream replays a fully-dynamic "+u v" / "-u v" update file after the
 // graph; --delete-frac then deletes a seeded random fraction of the
-// graph's edges (synthetic churn).  Parity defaults to the fast exact
+// graph's edges (synthetic churn).  The parity backend is the fast exact
 // oracle (cpu-fast); when cpu-fast is itself under test, the independent
 // cpu / cpu-incremental implementations take over.
 //
@@ -87,18 +87,17 @@ using namespace pimtc;
       "                 [--no-checksum] [--no-verify]\n"
       "  pimtc stats    --graph=<file>\n"
       "  pimtc count    [--graph=<file>] [--stream=<file>] [--delete-frac=<f>]\n"
-      "                 [--chunk-edges=<n>] [--no-mmap] [--no-dedup]\n"
+      "                 [--chunk-edges=<n>] [--no-mmap]\n"
       "                 [--backend=<name>] [--colors=<C>|auto]\n"
       "                 [--placement=identity|kind_interleave|greedy_balance]\n"
       "                 [--rebalance] [--p=<keep prob>]\n"
       "                 [--capacity=<edges/core>]\n"
       "                 [--misra-gries] [--mg-top=<t>] [--degree-remap]\n"
-      "                 [--intersect=auto|merge|gallop] [--gallop-margin=<k>]\n"
-      "                 [--hub-degree=<d>] [--no-region-cache] [--incremental]\n"
-      "                 [--threads=<n>] [--dpus-per-rank=<n>]\n"
+      "                 [--intersect=auto|merge|gallop] [--no-region-cache]\n"
+      "                 [--incremental] [--threads=<n>] [--dpus-per-rank=<n>]\n"
       "                 [--staging=<edges/core>] [--no-pipeline]\n"
       "                 [--inject-faults=<spec>]\n"
-      "                 [--json] [--exact-check] [--check-backend=<name>]\n"
+      "                 [--json] [--exact-check]\n"
       "  pimtc serve    [--sessions=<n>] [--session-edges=<m>]\n"
       "                 [--batch-updates=<u>] [--delete-frac=<f>]\n"
       "                 [--kind=<graph kind>] [--backend=<name>]\n"
@@ -118,8 +117,8 @@ using namespace pimtc;
       "after the graph; --delete-frac=<f> then deletes a seeded random\n"
       "fraction f of the graph's edges (synthetic churn)\n"
       "count --chunk-edges=<n> streams the graph out-of-core in n-edge\n"
-      "chunks (O(chunk) memory; dedups while streaming unless --no-dedup;\n"
-      "not combinable with --delete-frac); --no-mmap forces buffered reads\n"
+      "chunks (O(chunk) memory; dedups while streaming; not combinable\n"
+      "with --delete-frac); --no-mmap forces buffered reads\n"
       "serve --graph=<file> bulk-loads the file into every session through\n"
       "the same chunked path instead of generating per-session graphs\n"
       "count --inject-faults enables the deterministic PIM fault model,\n"
@@ -361,9 +360,9 @@ int cmd_backends(const Args& args) {
 /// config_from_args reads the rest.
 constexpr std::string_view kEngineFlags =
     "--backend= --colors= --placement= --rebalance --p= --capacity= "
-    "--misra-gries --mg-top= --degree-remap --intersect= --gallop-margin= "
-    "--hub-degree= --no-region-cache --incremental --threads= --seed= "
-    "--staging= --no-pipeline --dpus-per-rank= --inject-faults=";
+    "--misra-gries --mg-top= --degree-remap --intersect= --no-region-cache "
+    "--incremental --threads= --seed= --staging= --no-pipeline "
+    "--dpus-per-rank= --inject-faults=";
 
 engine::EngineConfig config_from_args(const Args& args) {
   engine::EngineConfig cfg;
@@ -380,8 +379,6 @@ engine::EngineConfig config_from_args(const Args& args) {
       args.flag("misra-gries") || cfg.degree_ordered_remap;
   cfg.mg_top = args.u32("mg-top", 32);
   cfg.intersect = tc::intersect_policy_from_string(args.str("intersect", "auto"));
-  cfg.gallop_margin = args.u32("gallop-margin", cfg.gallop_margin);
-  cfg.cpu_fast_hub_degree = args.u32("hub-degree", cfg.cpu_fast_hub_degree);
   cfg.region_cache = !args.flag("no-region-cache");
   cfg.incremental = args.flag("incremental");
   cfg.host_threads = args.u32("threads", 0);
@@ -688,8 +685,7 @@ void print_report_text(const engine::CountReport& r, std::uint64_t edges,
 int cmd_count(const Args& args) {
   check_flags(args, std::string(kEngineFlags) +
                         " --graph= --stream= --delete-frac= --chunk-edges= "
-                        "--no-mmap --no-dedup --json --exact-check "
-                        "--check-backend=");
+                        "--no-mmap --json --exact-check");
   const std::string path = args.str("graph");
   const std::string stream_path = args.str("stream");
   if (path.empty() && stream_path.empty()) usage();
@@ -707,8 +703,7 @@ int cmd_count(const Args& args) {
   // --chunk-edges switches the graph phase to out-of-core streaming: the
   // file is chunk-fed into the engine session (O(chunk) memory, no
   // EdgeList).  Streaming dedups and drops loops while feeding (like
-  // graph::preprocess minus the shuffle, which needs the whole list)
-  // unless --no-dedup asks for the raw stream.
+  // graph::preprocess minus the shuffle, which needs the whole list).
   const bool streamed_ingest = args.flag("chunk-edges");
   if (streamed_ingest && path.empty()) {
     throw std::invalid_argument("--chunk-edges streams --graph and needs it");
@@ -721,10 +716,8 @@ int cmd_count(const Args& args) {
   engine::IngestOptions iopt;
   iopt.reader.chunk_edges = args.u64("chunk-edges", std::size_t{1} << 20);
   iopt.reader.use_mmap = !args.flag("no-mmap");
-  if (streamed_ingest && !args.flag("no-dedup")) {
-    iopt.drop_self_loops = true;
-    iopt.dedup = engine::DedupMode::kGlobal;
-  }
+  iopt.drop_self_loops = true;
+  iopt.dedup = engine::DedupMode::kGlobal;
 
   if (!path.empty()) require_input_file(path);
   if (!stream_path.empty()) require_input_file(stream_path);
@@ -778,10 +771,9 @@ int cmd_count(const Args& args) {
     // it is itself the backend under test, fall back to the deliberately
     // independent implementations (the dynamic adjacency oracle for ±
     // streams, the CSR baseline otherwise).
-    const std::string fallback =
+    parity.backend =
         mixed ? (backend == "cpu-fast" ? "cpu-incremental" : "cpu-fast")
               : (backend == "cpu-fast" ? "cpu" : "cpu-fast");
-    parity.backend = args.str("check-backend", fallback);
     parity.report = run_session(parity.backend);
     parity.relative_err = relative_error(r.estimate, parity.report.estimate);
   }
