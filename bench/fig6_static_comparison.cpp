@@ -15,8 +15,8 @@
 #include <algorithm>
 #include <string>
 
+#include "baseline/device_model.hpp"
 #include "bench_util.hpp"
-#include "engine/platform_model.hpp"
 #include "engine/registry.hpp"
 
 int main(int argc, char** argv) {
@@ -28,8 +28,8 @@ int main(int argc, char** argv) {
       "PIM wins",
       opt);
 
-  const engine::PlatformModel cpu_model = engine::xeon_4215_model();
-  const engine::PlatformModel gpu_model = engine::a100_model();
+  const baseline::PlatformModel cpu_model = baseline::xeon_4215_model();
+  const baseline::PlatformModel gpu_model = baseline::a100_model();
 
   std::printf("%-14s %10s %10s %10s %10s | %9s %9s %9s  (speedup over CPU)\n",
               "graph", "CPU (s)", "CPUfast(s)", "GPU (s)", "PIM (s)", "GPU x",

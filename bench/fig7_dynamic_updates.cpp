@@ -17,8 +17,8 @@
 //
 // Paper claim: cumulative CPU time grows far faster than PIM and GPU; PIM
 // beats the CPU on dynamic COO streams despite losing statically.
+#include "baseline/device_model.hpp"
 #include "bench_util.hpp"
-#include "engine/platform_model.hpp"
 #include "engine/registry.hpp"
 
 int main(int argc, char** argv) {
@@ -37,8 +37,8 @@ int main(int argc, char** argv) {
   const double ratio = static_cast<double>(info.paper_edges) /
                        static_cast<double>(full.num_edges());
 
-  const engine::PlatformModel cpu_model = engine::xeon_4215_model();
-  const engine::PlatformModel gpu_model = engine::a100_model();
+  const baseline::PlatformModel cpu_model = baseline::xeon_4215_model();
+  const baseline::PlatformModel gpu_model = baseline::a100_model();
 
   constexpr int kUpdates = 10;
   const std::size_t step = full.num_edges() / kUpdates;

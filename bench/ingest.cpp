@@ -154,9 +154,8 @@ int main(int argc, char** argv) {
   cfg.seed = opt.seed;
   const double oneshot = engine::make_engine("cpu-fast", cfg)->count(g).estimate;
   auto streamed_engine = engine::make_engine("cpu-fast", cfg);
-  engine::IngestOptions iopt;
-  iopt.reader.chunk_edges = opt.chunk_edges;
-  engine::ingest_file(*streamed_engine, dir / "g.pbin", iopt);
+  engine::ingest_file(*streamed_engine, dir / "g.pbin",
+                      {.chunk_edges = opt.chunk_edges});
   const double streamed = streamed_engine->recount().estimate;
   const bool parity = streamed == oneshot;
 

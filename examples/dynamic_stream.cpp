@@ -7,7 +7,7 @@
 // of the same engine interface; only the registry name differs.
 #include <cstdio>
 
-#include "engine/platform_model.hpp"
+#include "baseline/device_model.hpp"
 #include "engine/registry.hpp"
 #include "graph/generators.hpp"
 #include "graph/preprocess.hpp"
@@ -28,7 +28,7 @@ int main() {
   config.incremental = true;  // COO-native: merge batches, count only new
   auto pim = engine::make_engine("pim", config);
   auto cpu = engine::make_engine("cpu", config);
-  const engine::PlatformModel cpu_model = engine::xeon_4215_model();
+  const baseline::PlatformModel cpu_model = baseline::xeon_4215_model();
 
   std::printf("%7s %12s %14s %14s %14s\n", "update", "edges", "triangles",
               "PIM cum (ms)", "CPU cum (ms)");

@@ -7,7 +7,6 @@
 #pragma once
 
 #include <chrono>
-#include <cstdint>
 
 namespace pimtc {
 
@@ -24,26 +23,8 @@ class WallTimer {
     return std::chrono::duration<double>(Clock::now() - start_).count();
   }
 
-  [[nodiscard]] double elapsed_ms() const { return elapsed_s() * 1e3; }
-
  private:
   Clock::time_point start_;
-};
-
-/// Accumulates phase durations across repeated runs (mean over N runs is what
-/// the paper plots; coefficient of variance < 5%).
-struct PhaseAccumulator {
-  double total_s = 0.0;
-  std::uint64_t samples = 0;
-
-  void add(double seconds) {
-    total_s += seconds;
-    ++samples;
-  }
-
-  [[nodiscard]] double mean_s() const {
-    return samples == 0 ? 0.0 : total_s / static_cast<double>(samples);
-  }
 };
 
 }  // namespace pimtc

@@ -2,11 +2,11 @@
 
 #include <chrono>
 #include <future>
-#include <unordered_set>
-#include <utility>
+#include <vector>
 
 #include "common/thread_pool.hpp"
 #include "common/types.hpp"
+#include "graph/preprocess.hpp"
 
 namespace pimtc::engine {
 namespace {
@@ -60,13 +60,10 @@ IngestStats ingest_stream(
     graph::ChunkedEdgeReader& reader,
     const std::function<void(std::span<const Edge>)>& sink,
     const IngestOptions& options) {
-  ThreadPool& pool = options.pool != nullptr ? *options.pool
-                                             : ThreadPool::global();
   IngestStats stats;
-  const bool filtering =
-      options.drop_self_loops || options.dedup != DedupMode::kNone;
-  std::vector<Edge> scratch;      // reused filtered-chunk buffer
-  std::unordered_set<std::uint64_t> seen;  // dedup keys (canonical)
+  const bool filtering = options.drop_self_loops || options.dedup;
+  std::vector<Edge> scratch;  // reused filtered-chunk buffer
+  graph::EdgeFilter filter;
 
   // Producer side: reader.next() with its time charged to read_seconds.
   // Between submit() and get() only the producer touches the reader and
@@ -82,24 +79,16 @@ IngestStats ingest_stream(
   std::future<std::span<const Edge>> pending;
   try {
     while (!chunk.empty()) {
-      if (options.overlap_io) pending = pool.submit(timed_next);
+      pending = ThreadPool::global().submit(timed_next);
 
       auto t0 = Clock::now();
       std::span<const Edge> feed = chunk;
       if (filtering) {
         scratch.clear();
-        if (options.dedup == DedupMode::kChunk) seen.clear();
         for (const Edge& e : chunk) {
-          if (options.drop_self_loops && e.is_loop()) {
-            ++stats.self_loops_dropped;
-            continue;
+          if (options.dedup ? filter.keep(e) : !e.is_loop()) {
+            scratch.push_back(e);
           }
-          if (options.dedup != DedupMode::kNone &&
-              !seen.insert(edge_key(e.canonical())).second) {
-            ++stats.duplicates_dropped;
-            continue;
-          }
-          scratch.push_back(e);
         }
         feed = scratch;
       }
@@ -107,7 +96,6 @@ IngestStats ingest_stream(
         const std::uint64_t bound = std::uint64_t{e.u > e.v ? e.u : e.v} + 1;
         if (bound > stats.node_bound) stats.node_bound = bound;
       }
-      if (options.compute_degrees) accumulate_degrees(feed, stats.degrees, pool);
       stats.preprocess_seconds += seconds_since(t0);
 
       t0 = Clock::now();
@@ -116,7 +104,7 @@ IngestStats ingest_stream(
       stats.edges_ingested += feed.size();
       ++stats.chunks;
 
-      chunk = options.overlap_io ? pending.get() : timed_next();
+      chunk = pending.get();
     }
   } catch (...) {
     // The producer task holds a reference to the reader (owned by our
@@ -126,34 +114,37 @@ IngestStats ingest_stream(
   }
 
   stats.edges_read = reader.edges_read();
+  stats.self_loops_dropped = options.dedup
+                                 ? filter.loops()
+                                 : stats.edges_read - stats.edges_ingested;
+  stats.duplicates_dropped = filter.duplicates();
   stats.mapped = reader.mapped();
   return stats;
 }
 
 IngestStats ingest_file(TriangleCountEngine& engine,
                         const std::filesystem::path& path,
-                        const IngestOptions& options) {
-  graph::ChunkedEdgeReader reader(path, options.reader);
+                        const graph::ReaderOptions& reader) {
+  graph::ChunkedEdgeReader source(path, reader);
   return ingest_stream(
-      reader,
+      source,
       [&engine](std::span<const Edge> batch) {
         if (!batch.empty()) engine.add_edges(batch);
       },
-      options);
+      {.reader = reader, .dedup = true});
 }
 
 std::vector<std::uint32_t> stream_degrees(const std::filesystem::path& path,
-                                          const graph::ReaderOptions& reader,
-                                          ThreadPool* pool) {
+                                          const graph::ReaderOptions& reader) {
   graph::ChunkedEdgeReader source(path, reader);
-  IngestOptions options;
-  options.reader = reader;
-  options.drop_self_loops = true;
-  options.compute_degrees = true;
-  options.pool = pool;
-  IngestStats stats =
-      ingest_stream(source, [](std::span<const Edge>) {}, options);
-  return std::move(stats.degrees);
+  std::vector<std::uint32_t> degrees;
+  ingest_stream(
+      source,
+      [&degrees](std::span<const Edge> chunk) {
+        accumulate_degrees(chunk, degrees, ThreadPool::global());
+      },
+      {.reader = reader, .drop_self_loops = true});
+  return degrees;
 }
 
 }  // namespace pimtc::engine

@@ -1,27 +1,24 @@
-// Out-of-core ingest: stream an edge file into an engine session in
-// O(chunk) memory, overlapping disk/parse work with host preprocessing.
+// Out-of-core ingest: stream an edge file into an engine session chunk by
+// chunk, overlapping disk/parse work with host preprocessing.
 //
 // The pipeline (paper Section 4's host side, generalized to files larger
 // than RAM):
 //
 //   ChunkedEdgeReader ──> [producer task: parse chunk k+1]      (pool)
-//                    └──> [consumer: preprocess + feed chunk k] (caller)
+//                    └──> [consumer: filter + feed chunk k]     (caller)
 //
-// With overlap_io (default) the next chunk is parsed on the shared
-// ThreadPool while the caller filters the current one and feeds it to
-// TriangleCountEngine::add_edges() — the reader's two-buffer chunk
-// lifetime is exactly this pipeline depth.  Preprocessing is
-// order-preserving throughout (self-loop filter, hash-set dedup), because
-// the pim backend's reservoir sampling is sensitive to arrival order and
-// streamed ingest must be bit-identical to one-shot read_coo + count.
+// The next chunk is always parsed on the shared ThreadPool while the
+// caller filters the current one and feeds it to the sink — the reader's
+// two-buffer chunk lifetime is exactly this pipeline depth.  Filtering is
+// order-preserving (graph::EdgeFilter, the filter preprocess uses),
+// because the pim backend's reservoir sampling is sensitive to arrival
+// order and streamed ingest must be bit-identical to one-shot read_coo +
+// remove_loops_and_duplicates + count.  ingest_file always filters, so
+// engine ingest holds O(chunk) plus the filter's O(distinct edges) table.
 //
-// Per-chunk degree histograms are merged by node range across the pool
-// (the same disjoint-range pattern as the DODG builder's phase 1,
-// src/cpufast/dodg.cpp): each worker owns a node range and scans the
-// chunk counting only its own nodes — no atomics, no per-thread copies of
-// the histogram.  `pimtc convert --orient` uses this as pass 1 and then
-// re-streams the file orienting each edge lower-(degree, id) endpoint
-// first.
+// `pimtc convert --orient` streams the file once through stream_degrees
+// for the degree table, then re-streams it orienting each edge
+// lower-(degree, id) endpoint first.
 #pragma once
 
 #include <cstdint>
@@ -33,44 +30,18 @@
 #include "engine/engine.hpp"
 #include "graph/stream_reader.hpp"
 
-namespace pimtc {
-class ThreadPool;
-}
-
 namespace pimtc::engine {
-
-/// Duplicate-edge handling on the ingest path.  Both modes treat (u,v)
-/// and (v,u) as the same edge and keep the first occurrence (order
-/// preserved).
-enum class DedupMode {
-  kNone,    ///< feed edges as they arrive (default; engines that need
-            ///< dedup do it themselves)
-  kChunk,   ///< drop duplicates within each chunk — O(chunk) memory
-  kGlobal,  ///< drop duplicates across the whole stream — O(distinct
-            ///< edges) memory, the one knob that breaks the O(chunk)
-            ///< bound (documented trade-off; use `convert --dedup` once
-            ///< and stream the clean `.pbin` instead for huge graphs)
-};
 
 struct IngestOptions {
   graph::ReaderOptions reader;  ///< chunk size, mmap, checksum verification
 
-  /// Drop self loops while streaming (every backend ignores them anyway;
-  /// filtering here keeps them out of dedup sets and degree histograms).
+  /// Drop self loops while streaming.
   bool drop_self_loops = false;
 
-  DedupMode dedup = DedupMode::kNone;
-
-  /// Parse chunk k+1 on the pool while chunk k is preprocessed and fed.
-  bool overlap_io = true;
-
-  /// Build the degree histogram of the ingested edges (IngestStats::
-  /// degrees), merged by node range across the pool.
-  bool compute_degrees = false;
-
-  /// Pool for the producer task and histogram merge; nullptr means
-  /// ThreadPool::global().
-  ThreadPool* pool = nullptr;
+  /// Drop self loops and every repeat of an undirected edge across the
+  /// whole stream through one graph::EdgeFilter, keeping the first copy.
+  /// Holds O(distinct edges) memory.
+  bool dedup = false;
 };
 
 struct IngestStats {
@@ -83,11 +54,8 @@ struct IngestStats {
   bool mapped = false;               ///< the reader served from an mmap
 
   double read_seconds = 0.0;        ///< IO + parse (producer side)
-  double preprocess_seconds = 0.0;  ///< filters + histograms
+  double preprocess_seconds = 0.0;  ///< filters
   double feed_seconds = 0.0;        ///< sink / add_edges time
-
-  /// Degree of every node in [0, node_bound), when compute_degrees.
-  std::vector<std::uint32_t> degrees;
 };
 
 /// The generic pipeline: drains `reader` through the preprocessing stages
@@ -98,19 +66,20 @@ IngestStats ingest_stream(
     const std::function<void(std::span<const Edge>)>& sink,
     const IngestOptions& options = {});
 
-/// Streams `path` into an engine session chunk-at-a-time via add_edges().
-/// Peak memory is O(chunk), not O(m) — the out-of-core replacement for
-/// read_coo + count on graphs beyond RAM.  Estimates are bit-identical to
-/// the one-shot path for every backend (exact backends are batch-split
-/// invariant; the pim reservoir sees the same arrival order).
+/// Streams `path` into an engine session chunk-at-a-time via add_edges(),
+/// dropping self loops and duplicate edges on the way (every engine's
+/// add_edges contract).  Holds O(chunk) plus the filter's table instead of
+/// the EdgeList.  Estimates are bit-identical to read_coo +
+/// remove_loops_and_duplicates + count() for every backend (exact backends
+/// are batch-split invariant; the pim reservoir sees the same arrival
+/// order).
 IngestStats ingest_file(TriangleCountEngine& engine,
                         const std::filesystem::path& path,
-                        const IngestOptions& options = {});
+                        const graph::ReaderOptions& reader = {});
 
 /// One streaming pass over `path` returning the degree histogram (pass 1
 /// of `pimtc convert --orient`).  Self loops are excluded.
 [[nodiscard]] std::vector<std::uint32_t> stream_degrees(
-    const std::filesystem::path& path, const graph::ReaderOptions& reader = {},
-    ThreadPool* pool = nullptr);
+    const std::filesystem::path& path, const graph::ReaderOptions& reader = {});
 
 }  // namespace pimtc::engine

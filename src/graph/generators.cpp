@@ -7,32 +7,9 @@
 
 #include "common/prng.hpp"
 #include "common/types.hpp"
+#include "graph/preprocess.hpp"
 
 namespace pimtc::graph::gen {
-namespace {
-
-/// Tracks distinct undirected edges during generation.
-class EdgeSet {
- public:
-  explicit EdgeSet(std::size_t expected) { set_.reserve(expected * 2); }
-
-  /// Inserts the canonical form; returns false for loops and duplicates.
-  bool insert(NodeId u, NodeId v) {
-    if (u == v) return false;
-    return set_.insert(Edge{u, v}.canonical()).second;
-  }
-
-  [[nodiscard]] bool contains(NodeId u, NodeId v) const {
-    return set_.contains(Edge{u, v}.canonical());
-  }
-
-  [[nodiscard]] std::size_t size() const { return set_.size(); }
-
- private:
-  std::unordered_set<Edge> set_;
-};
-
-}  // namespace
 
 EdgeList rmat(std::uint32_t scale, EdgeCount target_edges,
               const RmatParams& params, std::uint64_t seed) {
@@ -50,7 +27,7 @@ EdgeList rmat(std::uint32_t scale, EdgeCount target_edges,
   const double abc = ab + params.c;
 
   Xoshiro256ss rng(seed);
-  EdgeSet seen(target_edges);
+  EdgeFilter seen(target_edges);
   std::vector<Edge> edges;
   edges.reserve(target_edges);
 
@@ -66,7 +43,7 @@ EdgeList rmat(std::uint32_t scale, EdgeCount target_edges,
       u = (u << 1) | ubit;
       v = (v << 1) | vbit;
     }
-    if (seen.insert(u, v)) edges.push_back(Edge{u, v});
+    if (seen.keep(Edge{u, v})) edges.push_back(Edge{u, v});
   }
   return EdgeList(std::move(edges));
 }
@@ -78,13 +55,13 @@ EdgeList erdos_renyi(NodeId n, EdgeCount m, std::uint64_t seed) {
     throw std::invalid_argument("erdos_renyi: m exceeds binom(n,2)");
   }
   Xoshiro256ss rng(seed);
-  EdgeSet seen(m);
+  EdgeFilter seen(m);
   std::vector<Edge> edges;
   edges.reserve(m);
   while (edges.size() < m) {
     const NodeId u = static_cast<NodeId>(rng.next_below(n));
     const NodeId v = static_cast<NodeId>(rng.next_below(n));
-    if (seen.insert(u, v)) edges.push_back(Edge{u, v});
+    if (seen.keep(Edge{u, v})) edges.push_back(Edge{u, v});
   }
   return EdgeList(std::move(edges));
 }
@@ -137,7 +114,7 @@ EdgeList watts_strogatz(NodeId n, std::uint32_t k, double beta,
   if (n <= k) throw std::invalid_argument("ws: need n > k");
 
   Xoshiro256ss rng(seed);
-  EdgeSet seen(static_cast<std::size_t>(n) * k / 2);
+  EdgeFilter seen(static_cast<std::size_t>(n) * k / 2);
   std::vector<Edge> edges;
   edges.reserve(static_cast<std::size_t>(n) * k / 2);
 
@@ -148,13 +125,13 @@ EdgeList watts_strogatz(NodeId n, std::uint32_t k, double beta,
         // Rewire the far endpoint uniformly; retry on loop/duplicate.
         for (int attempts = 0; attempts < 32; ++attempts) {
           const NodeId cand = static_cast<NodeId>(rng.next_below(n));
-          if (cand != u && !seen.contains(u, cand)) {
+          if (cand != u && !seen.contains(Edge{u, cand})) {
             v = cand;
             break;
           }
         }
       }
-      if (seen.insert(u, v)) edges.push_back(Edge{u, v});
+      if (seen.keep(Edge{u, v})) edges.push_back(Edge{u, v});
     }
   }
   return EdgeList(std::move(edges));
@@ -167,14 +144,14 @@ EdgeList community(NodeId n, NodeId block_size, double p_in,
   }
   Xoshiro256ss rng(seed);
   std::vector<Edge> edges;
-  EdgeSet seen(static_cast<std::size_t>(n) * block_size / 4);
+  EdgeFilter seen(static_cast<std::size_t>(n) * block_size / 4);
 
   // Dense intra-block pairs.
   for (NodeId base = 0; base < n; base += block_size) {
     const NodeId end = std::min<NodeId>(base + block_size, n);
     for (NodeId u = base; u < end; ++u) {
       for (NodeId v = u + 1; v < end; ++v) {
-        if (rng.next_bernoulli(p_in) && seen.insert(u, v)) {
+        if (rng.next_bernoulli(p_in) && seen.keep(Edge{u, v})) {
           edges.push_back(Edge{u, v});
         }
       }
@@ -187,7 +164,7 @@ EdgeList community(NodeId n, NodeId block_size, double p_in,
     const NodeId u = static_cast<NodeId>(rng.next_below(n));
     const NodeId v = static_cast<NodeId>(rng.next_below(n));
     if (u / block_size == v / block_size) continue;
-    if (seen.insert(u, v)) {
+    if (seen.keep(Edge{u, v})) {
       edges.push_back(Edge{u, v});
       ++placed;
     }
@@ -264,8 +241,8 @@ void close_triads(EdgeList& list, double q, std::uint32_t max_new_per_node,
     adj[e.v].push_back(e.u);
   }
 
-  EdgeSet seen(list.num_edges());
-  for (const Edge& e : list.edges()) seen.insert(e.u, e.v);
+  EdgeFilter seen(list.num_edges());
+  for (const Edge& e : list.edges()) seen.keep(e);
 
   for (NodeId u = 0; u < n; ++u) {
     const auto& nb = adj[u];
@@ -279,7 +256,7 @@ void close_triads(EdgeList& list, double q, std::uint32_t max_new_per_node,
       const NodeId x = nb[rng.next_below(nb.size())];
       const NodeId y = nb[rng.next_below(nb.size())];
       if (x == y) continue;
-      if (seen.insert(x, y)) {
+      if (seen.keep(Edge{x, y})) {
         list.push_back(Edge{x, y});
         ++added;
       }

@@ -80,7 +80,6 @@ class EdgeWriter {
   virtual void append(std::span<const Edge> chunk) = 0;
   virtual void finish() = 0;
 
-  [[nodiscard]] EdgeCount edges_written() const noexcept { return edges_; }
   /// One past the largest node id appended so far.
   [[nodiscard]] std::uint64_t node_bound() const noexcept { return nodes_; }
 

@@ -1,7 +1,6 @@
 #include "graph/preprocess.hpp"
 
 #include <algorithm>
-#include <unordered_set>
 #include <vector>
 
 #include "common/prng.hpp"
@@ -10,28 +9,19 @@
 namespace pimtc::graph {
 
 PreprocessStats remove_loops_and_duplicates(EdgeList& list) {
-  PreprocessStats stats;
-  stats.input_edges = list.num_edges();
-
-  std::unordered_set<Edge> seen;
-  seen.reserve(list.num_edges() * 2);
-
+  EdgeFilter filter(list.num_edges());
   std::vector<Edge>& edges = list.mutable_edges();
   std::size_t write = 0;
   for (const Edge& e : edges) {
-    if (e.is_loop()) {
-      ++stats.removed_self_loops;
-      continue;
-    }
-    if (!seen.insert(e.canonical()).second) {
-      ++stats.removed_duplicates;
-      continue;
-    }
-    edges[write++] = e;
+    if (filter.keep(e)) edges[write++] = e;
   }
+  PreprocessStats stats;
+  stats.input_edges = edges.size();
+  stats.removed_self_loops = filter.loops();
+  stats.removed_duplicates = filter.duplicates();
+  stats.output_edges = write;
   edges.resize(write);
   list.rescan_num_nodes();
-  stats.output_edges = write;
   return stats;
 }
 

@@ -3,8 +3,8 @@
 // Reads every supported edge-file format (text COO, MatrixMarket, `.pbin`)
 // and yields fixed-size edge chunks without ever materializing the graph:
 // peak reader memory is O(chunk_edges), not O(m).  read_coo, the ingest
-// pipeline, `pimtc convert` and `serve --graph` all drain it, so every
-// graph file is checked here: `.pbin` headers are decoded from the reader's
+// pipeline and `pimtc convert` all drain it, so every graph file is
+// checked here: `.pbin` headers are decoded from the reader's
 // own open input, every `.pbin` chunk is checked against the header's node
 // bound, and no format yields the reserved id kInvalidNode (2^32-1).
 // `.pbin` is mmap-ed when the platform allows it (POSIX, with a silent
@@ -15,8 +15,8 @@
 // Chunk-view lifetime: the span returned by next() stays valid until the
 // *second* following next() call.  Internally the non-mapped paths
 // alternate between two chunk buffers, which is exactly the depth the
-// double-buffered ingest pipeline (engine::ingest_file) needs: the consumer
-// processes chunk k while a producer task parses chunk k+1.
+// double-buffered ingest pipeline (engine::ingest_stream) needs: the
+// consumer processes chunk k while a producer task parses chunk k+1.
 //
 // Errors are graph::IoError naming the file and, for line-oriented
 // formats, the 1-based line:

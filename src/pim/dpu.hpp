@@ -106,12 +106,11 @@ class Dpu {
   /// Charges a bulk DMA stream of `bytes` moved in `chunk_bytes` bursts.
   void charge_dma_bulk(std::uint64_t bytes, std::uint32_t chunk_bytes) noexcept;
 
-  /// Simulated cycles accumulated since the last reset.
+  /// Simulated cycles accumulated since construction.
   [[nodiscard]] double cycles() const noexcept { return cycles_; }
   [[nodiscard]] double seconds() const noexcept {
     return config_.cycles_to_seconds(cycles_);
   }
-  void reset_cycles() noexcept { cycles_ = 0.0; }
 
   /// Lifetime instruction/DMA tallies (for the ablation benches).
   [[nodiscard]] std::uint64_t total_instructions() const noexcept {

@@ -101,18 +101,14 @@ class PimSystem {
   double gather(std::span<const GatherSpan> spans,
                 double PhaseTimes::* phase);
 
-  /// Timing/accounting core of scatter()/gather() for callers that deliver
-  /// the payload themselves (e.g. coalesced reservoir writes): models one
-  /// bulk transfer of `per_dpu_bytes[i]` payload to/from DPU i with
+  /// Timing/accounting of a scatter() for callers that deliver the
+  /// payload themselves (e.g. coalesced reservoir writes): models one bulk
+  /// host->MRAM transfer of `per_dpu_bytes[i]` payload to DPU i with
   /// per-rank slowest-DPU padding.  Returns the modeled seconds; `phase`
   /// semantics as in scatter().
   double charge_scatter(std::span<const std::uint64_t> per_dpu_bytes,
                         double PhaseTimes::* phase) {
     return charge_bulk(per_dpu_bytes, /*push=*/true, phase);
-  }
-  double charge_gather(std::span<const std::uint64_t> per_dpu_bytes,
-                       double PhaseTimes::* phase) {
-    return charge_bulk(per_dpu_bytes, /*push=*/false, phase);
   }
 
   /// Records device seconds the pipelined ingest hid under host work.

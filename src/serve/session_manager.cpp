@@ -4,8 +4,6 @@
 #include <utility>
 #include <vector>
 
-#include "graph/stream_reader.hpp"
-
 namespace pimtc::serve {
 
 SessionManager::SessionManager(ServeConfig config) : config_(config) {
@@ -59,30 +57,6 @@ std::shared_ptr<Session> SessionManager::find(std::string_view session) const {
 SubmitResult SessionManager::submit(std::string_view session,
                                     std::span<const EdgeUpdate> batch) {
   return find(session)->submit(batch);
-}
-
-FileIngestResult SessionManager::ingest_file(std::string_view session,
-                                             const std::filesystem::path& path,
-                                             std::size_t chunk_edges,
-                                             bool use_mmap) {
-  const std::shared_ptr<Session> s = find(session);
-  graph::ReaderOptions reader_options;
-  reader_options.chunk_edges = chunk_edges;
-  reader_options.use_mmap = use_mmap;
-  graph::ChunkedEdgeReader reader(path, reader_options);
-
-  FileIngestResult result;
-  std::vector<EdgeUpdate> batch;  // reused insert-batch buffer
-  batch.reserve(chunk_edges);
-  for (std::span<const Edge> chunk = reader.next(); !chunk.empty();
-       chunk = reader.next()) {
-    batch.clear();
-    for (const Edge& e : chunk) batch.push_back(insert_of(e));
-    result.result = s->submit(batch);
-    if (result.result != SubmitResult::kAccepted) return result;
-    result.updates += batch.size();
-  }
-  return result;
 }
 
 QueryResult SessionManager::query(std::string_view session) const {

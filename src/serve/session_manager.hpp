@@ -17,6 +17,10 @@
 // query() serves the last published epoch without ever waiting on engine
 // work.  Admission control is two-level — per-session queue capacity plus
 // an aggregate staging budget — with a per-session reject-vs-block policy.
+// Batches reach the engine unfiltered, so a session's inserts must be
+// deduplicated across its whole stream (the add_edges contract).  Loading
+// a graph file is not a serving operation: engine::ingest_file streams one
+// into a single engine through the loop-and-duplicate filter.
 //
 // Threading: every public method is safe to call from any thread, except
 // that blocking calls (flush, close, submit under kBlock) must not be made
@@ -25,7 +29,6 @@
 
 #include <condition_variable>
 #include <cstddef>
-#include <filesystem>
 #include <map>
 #include <memory>
 #include <span>
@@ -65,17 +68,6 @@ class SessionManager {
   /// std::invalid_argument for an unknown session.
   SubmitResult submit(std::string_view session,
                       std::span<const EdgeUpdate> batch);
-
-  /// Streams a graph file into `session` as insert batches of
-  /// `chunk_edges` updates each — the out-of-core bulk-load path (peak
-  /// memory O(chunk), any format read_coo accepts).  Admission follows
-  /// the session's policy per batch; the first non-accepted SubmitResult
-  /// aborts the ingest and is returned, with `updates` counting what was
-  /// accepted before it.
-  FileIngestResult ingest_file(std::string_view session,
-                               const std::filesystem::path& path,
-                               std::size_t chunk_edges = std::size_t{1} << 20,
-                               bool use_mmap = true);
 
   /// Snapshot-consistent, non-blocking read of `session` (last published
   /// recount epoch + stats).  Never waits on ingestion.

@@ -56,14 +56,6 @@ enum class SubmitResult {
   return "?";
 }
 
-/// Outcome of SessionManager::ingest_file — the per-batch SubmitResult
-/// that ended the ingest (kAccepted when the whole file went in) plus the
-/// number of updates accepted.
-struct FileIngestResult {
-  SubmitResult result = SubmitResult::kAccepted;
-  std::uint64_t updates = 0;
-};
-
 /// Manager-wide configuration.  One ServeConfig governs every session the
 /// manager opens; per-session engine shape comes from the EngineConfig
 /// passed to open().

@@ -112,6 +112,17 @@ TEST(PreprocessTest, RemovesLoopsAndDuplicates) {
   EXPECT_EQ(stats.removed_duplicates, 2u);  // (1,0) and the second (0,1)
   EXPECT_EQ(stats.output_edges, 2u);
   EXPECT_EQ(list.num_edges(), 2u);
+
+  // The filter behind it: a copy in either orientation is a duplicate, and
+  // contains() sees only kept edges.
+  EdgeFilter filter;
+  EXPECT_TRUE(filter.keep({0, 1}));
+  EXPECT_FALSE(filter.keep({1, 0}));
+  EXPECT_FALSE(filter.keep({2, 2}));
+  EXPECT_TRUE(filter.contains({1, 0}));
+  EXPECT_FALSE(filter.contains({2, 2}));
+  EXPECT_EQ(filter.loops(), 1u);
+  EXPECT_EQ(filter.duplicates(), 1u);
 }
 
 TEST(PreprocessTest, EmptyAndLoopOnlyInputs) {

@@ -1,9 +1,9 @@
 // Tests for the out-of-core ingest path: the `.pbin` format (round trips,
 // corruption rejection), the chunked streaming reader (mmap vs buffered
 // equivalence, chunk-size invariance, error messages with file + 1-based
-// line), the engine::ingest_file pipeline (streamed estimates bit-identical
-// to one-shot on pim and cpu-fast, filters, degree histograms) and the
-// serving layer's SessionManager::ingest_file bulk load.
+// line) and the engine::ingest_file pipeline (streamed estimates
+// bit-identical to one-shot on every backend, also from a file with loops
+// and duplicates; the loop-and-duplicate filter; degree histograms).
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -23,7 +23,6 @@
 #include "graph/io_error.hpp"
 #include "graph/pbin.hpp"
 #include "graph/stream_reader.hpp"
-#include "serve/session_manager.hpp"
 
 namespace pimtc {
 namespace {
@@ -370,31 +369,38 @@ TEST_F(IngestTest, UnknownExtensionIsRejectedWithTheSupportedList) {
 
 TEST_F(IngestTest, StreamedEstimatesBitIdenticalToOneShot) {
   // The acceptance bar: add_edges chunk-at-a-time must reproduce the
-  // one-shot count() exactly — on the exact backend trivially, on the pim
-  // backend because the reservoir sees the identical arrival order.
+  // one-shot count() exactly — on the exact backends trivially, on the pim
+  // backend because the reservoir sees the identical arrival order.  The
+  // dirty copy of the file (100 repeats, alternate ones reversed, and a
+  // self loop) must stream to the same estimate: ingest_file always
+  // filters, as every engine's add_edges expects.
   graph::EdgeList g = graph::gen::barabasi_albert(300, 4, 13);
   graph::gen::add_hubs(g, 2, 40, 14);
-  const auto path = dir_ / "g.pbin";
-  write_graph(g, path);
+  graph::EdgeList dirty = g;
+  for (std::size_t i = 0; i < 100; ++i) {
+    dirty.push_back(i % 2 == 0 ? g[i] : Edge{g[i].v, g[i].u});
+  }
+  dirty.push_back({3, 3});
+  write_graph(g, dir_ / "g.pbin");
+  write_graph(dirty, dir_ / "dirty.pbin");
 
   for (const char* backend : {"cpu-fast", "pim", "cpu"}) {
     engine::EngineConfig cfg;
     cfg.seed = 99;
     cfg.num_colors = 4;
     const double oneshot = engine::make_engine(backend, cfg)->count(g).estimate;
-    for (const std::size_t chunk :
-         {std::size_t{1}, std::size_t{57}, g.num_edges() + 5}) {
-      for (const bool overlap : {true, false}) {
+    for (const char* file : {"g.pbin", "dirty.pbin"}) {
+      for (const std::size_t chunk :
+           {std::size_t{1}, std::size_t{57}, g.num_edges() + 5}) {
         auto eng = engine::make_engine(backend, cfg);
-        engine::IngestOptions iopt;
-        iopt.reader.chunk_edges = chunk;
-        iopt.overlap_io = overlap;
-        const engine::IngestStats stats = engine::ingest_file(*eng, path, iopt);
-        EXPECT_EQ(stats.edges_ingested, g.num_edges());
+        const engine::IngestStats stats =
+            engine::ingest_file(*eng, dir_ / file, {.chunk_edges = chunk});
+        EXPECT_EQ(stats.edges_ingested, g.num_edges())
+            << backend << " " << file << " chunk " << chunk;
         EXPECT_EQ(stats.node_bound, g.num_nodes());
         const double streamed = eng->recount().estimate;
         EXPECT_EQ(streamed, oneshot)
-            << backend << " chunk " << chunk << " overlap " << overlap;
+            << backend << " " << file << " chunk " << chunk;
       }
     }
   }
@@ -407,8 +413,7 @@ TEST_F(IngestTest, FiltersDropLoopsAndDuplicatesOrderPreserving) {
 
   engine::IngestOptions iopt;
   iopt.reader.chunk_edges = 16;
-  iopt.drop_self_loops = true;
-  iopt.dedup = engine::DedupMode::kGlobal;
+  iopt.dedup = true;
   std::vector<Edge> fed;
   graph::ChunkedEdgeReader reader(path, iopt.reader);
   const engine::IngestStats stats = engine::ingest_stream(
@@ -423,25 +428,6 @@ TEST_F(IngestTest, FiltersDropLoopsAndDuplicatesOrderPreserving) {
   EXPECT_EQ(fed.size(), g.num_edges() - 4);
   // Order-preserving: the survivors are the clean prefix graph, in order.
   for (std::size_t i = 0; i < fed.size(); ++i) EXPECT_EQ(fed[i], g[i]);
-}
-
-TEST_F(IngestTest, ChunkDedupOnlySeesWithinChunkDuplicates) {
-  graph::EdgeList g;
-  g.push_back({0, 1});
-  g.push_back({1, 0});  // duplicate inside chunk 1
-  g.push_back({2, 3});
-  g.push_back({0, 1});  // duplicate of chunk 1, lands in chunk 2
-  const auto path = dir_ / "dup.pbin";
-  write_graph(g, path);
-
-  engine::IngestOptions iopt;
-  iopt.reader.chunk_edges = 2;
-  iopt.dedup = engine::DedupMode::kChunk;
-  graph::ChunkedEdgeReader reader(path, iopt.reader);
-  const engine::IngestStats stats =
-      engine::ingest_stream(reader, [](std::span<const Edge>) {}, iopt);
-  EXPECT_EQ(stats.duplicates_dropped, 1u);
-  EXPECT_EQ(stats.edges_ingested, 3u);
 }
 
 TEST_F(IngestTest, DegreeHistogramMatchesInMemoryCount)  {
@@ -470,39 +456,6 @@ TEST_F(IngestTest, EmptyGraphStreamsCleanly) {
   EXPECT_EQ(stats.edges_read, 0u);
   EXPECT_EQ(stats.chunks, 0u);
   EXPECT_EQ(eng->recount().estimate, 0.0);
-}
-
-// ---- serving layer ----------------------------------------------------------
-
-TEST_F(IngestTest, SessionManagerIngestFileMatchesSubmit) {
-  const graph::EdgeList g = graph::gen::barabasi_albert(200, 3, 21);
-  const auto path = dir_ / "g.pbin";
-  write_graph(g, path);
-
-  engine::EngineConfig cfg;
-  cfg.num_colors = 4;
-  cfg.seed = 5;
-
-  serve::SessionManager mgr;
-  mgr.open("file", "cpu-fast", cfg);
-  mgr.open("mem", "cpu-fast", cfg);
-
-  const serve::FileIngestResult r =
-      mgr.ingest_file("file", path, /*chunk_edges=*/64);
-  EXPECT_EQ(r.result, serve::SubmitResult::kAccepted);
-  EXPECT_EQ(r.updates, g.num_edges());
-
-  std::vector<EdgeUpdate> inserts;
-  for (const Edge& e : g.edges()) inserts.push_back(insert_of(e));
-  ASSERT_EQ(mgr.submit("mem", inserts), serve::SubmitResult::kAccepted);
-
-  const serve::QueryResult qf = mgr.flush("file");
-  const serve::QueryResult qm = mgr.flush("mem");
-  EXPECT_EQ(qf.estimate, qm.estimate);
-  EXPECT_EQ(qf.stats.updates_applied, g.num_edges());
-  mgr.close_all();
-
-  EXPECT_THROW(mgr.ingest_file("gone", path), std::invalid_argument);
 }
 
 }  // namespace

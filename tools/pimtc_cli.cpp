@@ -19,7 +19,8 @@
 // once at rest instead of at every load).  `count --chunk-edges=N`
 // switches the graph phase to the same out-of-core path: the file is
 // chunk-streamed into the engine session via add_edges() instead of being
-// materialized, so peak memory follows the chunk size, not the file.
+// materialized, dropping loops and duplicates on the way, so peak memory
+// follows the chunk size plus the duplicate filter, not the file.
 //
 // `count` runs the chosen backend through the engine registry and prints
 // the unified report (estimate, phase breakdown, load profile) as text or,
@@ -106,7 +107,6 @@ using namespace pimtc;
       "                 [--recount-every=<batches>] [--queriers=<n>]\n"
       "                 [--session-threads=<n>] [--recount-retries=<n>]\n"
       "                 [--scale=<f>] [--no-parity] [--json]\n"
-      "                 [--graph=<file>] [--chunk-edges=<n>] [--no-mmap]\n"
       "                 plus any engine flag accepted by count\n"
       "  pimtc backends\n"
       "graphs load by extension: .pbin (pimtc binary v1), .mtx\n"
@@ -117,10 +117,9 @@ using namespace pimtc;
       "after the graph; --delete-frac=<f> then deletes a seeded random\n"
       "fraction f of the graph's edges (synthetic churn)\n"
       "count --chunk-edges=<n> streams the graph out-of-core in n-edge\n"
-      "chunks (O(chunk) memory; dedups while streaming; not combinable\n"
+      "chunks, dropping loops and duplicates like the one-shot load\n"
+      "(O(chunk) memory plus the duplicate filter's table; not combinable\n"
       "with --delete-frac); --no-mmap forces buffered reads\n"
-      "serve --graph=<file> bulk-loads the file into every session through\n"
-      "the same chunked path instead of generating per-session graphs\n"
       "count --inject-faults enables the deterministic PIM fault model,\n"
       "e.g. seed=3,launch-transient=0.01,launch-permanent=0.001,corrupt=\n"
       "0.001,bitflip=0.01,recovery=rematerialize|retry|degrade (see README)\n"
@@ -260,11 +259,9 @@ int cmd_convert(const Args& args) {
   iopt.reader.verify_checksum = !args.flag("no-verify");
   const bool orient = args.flag("orient");
   // Orientation only makes sense loop-free (a loop has no lower endpoint);
-  // dedup treats loops as junk too.
-  iopt.drop_self_loops =
-      args.flag("drop-loops") || args.flag("dedup") || orient;
-  iopt.dedup = args.flag("dedup") ? engine::DedupMode::kGlobal
-                                  : engine::DedupMode::kNone;
+  // --dedup drops loops too.
+  iopt.drop_self_loops = args.flag("drop-loops") || orient;
+  iopt.dedup = args.flag("dedup");
 
   // --orient pass 1: one streaming pass for the global degree table.
   std::vector<std::uint32_t> degrees;
@@ -273,9 +270,7 @@ int cmd_convert(const Args& args) {
   graph::ChunkedEdgeReader reader(in, iopt.reader);
   graph::WriterOptions wopt;
   wopt.with_checksum = !args.flag("no-checksum");
-  const bool transforms =
-      iopt.drop_self_loops || iopt.dedup != engine::DedupMode::kNone;
-  if (!transforms) {
+  if (!iopt.drop_self_loops && !iopt.dedup) {
     // Counts survive the copy unchanged, so headers can be emitted in
     // final form (this is the byte-stable text -> pbin -> text path).
     wopt.declared_edges = reader.declared_edges();
@@ -702,8 +697,9 @@ int cmd_count(const Args& args) {
 
   // --chunk-edges switches the graph phase to out-of-core streaming: the
   // file is chunk-fed into the engine session (O(chunk) memory, no
-  // EdgeList).  Streaming dedups and drops loops while feeding (like
-  // graph::preprocess minus the shuffle, which needs the whole list).
+  // EdgeList).  engine::ingest_file drops loops and duplicates while
+  // feeding (graph::preprocess minus the shuffle, which needs the whole
+  // list).
   const bool streamed_ingest = args.flag("chunk-edges");
   if (streamed_ingest && path.empty()) {
     throw std::invalid_argument("--chunk-edges streams --graph and needs it");
@@ -713,11 +709,9 @@ int cmd_count(const Args& args) {
         "--delete-frac samples the in-memory graph and cannot combine with "
         "--chunk-edges streaming; churn the file with a --stream instead");
   }
-  engine::IngestOptions iopt;
-  iopt.reader.chunk_edges = args.u64("chunk-edges", std::size_t{1} << 20);
-  iopt.reader.use_mmap = !args.flag("no-mmap");
-  iopt.drop_self_loops = true;
-  iopt.dedup = engine::DedupMode::kGlobal;
+  graph::ReaderOptions reader;
+  reader.chunk_edges = args.u64("chunk-edges", std::size_t{1} << 20);
+  reader.use_mmap = !args.flag("no-mmap");
 
   if (!path.empty()) require_input_file(path);
   if (!stream_path.empty()) require_input_file(stream_path);
@@ -750,7 +744,7 @@ int cmd_count(const Args& args) {
     auto eng = engine::make_engine(name, cfg);
     if (!path.empty()) {
       if (streamed_ingest) {
-        ingest_stats = engine::ingest_file(*eng, path, iopt);
+        ingest_stats = engine::ingest_file(*eng, path, reader);
       } else {
         eng->add_edges(g.edges());
       }
@@ -834,8 +828,7 @@ int cmd_serve(const Args& args) {
                         "--delete-frac= --kind= --scale= --policy= "
                         "--queue-cap= --budget= --workers= --recount-every= "
                         "--recount-retries= --queriers= --session-threads= "
-                        "--no-parity --json --graph= --chunk-edges= "
-                        "--no-mmap");
+                        "--no-parity --json");
   const std::uint32_t num_sessions = args.u32("sessions", 8);
   if (num_sessions == 0) {
     throw std::invalid_argument("--sessions must be >= 1");
@@ -845,24 +838,10 @@ int cmd_serve(const Args& args) {
   if (batch_updates == 0) {
     throw std::invalid_argument("--batch-updates must be >= 1");
   }
-  // --graph bulk-loads one file into every session through the chunked
-  // ingest path instead of generating per-session graphs; churn needs the
-  // generated in-memory edges, so the two are mutually exclusive.
-  const std::string graph_path = args.str("graph");
-  const double delete_frac =
-      args.f64("delete-frac", graph_path.empty() ? 0.2 : 0.0);
+  const double delete_frac = args.f64("delete-frac", 0.2);
   if (delete_frac > 1.0) {
     throw std::invalid_argument("--delete-frac must be in [0, 1]");
   }
-  if (!graph_path.empty() && delete_frac > 0.0) {
-    throw std::invalid_argument(
-        "--graph streams a file into every session and cannot combine with "
-        "--delete-frac churn (which samples generated graphs)");
-  }
-  if (!graph_path.empty()) require_input_file(graph_path);
-  const std::size_t ingest_chunk =
-      args.u64("chunk-edges", std::size_t{1} << 20);
-  const bool ingest_mmap = !args.flag("no-mmap");
   const std::string kind = args.str("kind", "community");
   const std::string backend = args.str("backend", "pim");
   const std::uint64_t seed = args.u64("seed", 42);
@@ -897,7 +876,6 @@ int cmd_serve(const Args& args) {
   for (std::uint32_t i = 0; i < num_sessions; ++i) {
     Tenant& t = tenants[i];
     t.name = "s" + std::to_string(i);
-    if (!graph_path.empty()) continue;  // workload is the streamed file
     const std::uint64_t tseed = derive_seed(seed, 0x5e55'0000ull + i);
     graph::EdgeList g =
         generate_graph(kind, session_edges, tseed, args.f64("scale", 0.5));
@@ -937,33 +915,6 @@ int cmd_serve(const Args& args) {
   }
 
   const auto wall_start = std::chrono::steady_clock::now();
-  // File bulk-load phase: every session swallows the file chunk-at-a-time
-  // (concurrent with the querier load).  The soft queue bound guarantees
-  // each chunk batch is eventually admitted under kBlock; anything other
-  // than full acceptance is a configuration error worth failing loudly.
-  std::uint64_t file_updates_per_session = 0;
-  if (!graph_path.empty()) {
-    std::vector<std::thread> loaders;
-    std::vector<serve::FileIngestResult> results(tenants.size());
-    loaders.reserve(tenants.size());
-    for (std::size_t i = 0; i < tenants.size(); ++i) {
-      loaders.emplace_back([&mgr, &tenants, &results, &graph_path,
-                            ingest_chunk, ingest_mmap, i] {
-        results[i] = mgr.ingest_file(tenants[i].name, graph_path,
-                                     ingest_chunk, ingest_mmap);
-      });
-    }
-    for (std::thread& th : loaders) th.join();
-    for (std::size_t i = 0; i < tenants.size(); ++i) {
-      if (results[i].result != serve::SubmitResult::kAccepted) {
-        throw std::runtime_error(
-            std::string("serve ingest into ") + tenants[i].name +
-            " not fully accepted (" + serve::to_string(results[i].result) +
-            "); raise --queue-cap/--budget or use --policy=block");
-      }
-      file_updates_per_session = results[i].updates;
-    }
-  }
   std::vector<std::thread> submitters;
   submitters.reserve(tenants.size());
   for (Tenant& t : tenants) {
@@ -1001,14 +952,6 @@ int cmd_serve(const Args& args) {
     const engine::EngineConfig resolved = mgr.resolve_engine_config(ecfg);
     for (Tenant& t : tenants) {
       auto oracle = engine::make_engine(backend, resolved);
-      if (!graph_path.empty()) {
-        // The session saw the raw file in ingest_chunk-edge insert batches;
-        // re-streaming with the same chunking reproduces that batch-for-batch.
-        engine::IngestOptions oracle_iopt;
-        oracle_iopt.reader.chunk_edges = ingest_chunk;
-        oracle_iopt.reader.use_mmap = ingest_mmap;
-        engine::ingest_file(*oracle, graph_path, oracle_iopt);
-      }
       const std::span<const EdgeUpdate> all(t.updates);
       std::size_t batch_idx = 0;
       for (std::size_t off = 0; off < all.size();
@@ -1028,7 +971,7 @@ int cmd_serve(const Args& args) {
   std::uint64_t total_rejected = 0;
   std::vector<double> all_latencies;
   for (const Tenant& t : tenants) {
-    total_updates += t.updates.size() + file_updates_per_session;
+    total_updates += t.updates.size();
     total_accepted += t.final_result.stats.updates_accepted;
     total_rejected += t.final_result.stats.updates_rejected;
     all_latencies.insert(all_latencies.end(), t.latency_s.begin(),
@@ -1068,8 +1011,7 @@ int cmd_serve(const Args& args) {
           "\"epoch\":%llu,\"estimate\":%.17g,\"rounded\":%llu,\"exact\":%s,"
           "\"latency_ms\":{\"samples\":%zu,\"p50\":%.6g,\"p99\":%.6g,"
           "\"max\":%.6g}",
-          i ? "," : "", t.name.c_str(),
-          t.updates.size() + file_updates_per_session,
+          i ? "," : "", t.name.c_str(), t.updates.size(),
           static_cast<unsigned long long>(
               t.final_result.stats.batches_accepted),
           static_cast<unsigned long long>(
@@ -1095,8 +1037,7 @@ int cmd_serve(const Args& args) {
       const LatencySummary lat = summarize_latency(t.latency_s);
       std::printf("  %-4s %zu updates | epoch %llu | count %llu%s | "
                   "p50 %.2f ms p99 %.2f ms",
-                  t.name.c_str(),
-                  t.updates.size() + file_updates_per_session,
+                  t.name.c_str(), t.updates.size(),
                   static_cast<unsigned long long>(t.final_result.epoch),
                   static_cast<unsigned long long>(
                       t.final_result.report.rounded()),
