@@ -15,10 +15,6 @@ class EdgePartitioner {
   EdgePartitioner(const ColorHash& hash, const TripletTable& table) noexcept
       : hash_(hash), table_(&table) {}
 
-  [[nodiscard]] std::uint32_t color_of(NodeId u) const noexcept {
-    return hash_(u);
-  }
-
   /// The `num_colors` PIM cores that receive this edge.
   [[nodiscard]] std::span<const std::uint32_t> targets(Edge e) const noexcept {
     return table_->targets(hash_(e.u), hash_(e.v));

@@ -200,12 +200,4 @@ class Xxh64 {
   std::size_t buffered_ = 0;
 };
 
-/// One-shot XXH64 of a buffer.
-[[nodiscard]] inline std::uint64_t xxhash64(const void* data, std::size_t len,
-                                            std::uint64_t seed = 0) noexcept {
-  Xxh64 h(seed);
-  h.update(data, len);
-  return h.digest();
-}
-
 }  // namespace pimtc

@@ -30,8 +30,6 @@ void Dpu::charge_dma(std::uint32_t tasklet, std::size_t bytes) noexcept {
       static_cast<double>(aligned) * config_.dma_cycles_per_byte;
   phase_.dma_latency[tasklet] += config_.dma_setup_cycles + byte_cycles;
   phase_.engine_cycles += config_.dma_engine_cycles + byte_cycles;
-  lifetime_dma_bytes_ += bytes;
-  ++lifetime_dma_transfers_;
 }
 
 double Dpu::dma_cost_cycles(std::size_t bytes) const noexcept {
@@ -89,7 +87,6 @@ void Dpu::serial_instr(std::uint64_t n) noexcept {
 
 void Dpu::serial_dma(std::uint64_t bytes) noexcept {
   cycles_ += dma_cost_cycles(bytes);
-  lifetime_dma_bytes_ += bytes;
 }
 
 void Dpu::charge_parallel_instr(std::uint64_t n,
@@ -109,7 +106,6 @@ void Dpu::charge_dma_bulk(std::uint64_t bytes,
   cycles_ += static_cast<double>(chunks) * config_.dma_setup_cycles +
              static_cast<double>(round_up(bytes, config_.dma_alignment_bytes)) *
                  config_.dma_cycles_per_byte;
-  lifetime_dma_bytes_ += bytes;
 }
 
 }  // namespace pimtc::pim

@@ -112,15 +112,10 @@ class Dpu {
     return config_.cycles_to_seconds(cycles_);
   }
 
-  /// Lifetime instruction/DMA tallies (for the ablation benches).
+  /// Lifetime instruction tally; callers difference it around a kernel
+  /// launch to attribute that launch's instructions.
   [[nodiscard]] std::uint64_t total_instructions() const noexcept {
     return lifetime_instr_;
-  }
-  [[nodiscard]] std::uint64_t total_dma_bytes() const noexcept {
-    return lifetime_dma_bytes_;
-  }
-  [[nodiscard]] std::uint64_t total_dma_transfers() const noexcept {
-    return lifetime_dma_transfers_;
   }
 
  private:
@@ -136,8 +131,6 @@ class Dpu {
 
   double cycles_ = 0.0;
   std::uint64_t lifetime_instr_ = 0;
-  std::uint64_t lifetime_dma_bytes_ = 0;
-  std::uint64_t lifetime_dma_transfers_ = 0;
 
   // Per-phase accounting, valid while parallel() runs.
   struct PhaseAccount {

@@ -3,62 +3,25 @@
 #include <exception>
 #include <utility>
 
-#include "serve/session_manager.hpp"
-
 namespace pimtc::serve {
 
 Session::Session(std::string name,
                  std::unique_ptr<engine::TriangleCountEngine> engine,
-                 AdmissionPolicy policy, const ServeConfig& config,
-                 SessionManager* manager)
+                 const ServeConfig& config, ThreadPool& pool)
     : name_(std::move(name)),
-      policy_(policy),
       config_(config),
-      manager_(manager),
+      pool_(pool),
       engine_(std::move(engine)) {}
 
 SubmitResult Session::submit(std::span<const EdgeUpdate> batch) {
   const std::uint64_t n = batch.size();
   if (n == 0) return SubmitResult::kAccepted;
 
-  // Fail fast on a closing session before touching the aggregate budget:
-  // a blocked reservation against dead capacity would stall the submitter
-  // for no admissible outcome.
-  {
-    MutexLock lock(state_mutex_);
-    if (closing_) {
-      ++stats_.batches_rejected;
-      stats_.updates_rejected += n;
-      return SubmitResult::kClosed;
-    }
-  }
-
-  // Aggregate staging budget first, per-session queue second.  The two
-  // bounds live behind independent mutexes and neither wait holds the
-  // other's lock, so blocked submitters cannot form a cycle.
-  if (!manager_->reserve_budget(n, policy_)) {
-    MutexLock lock(state_mutex_);
-    ++stats_.batches_rejected;
-    stats_.updates_rejected += n;
-    return SubmitResult::kBudgetExhausted;
-  }
-
   MutexLock lock(state_mutex_);
-  if (!closing_ && !has_space(n)) {
-    if (policy_ == AdmissionPolicy::kReject) {
-      ++stats_.batches_rejected;
-      stats_.updates_rejected += n;
-      lock.unlock();
-      manager_->release_budget(n);
-      return SubmitResult::kQueueFull;
-    }
-    while (!closing_ && !has_space(n)) lock.wait(space_cv_);
-  }
+  while (!closing_ && !has_space(n)) lock.wait(space_cv_);
   if (closing_) {
     ++stats_.batches_rejected;
     stats_.updates_rejected += n;
-    lock.unlock();
-    manager_->release_budget(n);
     return SubmitResult::kClosed;
   }
 
@@ -78,7 +41,7 @@ void Session::schedule_drain_locked() {
   // The task pins the session: a close() that races ahead removes it from
   // the manager's directory, but the drain keeps running to completion.
   auto self = shared_from_this();
-  manager_->pool().submit([self] { self->drain(); });
+  pool_.submit([self] { self->drain(); });
 }
 
 void Session::drain() {
@@ -134,7 +97,6 @@ void Session::drain() {
       publish = ++unpublished_batches_ >= config_.recount_every_batches;
       space_cv_.notify_all();
     }
-    manager_->release_budget(n);
     if (publish) publish_snapshot();
   }
 }
@@ -157,7 +119,7 @@ void Session::publish_snapshot() {
   bool counted = false;
   std::string error;
   for (std::uint32_t attempt = 0;
-       attempt <= config_.recount_retries && !counted; ++attempt) {
+       attempt <= kRecountRetries && !counted; ++attempt) {
     try {
       snap->report = engine_->recount();
       counted = true;
@@ -167,7 +129,7 @@ void Session::publish_snapshot() {
       // Engines are not obliged to throw std::exception; contain anything.
       error = "unknown engine failure";
     }
-    if (!counted && attempt < config_.recount_retries) {
+    if (!counted && attempt < kRecountRetries) {
       MutexLock lock(state_mutex_);
       ++stats_.recounts_retried;
     }
@@ -204,7 +166,7 @@ void Session::publish_snapshot() {
     published_seq_ = through;
     while (!pending_visibility_.empty() &&
            pending_visibility_.front().first <= through) {
-      if (latencies_s_.size() < config_.max_latency_samples) {
+      if (latencies_s_.size() < kMaxLatencySamples) {
         latencies_s_.push_back(
             std::chrono::duration<double>(
                 now - pending_visibility_.front().second)

@@ -7,8 +7,8 @@
 //    task per session is scheduled at a time — engine code needs no
 //    internal locking;
 //  * submit() appends to the queue under the state mutex and (re)schedules
-//    the drain; with AdmissionPolicy::kBlock it waits for queue space,
-//    with kReject it fails fast;
+//    the drain; a submit that finds the queue full waits for space, and
+//    only a closing session turns a batch away (kClosed);
 //  * query() copies the current snapshot pointer under a lock that is
 //    never held across engine work, so reads do not block ingestion and
 //    ingestion does not block reads;
@@ -23,6 +23,7 @@
 
 #include <chrono>
 #include <condition_variable>
+#include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <memory>
@@ -32,28 +33,43 @@
 
 #include "common/annotations.hpp"
 #include "common/mutex.hpp"
+#include "common/thread_pool.hpp"
 #include "engine/engine.hpp"
 #include "serve/types.hpp"
 
 namespace pimtc::serve {
 
-class SessionManager;
-
 class Session : public std::enable_shared_from_this<Session> {
  public:
+  /// Ingest queue capacity in updates (edge insertions plus deletions).
+  /// Soft bound: a single batch larger than the capacity is admitted when
+  /// the queue is empty, so any batch is eventually servable.
+  static constexpr std::uint64_t kQueueCapacityUpdates = 1ull << 16;
+
+  /// Extra recount() attempts after a failed snapshot publish before the
+  /// session falls back to its previous snapshot (which stays live and
+  /// queryable throughout).
+  static constexpr std::uint32_t kRecountRetries = 1;
+
+  /// Cap on retained update->visible latency samples (the serve-bench
+  /// percentile source); further samples are dropped.
+  static constexpr std::size_t kMaxLatencySamples = 1u << 20;
+
   /// Constructed by SessionManager::open() with a freshly built engine.
+  /// Drain tasks run on `pool`, which must outlive the session's last
+  /// drain (close() waits for it).
   Session(std::string name,
           std::unique_ptr<engine::TriangleCountEngine> engine,
-          AdmissionPolicy policy, const ServeConfig& config,
-          SessionManager* manager);
+          const ServeConfig& config, ThreadPool& pool);
 
   Session(const Session&) = delete;
   Session& operator=(const Session&) = delete;
 
   [[nodiscard]] const std::string& name() const noexcept { return name_; }
-  [[nodiscard]] AdmissionPolicy policy() const noexcept { return policy_; }
 
-  /// Enqueues one update batch.  An empty batch is an accepted no-op.
+  /// Enqueues one update batch, waiting while the queue is full.  Returns
+  /// kClosed only when the session is closing.  An empty batch is an
+  /// accepted no-op.
   SubmitResult submit(std::span<const EdgeUpdate> batch)
       PIMTC_EXCLUDES(state_mutex_);
 
@@ -70,7 +86,7 @@ class Session : public std::enable_shared_from_this<Session> {
   void close() PIMTC_EXCLUDES(state_mutex_);
 
   /// Copy of the recorded update->visible latencies, in seconds (one
-  /// sample per published batch, capped by ServeConfig).
+  /// sample per published batch, capped at kMaxLatencySamples).
   [[nodiscard]] std::vector<double> latencies() const
       PIMTC_EXCLUDES(state_mutex_);
 
@@ -96,7 +112,7 @@ class Session : public std::enable_shared_from_this<Session> {
   /// is admitted alone, so every batch is eventually servable).
   [[nodiscard]] bool has_space(std::uint64_t n) const
       PIMTC_REQUIRES(state_mutex_) {
-    return queued_updates_ + n <= config_.queue_capacity_updates ||
+    return queued_updates_ + n <= kQueueCapacityUpdates ||
            queue_.empty();
   }
 
@@ -112,9 +128,8 @@ class Session : public std::enable_shared_from_this<Session> {
   void publish_snapshot() PIMTC_EXCLUDES(state_mutex_, snapshot_mutex_);
 
   const std::string name_;
-  const AdmissionPolicy policy_;
   const ServeConfig config_;
-  SessionManager* const manager_;
+  ThreadPool& pool_;
 
   /// Engine access is serialized by the single-drain invariant; the state
   /// mutex is never held during engine calls.

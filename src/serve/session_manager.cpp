@@ -24,8 +24,7 @@ engine::EngineConfig SessionManager::resolve_engine_config(
 }
 
 void SessionManager::open(std::string name, std::string_view backend,
-                          engine::EngineConfig engine_config,
-                          AdmissionPolicy policy) {
+                          engine::EngineConfig engine_config) {
   if (name.empty()) {
     throw std::invalid_argument("SessionManager: session name must not be "
                                 "empty");
@@ -34,8 +33,8 @@ void SessionManager::open(std::string name, std::string_view backend,
   // can be slow); insertion re-checks for a duplicate racer.
   auto engine =
       engine::make_engine(backend, resolve_engine_config(engine_config));
-  auto session = std::make_shared<Session>(name, std::move(engine), policy,
-                                           config_, this);
+  auto session =
+      std::make_shared<Session>(name, std::move(engine), config_, pool());
   MutexLock lock(sessions_mutex_);
   if (sessions_.contains(name)) {
     throw std::invalid_argument("SessionManager: session '" + name +
@@ -111,31 +110,6 @@ std::vector<std::string> SessionManager::session_names() const {
 
 std::vector<double> SessionManager::latencies(std::string_view session) const {
   return find(session)->latencies();
-}
-
-std::uint64_t SessionManager::staged_updates() const {
-  MutexLock lock(budget_mutex_);
-  return staged_updates_;
-}
-
-bool SessionManager::reserve_budget(std::uint64_t n, AdmissionPolicy policy) {
-  if (config_.staging_budget_updates == 0) return true;
-  MutexLock lock(budget_mutex_);
-  if (!budget_fits(n)) {
-    if (policy == AdmissionPolicy::kReject) return false;
-    while (!budget_fits(n)) lock.wait(budget_cv_);
-  }
-  staged_updates_ += n;
-  return true;
-}
-
-void SessionManager::release_budget(std::uint64_t n) {
-  if (config_.staging_budget_updates == 0) return;
-  {
-    MutexLock lock(budget_mutex_);
-    staged_updates_ -= n;
-  }
-  budget_cv_.notify_all();
 }
 
 }  // namespace pimtc::serve

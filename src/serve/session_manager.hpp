@@ -5,7 +5,7 @@
 //
 //   serve::SessionManager mgr(serve_cfg);
 //   mgr.open("tenant-a", "pim", engine_cfg);            // any registry backend
-//   mgr.submit("tenant-a", updates);                    // bounded, backpressured
+//   mgr.submit("tenant-a", updates);                    // blocks while full
 //   serve::QueryResult r = mgr.query("tenant-a");       // snapshot-consistent
 //   mgr.flush("tenant-a");                              // read-your-writes
 //   mgr.close("tenant-a");                              // drains, then removes
@@ -15,19 +15,18 @@
 // applying batches in admission order and publishing a fresh recount
 // snapshot every `recount_every_batches` (and whenever a queue runs dry).
 // query() serves the last published epoch without ever waiting on engine
-// work.  Admission control is two-level — per-session queue capacity plus
-// an aggregate staging budget — with a per-session reject-vs-block policy.
+// work.  Admission is one rule: a submit that finds its session's queue
+// full waits for space, and only a closing session turns a batch away.
 // Batches reach the engine unfiltered, so a session's inserts must be
 // deduplicated across its whole stream (the add_edges contract).  Loading
 // a graph file is not a serving operation: engine::ingest_file streams one
 // into a single engine through the loop-and-duplicate filter.
 //
 // Threading: every public method is safe to call from any thread, except
-// that blocking calls (flush, close, submit under kBlock) must not be made
-// from the manager's own drain workers.  See DESIGN.md "Serving layer".
+// that blocking calls (flush, close, submit) must not be made from the
+// manager's own drain workers.  See DESIGN.md "Serving layer".
 #pragma once
 
-#include <condition_variable>
 #include <cstddef>
 #include <map>
 #include <memory>
@@ -60,12 +59,11 @@ class SessionManager {
   /// validated by the registry.  Throws std::invalid_argument on a
   /// duplicate name, unknown backend or invalid config.
   void open(std::string name, std::string_view backend,
-            engine::EngineConfig engine_config = {},
-            AdmissionPolicy policy = AdmissionPolicy::kBlock);
+            engine::EngineConfig engine_config = {});
 
-  /// Stages one update batch on `session`'s queue.  kBlock sessions wait
-  /// for space; kReject sessions fail fast (see SubmitResult).  Throws
-  /// std::invalid_argument for an unknown session.
+  /// Stages one update batch on `session`'s queue, waiting while it is
+  /// full (see SubmitResult).  Throws std::invalid_argument for an unknown
+  /// session.
   SubmitResult submit(std::string_view session,
                       std::span<const EdgeUpdate> batch);
 
@@ -90,12 +88,6 @@ class SessionManager {
   /// Update->visible latency samples of one session, in seconds.
   [[nodiscard]] std::vector<double> latencies(std::string_view session) const;
 
-  [[nodiscard]] const ServeConfig& config() const noexcept { return config_; }
-
-  /// Total updates currently staged across every session (aggregate-budget
-  /// accounting; 0 when the budget is unbounded).
-  [[nodiscard]] std::uint64_t staged_updates() const;
-
   /// The engine config a session opened with `cfg` actually runs:
   /// host_threads == 0 is replaced by ServeConfig::session_host_threads
   /// (unless that is itself 0).  Exposed so drivers can replay a session
@@ -104,35 +96,15 @@ class SessionManager {
       engine::EngineConfig cfg) const noexcept;
 
  private:
-  friend class Session;
-
   /// The drain pool: dedicated when config.workers is pinned, the shared
   /// process-global pool otherwise.
   [[nodiscard]] ThreadPool& pool() noexcept {
     return own_pool_ ? *own_pool_ : ThreadPool::global();
   }
 
-  /// Reserves `n` updates of the aggregate staging budget.  Returns false
-  /// when exhausted under kReject; blocks until available under kBlock.
-  /// No-op (true) when the budget is unbounded.  Never called (and never
-  /// waits) holding a session's state mutex — the EXCLUDES on both budget
-  /// methods keeps the two admission bounds deadlock-free by construction.
-  bool reserve_budget(std::uint64_t n, AdmissionPolicy policy)
-      PIMTC_EXCLUDES(budget_mutex_);
-  void release_budget(std::uint64_t n) PIMTC_EXCLUDES(budget_mutex_);
-
   /// Looks up a session or throws std::invalid_argument naming it.
   [[nodiscard]] std::shared_ptr<Session> find(std::string_view session) const
       PIMTC_EXCLUDES(sessions_mutex_);
-
-  /// `n` more staged updates fit the aggregate budget.  Soft bound, like
-  /// the per-session queue: an oversized batch is admitted once nothing
-  /// else is staged.
-  [[nodiscard]] bool budget_fits(std::uint64_t n) const
-      PIMTC_REQUIRES(budget_mutex_) {
-    return staged_updates_ + n <= config_.staging_budget_updates ||
-           staged_updates_ == 0;
-  }
 
   const ServeConfig config_;
   std::unique_ptr<ThreadPool> own_pool_;
@@ -140,10 +112,6 @@ class SessionManager {
   mutable Mutex sessions_mutex_;
   std::map<std::string, std::shared_ptr<Session>, std::less<>> sessions_
       PIMTC_GUARDED_BY(sessions_mutex_);
-
-  mutable Mutex budget_mutex_;
-  std::condition_variable budget_cv_;
-  std::uint64_t staged_updates_ PIMTC_GUARDED_BY(budget_mutex_) = 0;
 };
 
 }  // namespace pimtc::serve

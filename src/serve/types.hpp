@@ -2,59 +2,27 @@
 //
 // The serving layer hosts N independent TriangleCountEngine sessions behind
 // one thread-safe SessionManager.  These are the knobs and the observable
-// state: the manager-wide ServeConfig (drain workers, per-session queue
-// capacity, aggregate staging budget, snapshot cadence), the per-session
-// admission policy, the outcome of one submit, the per-session counters the
-// report path surfaces, and the snapshot-consistent QueryResult.
+// state: the manager-wide ServeConfig (drain workers, snapshot cadence,
+// per-session engine threads), the outcome of one submit, the per-session
+// counters the report path surfaces, and the snapshot-consistent
+// QueryResult.
 #pragma once
 
 #include <cstdint>
 #include <stdexcept>
 #include <string>
-#include <string_view>
 
 #include "engine/report.hpp"
 
 namespace pimtc::serve {
 
-/// What a session does when its ingest queue (or the manager's aggregate
-/// staging budget) is exhausted: fail the submit immediately, or block the
-/// submitter until the drain makes space.  Chosen per session at open().
-enum class AdmissionPolicy {
-  kReject,  ///< submit() returns kQueueFull / kBudgetExhausted
-  kBlock,   ///< submit() waits for space (or for the session to close)
-};
-
-[[nodiscard]] constexpr const char* to_string(AdmissionPolicy p) noexcept {
-  return p == AdmissionPolicy::kReject ? "reject" : "block";
-}
-
-[[nodiscard]] inline AdmissionPolicy admission_policy_from_string(
-    std::string_view s) {
-  if (s == "reject") return AdmissionPolicy::kReject;
-  if (s == "block") return AdmissionPolicy::kBlock;
-  throw std::invalid_argument("unknown admission policy '" + std::string(s) +
-                              "' (expected reject|block)");
-}
-
-/// Outcome of one submit() call.  Everything except kAccepted leaves the
-/// session unchanged; rejects are counted in SessionStats.
+/// Outcome of one submit() call.  A submit that finds its session's queue
+/// full waits for space, so the only refusal is a closing session; it
+/// leaves the session unchanged and is counted in SessionStats.
 enum class SubmitResult {
   kAccepted,
-  kQueueFull,         ///< per-session queue capacity exhausted (kReject only)
-  kBudgetExhausted,   ///< aggregate staging budget exhausted (kReject only)
-  kClosed,            ///< session is closing / closed
+  kClosed,  ///< session is closing / closed
 };
-
-[[nodiscard]] constexpr const char* to_string(SubmitResult r) noexcept {
-  switch (r) {
-    case SubmitResult::kAccepted: return "accepted";
-    case SubmitResult::kQueueFull: return "queue_full";
-    case SubmitResult::kBudgetExhausted: return "budget_exhausted";
-    case SubmitResult::kClosed: return "closed";
-  }
-  return "?";
-}
 
 /// Manager-wide configuration.  One ServeConfig governs every session the
 /// manager opens; per-session engine shape comes from the EngineConfig
@@ -65,17 +33,6 @@ struct ServeConfig {
   /// host_threads == 0 the whole stack then shares one hardware-sized
   /// pool, and nested engine parallel_for calls run caller-inline).
   std::size_t workers = 0;
-
-  /// Per-session ingest queue capacity in *updates* (edge insertions plus
-  /// deletions).  Soft bound: a single batch larger than the capacity is
-  /// admitted when the queue is empty, so any batch is eventually
-  /// servable.  Must be >= 1.
-  std::uint64_t queue_capacity_updates = 1ull << 16;
-
-  /// Aggregate staging budget across every session's queue, in updates.
-  /// 0 = unbounded.  Like the queue bound it is soft for oversized single
-  /// batches (admitted when nothing else is staged).
-  std::uint64_t staging_budget_updates = 0;
 
   /// Snapshot cadence: publish a new recount epoch every this many applied
   /// batches.  The drain additionally publishes whenever its queue runs
@@ -89,21 +46,8 @@ struct ServeConfig {
   /// across sessions.  Set to 0 to keep the engines' own default.
   std::uint32_t session_host_threads = 1;
 
-  /// Cap on retained update->visible latency samples per session (the
-  /// serve-bench percentile source); further samples are dropped.
-  std::size_t max_latency_samples = 1u << 20;
-
-  /// Extra recount() attempts after a failed snapshot publish before the
-  /// session falls back to its previous snapshot (which stays live and
-  /// queryable throughout).  0 = no retry.
-  std::uint32_t recount_retries = 1;
-
   /// Throws std::invalid_argument on the first violated invariant.
   void validate() const {
-    if (queue_capacity_updates == 0) {
-      throw std::invalid_argument(
-          "ServeConfig: queue_capacity_updates must be >= 1");
-    }
     if (recount_every_batches == 0) {
       throw std::invalid_argument(
           "ServeConfig: recount_every_batches must be >= 1");
@@ -114,7 +58,7 @@ struct ServeConfig {
 /// Per-session counters, sampled atomically at query time.
 struct SessionStats {
   std::uint64_t batches_accepted = 0;
-  std::uint64_t batches_rejected = 0;
+  std::uint64_t batches_rejected = 0;  ///< refused by a closing session
   std::uint64_t batches_applied = 0;   ///< applied to the engine
   std::uint64_t batches_failed = 0;    ///< engine->apply() threw; batch dropped
   std::uint64_t updates_accepted = 0;
@@ -122,7 +66,7 @@ struct SessionStats {
   std::uint64_t updates_applied = 0;
   std::uint64_t recounts_failed = 0;   ///< engine->recount() threw
   std::uint64_t recounts_retried = 0;  ///< recount attempts repeated after a
-                                       ///< throw (ServeConfig::recount_retries)
+                                       ///< throw (Session::kRecountRetries)
   std::uint64_t epoch = 0;             ///< published snapshot epochs
   std::uint64_t queue_depth_updates = 0;  ///< staged, not yet applied
   std::uint64_t queue_depth_batches = 0;

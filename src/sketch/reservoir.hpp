@@ -140,11 +140,6 @@ class ReservoirPolicy {
     return phantom_deletions_;
   }
 
-  /// Uncompensated deletions outstanding (random-pairing debt).
-  [[nodiscard]] std::uint64_t pending_deletions() const noexcept {
-    return del_in_ + del_out_;
-  }
-
  private:
   std::uint64_t capacity_;
   std::uint64_t seen_ = 0;

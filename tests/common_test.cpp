@@ -7,6 +7,7 @@
 #include <future>
 #include <numeric>
 #include <set>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -151,6 +152,31 @@ TEST(ColorHashTest, Mersenne61Reduction) {
   EXPECT_EQ(mod_mersenne61(kMersenne61 + 5), 5u);
   const __uint128_t big = static_cast<__uint128_t>(kMersenne61) * 7 + 3;
   EXPECT_EQ(mod_mersenne61(big), 3u);
+}
+
+// ---- Xxh64 ------------------------------------------------------------------
+
+TEST(Xxh64Test, MatchesPublishedDigests) {
+  // The .pbin checksum must agree with every other XXH64 implementation,
+  // not only with this repo's writer: pin the reference digests (seed 0).
+  const auto digest = [](std::string_view s) {
+    Xxh64 h;
+    h.update(s.data(), s.size());
+    return h.digest();
+  };
+  EXPECT_EQ(digest(""), 0xef46db3751d8e999ull);
+  EXPECT_EQ(digest("abc"), 0x44bc2cf5ad770999ull);
+  // 39 bytes: one full 32-byte stripe plus a tail.
+  const std::string_view spam = "Nobody inspects the spammish repetition";
+  ASSERT_EQ(spam.size(), 39u);
+  EXPECT_EQ(digest(spam), 0xfbcea83c8a378bf1ull);
+
+  // Split 5 + 30 + 4: the middle piece completes the carried stripe.
+  Xxh64 split;
+  split.update(spam.data(), 5);
+  split.update(spam.data() + 5, 30);
+  split.update(spam.data() + 35, 4);
+  EXPECT_EQ(split.digest(), 0xfbcea83c8a378bf1ull);
 }
 
 // ---- ThreadPool -------------------------------------------------------------

@@ -47,7 +47,7 @@ TEST(RegistryTest, BuiltinsAreRegistered) {
 
 TEST(RegistryTest, UnknownBackendThrowsWithKnownNames) {
   try {
-    make_engine("gpu", small_config());
+    (void)make_engine("gpu", small_config());
     FAIL() << "expected std::invalid_argument";
   } catch (const std::invalid_argument& e) {
     const std::string what = e.what();

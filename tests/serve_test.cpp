@@ -1,12 +1,14 @@
 // Tests for the multi-tenant serving layer (src/serve/): concurrent
 // submit/query parity against a serial replay oracle, snapshot epoch
-// monotonicity under concurrent queriers, admission control (per-session
-// queue + aggregate budget, reject vs block), the flush() read-your-writes
-// barrier, and clean shutdown with in-flight batches.
+// monotonicity under concurrent queriers, the one admission rule (a full
+// queue blocks the submitter, close() wakes it with kClosed), the flush()
+// read-your-writes barrier, and clean shutdown with in-flight batches.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstddef>
+#include <future>
 #include <memory>
 #include <span>
 #include <stdexcept>
@@ -32,7 +34,7 @@ engine::EngineConfig small_engine_config(std::uint64_t seed = 42) {
 
 /// cpu-incremental with a fixed per-batch apply() delay.  Backpressure
 /// tests need the drain to be reliably slower than a tight submit loop —
-/// real engines are sometimes fast enough to keep up, making rejections
+/// real engines are sometimes fast enough to keep up, making blocking
 /// timing-dependent.
 class SlowExactEngine final : public engine::TriangleCountEngine {
  public:
@@ -206,122 +208,114 @@ TEST(ServeSnapshotTest, FlushIsReadYourWrites) {
             serial_replay_estimate(mgr, "cpu-incremental", ecfg, stream));
 }
 
-// ---- admission control ------------------------------------------------------
+// ---- admission --------------------------------------------------------------
 
-TEST(ServeAdmissionTest, RejectPolicyCountsEveryOutcome) {
-  // A 1-update queue capacity over a deliberately slow backend: the first
-  // batches are admitted via the empty-queue soft bound, later ones find
-  // the queue occupied while the drain sleeps in apply() and bounce.
-  ServeConfig scfg;
-  scfg.queue_capacity_updates = 1;
-  SessionManager mgr(scfg);
-  mgr.open("t", slow_backend(), small_engine_config(),
-           AdmissionPolicy::kReject);
-  const std::vector<EdgeUpdate> stream = test_stream(33);
-
-  std::uint64_t accepted = 0;
-  std::uint64_t rejected = 0;
-  std::vector<EdgeUpdate> accepted_updates;
-  const auto batches = batches_of(stream, 50);
-  for (const auto batch : batches) {
-    const SubmitResult r = mgr.submit("t", batch);
-    if (r == SubmitResult::kAccepted) {
-      ++accepted;
-      accepted_updates.insert(accepted_updates.end(), batch.begin(),
-                              batch.end());
-    } else {
-      EXPECT_EQ(r, SubmitResult::kQueueFull);
-      ++rejected;
-    }
+TEST(ServeAdmissionTest, FullQueueBlocksTheSubmitter) {
+  // Every batch is just over half the queue capacity, so two never fit
+  // together: each submit after the first must wait until the drain has
+  // popped the previous batch.  Equal sizes matter — a smaller last batch
+  // could legally sit beside a queued one.
+  constexpr std::size_t kBatch = Session::kQueueCapacityUpdates / 2 + 1;
+  constexpr std::size_t kBatches = 6;
+  std::vector<EdgeUpdate> stream;  // a path graph plus one chord
+  for (NodeId v = 0; stream.size() + 1 < kBatch * kBatches; ++v) {
+    stream.push_back(insert_of(Edge{v, v + 1}));
   }
-  EXPECT_GE(rejected, 1u);  // the loop outpaces per-batch recounts
+  stream.push_back(insert_of(Edge{0, 2}));
+  ASSERT_EQ(stream.size(), kBatch * kBatches);
 
-  const QueryResult r = mgr.flush("t");
-  EXPECT_EQ(r.stats.batches_accepted + r.stats.batches_rejected,
-            batches.size());
-  EXPECT_EQ(r.stats.batches_accepted, accepted);
-  EXPECT_EQ(r.stats.batches_rejected, rejected);
-  EXPECT_EQ(r.stats.updates_applied, r.stats.updates_accepted);
-  // The served state is exactly the accepted prefix-set, nothing else.
-  EXPECT_EQ(r.estimate,
-            serial_replay_estimate(mgr, "cpu-incremental",
-                                   small_engine_config(), accepted_updates));
-}
-
-TEST(ServeAdmissionTest, BlockPolicyAcceptsEverythingThroughTinyQueue) {
-  ServeConfig scfg;
-  scfg.queue_capacity_updates = 64;  // forces repeated blocking hand-offs
-  SessionManager mgr(scfg);
+  SessionManager mgr;
   const engine::EngineConfig ecfg = small_engine_config();
-  mgr.open("t", "cpu-incremental", ecfg, AdmissionPolicy::kBlock);
-  const std::vector<EdgeUpdate> stream = test_stream(55);
-  for (const auto batch : batches_of(stream, 48)) {
-    EXPECT_EQ(mgr.submit("t", batch), SubmitResult::kAccepted);
+  mgr.open("t", slow_backend(), ecfg);
+  for (const auto batch : batches_of(stream, kBatch)) {
+    ASSERT_EQ(mgr.submit("t", batch), SubmitResult::kAccepted);
+    EXPECT_LE(mgr.query("t").stats.queue_depth_batches, 1u);
   }
   const QueryResult r = mgr.flush("t");
+  EXPECT_EQ(r.stats.batches_accepted, kBatches);
   EXPECT_EQ(r.stats.batches_rejected, 0u);
   EXPECT_EQ(r.stats.updates_applied, stream.size());
   EXPECT_EQ(r.estimate,
             serial_replay_estimate(mgr, "cpu-incremental", ecfg, stream));
 }
 
-TEST(ServeAdmissionTest, AggregateBudgetBouncesRejectSessions) {
-  // Budget of 1 update across the manager, slow drains: with two tenants
-  // spamming, submits must come back kBudgetExhausted while the budget is
-  // held through apply(), and both sessions still end consistent with
-  // their accepted sets.
-  ServeConfig scfg;
-  scfg.staging_budget_updates = 1;
-  SessionManager mgr(scfg);
-  mgr.open("a", slow_backend(), small_engine_config(),
-           AdmissionPolicy::kReject);
-  mgr.open("b", slow_backend(), small_engine_config(),
-           AdmissionPolicy::kReject);
-  const std::vector<EdgeUpdate> stream = test_stream(77);
+/// cpu-incremental whose apply() first waits for `gate`, so a test can
+/// hold the drain inside the engine for as long as it needs.
+class GatedEngine final : public engine::TriangleCountEngine {
+ public:
+  GatedEngine(const engine::EngineConfig& cfg, std::shared_future<void> gate)
+      : TriangleCountEngine(cfg),
+        inner_(engine::make_engine("cpu-incremental", cfg)),
+        gate_(std::move(gate)) {}
 
-  std::atomic<std::uint64_t> budget_rejects{0};
-  std::vector<std::thread> submitters;
-  for (const char* name : {"a", "b"}) {
-    submitters.emplace_back([&, name] {
-      for (const auto batch : batches_of(stream, 40)) {
-        const SubmitResult r = mgr.submit(name, batch);
-        if (r == SubmitResult::kBudgetExhausted) ++budget_rejects;
-      }
-    });
+  void add_edges(std::span<const Edge> batch) override {
+    inner_->add_edges(batch);
   }
-  for (auto& th : submitters) th.join();
-  EXPECT_GE(budget_rejects.load(), 1u);
-  for (const char* name : {"a", "b"}) {
-    const QueryResult r = mgr.flush(name);
-    EXPECT_EQ(r.stats.updates_applied, r.stats.updates_accepted);
+  void apply(std::span<const EdgeUpdate> updates) override {
+    gate_.wait();
+    inner_->apply(updates);
   }
-  EXPECT_EQ(mgr.staged_updates(), 0u);
-}
+  engine::CountReport recount() override { return inner_->recount(); }
+  [[nodiscard]] engine::EngineCapabilities capabilities() const override {
+    return inner_->capabilities();
+  }
+  [[nodiscard]] const char* name() const noexcept override { return "gated"; }
+  void reset_timers() override { inner_->reset_timers(); }
 
-TEST(ServeAdmissionTest, BlockedBudgetSubmittersAllComplete) {
-  ServeConfig scfg;
-  scfg.staging_budget_updates = 32;
-  SessionManager mgr(scfg);
-  const engine::EngineConfig ecfg = small_engine_config();
-  mgr.open("a", "cpu-incremental", ecfg, AdmissionPolicy::kBlock);
-  mgr.open("b", "cpu-incremental", ecfg, AdmissionPolicy::kBlock);
-  const std::vector<EdgeUpdate> stream = test_stream(91);
+ private:
+  std::unique_ptr<engine::TriangleCountEngine> inner_;
+  std::shared_future<void> gate_;
+};
 
-  std::vector<std::thread> submitters;
-  for (const char* name : {"a", "b"}) {
-    submitters.emplace_back([&, name] {
-      for (const auto batch : batches_of(stream, 40)) {
-        EXPECT_EQ(mgr.submit(name, batch), SubmitResult::kAccepted);
-      }
-    });
+TEST(ServeAdmissionTest, CloseWakesABlockedSubmitterWithClosed) {
+  // Batch 0 is held inside the gated apply(), batch 1 fills the queue, and
+  // a third submit blocks.  close() must wake it with kClosed while the
+  // two accepted batches still drain once the gate opens.  The session is
+  // built directly so the blocked submit cannot race close() removing the
+  // name from a manager's directory.
+  constexpr std::size_t kBatch = Session::kQueueCapacityUpdates / 2 + 1;
+  std::vector<EdgeUpdate> stream;
+  for (NodeId v = 0; stream.size() < 3 * kBatch; ++v) {
+    stream.push_back(insert_of(Edge{v, v + 1}));
   }
-  for (auto& th : submitters) th.join();
-  for (const char* name : {"a", "b"}) {
-    const QueryResult r = mgr.flush(name);
-    EXPECT_EQ(r.stats.updates_applied, stream.size());
-    EXPECT_EQ(r.estimate,
-              serial_replay_estimate(mgr, "cpu-incremental", ecfg, stream));
+  const auto batches = batches_of(stream, kBatch);
+  ASSERT_EQ(batches.size(), 3u);
+
+  std::promise<void> gate;
+  const auto session = std::make_shared<Session>(
+      "t",
+      std::make_unique<GatedEngine>(small_engine_config(),
+                                    gate.get_future().share()),
+      ServeConfig{}, ThreadPool::global());
+  ASSERT_EQ(session->submit(batches[0]), SubmitResult::kAccepted);
+  // Batch 1 fits only in an empty queue.  The drain pops batch 0 before
+  // the gated apply but signals space only after it, so wait for the pop,
+  // or batch 1 would block until the gate opens.
+  while (session->query().stats.queue_depth_batches != 0) {
+    std::this_thread::yield();
   }
+  ASSERT_EQ(session->submit(batches[1]), SubmitResult::kAccepted);
+
+  std::atomic<bool> returned{false};
+  SubmitResult third = SubmitResult::kAccepted;
+  std::thread submitter([&] {
+    third = session->submit(batches[2]);
+    returned.store(true);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_FALSE(returned.load());  // the full queue holds it
+
+  std::thread closer([&] { session->close(); });
+  submitter.join();
+  EXPECT_EQ(third, SubmitResult::kClosed);
+  gate.set_value();
+  closer.join();
+  const SessionStats closed = session->query().stats;
+  EXPECT_EQ(closed.batches_rejected, 1u);
+  EXPECT_EQ(closed.updates_rejected, kBatch);
+  EXPECT_EQ(closed.batches_accepted, 2u);
+  EXPECT_EQ(closed.batches_applied, 2u);
+  EXPECT_EQ(closed.updates_applied, 2 * kBatch);
 }
 
 // ---- lifecycle --------------------------------------------------------------
@@ -505,9 +499,7 @@ TEST(ServeFaultTest, FaultedRecountKeepsPriorSnapshotLive) {
   // Publish epoch 1 cleanly, then arm recount to fail through the retry
   // budget: the session must keep serving epoch 1's estimate, count the
   // retry and the failure, and recover on the next publish.
-  ServeConfig scfg;
-  scfg.recount_retries = 1;
-  SessionManager mgr(scfg);
+  SessionManager mgr;
   const engine::EngineConfig ecfg = small_engine_config();
   mgr.open("t", throwing_backend(), ecfg);
 
@@ -544,9 +536,7 @@ TEST(ServeFaultTest, FaultedRecountKeepsPriorSnapshotLive) {
 }
 
 TEST(ServeFaultTest, RecountRetrySalvagesTransientFailure) {
-  ServeConfig scfg;
-  scfg.recount_retries = 1;
-  SessionManager mgr(scfg);
+  SessionManager mgr;
   mgr.open("t", throwing_backend(), small_engine_config());
   ThrowingEngine::recount_throws = 1;  // fails once, the retry succeeds
   const std::vector<EdgeUpdate> tri{insert_of(Edge{0, 1}),

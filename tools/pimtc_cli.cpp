@@ -8,7 +8,7 @@
 //                  [--mg-top=32] [--incremental] [--json] [--exact-check]
 //                  [--stream=updates.txt] [--delete-frac=0.2]
 //                  [--chunk-edges=N] [--no-mmap]
-//   pimtc serve    [--sessions=8] [--session-edges=20000] [--policy=block]
+//   pimtc serve    [--sessions=8] [--session-edges=20000]
 //                  [--batch-updates=512] [--delete-frac=0.2] [--json] ...
 //   pimtc backends
 //
@@ -101,12 +101,7 @@ using namespace pimtc;
       "                 [--json] [--exact-check]\n"
       "  pimtc serve    [--sessions=<n>] [--session-edges=<m>]\n"
       "                 [--batch-updates=<u>] [--delete-frac=<f>]\n"
-      "                 [--kind=<graph kind>] [--backend=<name>]\n"
-      "                 [--policy=block|reject] [--queue-cap=<updates>]\n"
-      "                 [--budget=<updates>] [--workers=<n>]\n"
-      "                 [--recount-every=<batches>] [--queriers=<n>]\n"
-      "                 [--session-threads=<n>] [--recount-retries=<n>]\n"
-      "                 [--scale=<f>] [--no-parity] [--json]\n"
+      "                 [--queriers=<n>] [--json]\n"
       "                 plus any engine flag accepted by count\n"
       "  pimtc backends\n"
       "graphs load by extension: .pbin (pimtc binary v1), .mtx\n"
@@ -825,10 +820,7 @@ LatencySummary summarize_latency(std::vector<double> seconds) {
 int cmd_serve(const Args& args) {
   check_flags(args, std::string(kEngineFlags) +
                         " --sessions= --session-edges= --batch-updates= "
-                        "--delete-frac= --kind= --scale= --policy= "
-                        "--queue-cap= --budget= --workers= --recount-every= "
-                        "--recount-retries= --queriers= --session-threads= "
-                        "--no-parity --json");
+                        "--delete-frac= --queriers= --json");
   const std::uint32_t num_sessions = args.u32("sessions", 8);
   if (num_sessions == 0) {
     throw std::invalid_argument("--sessions must be >= 1");
@@ -842,23 +834,9 @@ int cmd_serve(const Args& args) {
   if (delete_frac > 1.0) {
     throw std::invalid_argument("--delete-frac must be in [0, 1]");
   }
-  const std::string kind = args.str("kind", "community");
   const std::string backend = args.str("backend", "pim");
   const std::uint64_t seed = args.u64("seed", 42);
   const std::uint32_t num_queriers = args.u32("queriers", 2);
-  const bool check_parity = !args.flag("no-parity");
-  const serve::AdmissionPolicy policy =
-      serve::admission_policy_from_string(args.str("policy", "block"));
-
-  serve::ServeConfig scfg;
-  scfg.workers = args.u64("workers", 0);
-  scfg.queue_capacity_updates =
-      args.u64("queue-cap", scfg.queue_capacity_updates);
-  scfg.staging_budget_updates = args.u64("budget", 0);
-  scfg.recount_every_batches = args.u32("recount-every", 1);
-  scfg.session_host_threads =
-      args.u32("session-threads", scfg.session_host_threads);
-  scfg.recount_retries = args.u32("recount-retries", scfg.recount_retries);
   const engine::EngineConfig ecfg = config_from_args(args);
 
   // Each tenant's workload is built up front and deterministically from its
@@ -877,8 +855,7 @@ int cmd_serve(const Args& args) {
     Tenant& t = tenants[i];
     t.name = "s" + std::to_string(i);
     const std::uint64_t tseed = derive_seed(seed, 0x5e55'0000ull + i);
-    graph::EdgeList g =
-        generate_graph(kind, session_edges, tseed, args.f64("scale", 0.5));
+    graph::EdgeList g = generate_graph("community", session_edges, tseed, 0.5);
     graph::preprocess(g, tseed);
     const std::vector<EdgeUpdate> churn = churn_deletes(g, delete_frac, tseed);
     t.updates.reserve(g.num_edges() + churn.size());
@@ -886,8 +863,8 @@ int cmd_serve(const Args& args) {
     t.updates.insert(t.updates.end(), churn.begin(), churn.end());
   }
 
-  serve::SessionManager mgr(scfg);
-  for (const Tenant& t : tenants) mgr.open(t.name, backend, ecfg, policy);
+  serve::SessionManager mgr;
+  for (const Tenant& t : tenants) mgr.open(t.name, backend, ecfg);
 
   // Queriers hammer snapshot reads for the whole ingest window and verify
   // that each session's published epoch never goes backwards.
@@ -948,22 +925,20 @@ int cmd_serve(const Args& args) {
   // replays exactly the accepted batches, serially.  Both counts must agree
   // bit-for-bit (recounts are cadence-invariant).
   bool parity_ok = true;
-  if (check_parity) {
-    const engine::EngineConfig resolved = mgr.resolve_engine_config(ecfg);
-    for (Tenant& t : tenants) {
-      auto oracle = engine::make_engine(backend, resolved);
-      const std::span<const EdgeUpdate> all(t.updates);
-      std::size_t batch_idx = 0;
-      for (std::size_t off = 0; off < all.size();
-           off += batch_updates, ++batch_idx) {
-        const std::size_t len = std::min<std::size_t>(batch_updates,
-                                                      all.size() - off);
-        if (t.batch_accepted[batch_idx]) oracle->apply(all.subspan(off, len));
-      }
-      t.oracle_estimate = oracle->recount().estimate;
-      t.parity_match = t.oracle_estimate == t.final_result.estimate;
-      parity_ok = parity_ok && t.parity_match;
+  const engine::EngineConfig resolved = mgr.resolve_engine_config(ecfg);
+  for (Tenant& t : tenants) {
+    auto oracle = engine::make_engine(backend, resolved);
+    const std::span<const EdgeUpdate> all(t.updates);
+    std::size_t batch_idx = 0;
+    for (std::size_t off = 0; off < all.size();
+         off += batch_updates, ++batch_idx) {
+      const std::size_t len = std::min<std::size_t>(batch_updates,
+                                                    all.size() - off);
+      if (t.batch_accepted[batch_idx]) oracle->apply(all.subspan(off, len));
     }
+    t.oracle_estimate = oracle->recount().estimate;
+    t.parity_match = t.oracle_estimate == t.final_result.estimate;
+    parity_ok = parity_ok && t.parity_match;
   }
 
   std::uint64_t total_updates = 0;
@@ -982,16 +957,17 @@ int cmd_serve(const Args& args) {
 
   if (args.flag("json")) {
     std::printf(
-        "{\"sessions\":%u,\"backend\":\"%s\",\"policy\":\"%s\","
-        "\"kind\":\"%s\",\"batch_updates\":%llu,\"delete_frac\":%.4g,"
+        "{\"sessions\":%u,\"backend\":\"%s\",\"policy\":\"block\","
+        "\"kind\":\"community\",\"batch_updates\":%llu,"
+        "\"delete_frac\":%.4g,"
         "\"queriers\":%u,\"wall_s\":%.6g,"
         "\"updates_submitted\":%llu,\"updates_accepted\":%llu,"
         "\"updates_rejected\":%llu,\"queries_served\":%llu,"
         "\"accepted_updates_per_s\":%.6g,"
-        "\"epochs_monotonic\":%s,\"parity_checked\":%s,\"parity_ok\":%s,"
+        "\"epochs_monotonic\":%s,\"parity_checked\":true,\"parity_ok\":%s,"
         "\"latency_ms\":{\"samples\":%zu,\"p50\":%.6g,\"p99\":%.6g,"
         "\"max\":%.6g},\"per_session\":[",
-        num_sessions, backend.c_str(), serve::to_string(policy), kind.c_str(),
+        num_sessions, backend.c_str(),
         static_cast<unsigned long long>(batch_updates), delete_frac,
         num_queriers, wall_s,
         static_cast<unsigned long long>(total_updates),
@@ -999,9 +975,8 @@ int cmd_serve(const Args& args) {
         static_cast<unsigned long long>(total_rejected),
         static_cast<unsigned long long>(queries_served.load()),
         wall_s > 0.0 ? static_cast<double>(total_accepted) / wall_s : 0.0,
-        monotonic ? "true" : "false", check_parity ? "true" : "false",
-        parity_ok ? "true" : "false", agg.samples, agg.p50_ms, agg.p99_ms,
-        agg.max_ms);
+        monotonic ? "true" : "false", parity_ok ? "true" : "false",
+        agg.samples, agg.p50_ms, agg.p99_ms, agg.max_ms);
     for (std::size_t i = 0; i < tenants.size(); ++i) {
       const Tenant& t = tenants[i];
       const LatencySummary lat = summarize_latency(t.latency_s);
@@ -1010,7 +985,8 @@ int cmd_serve(const Args& args) {
           "\"batches_accepted\":%llu,\"batches_rejected\":%llu,"
           "\"epoch\":%llu,\"estimate\":%.17g,\"rounded\":%llu,\"exact\":%s,"
           "\"latency_ms\":{\"samples\":%zu,\"p50\":%.6g,\"p99\":%.6g,"
-          "\"max\":%.6g}",
+          "\"max\":%.6g},\"parity\":{\"oracle_estimate\":%.17g,"
+          "\"match\":%s}}",
           i ? "," : "", t.name.c_str(), t.updates.size(),
           static_cast<unsigned long long>(
               t.final_result.stats.batches_accepted),
@@ -1020,33 +996,25 @@ int cmd_serve(const Args& args) {
           t.final_result.estimate,
           static_cast<unsigned long long>(t.final_result.report.rounded()),
           t.final_result.exact ? "true" : "false", lat.samples, lat.p50_ms,
-          lat.p99_ms, lat.max_ms);
-      if (check_parity) {
-        std::printf(",\"parity\":{\"oracle_estimate\":%.17g,\"match\":%s}",
-                    t.oracle_estimate, t.parity_match ? "true" : "false");
-      }
-      std::printf("}");
+          lat.p99_ms, lat.max_ms, t.oracle_estimate,
+          t.parity_match ? "true" : "false");
     }
     std::printf("]}\n");
   } else {
-    std::printf("serve: %u sessions | backend %s | policy %s | %llu-update "
-                "batches | %u queriers\n",
-                num_sessions, backend.c_str(), serve::to_string(policy),
+    std::printf("serve: %u sessions | backend %s | policy block | "
+                "%llu-update batches | %u queriers\n",
+                num_sessions, backend.c_str(),
                 static_cast<unsigned long long>(batch_updates), num_queriers);
     for (const Tenant& t : tenants) {
       const LatencySummary lat = summarize_latency(t.latency_s);
       std::printf("  %-4s %zu updates | epoch %llu | count %llu%s | "
-                  "p50 %.2f ms p99 %.2f ms",
+                  "p50 %.2f ms p99 %.2f ms | parity %s\n",
                   t.name.c_str(), t.updates.size(),
                   static_cast<unsigned long long>(t.final_result.epoch),
                   static_cast<unsigned long long>(
                       t.final_result.report.rounded()),
                   t.final_result.exact ? "" : " (approx)", lat.p50_ms,
-                  lat.p99_ms);
-      if (check_parity) {
-        std::printf(" | parity %s", t.parity_match ? "ok" : "MISMATCH");
-      }
-      std::printf("\n");
+                  lat.p99_ms, t.parity_match ? "ok" : "MISMATCH");
     }
     std::printf("total: %llu updates accepted (%llu rejected) in %.3f s "
                 "(%.0f updates/s) | %llu queries | epochs %s\n",
