@@ -30,6 +30,8 @@ void Dpu::charge_dma(std::uint32_t tasklet, std::size_t bytes) noexcept {
       static_cast<double>(aligned) * config_.dma_cycles_per_byte;
   phase_.dma_latency[tasklet] += config_.dma_setup_cycles + byte_cycles;
   phase_.engine_cycles += config_.dma_engine_cycles + byte_cycles;
+  ++lifetime_dma_transfers_;
+  lifetime_dma_bytes_ += aligned;
 }
 
 double Dpu::dma_cost_cycles(std::size_t bytes) const noexcept {

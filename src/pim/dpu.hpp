@@ -118,6 +118,15 @@ class Dpu {
     return lifetime_instr_;
   }
 
+  /// Lifetime tallies of the MRAM<->WRAM transfers the tasklets issued and
+  /// of the aligned bytes they moved; the device-state goldens pin them.
+  [[nodiscard]] std::uint64_t dma_transfers() const noexcept {
+    return lifetime_dma_transfers_;
+  }
+  [[nodiscard]] std::uint64_t dma_bytes() const noexcept {
+    return lifetime_dma_bytes_;
+  }
+
  private:
   friend class Tasklet;
 
@@ -131,6 +140,8 @@ class Dpu {
 
   double cycles_ = 0.0;
   std::uint64_t lifetime_instr_ = 0;
+  std::uint64_t lifetime_dma_transfers_ = 0;
+  std::uint64_t lifetime_dma_bytes_ = 0;
 
   // Per-phase accounting, valid while parallel() runs.
   struct PhaseAccount {

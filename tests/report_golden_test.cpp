@@ -6,8 +6,12 @@
 // serial and host threads are pinned), so a refactor must leave this text
 // unchanged.  Integers and strings match exactly; doubles match to 1e-12
 // relative, since another compiler may contract floating-point math
-// differently.  On a deliberate model change, replace the golden file with
-// the actual text the failure message prints.
+// differently.  After each report come the summed per-DPU cycles,
+// instructions and DMA tallies, and one digest over every bank's device
+// state (those sums plus MRAM up to its high-water mark), so a change to any
+// bank's modeled work or contents shows here even when the report hides it.
+// On a deliberate model change, replace the golden file with the actual text
+// the failure message prints.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -19,9 +23,11 @@
 #include <string>
 #include <vector>
 
+#include "common/hash.hpp"
 #include "engine/registry.hpp"
 #include "graph/generators.hpp"
 #include "graph/preprocess.hpp"
+#include "tc/host.hpp"
 
 namespace pimtc {
 namespace {
@@ -125,6 +131,46 @@ void append_report(const std::string& tag, const engine::CountReport& r,
   }
 }
 
+/// Sums of the per-DPU cycle, instruction and DMA tallies of `eng`'s
+/// machine, then one XXH64 over every bank's (cycle bits, instructions, DMA
+/// transfers, DMA bytes, MRAM [0, high_water)).
+void append_device(const std::string& tag,
+                   const engine::TriangleCountEngine& eng,
+                   std::vector<Line>& out) {
+  const pim::PimSystem& sys =
+      dynamic_cast<const tc::PimTriangleCounter&>(eng).system();
+  double cycles = 0.0;
+  std::uint64_t instr = 0;
+  std::uint64_t transfers = 0;
+  std::uint64_t bytes = 0;
+  Xxh64 digest;
+  std::vector<std::uint8_t> mram;
+  for (std::uint32_t d = 0; d < sys.num_dpus(); ++d) {
+    const pim::Dpu& dpu = sys.dpu(d);
+    const double c = dpu.cycles();
+    const std::uint64_t tallies[] = {dpu.total_instructions(),
+                                     dpu.dma_transfers(), dpu.dma_bytes()};
+    cycles += c;
+    instr += tallies[0];
+    transfers += tallies[1];
+    bytes += tallies[2];
+    digest.update(&c, sizeof c);
+    digest.update(tallies, sizeof tallies);
+    mram.resize(dpu.mram().high_water());
+    dpu.mram().read(0, mram.data(), mram.size());
+    digest.update(mram.data(), mram.size());
+  }
+  char buf[32];
+  std::snprintf(buf, sizeof buf, "%.17g", cycles);
+  out.push_back({tag + ".dpus.cycles", buf, true});
+  out.push_back({tag + ".dpus.instructions", std::to_string(instr), false});
+  out.push_back({tag + ".dpus.dma_transfers", std::to_string(transfers), false});
+  out.push_back({tag + ".dpus.dma_bytes", std::to_string(bytes), false});
+  std::snprintf(buf, sizeof buf, "%016llx",
+                static_cast<unsigned long long>(digest.digest()));
+  out.push_back({tag + ".dpus.digest", buf, false});
+}
+
 std::string render(const std::vector<Line>& lines) {
   std::string text;
   for (const Line& l : lines) text += l.key + " = " + l.value + "\n";
@@ -163,8 +209,10 @@ std::vector<Line> run_all() {
   std::vector<Line> lines;
   const auto one_shot = [&](const std::string& tag,
                             const engine::EngineConfig& cfg) {
-    const engine::CountReport r = engine::make_engine("pim", cfg)->count(g);
+    const auto eng = engine::make_engine("pim", cfg);
+    const engine::CountReport r = eng->count(g);
     append_report(tag, r, lines);
+    append_device(tag, *eng, lines);
     return r;
   };
 
@@ -194,6 +242,7 @@ std::vector<Line> run_all() {
     eng->add_edges(g.edges().subspan(0, 64));
     eng->add_edges(g.edges().subspan(64));
     append_report("greedy_rebalance", eng->recount(), lines);
+    append_device("greedy_rebalance", *eng, lines);
   }
 
   engine::EngineConfig staged = base_config();
@@ -217,6 +266,7 @@ std::vector<Line> run_all() {
     for (std::size_t k = 0; k < half; k += 5) mixed.push_back(delete_of(g[k]));
     eng->apply(mixed);
     append_report("churn", eng->recount(), lines);
+    append_device("churn", *eng, lines);
   }
 
   // Every repair path of the fault machinery in one count: launch retries,
