@@ -7,31 +7,16 @@
 
 namespace pimtc::pim {
 
-void Tasklet::instr(std::uint64_t n) noexcept {
-  dpu_->phase_.instr[id_] += n;
-  dpu_->lifetime_instr_ += n;
-}
-
 void Tasklet::mram_read(std::uint64_t mram_offset, void* dst,
                         std::size_t bytes) {
   dpu_->mram_.read(mram_offset, dst, bytes);
-  dpu_->charge_dma(id_, bytes);
+  charge_dma(1, round_up(bytes, PimSystemConfig::dma_alignment_bytes));
 }
 
 void Tasklet::mram_write(std::uint64_t mram_offset, const void* src,
                          std::size_t bytes) {
   dpu_->mram_.write(mram_offset, src, bytes);
-  dpu_->charge_dma(id_, bytes);
-}
-
-void Dpu::charge_dma(std::uint32_t tasklet, std::size_t bytes) noexcept {
-  const auto aligned = round_up(bytes, config_.dma_alignment_bytes);
-  const double byte_cycles =
-      static_cast<double>(aligned) * config_.dma_cycles_per_byte;
-  phase_.dma_latency[tasklet] += config_.dma_setup_cycles + byte_cycles;
-  phase_.engine_cycles += config_.dma_engine_cycles + byte_cycles;
-  ++lifetime_dma_transfers_;
-  lifetime_dma_bytes_ += aligned;
+  charge_dma(1, round_up(bytes, PimSystemConfig::dma_alignment_bytes));
 }
 
 double Dpu::dma_cost_cycles(std::size_t bytes) const noexcept {
@@ -50,12 +35,17 @@ void Dpu::parallel(std::uint32_t num_tasklets,
     throw std::logic_error("Dpu::parallel: nested parallel sections");
   }
   phase_.active = true;
+  // A body that throws (WRAM exhausted, MRAM overflow) must not leave the
+  // DPU inside a phase: the caller may retry on the same DPU.
+  struct EndPhase {
+    PhaseAccount& phase;
+    ~EndPhase() { phase.active = false; }
+  } end_phase{phase_};
   phase_.instr.assign(num_tasklets, 0);
-  phase_.dma_latency.assign(num_tasklets, 0.0);
-  phase_.engine_cycles = 0.0;
+  phase_.dma_latency.assign(num_tasklets, 0);
+  phase_.engine_cycles = 0;
 
   for (std::uint32_t t = 0; t < num_tasklets; ++t) {
-    phase_.current_tasklet = t;
     Tasklet tasklet(*this, t);
     body(tasklet);
   }
@@ -66,16 +56,16 @@ void Dpu::parallel(std::uint32_t num_tasklets,
   double straggler_bound = 0.0;
   for (std::uint32_t t = 0; t < num_tasklets; ++t) {
     total += phase_.instr[t];
-    straggler_bound =
-        std::max(straggler_bound, static_cast<double>(phase_.instr[t]) * s +
-                                      phase_.dma_latency[t]);
+    straggler_bound = std::max(
+        straggler_bound, static_cast<double>(phase_.instr[t]) * s +
+                             static_cast<double>(phase_.dma_latency[t]));
   }
   const double issue_bound =
       static_cast<double>(total) * std::max(1.0, s / num_tasklets);
   const double phase_cycles =
-      std::max({issue_bound, straggler_bound, phase_.engine_cycles});
+      std::max({issue_bound, straggler_bound,
+                static_cast<double>(phase_.engine_cycles)});
   cycles_ += phase_cycles;
-  phase_.active = false;
 }
 
 void Dpu::serial_instr(std::uint64_t n) noexcept {

@@ -18,6 +18,12 @@
 // latencies (latency stalls only the issuing tasklet), E_total the summed
 // engine occupancy (per-transfer handling + bytes), T the tasklet count and
 // S the pipeline saturation threshold (11).
+//
+// L_t and E_total are integer cycles: a transfer moves a multiple of the
+// 8-byte DMA alignment, so it costs 77 + bytes/2 cycles of latency and
+// 24 + bytes/2 of engine time, whole numbers.  Sums of charges are then
+// exact in any order, which is what lets a stage charge a tasklet's whole
+// stream in closed form (Tasklet::charge_dma) instead of per transfer.
 #pragma once
 
 #include <cstdint>
@@ -41,7 +47,14 @@ class Tasklet {
   [[nodiscard]] std::uint32_t id() const noexcept { return id_; }
 
   /// Charges `n` pipeline instructions to this tasklet.
-  void instr(std::uint64_t n) noexcept;
+  inline void instr(std::uint64_t n) noexcept;
+
+  /// Charges `transfers` MRAM<->WRAM transfers moving `aligned_bytes` in
+  /// total (each transfer's size already rounded up to the DMA alignment)
+  /// without moving data: the closed-form twin of mram_read/mram_write for
+  /// stages whose data the host moves in bulk.
+  inline void charge_dma(std::uint64_t transfers,
+                         std::uint64_t aligned_bytes) noexcept;
 
   /// DMA MRAM -> WRAM (functionally a read into `dst`).
   void mram_read(std::uint64_t mram_offset, void* dst, std::size_t bytes);
@@ -130,8 +143,32 @@ class Dpu {
  private:
   friend class Tasklet;
 
+  // Integral DMA costs (see the header comment).
+  static constexpr std::uint64_t kDmaAlign = PimSystemConfig::dma_alignment_bytes;
+  static constexpr std::uint64_t kDmaSetupCycles =
+      static_cast<std::uint64_t>(PimSystemConfig::dma_setup_cycles);
+  static constexpr std::uint64_t kDmaEngineCycles =
+      static_cast<std::uint64_t>(PimSystemConfig::dma_engine_cycles);
+  /// Cycles to move one aligned burst of kDmaAlign bytes.
+  static constexpr std::uint64_t kDmaBurstCycles = static_cast<std::uint64_t>(
+      kDmaAlign * PimSystemConfig::dma_cycles_per_byte);
+  static_assert(kDmaSetupCycles == PimSystemConfig::dma_setup_cycles &&
+                    kDmaEngineCycles == PimSystemConfig::dma_engine_cycles,
+                "DMA setup and engine costs must be whole cycles");
+  static_assert(kDmaBurstCycles ==
+                    kDmaAlign * PimSystemConfig::dma_cycles_per_byte,
+                "an aligned DMA burst must cost whole cycles");
+
   [[nodiscard]] double dma_cost_cycles(std::size_t bytes) const noexcept;
-  void charge_dma(std::uint32_t tasklet, std::size_t bytes) noexcept;
+  void charge_dma(std::uint32_t tasklet, std::uint64_t transfers,
+                  std::uint64_t aligned_bytes) noexcept {
+    const std::uint64_t byte_cycles =
+        aligned_bytes / kDmaAlign * kDmaBurstCycles;
+    phase_.dma_latency[tasklet] += transfers * kDmaSetupCycles + byte_cycles;
+    phase_.engine_cycles += transfers * kDmaEngineCycles + byte_cycles;
+    lifetime_dma_transfers_ += transfers;
+    lifetime_dma_bytes_ += aligned_bytes;
+  }
 
   PimSystemConfig config_;  // by value: the Dpu outlives any caller config
   std::uint32_t id_;
@@ -146,12 +183,21 @@ class Dpu {
   // Per-phase accounting, valid while parallel() runs.
   struct PhaseAccount {
     std::vector<std::uint64_t> instr;        // per tasklet
-    std::vector<double> dma_latency;         // per tasklet
-    double engine_cycles = 0.0;              // shared DMA engine occupancy
+    std::vector<std::uint64_t> dma_latency;  // per tasklet, cycles
+    std::uint64_t engine_cycles = 0;         // shared DMA engine occupancy
     bool active = false;
-    std::uint32_t current_tasklet = 0;
   };
   PhaseAccount phase_;
 };
+
+inline void Tasklet::instr(std::uint64_t n) noexcept {
+  dpu_->phase_.instr[id_] += n;
+  dpu_->lifetime_instr_ += n;
+}
+
+inline void Tasklet::charge_dma(std::uint64_t transfers,
+                                std::uint64_t aligned_bytes) noexcept {
+  dpu_->charge_dma(id_, transfers, aligned_bytes);
+}
 
 }  // namespace pimtc::pim

@@ -189,6 +189,41 @@ TEST(DpuCostTest, NestedParallelForbidden) {
                std::logic_error);
 }
 
+TEST(DpuCostTest, ParallelUsableAfterBodyThrows) {
+  const PimSystemConfig cfg = small_config();
+  Dpu dpu(cfg, 0);
+  EXPECT_THROW(dpu.parallel(2,
+                            [&](Tasklet&) {
+                              (void)dpu.wram().alloc<std::uint8_t>(
+                                  PimSystemConfig::wram_bytes + 1);
+                            }),
+               PimMemoryError);
+  // The failed phase is dropped; the next one runs and is charged.
+  dpu.parallel(16, [](Tasklet& t) { t.instr(1000); });
+  EXPECT_DOUBLE_EQ(dpu.cycles(), 16000.0);
+}
+
+TEST(DpuCostTest, ClosedFormDmaChargeEqualsTransfers) {
+  const PimSystemConfig cfg = small_config();
+  std::vector<std::uint8_t> buf(100, 3);
+  Dpu streamed(cfg, 0);
+  streamed.parallel(3, [&](Tasklet& t) {
+    t.mram_write(t.id() * 128, buf.data(), 100);  // 104 aligned bytes
+    t.mram_read(t.id() * 128, buf.data(), 13);    // 16 aligned bytes
+    t.instr(5);
+  });
+  Dpu charged(cfg, 1);
+  charged.parallel(3, [](Tasklet& t) {
+    t.charge_dma(2, 104 + 16);
+    t.instr(5);
+  });
+  EXPECT_EQ(streamed.cycles(), charged.cycles());
+  EXPECT_EQ(streamed.dma_transfers(), 6u);
+  EXPECT_EQ(streamed.dma_bytes(), 3u * 120);
+  EXPECT_EQ(charged.dma_transfers(), streamed.dma_transfers());
+  EXPECT_EQ(charged.dma_bytes(), streamed.dma_bytes());
+}
+
 TEST(DpuCostTest, BadTaskletCountRejected) {
   const PimSystemConfig cfg = small_config();
   Dpu dpu(cfg, 0);
