@@ -144,7 +144,8 @@ class Dpu {
   friend class Tasklet;
 
   // Integral DMA costs (see the header comment).
-  static constexpr std::uint64_t kDmaAlign = PimSystemConfig::dma_alignment_bytes;
+  static constexpr std::uint64_t kDmaAlign =
+      PimSystemConfig::dma_alignment_bytes;
   static constexpr std::uint64_t kDmaSetupCycles =
       static_cast<std::uint64_t>(PimSystemConfig::dma_setup_cycles);
   static constexpr std::uint64_t kDmaEngineCycles =

@@ -9,25 +9,18 @@ namespace {
 using pim::Tasklet;
 using Cost = pim::KernelCostModel;
 
-/// Binary search restricted to a cache-provided window: index of the first
-/// region with node >= key.  Each probe is an 8-byte DMA read.
-std::uint64_t lower_bound_region_window(Tasklet& t, std::uint64_t reg,
-                                        NodeId key, std::uint64_t lo,
-                                        std::uint64_t hi) {
-  std::uint64_t instr = 0;
-  while (lo < hi) {
-    const std::uint64_t mid = lo + (hi - lo) / 2;
-    const auto entry =
-        t.mram_read_t<RegionEntry>(reg + mid * sizeof(RegionEntry));
-    if (entry.node < key) {
-      lo = mid + 1;
-    } else {
-      hi = mid;
-    }
-    instr += Cost::binary_search_step;
+/// Fills out[r] = search_steps(size, r) for r in [0, size] by walking the
+/// loop's decision tree once.
+void fill_search_steps(std::uint8_t* out, std::uint64_t size,
+                       std::uint8_t depth) {
+  if (size == 0) {
+    *out = depth;
+    return;
   }
-  t.instr(instr);
-  return lo;
+  const std::uint64_t half = size / 2;
+  const auto next = static_cast<std::uint8_t>(depth + 1);
+  fill_search_steps(out, half, next);
+  fill_search_steps(out + half + 1, size - half - 1, next);
 }
 
 }  // namespace
@@ -53,94 +46,115 @@ IntersectPolicy intersect_policy_from_string(std::string_view name) {
                               "' (expected auto|merge|gallop)");
 }
 
-RegionCache::RegionCache(pim::Dpu& dpu, std::uint32_t tasklets,
-                         std::uint32_t buffer_edges, std::uint64_t reg,
-                         std::uint64_t num_regions, bool enabled)
-    : num_regions_(num_regions) {
-  if (num_regions == 0 || !enabled) return;
-  stride_ = ceil_div(num_regions, kSlots);
-  cache_.resize(ceil_div(num_regions, stride_));
-  dpu.wram().reset();
-  dpu.parallel(tasklets, [&](Tasklet& t) {
-    // Each tasklet streams a contiguous block of the table through a WRAM
-    // buffer and keeps the stride-aligned entries — sequential DMA, not
-    // per-entry bursts.
-    const Block blk = block_of(num_regions, t.id(), tasklets);
-    if (blk.begin >= blk.end) return;
-    auto buf = dpu.wram().alloc<RegionEntry>(buffer_edges * 2);
-    StreamReader<RegionEntry> reader(t, buf, reg, blk.begin, blk.end);
-    RegionEntry entry;
-    std::uint64_t instr = 0;
-    while (reader.next(entry)) {
-      const std::uint64_t i = reader.last_index();
-      if (i % stride_ == 0) cache_[i / stride_] = entry;
-      instr += 2;
-    }
-    t.instr(instr);
-  });
-}
+void RegionCache::build(pim::Dpu& dpu, std::uint32_t tasklets,
+                        std::uint32_t buffer_edges,
+                        std::span<const RegionEntry> regions, std::uint64_t n,
+                        bool enabled, bool indexed) {
+  const std::uint64_t num_regions = regions.size();
+  regions_ = regions;
+  n_ = n;
+  stride_ = 1;
+  slots_ = 0;
+  bucket_.clear();
+  steps_.clear();
+  if (num_regions == 0) return;
 
-std::pair<std::uint64_t, std::uint64_t> RegionCache::window(
-    NodeId key, std::uint64_t& instr) const {
-  if (cache_.empty()) return {0, num_regions_};
-  // upper_bound over the sampled nodes (WRAM-resident, cheap).
-  std::size_t lo = 0;
-  std::size_t hi = cache_.size();
-  while (lo < hi) {
-    const std::size_t mid = lo + (hi - lo) / 2;
-    if (cache_[mid].node <= key) {
-      lo = mid + 1;
-    } else {
-      hi = mid;
-    }
-    instr += 3;
+  if (enabled) {
+    stride_ = ceil_div(num_regions, kSlots);
+    slots_ = ceil_div(num_regions, stride_);
+    dpu.wram().reset();
+    dpu.parallel(tasklets, [&](Tasklet& t) {
+      const Block blk = block_of(num_regions, t.id(), tasklets);
+      if (blk.begin >= blk.end) return;
+      (void)dpu.wram().alloc<RegionEntry>(buffer_edges * 2);
+      charge_stream<RegionEntry>(t, blk.end - blk.begin, buffer_edges * 2);
+      t.instr(2 * (blk.end - blk.begin));
+    });
   }
-  const std::uint64_t begin = lo == 0 ? 0 : (lo - 1) * stride_;
-  const std::uint64_t end =
-      std::min<std::uint64_t>(num_regions_, lo * stride_ + 1);
-  return {begin, end};
+  if (!indexed) return;
+
+  // About two buckets per region over the node range.
+  base_ = regions.front().node;
+  const std::uint64_t range = regions.back().node - base_;
+  shift_ = 0;
+  while ((range >> shift_) >= 2 * num_regions) ++shift_;
+  const std::uint64_t buckets = (range >> shift_) + 1;
+  bucket_.assign(buckets + 1, 0);
+  for (const RegionEntry& e : regions) {
+    ++bucket_[((e.node - base_) >> shift_) + 1];
+  }
+  for (std::uint64_t b = 1; b <= buckets; ++b) bucket_[b] += bucket_[b - 1];
+  if (slots_ != 0) {
+    steps_.resize(slots_ + 1);
+    fill_search_steps(steps_.data(), slots_, 0);
+  }
 }
 
-Region find_region(Tasklet& t, std::uint64_t reg, std::uint64_t num_regions,
-                   NodeId key, std::uint64_t n, const RegionCache& cache) {
-  std::uint64_t instr = 0;
-  const auto [w_lo, w_hi] = cache.window(key, instr);
-  t.instr(instr);
+std::uint64_t RegionCache::rank_of(NodeId key) const noexcept {
+  const auto node_below = [](const RegionEntry& e, NodeId k) {
+    return e.node < k;
+  };
+  auto first = regions_.begin();
+  auto last = regions_.end();
+  if (!bucket_.empty()) {
+    if (key <= base_) return 0;
+    const std::uint64_t b = (key - base_) >> shift_;
+    if (b + 1 >= bucket_.size()) return regions_.size();
+    first = regions_.begin() + bucket_[b];
+    last = regions_.begin() + bucket_[b + 1];
+    // Buckets hold about two regions, unless the nodes cluster.
+    if (last - first <= 8) {
+      while (first != last && first->node < key) ++first;
+      return static_cast<std::uint64_t>(first - regions_.begin());
+    }
+  }
+  return static_cast<std::uint64_t>(
+      std::lower_bound(first, last, key, node_below) - regions_.begin());
+}
 
-  // Narrow window (fine-grained cache): fetch the whole window plus the
-  // successor entry in one burst and resolve in WRAM.
+Region find_region(const RegionCache& cache, NodeId key, std::uint64_t& instr,
+                   DmaTally& dma) {
+  constexpr std::uint64_t kEntry = sizeof(RegionEntry);
+  const std::uint64_t num = cache.regions_.size();
+  const std::uint64_t r = cache.rank_of(key);
+  const bool present = r < num && cache.regions_[r].node == key;
+
+  // The WRAM cache search: an upper bound over the cached nodes, leaving
+  // `below` of them at or below the key; the window spans the regions
+  // between the last of those and the next.
+  std::uint64_t w_lo = 0;
+  std::uint64_t w_hi = num;
+  if (cache.slots_ != 0) {
+    const std::uint64_t at_or_below = r + (present ? 1 : 0);
+    const std::uint64_t below =
+        at_or_below == 0 ? 0 : (at_or_below - 1) / cache.stride_ + 1;
+    instr += 3 * cache.cache_steps(below);
+    w_lo = below == 0 ? 0 : (below - 1) * cache.stride_;
+    w_hi = std::min(num, below * cache.stride_ + 1);
+  }
+
   if (w_hi - w_lo <= 6) {
-    RegionEntry win[8] = {};
-    const std::uint64_t fetch =
-        std::min<std::uint64_t>(w_hi - w_lo + 1, num_regions - w_lo);
-    t.mram_read(reg + w_lo * sizeof(RegionEntry), win,
-                fetch * sizeof(RegionEntry));
-    t.instr(Cost::binary_search_step + fetch * 2);
-    for (std::uint64_t i = 0; i < fetch; ++i) {
-      if (win[i].node == key) {
-        const std::uint64_t end =
-            (i + 1 < fetch) ? win[i + 1].begin
-            : (w_lo + i + 1 < num_regions)
-                ? t.mram_read_t<RegionEntry>(reg + (w_lo + i + 1) *
-                                                       sizeof(RegionEntry))
-                      .begin
-                : n;
-        return {win[i].begin, end};
-      }
-    }
-    return {~0ull, ~0ull};
+    // Narrow window: one burst over the window plus the successor entry,
+    // resolved in WRAM; a hit on the last fetched entry reads its
+    // successor separately.
+    const std::uint64_t fetch = std::min(w_hi - w_lo + 1, num - w_lo);
+    dma.add(1, fetch * kEntry);
+    instr += Cost::binary_search_step + fetch * 2;
+    if (!present) return {};
+    if (r - w_lo + 1 == fetch && r + 1 < num) dma.add(1, kEntry);
+  } else {
+    // Wide window: an MRAM binary search of 8-byte probes, then entries r
+    // and r+1 in one burst (region end = next begin).
+    const std::uint64_t steps = search_steps(w_hi - w_lo, r - w_lo);
+    dma.add(steps, steps * kEntry);
+    instr += steps * Cost::binary_search_step;
+    if (r >= num) return {};
+    dma.add(1, (r + 1 < num ? 2 : 1) * kEntry);
+    instr += Cost::binary_search_step;
+    if (!present) return {};
   }
-
-  const std::uint64_t r = lower_bound_region_window(t, reg, key, w_lo, w_hi);
-  if (r >= num_regions) return {~0ull, ~0ull};
-  // Fetch entries r and r+1 in one 16-byte burst (region end = next begin).
-  RegionEntry pair[2] = {};
-  const std::size_t fetch = r + 1 < num_regions ? 2 : 1;
-  t.mram_read(reg + r * sizeof(RegionEntry), pair,
-              fetch * sizeof(RegionEntry));
-  t.instr(Cost::binary_search_step);
-  if (pair[0].node != key) return {~0ull, ~0ull};
-  return {pair[0].begin, fetch == 2 ? pair[1].begin : n};
+  return {cache.regions_[r].begin,
+          r + 1 < num ? cache.regions_[r + 1].begin : cache.n_};
 }
 
 bool choose_gallop(IntersectPolicy policy, std::uint64_t small_size,

@@ -8,9 +8,15 @@
 // diverge again:
 //
 //  * WRAM-buffered MRAM stream readers/writers (the DMA discipline every
-//    phase shares),
+//    phase shares), and `charge_stream`, their closed-form charge for the
+//    stages the host executes in bulk,
+//  * `search_steps`, the probe count of the kernels' lower-bound loop as a
+//    function of (size, rank), so a search the host resolves another way
+//    is charged exactly what the loop would have issued,
 //  * the sampled WRAM `RegionCache` + `find_region` lookup that keeps the
-//    per-query MRAM probe chain at ~log2(stride) instead of log2(regions),
+//    per-query MRAM probe chain at ~log2(stride) instead of log2(regions);
+//    the host resolves the lookup through its own copy of the region table
+//    and charges the cached search in closed form,
 //  * the adaptive `intersect_regions` primitive: linear merge or block-
 //    galloping binary search, selected per intersection by a cost model
 //    (`IntersectPolicy::kAuto`) or forced by policy — the match set, and
@@ -93,7 +99,9 @@ class StreamReader {
 
 using EdgeReader = StreamReader<Edge>;
 
-/// Buffered sequential MRAM writer.
+/// Buffered sequential MRAM writer.  The kernels' writing stages run on the
+/// host and charge what this writer issues through charge_stream below;
+/// kernel_test checks the two against each other.
 template <typename T>
 class StreamWriter {
  public:
@@ -120,6 +128,41 @@ class StreamWriter {
   std::uint64_t pos_;
   std::size_t cursor_ = 0;
 };
+
+/// Charges to `t` the DMA a StreamReader<T> or StreamWriter<T> issues for
+/// `records` records through a `buffer`-record WRAM buffer: one transfer
+/// per full buffer plus one for the remainder, each rounded up to the DMA
+/// alignment.
+template <typename T>
+void charge_stream(pim::Tasklet& t, std::uint64_t records,
+                   std::uint64_t buffer) noexcept {
+  constexpr std::uint64_t kAlign = pim::PimSystemConfig::dma_alignment_bytes;
+  const std::uint64_t full = records / buffer;
+  const std::uint64_t rest = records % buffer;
+  t.charge_dma(full + (rest != 0 ? 1 : 0),
+               full * round_up(buffer * sizeof(T), kAlign) +
+                   round_up(rest * sizeof(T), kAlign));
+}
+
+/// Iterations of the kernels' lower-bound loop over `size` entries when `r`
+/// of them order below the key (`mid = lo + (hi - lo) / 2`, continue right
+/// iff entry `mid` is below).  The loop's path depends only on (size, r),
+/// so this is also its probe count.
+[[nodiscard]] constexpr std::uint64_t search_steps(std::uint64_t size,
+                                                   std::uint64_t r) noexcept {
+  std::uint64_t steps = 0;
+  while (size > 0) {
+    const std::uint64_t half = size / 2;
+    if (half < r) {
+      r -= half + 1;
+      size -= half + 1;
+    } else {
+      size = half;
+    }
+    ++steps;
+  }
+  return steps;
+}
 
 // ---------------------------------------------------------------------------
 // Work scheduling
@@ -196,40 +239,79 @@ struct Region {
   [[nodiscard]] std::uint64_t size() const noexcept { return end - begin; }
 };
 
+/// DMA a tasklet issued, tallied on the host and charged once per phase.
+struct DmaTally {
+  std::uint64_t transfers = 0;
+  std::uint64_t bytes = 0;  ///< aligned
+
+  void add(std::uint64_t n, std::uint64_t aligned_bytes) noexcept {
+    transfers += n;
+    bytes += aligned_bytes;
+  }
+};
+
 /// Shared WRAM cache of every k-th region-table entry.  A lookup binary
 /// searches the cache with WRAM-speed instructions, leaving only ~log2(k)
 /// MRAM probes inside the narrowed window — the real kernels keep exactly
 /// such a sampled index resident to avoid DMA-bound searches.
+///
+/// The host runs the lookup on its own copy of the region table (the one
+/// the region-index stage just wrote) and charges what the cached search
+/// would have issued.  It finds the first region at or above a key in
+/// O(1) expected time through a bucketed node index when the kernel's
+/// lookups outnumber its regions, and by binary search over the copy
+/// otherwise: an incremental launch does a few dozen lookups against
+/// thousands of regions, where building the index would cost more than it
+/// saves.  Reused across launches so its host storage is allocated once
+/// per worker thread.
 class RegionCache {
  public:
   static constexpr std::uint64_t kSlots = 2048;  // 16 KB of WRAM
 
-  /// Streams the region table once (block-parallel boot work) and keeps
-  /// every stride-th entry.  Owns its storage like the remap table: it
-  /// models a statically allocated WRAM structure, budgeted in
-  /// max_wram_buffer_edges().  With `enabled` false the cache stays empty
-  /// and every lookup degrades to the full-table MRAM binary search — the
-  /// pre-cache kernel behavior, kept as an ablation baseline.
-  RegionCache(pim::Dpu& dpu, std::uint32_t tasklets,
-              std::uint32_t buffer_edges, std::uint64_t reg,
-              std::uint64_t num_regions, bool enabled = true);
-
-  /// Region-index window [lo, hi) that must contain `key`, if present.
-  [[nodiscard]] std::pair<std::uint64_t, std::uint64_t> window(
-      NodeId key, std::uint64_t& instr) const;
+  /// Charges the cache build — each tasklet streams a block of the region
+  /// table through a WRAM buffer and keeps the stride-aligned entries — and
+  /// prepares the host lookup over `regions` (the table the kernel wrote,
+  /// indexing `n` records).  The cache is a statically allocated WRAM
+  /// structure, budgeted in max_wram_buffer_edges().  With `enabled` false
+  /// the cache stays empty and every lookup degrades to the full-table MRAM
+  /// binary search — the pre-cache kernel behavior, kept as an ablation
+  /// baseline.  `indexed` selects the bucketed node index.
+  void build(pim::Dpu& dpu, std::uint32_t tasklets,
+             std::uint32_t buffer_edges, std::span<const RegionEntry> regions,
+             std::uint64_t n, bool enabled, bool indexed);
 
  private:
-  std::vector<RegionEntry> cache_;
+  friend Region find_region(const RegionCache& cache, NodeId key,
+                            std::uint64_t& instr, DmaTally& dma);
+
+  /// Index of the first region whose node is >= key.
+  [[nodiscard]] std::uint64_t rank_of(NodeId key) const noexcept;
+  /// Probes of the WRAM cache search that leaves `below` cached entries
+  /// below the key's window.
+  [[nodiscard]] std::uint64_t cache_steps(std::uint64_t below) const noexcept {
+    return steps_.empty() ? search_steps(slots_, below) : steps_[below];
+  }
+
+  std::span<const RegionEntry> regions_;
+  std::uint64_t n_ = 0;
   std::uint64_t stride_ = 1;
-  std::uint64_t num_regions_ = 0;
+  std::uint64_t slots_ = 0;  ///< cached entries; 0 = uncached searches
+  // Bucketed node index (empty = binary search): bucket b holds the first
+  // region whose (node - base_) >> shift_ is >= b.
+  std::vector<std::uint32_t> bucket_;
+  NodeId base_ = 0;
+  unsigned shift_ = 0;
+  std::vector<std::uint8_t> steps_;  ///< cache_steps table, with the index
 };
 
-/// Region bounds of `key` (end = next region's begin, or n), using the WRAM
-/// region cache to keep MRAM probes at ~log2(stride).  Not-found regions
-/// return found() == false.
-[[nodiscard]] Region find_region(pim::Tasklet& t, std::uint64_t reg,
-                                 std::uint64_t num_regions, NodeId key,
-                                 std::uint64_t n, const RegionCache& cache);
+/// Region bounds of `key` (end = next region's begin, or n); not-found
+/// regions return found() == false.  Adds what the cached lookup issues to
+/// `instr` and `dma`: the WRAM cache search, then one burst over a narrow
+/// window (plus the successor entry when it falls outside) or a binary
+/// search of 8-byte MRAM probes over a wide one and a 2-entry read at the
+/// hit.
+[[nodiscard]] Region find_region(const RegionCache& cache, NodeId key,
+                                 std::uint64_t& instr, DmaTally& dma);
 
 // ---------------------------------------------------------------------------
 // Adaptive intersection

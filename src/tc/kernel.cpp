@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <span>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -80,203 +81,355 @@ class RemapTable {
 };
 
 // ---------------------------------------------------------------------------
-// Reusable phases
+// Host execution
 // ---------------------------------------------------------------------------
+//
+// The data-movement stages run on the host in bulk.  Each takes its input
+// as a host copy (read from MRAM once, uncharged, or handed on by the stage
+// before), writes back exactly the MRAM byte ranges its WRAM-streamed form
+// wrote, keeps every WRAM allocation of that form, and charges each tasklet
+// in closed form the DMA transfers, bytes and instructions the streamed
+// form issued: charge_stream per stream, the per-record or per-chunk
+// instructions, and every data-dependent search replayed from ranks with
+// search_steps.  The device-state goldens (tests/golden) pin the equality.
 
-/// Copies edges [src_begin, src_end) of the raw sample into `dst` (0-based),
-/// applying the remap.  Canonical mode emits one u<v record per edge; arc
-/// mode emits both orientations (2 records per edge, for the S* pipeline).
+/// One record of the host sort: an edge's key and the index of the WRAM
+/// chunk run formation read it in.  Sorting by (key, chunk) orders equal
+/// keys by input position, as a stable sort does.
+struct SortRecord {
+  std::uint64_t key;
+  std::uint64_t chunk;
+};
+
+/// Below this many records the host sort is a comparison sort; at and
+/// above it, an LSD radix sort, whose 48 KB of histograms cost more than
+/// they save on small inputs (the two cross near 400 records on x86).
+constexpr std::uint64_t kRadixMinRecords = 512;
+constexpr unsigned kRadixBits = 11;
+constexpr unsigned kRadixDigits = (64 + kRadixBits - 1) / kRadixBits;
+
+/// Host memory the stages reuse.  One bank runs at a time on a worker
+/// thread, so each thread allocates these once, at the size of the largest
+/// bank it has run.
+struct HostScratch {
+  std::vector<Edge> work;   ///< the array being copied, sorted, indexed
+  std::vector<Edge> other;  ///< sort ping-pong image; S* before a merge
+  std::vector<Edge> merged;
+  std::vector<std::uint8_t> flags;
+  std::vector<SortRecord> records;
+  std::vector<SortRecord> records_tmp;
+  std::vector<std::uint32_t> histogram;
+  std::vector<std::uint64_t> split_less;
+  std::vector<RegionEntry> regions;
+  RegionCache cache;
+};
+
+HostScratch& host_scratch() {
+  thread_local HostScratch scratch;
+  return scratch;
+}
+
+/// Sorts `data` into s.records by (key, chunk), where chunk = position /
+/// `chunk`.
+void sort_records(std::span<const Edge> data, std::uint64_t chunk,
+                  HostScratch& s) {
+  const std::uint64_t n = data.size();
+  std::vector<SortRecord>& recs = s.records;
+  recs.resize(n);
+  std::uint64_t c = 0;
+  std::uint64_t left = chunk;
+  for (std::uint64_t i = 0; i < n; ++i) {
+    recs[i] = {edge_key(data[i]), c};
+    --left;
+    if (left == 0) {
+      ++c;
+      left = chunk;
+    }
+  }
+  if (n < kRadixMinRecords) {
+    std::sort(recs.begin(), recs.end(),
+              [](const SortRecord& a, const SortRecord& b) {
+                return a.key != b.key ? a.key < b.key : a.chunk < b.chunk;
+              });
+    return;
+  }
+
+  // LSD radix sort on the key: stable, so equal keys keep input order.
+  constexpr std::uint64_t kBuckets = 1ull << kRadixBits;
+  constexpr std::uint64_t kMask = kBuckets - 1;
+  std::vector<std::uint32_t>& hist = s.histogram;
+  hist.assign(kRadixDigits * kBuckets, 0);
+  for (const SortRecord& r : recs) {
+    for (unsigned d = 0; d < kRadixDigits; ++d) {
+      ++hist[d * kBuckets + ((r.key >> (d * kRadixBits)) & kMask)];
+    }
+  }
+  s.records_tmp.resize(n);
+  SortRecord* src = recs.data();
+  SortRecord* dst = s.records_tmp.data();
+  for (unsigned d = 0; d < kRadixDigits; ++d) {
+    std::uint32_t* h = hist.data() + d * kBuckets;
+    const unsigned shift = d * kRadixBits;
+    if (h[(src[0].key >> shift) & kMask] == n) continue;  // constant digit
+    std::uint32_t sum = 0;
+    for (std::uint64_t b = 0; b < kBuckets; ++b) {
+      const std::uint32_t count = h[b];
+      h[b] = sum;
+      sum += count;
+    }
+    for (std::uint64_t i = 0; i < n; ++i) {
+      dst[h[(src[i].key >> shift) & kMask]++] = src[i];
+    }
+    std::swap(src, dst);
+  }
+  if (src != recs.data()) recs.swap(s.records_tmp);
+}
+
+/// Merge-path split replay of one co-partitioned merge pass: the pass
+/// merges runs of `width` records (run = chunk >> pass) pairwise, `ways`
+/// tasklets per pair, and tasklet `way` of a pair splits the left run at
+/// lo + way * nl / ways.  For every split strictly inside its left run,
+/// stores in split_less[pair * ways + way] how many right-run records order
+/// below the split key: the rank its lower-bound search returns.  One sweep
+/// over the sorted order counts, per run, the records seen so far; right-run
+/// records equal to a left-run key sort after it, as their chunks are later.
+void replay_splits(std::uint64_t n, std::uint64_t width, unsigned pass,
+                   std::uint64_t pairs, std::uint32_t ways, HostScratch& s) {
+  constexpr std::uint64_t kNone = ~0ull;
+  s.split_less.assign(pairs * ways, 0);
+  // Per run: records seen so far, and the rank of its next split (kNone
+  // for right runs and for left runs with no split left).
+  std::vector<std::uint64_t> seen(2 * pairs, 0);
+  std::vector<std::uint64_t> target(2 * pairs, kNone);
+  std::vector<std::uint32_t> next_way(pairs, ways);
+  const auto left_len = [&](std::uint64_t pr) {
+    const std::uint64_t lo = pr * width * 2;
+    return std::min(lo + width, n) - lo;
+  };
+  // The first split of pair `pr` at or after way `w`; one at the run's
+  // first record needs no search and one at its end is never reached.
+  const auto seek = [&](std::uint64_t pr, std::uint32_t w) {
+    const std::uint64_t nl = left_len(pr);
+    for (; w < ways; ++w) {
+      const std::uint64_t rank = w * nl / ways;
+      if (rank >= nl) break;
+      if (rank > 0) {
+        next_way[pr] = w;
+        target[2 * pr] = rank;
+        return;
+      }
+    }
+    target[2 * pr] = kNone;
+  };
+  for (std::uint64_t pr = 0; pr < pairs; ++pr) seek(pr, 1);
+  for (const SortRecord& rec : s.records) {
+    const std::uint64_t run = rec.chunk >> pass;
+    while (target[run] == seen[run]) {
+      const std::uint64_t pr = run >> 1;
+      s.split_less[pr * ways + next_way[pr]] = seen[run + 1];
+      seek(pr, next_way[pr] + 1);
+    }
+    ++seen[run];
+  }
+}
+
+/// Copies edges [src_begin, src_end) of the raw sample at `src` into `dst`
+/// (0-based), applying the remap, and leaves the copy in `out`.  Canonical
+/// mode emits one u<v record per edge; arc mode emits both orientations (2
+/// records per edge, for the S* pipeline).
 void copy_remap(Dpu& dpu, const KernelParams& p, const RemapTable& remap,
                 std::uint64_t src, std::uint64_t src_begin,
-                std::uint64_t src_end, std::uint64_t dst, bool arcs) {
+                std::uint64_t src_end, std::uint64_t dst, bool arcs,
+                std::vector<Edge>& out) {
   const std::uint64_t n = src_end - src_begin;
+  const std::uint64_t per_edge = arcs ? 2 : 1;
+  out.resize(n * per_edge);
+  // Arc mode reads into the upper half and expands forward: record i's two
+  // arcs land at 2i and 2i+1, below every unread input record n+j, j > i.
+  Edge* in = out.data() + (per_edge - 1) * n;
+  dpu.mram().read(src + src_begin * sizeof(Edge), in, n * sizeof(Edge));
   dpu.parallel(p.tasklets, [&](Tasklet& t) {
     const Block blk = block_of(n, t.id(), p.tasklets);
     if (blk.begin >= blk.end) return;
-    auto rbuf = dpu.wram().alloc<Edge>(p.buffer_edges);
-    auto wbuf = dpu.wram().alloc<Edge>(p.buffer_edges);
-    EdgeReader reader(t, rbuf, src, src_begin + blk.begin,
-                      src_begin + blk.end);
-    StreamWriter<Edge> writer(t, wbuf, dst,
-                              arcs ? 2 * blk.begin : blk.begin);
-
-    std::uint64_t instr = 0;
+    (void)dpu.wram().alloc<Edge>(p.buffer_edges);
+    (void)dpu.wram().alloc<Edge>(p.buffer_edges);
     std::uint64_t probes = 0;
-    Edge e;
-    while (reader.next(e)) {
+    for (std::uint64_t i = blk.begin; i < blk.end; ++i) {
+      Edge e = in[i];
       if (!remap.empty()) {
         e.u = remap.lookup(e.u, probes);
         e.v = remap.lookup(e.v, probes);
       }
       const Edge c = e.canonical();
-      writer.put(c);
-      if (arcs) writer.put(c.reversed());
-      instr += Cost::edge_copy + Cost::loop_overhead;
+      if (arcs) {
+        out[2 * i] = c;
+        out[2 * i + 1] = c.reversed();
+      } else {
+        out[i] = c;
+      }
     }
-    writer.flush();
-    t.instr(instr + probes * Cost::remap_lookup);
+    const std::uint64_t len = blk.end - blk.begin;
+    charge_stream<Edge>(t, len, p.buffer_edges);             // reader
+    charge_stream<Edge>(t, len * per_edge, p.buffer_edges);  // writer
+    t.instr(len * (Cost::edge_copy + Cost::loop_overhead) +
+            probes * Cost::remap_lookup);
   });
+  if (!out.empty()) {
+    dpu.mram().write(dst, out.data(), out.size() * sizeof(Edge));
+  }
 }
 
-/// External merge sort of n edges at `off_a`, ping-pong with `off_b`.
-/// Returns the offset holding the sorted result.  Resets WRAM.
+/// External merge sort of the records in `data` (also at `off_a`),
+/// ping-pong with `off_b`; leaves `data` sorted and returns the offset
+/// holding the sorted result.  Resets WRAM.
 ///
-/// Chunk size adapts downward for small inputs so every tasklet has work
-/// (an idle pipeline issues one instruction per 11 cycles per tasklet), and
-/// merge passes with fewer runs than tasklets are co-partitioned with
-/// merge-path splitting so the last passes stay parallel.
+/// Charged as the kernel runs it: WRAM chunk sorts, then merge passes of
+/// doubling run width.  Chunk size adapts downward for small inputs so
+/// every tasklet has work (an idle pipeline issues one instruction per 11
+/// cycles per tasklet), and merge passes with fewer runs than tasklets are
+/// co-partitioned with merge-path splitting so the last passes stay
+/// parallel.  The host sorts once; afterwards the result buffer holds the
+/// sorted records and, after any merge pass, the other buffer holds the
+/// last pass's input — the sorted contents of [0, w) and of [w, n).
 std::uint64_t external_sort(Dpu& dpu, const KernelParams& p,
                             std::uint64_t off_a, std::uint64_t off_b,
-                            std::uint64_t n) {
+                            std::vector<Edge>& data, HostScratch& s) {
+  const std::uint64_t n = data.size();
   if (n <= 1) return off_a;
+  const std::uint64_t tasklets = p.tasklets;
+  const std::uint64_t buffer = p.buffer_edges;
 
   // Stage 1: sort WRAM-resident chunks in place.  Every tasklet holds a
   // chunk buffer simultaneously, so chunk size is bounded by WRAM/tasklets
   // (half the arena, leaving room for stack/locals like a real kernel).
   dpu.wram().reset();
   const std::uint64_t max_chunk = std::max<std::uint64_t>(
-      16, dpu.wram().capacity() / (2ull * p.tasklets * sizeof(Edge)));
+      16, dpu.wram().capacity() / (2ull * tasklets * sizeof(Edge)));
   const std::uint64_t chunk =
-      std::max<std::uint64_t>(8, std::min(max_chunk,
-                                          ceil_div(n, p.tasklets)));
+      std::max<std::uint64_t>(8, std::min(max_chunk, ceil_div(n, tasklets)));
   dpu.parallel(p.tasklets, [&](Tasklet& t) {
-    auto buf = dpu.wram().alloc<Edge>(chunk);
+    (void)dpu.wram().alloc<Edge>(chunk);
     for (std::uint64_t begin = t.id() * chunk; begin < n;
-         begin += static_cast<std::uint64_t>(p.tasklets) * chunk) {
+         begin += tasklets * chunk) {
       const std::uint64_t len = std::min(chunk, n - begin);
-      t.mram_read(off_a + begin * sizeof(Edge), buf.data(), len * sizeof(Edge));
-      std::sort(buf.begin(), buf.begin() + static_cast<std::ptrdiff_t>(len));
+      t.charge_dma(2, 2 * len * sizeof(Edge));  // read + write back
       t.instr(len * (ceil_log2(len) + 1) * Cost::sort_step);
-      t.mram_write(off_a + begin * sizeof(Edge), buf.data(),
-                   len * sizeof(Edge));
     }
   });
+  sort_records(data, chunk, s);
 
   // Stage 2: ping-pong merge passes until a single run remains.
-  std::uint64_t src = off_a;
-  std::uint64_t dst = off_b;
-  for (std::uint64_t width = chunk; width < n; width *= 2) {
+  unsigned passes = 0;
+  std::uint64_t width = chunk;
+  for (; width < n; width *= 2, ++passes) {
     dpu.wram().reset();
     const std::uint64_t pairs = ceil_div(n, width * 2);
     const std::uint32_t ways = static_cast<std::uint32_t>(
-        std::max<std::uint64_t>(1, p.tasklets / pairs));
+        std::max<std::uint64_t>(1, tasklets / pairs));
+    if (ways > 1) replay_splits(n, width, passes, pairs, ways, s);
     dpu.parallel(p.tasklets, [&](Tasklet& t) {
-      const std::uint64_t pair = t.id() / ways;
-      const std::uint32_t way = t.id() % ways;
-
-      auto buf_l = dpu.wram().alloc<Edge>(p.buffer_edges);
-      auto buf_r = dpu.wram().alloc<Edge>(p.buffer_edges);
-      auto buf_o = dpu.wram().alloc<Edge>(p.buffer_edges);
-
-      // lower_bound of `key` within src[b, e): first element >= key.
-      const auto lb = [&](std::uint64_t b, std::uint64_t e_idx,
-                          const Edge& key) {
-        std::uint64_t probes = 0;
-        while (b < e_idx) {
-          const std::uint64_t mid = b + (e_idx - b) / 2;
-          const Edge m = t.mram_read_t<Edge>(src + mid * sizeof(Edge));
-          if (m < key) {
-            b = mid + 1;
-          } else {
-            e_idx = mid;
-          }
-          ++probes;
-        }
-        t.instr(probes * Cost::binary_search_step);
-        return b;
-      };
-
-      const auto merge_range = [&](std::uint64_t l0, std::uint64_t l1,
-                                   std::uint64_t r0, std::uint64_t r1,
-                                   std::uint64_t out_pos) {
-        EdgeReader left(t, buf_l, src, l0, l1);
-        EdgeReader right(t, buf_r, src, r0, r1);
-        StreamWriter<Edge> out(t, buf_o, dst, out_pos);
-        Edge l;
-        Edge r;
-        bool has_l = left.next(l);
-        bool has_r = right.next(r);
-        std::uint64_t instr = 0;
-        while (has_l || has_r) {
-          if (has_l && (!has_r || l <= r)) {
-            out.put(l);
-            has_l = left.next(l);
-          } else {
-            out.put(r);
-            has_r = right.next(r);
-          }
-          instr += Cost::merge_pick;
-        }
-        out.flush();
-        t.instr(instr);
+      for (int i = 0; i < 3; ++i) (void)dpu.wram().alloc<Edge>(buffer);
+      // Two readers and a writer; one merge pick per output record.
+      const auto charge_merge = [&](std::uint64_t nl, std::uint64_t nr) {
+        charge_stream<Edge>(t, nl, buffer);
+        charge_stream<Edge>(t, nr, buffer);
+        charge_stream<Edge>(t, nl + nr, buffer);
+        t.instr((nl + nr) * Cost::merge_pick);
       };
 
       if (ways == 1) {
         // More runs than tasklets: round-robin whole pairs.
-        for (std::uint64_t pr = t.id(); pr < pairs; pr += p.tasklets) {
+        for (std::uint64_t pr = t.id(); pr < pairs; pr += tasklets) {
           const std::uint64_t lo = pr * width * 2;
           const std::uint64_t mid = std::min(lo + width, n);
           const std::uint64_t hi = std::min(lo + width * 2, n);
-          merge_range(lo, mid, mid, hi, lo);
+          charge_merge(mid - lo, hi - mid);
         }
         return;
       }
 
       // Few runs: `ways` tasklets co-partition one pair via merge-path
-      // splits (distinct keys: edges are unique).
+      // splits.
+      const std::uint64_t pair = t.id() / ways;
+      const std::uint32_t way = t.id() % ways;
       if (pair >= pairs) return;
       const std::uint64_t lo = pair * width * 2;
       const std::uint64_t mid = std::min(lo + width, n);
       const std::uint64_t hi = std::min(lo + width * 2, n);
       const std::uint64_t nl = mid - lo;
-
       const auto left_split = [&](std::uint32_t w) {
         return lo + w * nl / ways;
       };
-      // Right-run split consistent across ways: right elements smaller than
-      // the left block's first key go to earlier ways.  Edges are unique,
-      // so ties cannot occur.
-      const auto right_split = [&](std::uint64_t lx) {
-        if (lx <= lo) return mid;   // first boundary
-        if (lx >= mid) return hi;   // left run exhausted: tail goes here
-        return lb(mid, hi, t.mram_read_t<Edge>(src + lx * sizeof(Edge)));
+      // A split inside the left run reads its key (one 8-byte burst) and
+      // lower-bounds it in the right run with 8-byte probes.
+      const auto right_split = [&](std::uint32_t w) {
+        const std::uint64_t lx = left_split(w);
+        if (lx <= lo) return mid;  // first boundary
+        if (lx >= mid) return hi;  // left run exhausted: tail goes here
+        const std::uint64_t below = s.split_less[pair * ways + w];
+        const std::uint64_t steps = search_steps(hi - mid, below);
+        t.charge_dma(1 + steps, (1 + steps) * sizeof(Edge));
+        t.instr(steps * Cost::binary_search_step);
+        return mid + below;
       };
       const std::uint64_t l0 = left_split(way);
       const std::uint64_t l1 = left_split(way + 1);
-      const std::uint64_t r0 = way == 0 ? mid : right_split(l0);
-      const std::uint64_t r1 = way + 1 == ways ? hi : right_split(l1);
-      merge_range(l0, l1, r0, r1, lo + (l0 - lo) + (r0 - mid));
+      const std::uint64_t r0 = way == 0 ? mid : right_split(way);
+      const std::uint64_t r1 = way + 1 == ways ? hi : right_split(way + 1);
+      charge_merge(l1 - l0, r1 - r0);
     });
-    std::swap(src, dst);
   }
-  return src;
+
+  for (std::uint64_t i = 0; i < n; ++i) {
+    data[i] = edge_from_key(s.records[i].key);
+  }
+  const bool in_b = passes % 2 == 1;
+  dpu.mram().write(in_b ? off_b : off_a, data.data(), n * sizeof(Edge));
+  if (passes > 0) {
+    // The last pass merged [0, w) with [w, n), w = chunk << (passes - 1):
+    // records from chunks below 2^(passes - 1), in sorted order, then the
+    // rest.
+    const std::uint64_t split_chunk = 1ull << (passes - 1);
+    s.other.resize(n);
+    std::uint64_t left = 0;
+    std::uint64_t right = chunk << (passes - 1);
+    for (const SortRecord& rec : s.records) {
+      s.other[rec.chunk < split_chunk ? left++ : right++] =
+          edge_from_key(rec.key);
+    }
+    dpu.mram().write(in_b ? off_a : off_b, s.other.data(), n * sizeof(Edge));
+  }
+  return in_b ? off_b : off_a;
 }
 
-/// Parallel bulk copy of n edges from `src` to `dst`.
-void copy_edges(Dpu& dpu, const KernelParams& p, std::uint64_t src,
-                std::uint64_t dst, std::uint64_t n) {
+/// Parallel bulk copy of `src` (the host copy of an MRAM array) to `dst`.
+void copy_edges(Dpu& dpu, const KernelParams& p, std::span<const Edge> src,
+                std::uint64_t dst) {
+  const std::uint64_t n = src.size();
+  const std::uint64_t buffer = p.buffer_edges * 2ull;
   dpu.wram().reset();
   dpu.parallel(p.tasklets, [&](Tasklet& t) {
     const Block blk = block_of(n, t.id(), p.tasklets);
     if (blk.begin >= blk.end) return;
-    auto buf = dpu.wram().alloc<Edge>(p.buffer_edges * 2);
-    for (std::uint64_t pos = blk.begin; pos < blk.end; pos += buf.size()) {
-      const std::uint64_t len =
-          std::min<std::uint64_t>(buf.size(), blk.end - pos);
-      t.mram_read(src + pos * sizeof(Edge), buf.data(), len * sizeof(Edge));
-      t.mram_write(dst + pos * sizeof(Edge), buf.data(), len * sizeof(Edge));
-      t.instr(Cost::loop_overhead);
-    }
+    (void)dpu.wram().alloc<Edge>(buffer);
+    const std::uint64_t len = blk.end - blk.begin;
+    charge_stream<Edge>(t, len, buffer);  // reads
+    charge_stream<Edge>(t, len, buffer);  // writes
+    t.instr(ceil_div(len, buffer) * Cost::loop_overhead);
   });
+  if (n != 0) dpu.mram().write(dst, src.data(), n * sizeof(Edge));
 }
 
-/// Builds the region index over `sorted` (n edges) at `reg`.  Two parallel
-/// passes: count region starts per block, then write RegionEntry records at
-/// exclusive-prefix offsets.  Returns the number of regions.
-std::uint64_t build_regions(Dpu& dpu, const KernelParams& p,
-                            std::uint64_t sorted, std::uint64_t n,
-                            std::uint64_t reg) {
-  if (n == 0) return 0;
+/// Builds the region index over `sorted` (the host copy of the sorted
+/// array) at `reg` and leaves it in `regions`.  Two parallel passes: count
+/// region starts per block, then write RegionEntry records at
+/// exclusive-prefix offsets.
+void build_regions(Dpu& dpu, const KernelParams& p,
+                   std::span<const Edge> sorted, std::uint64_t reg,
+                   std::vector<RegionEntry>& regions) {
+  const std::uint64_t n = sorted.size();
+  regions.clear();
+  if (n == 0) return;
   // RegionEntry.begin is 32-bit; the kernel entry points reject capacities
   // whose arc arrays could exceed this, so the cast below cannot truncate.
   if (n - 1 > std::numeric_limits<std::uint32_t>::max()) {
@@ -284,65 +437,49 @@ std::uint64_t build_regions(Dpu& dpu, const KernelParams& p,
         "build_regions: record index overflows RegionEntry.begin");
   }
   std::vector<std::uint64_t> counts(p.tasklets, 0);
+  regions.resize(n);  // at most one region per record; trimmed below
+  std::uint64_t num_regions = 0;
+  // Each pass streams the tasklet's block and reads the record before it.
+  const auto charge_scan = [&](Tasklet& t, const Block& blk) {
+    if (blk.begin > 0) t.charge_dma(1, sizeof(Edge));
+    charge_stream<Edge>(t, blk.end - blk.begin, p.buffer_edges);
+    t.instr((blk.end - blk.begin) * Cost::region_scan_step);
+  };
 
   dpu.wram().reset();
   dpu.parallel(p.tasklets, [&](Tasklet& t) {
     const Block blk = block_of(n, t.id(), p.tasklets);
     if (blk.begin >= blk.end) return;
-    auto buf = dpu.wram().alloc<Edge>(p.buffer_edges);
-    NodeId prev = kInvalidNode;
-    if (blk.begin > 0) {
-      prev = t.mram_read_t<Edge>(sorted + (blk.begin - 1) * sizeof(Edge)).u;
+    (void)dpu.wram().alloc<Edge>(p.buffer_edges);
+    const std::uint64_t before = num_regions;
+    NodeId prev = blk.begin > 0 ? sorted[blk.begin - 1].u : kInvalidNode;
+    for (std::uint64_t i = blk.begin; i < blk.end; ++i) {
+      // Branch-free: every record writes the next slot, a region start
+      // keeps it.
+      const NodeId u = sorted[i].u;
+      regions[num_regions] = RegionEntry{u, static_cast<std::uint32_t>(i)};
+      num_regions += u != prev ? 1 : 0;
+      prev = u;
     }
-    EdgeReader reader(t, buf, sorted, blk.begin, blk.end);
-    Edge e;
-    std::uint64_t local = 0;
-    std::uint64_t instr = 0;
-    while (reader.next(e)) {
-      if (e.u != prev) {
-        ++local;
-        prev = e.u;
-      }
-      instr += Cost::region_scan_step;
-    }
-    counts[t.id()] = local;
-    t.instr(instr);
+    counts[t.id()] = num_regions - before;
+    charge_scan(t, blk);
   });
 
+  regions.resize(num_regions);
+
   // Exclusive prefix over per-tasklet counts (tasklet 0 on real hardware).
-  std::vector<std::uint64_t> prefix(p.tasklets + 1, 0);
-  for (std::uint32_t i = 0; i < p.tasklets; ++i) {
-    prefix[i + 1] = prefix[i] + counts[i];
-  }
   dpu.serial_instr(p.tasklets * 2ull);
 
   dpu.wram().reset();
   dpu.parallel(p.tasklets, [&](Tasklet& t) {
     const Block blk = block_of(n, t.id(), p.tasklets);
     if (blk.begin >= blk.end) return;
-    auto buf = dpu.wram().alloc<Edge>(p.buffer_edges);
-    auto obuf = dpu.wram().alloc<RegionEntry>(p.buffer_edges);
-    NodeId prev = kInvalidNode;
-    if (blk.begin > 0) {
-      prev = t.mram_read_t<Edge>(sorted + (blk.begin - 1) * sizeof(Edge)).u;
-    }
-    EdgeReader reader(t, buf, sorted, blk.begin, blk.end);
-    StreamWriter<RegionEntry> writer(t, obuf, reg, prefix[t.id()]);
-    Edge e;
-    std::uint64_t instr = 0;
-    while (reader.next(e)) {
-      if (e.u != prev) {
-        writer.put(
-            RegionEntry{e.u, static_cast<std::uint32_t>(reader.last_index())});
-        prev = e.u;
-      }
-      instr += Cost::region_scan_step;
-    }
-    writer.flush();
-    t.instr(instr);
+    (void)dpu.wram().alloc<Edge>(p.buffer_edges);
+    (void)dpu.wram().alloc<RegionEntry>(p.buffer_edges);
+    charge_scan(t, blk);
+    charge_stream<RegionEntry>(t, counts[t.id()], p.buffer_edges);
   });
-
-  return prefix[p.tasklets];
+  dpu.mram().write(reg, regions.data(), regions.size() * sizeof(RegionEntry));
 }
 
 // ---------------------------------------------------------------------------
@@ -354,13 +491,14 @@ std::uint64_t build_regions(Dpu& dpu, const KernelParams& p,
 /// shared adaptive machinery (tc/intersect.hpp) — RegionCache-backed
 /// lookups, merge/gallop selection, strided hub-spreading chunks.
 std::uint64_t count_full(Dpu& dpu, const KernelParams& p, std::uint64_t sorted,
-                         std::uint64_t n, std::uint64_t reg,
-                         std::uint64_t num_regions, IntersectTally& tally) {
+                         std::uint64_t n, std::span<const RegionEntry> regions,
+                         RegionCache& cache, IntersectTally& tally) {
   std::vector<std::uint64_t> partial(p.tasklets, 0);
   std::vector<IntersectTally> tallies(p.tasklets);
 
-  const RegionCache cache(dpu, p.tasklets, p.buffer_edges, reg,
-                          num_regions, p.region_cache);
+  // At least one lookup per record: always worth the host's node index.
+  cache.build(dpu, p.tasklets, p.buffer_edges, regions, n, p.region_cache,
+              /*indexed=*/true);
 
   dpu.wram().reset();
   dpu.parallel(p.tasklets, [&](Tasklet& t) {
@@ -372,6 +510,7 @@ std::uint64_t count_full(Dpu& dpu, const KernelParams& p, std::uint64_t sorted,
     const std::uint64_t num_chunks = ceil_div(n, kIntersectChunkEdges);
     std::uint64_t count = 0;
     std::uint64_t instr = 0;
+    DmaTally lookup_dma;
     // The region of the current scan u, reused while u does not change
     // (regions are contiguous in the sorted scan, so the lookup amortizes
     // to one per distinct first endpoint).
@@ -389,10 +528,10 @@ std::uint64_t count_full(Dpu& dpu, const KernelParams& p, std::uint64_t sorted,
         if (e.u == e.v) continue;  // defensive: self loops count nothing
         if (e.u != cur_u) {
           cur_u = e.u;
-          ru = find_region(t, reg, num_regions, e.u, n, cache);
+          ru = find_region(cache, e.u, instr, lookup_dma);
         }
         if (!ru.found()) continue;  // cannot happen: e itself is in `sorted`
-        const Region rv = find_region(t, reg, num_regions, e.v, n, cache);
+        const Region rv = find_region(cache, e.v, instr, lookup_dma);
         if (!rv.found()) continue;
 
         // Edges after (u,v) in u's region x v's full region; every common
@@ -406,6 +545,7 @@ std::uint64_t count_full(Dpu& dpu, const KernelParams& p, std::uint64_t sorted,
     }
     partial[t.id()] = count;
     t.instr(instr);
+    t.charge_dma(lookup_dma.transfers, lookup_dma.bytes);
   });
 
   std::uint64_t total = 0;
@@ -419,46 +559,41 @@ std::uint64_t count_full(Dpu& dpu, const KernelParams& p, std::uint64_t sorted,
 // Incremental machinery (dynamic updates)
 // ---------------------------------------------------------------------------
 
-/// Merges S*[0..n_old) with the sorted batch at `batch` [0..n_b) into
-/// `dst_edges`, writing a 1-byte "new" flag per output record to
-/// `dst_flags`.  Tasklets merge co-partitioned subranges (merge-path
+/// Merges S* (`old`, the host copy of its arcs) with the sorted batch
+/// (`batch`) into `dst_edges`, writing a 1-byte "new" flag per output record
+/// to `dst_flags`, and leaves both in `merged` and `flags`.  Ties take the
+/// S* record first.  Tasklets merge co-partitioned subranges (merge-path
 /// splitting on equal S* blocks).
-void merge_with_flags(Dpu& dpu, const KernelParams& p, std::uint64_t sorted,
-                      std::uint64_t n_old, std::uint64_t batch,
-                      std::uint64_t n_b, std::uint64_t dst_edges,
-                      std::uint64_t dst_flags) {
+void merge_with_flags(Dpu& dpu, const KernelParams& p,
+                      std::span<const Edge> old, std::span<const Edge> batch,
+                      std::uint64_t dst_edges, std::uint64_t dst_flags,
+                      std::vector<Edge>& merged,
+                      std::vector<std::uint8_t>& flags) {
+  const std::uint64_t n_old = old.size();
+  const std::uint64_t n_b = batch.size();
   const std::uint32_t ways = p.tasklets;
   std::vector<std::uint64_t> old_split(ways + 1, 0);
   std::vector<std::uint64_t> batch_split(ways + 1, 0);
   old_split[ways] = n_old;
   batch_split[ways] = n_b;
 
-  // Split planning: equal blocks of S*; matching batch positions found by
-  // binary search (tasklet-0 work on real hardware).
+  // Split planning: equal blocks of S*; each block's last record is
+  // lower-bounded in the batch by an MRAM binary search (tasklet-0 work on
+  // real hardware).
   dpu.wram().reset();
   dpu.parallel(1, [&](Tasklet& t) {
     std::uint64_t instr = 0;
     for (std::uint32_t w = 1; w < ways; ++w) {
       const std::uint64_t pos = w * n_old / ways;
       old_split[w] = pos;
-      if (pos == 0 || n_b == 0) {
-        batch_split[w] = 0;
-        continue;
-      }
-      const Edge pivot = t.mram_read_t<Edge>(sorted + (pos - 1) * sizeof(Edge));
-      std::uint64_t lo = 0;
-      std::uint64_t hi = n_b;
-      while (lo < hi) {
-        const std::uint64_t mid = lo + (hi - lo) / 2;
-        const Edge e = t.mram_read_t<Edge>(batch + mid * sizeof(Edge));
-        if (e < pivot) {
-          lo = mid + 1;
-        } else {
-          hi = mid;
-        }
-        instr += Cost::binary_search_step;
-      }
-      batch_split[w] = lo;
+      if (pos == 0 || n_b == 0) continue;
+      const std::uint64_t below = static_cast<std::uint64_t>(
+          std::lower_bound(batch.begin(), batch.end(), old[pos - 1]) -
+          batch.begin());
+      const std::uint64_t steps = search_steps(n_b, below);
+      t.charge_dma(1 + steps, (1 + steps) * sizeof(Edge));  // pivot + probes
+      instr += steps * Cost::binary_search_step;
+      batch_split[w] = below;
     }
     t.instr(instr);
   });
@@ -467,46 +602,39 @@ void merge_with_flags(Dpu& dpu, const KernelParams& p, std::uint64_t sorted,
     batch_split[w] = std::max(batch_split[w], batch_split[w - 1]);
   }
 
+  // The merge: copy S* runs between the batch records' insertion points.
+  merged.resize(n_old + n_b);
+  flags.assign(n_old + n_b, 0);
+  auto from = old.begin();
+  auto out = merged.begin();
+  for (const Edge& b : batch) {
+    const auto to = std::upper_bound(from, old.end(), b);
+    out = std::copy(from, to, out);
+    flags[static_cast<std::size_t>(out - merged.begin())] = 1;
+    *out++ = b;
+    from = to;
+  }
+  std::copy(from, old.end(), out);
+
   dpu.wram().reset();
   dpu.parallel(p.tasklets, [&](Tasklet& t) {
     const std::uint32_t w = t.id();
-    const std::uint64_t o_lo = old_split[w];
-    const std::uint64_t o_hi = old_split[w + 1];
-    const std::uint64_t b_lo = batch_split[w];
-    const std::uint64_t b_hi = batch_split[w + 1];
-    if (o_lo >= o_hi && b_lo >= b_hi) return;
-
-    auto buf_o = dpu.wram().alloc<Edge>(p.buffer_edges);
-    auto buf_b = dpu.wram().alloc<Edge>(p.buffer_edges);
-    auto buf_e = dpu.wram().alloc<Edge>(p.buffer_edges);
-    auto buf_f = dpu.wram().alloc<std::uint8_t>(p.buffer_edges);
-
-    EdgeReader old_r(t, buf_o, sorted, o_lo, o_hi);
-    EdgeReader new_r(t, buf_b, batch, b_lo, b_hi);
-    StreamWriter<Edge> out_e(t, buf_e, dst_edges, o_lo + b_lo);
-    StreamWriter<std::uint8_t> out_f(t, buf_f, dst_flags, o_lo + b_lo);
-
-    Edge o;
-    Edge b;
-    bool has_o = old_r.next(o);
-    bool has_b = new_r.next(b);
-    std::uint64_t instr = 0;
-    while (has_o || has_b) {
-      if (has_o && (!has_b || o <= b)) {
-        out_e.put(o);
-        out_f.put(0);
-        has_o = old_r.next(o);
-      } else {
-        out_e.put(b);
-        out_f.put(1);
-        has_b = new_r.next(b);
-      }
-      instr += Cost::merge_pick;
-    }
-    out_e.flush();
-    out_f.flush();
-    t.instr(instr);
+    const std::uint64_t olds = old_split[w + 1] - old_split[w];
+    const std::uint64_t news = batch_split[w + 1] - batch_split[w];
+    if (olds == 0 && news == 0) return;
+    for (int i = 0; i < 3; ++i) (void)dpu.wram().alloc<Edge>(p.buffer_edges);
+    (void)dpu.wram().alloc<std::uint8_t>(p.buffer_edges);
+    // Two readers, the record writer and the flag writer.
+    charge_stream<Edge>(t, olds, p.buffer_edges);
+    charge_stream<Edge>(t, news, p.buffer_edges);
+    charge_stream<Edge>(t, olds + news, p.buffer_edges);
+    charge_stream<std::uint8_t>(t, olds + news, p.buffer_edges);
+    t.instr((olds + news) * Cost::merge_pick);
   });
+  if (!merged.empty()) {
+    dpu.mram().write(dst_edges, merged.data(), merged.size() * sizeof(Edge));
+    dpu.mram().write(dst_flags, flags.data(), flags.size());
+  }
 }
 
 /// Counts new triangles over the merged arc array: for each new canonical
@@ -518,14 +646,17 @@ void merge_with_flags(Dpu& dpu, const KernelParams& p, std::uint64_t sorted,
 /// batch arcs are skipped so each new edge is processed once.
 std::uint64_t count_incremental(Dpu& dpu, const KernelParams& p,
                                 std::uint64_t sorted, std::uint64_t n,
-                                std::uint64_t flags, std::uint64_t reg,
-                                std::uint64_t num_regions, std::uint64_t batch,
+                                std::uint64_t flags,
+                                std::span<const RegionEntry> regions,
+                                RegionCache& cache, std::uint64_t batch,
                                 std::uint64_t n_b, IntersectTally& tally) {
   std::vector<std::uint64_t> partial(p.tasklets, 0);
   std::vector<IntersectTally> tallies(p.tasklets);
 
-  const RegionCache cache(dpu, p.tasklets, p.buffer_edges, reg,
-                          num_regions, p.region_cache);
+  // Two lookups per new edge, so n_b per launch: the host's node index pays
+  // off only when they outnumber the regions.
+  cache.build(dpu, p.tasklets, p.buffer_edges, regions, n, p.region_cache,
+              /*indexed=*/n_b >= regions.size());
 
   dpu.wram().reset();
   dpu.parallel(p.tasklets, [&](Tasklet& t) {
@@ -537,6 +668,7 @@ std::uint64_t count_incremental(Dpu& dpu, const KernelParams& p,
     const std::uint64_t num_chunks = ceil_div(n_b, kIntersectChunkEdges);
     std::uint64_t count = 0;
     std::uint64_t instr = 0;
+    DmaTally lookup_dma;
     for (std::uint64_t chunk_i = t.id(); chunk_i < num_chunks;
          chunk_i += p.tasklets) {
       ++tl.chunks_claimed;
@@ -547,9 +679,9 @@ std::uint64_t count_incremental(Dpu& dpu, const KernelParams& p,
       while (scan.next(e)) {
         instr += Cost::loop_overhead;
         if (e.u >= e.v) continue;  // process each new edge once
-        const Region ru = find_region(t, reg, num_regions, e.u, n, cache);
+        const Region ru = find_region(cache, e.u, instr, lookup_dma);
         if (!ru.found()) continue;  // cannot happen: e itself is in S*
-        const Region rv = find_region(t, reg, num_regions, e.v, n, cache);
+        const Region rv = find_region(cache, e.v, instr, lookup_dma);
         if (!rv.found()) continue;
 
         // Triangle (e.u, e.v, w) with w the matched second endpoint; e is
@@ -572,6 +704,7 @@ std::uint64_t count_incremental(Dpu& dpu, const KernelParams& p,
     }
     partial[t.id()] = count;
     t.instr(instr);
+    t.charge_dma(lookup_dma.transfers, lookup_dma.bytes);
   });
 
   std::uint64_t total = 0;
@@ -581,22 +714,22 @@ std::uint64_t count_incremental(Dpu& dpu, const KernelParams& p,
   return total;
 }
 
-/// Zeroes the first n flag bytes (parallel chunked writes).
-void clear_flags(Dpu& dpu, const KernelParams& p, std::uint64_t flags,
-                 std::uint64_t n) {
+/// Zeroes the flag bytes at `flags_off` (parallel chunked writes); `flags`
+/// is their host copy.
+void clear_flags(Dpu& dpu, const KernelParams& p, std::uint64_t flags_off,
+                 std::vector<std::uint8_t>& flags) {
+  const std::uint64_t n = flags.size();
+  const std::uint64_t buffer = p.buffer_edges * 8ull;
   dpu.wram().reset();
   dpu.parallel(p.tasklets, [&](Tasklet& t) {
     const Block blk = block_of(n, t.id(), p.tasklets);
     if (blk.begin >= blk.end) return;
-    auto buf = dpu.wram().alloc<std::uint8_t>(p.buffer_edges * 8);
-    std::fill(buf.begin(), buf.end(), 0);
-    for (std::uint64_t pos = blk.begin; pos < blk.end; pos += buf.size()) {
-      const std::uint64_t len =
-          std::min<std::uint64_t>(buf.size(), blk.end - pos);
-      t.mram_write(flags + pos, buf.data(), len);
-      t.instr(Cost::loop_overhead);
-    }
+    (void)dpu.wram().alloc<std::uint8_t>(buffer);
+    charge_stream<std::uint8_t>(t, blk.end - blk.begin, buffer);
+    t.instr(ceil_div(blk.end - blk.begin, buffer) * Cost::loop_overhead);
   });
+  std::fill(flags.begin(), flags.end(), 0);
+  if (n != 0) dpu.mram().write(flags_off, flags.data(), n);
 }
 
 /// Largest stream-buffer size, in edges, for which the worst-case
@@ -685,22 +818,23 @@ void run_count_kernel(pim::Dpu& dpu, const KernelParams& params_in) {
     return;
   }
 
+  HostScratch& s = host_scratch();
+  const std::uint64_t work_a = MramLayout::work_a_offset(cap);
+  const std::uint64_t work_b = MramLayout::work_b_offset(cap);
   dpu.wram().reset();
   const RemapTable remap(dpu, meta.num_remap);
-  copy_remap(dpu, params, remap, MramLayout::sample_offset(), 0, n,
-             MramLayout::work_a_offset(cap), /*arcs=*/false);
-
+  copy_remap(dpu, params, remap, MramLayout::sample_offset(), 0, n, work_a,
+             /*arcs=*/false, s.work);
   const std::uint64_t sorted =
-      external_sort(dpu, params, MramLayout::work_a_offset(cap),
-                    MramLayout::work_b_offset(cap), n);
+      external_sort(dpu, params, work_a, work_b, s.work, s);
 
-  const std::uint64_t reg = MramLayout::region_offset(cap);
-  const std::uint64_t regions = build_regions(dpu, params, sorted, n, reg);
-  meta.num_regions = regions;
+  build_regions(dpu, params, s.work, MramLayout::region_offset(cap),
+                s.regions);
+  meta.num_regions = s.regions.size();
   IntersectTally tally;
   const std::uint64_t instr0 = dpu.total_instructions();
   meta.triangle_count =
-      count_full(dpu, params, sorted, n, reg, regions, tally);
+      count_full(dpu, params, sorted, n, s.regions, s.cache, tally);
   store_tally(meta, tally, dpu.total_instructions() - instr0);
 
   if (meta.flags & DpuMeta::kFlagPersistSorted) {
@@ -708,14 +842,10 @@ void run_count_kernel(pim::Dpu& dpu, const KernelParams& params_in) {
     // edge, sorted) for subsequent incremental updates.  The canonical
     // pipeline is finished, so the scratch buffers are free again.
     dpu.wram().reset();
-    copy_remap(dpu, params, remap, MramLayout::sample_offset(), 0, n,
-               MramLayout::work_a_offset(cap), /*arcs=*/true);
-    const std::uint64_t arcs =
-        external_sort(dpu, params, MramLayout::work_a_offset(cap),
-                      MramLayout::work_b_offset(cap), 2 * n);
-    if (arcs != MramLayout::sorted_offset(cap)) {
-      copy_edges(dpu, params, arcs, MramLayout::sorted_offset(cap), 2 * n);
-    }
+    copy_remap(dpu, params, remap, MramLayout::sample_offset(), 0, n, work_a,
+               /*arcs=*/true, s.work);
+    (void)external_sort(dpu, params, work_a, work_b, s.work, s);
+    copy_edges(dpu, params, s.work, MramLayout::sorted_offset(cap));
     meta.sorted_size = n;
     meta.flags |= DpuMeta::kFlagSortedValid;
   }
@@ -750,35 +880,37 @@ void run_incremental_kernel(pim::Dpu& dpu, const KernelParams& params_in) {
   const std::uint64_t arcs_total = 2 * n;
 
   // 1. remap + copy (both orientations) + sort the new batch.
+  HostScratch& s = host_scratch();
   dpu.wram().reset();
   const RemapTable remap(dpu, meta.num_remap);
   copy_remap(dpu, params, remap, MramLayout::sample_offset(), n_old, n,
-             work_a, /*arcs=*/true);
-  const std::uint64_t batch = external_sort(dpu, params, work_a, work_b,
-                                            arcs_b);
+             work_a, /*arcs=*/true, s.work);
+  const std::uint64_t batch =
+      external_sort(dpu, params, work_a, work_b, s.work, s);
 
   // 2. merge S* + batch arcs into the other scratch buffer (with new-flags),
   //    then install it as the new S*.  The sorted batch survives in `batch`
   //    for the counting pass.
   const std::uint64_t merge_dst = batch == work_a ? work_b : work_a;
-  merge_with_flags(dpu, params, sorted, arcs_old, batch, arcs_b, merge_dst,
-                   flags);
-  copy_edges(dpu, params, merge_dst, sorted, arcs_total);
+  s.other.resize(arcs_old);
+  dpu.mram().read(sorted, s.other.data(), arcs_old * sizeof(Edge));
+  merge_with_flags(dpu, params, s.other, s.work, merge_dst, flags, s.merged,
+                   s.flags);
+  copy_edges(dpu, params, s.merged, sorted);
   meta.sorted_size = n;
 
   // 3. rebuild the region index over the merged S*.
-  const std::uint64_t regions =
-      build_regions(dpu, params, sorted, arcs_total, reg);
-  meta.num_regions = regions;
+  build_regions(dpu, params, s.merged, reg, s.regions);
+  meta.num_regions = s.regions.size();
 
   // 4. count the delta, 5. clear the flags for the next round.
   IntersectTally tally;
   const std::uint64_t instr0 = dpu.total_instructions();
   const std::uint64_t delta =
-      count_incremental(dpu, params, sorted, arcs_total, flags, reg, regions,
-                        batch, arcs_b, tally);
+      count_incremental(dpu, params, sorted, arcs_total, flags, s.regions,
+                        s.cache, batch, arcs_b, tally);
   store_tally(meta, tally, dpu.total_instructions() - instr0);
-  clear_flags(dpu, params, flags, arcs_total);
+  clear_flags(dpu, params, flags, s.flags);
 
   meta.triangle_count += delta;
   write_meta(dpu, meta);

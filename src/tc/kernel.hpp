@@ -28,6 +28,16 @@
 //      old or a new edge lexicographically smaller than e — every new
 //      triangle is counted exactly once, at its largest new edge,
 //   5. clear the flags; add the delta to the cumulative count.
+//
+// Execution.  The counting loops (count_full, count_incremental and the
+// intersections under them) run per element, issuing their DMA as they go:
+// that work is the count.  Every other stage — remap+copy, sort, persist,
+// merge, region index, region-cache build, flag clear, and the region
+// lookups' searches — runs on the host in bulk.  It writes exactly the MRAM
+// bytes the WRAM-streamed stage writes and charges each tasklet, in closed
+// form, the DMA transfers, bytes and instructions that stage issues
+// (tc::charge_stream, tc::search_steps).  tests/golden/kernel_state.golden
+// pins the resulting device state.
 #pragma once
 
 #include "pim/dpu.hpp"

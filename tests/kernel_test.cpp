@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <span>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -15,6 +16,7 @@
 #include "graph/reference_tc.hpp"
 #include "graph/stats.hpp"
 #include "pim/dpu.hpp"
+#include "tc/intersect.hpp"
 #include "tc/kernel.hpp"
 #include "tc/layout.hpp"
 
@@ -294,6 +296,93 @@ TEST(KernelTest, RejectsCapacityBeyondRegionIndexRange) {
   meta.sample_capacity = MramLayout::kMaxCapacityEdges;
   dpu.mram().write_t(MramLayout::kMetaOffset, meta);
   EXPECT_NO_THROW(run_count_kernel(dpu, KernelParams{}));
+}
+
+// ---- closed-form charges ----------------------------------------------------
+
+/// charge_stream<T> against draining a StreamReader<T> and against filling
+/// and flushing a StreamWriter<T> of `records` records through a
+/// `buffer`-record WRAM buffer: same DMA tallies, same phase cycles.
+template <typename T>
+void expect_stream_charge_matches(std::uint64_t buffer,
+                                  std::uint64_t records) {
+  pim::Dpu reader(test_config(), 0);
+  pim::Dpu writer(test_config(), 1);
+  pim::Dpu charged(test_config(), 2);
+  std::vector<T> wram(buffer);
+  constexpr std::uint64_t kBase = 4096;
+  reader.parallel(1, [&](pim::Tasklet& t) {
+    StreamReader<T> in(t, std::span<T>(wram), kBase, 0, records);
+    T value;
+    while (in.next(value)) {
+    }
+  });
+  writer.parallel(1, [&](pim::Tasklet& t) {
+    StreamWriter<T> out(t, std::span<T>(wram), kBase, 0);
+    for (std::uint64_t i = 0; i < records; ++i) out.put(T{});
+    out.flush();
+  });
+  charged.parallel(1, [&](pim::Tasklet& t) {
+    charge_stream<T>(t, records, buffer);
+  });
+  for (const pim::Dpu* streamed : {&reader, &writer}) {
+    const char* kind = streamed == &reader ? "reader" : "writer";
+    EXPECT_EQ(charged.dma_transfers(), streamed->dma_transfers())
+        << kind << " sizeof=" << sizeof(T) << " buffer=" << buffer
+        << " records=" << records;
+    EXPECT_EQ(charged.dma_bytes(), streamed->dma_bytes())
+        << kind << " sizeof=" << sizeof(T) << " buffer=" << buffer
+        << " records=" << records;
+    EXPECT_EQ(charged.cycles(), streamed->cycles())
+        << kind << " sizeof=" << sizeof(T) << " buffer=" << buffer
+        << " records=" << records;
+  }
+}
+
+TEST(ClosedFormChargeTest, ChargeStreamMatchesStreamedDma) {
+  for (const std::uint64_t b : {4u, 7u, 9u, 64u}) {
+    for (const std::uint64_t records :
+         {std::uint64_t{0}, std::uint64_t{1}, b - 1, b, b + 1, 3 * b + 5}) {
+      expect_stream_charge_matches<Edge>(b, records);
+      expect_stream_charge_matches<RegionEntry>(b, records);
+      expect_stream_charge_matches<std::uint8_t>(b, records);
+    }
+  }
+}
+
+TEST(ClosedFormChargeTest, SearchStepsMatchesTheKernelLoop) {
+  // The kernels' lower-bound loop over sorted entries 2, 4, 6, ... with a
+  // key that leaves exactly r of them below it; count its probes.
+  const auto loop_probes = [](std::uint64_t size, std::uint64_t r) {
+    std::vector<Edge> entries(size);
+    for (std::uint64_t i = 0; i < size; ++i) {
+      entries[i] = {0, static_cast<NodeId>(2 * (i + 1))};
+    }
+    const Edge key{0, static_cast<NodeId>(2 * r + 1)};
+    std::uint64_t lo = 0;
+    std::uint64_t hi = size;
+    std::uint64_t probes = 0;
+    while (lo < hi) {
+      const std::uint64_t mid = lo + (hi - lo) / 2;
+      if (entries[mid] < key) {
+        lo = mid + 1;
+      } else {
+        hi = mid;
+      }
+      ++probes;
+    }
+    EXPECT_EQ(lo, r);
+    return probes;
+  };
+  std::vector<std::uint64_t> sizes(301);
+  for (std::uint64_t s = 0; s <= 300; ++s) sizes[s] = s;
+  sizes.push_back(2048);
+  for (const std::uint64_t size : sizes) {
+    for (std::uint64_t r = 0; r <= size; ++r) {
+      ASSERT_EQ(search_steps(size, r), loop_probes(size, r))
+          << "size=" << size << " r=" << r;
+    }
+  }
 }
 
 // ---- intersection-policy equivalence --------------------------------------

@@ -164,7 +164,8 @@ void append_device(const std::string& tag,
   std::snprintf(buf, sizeof buf, "%.17g", cycles);
   out.push_back({tag + ".dpus.cycles", buf, true});
   out.push_back({tag + ".dpus.instructions", std::to_string(instr), false});
-  out.push_back({tag + ".dpus.dma_transfers", std::to_string(transfers), false});
+  out.push_back(
+      {tag + ".dpus.dma_transfers", std::to_string(transfers), false});
   out.push_back({tag + ".dpus.dma_bytes", std::to_string(bytes), false});
   std::snprintf(buf, sizeof buf, "%016llx",
                 static_cast<unsigned long long>(digest.digest()));
