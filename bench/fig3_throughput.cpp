@@ -76,7 +76,7 @@ int main(int argc, char** argv) {
   // paper's gap is ~10x because its absolute hub sizes are 400x ours; the
   // per-DPU hub-region walk that causes it grows linearly with |E| at fixed
   // core count, so the gap magnitude is scale-dependent while the ordering
-  // is not (see EXPERIMENTS.md).
+  // is not (see README.md, "Scale gap").
   double low = 0.0;
   double high = 0.0;
   for (std::size_t i = 0; i < rows.size(); ++i) {

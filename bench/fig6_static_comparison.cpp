@@ -111,7 +111,7 @@ int main(int argc, char** argv) {
               "graphs (V1r, LiveJournal, Kron23, WikipediaEdit): %s\n"
               "Note: Orkut/Kron24 hub ratios are not representable at this "
               "scale, so their rows sit nearer parity than in the paper "
-              "(EXPERIMENTS.md).\n",
+              "(README.md, \"Scale gap\").\n",
               gpu_always_fastest ? "HOLDS" : "VIOLATED",
               pim_wins_hj ? "HOLDS" : "VIOLATED",
               pim_loses_skewed ? "HOLDS" : "VIOLATED");

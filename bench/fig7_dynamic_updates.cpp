@@ -13,7 +13,8 @@
 // Projection: per-update *simulated* PIM time (transfers + device cycles;
 // locally measured 2-core host time excluded) and the CPU work profile are
 // scaled linearly to the published |E|; host-side batch building is modeled
-// at the paper host's memory bandwidth.  See DESIGN.md / EXPERIMENTS.md.
+// at the paper host's memory bandwidth.  See DESIGN.md and README.md,
+// "Scale gap".
 //
 // Paper claim: cumulative CPU time grows far faster than PIM and GPU; PIM
 // beats the CPU on dynamic COO streams despite losing statically.
@@ -167,7 +168,7 @@ int main(int argc, char** argv) {
         "(projected per-update crossover near update %.0f).\n"
         "The stand-in's hub holds %.0f%% of |E| vs the paper's 1.2%%, which "
         "concentrates per-update work on the hub-colored cores "
-        "(EXPERIMENTS.md discusses the scale gap).\n",
+        "(README.md, \"Scale gap\").\n",
         per_update_cross + 1.0, 100.0 * 12500.0 * opt.scale * 2 /
                                     (250e3 * opt.scale * 2));
   } else {

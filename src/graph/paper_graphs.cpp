@@ -88,7 +88,7 @@ EdgeList make_paper_graph(PaperGraph g, double scale, std::uint64_t seed) {
       // LiveJournal.  Note the published max/avg ratio (437x) cannot exist
       // at reduced |E| — max degree is bounded by the node count — so the
       // Orkut stand-in under-represents the hub pain the PIM kernel feels
-      // at paper scale; see EXPERIMENTS.md (Figure 6 discussion).
+      // at paper scale; see README.md, "Scale gap".
       const EdgeCount edges = scaled(300e3);
       EdgeList list = gen::rmat(rmat_scale_for(edges, 76.0), edges,
                                 gen::RmatParams{0.50, 0.21, 0.21, 0.08},

@@ -23,7 +23,10 @@ void MramBank::write(std::uint64_t offset, const void* src, std::size_t bytes) {
         std::min<std::uint64_t>(remaining, kPageBytes - in_page));
     auto& page = pages_[page_idx];
     if (!page) {
-      page = std::make_unique<Page>();
+      // A page this write covers whole needs no zero fill; one it covers in
+      // part keeps it, so a byte never written still reads 0.
+      page = chunk == kPageBytes ? std::make_unique_for_overwrite<Page>()
+                                 : std::make_unique<Page>();
       ++resident_pages_;
     }
     std::memcpy(page->data + in_page, s, chunk);

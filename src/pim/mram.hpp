@@ -5,8 +5,9 @@
 // Section 3.3).  Storage is paged (64 KB pages allocated on first write) so
 // simulating thousands of DPUs costs memory proportional to the bytes
 // actually touched, even when data structures sit at capacity-derived
-// offsets deep inside the bank.  Reads of never-written pages return zeros
-// deterministically (like DRAM after a reset) without allocating the page.
+// offsets deep inside the bank.  Reads of never-written bytes return zeros
+// deterministically (like DRAM after a reset) without allocating the page;
+// only a page that its first write covers whole skips the zero fill.
 // Access-call counters let tests and benches verify that hot paths batch
 // their traffic instead of issuing per-record operations.
 #pragma once

@@ -113,6 +113,13 @@ class ReservoirPolicy {
 
   [[nodiscard]] std::uint64_t capacity() const noexcept { return capacity_; }
 
+  /// True when the next `k` offers are all appends, to slots [stored(),
+  /// stored() + k) in order and with no coin drawn: no deletion awaits
+  /// pairing and the sample has room for all k.
+  [[nodiscard]] bool next_offers_append(std::uint64_t k) const noexcept {
+    return del_in_ + del_out_ == 0 && stored_ + k <= capacity_;
+  }
+
   /// Total insertions offered so far (load accounting; equals the
   /// correction-factor t only for insert-only streams).
   [[nodiscard]] std::uint64_t seen() const noexcept { return seen_; }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <utility>
 
 #include "common/math_util.hpp"
 #include "common/prng.hpp"
@@ -17,6 +18,16 @@ namespace {
 /// travel as bare edges since their slots are implied by the base slot.
 constexpr std::uint64_t kStagedReplaceBytes =
     sizeof(std::uint64_t) + sizeof(Edge);
+
+/// The edge an ingested item is routed by.
+const Edge& routed_edge(const Edge& e) noexcept { return e; }
+const Edge& routed_edge(const EdgeUpdate& u) noexcept { return u.edge; }
+
+/// Frees a batch's per-triplet buffers once its flush has written them.
+template <typename Item>
+void release(std::vector<std::vector<Item>>& parts) {
+  for (auto& items : parts) std::vector<Item>().swap(items);
+}
 
 /// Auto color selection: num_colors == 0 derives the largest C whose
 /// binom(C+2, 3) triplets fit the machine (validate() checked it is >= 2).
@@ -85,61 +96,97 @@ PimTriangleCounter::PimTriangleCounter(const engine::EngineConfig& config)
     reservoirs_.emplace_back(capacity_, derive_seed(config_.seed, 0xd00 + t));
   }
 
-  // Persistent ingestion state: sized once, reused by every batch.
-  // Estimator-side state is per triplet; transfer-side scratch is per bank.
-  partition_.resize(pool().size());
-  for (auto& per_triplet : partition_) per_triplet.resize(triplets);
-  update_partition_.resize(pool().size());
-  for (auto& per_triplet : update_partition_) per_triplet.resize(triplets);
+  // Ingestion state, sized once.  Estimator-side state is per triplet;
+  // transfer-side scratch is per bank.  The partition buffers hold one
+  // batch at a time (partition() sizes them, the flush releases them).
+  edge_parts_.resize(triplets);
+  update_parts_.resize(triplets);
+  chunk_offsets_.resize(pool().size() * triplets);
   mirrors_.resize(triplets);
   touched_slots_.resize(triplets);
   triplet_dirty_.assign(triplets, 0);
   triplet_lost_.assign(triplets, 0);
   staging_.resize(triplets);
-  cursors_.resize(triplets);
   batch_totals_.resize(triplets);
   flush_bytes_.resize(dpus);
   cycles_before_.resize(dpus);
 }
 
+template <typename Item, typename ForEachKept>
+void PimTriangleCounter::partition(std::size_t n,
+                                   std::vector<std::vector<Item>>& parts,
+                                   const ForEachKept& for_each_kept) {
+  const std::uint32_t num_triplets = plan_.num_triplets();
+  const color::EdgePartitioner partitioner(hash_, plan_.table());
+  // One row of chunk_offsets_ per chunk.  From inside a pool worker
+  // parallel_chunks runs a single chunk, so the rows are zeroed here rather
+  // than by the chunks: a row a batch does not use must read 0.
+  std::fill(chunk_offsets_.begin(), chunk_offsets_.end(), 0);
+  pool().parallel_chunks(
+      n, [&](std::size_t c, std::size_t lo, std::size_t hi) {
+        std::uint64_t* count = &chunk_offsets_[c * num_triplets];
+        for_each_kept(c, lo, hi, false, [&](const Item& item) {
+          for (const std::uint32_t t : partitioner.targets(routed_edge(item))) {
+            ++count[t];
+          }
+        });
+      });
+
+  // Exclusive prefix over the chunks: each chunk's first slot in every
+  // triplet's buffer, and each buffer's exact size.
+  const std::size_t num_chunks = chunk_offsets_.size() / num_triplets;
+  for (std::uint32_t t = 0; t < num_triplets; ++t) {
+    std::uint64_t total = 0;
+    for (std::size_t c = 0; c < num_chunks; ++c) {
+      total += std::exchange(chunk_offsets_[c * num_triplets + t], total);
+    }
+    batch_totals_[t] = total;
+  }
+  // Sizing value-initializes every buffer, so it runs on the pool.
+  pool().parallel_for(num_triplets, [&](std::size_t t) {
+    parts[t].resize(static_cast<std::size_t>(batch_totals_[t]));
+  });
+
+  pool().parallel_chunks(
+      n, [&](std::size_t c, std::size_t lo, std::size_t hi) {
+        std::uint64_t* cursor = &chunk_offsets_[c * num_triplets];
+        for_each_kept(c, lo, hi, true, [&](const Item& item) {
+          for (const std::uint32_t t : partitioner.targets(routed_edge(item))) {
+            parts[t][static_cast<std::size_t>(cursor[t]++)] = item;
+          }
+        });
+      });
+}
+
 void PimTriangleCounter::add_edges(std::span<const Edge> batch) {
   WallTimer host_timer;
-  const std::size_t num_threads = pool().size();
+  const std::size_t num_chunks = pool().size();
   const std::uint64_t batch_id = batch_counter_++;
 
-  // Per-thread, per-triplet partition buffers — "each host CPU thread
-  // manages an array of edges per PIM core" (Section 3.1).  The buffers are
-  // members: clear() keeps their capacity, so steady-state batches allocate
-  // nothing.
-  for (auto& per_triplet : partition_) {
-    for (auto& v : per_triplet) v.clear();
-  }
   std::vector<sketch::MisraGries> local_mg;
-  std::vector<std::uint64_t> local_kept(num_threads, 0);
-  local_mg.reserve(num_threads);
-  for (std::size_t t = 0; t < num_threads; ++t) {
+  std::vector<std::uint64_t> local_kept(num_chunks, 0);
+  local_mg.reserve(num_chunks);
+  for (std::size_t c = 0; c < num_chunks; ++c) {
     local_mg.emplace_back(std::max<std::uint32_t>(1, config_.mg_capacity));
   }
 
-  const color::EdgePartitioner partitioner(hash_, plan_.table());
-  pool().parallel_chunks(
-      batch.size(), [&](std::size_t t, std::size_t lo, std::size_t hi) {
-        sketch::UniformSampler sampler(
-            config_.uniform_p,
-            derive_seed(config_.seed, (batch_id << 8) ^ (0xa000 + t)));
-        auto& batches = partition_[t];
-        auto& mg = local_mg[t];
-        for (std::size_t i = lo; i < hi; ++i) {
-          const Edge e = batch[i];
-          if (e.is_loop()) continue;
-          if (!sampler.keep(e)) continue;
-          if (config_.misra_gries_enabled) mg.update_edge(e);
-          for (const std::uint32_t d : partitioner.targets(e)) {
-            batches[d].push_back(e);
-          }
-        }
-        local_kept[t] = sampler.kept();
-      });
+  partition(batch.size(), edge_parts_,
+            [&](std::size_t c, std::size_t lo, std::size_t hi, bool fill,
+                const auto& emit) {
+              // Seeded per chunk, so both passes draw the same coins.
+              sketch::UniformSampler sampler(
+                  config_.uniform_p,
+                  derive_seed(config_.seed, (batch_id << 8) ^ (0xa000 + c)));
+              for (std::size_t i = lo; i < hi; ++i) {
+                const Edge e = batch[i];
+                if (e.is_loop() || !sampler.keep(e)) continue;
+                if (fill && config_.misra_gries_enabled) {
+                  local_mg[c].update_edge(e);
+                }
+                emit(e);
+              }
+              local_kept[c] = sampler.kept();
+            });
 
   edges_streamed_ += batch.size();
   for (const std::uint64_t k : local_kept) edges_kept_ += k;
@@ -164,17 +211,12 @@ void PimTriangleCounter::drain_in_flight(double host_overlap_s) {
   in_flight_device_s_ = 0.0;
 }
 
-template <typename Update>
 void PimTriangleCounter::flush_in_rounds(
-    const std::vector<std::vector<std::vector<Update>>>& partition,
     double host_window_s, const std::function<std::uint64_t()>& replay,
     const StageFn& stage) {
   const std::uint32_t num_triplets = plan_.num_triplets();
   std::uint64_t max_batch = 0;
-  for (std::uint32_t t = 0; t < num_triplets; ++t) {
-    std::uint64_t total = 0;
-    for (const auto& per_triplet : partition) total += per_triplet[t].size();
-    batch_totals_[t] = total;
+  for (const std::uint64_t total : batch_totals_) {
     max_batch = std::max(max_batch, total);
     edges_replicated_ += total;
   }
@@ -229,50 +271,49 @@ void PimTriangleCounter::flush_in_rounds(
 
 void PimTriangleCounter::insert_into_samples(double host_window_s) {
   const std::uint64_t sample_base = MramLayout::sample_offset();
-  std::fill(cursors_.begin(), cursors_.end(),
-            std::pair<std::size_t, std::size_t>{0, 0});
   flush_in_rounds(
-      partition_, host_window_s, nullptr,
+      host_window_s, nullptr,
       [&](std::uint32_t t, pim::Dpu& dpu, std::uint64_t begin,
           std::uint64_t end) {
         sketch::ReservoirPolicy& reservoir = reservoirs_[t];
         sketch::SampleMirror<Edge>& mirror = mirrors_[t];
         sketch::ReservoirStaging<Edge>& staging = staging_[t];
-        auto& [thread_idx, offset] = cursors_[t];
+        const std::vector<Edge>& items = edge_parts_[t];
+        const auto lo = static_cast<std::size_t>(
+            std::min<std::uint64_t>(begin, items.size()));
+        const auto hi = static_cast<std::size_t>(
+            std::min<std::uint64_t>(end, items.size()));
+        const std::span<const Edge> round(items.data() + lo, hi - lo);
 
-        // Stage the round's reservoir decisions host-side.  Once a deletion
-        // has materialized the mirrors, they track the decisions too, so
-        // the host keeps knowing the banks' resident content; insert-only
-        // sessions skip that bookkeeping entirely.
-        staging.begin(reservoir.stored());
-        std::uint64_t budget = end - begin;
-        while (budget > 0 && thread_idx < partition_.size()) {
-          const auto& src = partition_[thread_idx][t];
-          while (offset < src.size() && budget > 0) {
-            const sketch::ReservoirDecision d = reservoir.offer();
-            staging.stage_decision(d, src[offset]);
-            if (mirrors_valid_) mirror.apply(d, src[offset]);
-            ++offset;
-            --budget;
-          }
-          if (offset == src.size()) {
-            ++thread_idx;
-            offset = 0;
-          }
+        // Decide the round host-side.  When every offer is an append (every
+        // round of an exact count), the round's slice of the buffer is the
+        // image staging would build, so it goes to MRAM as it is.  Once a
+        // deletion has materialized the mirrors, they track the decisions
+        // too, so the host keeps knowing the banks' resident content;
+        // insert-only sessions skip that bookkeeping entirely.
+        const std::uint64_t base_slot = reservoir.stored();
+        const bool direct = reservoir.next_offers_append(round.size());
+        if (!direct) staging.begin(base_slot);
+        for (const Edge& e : round) {
+          const sketch::ReservoirDecision d = reservoir.offer();
+          if (!direct) staging.stage_decision(d, e);
+          if (mirrors_valid_) mirror.apply(d, e);
         }
+        const std::span<const Edge> appends =
+            direct ? round : std::span<const Edge>(staging.appends());
+        const std::uint64_t replaces = direct ? 0 : staging.replace_count();
 
         // Flush the image: one contiguous write for the append run, one per
         // maximal run of consecutive replaced slots — bulk traffic, not
         // per-edge stores.
-        const std::uint64_t append_bytes =
-            staging.appends().size() * sizeof(Edge);
+        const std::uint64_t append_bytes = appends.size_bytes();
         if (append_bytes > 0) {
-          dpu.mram().write(sample_base + staging.base_slot() * sizeof(Edge),
-                           staging.appends().data(),
+          dpu.mram().write(sample_base + base_slot * sizeof(Edge),
+                           appends.data(),
                            static_cast<std::size_t>(append_bytes));
         }
         const std::uint64_t staged_bytes =
-            append_bytes + staging.replace_count() * kStagedReplaceBytes;
+            append_bytes + replaces * kStagedReplaceBytes;
 
         // DPU-side receive cost: stream the staged image in, copy each
         // record into place (tasklet-parallel; the decisions were made
@@ -280,18 +321,20 @@ void PimTriangleCounter::insert_into_samples(double host_window_s) {
         // as scattered DMA stores.
         dpu.charge_dma_bulk(staged_bytes, 2048);  // landing-zone read
         dpu.charge_parallel_instr(
-            staging.staged_items() * pim::KernelCostModel::edge_copy,
+            (appends.size() + replaces) * pim::KernelCostModel::edge_copy,
             kTasklets);
         dpu.charge_dma_bulk(append_bytes, 2048);
+        if (direct) return staged_bytes;
         staging.for_each_replace_run(
-            [&](std::uint64_t first_slot, const Edge* items, std::size_t n) {
+            [&](std::uint64_t first_slot, const Edge* run, std::size_t n) {
               const std::uint64_t bytes = n * sizeof(Edge);
-              dpu.mram().write(sample_base + first_slot * sizeof(Edge), items,
+              dpu.mram().write(sample_base + first_slot * sizeof(Edge), run,
                                static_cast<std::size_t>(bytes));
               dpu.serial_dma(bytes);
             });
         return staged_bytes;
       });
+  release(edge_parts_);
 }
 
 void PimTriangleCounter::settle_flush_round(double host_window_s) {
@@ -367,25 +410,16 @@ void PimTriangleCounter::apply(std::span<const EdgeUpdate> batch) {
 
   WallTimer host_timer;
 
-  // Partition the ± stream per thread per triplet — the same shape as the
-  // insert path, and the same deterministic routing: a deletion reaches
-  // exactly the triplets its insertion reached (the color hash is
-  // orientation- and sign-blind).
-  for (auto& per_triplet : update_partition_) {
-    for (auto& v : per_triplet) v.clear();
-  }
-  const color::EdgePartitioner partitioner(hash_, plan_.table());
-  pool().parallel_chunks(
-      batch.size(), [&](std::size_t t, std::size_t lo, std::size_t hi) {
-        auto& batches = update_partition_[t];
-        for (std::size_t i = lo; i < hi; ++i) {
-          const EdgeUpdate& u = batch[i];
-          if (u.edge.is_loop()) continue;
-          for (const std::uint32_t d : partitioner.targets(u.edge)) {
-            batches[d].push_back(u);
-          }
-        }
-      });
+  // Partition the ± stream per triplet through the insert path's routine
+  // and routing: a deletion reaches exactly the triplets its insertion
+  // reached (the color hash is orientation- and sign-blind).
+  partition(batch.size(), update_parts_,
+            [&](std::size_t, std::size_t lo, std::size_t hi, bool,
+                const auto& emit) {
+              for (std::size_t i = lo; i < hi; ++i) {
+                if (!batch[i].edge.is_loop()) emit(batch[i]);
+              }
+            });
 
   // Stream bookkeeping.  Deletions decrement the Misra-Gries degree
   // summaries in place; they cannot ride the mergeable per-thread
@@ -428,25 +462,23 @@ void PimTriangleCounter::apply_updates_to_samples(double host_window_s) {
       touched.clear();
 
       bool lost_resident = false;
-      for (const auto& per_triplet : update_partition_) {
-        for (const EdgeUpdate& u : per_triplet[t]) {
-          if (u.is_insert) {
-            const sketch::ReservoirDecision d = reservoir.offer();
-            mirror.apply(d, u.edge);
-            if (d.action != sketch::ReservoirDecision::Action::kDiscard) {
-              touched.push_back(d.slot);
-            }
+      for (const EdgeUpdate& u : update_parts_[t]) {
+        if (u.is_insert) {
+          const sketch::ReservoirDecision d = reservoir.offer();
+          mirror.apply(d, u.edge);
+          if (d.action != sketch::ReservoirDecision::Action::kDiscard) {
+            touched.push_back(d.slot);
+          }
+        } else {
+          // Deletions match either orientation of the stored edge.
+          auto slot = mirror.evict(u.edge);
+          if (!slot) slot = mirror.evict(u.edge.reversed());
+          if (slot) {
+            reservoir.remove_resident();
+            lost_resident = true;
+            touched.push_back(*slot);
           } else {
-            // Deletions match either orientation of the stored edge.
-            auto slot = mirror.evict(u.edge);
-            if (!slot) slot = mirror.evict(u.edge.reversed());
-            if (slot) {
-              reservoir.remove_resident();
-              lost_resident = true;
-              touched.push_back(*slot);
-            } else {
-              (void)reservoir.remove_missing();
-            }
+            (void)reservoir.remove_missing();
           }
         }
       }
@@ -471,7 +503,7 @@ void PimTriangleCounter::apply_updates_to_samples(double host_window_s) {
   // staged-record shape of the insert path's replacement runs), in rounds
   // bounded by the same per-DPU staging capacity the insert path honors.
   flush_in_rounds(
-      update_partition_, host_window_s, replay,
+      host_window_s, replay,
       [&](std::uint32_t t, pim::Dpu& dpu, std::uint64_t begin,
           std::uint64_t end) {
         const sketch::SampleMirror<Edge>& mirror = mirrors_[t];
@@ -507,6 +539,7 @@ void PimTriangleCounter::apply_updates_to_samples(double host_window_s) {
         }
         return staged_bytes;
       });
+  release(update_parts_);
 }
 
 bool PimTriangleCounter::rebalance() {

@@ -4,18 +4,24 @@
 // every other backend.
 //
 // Pipeline per batch of COO edges (paper Sections 3.1-3.3):
-//   1. host threads stream their chunk of the batch: uniform sampling
-//      (discard with prob. 1-p), Misra-Gries degree summaries, and
-//      per-triplet partitioning into persistent per-thread buffers
-//      (reused across batches — no per-batch allocation),
-//   2. the host computes the reservoir decisions for every triplet and
-//      materializes them into persistent per-triplet staging images
+//   1. host threads stream their chunk of the batch twice (count, then
+//      fill): uniform sampling (discard with prob. 1-p, the same coins on
+//      both passes), Misra-Gries degree summaries (fill pass only), and
+//      per-triplet partitioning into one exact-size buffer per triplet.
+//      Each chunk fills its own slice of every buffer, and the chunks are
+//      in stream order, so every buffer holds its edges in stream order
+//      whatever the thread count,
+//   2. the host computes the reservoir decisions for every triplet.  A
+//      round of appends only (every round of an exact count) is its own
+//      image: the buffer slice goes to MRAM as it is.  Other rounds are
+//      materialized into persistent per-triplet staging images
 //      (sketch::ReservoirStaging): appends coalesce to one contiguous run,
 //      replacements fold to their final value,
 //   3. each image is flushed with ONE bulk rank-parallel scatter per batch
 //      (or per staging-capacity round), padded per rank to the slowest DPU
 //      as real dpu_push_xfer transfers are; the DPU-side receive applies
-//      the image with bulk DMA instead of per-edge writes.
+//      the image with bulk DMA instead of per-edge writes.  The partition
+//      buffers are released once the flush has written them.
 //
 // Which physical DPU a triplet's image lands on is the PartitionPlan's
 // decision (coloring/partition_plan.hpp): every estimator-visible quantity
@@ -182,24 +188,37 @@ class PimTriangleCounter final : public engine::TriangleCountEngine {
   using StageFn = std::function<std::uint64_t(
       std::uint32_t t, pim::Dpu& dpu, std::uint64_t begin, std::uint64_t end)>;
 
-  /// The round loop both ingest paths share.  Tallies each triplet's share
-  /// of the partitioned batch (the replicated-edge count and the
-  /// greedy_balance first-batch placement input), runs `replay` — host-only
-  /// staging that returns the most items any triplet flushes; null flushes
-  /// the batch items themselves — and then flushes in rounds of at most
-  /// staging_capacity_edges items per triplet: `stage` fills each bank's
-  /// image, and every round is settled against the host work since the
-  /// previous one (round 0 also counts `host_window_s`).
-  template <typename Update>
-  void flush_in_rounds(
-      const std::vector<std::vector<std::vector<Update>>>& partition,
-      double host_window_s, const std::function<std::uint64_t()>& replay,
-      const StageFn& stage);
+  /// Count-then-fill partition of a batch of `n` items into `parts`, one
+  /// exact-size buffer per triplet ("each host CPU thread manages an array
+  /// of edges per PIM core", Section 3.1, laid out per core).
+  /// `for_each_kept(chunk, lo, hi, fill, emit)` passes each item of
+  /// [lo, hi) that survives filtering to `emit`, and must pass the same
+  /// ones on both passes.  Pass 1 counts each chunk's items per triplet;
+  /// an exclusive prefix over the chunks sizes every buffer and gives each
+  /// chunk its first slot in it; pass 2 (`fill`) writes them.  Chunks are
+  /// contiguous and ascending, so each buffer is in stream order.  Leaves
+  /// each buffer's size in batch_totals_.
+  template <typename Item, typename ForEachKept>
+  void partition(std::size_t n, std::vector<std::vector<Item>>& parts,
+                 const ForEachKept& for_each_kept);
 
-  /// Computes reservoir decisions for the partitioned batch and flushes the
-  /// staging images (flush_in_rounds).  `host_window_s` is measured host
-  /// time preceding the first flush (the overlap window for any in-flight
-  /// device work).
+  /// The round loop both ingest paths share.  Sums each triplet's share of
+  /// the partitioned batch (batch_totals_: the replicated-edge count and
+  /// the greedy_balance first-batch placement input), runs `replay` —
+  /// host-only staging that returns the most items any triplet flushes;
+  /// null flushes the batch items themselves — and then flushes in rounds
+  /// of at most staging_capacity_edges items per triplet: `stage` fills
+  /// each bank's image, and every round is settled against the host work
+  /// since the previous one (round 0 also counts `host_window_s`).
+  void flush_in_rounds(double host_window_s,
+                       const std::function<std::uint64_t()>& replay,
+                       const StageFn& stage);
+
+  /// Computes reservoir decisions for the partitioned batch and flushes them
+  /// (flush_in_rounds): an all-appends round straight from the partition
+  /// buffer, any other round through its staging image.  `host_window_s`
+  /// is measured host time preceding the first flush (the overlap window
+  /// for any in-flight device work).
   void insert_into_samples(double host_window_s);
 
   /// The fully-dynamic analogue: replays each triplet's ± update list in
@@ -312,11 +331,15 @@ class PimTriangleCounter final : public engine::TriangleCountEngine {
   sketch::MisraGries global_mg_;
   std::uint64_t capacity_ = 0;
 
-  // ---- persistent ingestion state (reused across batches) -----------------
-  /// Per-thread, per-triplet partition buffers filled by the streaming phase.
-  std::vector<std::vector<std::vector<Edge>>> partition_;
-  /// Same shape for ± update batches (the fully-dynamic path).
-  std::vector<std::vector<std::vector<EdgeUpdate>>> update_partition_;
+  // ---- ingestion state ------------------------------------------------------
+  /// Per-triplet buffers of the batch being ingested, in stream order:
+  /// sized exactly by partition() and released after the flush.
+  std::vector<std::vector<Edge>> edge_parts_;
+  /// Same for ± update batches (the fully-dynamic path).
+  std::vector<std::vector<EdgeUpdate>> update_parts_;
+  /// partition()'s per-chunk, per-triplet counts, then fill cursors: one
+  /// row of num_triplets per pool thread.
+  std::vector<std::uint64_t> chunk_offsets_;
   /// Per-triplet scratch: slots touched by the current update batch.
   std::vector<std::vector<std::uint64_t>> touched_slots_;
   /// Per-triplet "resident sample lost an edge since the last count" flag;
@@ -326,9 +349,8 @@ class PimTriangleCounter final : public engine::TriangleCountEngine {
   std::vector<std::uint8_t> triplet_dirty_;
   /// Per-triplet staging images (reservoir decisions materialized host-side).
   std::vector<sketch::ReservoirStaging<Edge>> staging_;
-  /// Per-triplet drain cursor into partition_ ((thread, offset) per round).
-  std::vector<std::pair<std::size_t, std::size_t>> cursors_;
-  /// Per-triplet batch totals (greedy placement input; reused).
+  /// Per-triplet item count of the partitioned batch (greedy placement
+  /// input; reused).
   std::vector<std::uint64_t> batch_totals_;
   /// Per-DPU staged payload bytes of the current round's scatter.
   std::vector<std::uint64_t> flush_bytes_;

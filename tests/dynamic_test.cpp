@@ -405,6 +405,48 @@ TEST(PimDynamicTest, ChurnUnderOverflowStaysNearTruth) {
   EXPECT_NEAR(sum / trials, truth, truth * 0.2);
 }
 
+TEST(PimDynamicTest, InsertsPairedAgainstDeletionsLandWhereTheMirrorSays) {
+  // Overflowed reservoirs, then deletions that both hit and miss the
+  // samples, then a batch small enough to fit the freed slots.  Its offers
+  // pair against the pending deletions, so some are discarded: they must
+  // not be written as one append run.  Restoring every bank from the host
+  // mirrors must then leave each bank's sample region as it was.
+  graph::EdgeList g = graph::gen::barabasi_albert(2500, 5, 95);
+  graph::preprocess(g, 96);
+  const auto edges = g.edges();
+  const std::size_t cut = edges.size() * 19 / 20;
+  engine::EngineConfig cfg = small_engine(3);
+  cfg.sample_capacity_edges = cut / 8;
+  tc::PimTriangleCounter counter(cfg);
+  counter.add_edges(edges.subspan(0, cut));
+  std::vector<EdgeUpdate> deletions;
+  for (std::size_t i = 0; i < cut; i += 4) {
+    deletions.push_back(delete_of(edges[i]));
+  }
+  counter.apply(deletions);
+  counter.add_edges(edges.subspan(cut));
+  const engine::CountReport r = counter.recount();
+  ASSERT_GT(r.sample_evictions, 0u);
+  ASSERT_GT(r.reservoir_overflows, 0u);  // so deletions also miss samples
+
+  const std::uint32_t triplets = counter.triplets().num_triplets();
+  const auto samples = [&] {
+    std::vector<Edge> all(triplets * counter.sample_capacity());
+    for (std::uint32_t t = 0; t < triplets; ++t) {
+      counter.system()
+          .dpu(counter.plan().dpu_of(t))
+          .mram()
+          .read(tc::MramLayout::sample_offset(),
+                all.data() + t * counter.sample_capacity(),
+                counter.sample_capacity() * sizeof(Edge));
+    }
+    return all;
+  };
+  const std::vector<Edge> before = samples();
+  for (std::uint32_t t = 0; t < triplets; ++t) counter.restore_bank(t);
+  EXPECT_TRUE(samples() == before);
+}
+
 TEST(PimDynamicTest, PipelinedOverlapNeverExceedsHostTime) {
   // Pipelined ingest hides in-flight device time only under host work it
   // measured, so across a ± session the hidden total is bounded by the

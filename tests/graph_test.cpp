@@ -1,9 +1,13 @@
 // Unit tests for src/graph: COO, CSR, preprocessing, stats, reference TC, IO.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <random>
+#include <unordered_set>
+#include <vector>
 
 #include "common/math_util.hpp"
 #include "graph/coo.hpp"
@@ -143,6 +147,91 @@ TEST(PreprocessTest, EmptyAndLoopOnlyInputs) {
   preprocess(loops, 1);
   EXPECT_EQ(empty.num_edges(), 0u);
   EXPECT_EQ(loops.num_edges(), 0u);
+}
+
+TEST(EdgeFilterTest, GrowsFromEmptyThroughEveryDoubling) {
+  // 100k edges take the default-constructed table from 16 slots through 14
+  // doublings; each edge stays findable in both orientations.
+  constexpr NodeId kEdges = 100000;
+  EdgeFilter filter;
+  for (NodeId i = 0; i < kEdges; ++i) {
+    ASSERT_TRUE(filter.keep({i, 7 * i + 1})) << i;
+  }
+  for (NodeId i = 0; i < kEdges; ++i) {
+    ASSERT_TRUE(filter.contains({i, 7 * i + 1})) << i;
+    ASSERT_TRUE(filter.contains({7 * i + 1, i})) << i;
+    ASSERT_FALSE(filter.keep({7 * i + 1, i})) << i;
+  }
+  EXPECT_FALSE(filter.contains({1, 2}));
+  EXPECT_EQ(filter.duplicates(), kEdges);
+  EXPECT_EQ(filter.loops(), 0u);
+}
+
+TEST(EdgeFilterTest, KeepsExtremeIdsAndNeverStoresLoops) {
+  // Key 0 is the loop (0,0), the table's empty mark; 2^32-2 is the largest
+  // id the reader accepts.
+  constexpr NodeId kMax = 0xfffffffeu;
+  EdgeFilter filter;
+  EXPECT_FALSE(filter.keep({0, 0}));
+  EXPECT_FALSE(filter.keep({kMax, kMax}));
+  EXPECT_TRUE(filter.keep({0, 1}));
+  EXPECT_TRUE(filter.keep({kMax, 0}));
+  EXPECT_TRUE(filter.keep({kMax - 1, kMax}));
+  EXPECT_FALSE(filter.keep({0, kMax}));
+  EXPECT_FALSE(filter.keep({kMax, kMax - 1}));
+  EXPECT_FALSE(filter.keep({0, 0}));
+  EXPECT_TRUE(filter.contains({1, 0}));
+  EXPECT_TRUE(filter.contains({0, kMax}));
+  EXPECT_FALSE(filter.contains({0, 0}));
+  EXPECT_FALSE(filter.contains({kMax, kMax}));
+  EXPECT_EQ(filter.loops(), 3u);
+  EXPECT_EQ(filter.duplicates(), 2u);
+}
+
+TEST(EdgeFilterTest, MatchesUnorderedSetReference) {
+  // 20 seeded graphs with reversed copies, exact copies and loops spliced
+  // in: the same surviving sequence, first copy and its orientation kept,
+  // and the same counters as a node-based set.
+  for (std::uint64_t seed = 1; seed <= 10; ++seed) {
+    for (const bool hubs : {false, true}) {
+      EdgeList g = hubs ? gen::barabasi_albert(2000, 5, seed)
+                        : gen::erdos_renyi(1500, 6000, seed);
+      if (hubs) gen::add_hubs(g, 3, 400, seed + 1);
+      std::vector<Edge> dirty(g.begin(), g.end());
+      const std::size_t n = dirty.size();
+      std::mt19937_64 rng(seed);
+      for (std::size_t k = 0; k < n / 4; ++k) {
+        const Edge e = dirty[rng() % n];
+        dirty.push_back(k % 3 == 0   ? e.reversed()
+                        : k % 3 == 1 ? e
+                                     : Edge{e.v, e.v});
+      }
+      std::shuffle(dirty.begin(), dirty.end(), rng);
+
+      std::unordered_set<Edge> seen;
+      std::vector<Edge> expected;
+      std::size_t loops = 0;
+      std::size_t duplicates = 0;
+      for (const Edge& e : dirty) {
+        if (e.is_loop()) {
+          ++loops;
+        } else if (!seen.insert(e.canonical()).second) {
+          ++duplicates;
+        } else {
+          expected.push_back(e);
+        }
+      }
+
+      EdgeList list(std::move(dirty));
+      const PreprocessStats stats = remove_loops_and_duplicates(list);
+      EXPECT_EQ(std::vector<Edge>(list.begin(), list.end()), expected)
+          << "seed " << seed << (hubs ? " ba-hubs" : " er");
+      EXPECT_EQ(stats.removed_self_loops, loops);
+      EXPECT_EQ(stats.removed_duplicates, duplicates);
+      EXPECT_GT(loops, 0u);
+      EXPECT_GT(duplicates, 0u);
+    }
+  }
 }
 
 TEST(PreprocessTest, ShuffleIsPermutationAndDeterministic) {

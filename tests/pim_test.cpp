@@ -2,6 +2,7 @@
 // and pipeline cost model behaviour, transfer engine, phase accounting.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <numeric>
 #include <vector>
@@ -78,6 +79,25 @@ TEST(MramTest, LazyGrowth) {
   // A deep write touches one more page only.
   bank.write_t<std::uint8_t>(32ull << 20, 1);
   EXPECT_EQ(bank.resident_bytes(), 2 * (64u << 10));
+}
+
+TEST(MramTest, SpanOverPartialAndWholePagesReadsBackExactly) {
+  // [64 KB - 8, 128 KB + 8) covers page 1 whole, which skips the zero fill,
+  // and pages 0 and 2 in part, whose other bytes must still read 0.
+  constexpr std::size_t kPage = 64 << 10;
+  MramBank bank(3 * kPage);
+  std::vector<std::uint8_t> span(kPage + 16);
+  std::iota(span.begin(), span.end(), std::uint8_t{1});
+  bank.write(kPage - 8, span.data(), span.size());
+  EXPECT_EQ(bank.resident_bytes(), 3 * kPage);
+
+  std::vector<std::uint8_t> all(3 * kPage, 0xff);
+  bank.read(0, all.data(), all.size());
+  EXPECT_TRUE(std::equal(span.begin(), span.end(), all.begin() + kPage - 8));
+  EXPECT_TRUE(std::all_of(all.begin(), all.begin() + kPage - 8,
+                          [](std::uint8_t b) { return b == 0; }));
+  EXPECT_TRUE(std::all_of(all.begin() + 2 * kPage + 8, all.end(),
+                          [](std::uint8_t b) { return b == 0; }));
 }
 
 // ---- WRAM ---------------------------------------------------------------------

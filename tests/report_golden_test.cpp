@@ -11,7 +11,9 @@
 // state (those sums plus MRAM up to its high-water mark), so a change to any
 // bank's modeled work or contents shows here even when the report hides it.
 // On a deliberate model change, replace the golden file with the actual text
-// the failure message prints.
+// the failure message prints.  ThreadLayoutTest renders the same lines for
+// one exact session under several host thread layouts and requires them to
+// agree (host_threads aside).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -20,10 +22,12 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <string>
 #include <vector>
 
 #include "common/hash.hpp"
+#include "common/thread_pool.hpp"
 #include "engine/registry.hpp"
 #include "graph/generators.hpp"
 #include "graph/preprocess.hpp"
@@ -322,6 +326,59 @@ TEST(ReportGoldenTest, PimReportsMatchGoldenFile) {
   EXPECT_TRUE(same) << "first difference at line " << matched + 1 << " of "
                     << path << "\nactual:\n"
                     << render(actual);
+}
+
+TEST(ThreadLayoutTest, ExactDeviceStateIndependentOfHostThreads) {
+  // The partition gives each chunk of a batch its own slice of every
+  // triplet's buffer, in stream order.  An exact count and a ± batch after
+  // it must leave the same report and the same device state whatever the
+  // number of chunks: 1, 3 and 4 host threads, and one chunk from inside a
+  // pool worker (also after a batch of several chunks on the same engine).
+  graph::EdgeList g = graph::gen::barabasi_albert(4000, 5, 21);
+  graph::gen::add_hubs(g, 3, 1000, 22);
+  graph::preprocess(g, 23);
+  std::vector<EdgeUpdate> churn;
+  for (std::size_t k = 0; k < g.num_edges(); k += 5) {
+    churn.push_back(delete_of(g[k]));
+  }
+  for (std::size_t k = 0; k < g.num_edges(); k += 10) {
+    churn.push_back(insert_of(g[k]));
+  }
+
+  const auto on = [](bool in_task, const std::function<void()>& fn) {
+    if (in_task) {
+      ThreadPool::global().submit(fn).get();
+    } else {
+      fn();
+    }
+  };
+  const auto run = [&](std::uint32_t threads, bool count_in_task,
+                       bool apply_in_task) {
+    engine::EngineConfig cfg = base_config();
+    cfg.host_threads = threads;
+    const auto eng = engine::make_engine("pim", cfg);
+    std::vector<Line> lines;
+    on(count_in_task, [&] {
+      eng->add_edges(g.edges());
+      append_report("count", eng->recount(), lines);
+    });
+    append_device("count", *eng, lines);
+    on(apply_in_task, [&] {
+      eng->apply(churn);
+      append_report("apply", eng->recount(), lines);
+    });
+    append_device("apply", *eng, lines);
+    std::erase_if(lines, [](const Line& l) {
+      return l.key.ends_with(".host_threads");
+    });
+    return render(lines);
+  };
+
+  const std::string reference = run(1, false, false);
+  EXPECT_EQ(run(3, false, false), reference);
+  EXPECT_EQ(run(4, false, false), reference);
+  EXPECT_EQ(run(0, true, true), reference);
+  EXPECT_EQ(run(0, false, true), reference);
 }
 
 }  // namespace

@@ -191,6 +191,22 @@ TEST(ReservoirTest, DecisionsAreValid) {
   }
 }
 
+TEST(ReservoirTest, NextOffersAppendOnlyWithRoomAndNoPendingDeletion) {
+  ReservoirPolicy p(8, 5);
+  EXPECT_TRUE(p.next_offers_append(8));
+  EXPECT_FALSE(p.next_offers_append(9));
+  for (int i = 0; i < 20; ++i) (void)p.offer();  // overflowed
+  EXPECT_TRUE(p.next_offers_append(0));
+  EXPECT_FALSE(p.next_offers_append(1));
+
+  // One eviction frees a slot, but the next offer pairs against it (and a
+  // miss makes that pairing a coin), so it is not an append for certain.
+  p.remove_resident();
+  ASSERT_TRUE(p.remove_missing());
+  EXPECT_EQ(p.stored(), 7u);
+  EXPECT_FALSE(p.next_offers_append(1));
+}
+
 TEST(ReservoirTest, ReplacementRateMatchesTheory) {
   // P(replace at step t) = M/t; total replacements over (M, N] concentrate
   // around M * ln(N/M).
