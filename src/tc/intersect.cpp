@@ -112,11 +112,10 @@ std::uint64_t RegionCache::rank_of(NodeId key) const noexcept {
       std::lower_bound(first, last, key, node_below) - regions_.begin());
 }
 
-Region find_region(const RegionCache& cache, NodeId key, std::uint64_t& instr,
-                   DmaTally& dma) {
+Region lookup_region(const RegionCache& cache, NodeId key, std::uint64_t r,
+                     std::uint64_t& instr, DmaTally& dma) {
   constexpr std::uint64_t kEntry = sizeof(RegionEntry);
   const std::uint64_t num = cache.regions_.size();
-  const std::uint64_t r = cache.rank_of(key);
   const bool present = r < num && cache.regions_[r].node == key;
 
   // The WRAM cache search: an upper bound over the cached nodes, leaving
@@ -166,17 +165,17 @@ bool choose_gallop(IntersectPolicy policy, std::uint64_t small_size,
   return gallop_cost * kGallopMargin < small_size + large_size;
 }
 
-std::uint64_t gallop_lower_bound(Tasklet& t, std::uint64_t sorted,
+std::uint64_t gallop_lower_bound(std::span<const Edge> sorted,
                                  const Region& r, NodeId w,
-                                 IntersectTally& tally, std::uint64_t& instr) {
+                                 IntersectTally& tally, std::uint64_t& instr,
+                                 DmaTally& dma) {
   std::uint64_t lo = r.begin;
   std::uint64_t hi = r.end;
   std::uint64_t probes = 0;
-  Edge block[8];
   while (hi - lo > 8) {
     const std::uint64_t mid = lo + (hi - lo) / 2;
     const std::uint64_t b = std::min(std::max(mid, lo + 4), hi - 4) - 4;
-    t.mram_read(sorted + b * sizeof(Edge), block, sizeof(block));
+    const Edge* block = sorted.data() + b;
     if (block[0].v >= w) {
       hi = b + 1;
     } else if (block[7].v < w) {
@@ -194,13 +193,15 @@ std::uint64_t gallop_lower_bound(Tasklet& t, std::uint64_t sorted,
     }
     ++probes;
   }
+  dma.add(probes, probes * 8 * sizeof(Edge));
   instr += probes * (Cost::binary_search_step + 8);
   if (hi != lo) {
     // Final linear resolve over the <= 8 remaining entries.
     const std::uint64_t fetch = hi - lo;
-    t.mram_read(sorted + lo * sizeof(Edge), block, fetch * sizeof(Edge));
+    dma.add(1, fetch * sizeof(Edge));
     instr += Cost::binary_search_step + fetch;
     ++probes;
+    const Edge* block = sorted.data() + lo;
     std::uint64_t i = 0;
     while (i < fetch && block[i].v < w) ++i;
     lo += i;

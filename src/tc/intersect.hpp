@@ -7,9 +7,10 @@
 // module owns everything that problem needs so the two kernels cannot
 // diverge again:
 //
-//  * WRAM-buffered MRAM stream readers/writers (the DMA discipline every
-//    phase shares), and `charge_stream`, their closed-form charge for the
-//    stages the host executes in bulk,
+//  * `charge_stream` and `DmaTally::add_edge_stream`, the closed-form DMA
+//    of a WRAM-buffered MRAM stream read or written whole, or read until
+//    the caller stopped: the kernels run on host copies of their arrays
+//    and charge what the streamed device code issues,
 //  * `search_steps`, the probe count of the kernels' lower-bound loop as a
 //    function of (size, rank), so a search the host resolves another way
 //    is charged exactly what the loop would have issued,
@@ -20,7 +21,9 @@
 //  * the adaptive `intersect_regions` primitive: linear merge or block-
 //    galloping binary search, selected per intersection by a cost model
 //    (`IntersectPolicy::kAuto`) or forced by policy — the match set, and
-//    therefore every count, is identical under any policy,
+//    therefore every count, is identical under any policy.  It walks the
+//    host copy of the sorted array and charges each stream and block
+//    probe in closed form,
 //  * strided chunk scheduling (`kIntersectChunkEdges`) so a hub's
 //    contiguous run of expensive queries is spread round-robin over the
 //    tasklets instead of landing on one,
@@ -42,97 +45,13 @@
 namespace pimtc::tc {
 
 // ---------------------------------------------------------------------------
-// WRAM-buffered MRAM streams
+// Closed-form charges
 // ---------------------------------------------------------------------------
 
-/// Buffered sequential MRAM reader for trivially copyable records: models a
-/// tasklet streaming a region of the bank through a WRAM buffer.  DMA is
-/// charged per refill.
-template <typename T>
-class StreamReader {
- public:
-  StreamReader(pim::Tasklet& t, std::span<T> buf, std::uint64_t base,
-               std::uint64_t begin_idx, std::uint64_t end_idx)
-      : t_(&t),
-        buf_(buf),
-        base_(base),
-        next_fetch_(begin_idx),
-        buf_base_(begin_idx),
-        end_(end_idx) {}
-
-  bool next(T& out) {
-    if (cursor_ >= filled_) {
-      if (next_fetch_ >= end_) return false;
-      refill();
-    }
-    out = buf_[cursor_++];
-    return true;
-  }
-
-  /// Absolute index (within the MRAM array) of the record most recently
-  /// returned by next().
-  [[nodiscard]] std::uint64_t last_index() const noexcept {
-    return buf_base_ + cursor_ - 1;
-  }
-
- private:
-  void refill() {
-    const std::uint64_t count =
-        std::min<std::uint64_t>(buf_.size(), end_ - next_fetch_);
-    t_->mram_read(base_ + next_fetch_ * sizeof(T), buf_.data(),
-                  count * sizeof(T));
-    buf_base_ = next_fetch_;
-    next_fetch_ += count;
-    filled_ = static_cast<std::size_t>(count);
-    cursor_ = 0;
-  }
-
-  pim::Tasklet* t_;
-  std::span<T> buf_;
-  std::uint64_t base_;
-  std::uint64_t next_fetch_;
-  std::uint64_t buf_base_;
-  std::uint64_t end_;
-  std::size_t cursor_ = 0;
-  std::size_t filled_ = 0;
-};
-
-using EdgeReader = StreamReader<Edge>;
-
-/// Buffered sequential MRAM writer.  The kernels' writing stages run on the
-/// host and charge what this writer issues through charge_stream below;
-/// kernel_test checks the two against each other.
-template <typename T>
-class StreamWriter {
- public:
-  StreamWriter(pim::Tasklet& t, std::span<T> buf, std::uint64_t base,
-               std::uint64_t begin_idx)
-      : t_(&t), buf_(buf), base_(base), pos_(begin_idx) {}
-
-  void put(const T& value) {
-    buf_[cursor_++] = value;
-    if (cursor_ == buf_.size()) flush();
-  }
-
-  void flush() {
-    if (cursor_ == 0) return;
-    t_->mram_write(base_ + pos_ * sizeof(T), buf_.data(), cursor_ * sizeof(T));
-    pos_ += cursor_;
-    cursor_ = 0;
-  }
-
- private:
-  pim::Tasklet* t_;
-  std::span<T> buf_;
-  std::uint64_t base_;
-  std::uint64_t pos_;
-  std::size_t cursor_ = 0;
-};
-
-/// Charges to `t` the DMA a StreamReader<T> or StreamWriter<T> issues for
-/// `records` records through a `buffer`-record WRAM buffer: one transfer
-/// per full buffer plus one for the remainder, each rounded up to the DMA
-/// alignment.
+/// Charges to `t` the DMA a tasklet issues to stream `records` records of T
+/// between MRAM and a `buffer`-record WRAM buffer, reading or writing: one
+/// transfer per full buffer plus one for the remainder, each rounded up to
+/// the DMA alignment.  kernel_test checks it against a buffered stream.
 template <typename T>
 void charge_stream(pim::Tasklet& t, std::uint64_t records,
                    std::uint64_t buffer) noexcept {
@@ -163,6 +82,29 @@ void charge_stream(pim::Tasklet& t, std::uint64_t records,
   }
   return steps;
 }
+
+/// DMA a tasklet issued, tallied on the host and charged once per phase
+/// (integer cycles make the sum exact in any order).
+struct DmaTally {
+  std::uint64_t transfers = 0;
+  std::uint64_t bytes = 0;  ///< aligned
+
+  void add(std::uint64_t n, std::uint64_t aligned_bytes) noexcept {
+    transfers += n;
+    bytes += aligned_bytes;
+  }
+
+  /// What a WRAM-buffered read of a `len`-edge region issued once it had
+  /// returned `k` of the edges through a `buffer`-edge buffer: ceil(k/B)
+  /// refills, which read min(len, ceil(k/B)·B) edges.  An Edge is one DMA
+  /// alignment unit, so no transfer needs rounding.
+  void add_edge_stream(std::uint64_t len, std::uint64_t k,
+                       std::uint64_t buffer) noexcept {
+    const std::uint64_t refills = ceil_div(k, buffer);
+    add(refills, std::min(len, refills * buffer) * sizeof(Edge));
+  }
+};
+static_assert(sizeof(Edge) == pim::PimSystemConfig::dma_alignment_bytes);
 
 // ---------------------------------------------------------------------------
 // Work scheduling
@@ -239,17 +181,6 @@ struct Region {
   [[nodiscard]] std::uint64_t size() const noexcept { return end - begin; }
 };
 
-/// DMA a tasklet issued, tallied on the host and charged once per phase.
-struct DmaTally {
-  std::uint64_t transfers = 0;
-  std::uint64_t bytes = 0;  ///< aligned
-
-  void add(std::uint64_t n, std::uint64_t aligned_bytes) noexcept {
-    transfers += n;
-    bytes += aligned_bytes;
-  }
-};
-
 /// Shared WRAM cache of every k-th region-table entry.  A lookup binary
 /// searches the cache with WRAM-speed instructions, leaving only ~log2(k)
 /// MRAM probes inside the narrowed window — the real kernels keep exactly
@@ -280,12 +211,14 @@ class RegionCache {
              std::uint32_t buffer_edges, std::span<const RegionEntry> regions,
              std::uint64_t n, bool enabled, bool indexed);
 
- private:
-  friend Region find_region(const RegionCache& cache, NodeId key,
-                            std::uint64_t& instr, DmaTally& dma);
-
   /// Index of the first region whose node is >= key.
   [[nodiscard]] std::uint64_t rank_of(NodeId key) const noexcept;
+
+ private:
+  friend Region lookup_region(const RegionCache& cache, NodeId key,
+                              std::uint64_t r, std::uint64_t& instr,
+                              DmaTally& dma);
+
   /// Probes of the WRAM cache search that leaves `below` cached entries
   /// below the key's window.
   [[nodiscard]] std::uint64_t cache_steps(std::uint64_t below) const noexcept {
@@ -304,14 +237,23 @@ class RegionCache {
   std::vector<std::uint8_t> steps_;  ///< cache_steps table, with the index
 };
 
-/// Region bounds of `key` (end = next region's begin, or n); not-found
-/// regions return found() == false.  Adds what the cached lookup issues to
-/// `instr` and `dma`: the WRAM cache search, then one burst over a narrow
-/// window (plus the successor entry when it falls outside) or a binary
-/// search of 8-byte MRAM probes over a wide one and a 2-entry read at the
-/// hit.
-[[nodiscard]] Region find_region(const RegionCache& cache, NodeId key,
-                                 std::uint64_t& instr, DmaTally& dma);
+/// Region bounds of `key`, whose rank (RegionCache::rank_of) is `r`: end =
+/// next region's begin, or n; a key with no region returns found() ==
+/// false.  Adds what the cached lookup issues to `instr` and `dma`: the
+/// WRAM cache search, then one burst over a narrow window (plus the
+/// successor entry when it falls outside) or a binary search of 8-byte
+/// MRAM probes over a wide one and a 2-entry read at the hit.  The charge
+/// depends only on the rank, so a caller that knows it another way (a
+/// forward walk) skips the host search, not the modeled one.
+[[nodiscard]] Region lookup_region(const RegionCache& cache, NodeId key,
+                                   std::uint64_t r, std::uint64_t& instr,
+                                   DmaTally& dma);
+
+/// lookup_region at the rank the host search finds.
+[[nodiscard]] inline Region find_region(const RegionCache& cache, NodeId key,
+                                        std::uint64_t& instr, DmaTally& dma) {
+  return lookup_region(cache, key, cache.rank_of(key), instr, dma);
+}
 
 // ---------------------------------------------------------------------------
 // Adaptive intersection
@@ -330,37 +272,43 @@ inline constexpr std::uint64_t kGallopMargin = 3;
                                  std::uint64_t small_size,
                                  std::uint64_t large_size) noexcept;
 
-/// Position of the first record in [r.begin, r.end) with .v >= w.  Each
-/// probe fetches an 8-edge block, resolving three levels per DMA burst
-/// (the fixed setup cost dominates tiny reads); a final linear resolve
-/// handles the <= 8 remaining entries.  Probes are counted into `tally`,
-/// instructions into `instr`.
-[[nodiscard]] std::uint64_t gallop_lower_bound(pim::Tasklet& t,
-                                               std::uint64_t sorted,
+/// Position of the first record in [r.begin, r.end) of `sorted` with .v >=
+/// w, found the way the kernel's block search finds it: each probe fetches
+/// an 8-edge block (one 64-byte transfer), resolving three levels per DMA
+/// burst since the fixed setup cost dominates tiny reads; a final linear
+/// resolve fetches the <= 8 remaining entries in one transfer.  The search
+/// runs on the host copy; its transfers go to `dma`, its probes to `tally`
+/// and its instructions to `instr`.
+[[nodiscard]] std::uint64_t gallop_lower_bound(std::span<const Edge> sorted,
                                                const Region& r, NodeId w,
                                                IntersectTally& tally,
-                                               std::uint64_t& instr);
+                                               std::uint64_t& instr,
+                                               DmaTally& dma);
 
-/// Intersects regions `a` and `b` of the sorted array at `sorted` by second
-/// endpoint, invoking `on_match(index_1, record_1, index_2, record_2)` for
-/// every common .v (indices are absolute positions in the sorted array; the
-/// two sides may arrive in either order).  Strategy per `policy`:
+/// Intersects regions `a` and `b` of `sorted` (the host copy of the sorted
+/// array) by second endpoint, invoking `on_match(index_1, record_1,
+/// index_2, record_2)` for every common .v (indices are absolute positions
+/// in the sorted array; the two sides may arrive in either order).
+/// Strategy per `policy`:
 ///
-///  * merge — stream both regions through `buf_a`/`buf_b` and linearly
-///    co-advance (KernelCostModel::count_merge_step per pick),
-///  * gallop — stream the smaller region through `buf_a` and binary-search
-///    each of its elements into the larger one (hub-incident edges pair a
-///    tiny region with a huge one, where a merge would walk the hub's full
-///    adjacency: small * log(large) beats small + large).
+///  * merge — stream both regions through `buffer`-edge WRAM buffers and
+///    linearly co-advance (KernelCostModel::count_merge_step per pick),
+///  * gallop — stream the smaller region and binary-search each of its
+///    elements into the larger one (hub-incident edges pair a tiny region
+///    with a huge one, where a merge would walk the hub's full adjacency:
+///    small * log(large) beats small + large).
 ///
-/// The match set is identical under every policy, so counts built on top
-/// are bit-identical; only the charged work differs.
+/// The host walks the copy and adds to `dma` what the streams issued: a
+/// merge side that stopped at index i had returned min(i + 1, end) - begin
+/// records (up to its cursor, plus the one it held when the other side ran
+/// out); the galloped side is read whole.  The match set is identical
+/// under every policy, so counts built on top are bit-identical; only the
+/// charged work differs.
 template <typename OnMatch>
-void intersect_regions(pim::Tasklet& t, IntersectPolicy policy,
-                       std::uint64_t sorted, const Region& a, const Region& b,
-                       std::span<Edge> buf_a, std::span<Edge> buf_b,
+void intersect_regions(IntersectPolicy policy, std::span<const Edge> sorted,
+                       const Region& a, const Region& b, std::uint64_t buffer,
                        IntersectTally& tally, std::uint64_t& instr,
-                       OnMatch&& on_match) {
+                       DmaTally& dma, OnMatch&& on_match) {
   using Cost = pim::KernelCostModel;
   const Region& small = a.size() <= b.size() ? a : b;
   const Region& large = a.size() <= b.size() ? b : a;
@@ -370,43 +318,39 @@ void intersect_regions(pim::Tasklet& t, IntersectPolicy policy,
 
   if (choose_gallop(policy, small.size(), large.size())) {
     ++tally.gallop_isects;
-    EdgeReader stream_s(t, buf_a, sorted, small.begin, small.end);
-    Edge es;
-    while (stream_s.next(es)) {
-      const NodeId w = es.v;
+    dma.add_edge_stream(small.size(), small.size(), buffer);
+    for (std::uint64_t i = small.begin; i < small.end; ++i) {
+      const NodeId w = sorted[i].v;
       const std::uint64_t lo =
-          gallop_lower_bound(t, sorted, large, w, tally, instr);
+          gallop_lower_bound(sorted, large, w, tally, instr, dma);
       instr += Cost::loop_overhead;
       if (lo >= large.end) continue;
-      const Edge m = t.mram_read_t<Edge>(sorted + lo * sizeof(Edge));
+      // The match check reads the record at the bound.
+      dma.add(1, sizeof(Edge));
       ++tally.gallop_probes;
       instr += Cost::binary_search_step;
-      if (m.v != w) continue;
-      on_match(stream_s.last_index(), es, lo, m);
+      if (sorted[lo].v != w) continue;
+      on_match(i, sorted[i], lo, sorted[lo]);
     }
     return;
   }
 
   ++tally.merge_isects;
-  EdgeReader stream_a(t, buf_a, sorted, a.begin, a.end);
-  EdgeReader stream_b(t, buf_b, sorted, b.begin, b.end);
-  Edge ea;
-  Edge eb;
-  bool has_a = stream_a.next(ea);
-  bool has_b = stream_b.next(eb);
-  while (has_a && has_b) {
-    instr += Cost::count_merge_step;
-    ++tally.merge_picks;
-    if (ea.v == eb.v) {
-      on_match(stream_a.last_index(), ea, stream_b.last_index(), eb);
-      has_a = stream_a.next(ea);
-      has_b = stream_b.next(eb);
-    } else if (ea.v < eb.v) {
-      has_a = stream_a.next(ea);
-    } else {
-      has_b = stream_b.next(eb);
-    }
+  std::uint64_t i = a.begin;
+  std::uint64_t j = b.begin;
+  std::uint64_t picks = 0;
+  while (i < a.end && j < b.end) {
+    ++picks;
+    const NodeId va = sorted[i].v;
+    const NodeId vb = sorted[j].v;
+    if (va == vb) on_match(i, sorted[i], j, sorted[j]);
+    i += va <= vb ? 1 : 0;
+    j += vb <= va ? 1 : 0;
   }
+  instr += picks * Cost::count_merge_step;
+  tally.merge_picks += picks;
+  dma.add_edge_stream(a.size(), std::min(i + 1, a.end) - a.begin, buffer);
+  dma.add_edge_stream(b.size(), std::min(j + 1, b.end) - b.begin, buffer);
 }
 
 }  // namespace pimtc::tc

@@ -486,13 +486,16 @@ void build_regions(Dpu& dpu, const KernelParams& p,
 // Full counting phase (Section 3.4)
 // ---------------------------------------------------------------------------
 
-/// Edge iterator over the canonical sorted sample: for every edge (u,v),
-/// intersect the remainder of u's region with v's full region through the
-/// shared adaptive machinery (tc/intersect.hpp) — RegionCache-backed
-/// lookups, merge/gallop selection, strided hub-spreading chunks.
-std::uint64_t count_full(Dpu& dpu, const KernelParams& p, std::uint64_t sorted,
-                         std::uint64_t n, std::span<const RegionEntry> regions,
+/// Edge iterator over the canonical sorted sample (the host copy
+/// `sorted`): for every edge (u,v), intersect the remainder of u's region
+/// with v's full region through the shared adaptive machinery
+/// (tc/intersect.hpp) — RegionCache-backed lookups, merge/gallop
+/// selection, strided hub-spreading chunks.
+std::uint64_t count_full(Dpu& dpu, const KernelParams& p,
+                         std::span<const Edge> sorted,
+                         std::span<const RegionEntry> regions,
                          RegionCache& cache, IntersectTally& tally) {
+  const std::uint64_t n = sorted.size();
   std::vector<std::uint64_t> partial(p.tasklets, 0);
   std::vector<IntersectTally> tallies(p.tasklets);
 
@@ -502,50 +505,54 @@ std::uint64_t count_full(Dpu& dpu, const KernelParams& p, std::uint64_t sorted,
 
   dpu.wram().reset();
   dpu.parallel(p.tasklets, [&](Tasklet& t) {
-    auto scan_buf = dpu.wram().alloc<Edge>(p.buffer_edges);
-    auto u_buf = dpu.wram().alloc<Edge>(p.buffer_edges);
-    auto v_buf = dpu.wram().alloc<Edge>(p.buffer_edges);
+    // The scan stream and the two intersection streams.
+    for (int i = 0; i < 3; ++i) (void)dpu.wram().alloc<Edge>(p.buffer_edges);
 
     IntersectTally& tl = tallies[t.id()];
     const std::uint64_t num_chunks = ceil_div(n, kIntersectChunkEdges);
     std::uint64_t count = 0;
     std::uint64_t instr = 0;
-    DmaTally lookup_dma;
+    DmaTally dma;
     // The region of the current scan u, reused while u does not change
     // (regions are contiguous in the sorted scan, so the lookup amortizes
-    // to one per distinct first endpoint).
+    // to one per distinct first endpoint).  u only moves forward through a
+    // tasklet's chunks, so a forward walk over the regions gives its rank.
     NodeId cur_u = kInvalidNode;
+    std::uint64_t u_rank = 0;
     Region ru;
     for (std::uint64_t chunk_i = t.id(); chunk_i < num_chunks;
          chunk_i += p.tasklets) {
       ++tl.chunks_claimed;
       const std::uint64_t c_lo = chunk_i * kIntersectChunkEdges;
       const std::uint64_t c_hi = std::min(n, c_lo + kIntersectChunkEdges);
-      EdgeReader scan(t, scan_buf, sorted, c_lo, c_hi);
-      Edge e;
-      while (scan.next(e)) {
+      dma.add_edge_stream(c_hi - c_lo, c_hi - c_lo, p.buffer_edges);
+      for (std::uint64_t i = c_lo; i < c_hi; ++i) {
+        const Edge e = sorted[i];
         instr += Cost::loop_overhead;
         if (e.u == e.v) continue;  // defensive: self loops count nothing
         if (e.u != cur_u) {
           cur_u = e.u;
-          ru = find_region(cache, e.u, instr, lookup_dma);
+          while (u_rank < regions.size() && regions[u_rank].node < e.u) {
+            ++u_rank;
+          }
+          ru = lookup_region(cache, e.u, u_rank, instr, dma);
         }
         if (!ru.found()) continue;  // cannot happen: e itself is in `sorted`
-        const Region rv = find_region(cache, e.v, instr, lookup_dma);
+        const Region rv = find_region(cache, e.v, instr, dma);
         if (!rv.found()) continue;
 
         // Edges after (u,v) in u's region x v's full region; every common
         // second endpoint w closes the triangle u < v < w.
-        const Region u_rest{scan.last_index() + 1, ru.end};
-        intersect_regions(t, p.intersect, sorted, u_rest, rv, u_buf, v_buf,
-                          tl, instr,
+        const Region u_rest{i + 1, ru.end};
+        intersect_regions(p.intersect, sorted, u_rest, rv, p.buffer_edges, tl,
+                          instr, dma,
                           [&](std::uint64_t, const Edge&, std::uint64_t,
                               const Edge&) { ++count; });
       }
     }
     partial[t.id()] = count;
     t.instr(instr);
-    t.charge_dma(lookup_dma.transfers, lookup_dma.bytes);
+    t.charge_dma(dma.transfers, dma.bytes);
   });
 
   std::uint64_t total = 0;
@@ -637,66 +644,68 @@ void merge_with_flags(Dpu& dpu, const KernelParams& p,
   }
 }
 
-/// Counts new triangles over the merged arc array: for each new canonical
-/// edge e = (u,v), intersect the full adjacency regions of u and v through
-/// the shared adaptive machinery; every common neighbor w closes a
+/// Counts new triangles over the merged arc array `sorted` (S*, with its
+/// new-flags `flags`): for each new canonical edge e = (u,v) of the sorted
+/// batch arcs `batch`, intersect the full adjacency regions of u and v
+/// through the shared adaptive machinery; every common neighbor w closes a
 /// triangle, counted iff each of the other two edges is old or a
 /// lexicographically smaller new edge — every new triangle lands exactly
-/// once, at its largest new edge.  `n` and `n_b` are arc counts; reversed
-/// batch arcs are skipped so each new edge is processed once.
+/// once, at its largest new edge.  Reversed batch arcs are skipped so each
+/// new edge is processed once.
 std::uint64_t count_incremental(Dpu& dpu, const KernelParams& p,
-                                std::uint64_t sorted, std::uint64_t n,
-                                std::uint64_t flags,
+                                std::span<const Edge> sorted,
+                                std::span<const std::uint8_t> flags,
                                 std::span<const RegionEntry> regions,
-                                RegionCache& cache, std::uint64_t batch,
-                                std::uint64_t n_b, IntersectTally& tally) {
+                                RegionCache& cache,
+                                std::span<const Edge> batch,
+                                IntersectTally& tally) {
+  const std::uint64_t n_b = batch.size();
   std::vector<std::uint64_t> partial(p.tasklets, 0);
   std::vector<IntersectTally> tallies(p.tasklets);
 
   // Two lookups per new edge, so n_b per launch: the host's node index pays
   // off only when they outnumber the regions.
-  cache.build(dpu, p.tasklets, p.buffer_edges, regions, n, p.region_cache,
-              /*indexed=*/n_b >= regions.size());
+  cache.build(dpu, p.tasklets, p.buffer_edges, regions, sorted.size(),
+              p.region_cache, /*indexed=*/n_b >= regions.size());
 
   dpu.wram().reset();
   dpu.parallel(p.tasklets, [&](Tasklet& t) {
-    auto scan_buf = dpu.wram().alloc<Edge>(p.buffer_edges);
-    auto u_buf = dpu.wram().alloc<Edge>(p.buffer_edges);
-    auto v_buf = dpu.wram().alloc<Edge>(p.buffer_edges);
+    // The scan stream and the two intersection streams.
+    for (int i = 0; i < 3; ++i) (void)dpu.wram().alloc<Edge>(p.buffer_edges);
 
     IntersectTally& tl = tallies[t.id()];
     const std::uint64_t num_chunks = ceil_div(n_b, kIntersectChunkEdges);
     std::uint64_t count = 0;
     std::uint64_t instr = 0;
-    DmaTally lookup_dma;
+    DmaTally dma;
     for (std::uint64_t chunk_i = t.id(); chunk_i < num_chunks;
          chunk_i += p.tasklets) {
       ++tl.chunks_claimed;
       const std::uint64_t c_lo = chunk_i * kIntersectChunkEdges;
       const std::uint64_t c_hi = std::min(n_b, c_lo + kIntersectChunkEdges);
-      EdgeReader scan(t, scan_buf, batch, c_lo, c_hi);
-      Edge e;
-      while (scan.next(e)) {
+      dma.add_edge_stream(c_hi - c_lo, c_hi - c_lo, p.buffer_edges);
+      for (std::uint64_t i = c_lo; i < c_hi; ++i) {
+        const Edge e = batch[i];
         instr += Cost::loop_overhead;
         if (e.u >= e.v) continue;  // process each new edge once
-        const Region ru = find_region(cache, e.u, instr, lookup_dma);
+        const Region ru = find_region(cache, e.u, instr, dma);
         if (!ru.found()) continue;  // cannot happen: e itself is in S*
-        const Region rv = find_region(cache, e.v, instr, lookup_dma);
+        const Region rv = find_region(cache, e.v, instr, dma);
         if (!rv.found()) continue;
 
         // Triangle (e.u, e.v, w) with w the matched second endpoint; e is
         // new by construction.  Count here only if neither other edge is a
         // lexicographically larger new edge (that edge's own pass owns the
         // triangle).  Matches are rare, so new-flags are fetched lazily per
-        // match instead of streamed alongside the edges.
+        // match (two 1-byte reads, each one 8-byte transfer) instead of
+        // streamed alongside the edges.
         intersect_regions(
-            t, p.intersect, sorted, ru, rv, u_buf, v_buf, tl, instr,
+            p.intersect, sorted, ru, rv, p.buffer_edges, tl, instr, dma,
             [&](std::uint64_t ia, const Edge& ea, std::uint64_t ib,
                 const Edge& eb) {
-              const auto fa = t.mram_read_t<std::uint8_t>(flags + ia);
-              const auto fb = t.mram_read_t<std::uint8_t>(flags + ib);
-              const bool blocked_a = (fa != 0) && e < ea.canonical();
-              const bool blocked_b = (fb != 0) && e < eb.canonical();
+              dma.add(2, 2 * pim::PimSystemConfig::dma_alignment_bytes);
+              const bool blocked_a = flags[ia] != 0 && e < ea.canonical();
+              const bool blocked_b = flags[ib] != 0 && e < eb.canonical();
               if (!blocked_a && !blocked_b) ++count;
               instr += 4;
             });
@@ -704,7 +713,7 @@ std::uint64_t count_incremental(Dpu& dpu, const KernelParams& p,
     }
     partial[t.id()] = count;
     t.instr(instr);
-    t.charge_dma(lookup_dma.transfers, lookup_dma.bytes);
+    t.charge_dma(dma.transfers, dma.bytes);
   });
 
   std::uint64_t total = 0;
@@ -825,8 +834,7 @@ void run_count_kernel(pim::Dpu& dpu, const KernelParams& params_in) {
   const RemapTable remap(dpu, meta.num_remap);
   copy_remap(dpu, params, remap, MramLayout::sample_offset(), 0, n, work_a,
              /*arcs=*/false, s.work);
-  const std::uint64_t sorted =
-      external_sort(dpu, params, work_a, work_b, s.work, s);
+  (void)external_sort(dpu, params, work_a, work_b, s.work, s);
 
   build_regions(dpu, params, s.work, MramLayout::region_offset(cap),
                 s.regions);
@@ -834,7 +842,7 @@ void run_count_kernel(pim::Dpu& dpu, const KernelParams& params_in) {
   IntersectTally tally;
   const std::uint64_t instr0 = dpu.total_instructions();
   meta.triangle_count =
-      count_full(dpu, params, sorted, n, s.regions, s.cache, tally);
+      count_full(dpu, params, s.work, s.regions, s.cache, tally);
   store_tally(meta, tally, dpu.total_instructions() - instr0);
 
   if (meta.flags & DpuMeta::kFlagPersistSorted) {
@@ -876,8 +884,6 @@ void run_incremental_kernel(pim::Dpu& dpu, const KernelParams& params_in) {
   const std::uint64_t work_b = MramLayout::work_b_offset(cap);
   const std::uint64_t reg = MramLayout::region_offset(cap);
   const std::uint64_t arcs_old = 2 * n_old;
-  const std::uint64_t arcs_b = 2 * n_b;
-  const std::uint64_t arcs_total = 2 * n;
 
   // 1. remap + copy (both orientations) + sort the new batch.
   HostScratch& s = host_scratch();
@@ -906,9 +912,8 @@ void run_incremental_kernel(pim::Dpu& dpu, const KernelParams& params_in) {
   // 4. count the delta, 5. clear the flags for the next round.
   IntersectTally tally;
   const std::uint64_t instr0 = dpu.total_instructions();
-  const std::uint64_t delta =
-      count_incremental(dpu, params, sorted, arcs_total, flags, s.regions,
-                        s.cache, batch, arcs_b, tally);
+  const std::uint64_t delta = count_incremental(
+      dpu, params, s.merged, s.flags, s.regions, s.cache, s.work, tally);
   store_tally(meta, tally, dpu.total_instructions() - instr0);
   clear_flags(dpu, params, flags, s.flags);
 

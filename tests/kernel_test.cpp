@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <limits>
 #include <span>
+#include <string>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -299,6 +300,88 @@ TEST(KernelTest, RejectsCapacityBeyondRegionIndexRange) {
 }
 
 // ---- closed-form charges ----------------------------------------------------
+//
+// The kernels run on host copies and charge their streams in closed form.
+// The WRAM-buffered streams below are the device code those charges stand
+// for; each test runs both and compares the DMA and instructions issued.
+
+/// Buffered sequential MRAM reader: a tasklet streaming a region of the
+/// bank through a WRAM buffer, one transfer per refill.
+template <typename T>
+class StreamReader {
+ public:
+  StreamReader(pim::Tasklet& t, std::span<T> buf, std::uint64_t base,
+               std::uint64_t begin_idx, std::uint64_t end_idx)
+      : t_(&t),
+        buf_(buf),
+        base_(base),
+        next_fetch_(begin_idx),
+        buf_base_(begin_idx),
+        end_(end_idx) {}
+
+  bool next(T& out) {
+    if (cursor_ >= filled_) {
+      if (next_fetch_ >= end_) return false;
+      refill();
+    }
+    out = buf_[cursor_++];
+    return true;
+  }
+
+  /// Absolute index of the record most recently returned by next().
+  [[nodiscard]] std::uint64_t last_index() const noexcept {
+    return buf_base_ + cursor_ - 1;
+  }
+
+ private:
+  void refill() {
+    const std::uint64_t count =
+        std::min<std::uint64_t>(buf_.size(), end_ - next_fetch_);
+    t_->mram_read(base_ + next_fetch_ * sizeof(T), buf_.data(),
+                  count * sizeof(T));
+    buf_base_ = next_fetch_;
+    next_fetch_ += count;
+    filled_ = static_cast<std::size_t>(count);
+    cursor_ = 0;
+  }
+
+  pim::Tasklet* t_;
+  std::span<T> buf_;
+  std::uint64_t base_;
+  std::uint64_t next_fetch_;
+  std::uint64_t buf_base_;
+  std::uint64_t end_;
+  std::size_t cursor_ = 0;
+  std::size_t filled_ = 0;
+};
+
+/// Buffered sequential MRAM writer, one transfer per flushed buffer.
+template <typename T>
+class StreamWriter {
+ public:
+  StreamWriter(pim::Tasklet& t, std::span<T> buf, std::uint64_t base,
+               std::uint64_t begin_idx)
+      : t_(&t), buf_(buf), base_(base), pos_(begin_idx) {}
+
+  void put(const T& value) {
+    buf_[cursor_++] = value;
+    if (cursor_ == buf_.size()) flush();
+  }
+
+  void flush() {
+    if (cursor_ == 0) return;
+    t_->mram_write(base_ + pos_ * sizeof(T), buf_.data(), cursor_ * sizeof(T));
+    pos_ += cursor_;
+    cursor_ = 0;
+  }
+
+ private:
+  pim::Tasklet* t_;
+  std::span<T> buf_;
+  std::uint64_t base_;
+  std::uint64_t pos_;
+  std::size_t cursor_ = 0;
+};
 
 /// charge_stream<T> against draining a StreamReader<T> and against filling
 /// and flushing a StreamWriter<T> of `records` records through a
@@ -381,6 +464,249 @@ TEST(ClosedFormChargeTest, SearchStepsMatchesTheKernelLoop) {
     for (std::uint64_t r = 0; r <= size; ++r) {
       ASSERT_EQ(search_steps(size, r), loop_probes(size, r))
           << "size=" << size << " r=" << r;
+    }
+  }
+}
+
+/// The kernel's block search as the device runs it: each probe reads an
+/// 8-edge block from the sorted array at MRAM offset `sorted`, then one
+/// read resolves the <= 8 remaining entries.
+std::uint64_t streamed_gallop_lower_bound(pim::Tasklet& t,
+                                          std::uint64_t sorted,
+                                          const Region& r, NodeId w,
+                                          IntersectTally& tally,
+                                          std::uint64_t& instr) {
+  using Cost = pim::KernelCostModel;
+  std::uint64_t lo = r.begin;
+  std::uint64_t hi = r.end;
+  std::uint64_t probes = 0;
+  Edge block[8];
+  while (hi - lo > 8) {
+    const std::uint64_t mid = lo + (hi - lo) / 2;
+    const std::uint64_t b = std::min(std::max(mid, lo + 4), hi - 4) - 4;
+    t.mram_read(sorted + b * sizeof(Edge), block, sizeof(block));
+    if (block[0].v >= w) {
+      hi = b + 1;
+    } else if (block[7].v < w) {
+      lo = b + 8;
+    } else {
+      lo = b;
+      for (int i = 7; i >= 0; --i) {
+        if (block[i].v < w) {
+          lo = b + i + 1;
+          break;
+        }
+      }
+      hi = lo;
+    }
+    ++probes;
+  }
+  instr += probes * (Cost::binary_search_step + 8);
+  if (hi != lo) {
+    const std::uint64_t fetch = hi - lo;
+    t.mram_read(sorted + lo * sizeof(Edge), block, fetch * sizeof(Edge));
+    instr += Cost::binary_search_step + fetch;
+    ++probes;
+    std::uint64_t i = 0;
+    while (i < fetch && block[i].v < w) ++i;
+    lo += i;
+  }
+  tally.gallop_probes += probes;
+  return lo;
+}
+
+/// The kernel's intersection as the device runs it: merge both regions
+/// through WRAM streams, or stream the small one and block-search each of
+/// its records into the large one.
+template <typename OnMatch>
+void streamed_intersect_regions(pim::Tasklet& t, IntersectPolicy policy,
+                                std::uint64_t sorted, const Region& a,
+                                const Region& b, std::span<Edge> buf_a,
+                                std::span<Edge> buf_b, IntersectTally& tally,
+                                std::uint64_t& instr, OnMatch&& on_match) {
+  using Cost = pim::KernelCostModel;
+  const Region& small = a.size() <= b.size() ? a : b;
+  const Region& large = a.size() <= b.size() ? b : a;
+  if (small.size() == 0) return;
+
+  if (choose_gallop(policy, small.size(), large.size())) {
+    ++tally.gallop_isects;
+    StreamReader<Edge> stream_s(t, buf_a, sorted, small.begin, small.end);
+    Edge es;
+    while (stream_s.next(es)) {
+      const NodeId w = es.v;
+      const std::uint64_t lo =
+          streamed_gallop_lower_bound(t, sorted, large, w, tally, instr);
+      instr += Cost::loop_overhead;
+      if (lo >= large.end) continue;
+      const Edge m = t.mram_read_t<Edge>(sorted + lo * sizeof(Edge));
+      ++tally.gallop_probes;
+      instr += Cost::binary_search_step;
+      if (m.v != w) continue;
+      on_match(stream_s.last_index(), es, lo, m);
+    }
+    return;
+  }
+
+  ++tally.merge_isects;
+  StreamReader<Edge> stream_a(t, buf_a, sorted, a.begin, a.end);
+  StreamReader<Edge> stream_b(t, buf_b, sorted, b.begin, b.end);
+  Edge ea;
+  Edge eb;
+  bool has_a = stream_a.next(ea);
+  bool has_b = stream_b.next(eb);
+  while (has_a && has_b) {
+    instr += Cost::count_merge_step;
+    ++tally.merge_picks;
+    if (ea.v == eb.v) {
+      on_match(stream_a.last_index(), ea, stream_b.last_index(), eb);
+      has_a = stream_a.next(ea);
+      has_b = stream_b.next(eb);
+    } else if (ea.v < eb.v) {
+      has_a = stream_a.next(ea);
+    } else {
+      has_b = stream_b.next(eb);
+    }
+  }
+}
+
+/// A sorted arc array of `regions` adjacency regions (first endpoint =
+/// region number), each holding a sorted random subset of [0, range) whose
+/// size is drawn from `sizes`, and the region bounds.
+std::pair<std::vector<Edge>, std::vector<Region>> random_regions(
+    std::uint64_t seed, std::uint32_t regions,
+    const std::vector<std::uint32_t>& sizes, NodeId range) {
+  std::vector<Edge> arcs;
+  std::vector<Region> bounds;
+  std::uint64_t state = seed;
+  const auto draw = [&](std::uint64_t bound) {
+    state = state * 6364136223846793005ull + 1442695040888963407ull;
+    return (state >> 33) % bound;
+  };
+  for (NodeId u = 0; u < regions; ++u) {
+    const std::uint32_t size = sizes[draw(sizes.size())];
+    std::vector<NodeId> vs;
+    for (std::uint32_t k = 0; k < size; ++k) {
+      vs.push_back(static_cast<NodeId>(draw(range)));
+    }
+    std::sort(vs.begin(), vs.end());
+    vs.erase(std::unique(vs.begin(), vs.end()), vs.end());
+    bounds.push_back({arcs.size(), arcs.size() + vs.size()});
+    for (const NodeId v : vs) arcs.push_back({u, v});
+  }
+  return {arcs, bounds};
+}
+
+struct LoopRun {
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> matches;
+  IntersectTally tally;
+  std::uint64_t result = 0;  ///< gallop position
+  std::uint64_t instr = 0;
+  std::uint64_t transfers = 0;
+  std::uint64_t bytes = 0;
+  double cycles = 0;
+};
+
+void expect_same_run(const LoopRun& streamed, const LoopRun& host,
+                     const std::string& what) {
+  EXPECT_EQ(host.matches, streamed.matches) << what;
+  EXPECT_EQ(host.result, streamed.result) << what;
+  EXPECT_EQ(host.tally.merge_picks, streamed.tally.merge_picks) << what;
+  EXPECT_EQ(host.tally.gallop_probes, streamed.tally.gallop_probes) << what;
+  EXPECT_EQ(host.tally.merge_isects, streamed.tally.merge_isects) << what;
+  EXPECT_EQ(host.tally.gallop_isects, streamed.tally.gallop_isects) << what;
+  EXPECT_EQ(host.instr, streamed.instr) << what;
+  EXPECT_EQ(host.transfers, streamed.transfers) << what;
+  EXPECT_EQ(host.bytes, streamed.bytes) << what;
+  EXPECT_EQ(host.cycles, streamed.cycles) << what;
+}
+
+/// Runs `body(t, sorted_offset)` as one tasklet on a DPU holding `arcs` in
+/// MRAM and returns what it issued; the body fills the rest of the run.
+template <typename Body>
+LoopRun run_loop(const std::vector<Edge>& arcs, Body&& body) {
+  constexpr std::uint64_t kSorted = 4096;
+  pim::Dpu dpu(test_config(), 0);
+  dpu.mram().write(kSorted, arcs.data(), arcs.size() * sizeof(Edge));
+  LoopRun run;
+  dpu.parallel(1, [&](pim::Tasklet& t) {
+    body(t, kSorted, run);
+    t.instr(run.instr);
+  });
+  run.transfers = dpu.dma_transfers();
+  run.bytes = dpu.dma_bytes();
+  run.cycles = dpu.cycles();
+  return run;
+}
+
+TEST(ClosedFormChargeTest, IntersectionMatchesStreamedReference) {
+  // Region sizes from empty to several buffers, so merges stop at every
+  // cursor position and both policies' cost-model branches run.
+  const std::vector<std::uint32_t> sizes = {0,  1,  3,  8,   9,  16,
+                                            40, 64, 65, 150, 300};
+  const auto [arcs, bounds] = random_regions(7, 60, sizes, 400);
+  std::uint64_t state = 11;
+  const auto draw = [&](std::uint64_t bound) {
+    state = state * 6364136223846793005ull + 1442695040888963407ull;
+    return (state >> 33) % bound;
+  };
+  for (int pair = 0; pair < 200; ++pair) {
+    const Region a = bounds[draw(bounds.size())];
+    Region b = bounds[draw(bounds.size())];
+    // Also a suffix, as count_full intersects the rest of u's region.
+    if (pair % 3 == 0 && b.size() > 1) b.begin += draw(b.size());
+    for (const std::uint64_t buffer : {4u, 7u, 9u, 64u}) {
+      for (const IntersectPolicy policy : {IntersectPolicy::kMerge,
+                                           IntersectPolicy::kGallop,
+                                           IntersectPolicy::kAuto}) {
+        const LoopRun streamed = run_loop(
+            arcs, [&](pim::Tasklet& t, std::uint64_t sorted, LoopRun& run) {
+              std::vector<Edge> buf_a(buffer);
+              std::vector<Edge> buf_b(buffer);
+              streamed_intersect_regions(
+                  t, policy, sorted, a, b, std::span<Edge>(buf_a),
+                  std::span<Edge>(buf_b), run.tally, run.instr,
+                  [&](std::uint64_t i, const Edge&, std::uint64_t j,
+                      const Edge&) { run.matches.emplace_back(i, j); });
+            });
+        const LoopRun host = run_loop(
+            arcs, [&](pim::Tasklet& t, std::uint64_t, LoopRun& run) {
+              DmaTally dma;
+              intersect_regions(
+                  policy, arcs, a, b, buffer, run.tally, run.instr, dma,
+                  [&](std::uint64_t i, const Edge&, std::uint64_t j,
+                      const Edge&) { run.matches.emplace_back(i, j); });
+              t.charge_dma(dma.transfers, dma.bytes);
+            });
+        expect_same_run(streamed, host,
+                        "pair " + std::to_string(pair) + " buffer " +
+                            std::to_string(buffer) + " " + to_string(policy));
+      }
+    }
+  }
+}
+
+TEST(ClosedFormChargeTest, GallopReplayMatchesStreamedSearch) {
+  const std::vector<std::uint32_t> sizes = {0, 1, 5, 8, 9, 12, 17, 64, 500};
+  const auto [arcs, bounds] = random_regions(3, 40, sizes, 1000);
+  for (const Region& r : bounds) {
+    // Keys below, inside and above the region's second endpoints.
+    for (NodeId w = 0; w <= 1001; w += 7) {
+      const LoopRun streamed = run_loop(
+          arcs, [&](pim::Tasklet& t, std::uint64_t sorted, LoopRun& run) {
+            run.result = streamed_gallop_lower_bound(t, sorted, r, w,
+                                                     run.tally, run.instr);
+          });
+      const LoopRun host = run_loop(
+          arcs, [&](pim::Tasklet& t, std::uint64_t, LoopRun& run) {
+            DmaTally dma;
+            run.result =
+                gallop_lower_bound(arcs, r, w, run.tally, run.instr, dma);
+            t.charge_dma(dma.transfers, dma.bytes);
+          });
+      expect_same_run(streamed, host,
+                      "region [" + std::to_string(r.begin) + ", " +
+                          std::to_string(r.end) + ") w=" + std::to_string(w));
     }
   }
 }
