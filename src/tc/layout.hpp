@@ -22,6 +22,7 @@
 // gaps free.
 #pragma once
 
+#include <array>
 #include <cstdint>
 
 #include "common/math_util.hpp"
@@ -70,6 +71,12 @@ struct RegionEntry {
                                     const RegionEntry&) = default;
 };
 static_assert(sizeof(RegionEntry) == 8);
+
+/// A byte range [begin, end) of a bank.
+struct MramRange {
+  std::uint64_t begin = 0;
+  std::uint64_t end = 0;
+};
 
 struct MramLayout {
   static constexpr std::uint64_t kMetaOffset = 0;
@@ -121,6 +128,17 @@ struct MramLayout {
   [[nodiscard]] static constexpr std::uint64_t total_bytes(
       std::uint64_t capacity) noexcept {
     return region_offset(capacity) + 2 * capacity * sizeof(RegionEntry);
+  }
+
+  /// The state that outlives a launch, for a bank whose control block holds
+  /// capacity M and sorted_size s: the control block, remap table and
+  /// sample followed by S* (2s arcs), and the 2s new-flags, which are zero
+  /// between launches.
+  [[nodiscard]] static constexpr std::array<MramRange, 2> live_ranges(
+      std::uint64_t capacity, std::uint64_t sorted_size) noexcept {
+    const std::uint64_t arcs = 2 * sorted_size;
+    return {MramRange{0, sorted_offset(capacity) + arcs * sizeof(Edge)},
+            MramRange{flags_offset(capacity), flags_offset(capacity) + arcs}};
   }
 
   /// Largest reservoir capacity M whose full working set fits an MRAM bank:

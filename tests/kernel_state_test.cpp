@@ -4,12 +4,13 @@
 // kernel configurations (tasklets x stream buffer, plus the forced
 // intersection policies and the region cache off).  Each run writes one line
 // with the count, the region count, the DPU's cycles, instructions and DMA
-// tallies, its MRAM high-water mark and a digest of MRAM [0, high_water), and
-// the lines must equal tests/golden/kernel_state.golden.  Cycles are printed
-// to 17 digits and every other field is an integer, so a change in any
-// modeled charge or any MRAM byte of any stage (the scratch buffers, the
-// region index and the flags included) shows as a diff.  On a deliberate
-// model change, replace the golden file with the text the failure prints.
+// tallies, the end of its live MRAM state and a digest of that state
+// (MramLayout::live_ranges: control block, remap table, sample, S* and its
+// flags), and the lines must equal tests/golden/kernel_state.golden.
+// Cycles are printed to 17 digits and every other field is an integer, so
+// a change in any modeled charge or any byte of state that outlives a
+// launch shows as a diff.  On a deliberate model change, replace the golden
+// file with the text the failure prints.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -132,10 +133,17 @@ std::string run_one(const Input& in, const Config& c) {
   run_incremental_kernel(dpu, c.params);
   meta = dpu.mram().read_t<DpuMeta>(MramLayout::kMetaOffset);
 
-  std::vector<std::uint8_t> mram(dpu.mram().high_water());
-  dpu.mram().read(0, mram.data(), mram.size());
+  // The live state: what outlives the launch.  Scratch is the kernels'
+  // own business, as long as their charges and this state stay the same.
   Xxh64 digest;
-  digest.update(mram.data(), mram.size());
+  std::uint64_t live_end = 0;
+  for (const MramRange& r :
+       MramLayout::live_ranges(meta.sample_capacity, meta.sorted_size)) {
+    std::vector<std::uint8_t> mram(r.end - r.begin);
+    dpu.mram().read(r.begin, mram.data(), mram.size());
+    digest.update(mram.data(), mram.size());
+    if (r.end > r.begin) live_end = r.end;
+  }
   char buf[320];
   std::snprintf(buf, sizeof buf,
                 "%s.%s triangles=%llu regions=%llu cycles=%.17g instr=%llu "
@@ -147,7 +155,7 @@ std::string run_one(const Input& in, const Config& c) {
                 static_cast<unsigned long long>(dpu.total_instructions()),
                 static_cast<unsigned long long>(dpu.dma_transfers()),
                 static_cast<unsigned long long>(dpu.dma_bytes()),
-                static_cast<unsigned long long>(mram.size()),
+                static_cast<unsigned long long>(live_end),
                 static_cast<unsigned long long>(digest.digest()));
   return buf;
 }

@@ -8,8 +8,9 @@
 // relative, since another compiler may contract floating-point math
 // differently.  After each report come the summed per-DPU cycles,
 // instructions and DMA tallies, and one digest over every bank's device
-// state (those sums plus MRAM up to its high-water mark), so a change to any
-// bank's modeled work or contents shows here even when the report hides it.
+// state (those sums plus the MRAM state that outlives a launch), so a change
+// to any bank's modeled work or contents shows here even when the report
+// hides it.
 // On a deliberate model change, replace the golden file with the actual text
 // the failure message prints.  ThreadLayoutTest renders the same lines for
 // one exact session under several host thread layouts and requires them to
@@ -32,6 +33,7 @@
 #include "graph/generators.hpp"
 #include "graph/preprocess.hpp"
 #include "tc/host.hpp"
+#include "tc/layout.hpp"
 
 namespace pimtc {
 namespace {
@@ -137,7 +139,7 @@ void append_report(const std::string& tag, const engine::CountReport& r,
 
 /// Sums of the per-DPU cycle, instruction and DMA tallies of `eng`'s
 /// machine, then one XXH64 over every bank's (cycle bits, instructions, DMA
-/// transfers, DMA bytes, MRAM [0, high_water)).
+/// transfers, DMA bytes, live MRAM state per tc::MramLayout::live_ranges).
 void append_device(const std::string& tag,
                    const engine::TriangleCountEngine& eng,
                    std::vector<Line>& out) {
@@ -160,9 +162,13 @@ void append_device(const std::string& tag,
     bytes += tallies[2];
     digest.update(&c, sizeof c);
     digest.update(tallies, sizeof tallies);
-    mram.resize(dpu.mram().high_water());
-    dpu.mram().read(0, mram.data(), mram.size());
-    digest.update(mram.data(), mram.size());
+    const auto meta = dpu.mram().read_t<tc::DpuMeta>(tc::MramLayout::kMetaOffset);
+    for (const tc::MramRange& r : tc::MramLayout::live_ranges(
+             meta.sample_capacity, meta.sorted_size)) {
+      mram.resize(r.end - r.begin);
+      dpu.mram().read(r.begin, mram.data(), mram.size());
+      digest.update(mram.data(), mram.size());
+    }
   }
   char buf[32];
   std::snprintf(buf, sizeof buf, "%.17g", cycles);
