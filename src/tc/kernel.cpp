@@ -84,14 +84,16 @@ class RemapTable {
 // Host execution
 // ---------------------------------------------------------------------------
 //
-// The data-movement stages run on the host in bulk.  Each takes its input
-// as a host copy (read from MRAM once, uncharged, or handed on by the stage
-// before), writes back exactly the MRAM byte ranges its WRAM-streamed form
-// wrote, keeps every WRAM allocation of that form, and charges each tasklet
-// in closed form the DMA transfers, bytes and instructions the streamed
-// form issued: charge_stream per stream, the per-record or per-chunk
-// instructions, and every data-dependent search replayed from ranks with
-// search_steps.  The device-state goldens (tests/golden) pin the equality.
+// Every stage runs on the host.  Each takes its input as a host copy (read
+// from MRAM once, uncharged, or handed on by the stage before) and leaves
+// its output in one for the next stage; only state that outlives the
+// launch (S* and the control block) goes back to MRAM.  Each keeps every
+// WRAM allocation of its WRAM-streamed form and charges each tasklet in
+// closed form the DMA transfers, bytes and instructions that form issued:
+// charge_stream or DmaTally::add_edge_stream per stream, the per-record or
+// per-chunk instructions, and every data-dependent search replayed from
+// ranks with search_steps.  The device-state goldens (tests/golden) pin
+// the charges and the live state.
 
 /// One record of the host sort: an edge's key and the index of the WRAM
 /// chunk run formation read it in.  Sorting by (key, chunk) orders equal
@@ -112,8 +114,8 @@ constexpr unsigned kRadixDigits = (64 + kRadixBits - 1) / kRadixBits;
 /// thread, so each thread allocates these once, at the size of the largest
 /// bank it has run.
 struct HostScratch {
-  std::vector<Edge> work;   ///< the array being copied, sorted, indexed
-  std::vector<Edge> other;  ///< sort ping-pong image; S* before a merge
+  std::vector<Edge> work;     ///< the array being copied, sorted, indexed
+  std::vector<Edge> old_arcs; ///< S* before a merge
   std::vector<Edge> merged;
   std::vector<std::uint8_t> flags;
   std::vector<SortRecord> records;
@@ -233,21 +235,20 @@ void replay_splits(std::uint64_t n, std::uint64_t width, unsigned pass,
   }
 }
 
-/// Copies edges [src_begin, src_end) of the raw sample at `src` into `dst`
-/// (0-based), applying the remap, and leaves the copy in `out`.  Canonical
-/// mode emits one u<v record per edge; arc mode emits both orientations (2
-/// records per edge, for the S* pipeline).
+/// Copies edges [begin, end) of the raw sample into `out`, applying the
+/// remap.  Canonical mode emits one u<v record per edge; arc mode emits
+/// both orientations (2 records per edge, for the S* pipeline).
 void copy_remap(Dpu& dpu, const KernelParams& p, const RemapTable& remap,
-                std::uint64_t src, std::uint64_t src_begin,
-                std::uint64_t src_end, std::uint64_t dst, bool arcs,
+                std::uint64_t begin, std::uint64_t end, bool arcs,
                 std::vector<Edge>& out) {
-  const std::uint64_t n = src_end - src_begin;
+  const std::uint64_t n = end - begin;
   const std::uint64_t per_edge = arcs ? 2 : 1;
   out.resize(n * per_edge);
   // Arc mode reads into the upper half and expands forward: record i's two
   // arcs land at 2i and 2i+1, below every unread input record n+j, j > i.
   Edge* in = out.data() + (per_edge - 1) * n;
-  dpu.mram().read(src + src_begin * sizeof(Edge), in, n * sizeof(Edge));
+  dpu.mram().read(MramLayout::sample_offset() + begin * sizeof(Edge), in,
+                  n * sizeof(Edge));
   dpu.parallel(p.tasklets, [&](Tasklet& t) {
     const Block blk = block_of(n, t.id(), p.tasklets);
     if (blk.begin >= blk.end) return;
@@ -274,28 +275,22 @@ void copy_remap(Dpu& dpu, const KernelParams& p, const RemapTable& remap,
     t.instr(len * (Cost::edge_copy + Cost::loop_overhead) +
             probes * Cost::remap_lookup);
   });
-  if (!out.empty()) {
-    dpu.mram().write(dst, out.data(), out.size() * sizeof(Edge));
-  }
 }
 
-/// External merge sort of the records in `data` (also at `off_a`),
-/// ping-pong with `off_b`; leaves `data` sorted and returns the offset
-/// holding the sorted result.  Resets WRAM.
+/// External merge sort of the records in `data`, which it leaves sorted.
+/// Resets WRAM.
 ///
-/// Charged as the kernel runs it: WRAM chunk sorts, then merge passes of
-/// doubling run width.  Chunk size adapts downward for small inputs so
-/// every tasklet has work (an idle pipeline issues one instruction per 11
-/// cycles per tasklet), and merge passes with fewer runs than tasklets are
-/// co-partitioned with merge-path splitting so the last passes stay
-/// parallel.  The host sorts once; afterwards the result buffer holds the
-/// sorted records and, after any merge pass, the other buffer holds the
-/// last pass's input — the sorted contents of [0, w) and of [w, n).
-std::uint64_t external_sort(Dpu& dpu, const KernelParams& p,
-                            std::uint64_t off_a, std::uint64_t off_b,
-                            std::vector<Edge>& data, HostScratch& s) {
+/// Charged as the kernel runs it: WRAM chunk sorts, then ping-pong merge
+/// passes of doubling run width between two MRAM scratch buffers.  Chunk
+/// size adapts downward for small inputs so every tasklet has work (an
+/// idle pipeline issues one instruction per 11 cycles per tasklet), and
+/// merge passes with fewer runs than tasklets are co-partitioned with
+/// merge-path splitting so the last passes stay parallel.  The host sorts
+/// once.
+void external_sort(Dpu& dpu, const KernelParams& p, std::vector<Edge>& data,
+                   HostScratch& s) {
   const std::uint64_t n = data.size();
-  if (n <= 1) return off_a;
+  if (n <= 1) return;
   const std::uint64_t tasklets = p.tasklets;
   const std::uint64_t buffer = p.buffer_edges;
 
@@ -383,26 +378,10 @@ std::uint64_t external_sort(Dpu& dpu, const KernelParams& p,
   for (std::uint64_t i = 0; i < n; ++i) {
     data[i] = edge_from_key(s.records[i].key);
   }
-  const bool in_b = passes % 2 == 1;
-  dpu.mram().write(in_b ? off_b : off_a, data.data(), n * sizeof(Edge));
-  if (passes > 0) {
-    // The last pass merged [0, w) with [w, n), w = chunk << (passes - 1):
-    // records from chunks below 2^(passes - 1), in sorted order, then the
-    // rest.
-    const std::uint64_t split_chunk = 1ull << (passes - 1);
-    s.other.resize(n);
-    std::uint64_t left = 0;
-    std::uint64_t right = chunk << (passes - 1);
-    for (const SortRecord& rec : s.records) {
-      s.other[rec.chunk < split_chunk ? left++ : right++] =
-          edge_from_key(rec.key);
-    }
-    dpu.mram().write(in_b ? off_a : off_b, s.other.data(), n * sizeof(Edge));
-  }
-  return in_b ? off_b : off_a;
 }
 
-/// Parallel bulk copy of `src` (the host copy of an MRAM array) to `dst`.
+/// Parallel bulk copy of `src` (the host copy of an MRAM array) to `dst`:
+/// the one stage that writes MRAM, since S* outlives the launch.
 void copy_edges(Dpu& dpu, const KernelParams& p, std::span<const Edge> src,
                 std::uint64_t dst) {
   const std::uint64_t n = src.size();
@@ -421,11 +400,10 @@ void copy_edges(Dpu& dpu, const KernelParams& p, std::span<const Edge> src,
 }
 
 /// Builds the region index over `sorted` (the host copy of the sorted
-/// array) at `reg` and leaves it in `regions`.  Two parallel passes: count
-/// region starts per block, then write RegionEntry records at
-/// exclusive-prefix offsets.
+/// array) into `regions`.  Two parallel passes: count region starts per
+/// block, then write RegionEntry records at exclusive-prefix offsets.
 void build_regions(Dpu& dpu, const KernelParams& p,
-                   std::span<const Edge> sorted, std::uint64_t reg,
+                   std::span<const Edge> sorted,
                    std::vector<RegionEntry>& regions) {
   const std::uint64_t n = sorted.size();
   regions.clear();
@@ -479,7 +457,6 @@ void build_regions(Dpu& dpu, const KernelParams& p,
     charge_scan(t, blk);
     charge_stream<RegionEntry>(t, counts[t.id()], p.buffer_edges);
   });
-  dpu.mram().write(reg, regions.data(), regions.size() * sizeof(RegionEntry));
 }
 
 // ---------------------------------------------------------------------------
@@ -567,13 +544,11 @@ std::uint64_t count_full(Dpu& dpu, const KernelParams& p,
 // ---------------------------------------------------------------------------
 
 /// Merges S* (`old`, the host copy of its arcs) with the sorted batch
-/// (`batch`) into `dst_edges`, writing a 1-byte "new" flag per output record
-/// to `dst_flags`, and leaves both in `merged` and `flags`.  Ties take the
-/// S* record first.  Tasklets merge co-partitioned subranges (merge-path
-/// splitting on equal S* blocks).
+/// (`batch`) into `merged`, with a 1-byte "new" flag per output record in
+/// `flags`.  Ties take the S* record first.  Tasklets merge co-partitioned
+/// subranges (merge-path splitting on equal S* blocks).
 void merge_with_flags(Dpu& dpu, const KernelParams& p,
                       std::span<const Edge> old, std::span<const Edge> batch,
-                      std::uint64_t dst_edges, std::uint64_t dst_flags,
                       std::vector<Edge>& merged,
                       std::vector<std::uint8_t>& flags) {
   const std::uint64_t n_old = old.size();
@@ -638,10 +613,6 @@ void merge_with_flags(Dpu& dpu, const KernelParams& p,
     charge_stream<std::uint8_t>(t, olds + news, p.buffer_edges);
     t.instr((olds + news) * Cost::merge_pick);
   });
-  if (!merged.empty()) {
-    dpu.mram().write(dst_edges, merged.data(), merged.size() * sizeof(Edge));
-    dpu.mram().write(dst_flags, flags.data(), flags.size());
-  }
 }
 
 /// Counts new triangles over the merged arc array `sorted` (S*, with its
@@ -723,11 +694,10 @@ std::uint64_t count_incremental(Dpu& dpu, const KernelParams& p,
   return total;
 }
 
-/// Zeroes the flag bytes at `flags_off` (parallel chunked writes); `flags`
-/// is their host copy.
-void clear_flags(Dpu& dpu, const KernelParams& p, std::uint64_t flags_off,
-                 std::vector<std::uint8_t>& flags) {
-  const std::uint64_t n = flags.size();
+/// Charges zeroing the `n` flag bytes (parallel chunked writes), which
+/// leaves them zero between launches.  MRAM already holds the zeros: the
+/// flags live in the launch's host copy.
+void clear_flags(Dpu& dpu, const KernelParams& p, std::uint64_t n) {
   const std::uint64_t buffer = p.buffer_edges * 8ull;
   dpu.wram().reset();
   dpu.parallel(p.tasklets, [&](Tasklet& t) {
@@ -737,8 +707,6 @@ void clear_flags(Dpu& dpu, const KernelParams& p, std::uint64_t flags_off,
     charge_stream<std::uint8_t>(t, blk.end - blk.begin, buffer);
     t.instr(ceil_div(blk.end - blk.begin, buffer) * Cost::loop_overhead);
   });
-  std::fill(flags.begin(), flags.end(), 0);
-  if (n != 0) dpu.mram().write(flags_off, flags.data(), n);
 }
 
 /// Largest stream-buffer size, in edges, for which the worst-case
@@ -828,16 +796,12 @@ void run_count_kernel(pim::Dpu& dpu, const KernelParams& params_in) {
   }
 
   HostScratch& s = host_scratch();
-  const std::uint64_t work_a = MramLayout::work_a_offset(cap);
-  const std::uint64_t work_b = MramLayout::work_b_offset(cap);
   dpu.wram().reset();
   const RemapTable remap(dpu, meta.num_remap);
-  copy_remap(dpu, params, remap, MramLayout::sample_offset(), 0, n, work_a,
-             /*arcs=*/false, s.work);
-  (void)external_sort(dpu, params, work_a, work_b, s.work, s);
+  copy_remap(dpu, params, remap, 0, n, /*arcs=*/false, s.work);
+  external_sort(dpu, params, s.work, s);
 
-  build_regions(dpu, params, s.work, MramLayout::region_offset(cap),
-                s.regions);
+  build_regions(dpu, params, s.work, s.regions);
   meta.num_regions = s.regions.size();
   IntersectTally tally;
   const std::uint64_t instr0 = dpu.total_instructions();
@@ -850,9 +814,8 @@ void run_count_kernel(pim::Dpu& dpu, const KernelParams& params_in) {
     // edge, sorted) for subsequent incremental updates.  The canonical
     // pipeline is finished, so the scratch buffers are free again.
     dpu.wram().reset();
-    copy_remap(dpu, params, remap, MramLayout::sample_offset(), 0, n, work_a,
-               /*arcs=*/true, s.work);
-    (void)external_sort(dpu, params, work_a, work_b, s.work, s);
+    copy_remap(dpu, params, remap, 0, n, /*arcs=*/true, s.work);
+    external_sort(dpu, params, s.work, s);
     copy_edges(dpu, params, s.work, MramLayout::sorted_offset(cap));
     meta.sorted_size = n;
     meta.flags |= DpuMeta::kFlagSortedValid;
@@ -879,34 +842,25 @@ void run_incremental_kernel(pim::Dpu& dpu, const KernelParams& params_in) {
   }
 
   const std::uint64_t sorted = MramLayout::sorted_offset(cap);
-  const std::uint64_t flags = MramLayout::flags_offset(cap);
-  const std::uint64_t work_a = MramLayout::work_a_offset(cap);
-  const std::uint64_t work_b = MramLayout::work_b_offset(cap);
-  const std::uint64_t reg = MramLayout::region_offset(cap);
-  const std::uint64_t arcs_old = 2 * n_old;
 
   // 1. remap + copy (both orientations) + sort the new batch.
   HostScratch& s = host_scratch();
   dpu.wram().reset();
   const RemapTable remap(dpu, meta.num_remap);
-  copy_remap(dpu, params, remap, MramLayout::sample_offset(), n_old, n,
-             work_a, /*arcs=*/true, s.work);
-  const std::uint64_t batch =
-      external_sort(dpu, params, work_a, work_b, s.work, s);
+  copy_remap(dpu, params, remap, n_old, n, /*arcs=*/true, s.work);
+  external_sort(dpu, params, s.work, s);
 
-  // 2. merge S* + batch arcs into the other scratch buffer (with new-flags),
-  //    then install it as the new S*.  The sorted batch survives in `batch`
-  //    for the counting pass.
-  const std::uint64_t merge_dst = batch == work_a ? work_b : work_a;
-  s.other.resize(arcs_old);
-  dpu.mram().read(sorted, s.other.data(), arcs_old * sizeof(Edge));
-  merge_with_flags(dpu, params, s.other, s.work, merge_dst, flags, s.merged,
-                   s.flags);
+  // 2. merge S* + batch arcs (with new-flags), then install the result as
+  //    the new S*.  The sorted batch survives in s.work for the counting
+  //    pass.
+  s.old_arcs.resize(2 * n_old);
+  dpu.mram().read(sorted, s.old_arcs.data(), s.old_arcs.size() * sizeof(Edge));
+  merge_with_flags(dpu, params, s.old_arcs, s.work, s.merged, s.flags);
   copy_edges(dpu, params, s.merged, sorted);
   meta.sorted_size = n;
 
   // 3. rebuild the region index over the merged S*.
-  build_regions(dpu, params, s.merged, reg, s.regions);
+  build_regions(dpu, params, s.merged, s.regions);
   meta.num_regions = s.regions.size();
 
   // 4. count the delta, 5. clear the flags for the next round.
@@ -915,7 +869,7 @@ void run_incremental_kernel(pim::Dpu& dpu, const KernelParams& params_in) {
   const std::uint64_t delta = count_incremental(
       dpu, params, s.merged, s.flags, s.regions, s.cache, s.work, tally);
   store_tally(meta, tally, dpu.total_instructions() - instr0);
-  clear_flags(dpu, params, flags, s.flags);
+  clear_flags(dpu, params, s.flags.size());
 
   meta.triangle_count += delta;
   write_meta(dpu, meta);

@@ -162,7 +162,8 @@ void append_device(const std::string& tag,
     bytes += tallies[2];
     digest.update(&c, sizeof c);
     digest.update(tallies, sizeof tallies);
-    const auto meta = dpu.mram().read_t<tc::DpuMeta>(tc::MramLayout::kMetaOffset);
+    const auto meta =
+        dpu.mram().read_t<tc::DpuMeta>(tc::MramLayout::kMetaOffset);
     for (const tc::MramRange& r : tc::MramLayout::live_ranges(
              meta.sample_capacity, meta.sorted_size)) {
       mram.resize(r.end - r.begin);
