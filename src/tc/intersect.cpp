@@ -73,17 +73,29 @@ void RegionCache::build(pim::Dpu& dpu, std::uint32_t tasklets,
   }
   if (!indexed) return;
 
-  // About two buckets per region over the node range.
-  base_ = regions.front().node;
-  const std::uint64_t range = regions.back().node - base_;
-  shift_ = 0;
-  while ((range >> shift_) >= 2 * num_regions) ++shift_;
-  const std::uint64_t buckets = (range >> shift_) + 1;
-  bucket_.assign(buckets + 1, 0);
-  for (const RegionEntry& e : regions) {
-    ++bucket_[((e.node - base_) >> shift_) + 1];
+  // The buckets cover the regions of real node ids, about two buckets per
+  // region over their node range.  Remapped hub ids sit just below 2^32,
+  // so counting them in the range would widen every bucket until all the
+  // real nodes shared one; their few regions are binary searched instead.
+  const auto node_below = [](const RegionEntry& e, NodeId k) {
+    return e.node < k;
+  };
+  dense_ = static_cast<std::uint64_t>(
+      std::lower_bound(regions.begin(), regions.end(),
+                       remapped_id(MramLayout::kMaxRemap - 1), node_below) -
+      regions.begin());
+  if (dense_ != 0) {
+    base_ = regions.front().node;
+    const std::uint64_t range = regions[dense_ - 1].node - base_;
+    shift_ = 0;
+    while ((range >> shift_) >= 2 * dense_) ++shift_;
+    const std::uint64_t buckets = (range >> shift_) + 1;
+    bucket_.assign(buckets + 1, 0);
+    for (const RegionEntry& e : regions.first(dense_)) {
+      ++bucket_[((e.node - base_) >> shift_) + 1];
+    }
+    for (std::uint64_t b = 1; b <= buckets; ++b) bucket_[b] += bucket_[b - 1];
   }
-  for (std::uint64_t b = 1; b <= buckets; ++b) bucket_[b] += bucket_[b - 1];
   if (slots_ != 0) {
     steps_.resize(slots_ + 1);
     fill_search_steps(steps_.data(), slots_, 0);
@@ -99,13 +111,17 @@ std::uint64_t RegionCache::rank_of(NodeId key) const noexcept {
   if (!bucket_.empty()) {
     if (key <= base_) return 0;
     const std::uint64_t b = (key - base_) >> shift_;
-    if (b + 1 >= bucket_.size()) return regions_.size();
-    first = regions_.begin() + bucket_[b];
-    last = regions_.begin() + bucket_[b + 1];
-    // Buckets hold about two regions, unless the nodes cluster.
-    if (last - first <= 8) {
-      while (first != last && first->node < key) ++first;
-      return static_cast<std::uint64_t>(first - regions_.begin());
+    if (b + 1 >= bucket_.size()) {
+      // Above every real node: the remapped tail.
+      first = regions_.begin() + static_cast<std::ptrdiff_t>(dense_);
+    } else {
+      first = regions_.begin() + bucket_[b];
+      last = regions_.begin() + bucket_[b + 1];
+      // Buckets hold about two regions, unless the nodes cluster.
+      if (last - first <= 8) {
+        while (first != last && first->node < key) ++first;
+        return static_cast<std::uint64_t>(first - regions_.begin());
+      }
     }
   }
   return static_cast<std::uint64_t>(

@@ -187,14 +187,15 @@ struct Region {
 /// such a sampled index resident to avoid DMA-bound searches.
 ///
 /// The host runs the lookup on its own copy of the region table (the one
-/// the region-index stage just wrote) and charges what the cached search
-/// would have issued.  It finds the first region at or above a key in
-/// O(1) expected time through a bucketed node index when the kernel's
-/// lookups outnumber its regions, and by binary search over the copy
-/// otherwise: an incremental launch does a few dozen lookups against
-/// thousands of regions, where building the index would cost more than it
-/// saves.  Reused across launches so its host storage is allocated once
-/// per worker thread.
+/// the region-index stage just built) and charges what the cached search
+/// would have issued.  It finds the first region at or above a real node
+/// id in O(1) expected time through a bucketed index over the real ids'
+/// regions when the kernel's lookups outnumber its regions, and by binary
+/// search over the copy otherwise: an incremental launch does a few dozen
+/// lookups against thousands of regions, where building the index would
+/// cost more than it saves.  Remapped hub ids (remapped_id) are searched
+/// apart, among at most MramLayout::kMaxRemap regions.  Reused across
+/// launches so its host storage is allocated once per worker thread.
 class RegionCache {
  public:
   static constexpr std::uint64_t kSlots = 2048;  // 16 KB of WRAM
@@ -229,9 +230,11 @@ class RegionCache {
   std::uint64_t n_ = 0;
   std::uint64_t stride_ = 1;
   std::uint64_t slots_ = 0;  ///< cached entries; 0 = uncached searches
-  // Bucketed node index (empty = binary search): bucket b holds the first
-  // region whose (node - base_) >> shift_ is >= b.
+  // Bucketed node index over the first dense_ regions, those of real node
+  // ids (empty = binary search): bucket b holds the first region whose
+  // (node - base_) >> shift_ is >= b.  Keys above them search the rest.
   std::vector<std::uint32_t> bucket_;
+  std::uint64_t dense_ = 0;
   NodeId base_ = 0;
   unsigned shift_ = 0;
   std::vector<std::uint8_t> steps_;  ///< cache_steps table, with the index

@@ -711,6 +711,113 @@ TEST(ClosedFormChargeTest, GallopReplayMatchesStreamedSearch) {
   }
 }
 
+// ---- region lookup ---------------------------------------------------------
+
+/// A region table over `nodes` (sorted, distinct) with random region sizes;
+/// returns it and the record count it indexes.
+std::pair<std::vector<RegionEntry>, std::uint64_t> region_table(
+    const std::vector<NodeId>& nodes, std::uint64_t seed) {
+  std::vector<RegionEntry> regions;
+  std::uint64_t begin = 0;
+  std::uint64_t state = seed;
+  for (const NodeId node : nodes) {
+    regions.push_back({node, static_cast<std::uint32_t>(begin)});
+    state = state * 6364136223846793005ull + 1442695040888963407ull;
+    begin += 1 + (state >> 33) % 5;
+  }
+  return {regions, begin};
+}
+
+TEST(RegionCacheTest, LookupsMatchLowerBound) {
+  std::uint64_t state = 5;
+  const auto draw = [&](std::uint64_t bound) {
+    state = state * 6364136223846793005ull + 1442695040888963407ull;
+    return (state >> 33) % bound;
+  };
+  // Node sets: dense ids, ids spread over 2^31, and tight clusters far
+  // apart (many regions per bucket).
+  std::vector<std::pair<std::string, std::vector<NodeId>>> shapes;
+  std::vector<NodeId> dense;
+  for (NodeId x = 3; x < 3000; ++x) {
+    if (draw(3) != 0) dense.push_back(x);
+  }
+  shapes.emplace_back("dense", dense);
+  std::vector<NodeId> sparse;
+  for (int i = 0; i < 2000; ++i) {
+    sparse.push_back(static_cast<NodeId>(1 + draw(1ull << 31)));
+  }
+  shapes.emplace_back("sparse", sparse);
+  std::vector<NodeId> clustered;
+  for (const NodeId base : {NodeId{10}, NodeId{1u << 20}, NodeId{1u << 30}}) {
+    for (NodeId x = 0; x < 700; ++x) clustered.push_back(base + 2 * x);
+  }
+  shapes.emplace_back("clustered", clustered);
+
+  for (auto [name, nodes] : shapes) {
+    for (const bool tail : {false, true}) {
+      std::vector<NodeId> all = nodes;
+      if (tail) {
+        // A remapped tail: some of the kMaxRemap hub ids.
+        for (std::uint32_t r = 0; r < MramLayout::kMaxRemap; r += 1 + draw(9)) {
+          all.push_back(remapped_id(r));
+        }
+      }
+      std::sort(all.begin(), all.end());
+      all.erase(std::unique(all.begin(), all.end()), all.end());
+      const auto [regions, n] = region_table(all, draw(1000));
+
+      // Keys on, just below and just above every region, below the first
+      // and above the last.
+      std::vector<NodeId> keys = {0, kInvalidNode - 1};
+      for (const RegionEntry& e : regions) {
+        keys.push_back(e.node);
+        keys.push_back(e.node - 1);
+        keys.push_back(e.node + 1);
+      }
+      for (const bool enabled : {false, true}) {
+        pim::Dpu dpu(test_config(), 0);
+        RegionCache indexed;
+        RegionCache searched;
+        indexed.build(dpu, 16, 64, regions, n, enabled, /*indexed=*/true);
+        searched.build(dpu, 16, 64, regions, n, enabled, /*indexed=*/false);
+        for (const NodeId key : keys) {
+          const std::uint64_t r = static_cast<std::uint64_t>(
+              std::lower_bound(regions.begin(), regions.end(), key,
+                               [](const RegionEntry& e, NodeId k) {
+                                 return e.node < k;
+                               }) -
+              regions.begin());
+          const std::string what = name + (tail ? "+tail" : "") +
+                                   (enabled ? " cached" : " uncached") +
+                                   " key=" + std::to_string(key);
+          ASSERT_EQ(indexed.rank_of(key), r) << what;
+          ASSERT_EQ(searched.rank_of(key), r) << what;
+
+          std::uint64_t instr_i = 0;
+          std::uint64_t instr_s = 0;
+          DmaTally dma_i;
+          DmaTally dma_s;
+          const Region got = find_region(indexed, key, instr_i, dma_i);
+          const Region via_search = find_region(searched, key, instr_s, dma_s);
+          const bool present = r < regions.size() && regions[r].node == key;
+          ASSERT_EQ(got.found(), present) << what;
+          if (present) {
+            EXPECT_EQ(got.begin, regions[r].begin) << what;
+            EXPECT_EQ(got.end,
+                      r + 1 < regions.size() ? regions[r + 1].begin : n)
+                << what;
+          }
+          // The charge depends on the rank alone, not on the host index.
+          EXPECT_EQ(via_search.begin, got.begin) << what;
+          EXPECT_EQ(instr_s, instr_i) << what;
+          EXPECT_EQ(dma_s.transfers, dma_i.transfers) << what;
+          EXPECT_EQ(dma_s.bytes, dma_i.bytes) << what;
+        }
+      }
+    }
+  }
+}
+
 // ---- intersection-policy equivalence --------------------------------------
 
 /// Adversarial region shapes for the adaptive intersection: a pure star
