@@ -23,6 +23,10 @@ void fill_search_steps(std::uint8_t* out, std::uint64_t size,
   fill_search_steps(out + half + 1, size - half - 1, next);
 }
 
+bool node_below(const RegionEntry& e, NodeId key) noexcept {
+  return e.node < key;
+}
+
 }  // namespace
 
 const char* to_string(IntersectPolicy policy) noexcept {
@@ -77,9 +81,6 @@ void RegionCache::build(pim::Dpu& dpu, std::uint32_t tasklets,
   // region over their node range.  Remapped hub ids sit just below 2^32,
   // so counting them in the range would widen every bucket until all the
   // real nodes shared one; their few regions are binary searched instead.
-  const auto node_below = [](const RegionEntry& e, NodeId k) {
-    return e.node < k;
-  };
   dense_ = static_cast<std::uint64_t>(
       std::lower_bound(regions.begin(), regions.end(),
                        remapped_id(MramLayout::kMaxRemap - 1), node_below) -
@@ -103,9 +104,6 @@ void RegionCache::build(pim::Dpu& dpu, std::uint32_t tasklets,
 }
 
 std::uint64_t RegionCache::rank_of(NodeId key) const noexcept {
-  const auto node_below = [](const RegionEntry& e, NodeId k) {
-    return e.node < k;
-  };
   auto first = regions_.begin();
   auto last = regions_.end();
   if (!bucket_.empty()) {
