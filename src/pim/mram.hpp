@@ -9,7 +9,9 @@
 // deterministically (like DRAM after a reset) without allocating the page;
 // only a page that its first write covers whole skips the zero fill.
 // Access-call counters let tests and benches verify that hot paths batch
-// their traffic instead of issuing per-record operations.
+// their traffic instead of issuing per-record operations.  The counting
+// kernels write only state that outlives a launch (tc/layout.hpp), so a
+// bank backs the pages of its sample and S*, not of the kernels' scratch.
 #pragma once
 
 #include <cstddef>

@@ -9,8 +9,11 @@
 //      both passes), Misra-Gries degree summaries (fill pass only), and
 //      per-triplet partitioning into one exact-size buffer per triplet.
 //      Each chunk fills its own slice of every buffer, and the chunks are
-//      in stream order, so every buffer holds its edges in stream order
-//      whatever the thread count,
+//      in stream order, so every buffer holds its edges in stream order.
+//      The chunks follow the thread count, and the coins are seeded per
+//      chunk and Misra-Gries merges per-chunk summaries, so with p < 1 or
+//      Misra-Gries the sample (and the estimate) depends on host_threads;
+//      an exact count does not,
 //   2. the host computes the reservoir decisions for every triplet.  A
 //      round of appends only (every round of an exact count) is its own
 //      image: the buffer slice goes to MRAM as it is.  Other rounds are

@@ -6,7 +6,7 @@
 // (layout.hpp); the raw sample is never modified.
 //
 // Full kernel (static counting, also the first pass of dynamic mode):
-//   1. remap+copy — copy the sample into scratch A, translating the
+//   1. remap+copy — copy the sample into scratch, translating the
 //      high-degree node ids (Misra-Gries remap, degree-ordered) to ids
 //      above every real id,
 //   2. sort       — WRAM chunk sort + MRAM ping-pong merge passes,
@@ -29,15 +29,17 @@
 //      triangle is counted exactly once, at its largest new edge,
 //   5. clear the flags; add the delta to the cumulative count.
 //
-// Execution.  The counting loops (count_full, count_incremental and the
-// intersections under them) run per element, issuing their DMA as they go:
-// that work is the count.  Every other stage — remap+copy, sort, persist,
-// merge, region index, region-cache build, flag clear, and the region
-// lookups' searches — runs on the host in bulk.  It writes exactly the MRAM
-// bytes the WRAM-streamed stage writes and charges each tasklet, in closed
-// form, the DMA transfers, bytes and instructions that stage issues
-// (tc::charge_stream, tc::search_steps).  tests/golden/kernel_state.golden
-// pins the resulting device state.
+// Execution.  Every stage — remap+copy, sort, persist, merge, region
+// index, region-cache build, the count loops, flag clear — runs on the
+// host in bulk, on host copies handed from stage to stage, and charges
+// each tasklet, in closed form, the DMA transfers, bytes and instructions
+// its WRAM-streamed form issues (tc::charge_stream,
+// tc::DmaTally::add_edge_stream, tc::search_steps, the replayed block
+// search).  Only state that outlives a launch reaches MRAM: the control
+// block and S*.  Scratch (the remap copy, sort buffers, region index,
+// merged arcs and flags) stays on the host, though MramLayout still sizes
+// it.  tests/golden/kernel_state.golden pins the charges and the live
+// state.
 #pragma once
 
 #include "pim/dpu.hpp"

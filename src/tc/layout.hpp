@@ -8,6 +8,12 @@
 // scratch A, sorts, builds the region index and counts; with persistence
 // requested it additionally materializes S*.
 //
+// Only the control block, remap table, sample, S* and its new-flags
+// outlive a launch (live_ranges).  The scratch buffers and the region index
+// are sized here, so capacity and WRAM limits are those of a kernel that
+// stores them, but the simulator keeps their contents in host copies and
+// never writes them to the bank.
+//
 // S* is the persistent *arc* array powering the incremental mode used for
 // dynamic graphs (paper Section 4.6 / Figure 7): every edge appears in both
 // orientations, so region(x) in S* is the full sorted adjacency of x and a
@@ -19,7 +25,7 @@
 //
 // All offsets derive from the fixed reservoir capacity M (edges; 2M arcs),
 // so they are stable across updates; the MRAM page model keeps untouched
-// gaps free.
+// gaps, scratch included, free.
 #pragma once
 
 #include <array>

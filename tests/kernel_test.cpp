@@ -12,6 +12,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/prng.hpp"
 #include "graph/generators.hpp"
 #include "graph/preprocess.hpp"
 #include "graph/reference_tc.hpp"
@@ -578,16 +579,12 @@ std::pair<std::vector<Edge>, std::vector<Region>> random_regions(
     const std::vector<std::uint32_t>& sizes, NodeId range) {
   std::vector<Edge> arcs;
   std::vector<Region> bounds;
-  std::uint64_t state = seed;
-  const auto draw = [&](std::uint64_t bound) {
-    state = state * 6364136223846793005ull + 1442695040888963407ull;
-    return (state >> 33) % bound;
-  };
+  Xoshiro256ss rng(seed);
   for (NodeId u = 0; u < regions; ++u) {
-    const std::uint32_t size = sizes[draw(sizes.size())];
+    const std::uint32_t size = sizes[rng.next_below(sizes.size())];
     std::vector<NodeId> vs;
     for (std::uint32_t k = 0; k < size; ++k) {
-      vs.push_back(static_cast<NodeId>(draw(range)));
+      vs.push_back(static_cast<NodeId>(rng.next_below(range)));
     }
     std::sort(vs.begin(), vs.end());
     vs.erase(std::unique(vs.begin(), vs.end()), vs.end());
@@ -645,16 +642,12 @@ TEST(ClosedFormChargeTest, IntersectionMatchesStreamedReference) {
   const std::vector<std::uint32_t> sizes = {0,  1,  3,  8,   9,  16,
                                             40, 64, 65, 150, 300};
   const auto [arcs, bounds] = random_regions(7, 60, sizes, 400);
-  std::uint64_t state = 11;
-  const auto draw = [&](std::uint64_t bound) {
-    state = state * 6364136223846793005ull + 1442695040888963407ull;
-    return (state >> 33) % bound;
-  };
+  Xoshiro256ss rng(11);
   for (int pair = 0; pair < 200; ++pair) {
-    const Region a = bounds[draw(bounds.size())];
-    Region b = bounds[draw(bounds.size())];
+    const Region a = bounds[rng.next_below(bounds.size())];
+    Region b = bounds[rng.next_below(bounds.size())];
     // Also a suffix, as count_full intersects the rest of u's region.
-    if (pair % 3 == 0 && b.size() > 1) b.begin += draw(b.size());
+    if (pair % 3 == 0 && b.size() > 1) b.begin += rng.next_below(b.size());
     for (const std::uint64_t buffer : {4u, 7u, 9u, 64u}) {
       for (const IntersectPolicy policy : {IntersectPolicy::kMerge,
                                            IntersectPolicy::kGallop,
@@ -716,35 +709,29 @@ TEST(ClosedFormChargeTest, GallopReplayMatchesStreamedSearch) {
 /// A region table over `nodes` (sorted, distinct) with random region sizes;
 /// returns it and the record count it indexes.
 std::pair<std::vector<RegionEntry>, std::uint64_t> region_table(
-    const std::vector<NodeId>& nodes, std::uint64_t seed) {
+    const std::vector<NodeId>& nodes, Xoshiro256ss& rng) {
   std::vector<RegionEntry> regions;
   std::uint64_t begin = 0;
-  std::uint64_t state = seed;
   for (const NodeId node : nodes) {
     regions.push_back({node, static_cast<std::uint32_t>(begin)});
-    state = state * 6364136223846793005ull + 1442695040888963407ull;
-    begin += 1 + (state >> 33) % 5;
+    begin += 1 + rng.next_below(5);
   }
   return {regions, begin};
 }
 
 TEST(RegionCacheTest, LookupsMatchLowerBound) {
-  std::uint64_t state = 5;
-  const auto draw = [&](std::uint64_t bound) {
-    state = state * 6364136223846793005ull + 1442695040888963407ull;
-    return (state >> 33) % bound;
-  };
+  Xoshiro256ss rng(5);
   // Node sets: dense ids, ids spread over 2^31, and tight clusters far
   // apart (many regions per bucket).
   std::vector<std::pair<std::string, std::vector<NodeId>>> shapes;
   std::vector<NodeId> dense;
   for (NodeId x = 3; x < 3000; ++x) {
-    if (draw(3) != 0) dense.push_back(x);
+    if (rng.next_below(3) != 0) dense.push_back(x);
   }
   shapes.emplace_back("dense", dense);
   std::vector<NodeId> sparse;
   for (int i = 0; i < 2000; ++i) {
-    sparse.push_back(static_cast<NodeId>(1 + draw(1ull << 31)));
+    sparse.push_back(static_cast<NodeId>(1 + rng.next_below(1ull << 31)));
   }
   shapes.emplace_back("sparse", sparse);
   std::vector<NodeId> clustered;
@@ -758,13 +745,14 @@ TEST(RegionCacheTest, LookupsMatchLowerBound) {
       std::vector<NodeId> all = nodes;
       if (tail) {
         // A remapped tail: some of the kMaxRemap hub ids.
-        for (std::uint32_t r = 0; r < MramLayout::kMaxRemap; r += 1 + draw(9)) {
+        for (std::uint32_t r = 0; r < MramLayout::kMaxRemap;
+             r += 1 + static_cast<std::uint32_t>(rng.next_below(9))) {
           all.push_back(remapped_id(r));
         }
       }
       std::sort(all.begin(), all.end());
       all.erase(std::unique(all.begin(), all.end()), all.end());
-      const auto [regions, n] = region_table(all, draw(1000));
+      const auto [regions, n] = region_table(all, rng);
 
       // Keys on, just below and just above every region, below the first
       // and above the last.
