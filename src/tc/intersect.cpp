@@ -23,9 +23,9 @@ void fill_search_steps(std::uint8_t* out, std::uint64_t size,
   fill_search_steps(out + half + 1, size - half - 1, next);
 }
 
-bool node_below(const RegionEntry& e, NodeId key) noexcept {
+constexpr auto node_below = [](const RegionEntry& e, NodeId key) {
   return e.node < key;
-}
+};
 
 }  // namespace
 
