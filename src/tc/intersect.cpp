@@ -87,7 +87,8 @@ void RegionCache::build(pim::Dpu& dpu, std::uint32_t tasklets,
       regions.begin());
   if (dense_ != 0) {
     base_ = regions.front().node;
-    const std::uint64_t range = regions[dense_ - 1].node - base_;
+    top_ = regions[dense_ - 1].node;
+    const std::uint64_t range = top_ - base_;
     shift_ = 0;
     while ((range >> shift_) >= 2 * dense_) ++shift_;
     const std::uint64_t buckets = (range >> shift_) + 1;
@@ -108,11 +109,12 @@ std::uint64_t RegionCache::rank_of(NodeId key) const noexcept {
   auto last = regions_.end();
   if (!bucket_.empty()) {
     if (key <= base_) return 0;
-    const std::uint64_t b = (key - base_) >> shift_;
-    if (b + 1 >= bucket_.size()) {
-      // Above every real node: the remapped tail.
+    if (key > top_) {
+      // Above every real node: the remapped tail.  The last bucket can
+      // reach into it, so the key must not be bucketed.
       first = regions_.begin() + static_cast<std::ptrdiff_t>(dense_);
     } else {
+      const std::uint64_t b = (key - base_) >> shift_;
       first = regions_.begin() + bucket_[b];
       last = regions_.begin() + bucket_[b + 1];
       // Buckets hold about two regions, unless the nodes cluster.

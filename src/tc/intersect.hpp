@@ -231,11 +231,13 @@ class RegionCache {
   std::uint64_t stride_ = 1;
   std::uint64_t slots_ = 0;  ///< cached entries; 0 = uncached searches
   // Bucketed node index over the first dense_ regions, those of real node
-  // ids (empty = binary search): bucket b holds the first region whose
-  // (node - base_) >> shift_ is >= b.  Keys above them search the rest.
+  // ids base_..top_ (empty = binary search): bucket b holds the first
+  // region whose (node - base_) >> shift_ is >= b.  Keys above top_ search
+  // the rest.
   std::vector<std::uint32_t> bucket_;
   std::uint64_t dense_ = 0;
   NodeId base_ = 0;
+  NodeId top_ = 0;
   unsigned shift_ = 0;
   std::vector<std::uint8_t> steps_;  ///< cache_steps table, with the index
 };

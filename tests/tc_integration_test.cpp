@@ -12,6 +12,7 @@
 #include "graph/preprocess.hpp"
 #include "graph/reference_tc.hpp"
 #include "tc/host.hpp"
+#include "tc/layout.hpp"
 
 namespace pimtc::tc {
 namespace {
@@ -85,6 +86,34 @@ TEST(TcIntegrationTest, ExactWithMisraGriesRemapEnabled) {
   cfg.mg_top = 12;
   PimTriangleCounter counter(cfg);
   const engine::CountReport result = counter.count(g);
+  EXPECT_TRUE(result.exact);
+  EXPECT_EQ(result.rounded(), expected);
+}
+
+TEST(TcIntegrationTest, ExactWithMisraGriesRemapOnIdsAbove2To31) {
+  // Real ids reaching up to the remapped range put the remapped hubs in
+  // the region index's last bucket; every hub region must still be found.
+  graph::EdgeList g = graph::gen::barabasi_albert(600, 5, 11);
+  graph::preprocess(g, 13);
+  const TriangleCount expected = graph::reference_triangle_count(g);
+
+  // An isomorphic copy whose upper half of the ids moves to just below the
+  // remapped range, so most buckets are empty and the last one is wide.
+  const NodeId top = remapped_id(MramLayout::kMaxRemap - 1) - 1;
+  const NodeId last = g.num_nodes() - 1;
+  const auto spread = [&](NodeId x) {
+    return x < last / 2 ? x : top - (last - x);
+  };
+  std::vector<Edge> high;
+  for (const Edge& e : g.edges()) high.push_back({spread(e.u), spread(e.v)});
+
+  engine::EngineConfig cfg = exact_config(4);
+  cfg.misra_gries_enabled = true;
+  cfg.mg_capacity = 64;
+  cfg.mg_top = 12;
+  PimTriangleCounter counter(cfg);
+  const engine::CountReport result =
+      counter.count(graph::EdgeList(std::move(high)));
   EXPECT_TRUE(result.exact);
   EXPECT_EQ(result.rounded(), expected);
 }
