@@ -128,10 +128,11 @@ std::uint64_t RegionCache::rank_of(NodeId key) const noexcept {
       std::lower_bound(first, last, key, node_below) - regions_.begin());
 }
 
-Region lookup_region(const RegionCache& cache, NodeId key, std::uint64_t r,
-                     std::uint64_t& instr, DmaTally& dma) {
+Region find_region(const RegionCache& cache, NodeId key, std::uint64_t& instr,
+                   DmaTally& dma) {
   constexpr std::uint64_t kEntry = sizeof(RegionEntry);
   const std::uint64_t num = cache.regions_.size();
+  const std::uint64_t r = cache.rank_of(key);
   const bool present = r < num && cache.regions_[r].node == key;
 
   // The WRAM cache search: an upper bound over the cached nodes, leaving

@@ -212,14 +212,12 @@ class RegionCache {
              std::uint32_t buffer_edges, std::span<const RegionEntry> regions,
              std::uint64_t n, bool enabled, bool indexed);
 
+ private:
+  friend Region find_region(const RegionCache& cache, NodeId key,
+                            std::uint64_t& instr, DmaTally& dma);
+
   /// Index of the first region whose node is >= key.
   [[nodiscard]] std::uint64_t rank_of(NodeId key) const noexcept;
-
- private:
-  friend Region lookup_region(const RegionCache& cache, NodeId key,
-                              std::uint64_t r, std::uint64_t& instr,
-                              DmaTally& dma);
-
   /// Probes of the WRAM cache search that leaves `below` cached entries
   /// below the key's window.
   [[nodiscard]] std::uint64_t cache_steps(std::uint64_t below) const noexcept {
@@ -242,23 +240,14 @@ class RegionCache {
   std::vector<std::uint8_t> steps_;  ///< cache_steps table, with the index
 };
 
-/// Region bounds of `key`, whose rank (RegionCache::rank_of) is `r`: end =
-/// next region's begin, or n; a key with no region returns found() ==
-/// false.  Adds what the cached lookup issues to `instr` and `dma`: the
-/// WRAM cache search, then one burst over a narrow window (plus the
-/// successor entry when it falls outside) or a binary search of 8-byte
-/// MRAM probes over a wide one and a 2-entry read at the hit.  The charge
-/// depends only on the rank, so a caller that knows it another way (a
-/// forward walk) skips the host search, not the modeled one.
-[[nodiscard]] Region lookup_region(const RegionCache& cache, NodeId key,
-                                   std::uint64_t r, std::uint64_t& instr,
-                                   DmaTally& dma);
-
-/// lookup_region at the rank the host search finds.
-[[nodiscard]] inline Region find_region(const RegionCache& cache, NodeId key,
-                                        std::uint64_t& instr, DmaTally& dma) {
-  return lookup_region(cache, key, cache.rank_of(key), instr, dma);
-}
+/// Region bounds of `key` (end = next region's begin, or n); not-found
+/// regions return found() == false.  Adds what the cached lookup issues to
+/// `instr` and `dma`: the WRAM cache search, then one burst over a narrow
+/// window (plus the successor entry when it falls outside) or a binary
+/// search of 8-byte MRAM probes over a wide one and a 2-entry read at the
+/// hit.
+[[nodiscard]] Region find_region(const RegionCache& cache, NodeId key,
+                                 std::uint64_t& instr, DmaTally& dma);
 
 // ---------------------------------------------------------------------------
 // Adaptive intersection

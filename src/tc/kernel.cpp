@@ -492,10 +492,8 @@ std::uint64_t count_full(Dpu& dpu, const KernelParams& p,
     DmaTally dma;
     // The region of the current scan u, reused while u does not change
     // (regions are contiguous in the sorted scan, so the lookup amortizes
-    // to one per distinct first endpoint).  u only moves forward through a
-    // tasklet's chunks, so a forward walk over the regions gives its rank.
+    // to one per distinct first endpoint).
     NodeId cur_u = kInvalidNode;
-    std::uint64_t u_rank = 0;
     Region ru;
     for (std::uint64_t chunk_i = t.id(); chunk_i < num_chunks;
          chunk_i += p.tasklets) {
@@ -509,10 +507,7 @@ std::uint64_t count_full(Dpu& dpu, const KernelParams& p,
         if (e.u == e.v) continue;  // defensive: self loops count nothing
         if (e.u != cur_u) {
           cur_u = e.u;
-          while (u_rank < regions.size() && regions[u_rank].node < e.u) {
-            ++u_rank;
-          }
-          ru = lookup_region(cache, e.u, u_rank, instr, dma);
+          ru = find_region(cache, e.u, instr, dma);
         }
         if (!ru.found()) continue;  // cannot happen: e itself is in `sorted`
         const Region rv = find_region(cache, e.v, instr, dma);
