@@ -800,8 +800,9 @@ TEST(RegionCacheTest, LookupsMatchLowerBound) {
                       r + 1 < regions.size() ? regions[r + 1].begin : n)
                 << what;
           }
-          // The charge depends on the rank alone, so the indexed and the
-          // searched lookup charge the same only if they found one rank.
+          // The charge depends on the rank alone, and the searched lookup
+          // takes its rank from std::lower_bound over the whole table: the
+          // indexed lookup must charge the same.
           ASSERT_EQ(via_search.found(), present) << what;
           EXPECT_EQ(via_search.begin, got.begin) << what;
           EXPECT_EQ(instr_s, instr_i) << what;
