@@ -1,5 +1,5 @@
 // Golden pin of the "pim" engine's CountReport.  One small seeded BA+hubs
-// graph runs under eight configurations; every report field except the
+// graph runs under nine configurations; every report field except the
 // measured times.host_s is written one per line and compared with
 // tests/golden/pim_reports.golden.  Estimates, tallies, instruction counts
 // and modeled times are pure functions of graph, config and seed (ingest is
@@ -304,6 +304,24 @@ std::vector<Line> run_all() {
   EXPECT_GT(deg.faults.mram_bitflips, 0u);
   EXPECT_GT(deg.faults.dropped_triplets, 0u);
   EXPECT_TRUE(deg.faults.degraded);
+
+  // A reservoir far below the per-core load, fed in three batches and
+  // flushed in rounds of 64: replacements land on slots that earlier
+  // batches and earlier rounds filled, not only on the current round's.
+  engine::EngineConfig thirds = base_config();
+  thirds.sample_capacity_edges = 256;
+  thirds.staging_capacity_edges = 64;
+  {
+    auto eng = engine::make_engine("pim", thirds);
+    const std::size_t third = g.num_edges() / 3;
+    eng->add_edges(g.edges().subspan(0, third));
+    eng->add_edges(g.edges().subspan(third, third));
+    eng->add_edges(g.edges().subspan(2 * third));
+    const engine::CountReport r = eng->recount();
+    EXPECT_GT(r.reservoir_overflows, 0u);
+    append_report("overflow_thirds", r, lines);
+    append_device("overflow_thirds", *eng, lines);
+  }
   return lines;
 }
 
