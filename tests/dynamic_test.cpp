@@ -56,6 +56,22 @@ graph::EdgeList remaining_graph(const graph::EdgeList& g,
   return rest;
 }
 
+/// Every triplet's sample region, read from its bank: sample_capacity()
+/// slots per triplet, in triplet order.
+std::vector<Edge> sample_regions(tc::PimTriangleCounter& counter) {
+  const std::uint32_t triplets = counter.triplets().num_triplets();
+  const std::uint64_t cap = counter.sample_capacity();
+  std::vector<Edge> all(triplets * cap);
+  for (std::uint32_t t = 0; t < triplets; ++t) {
+    counter.system()
+        .dpu(counter.plan().dpu_of(t))
+        .mram()
+        .read(tc::MramLayout::sample_offset(), all.data() + t * cap,
+              cap * sizeof(Edge));
+  }
+  return all;
+}
+
 // ---- cpu-incremental: the exact fully-dynamic oracle ------------------------
 
 TEST(CpuIncrementalDynamicTest, InsertThenDeleteRestoresExactPriorCount) {
@@ -429,22 +445,44 @@ TEST(PimDynamicTest, InsertsPairedAgainstDeletionsLandWhereTheMirrorSays) {
   ASSERT_GT(r.sample_evictions, 0u);
   ASSERT_GT(r.reservoir_overflows, 0u);  // so deletions also miss samples
 
-  const std::uint32_t triplets = counter.triplets().num_triplets();
-  const auto samples = [&] {
-    std::vector<Edge> all(triplets * counter.sample_capacity());
-    for (std::uint32_t t = 0; t < triplets; ++t) {
-      counter.system()
-          .dpu(counter.plan().dpu_of(t))
-          .mram()
-          .read(tc::MramLayout::sample_offset(),
-                all.data() + t * counter.sample_capacity(),
-                counter.sample_capacity() * sizeof(Edge));
+  const std::vector<Edge> before = sample_regions(counter);
+  for (std::uint32_t t = 0; t < counter.triplets().num_triplets(); ++t) {
+    counter.restore_bank(t);
+  }
+  EXPECT_TRUE(sample_regions(counter) == before);
+}
+
+TEST(PimDynamicTest, OlderSlotReplacementsLandWhereTheMirrorSays) {
+  // Mirrors valid from the start, then insert batches into reservoirs far
+  // below the per-core load: later batches and staging rounds replace
+  // slots that earlier ones filled.  Restoring every bank from the host
+  // mirrors must leave each bank's sample region as it was, and the
+  // staging rounds must not change what lands there.
+  graph::EdgeList g = graph::gen::barabasi_albert(2500, 5, 97);
+  graph::preprocess(g, 98);
+  const auto edges = g.edges();
+  std::vector<std::vector<Edge>> regions;
+  for (const std::uint64_t staging : {0u, 64u}) {
+    engine::EngineConfig cfg = small_engine(3);
+    cfg.sample_capacity_edges = 128;
+    cfg.staging_capacity_edges = staging;
+    tc::PimTriangleCounter counter(cfg);
+    counter.ensure_mirrors();  // nothing resident: no gather
+    EXPECT_EQ(counter.system().transfer_stats().pull_transfers, 0u);
+    const std::size_t batch = edges.size() / 5 + 1;
+    for (std::size_t lo = 0; lo < edges.size(); lo += batch) {
+      counter.add_edges(edges.subspan(lo, std::min(batch, edges.size() - lo)));
     }
-    return all;
-  };
-  const std::vector<Edge> before = samples();
-  for (std::uint32_t t = 0; t < triplets; ++t) counter.restore_bank(t);
-  EXPECT_TRUE(samples() == before);
+    ASSERT_GT(counter.recount().reservoir_overflows, 0u);
+
+    regions.push_back(sample_regions(counter));
+    for (std::uint32_t t = 0; t < counter.triplets().num_triplets(); ++t) {
+      counter.restore_bank(t);
+    }
+    EXPECT_TRUE(sample_regions(counter) == regions.back())
+        << "staging " << staging;
+  }
+  EXPECT_TRUE(regions[0] == regions[1]);
 }
 
 TEST(PimDynamicTest, PipelinedOverlapNeverExceedsHostTime) {
