@@ -7,6 +7,13 @@
 // the storage is the DPU's MRAM, not a host vector; `ReservoirSampler<T>`
 // composes the two for host-side use and tests.
 //
+// The host decides every offer.  `fold_offers` turns one flush round of
+// offers into one sample image: a run of appends from the policy's
+// stored(), plus writes to older slots sorted by slot, the last offer to a
+// slot winning.  A `SampleMirror` keeps the host's copy of a sample for
+// deletions and fault recovery.  It is valid from the start under the
+// rematerialize fault policy, and otherwise from the first deletion on.
+//
 // Fully-dynamic streams extend the policy with random pairing (Gemulla et
 // al., after TRIÈST-FD): a deletion that hits the sample evicts the resident
 // item and leaves a "vacancy" (del_in); one that misses it is only counted
@@ -23,6 +30,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -113,13 +121,6 @@ class ReservoirPolicy {
 
   [[nodiscard]] std::uint64_t capacity() const noexcept { return capacity_; }
 
-  /// True when the next `k` offers are all appends, to slots [stored(),
-  /// stored() + k) in order and with no coin drawn: no deletion awaits
-  /// pairing and the sample has room for all k.
-  [[nodiscard]] bool next_offers_append(std::uint64_t k) const noexcept {
-    return del_in_ + del_out_ == 0 && stored_ + k <= capacity_;
-  }
-
   /// Total insertions offered so far (load accounting; equals the
   /// correction-factor t only for insert-only streams).
   [[nodiscard]] std::uint64_t seen() const noexcept { return seen_; }
@@ -160,110 +161,61 @@ class ReservoirPolicy {
   Xoshiro256ss rng_;
 };
 
-/// Batched reservoir ingestion: the host computes the decisions for a whole
-/// batch up front and materializes them into a compact staging image that a
-/// single bulk transfer can flush to the device.  Appends coalesce into one
-/// contiguous run starting at `base_slot()`; replacements fold to their
-/// final value (last offer to a slot wins, including a replacement landing
-/// on an item appended earlier in the same batch, which is rewritten in the
-/// staging image instead of becoming a second device write).
-///
-/// The object is intended to live as long as its reservoir and be reused
-/// across batches — begin() clears content but keeps every allocation
-/// (vectors, hash buckets, run scratch), so steady-state staging performs
-/// no heap traffic.
+/// One sample write: (slot, item).
 template <typename T>
-class ReservoirStaging {
- public:
-  /// Starts a new batch.  `base_slot` is the next free append slot, i.e.
-  /// the owning policy's stored() before the first offer of this batch.
-  void begin(std::uint64_t base_slot) {
-    base_slot_ = base_slot;
-    appends_.clear();
-    replaces_.clear();
-    replace_index_.clear();
-  }
+using SlotWrite = std::pair<std::uint64_t, T>;
 
-  /// Offers `item` to `policy` and stages the resulting decision.
-  void stage(ReservoirPolicy& policy, const T& item) {
-    stage_decision(policy.offer(), item);
-  }
-
-  /// Stages a decision computed elsewhere (callers that also feed a
-  /// SampleMirror need the decision themselves).
-  void stage_decision(const ReservoirDecision& d, const T& item) {
+/// Builds one flush round's sample image in place.  Offers the items of
+/// `round` to `policy` in order and shows each decision to `seen(d, item)`.
+/// The appended items move to the front of `round`, for the slots from the
+/// policy's stored() before the call on; a replacement of one of them
+/// rewrites it there.  Replacements of older slots land in `older`, sorted
+/// by slot with one entry per slot, holding the last offer's item.
+/// Returns the number of appends.  Folding in place is safe because each
+/// offer appends at most once, so the write cursor never passes the read
+/// cursor; the round's items beyond the appends are left unspecified.
+template <typename T, typename Seen>
+std::size_t fold_offers(ReservoirPolicy& policy, std::span<T> round,
+                        std::vector<SlotWrite<T>>& older, Seen&& seen) {
+  const std::uint64_t base = policy.stored();
+  std::size_t appended = 0;
+  older.clear();
+  for (const T item : round) {
+    const ReservoirDecision d = policy.offer();
+    seen(d, item);
     switch (d.action) {
       case ReservoirDecision::Action::kAppend:
-        appends_.push_back(item);
+        round[appended++] = item;
         break;
       case ReservoirDecision::Action::kReplace:
-        if (d.slot >= base_slot_ &&
-            d.slot - base_slot_ < appends_.size()) {
-          appends_[static_cast<std::size_t>(d.slot - base_slot_)] = item;
+        if (d.slot >= base && d.slot - base < appended) {
+          round[static_cast<std::size_t>(d.slot - base)] = item;
         } else {
-          const auto [it, inserted] =
-              replace_index_.try_emplace(d.slot, replaces_.size());
-          if (inserted) {
-            replaces_.emplace_back(d.slot, item);
-          } else {
-            replaces_[it->second].second = item;
-          }
+          older.emplace_back(d.slot, item);
         }
         break;
       case ReservoirDecision::Action::kDiscard:
         break;
     }
   }
-
-  [[nodiscard]] std::uint64_t base_slot() const noexcept { return base_slot_; }
-  [[nodiscard]] const std::vector<T>& appends() const noexcept {
-    return appends_;
+  // Stable, so each equal-slot run ends with the last offer's item.
+  std::stable_sort(
+      older.begin(), older.end(),
+      [](const auto& a, const auto& b) { return a.first < b.first; });
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < older.size(); ++i) {
+    if (i + 1 < older.size() && older[i + 1].first == older[i].first) continue;
+    older[kept++] = older[i];
   }
-  [[nodiscard]] std::uint64_t replace_count() const noexcept {
-    return replaces_.size();
-  }
-  /// Items materialized in the image (appends + folded replacements).
-  [[nodiscard]] std::uint64_t staged_items() const noexcept {
-    return appends_.size() + replaces_.size();
-  }
-  [[nodiscard]] bool empty() const noexcept {
-    return appends_.empty() && replaces_.empty();
-  }
-
-  /// Invokes fn(first_slot, items_ptr, count) once per maximal run of
-  /// consecutive replaced slots (final values).  Sorts the staged
-  /// replacements; call once per batch, after staging is complete.
-  template <typename Fn>
-  void for_each_replace_run(Fn&& fn) {
-    std::sort(replaces_.begin(), replaces_.end(),
-              [](const auto& a, const auto& b) { return a.first < b.first; });
-    std::size_t i = 0;
-    while (i < replaces_.size()) {
-      run_scratch_.clear();
-      const std::uint64_t first = replaces_[i].first;
-      std::uint64_t expected = first;
-      while (i < replaces_.size() && replaces_[i].first == expected) {
-        run_scratch_.push_back(replaces_[i].second);
-        ++expected;
-        ++i;
-      }
-      fn(first, run_scratch_.data(), run_scratch_.size());
-    }
-  }
-
- private:
-  std::uint64_t base_slot_ = 0;
-  std::vector<T> appends_;
-  std::vector<std::pair<std::uint64_t, T>> replaces_;
-  std::unordered_map<std::uint64_t, std::size_t> replace_index_;
-  std::vector<T> run_scratch_;
-};
+  older.resize(kept);
+  return appended;
+}
 
 /// Host-side mirror of one device-resident sample: slot -> item and
-/// item -> slot.  The host computes every reservoir decision (the staging
-/// images), so it can maintain an exact copy of the bank's sample content
-/// without any device reads — which is what lets a deletion be resolved
-/// (was it sampled? at which slot?) and staged as ordinary slot writes.
+/// item -> slot.  The host computes every reservoir decision (fold_offers
+/// shows each one), so it can keep an exact copy of the bank's sample
+/// content without any device reads — which is what lets a deletion be
+/// resolved (was it sampled? at which slot?) and flushed as slot writes.
 /// Eviction swap-fills the freed slot with the top item, keeping the
 /// resident prefix [0, size()) compact so appends stay contiguous.
 template <typename T>
@@ -306,9 +258,10 @@ class SampleMirror {
   }
 
   /// Rebuilds the mirror from the storage's resident content (slot order).
-  /// Used to materialize mirrors lazily: insert-only sessions skip mirror
-  /// maintenance entirely, and the first deletion reconstructs the
-  /// occupancy map from one bulk read of the resident samples.
+  /// Used to materialize mirrors lazily: insert-only sessions without the
+  /// rematerialize fault policy skip mirror maintenance entirely, and the
+  /// first deletion reconstructs the occupancy map from one bulk read of
+  /// the resident samples.
   void assign(std::vector<T> items) {
     slots_ = std::move(items);
     index_.clear();

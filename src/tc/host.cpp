@@ -14,14 +14,52 @@
 namespace pimtc::tc {
 namespace {
 
-/// Wire size of one staged replacement record (slot index + edge); appends
-/// travel as bare edges since their slots are implied by the base slot.
-constexpr std::uint64_t kStagedReplaceBytes =
+/// Wire size of one slot write record (slot index + edge); appends travel
+/// as bare edges since their slots are implied by the base slot.
+constexpr std::uint64_t kSlotWriteBytes =
     sizeof(std::uint64_t) + sizeof(Edge);
 
 /// The edge an ingested item is routed by.
 const Edge& routed_edge(const Edge& e) noexcept { return e; }
 const Edge& routed_edge(const EdgeUpdate& u) noexcept { return u.edge; }
+
+/// Flushes one round's sample image onto `dpu` and returns its staged
+/// payload bytes: `appends` fill the slots from `base_slot` on, and
+/// `writes` (sorted by slot, one per slot) land as one MRAM write per run
+/// of consecutive slots.  The DPU-side receive streams the image in,
+/// copies each record into place (tasklet-parallel; the host made every
+/// decision), stores the append run as one bulk burst and each write run
+/// as a scattered DMA store.
+std::uint64_t write_image(pim::Dpu& dpu, std::uint64_t base_slot,
+                          std::span<const Edge> appends,
+                          std::span<const sketch::SlotWrite<Edge>> writes) {
+  const std::uint64_t sample_base = MramLayout::sample_offset();
+  const std::uint64_t append_bytes = appends.size_bytes();
+  if (append_bytes > 0) {
+    dpu.mram().write(sample_base + base_slot * sizeof(Edge), appends.data(),
+                     static_cast<std::size_t>(append_bytes));
+  }
+  const std::uint64_t staged_bytes =
+      append_bytes + writes.size() * kSlotWriteBytes;
+  dpu.charge_dma_bulk(staged_bytes, 2048);  // landing-zone read
+  dpu.charge_parallel_instr(
+      (appends.size() + writes.size()) * pim::KernelCostModel::edge_copy,
+      kTasklets);
+  dpu.charge_dma_bulk(append_bytes, 2048);
+  thread_local std::vector<Edge> run;
+  for (std::size_t i = 0; i < writes.size();) {
+    const std::uint64_t first = writes[i].first;
+    run.clear();
+    while (i < writes.size() && writes[i].first == first + run.size()) {
+      run.push_back(writes[i++].second);
+    }
+    const std::uint64_t bytes = run.size() * sizeof(Edge);
+    dpu.mram().write(sample_base + first * sizeof(Edge), run.data(),
+                     static_cast<std::size_t>(bytes));
+    dpu.serial_dma(bytes);
+  }
+  return staged_bytes;
+}
 
 /// Frees a batch's per-triplet buffers once its flush has written them.
 template <typename Item>
@@ -103,10 +141,9 @@ PimTriangleCounter::PimTriangleCounter(const engine::EngineConfig& config)
   update_parts_.resize(triplets);
   chunk_offsets_.resize(pool().size() * triplets);
   mirrors_.resize(triplets);
-  touched_slots_.resize(triplets);
+  slot_writes_.resize(triplets);
   triplet_dirty_.assign(triplets, 0);
   triplet_lost_.assign(triplets, 0);
-  staging_.resize(triplets);
   batch_totals_.resize(triplets);
   flush_bytes_.resize(dpus);
   cycles_before_.resize(dpus);
@@ -270,69 +307,31 @@ void PimTriangleCounter::flush_in_rounds(
 }
 
 void PimTriangleCounter::insert_into_samples(double host_window_s) {
-  const std::uint64_t sample_base = MramLayout::sample_offset();
   flush_in_rounds(
       host_window_s, nullptr,
       [&](std::uint32_t t, pim::Dpu& dpu, std::uint64_t begin,
           std::uint64_t end) {
         sketch::ReservoirPolicy& reservoir = reservoirs_[t];
         sketch::SampleMirror<Edge>& mirror = mirrors_[t];
-        sketch::ReservoirStaging<Edge>& staging = staging_[t];
-        const std::vector<Edge>& items = edge_parts_[t];
+        std::vector<Edge>& items = edge_parts_[t];
         const auto lo = static_cast<std::size_t>(
             std::min<std::uint64_t>(begin, items.size()));
         const auto hi = static_cast<std::size_t>(
             std::min<std::uint64_t>(end, items.size()));
-        const std::span<const Edge> round(items.data() + lo, hi - lo);
 
-        // Decide the round host-side.  When every offer is an append (every
-        // round of an exact count), the round's slice of the buffer is the
-        // image staging would build, so it goes to MRAM as it is.  Once a
-        // deletion has materialized the mirrors, they track the decisions
-        // too, so the host keeps knowing the banks' resident content;
+        // Decide the round host-side and fold it into its own slice of the
+        // buffer.  Once the mirrors are valid they track the decisions too,
+        // so the host keeps knowing the banks' resident content;
         // insert-only sessions skip that bookkeeping entirely.
+        thread_local std::vector<sketch::SlotWrite<Edge>> older;
         const std::uint64_t base_slot = reservoir.stored();
-        const bool direct = reservoir.next_offers_append(round.size());
-        if (!direct) staging.begin(base_slot);
-        for (const Edge& e : round) {
-          const sketch::ReservoirDecision d = reservoir.offer();
-          if (!direct) staging.stage_decision(d, e);
-          if (mirrors_valid_) mirror.apply(d, e);
-        }
-        const std::span<const Edge> appends =
-            direct ? round : std::span<const Edge>(staging.appends());
-        const std::uint64_t replaces = direct ? 0 : staging.replace_count();
-
-        // Flush the image: one contiguous write for the append run, one per
-        // maximal run of consecutive replaced slots — bulk traffic, not
-        // per-edge stores.
-        const std::uint64_t append_bytes = appends.size_bytes();
-        if (append_bytes > 0) {
-          dpu.mram().write(sample_base + base_slot * sizeof(Edge),
-                           appends.data(),
-                           static_cast<std::size_t>(append_bytes));
-        }
-        const std::uint64_t staged_bytes =
-            append_bytes + replaces * kStagedReplaceBytes;
-
-        // DPU-side receive cost: stream the staged image in, copy each
-        // record into place (tasklet-parallel; the decisions were made
-        // host-side), contiguous appends as one bulk burst, replacement runs
-        // as scattered DMA stores.
-        dpu.charge_dma_bulk(staged_bytes, 2048);  // landing-zone read
-        dpu.charge_parallel_instr(
-            (appends.size() + replaces) * pim::KernelCostModel::edge_copy,
-            kTasklets);
-        dpu.charge_dma_bulk(append_bytes, 2048);
-        if (direct) return staged_bytes;
-        staging.for_each_replace_run(
-            [&](std::uint64_t first_slot, const Edge* run, std::size_t n) {
-              const std::uint64_t bytes = n * sizeof(Edge);
-              dpu.mram().write(sample_base + first_slot * sizeof(Edge), run,
-                               static_cast<std::size_t>(bytes));
-              dpu.serial_dma(bytes);
+        const std::size_t appends = sketch::fold_offers(
+            reservoir, std::span<Edge>(items.data() + lo, hi - lo), older,
+            [&](const sketch::ReservoirDecision& d, const Edge& e) {
+              if (mirrors_valid_) mirror.apply(d, e);
             });
-        return staged_bytes;
+        return write_image(dpu, base_slot, {items.data() + lo, appends},
+                           older);
       });
   release(edge_parts_);
 }
@@ -391,7 +390,7 @@ void PimTriangleCounter::apply(std::span<const EdgeUpdate> batch) {
                   [](const EdgeUpdate& u) { return u.is_insert; })) {
     // An all-insert batch is exactly the add_edges case; the base class
     // routes it there, which keeps insert-only streams on the legacy code
-    // path verbatim (same RNG draws, same staging images — bit-identical
+    // path verbatim (same RNG draws, same sample images — bit-identical
     // estimates and transfers).
     TriangleCountEngine::apply(batch);
     return;
@@ -448,17 +447,16 @@ void PimTriangleCounter::apply(std::span<const EdgeUpdate> batch) {
 
 void PimTriangleCounter::apply_updates_to_samples(double host_window_s) {
   const std::uint32_t num_triplets = plan_.num_triplets();
-  const std::uint64_t sample_base = MramLayout::sample_offset();
 
   // Replay (host only): each triplet's update list in stream order against
   // its policy and mirror, collecting the touched slots.  The mirror's
-  // final content is the ground truth the flush reads, so intermediate
+  // final content is the ground truth the flush writes, so intermediate
   // values never need materializing.
   const auto replay = [&] {
     pool().parallel_for(num_triplets, [&](std::size_t t) {
       sketch::ReservoirPolicy& reservoir = reservoirs_[t];
       sketch::SampleMirror<Edge>& mirror = mirrors_[t];
-      std::vector<std::uint64_t>& touched = touched_slots_[t];
+      thread_local std::vector<std::uint64_t> touched;
       touched.clear();
 
       bool lost_resident = false;
@@ -484,60 +482,37 @@ void PimTriangleCounter::apply_updates_to_samples(double host_window_s) {
       }
       if (lost_resident) triplet_dirty_[t] = 1;
 
-      // Collapse to the set of live touched slots; dead slots (at or above
-      // the final stored prefix) never reach the device.
+      // The image is the live touched slots, once each, with the mirror's
+      // final values; dead slots (at or above the final stored prefix)
+      // never reach the device.
       std::sort(touched.begin(), touched.end());
       touched.erase(std::unique(touched.begin(), touched.end()),
                     touched.end());
-      const std::uint64_t stored = reservoir.stored();
-      while (!touched.empty() && touched.back() >= stored) touched.pop_back();
+      std::vector<sketch::SlotWrite<Edge>>& writes = slot_writes_[t];
+      writes.clear();
+      for (const std::uint64_t slot : touched) {
+        if (slot >= reservoir.stored()) break;
+        writes.emplace_back(slot, mirror.at(slot));
+      }
     });
-    std::uint64_t max_touched = 0;
-    for (const auto& touched : touched_slots_) {
-      max_touched = std::max<std::uint64_t>(max_touched, touched.size());
+    std::uint64_t max_writes = 0;
+    for (const auto& writes : slot_writes_) {
+      max_writes = std::max<std::uint64_t>(max_writes, writes.size());
     }
-    return max_touched;
+    return max_writes;
   };
 
-  // Flush the touched slots (final values, runs of consecutive slots — the
-  // staged-record shape of the insert path's replacement runs), in rounds
-  // bounded by the same per-DPU staging capacity the insert path honors.
+  // Flush the slot writes through the insert path's writer, with no append
+  // run, in rounds bounded by the same per-DPU staging capacity.
   flush_in_rounds(
       host_window_s, replay,
       [&](std::uint32_t t, pim::Dpu& dpu, std::uint64_t begin,
           std::uint64_t end) {
-        const sketch::SampleMirror<Edge>& mirror = mirrors_[t];
-        const std::vector<std::uint64_t>& touched = touched_slots_[t];
-        const auto lo = static_cast<std::size_t>(
-            std::min<std::uint64_t>(begin, touched.size()));
-        const auto hi = static_cast<std::size_t>(
-            std::min<std::uint64_t>(end, touched.size()));
-
-        std::uint64_t staged_bytes = 0;
-        std::vector<Edge> run;
-        std::size_t i = lo;
-        while (i < hi) {
-          run.clear();
-          const std::uint64_t first = touched[i];
-          std::uint64_t expected = first;
-          while (i < hi && touched[i] == expected) {
-            run.push_back(mirror.at(expected));
-            ++expected;
-            ++i;
-          }
-          const std::uint64_t bytes = run.size() * sizeof(Edge);
-          dpu.mram().write(sample_base + first * sizeof(Edge), run.data(),
-                           static_cast<std::size_t>(bytes));
-          dpu.serial_dma(bytes);
-          staged_bytes += run.size() * kStagedReplaceBytes;
-        }
-        if (staged_bytes > 0) {
-          dpu.charge_dma_bulk(staged_bytes, 2048);  // landing-zone read
-          dpu.charge_parallel_instr((staged_bytes / kStagedReplaceBytes) *
-                                        pim::KernelCostModel::edge_copy,
-                                    kTasklets);
-        }
-        return staged_bytes;
+        const std::span<const sketch::SlotWrite<Edge>> writes =
+            slot_writes_[t];
+        const std::uint64_t lo = std::min<std::uint64_t>(begin, writes.size());
+        const std::uint64_t hi = std::min<std::uint64_t>(end, writes.size());
+        return write_image(dpu, 0, {}, writes.subspan(lo, hi - lo));
       });
   release(update_parts_);
 }

@@ -14,17 +14,19 @@
 //      chunk and Misra-Gries merges per-chunk summaries, so with p < 1 or
 //      Misra-Gries the sample (and the estimate) depends on host_threads;
 //      an exact count does not,
-//   2. the host computes the reservoir decisions for every triplet.  A
-//      round of appends only (every round of an exact count) is its own
-//      image: the buffer slice goes to MRAM as it is.  Other rounds are
-//      materialized into persistent per-triplet staging images
-//      (sketch::ReservoirStaging): appends coalesce to one contiguous run,
-//      replacements fold to their final value,
-//   3. each image is flushed with ONE bulk rank-parallel scatter per batch
-//      (or per staging-capacity round), padded per rank to the slowest DPU
-//      as real dpu_push_xfer transfers are; the DPU-side receive applies
-//      the image with bulk DMA instead of per-edge writes.  The partition
-//      buffers are released once the flush has written them.
+//   2. the host computes the reservoir decisions for every triplet and
+//      folds each round into one image in place, in the round's slice of
+//      the buffer (sketch::fold_offers): the appends move to the front as
+//      one run from the reservoir's stored() on, a replacement of one of
+//      them rewrites it there, and replacements of older slots become slot
+//      writes, sorted, one per slot, the last offer winning,
+//   3. one writer (write_image) flushes each image, also the ± path's
+//      slot writes, with ONE bulk rank-parallel scatter per batch (or per
+//      staging-capacity round), padded per rank to the slowest DPU as real
+//      dpu_push_xfer transfers are; the DPU-side receive applies the image
+//      with bulk DMA instead of per-edge writes.  The partition buffers
+//      are released once the flush has written them, so nothing may read
+//      a buffer after its flush: the fold has reordered it.
 //
 // Which physical DPU a triplet's image lands on is the PartitionPlan's
 // decision (coloring/partition_plan.hpp): every estimator-visible quantity
@@ -103,8 +105,8 @@ class PimTriangleCounter final : public engine::TriangleCountEngine {
   /// path verbatim, so insert-only estimates are bit-identical); deletions
   /// run random pairing on each touched triplet's reservoir: a deletion
   /// that hits the resident sample evicts it (swap-filled from the top and
-  /// staged as ordinary slot writes on the same rank-parallel scatter
-  /// path), one that misses only adjusts the pairing counters, and either
+  /// flushed as slot writes by the insert path's writer), one that misses
+  /// only adjusts the pairing counters, and either
   /// way later insertions compensate.  Deleting an edge that was never
   /// inserted is indistinguishable from one the reservoir discarded; the
   /// caller owns that contract (the exact cpu-incremental engine is the
@@ -218,17 +220,19 @@ class PimTriangleCounter final : public engine::TriangleCountEngine {
                        const StageFn& stage);
 
   /// Computes reservoir decisions for the partitioned batch and flushes them
-  /// (flush_in_rounds): an all-appends round straight from the partition
-  /// buffer, any other round through its staging image.  `host_window_s`
+  /// (flush_in_rounds): each round folds into its own slice of the
+  /// partition buffer (sketch::fold_offers), and the writer sends the
+  /// append run from there plus the older-slot writes.  `host_window_s`
   /// is measured host time preceding the first flush (the overlap window
   /// for any in-flight device work).
   void insert_into_samples(double host_window_s);
 
   /// The fully-dynamic analogue: replays each triplet's ± update list in
   /// stream order against its reservoir policy and sample mirror, then
-  /// flushes the touched slots (final values, runs of consecutive slots)
-  /// through the same round loop.  Marks triplets whose resident sample
-  /// lost an edge as dirty: their persistent sorted arcs are stale.
+  /// flushes the touched slots with their final values through the same
+  /// round loop and writer, as an image with no append run.  Marks
+  /// triplets whose resident sample lost an edge as dirty: their
+  /// persistent sorted arcs are stale.
   void apply_updates_to_samples(double host_window_s);
 
   /// Builds the per-triplet sample mirrors from the resident bank contents
@@ -326,9 +330,10 @@ class PimTriangleCounter final : public engine::TriangleCountEngine {
   /// Reservoir state per *triplet*; the plan maps triplets to banks.
   std::vector<sketch::ReservoirPolicy> reservoirs_;
   /// Host-side mirror of each triplet's resident sample (slot <-> edge).
-  /// Lazily materialized by the first deletion (materialize_mirrors);
-  /// afterwards maintained from the host's own staged decisions, so
-  /// deletions resolve membership and eviction slots with no device reads.
+  /// Valid from construction under the rematerialize fault policy, else
+  /// materialized by the first deletion (materialize_mirrors); afterwards
+  /// maintained from the host's own decisions, so deletions resolve
+  /// membership and eviction slots with no device reads.
   std::vector<sketch::SampleMirror<Edge>> mirrors_;
   bool mirrors_valid_ = false;
   sketch::MisraGries global_mg_;
@@ -343,15 +348,14 @@ class PimTriangleCounter final : public engine::TriangleCountEngine {
   /// partition()'s per-chunk, per-triplet counts, then fill cursors: one
   /// row of num_triplets per pool thread.
   std::vector<std::uint64_t> chunk_offsets_;
-  /// Per-triplet scratch: slots touched by the current update batch.
-  std::vector<std::vector<std::uint64_t>> touched_slots_;
+  /// Per-triplet image of the current ± batch: the touched slots, sorted,
+  /// with the mirror's final values.
+  std::vector<std::vector<sketch::SlotWrite<Edge>>> slot_writes_;
   /// Per-triplet "resident sample lost an edge since the last count" flag;
   /// a dirty triplet's persistent sorted arcs are invalid, so the next
   /// recount runs the full kernel on that core only (the others keep the
   /// incremental path).
   std::vector<std::uint8_t> triplet_dirty_;
-  /// Per-triplet staging images (reservoir decisions materialized host-side).
-  std::vector<sketch::ReservoirStaging<Edge>> staging_;
   /// Per-triplet item count of the partitioned batch (greedy placement
   /// input; reused).
   std::vector<std::uint64_t> batch_totals_;

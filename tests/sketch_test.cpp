@@ -5,6 +5,8 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
+#include <numeric>
+#include <span>
 #include <vector>
 
 #include "common/prng.hpp"
@@ -191,22 +193,6 @@ TEST(ReservoirTest, DecisionsAreValid) {
   }
 }
 
-TEST(ReservoirTest, NextOffersAppendOnlyWithRoomAndNoPendingDeletion) {
-  ReservoirPolicy p(8, 5);
-  EXPECT_TRUE(p.next_offers_append(8));
-  EXPECT_FALSE(p.next_offers_append(9));
-  for (int i = 0; i < 20; ++i) (void)p.offer();  // overflowed
-  EXPECT_TRUE(p.next_offers_append(0));
-  EXPECT_FALSE(p.next_offers_append(1));
-
-  // One eviction frees a slot, but the next offer pairs against it (and a
-  // miss makes that pairing a coin), so it is not an append for certain.
-  p.remove_resident();
-  ASSERT_TRUE(p.remove_missing());
-  EXPECT_EQ(p.stored(), 7u);
-  EXPECT_FALSE(p.next_offers_append(1));
-}
-
 TEST(ReservoirTest, ReplacementRateMatchesTheory) {
   // P(replace at step t) = M/t; total replacements over (M, N] concentrate
   // around M * ln(N/M).
@@ -221,36 +207,52 @@ TEST(ReservoirTest, ReplacementRateMatchesTheory) {
   EXPECT_NEAR(replaced, expected, expected * 0.25);
 }
 
-// ---- batched reservoir staging ---------------------------------------------------
+// ---- folding a round of offers into one sample image -----------------------
 
-TEST(ReservoirStagingTest, MatchesPerItemApplicationExactly) {
-  // Applying the staged image (append run + folded replacement runs) must
+/// Folds `items` as one round into `policy`; returns the image's appends
+/// (the round's front) and its older-slot writes.
+struct Image {
+  std::vector<int> appends;
+  std::vector<SlotWrite<int>> older;
+};
+template <typename Seen>
+Image fold(ReservoirPolicy& policy, std::vector<int> items, Seen&& seen) {
+  Image image;
+  const std::size_t k = fold_offers(policy, std::span<int>(items),
+                                    image.older, seen);
+  image.appends.assign(items.begin(),
+                       items.begin() + static_cast<std::ptrdiff_t>(k));
+  return image;
+}
+Image fold(ReservoirPolicy& policy, std::vector<int> items) {
+  return fold(policy, std::move(items),
+              [](const ReservoirDecision&, int) {});
+}
+
+TEST(ReservoirFoldTest, MatchesPerItemApplicationExactly) {
+  // Applying each round's image (append run, then older-slot writes) must
   // reproduce the per-item reference reservoir bit for bit: same policy
   // seed, same offers, same final slots.
   constexpr std::uint64_t kM = 32;
   constexpr int kStream = 500;
   ReservoirSampler<int> reference(kM, 99);
   ReservoirPolicy policy(kM, 99);
-  ReservoirStaging<int> staging;
   std::vector<int> applied(kM, -1);
 
   int next = 0;
   for (int batch = 0; batch < 5; ++batch) {
-    staging.begin(policy.stored());
+    std::vector<int> round;
     for (int i = 0; i < kStream / 5; ++i) {
       reference.offer(next);
-      staging.stage(policy, next);
-      ++next;
+      round.push_back(next++);
     }
-    // Flush: contiguous appends, then coalesced replacement runs.
-    std::copy(staging.appends().begin(), staging.appends().end(),
-              applied.begin() + static_cast<std::ptrdiff_t>(staging.base_slot()));
-    staging.for_each_replace_run(
-        [&](std::uint64_t first_slot, const int* items, std::size_t n) {
-          for (std::size_t k = 0; k < n; ++k) {
-            applied[static_cast<std::size_t>(first_slot) + k] = items[k];
-          }
-        });
+    const std::uint64_t base = policy.stored();
+    const Image image = fold(policy, round);
+    std::copy(image.appends.begin(), image.appends.end(),
+              applied.begin() + static_cast<std::ptrdiff_t>(base));
+    for (const auto& [slot, item] : image.older) {
+      applied[static_cast<std::size_t>(slot)] = item;
+    }
   }
 
   ASSERT_EQ(reference.items().size(), kM);
@@ -259,68 +261,82 @@ TEST(ReservoirStagingTest, MatchesPerItemApplicationExactly) {
   }
 }
 
-TEST(ReservoirStagingTest, ReplaceRunsAreSortedDisjointAndDeduplicated) {
-  // Fill the reservoir in a first batch so a second batch's replacements
-  // target prior-batch slots and really land in the replacement image.
+TEST(ReservoirFoldTest, OlderSlotsComeBackSortedOncePerSlotWithTheLastOffer) {
+  // Fill the reservoir in a first round so a second round's replacements
+  // all target older slots, many of them more than once.
   ReservoirPolicy policy(16, 7);
-  ReservoirStaging<int> staging;
-  staging.begin(policy.stored());
-  for (int i = 0; i < 16; ++i) staging.stage(policy, i);
+  std::vector<int> first(16);
+  std::iota(first.begin(), first.end(), 0);
+  (void)fold(policy, first);
 
-  staging.begin(policy.stored());  // base 16: appends stay empty
-  for (int i = 16; i < 2000; ++i) staging.stage(policy, i);
-  EXPECT_TRUE(staging.appends().empty());
-  EXPECT_GT(staging.replace_count(), 0u);
-
-  std::uint64_t last_end = 0;
-  bool first = true;
-  std::uint64_t total = 0;
-  staging.for_each_replace_run(
-      [&](std::uint64_t first_slot, const int*, std::size_t n) {
-        ASSERT_GT(n, 0u);
-        // Runs are maximal: consecutive runs are separated by a gap.
-        if (!first) EXPECT_GT(first_slot, last_end + 1);
-        EXPECT_LE(first_slot + n, 16u);
-        last_end = first_slot + n - 1;
-        first = false;
-        total += n;
+  std::vector<int> second(1984);
+  std::iota(second.begin(), second.end(), 16);
+  std::map<std::uint64_t, int> last;
+  std::uint64_t replaced = 0;
+  const Image image =
+      fold(policy, second, [&](const ReservoirDecision& d, int item) {
+        if (d.action == ReservoirDecision::Action::kReplace) {
+          last[d.slot] = item;
+          ++replaced;
+        }
       });
-  EXPECT_EQ(total, staging.replace_count());
-  EXPECT_LE(total, 16u);  // folded: at most one record per slot
+  EXPECT_TRUE(image.appends.empty());
+  ASSERT_GT(replaced, last.size());  // some slot was replaced twice
+  const std::vector<SlotWrite<int>> want(last.begin(), last.end());
+  EXPECT_EQ(image.older, want);
 }
 
-TEST(ReservoirStagingTest, ReusedAcrossBatchesWithoutReallocating) {
-  ReservoirPolicy policy(8, 11);
-  ReservoirStaging<int> staging;
-  staging.begin(policy.stored());
-  for (int i = 0; i < 1000; ++i) staging.stage(policy, i);
-  (void)staging.staged_items();
-  const std::size_t append_cap = staging.appends().capacity();
-
-  staging.begin(policy.stored());
-  EXPECT_TRUE(staging.empty());
-  EXPECT_EQ(staging.appends().capacity(), append_cap)
-      << "begin() must keep buffer capacity (persistent staging)";
-  for (int i = 0; i < 100; ++i) staging.stage(policy, i);
-  EXPECT_EQ(staging.appends().capacity(), append_cap);
-}
-
-TEST(ReservoirStagingTest, ReplaceOfSameBatchAppendRewritesInPlace) {
-  // Fill a tiny reservoir well past capacity inside ONE batch: every
-  // replacement lands on a slot appended in the same batch and must fold
-  // into the append image instead of emitting a replacement record.
+TEST(ReservoirFoldTest, ReplaceOfSameRoundAppendRewritesInPlace) {
+  // Fill a tiny reservoir well past capacity inside ONE round: every
+  // replacement lands on a slot appended in the same round and must fold
+  // into the append run instead of becoming an older-slot write.
   ReservoirPolicy policy(4, 13);
-  ReservoirStaging<int> staging;
-  staging.begin(policy.stored());  // base 0
-  for (int i = 0; i < 400; ++i) staging.stage(policy, i);
-  EXPECT_EQ(staging.appends().size(), 4u);
-  EXPECT_EQ(staging.replace_count(), 0u);
+  std::vector<int> round(400);
+  std::iota(round.begin(), round.end(), 0);
+  const Image image = fold(policy, round);
+  EXPECT_TRUE(image.older.empty());
 
-  // Reference: identical policy applied item-by-item.
+  // Reference: identical policy applied item by item.
   ReservoirSampler<int> reference(4, 13);
-  for (int i = 0; i < 400; ++i) reference.offer(i);
-  for (std::size_t s = 0; s < 4; ++s) {
-    EXPECT_EQ(staging.appends()[s], reference.items()[s]);
+  for (const int i : round) reference.offer(i);
+  EXPECT_EQ(image.appends, reference.items());
+}
+
+TEST(ReservoirFoldTest, PairedAppendsCompactPastDiscardsOntoTheirSlots) {
+  // With deletions pending, each offer pairs against one of them: it is
+  // appended (a vacancy re-fills) or discarded.  The appends must move to
+  // the front of the round, past the discards, in the slots the
+  // decisions name.
+  ReservoirPolicy policy(64, 17);
+  std::vector<int> stream(400);
+  std::iota(stream.begin(), stream.end(), 0);
+  (void)fold(policy, stream);
+  for (int i = 0; i < 20; ++i) policy.remove_resident();
+  for (int i = 0; i < 20; ++i) ASSERT_TRUE(policy.remove_missing());
+
+  const std::uint64_t base = policy.stored();
+  std::vector<int> round(40);
+  std::iota(round.begin(), round.end(), 1000);
+  std::vector<SlotWrite<int>> decided;
+  bool discarded_before_append = false;
+  bool discarded = false;
+  const Image image =
+      fold(policy, round, [&](const ReservoirDecision& d, int item) {
+        ASSERT_NE(d.action, ReservoirDecision::Action::kReplace);
+        if (d.action == ReservoirDecision::Action::kDiscard) {
+          discarded = true;
+        } else {
+          discarded_before_append = discarded_before_append || discarded;
+          decided.emplace_back(d.slot, item);
+        }
+      });
+  EXPECT_TRUE(discarded_before_append);  // the fold had to compact
+  EXPECT_TRUE(image.older.empty());
+  ASSERT_EQ(image.appends.size(), 20u);  // one per vacancy
+  ASSERT_EQ(decided.size(), 20u);
+  for (std::size_t j = 0; j < decided.size(); ++j) {
+    EXPECT_EQ(decided[j].first, base + j);
+    EXPECT_EQ(image.appends[j], decided[j].second);
   }
 }
 
