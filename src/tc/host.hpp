@@ -106,11 +106,11 @@ class PimTriangleCounter final : public engine::TriangleCountEngine {
   /// run random pairing on each touched triplet's reservoir: a deletion
   /// that hits the resident sample evicts it (swap-filled from the top and
   /// flushed as slot writes by the insert path's writer), one that misses
-  /// only adjusts the pairing counters, and either
-  /// way later insertions compensate.  Deleting an edge that was never
-  /// inserted is indistinguishable from one the reservoir discarded; the
-  /// caller owns that contract (the exact cpu-incremental engine is the
-  /// oracle for it).  Throws std::invalid_argument when the batch contains
+  /// only adjusts the pairing counters, and either way later insertions
+  /// compensate.  Deleting an edge that was never inserted is
+  /// indistinguishable from one the reservoir discarded; the caller owns
+  /// that contract (the exact cpu-incremental engine is the oracle for
+  /// it).  Throws std::invalid_argument when the batch contains
   /// deletions and uniform_p < 1 — the keep coin of the original insertion
   /// is not reconstructible, so DOULION cannot compose with deletions.
   void apply(std::span<const EdgeUpdate> batch) override;
