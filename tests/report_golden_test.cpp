@@ -1,5 +1,5 @@
 // Golden pin of the "pim" engine's CountReport.  One small seeded BA+hubs
-// graph runs under nine configurations; every report field except the
+// graph runs under ten configurations; every report field except the
 // measured times.host_s is written one per line and compared with
 // tests/golden/pim_reports.golden.  Estimates, tallies, instruction counts
 // and modeled times are pure functions of graph, config and seed (ingest is
@@ -321,6 +321,33 @@ std::vector<Line> run_all() {
     EXPECT_GT(r.reservoir_overflows, 0u);
     append_report("overflow_thirds", r, lines);
     append_device("overflow_thirds", *eng, lines);
+  }
+
+  // An insert-only session under the degree-ordered hub remap: a full
+  // count of 3/5 of the graph, then three batches that every core counts
+  // with the incremental kernel (none dirty), so the lines pin its merge,
+  // region lookups and ownership checks.
+  engine::EngineConfig batches = base_config();
+  batches.incremental = true;
+  batches.misra_gries_enabled = true;
+  batches.degree_ordered_remap = true;
+  {
+    auto eng = engine::make_engine("pim", batches);
+    const std::size_t m = g.num_edges();
+    const std::size_t preload = 3 * m / 5;
+    eng->add_edges(g.edges().subspan(0, preload));
+    (void)eng->recount();
+    engine::CountReport r;
+    for (std::size_t k = 0; k < 3; ++k) {
+      const std::size_t lo = preload + k * (m - preload) / 3;
+      const std::size_t hi = preload + (k + 1) * (m - preload) / 3;
+      eng->add_edges(g.edges().subspan(lo, hi - lo));
+      r = eng->recount();
+      EXPECT_TRUE(r.used_incremental);
+      EXPECT_EQ(r.dirty_full_recounts, 0u);
+    }
+    append_report("incremental_batches", r, lines);
+    append_device("incremental_batches", *eng, lines);
   }
   return lines;
 }
