@@ -1,5 +1,6 @@
 #include "tc/intersect.hpp"
 
+#include <limits>
 #include <stdexcept>
 #include <string>
 
@@ -50,32 +51,176 @@ IntersectPolicy intersect_policy_from_string(std::string_view name) {
                               "' (expected auto|merge|gallop)");
 }
 
+std::span<const RegionEntry> build_regions(std::span<const Edge> sorted,
+                                           std::span<std::uint64_t> counts,
+                                           std::vector<RegionEntry>& table) {
+  const std::uint64_t n = sorted.size();
+  std::fill(counts.begin(), counts.end(), 0);
+  if (n == 0) return {};
+  // RegionEntry.begin is 32-bit; the kernel entry points reject capacities
+  // whose arc arrays could exceed this, so the cast below cannot truncate.
+  if (n - 1 > std::numeric_limits<std::uint32_t>::max()) {
+    throw std::logic_error(
+        "build_regions: record index overflows RegionEntry.begin");
+  }
+  if (table.size() < n) table.resize(n);  // at most one region per record
+  const auto tasklets = static_cast<std::uint32_t>(counts.size());
+  std::uint64_t num_regions = 0;
+  NodeId prev = kInvalidNode;
+  for (std::uint32_t t = 0; t < tasklets; ++t) {
+    const Block blk = block_of(n, t, tasklets);
+    const std::uint64_t before = num_regions;
+    for (std::uint64_t i = blk.begin; i < blk.end; ++i) {
+      // Branch-free: every record writes the next slot, a region start
+      // keeps it.
+      const NodeId u = sorted[i].u;
+      table[num_regions] = RegionEntry{u, static_cast<std::uint32_t>(i)};
+      num_regions += u != prev ? 1 : 0;
+      prev = u;
+    }
+    counts[t] = num_regions - before;
+  }
+  return std::span<const RegionEntry>(table).first(num_regions);
+}
+
+std::uint64_t resolve_batch_keys(std::span<const Edge> sorted,
+                                 std::span<const Edge> batch,
+                                 std::span<const std::uint64_t> at,
+                                 std::span<std::uint64_t> counts,
+                                 std::vector<KeyRegion>& keys) {
+  const std::uint64_t n = sorted.size();
+  const auto below = [](const Edge& e, NodeId key) { return e.u < key; };
+  // Batch arcs [k, j) share first node x.  Ties merge S* first, so x's S*
+  // arcs may sit on both sides of its batch arcs: its region begins at or
+  // before at[k] and ends after at[j - 1].  Gallop out from each, then
+  // binary search the last step.
+  keys.clear();
+  for (std::uint64_t k = 0; k < batch.size();) {
+    const NodeId x = batch[k].u;
+    std::uint64_t j = k + 1;
+    while (j < batch.size() && batch[j].u == x) ++j;
+    std::uint64_t hi = at[k];
+    std::uint64_t step = 1;
+    while (step <= hi && sorted[hi - step].u == x) {
+      hi -= step;
+      step *= 2;
+    }
+    const std::uint64_t begin = static_cast<std::uint64_t>(
+        std::lower_bound(sorted.begin() + static_cast<std::ptrdiff_t>(
+                                              step <= hi ? hi - step + 1 : 0),
+                         sorted.begin() + static_cast<std::ptrdiff_t>(hi), x,
+                         below) -
+        sorted.begin());
+    std::uint64_t lo = at[j - 1];
+    step = 1;
+    while (step < n - lo && sorted[lo + step].u == x) {
+      lo += step;
+      step *= 2;
+    }
+    const std::uint64_t end = static_cast<std::uint64_t>(
+        std::upper_bound(sorted.begin() + static_cast<std::ptrdiff_t>(lo + 1),
+                         sorted.begin() +
+                             static_cast<std::ptrdiff_t>(std::min(n, lo + step)),
+                         x, [](NodeId key, const Edge& e) { return key < e.u; }) -
+        sorted.begin());
+    keys.push_back({x, 0, {begin, end}});
+    k = j;
+  }
+
+  // One pass: `starts` counts the region starts in [0, i), so at a key's
+  // first record it is the key's rank.
+  std::uint64_t starts = 0;
+  std::uint64_t i = 0;
+  const auto scan_to = [&](std::uint64_t end) {
+    if (i == end) return;
+    if (i == 0) {
+      starts = 1;  // record 0 always starts a region
+      i = 1;
+    }
+    std::uint64_t found = 0;
+    for (; i < end; ++i) found += sorted[i].u != sorted[i - 1].u ? 1 : 0;
+    starts += found;
+  };
+  const auto tasklets = static_cast<std::uint32_t>(counts.size());
+  auto key = keys.begin();
+  for (std::uint32_t t = 0; t < tasklets; ++t) {
+    const Block blk = block_of(n, t, tasklets);
+    const std::uint64_t before = starts;
+    for (; key != keys.end() && key->region.begin < blk.end; ++key) {
+      scan_to(key->region.begin);
+      key->rank = starts;
+    }
+    scan_to(blk.end);
+    counts[t] = starts - before;
+  }
+  return starts;
+}
+
+void charge_region_index(pim::Dpu& dpu, std::uint32_t buffer_edges,
+                         std::uint64_t n,
+                         std::span<const std::uint64_t> counts) {
+  if (n == 0) return;
+  const auto tasklets = static_cast<std::uint32_t>(counts.size());
+  // Each pass streams the tasklet's block and reads the record before it.
+  const auto charge_scan = [&](Tasklet& t, const Block& blk) {
+    if (blk.begin > 0) t.charge_dma(1, sizeof(Edge));
+    charge_stream<Edge>(t, blk.end - blk.begin, buffer_edges);
+    t.instr((blk.end - blk.begin) * Cost::region_scan_step);
+  };
+
+  dpu.wram().reset();
+  dpu.parallel(tasklets, [&](Tasklet& t) {
+    const Block blk = block_of(n, t.id(), tasklets);
+    if (blk.begin >= blk.end) return;
+    (void)dpu.wram().alloc<Edge>(buffer_edges);
+    charge_scan(t, blk);
+  });
+
+  // Exclusive prefix over per-tasklet counts (tasklet 0 on real hardware).
+  dpu.serial_instr(tasklets * 2ull);
+
+  dpu.wram().reset();
+  dpu.parallel(tasklets, [&](Tasklet& t) {
+    const Block blk = block_of(n, t.id(), tasklets);
+    if (blk.begin >= blk.end) return;
+    (void)dpu.wram().alloc<Edge>(buffer_edges);
+    (void)dpu.wram().alloc<RegionEntry>(buffer_edges);
+    charge_scan(t, blk);
+    charge_stream<RegionEntry>(t, counts[t.id()], buffer_edges);
+  });
+}
+
+void RegionCache::charge_build(pim::Dpu& dpu, std::uint32_t tasklets,
+                               std::uint32_t buffer_edges,
+                               std::uint64_t num_regions, bool enabled) {
+  num_regions_ = num_regions;
+  stride_ = 1;
+  slots_ = 0;
+  if (num_regions == 0 || !enabled) return;
+  stride_ = ceil_div(num_regions, kSlots);
+  slots_ = ceil_div(num_regions, stride_);
+  dpu.wram().reset();
+  dpu.parallel(tasklets, [&](Tasklet& t) {
+    const Block blk = block_of(num_regions, t.id(), tasklets);
+    if (blk.begin >= blk.end) return;
+    (void)dpu.wram().alloc<RegionEntry>(buffer_edges * 2);
+    charge_stream<RegionEntry>(t, blk.end - blk.begin, buffer_edges * 2);
+    t.instr(2 * (blk.end - blk.begin));
+  });
+}
+
 void RegionCache::build(pim::Dpu& dpu, std::uint32_t tasklets,
                         std::uint32_t buffer_edges,
                         std::span<const RegionEntry> regions, std::uint64_t n,
-                        bool enabled, bool indexed) {
-  const std::uint64_t num_regions = regions.size();
+                        bool enabled) {
+  charge_build(dpu, tasklets, buffer_edges, regions.size(), enabled);
+  keys_ = {};
+  keyed_ = false;
   regions_ = regions;
   n_ = n;
-  stride_ = 1;
-  slots_ = 0;
   bucket_.clear();
   steps_.clear();
-  if (num_regions == 0) return;
-
-  if (enabled) {
-    stride_ = ceil_div(num_regions, kSlots);
-    slots_ = ceil_div(num_regions, stride_);
-    dpu.wram().reset();
-    dpu.parallel(tasklets, [&](Tasklet& t) {
-      const Block blk = block_of(num_regions, t.id(), tasklets);
-      if (blk.begin >= blk.end) return;
-      (void)dpu.wram().alloc<RegionEntry>(buffer_edges * 2);
-      charge_stream<RegionEntry>(t, blk.end - blk.begin, buffer_edges * 2);
-      t.instr(2 * (blk.end - blk.begin));
-    });
-  }
-  if (!indexed) return;
+  if (regions.empty()) return;
 
   // The buckets cover the regions of real node ids, about two buckets per
   // region over their node range.  Remapped hub ids sit just below 2^32,
@@ -104,6 +249,18 @@ void RegionCache::build(pim::Dpu& dpu, std::uint32_t tasklets,
   }
 }
 
+void RegionCache::build(pim::Dpu& dpu, std::uint32_t tasklets,
+                        std::uint32_t buffer_edges, std::uint64_t num_regions,
+                        std::span<const KeyRegion> keys, bool enabled) {
+  charge_build(dpu, tasklets, buffer_edges, num_regions, enabled);
+  keys_ = keys;
+  keyed_ = true;
+  regions_ = {};
+  n_ = 0;
+  bucket_.clear();
+  steps_.clear();
+}
+
 std::uint64_t RegionCache::rank_of(NodeId key) const noexcept {
   auto first = regions_.begin();
   auto last = regions_.end();
@@ -128,25 +285,40 @@ std::uint64_t RegionCache::rank_of(NodeId key) const noexcept {
       std::lower_bound(first, last, key, node_below) - regions_.begin());
 }
 
-Region find_region(const RegionCache& cache, NodeId key, std::uint64_t& instr,
-                   DmaTally& dma) {
+KeyRegion RegionCache::resolve(NodeId key) const {
+  if (keyed_) {
+    const auto it = std::lower_bound(
+        keys_.begin(), keys_.end(), key,
+        [](const KeyRegion& k, NodeId x) { return k.node < x; });
+    if (it == keys_.end() || it->node != key) {
+      throw std::logic_error("find_region: key outside the launch's key list");
+    }
+    return *it;
+  }
+  const std::uint64_t r = rank_of(key);
+  const std::uint64_t num = regions_.size();
+  if (r >= num || regions_[r].node != key) return {key, r, {}};
+  return {key, r, {regions_[r].begin, r + 1 < num ? regions_[r + 1].begin : n_}};
+}
+
+void RegionCache::charge_lookup(std::uint64_t r, bool present,
+                                std::uint64_t& instr,
+                                DmaTally& dma) const noexcept {
   constexpr std::uint64_t kEntry = sizeof(RegionEntry);
-  const std::uint64_t num = cache.regions_.size();
-  const std::uint64_t r = cache.rank_of(key);
-  const bool present = r < num && cache.regions_[r].node == key;
+  const std::uint64_t num = num_regions_;
 
   // The WRAM cache search: an upper bound over the cached nodes, leaving
   // `below` of them at or below the key; the window spans the regions
   // between the last of those and the next.
   std::uint64_t w_lo = 0;
   std::uint64_t w_hi = num;
-  if (cache.slots_ != 0) {
+  if (slots_ != 0) {
     const std::uint64_t at_or_below = r + (present ? 1 : 0);
     const std::uint64_t below =
-        at_or_below == 0 ? 0 : (at_or_below - 1) / cache.stride_ + 1;
-    instr += 3 * cache.cache_steps(below);
-    w_lo = below == 0 ? 0 : (below - 1) * cache.stride_;
-    w_hi = std::min(num, below * cache.stride_ + 1);
+        at_or_below == 0 ? 0 : (at_or_below - 1) / stride_ + 1;
+    instr += 3 * cache_steps(below);
+    w_lo = below == 0 ? 0 : (below - 1) * stride_;
+    w_hi = std::min(num, below * stride_ + 1);
   }
 
   if (w_hi - w_lo <= 6) {
@@ -156,21 +328,24 @@ Region find_region(const RegionCache& cache, NodeId key, std::uint64_t& instr,
     const std::uint64_t fetch = std::min(w_hi - w_lo + 1, num - w_lo);
     dma.add(1, fetch * kEntry);
     instr += Cost::binary_search_step + fetch * 2;
-    if (!present) return {};
-    if (r - w_lo + 1 == fetch && r + 1 < num) dma.add(1, kEntry);
+    if (present && r - w_lo + 1 == fetch && r + 1 < num) dma.add(1, kEntry);
   } else {
     // Wide window: an MRAM binary search of 8-byte probes, then entries r
     // and r+1 in one burst (region end = next begin).
     const std::uint64_t steps = search_steps(w_hi - w_lo, r - w_lo);
     dma.add(steps, steps * kEntry);
     instr += steps * Cost::binary_search_step;
-    if (r >= num) return {};
+    if (r >= num) return;
     dma.add(1, (r + 1 < num ? 2 : 1) * kEntry);
     instr += Cost::binary_search_step;
-    if (!present) return {};
   }
-  return {cache.regions_[r].begin,
-          r + 1 < num ? cache.regions_[r + 1].begin : cache.n_};
+}
+
+Region find_region(const RegionCache& cache, NodeId key, std::uint64_t& instr,
+                   DmaTally& dma) {
+  const KeyRegion k = cache.resolve(key);
+  cache.charge_lookup(k.rank, k.region.found(), instr, dma);
+  return k.region;
 }
 
 bool choose_gallop(IntersectPolicy policy, std::uint64_t small_size,

@@ -14,10 +14,14 @@
 //  * `search_steps`, the probe count of the kernels' lower-bound loop as a
 //    function of (size, rank), so a search the host resolves another way
 //    is charged exactly what the loop would have issued,
+//  * the region index of the sorted array: the table the full kernel
+//    builds (`build_regions`), the key list an incremental launch resolves
+//    instead (`resolve_batch_keys`) and the one charge both stand for
+//    (`charge_region_index`),
 //  * the sampled WRAM `RegionCache` + `find_region` lookup that keeps the
 //    per-query MRAM probe chain at ~log2(stride) instead of log2(regions);
-//    the host resolves the lookup through its own copy of the region table
-//    and charges the cached search in closed form,
+//    the host resolves the lookup through the table or the key list and
+//    charges the cached search in closed form,
 //  * the adaptive `intersect_regions` primitive: linear merge or block-
 //    galloping binary search, selected per intersection by a cost model
 //    (`IntersectPolicy::kAuto`) or forced by policy — the match set, and
@@ -169,7 +173,7 @@ struct IntersectTally {
 };
 
 // ---------------------------------------------------------------------------
-// Region lookup
+// Region index and lookup
 // ---------------------------------------------------------------------------
 
 /// A region [begin, end) of the sorted buffer (all records sharing one
@@ -181,63 +185,123 @@ struct Region {
   [[nodiscard]] std::uint64_t size() const noexcept { return end - begin; }
 };
 
+/// One entry of an incremental launch's key list: a node the launch looks
+/// up, its rank (how many regions have a smaller node) and its region, not
+/// found() when no region has that node.
+struct KeyRegion {
+  NodeId node = 0;
+  std::uint64_t rank = 0;
+  Region region;
+};
+
+/// Builds the region table of `sorted` into `table`: entry i holds the
+/// first node and first record of region i.  Record 0 starts a region, and
+/// so does every record whose first node differs from the one before.
+/// counts[t] receives the region starts in block_of(n, t, counts.size()),
+/// tasklet t's block.  `table` only grows, so a worker thread allocates it
+/// once; returns its filled prefix.
+[[nodiscard]] std::span<const RegionEntry> build_regions(
+    std::span<const Edge> sorted, std::span<std::uint64_t> counts,
+    std::vector<RegionEntry>& table);
+
+/// What an incremental launch needs of the region index of the merged arcs
+/// `sorted`, without building the table.  `batch` holds the launch's sorted
+/// arcs and at[k] the position of batch[k] in `sorted` (so `at` ascends).
+/// Fills `keys`, ascending, with one entry per distinct first node of the
+/// batch, which covers both endpoints of every new edge: its region, found
+/// by galloping out from its batch arcs' positions, and its rank.  Fills
+/// `counts` as build_regions does, in the same one pass over `sorted` that
+/// ranks the keys, and returns the region count.
+std::uint64_t resolve_batch_keys(std::span<const Edge> sorted,
+                                 std::span<const Edge> batch,
+                                 std::span<const std::uint64_t> at,
+                                 std::span<std::uint64_t> counts,
+                                 std::vector<KeyRegion>& keys);
+
+/// Charges the kernel's region-index stage over `n` sorted records whose
+/// tasklet blocks start counts[t] regions (one entry per tasklet): each
+/// tasklet streams its block and reads the record before it, twice, first
+/// counting its region starts, then writing their RegionEntry records at
+/// offsets from an exclusive prefix over the counts (tasklet-0 work).
+void charge_region_index(pim::Dpu& dpu, std::uint32_t buffer_edges,
+                         std::uint64_t n, std::span<const std::uint64_t> counts);
+
 /// Shared WRAM cache of every k-th region-table entry.  A lookup binary
 /// searches the cache with WRAM-speed instructions, leaving only ~log2(k)
 /// MRAM probes inside the narrowed window — the real kernels keep exactly
 /// such a sampled index resident to avoid DMA-bound searches.
 ///
-/// The host runs the lookup on its own copy of the region table (the one
-/// the region-index stage just built) and charges what the cached search
-/// would have issued.  It finds the first region at or above a real node
-/// id in O(1) expected time through a bucketed index over the real ids'
-/// regions when the kernel's lookups outnumber its regions, and by binary
-/// search over the copy otherwise: an incremental launch does a few dozen
-/// lookups against thousands of regions, where building the index would
-/// cost more than it saves.  Remapped hub ids (remapped_id) are searched
-/// apart, among at most MramLayout::kMaxRemap regions.  Reused across
-/// launches so its host storage is allocated once per worker thread.
+/// The host does not run the search.  It resolves a lookup's rank and
+/// region, then charges what the cached search issues, which depends on
+/// the rank, the key's presence and the region count alone.  The full
+/// kernel resolves through its copy of the region table: a bucketed index
+/// over the real node ids' regions finds the first region at or above a
+/// key in O(1) expected time, and remapped hub ids (remapped_id) are
+/// searched apart, among at most MramLayout::kMaxRemap regions.  An
+/// incremental launch looks up only its batch's endpoints, so it resolves
+/// through its key list (resolve_batch_keys) and builds no table.  Reused
+/// across launches so its host storage is allocated once per worker thread.
 class RegionCache {
  public:
   static constexpr std::uint64_t kSlots = 2048;  // 16 KB of WRAM
 
   /// Charges the cache build — each tasklet streams a block of the region
   /// table through a WRAM buffer and keeps the stride-aligned entries — and
-  /// prepares the host lookup over `regions` (the table the kernel wrote,
-  /// indexing `n` records).  The cache is a statically allocated WRAM
-  /// structure, budgeted in max_wram_buffer_edges().  With `enabled` false
-  /// the cache stays empty and every lookup degrades to the full-table MRAM
-  /// binary search — the pre-cache kernel behavior, kept as an ablation
-  /// baseline.  `indexed` selects the bucketed node index.
+  /// serves lookups from `regions` (the table the kernel wrote, indexing
+  /// `n` records).  The cache is a statically allocated WRAM structure,
+  /// budgeted in max_wram_buffer_edges().  With `enabled` false the cache
+  /// stays empty and every lookup degrades to the full-table MRAM binary
+  /// search — the pre-cache kernel behavior, kept as an ablation baseline.
   void build(pim::Dpu& dpu, std::uint32_t tasklets,
              std::uint32_t buffer_edges, std::span<const RegionEntry> regions,
-             std::uint64_t n, bool enabled, bool indexed);
+             std::uint64_t n, bool enabled);
+
+  /// The same charge for a table of `num_regions` regions, serving lookups
+  /// from `keys` (sorted by node, distinct); looking up any other key is a
+  /// logic error.
+  void build(pim::Dpu& dpu, std::uint32_t tasklets,
+             std::uint32_t buffer_edges, std::uint64_t num_regions,
+             std::span<const KeyRegion> keys, bool enabled);
 
  private:
   friend Region find_region(const RegionCache& cache, NodeId key,
                             std::uint64_t& instr, DmaTally& dma);
 
-  /// Index of the first region whose node is >= key.
+  /// Sets the cache geometry for `num_regions` regions and charges the
+  /// build.
+  void charge_build(pim::Dpu& dpu, std::uint32_t tasklets,
+                    std::uint32_t buffer_edges, std::uint64_t num_regions,
+                    bool enabled);
+  /// Rank and region of `key`, from the key list or the table.
+  [[nodiscard]] KeyRegion resolve(NodeId key) const;
+  /// Index of the first table region whose node is >= key.
   [[nodiscard]] std::uint64_t rank_of(NodeId key) const noexcept;
+  /// Adds what the cached lookup of a key of rank `r` issues.
+  void charge_lookup(std::uint64_t r, bool present, std::uint64_t& instr,
+                     DmaTally& dma) const noexcept;
   /// Probes of the WRAM cache search that leaves `below` cached entries
   /// below the key's window.
   [[nodiscard]] std::uint64_t cache_steps(std::uint64_t below) const noexcept {
     return steps_.empty() ? search_steps(slots_, below) : steps_[below];
   }
 
-  std::span<const RegionEntry> regions_;
-  std::uint64_t n_ = 0;
+  std::uint64_t num_regions_ = 0;
   std::uint64_t stride_ = 1;
   std::uint64_t slots_ = 0;  ///< cached entries; 0 = uncached searches
+  std::span<const KeyRegion> keys_;
+  bool keyed_ = false;  ///< lookups resolve through keys_, not the table
+  std::span<const RegionEntry> regions_;
+  std::uint64_t n_ = 0;
   // Bucketed node index over the first dense_ regions, those of real node
-  // ids base_..top_ (empty = binary search): bucket b holds the first
-  // region whose (node - base_) >> shift_ is >= b.  Keys above top_ search
-  // the rest.
+  // ids base_..top_: bucket b holds the first region whose (node - base_)
+  // >> shift_ is >= b (empty when every region is a remapped hub's).  Keys
+  // above top_ search the rest.
   std::vector<std::uint32_t> bucket_;
   std::uint64_t dense_ = 0;
   NodeId base_ = 0;
   NodeId top_ = 0;
   unsigned shift_ = 0;
-  std::vector<std::uint8_t> steps_;  ///< cache_steps table, with the index
+  std::vector<std::uint8_t> steps_;  ///< cache_steps table, with the table
 };
 
 /// Region bounds of `key` (end = next region's begin, or n); not-found

@@ -1,7 +1,6 @@
 #include "tc/kernel.hpp"
 
 #include <algorithm>
-#include <limits>
 #include <span>
 #include <stdexcept>
 #include <utility>
@@ -115,14 +114,14 @@ constexpr unsigned kRadixDigits = (64 + kRadixBits - 1) / kRadixBits;
 /// bank it has run.
 struct HostScratch {
   std::vector<Edge> work;     ///< the array being copied, sorted, indexed
-  std::vector<Edge> old_arcs; ///< S* before a merge
-  std::vector<Edge> merged;
-  std::vector<std::uint8_t> flags;
+  std::vector<Edge> merged;   ///< S* read to its back, the batch merged in
+  std::vector<std::uint64_t> at;  ///< the batch arcs' merged positions
+  std::vector<KeyRegion> keys;    ///< an incremental launch's lookups
   std::vector<SortRecord> records;
   std::vector<SortRecord> records_tmp;
   std::vector<std::uint32_t> histogram;
   std::vector<std::uint64_t> split_less;
-  std::vector<RegionEntry> regions;
+  std::vector<RegionEntry> regions;  ///< grow-only; a launch uses a prefix
   RegionCache cache;
 };
 
@@ -399,66 +398,6 @@ void copy_edges(Dpu& dpu, const KernelParams& p, std::span<const Edge> src,
   if (n != 0) dpu.mram().write(dst, src.data(), n * sizeof(Edge));
 }
 
-/// Builds the region index over `sorted` (the host copy of the sorted
-/// array) into `regions`.  Two parallel passes: count region starts per
-/// block, then write RegionEntry records at exclusive-prefix offsets.
-void build_regions(Dpu& dpu, const KernelParams& p,
-                   std::span<const Edge> sorted,
-                   std::vector<RegionEntry>& regions) {
-  const std::uint64_t n = sorted.size();
-  regions.clear();
-  if (n == 0) return;
-  // RegionEntry.begin is 32-bit; the kernel entry points reject capacities
-  // whose arc arrays could exceed this, so the cast below cannot truncate.
-  if (n - 1 > std::numeric_limits<std::uint32_t>::max()) {
-    throw std::logic_error(
-        "build_regions: record index overflows RegionEntry.begin");
-  }
-  std::vector<std::uint64_t> counts(p.tasklets, 0);
-  regions.resize(n);  // at most one region per record; trimmed below
-  std::uint64_t num_regions = 0;
-  // Each pass streams the tasklet's block and reads the record before it.
-  const auto charge_scan = [&](Tasklet& t, const Block& blk) {
-    if (blk.begin > 0) t.charge_dma(1, sizeof(Edge));
-    charge_stream<Edge>(t, blk.end - blk.begin, p.buffer_edges);
-    t.instr((blk.end - blk.begin) * Cost::region_scan_step);
-  };
-
-  dpu.wram().reset();
-  dpu.parallel(p.tasklets, [&](Tasklet& t) {
-    const Block blk = block_of(n, t.id(), p.tasklets);
-    if (blk.begin >= blk.end) return;
-    (void)dpu.wram().alloc<Edge>(p.buffer_edges);
-    const std::uint64_t before = num_regions;
-    NodeId prev = blk.begin > 0 ? sorted[blk.begin - 1].u : kInvalidNode;
-    for (std::uint64_t i = blk.begin; i < blk.end; ++i) {
-      // Branch-free: every record writes the next slot, a region start
-      // keeps it.
-      const NodeId u = sorted[i].u;
-      regions[num_regions] = RegionEntry{u, static_cast<std::uint32_t>(i)};
-      num_regions += u != prev ? 1 : 0;
-      prev = u;
-    }
-    counts[t.id()] = num_regions - before;
-    charge_scan(t, blk);
-  });
-
-  regions.resize(num_regions);
-
-  // Exclusive prefix over per-tasklet counts (tasklet 0 on real hardware).
-  dpu.serial_instr(p.tasklets * 2ull);
-
-  dpu.wram().reset();
-  dpu.parallel(p.tasklets, [&](Tasklet& t) {
-    const Block blk = block_of(n, t.id(), p.tasklets);
-    if (blk.begin >= blk.end) return;
-    (void)dpu.wram().alloc<Edge>(p.buffer_edges);
-    (void)dpu.wram().alloc<RegionEntry>(p.buffer_edges);
-    charge_scan(t, blk);
-    charge_stream<RegionEntry>(t, counts[t.id()], p.buffer_edges);
-  });
-}
-
 // ---------------------------------------------------------------------------
 // Full counting phase (Section 3.4)
 // ---------------------------------------------------------------------------
@@ -476,9 +415,7 @@ std::uint64_t count_full(Dpu& dpu, const KernelParams& p,
   std::vector<std::uint64_t> partial(p.tasklets, 0);
   std::vector<IntersectTally> tallies(p.tasklets);
 
-  // At least one lookup per record: always worth the host's node index.
-  cache.build(dpu, p.tasklets, p.buffer_edges, regions, n, p.region_cache,
-              /*indexed=*/true);
+  cache.build(dpu, p.tasklets, p.buffer_edges, regions, n, p.region_cache);
 
   dpu.wram().reset();
   dpu.parallel(p.tasklets, [&](Tasklet& t) {
@@ -538,16 +475,17 @@ std::uint64_t count_full(Dpu& dpu, const KernelParams& p,
 // Incremental machinery (dynamic updates)
 // ---------------------------------------------------------------------------
 
-/// Merges S* (`old`, the host copy of its arcs) with the sorted batch
-/// (`batch`) into `merged`, with a 1-byte "new" flag per output record in
-/// `flags`.  Ties take the S* record first.  Tasklets merge co-partitioned
-/// subranges (merge-path splitting on equal S* blocks).
-void merge_with_flags(Dpu& dpu, const KernelParams& p,
-                      std::span<const Edge> old, std::span<const Edge> batch,
-                      std::vector<Edge>& merged,
-                      std::vector<std::uint8_t>& flags) {
-  const std::uint64_t n_old = old.size();
+/// Merges the sorted batch arcs `batch` into S* in place: `merged` holds
+/// the host copy of S* in its back, from index batch.size(), and leaves
+/// with the merged arcs; at[k] receives the merged position of batch[k].
+/// Ties take the S* record first.  Charged as the kernel's streaming merge,
+/// which also writes a 1-byte "new" flag per output record: tasklets merge
+/// co-partitioned subranges (merge-path splitting on equal S* blocks).
+void merge_batch(Dpu& dpu, const KernelParams& p, std::span<const Edge> batch,
+                 std::span<Edge> merged, std::vector<std::uint64_t>& at) {
   const std::uint64_t n_b = batch.size();
+  const std::span<const Edge> old = merged.subspan(n_b);
+  const std::uint64_t n_old = old.size();
   const std::uint32_t ways = p.tasklets;
   std::vector<std::uint64_t> old_split(ways + 1, 0);
   std::vector<std::uint64_t> batch_split(ways + 1, 0);
@@ -579,19 +517,22 @@ void merge_with_flags(Dpu& dpu, const KernelParams& p,
     batch_split[w] = std::max(batch_split[w], batch_split[w - 1]);
   }
 
-  // The merge: copy S* runs between the batch records' insertion points.
-  merged.resize(n_old + n_b);
-  flags.assign(n_old + n_b, 0);
-  auto from = old.begin();
-  auto out = merged.begin();
-  for (const Edge& b : batch) {
-    const auto to = std::upper_bound(from, old.end(), b);
+  // The merge: move S* runs forward to the batch records' insertion
+  // points.  After k batch records the output sits n_b - k records behind
+  // the unread S* records, so it never overwrites one, and after the last
+  // the rest of S* is already in place.
+  at.resize(n_b);
+  Edge* const base = merged.data();
+  Edge* out = base;
+  const Edge* from = old.data();
+  const Edge* const old_end = old.data() + n_old;
+  for (std::uint64_t k = 0; k < n_b; ++k) {
+    const Edge* const to = std::upper_bound(from, old_end, batch[k]);
     out = std::copy(from, to, out);
-    flags[static_cast<std::size_t>(out - merged.begin())] = 1;
-    *out++ = b;
+    at[k] = static_cast<std::uint64_t>(out - base);
+    *out++ = batch[k];
     from = to;
   }
-  std::copy(from, old.end(), out);
 
   dpu.wram().reset();
   dpu.parallel(p.tasklets, [&](Tasklet& t) {
@@ -610,29 +551,33 @@ void merge_with_flags(Dpu& dpu, const KernelParams& p,
   });
 }
 
-/// Counts new triangles over the merged arc array `sorted` (S*, with its
-/// new-flags `flags`): for each new canonical edge e = (u,v) of the sorted
-/// batch arcs `batch`, intersect the full adjacency regions of u and v
-/// through the shared adaptive machinery; every common neighbor w closes a
-/// triangle, counted iff each of the other two edges is old or a
-/// lexicographically smaller new edge — every new triangle lands exactly
-/// once, at its largest new edge.  Reversed batch arcs are skipped so each
-/// new edge is processed once.
+/// Counts new triangles over the merged arc array `sorted` (S*, whose
+/// batch arcs sit at the ascending positions `at`): for each new canonical
+/// edge e = (u,v) of the sorted batch arcs `batch`, intersect the full
+/// adjacency regions of u and v through the shared adaptive machinery;
+/// every common neighbor w closes a triangle, counted iff each of the
+/// other two edges is old or a lexicographically smaller new edge — every
+/// new triangle lands exactly once, at its largest new edge.  Reversed
+/// batch arcs are skipped so each new edge is processed once.  The lookups
+/// resolve through `keys`, the launch's key list over S*'s `num_regions`
+/// regions.
 std::uint64_t count_incremental(Dpu& dpu, const KernelParams& p,
                                 std::span<const Edge> sorted,
-                                std::span<const std::uint8_t> flags,
-                                std::span<const RegionEntry> regions,
+                                std::span<const std::uint64_t> at,
+                                std::uint64_t num_regions,
+                                std::span<const KeyRegion> keys,
                                 RegionCache& cache,
                                 std::span<const Edge> batch,
                                 IntersectTally& tally) {
   const std::uint64_t n_b = batch.size();
   std::vector<std::uint64_t> partial(p.tasklets, 0);
   std::vector<IntersectTally> tallies(p.tasklets);
+  const auto is_new = [at](std::uint64_t i) {
+    return std::binary_search(at.begin(), at.end(), i);
+  };
 
-  // Two lookups per new edge, so n_b per launch: the host's node index pays
-  // off only when they outnumber the regions.
-  cache.build(dpu, p.tasklets, p.buffer_edges, regions, sorted.size(),
-              p.region_cache, /*indexed=*/n_b >= regions.size());
+  cache.build(dpu, p.tasklets, p.buffer_edges, num_regions, keys,
+              p.region_cache);
 
   dpu.wram().reset();
   dpu.parallel(p.tasklets, [&](Tasklet& t) {
@@ -654,24 +599,24 @@ std::uint64_t count_incremental(Dpu& dpu, const KernelParams& p,
         const Edge e = batch[i];
         instr += Cost::loop_overhead;
         if (e.u >= e.v) continue;  // process each new edge once
+        // Both endpoints are first nodes of batch arcs, so on the key list.
         const Region ru = find_region(cache, e.u, instr, dma);
-        if (!ru.found()) continue;  // cannot happen: e itself is in S*
         const Region rv = find_region(cache, e.v, instr, dma);
-        if (!rv.found()) continue;
 
         // Triangle (e.u, e.v, w) with w the matched second endpoint; e is
         // new by construction.  Count here only if neither other edge is a
         // lexicographically larger new edge (that edge's own pass owns the
         // triangle).  Matches are rare, so new-flags are fetched lazily per
         // match (two 1-byte reads, each one 8-byte transfer) instead of
-        // streamed alongside the edges.
+        // streamed alongside the edges; the host searches the batch arcs'
+        // positions instead.
         intersect_regions(
             p.intersect, sorted, ru, rv, p.buffer_edges, tl, instr, dma,
             [&](std::uint64_t ia, const Edge& ea, std::uint64_t ib,
                 const Edge& eb) {
               dma.add(2, 2 * pim::PimSystemConfig::dma_alignment_bytes);
-              const bool blocked_a = flags[ia] != 0 && e < ea.canonical();
-              const bool blocked_b = flags[ib] != 0 && e < eb.canonical();
+              const bool blocked_a = e < ea.canonical() && is_new(ia);
+              const bool blocked_b = e < eb.canonical() && is_new(ib);
               if (!blocked_a && !blocked_b) ++count;
               instr += 4;
             });
@@ -691,7 +636,7 @@ std::uint64_t count_incremental(Dpu& dpu, const KernelParams& p,
 
 /// Charges zeroing the `n` flag bytes (parallel chunked writes), which
 /// leaves them zero between launches.  MRAM already holds the zeros: the
-/// flags live in the launch's host copy.
+/// host never writes the flags, and finds a batch arc by its position.
 void clear_flags(Dpu& dpu, const KernelParams& p, std::uint64_t n) {
   const std::uint64_t buffer = p.buffer_edges * 8ull;
   dpu.wram().reset();
@@ -796,12 +741,15 @@ void run_count_kernel(pim::Dpu& dpu, const KernelParams& params_in) {
   copy_remap(dpu, params, remap, 0, n, /*arcs=*/false, s.work);
   external_sort(dpu, params, s.work, s);
 
-  build_regions(dpu, params, s.work, s.regions);
-  meta.num_regions = s.regions.size();
+  std::vector<std::uint64_t> counts(params.tasklets);
+  const std::span<const RegionEntry> regions =
+      build_regions(s.work, counts, s.regions);
+  charge_region_index(dpu, params.buffer_edges, s.work.size(), counts);
+  meta.num_regions = regions.size();
   IntersectTally tally;
   const std::uint64_t instr0 = dpu.total_instructions();
   meta.triangle_count =
-      count_full(dpu, params, s.work, s.regions, s.cache, tally);
+      count_full(dpu, params, s.work, regions, s.cache, tally);
   store_tally(meta, tally, dpu.total_instructions() - instr0);
 
   if (meta.flags & DpuMeta::kFlagPersistSorted) {
@@ -845,26 +793,31 @@ void run_incremental_kernel(pim::Dpu& dpu, const KernelParams& params_in) {
   copy_remap(dpu, params, remap, n_old, n, /*arcs=*/true, s.work);
   external_sort(dpu, params, s.work, s);
 
-  // 2. merge S* + batch arcs (with new-flags), then install the result as
-  //    the new S*.  The sorted batch survives in s.work for the counting
-  //    pass.
-  s.old_arcs.resize(2 * n_old);
-  dpu.mram().read(sorted, s.old_arcs.data(), s.old_arcs.size() * sizeof(Edge));
-  merge_with_flags(dpu, params, s.old_arcs, s.work, s.merged, s.flags);
+  // 2. read S* into the back of the merged buffer, merge the batch arcs in
+  //    place, and install the result as the new S*.  The sorted batch
+  //    survives in s.work for the counting pass.
+  s.merged.resize(2 * n);
+  dpu.mram().read(sorted, s.merged.data() + 2 * n_b,
+                  2 * n_old * sizeof(Edge));
+  merge_batch(dpu, params, s.work, s.merged, s.at);
   copy_edges(dpu, params, s.merged, sorted);
   meta.sorted_size = n;
 
-  // 3. rebuild the region index over the merged S*.
-  build_regions(dpu, params, s.merged, s.regions);
-  meta.num_regions = s.regions.size();
+  // 3. index the merged S*: count its regions and resolve the batch's
+  //    endpoints, charged as building the region index.
+  std::vector<std::uint64_t> counts(params.tasklets);
+  meta.num_regions =
+      resolve_batch_keys(s.merged, s.work, s.at, counts, s.keys);
+  charge_region_index(dpu, params.buffer_edges, s.merged.size(), counts);
 
   // 4. count the delta, 5. clear the flags for the next round.
   IntersectTally tally;
   const std::uint64_t instr0 = dpu.total_instructions();
-  const std::uint64_t delta = count_incremental(
-      dpu, params, s.merged, s.flags, s.regions, s.cache, s.work, tally);
+  const std::uint64_t delta =
+      count_incremental(dpu, params, s.merged, s.at, meta.num_regions, s.keys,
+                        s.cache, s.work, tally);
   store_tally(meta, tally, dpu.total_instructions() - instr0);
-  clear_flags(dpu, params, s.flags.size());
+  clear_flags(dpu, params, s.merged.size());
 
   meta.triangle_count += delta;
   write_meta(dpu, meta);

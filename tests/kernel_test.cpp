@@ -770,44 +770,225 @@ TEST(RegionCacheTest, LookupsMatchLowerBound) {
         keys.push_back(e.node - 1);
         keys.push_back(e.node + 1);
       }
+      std::sort(keys.begin(), keys.end());
+      keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
+      // The second side: a key list over the same keys, absent ones
+      // included, ranked by std::lower_bound over the whole table.
+      std::vector<KeyRegion> listed;
+      for (const NodeId key : keys) {
+        const std::uint64_t r = static_cast<std::uint64_t>(
+            std::lower_bound(regions.begin(), regions.end(), key,
+                             [](const RegionEntry& e, NodeId k) {
+                               return e.node < k;
+                             }) -
+            regions.begin());
+        KeyRegion k{key, r, {}};
+        if (r < regions.size() && regions[r].node == key) {
+          k.region = {regions[r].begin,
+                      r + 1 < regions.size() ? regions[r + 1].begin : n};
+        }
+        listed.push_back(k);
+      }
       for (const bool enabled : {false, true}) {
         pim::Dpu dpu(test_config(), 0);
         RegionCache indexed;
-        RegionCache searched;
-        indexed.build(dpu, 16, 64, regions, n, enabled, /*indexed=*/true);
-        searched.build(dpu, 16, 64, regions, n, enabled, /*indexed=*/false);
-        for (const NodeId key : keys) {
-          const std::uint64_t r = static_cast<std::uint64_t>(
-              std::lower_bound(regions.begin(), regions.end(), key,
-                               [](const RegionEntry& e, NodeId k) {
-                                 return e.node < k;
-                               }) -
-              regions.begin());
+        RegionCache by_list;
+        indexed.build(dpu, 16, 64, regions, n, enabled);
+        by_list.build(dpu, 16, 64, regions.size(), listed, enabled);
+        for (const KeyRegion& want : listed) {
+          const NodeId key = want.node;
           const std::string what = name + (tail ? "+tail" : "") +
                                    (enabled ? " cached" : " uncached") +
                                    " key=" + std::to_string(key);
           std::uint64_t instr_i = 0;
-          std::uint64_t instr_s = 0;
+          std::uint64_t instr_l = 0;
           DmaTally dma_i;
-          DmaTally dma_s;
+          DmaTally dma_l;
           const Region got = find_region(indexed, key, instr_i, dma_i);
-          const Region via_search = find_region(searched, key, instr_s, dma_s);
-          const bool present = r < regions.size() && regions[r].node == key;
-          ASSERT_EQ(got.found(), present) << what;
-          if (present) {
-            EXPECT_EQ(got.begin, regions[r].begin) << what;
-            EXPECT_EQ(got.end,
-                      r + 1 < regions.size() ? regions[r + 1].begin : n)
-                << what;
+          const Region via_list = find_region(by_list, key, instr_l, dma_l);
+          ASSERT_EQ(got.found(), want.region.found()) << what;
+          if (want.region.found()) {
+            EXPECT_EQ(got.begin, want.region.begin) << what;
+            EXPECT_EQ(got.end, want.region.end) << what;
           }
-          // The charge depends on the rank alone, and the searched lookup
-          // takes its rank from std::lower_bound over the whole table: the
-          // indexed lookup must charge the same.
-          ASSERT_EQ(via_search.found(), present) << what;
-          EXPECT_EQ(via_search.begin, got.begin) << what;
-          EXPECT_EQ(instr_s, instr_i) << what;
-          EXPECT_EQ(dma_s.transfers, dma_i.transfers) << what;
-          EXPECT_EQ(dma_s.bytes, dma_i.bytes) << what;
+          // The charge depends on the rank, the key's presence and the
+          // region count alone: the indexed lookup must charge what the
+          // list's lower_bound ranks charge.
+          ASSERT_EQ(via_list.found(), want.region.found()) << what;
+          EXPECT_EQ(via_list.begin, got.begin) << what;
+          EXPECT_EQ(via_list.end, got.end) << what;
+          EXPECT_EQ(instr_l, instr_i) << what;
+          EXPECT_EQ(dma_l.transfers, dma_i.transfers) << what;
+          EXPECT_EQ(dma_l.bytes, dma_i.bytes) << what;
+        }
+        // A key the list does not hold is a logic error.
+        std::uint64_t instr = 0;
+        DmaTally dma;
+        const std::vector<KeyRegion> none;
+        RegionCache empty_list;
+        empty_list.build(dpu, 16, 64, regions.size(), none, enabled);
+        EXPECT_THROW((void)find_region(empty_list, regions[0].node, instr, dma),
+                     std::logic_error)
+            << name;
+      }
+    }
+  }
+}
+
+// ---- incremental region index ---------------------------------------------
+
+/// Both orientations of every edge, sorted.
+std::vector<Edge> sorted_arcs(const std::vector<Edge>& edges) {
+  std::vector<Edge> arcs;
+  for (const Edge& e : edges) {
+    arcs.push_back(e);
+    arcs.push_back(e.reversed());
+  }
+  std::sort(arcs.begin(), arcs.end());
+  return arcs;
+}
+
+/// S* arcs `old` merged with the batch arcs, ties S* first, and the merged
+/// position of every batch arc.
+std::pair<std::vector<Edge>, std::vector<std::uint64_t>> merge_arcs(
+    const std::vector<Edge>& old, const std::vector<Edge>& batch) {
+  std::vector<Edge> merged;
+  std::vector<std::uint64_t> at;
+  std::size_t i = 0;
+  for (const Edge& b : batch) {
+    while (i < old.size() && !(b < old[i])) merged.push_back(old[i++]);
+    at.push_back(merged.size());
+    merged.push_back(b);
+  }
+  merged.insert(merged.end(), old.begin() + static_cast<std::ptrdiff_t>(i),
+                old.end());
+  return {merged, at};
+}
+
+TEST(RegionIndexTest, KeyListMatchesTheTable) {
+  Xoshiro256ss rng(17);
+  const auto edges_between = [&](NodeId lo, NodeId hi, int count) {
+    std::vector<Edge> out;
+    for (int k = 0; k < count; ++k) {
+      const auto u = static_cast<NodeId>(lo + rng.next_below(hi - lo));
+      const auto v = static_cast<NodeId>(lo + rng.next_below(hi - lo));
+      if (u != v) out.push_back({u, v});
+    }
+    return out;
+  };
+  const auto concat = [](std::vector<Edge> a, const std::vector<Edge>& b) {
+    a.insert(a.end(), b.begin(), b.end());
+    return a;
+  };
+  struct Shape {
+    std::string name;
+    std::vector<Edge> old_edges;  ///< S*
+    std::vector<Edge> new_edges;  ///< the batch
+  };
+  std::vector<Shape> shapes;
+  const std::vector<Edge> base = edges_between(10, 300, 900);
+  // Batch nodes S* does not hold, alone and joined to nodes it does.
+  shapes.push_back({"absent", base,
+                    concat(edges_between(500, 520, 15),
+                           {{505, 40}, {519, 299}, {600, 11}})});
+  // Arcs sorting before S*'s first record and after its last one.
+  shapes.push_back({"outside", base, {{1, 2}, {0, 9}, {1000, 1001}, {3, 999}}});
+  // A hub whose region spans many 64-edge stream buffers, with batch arcs
+  // in its middle, at both of its ends and equal to arcs S* holds (ties
+  // merge S* first).
+  std::vector<Edge> hub = base;
+  for (NodeId x = 20; x < 900; x += 2) hub.push_back({7, x});
+  shapes.push_back({"hub", hub,
+                    {{7, 451}, {7, 8}, {7, 2000}, {7, 452}, {7, 20}, {7, 898},
+                     {40, 41}, {12, 13}}});
+  // Remapped hub ids above the last real node, in S* and in the batch.
+  std::vector<Edge> remapped = base;
+  for (std::uint32_t r = 0; r < 4; ++r) {
+    for (NodeId x = 10; x < 300; x += 3 + r) {
+      remapped.push_back({remapped_id(r), x});
+    }
+  }
+  remapped.push_back({remapped_id(0), remapped_id(2)});
+  shapes.push_back({"remapped", remapped,
+                    {{remapped_id(1), 11},
+                     {remapped_id(3), remapped_id(0)},
+                     {remapped_id(5), 50},
+                     {remapped_id(2), 299},
+                     {12, 299}}});
+  // An empty S*: the batch is the whole merged array.
+  shapes.push_back({"no-old", {}, edges_between(0, 40, 60)});
+  // A random batch over S*'s nodes, some of its edges already there.
+  std::vector<Edge> mixed = edges_between(10, 320, 120);
+  mixed.push_back(base[0]);
+  mixed.push_back(base[1].reversed());
+  shapes.push_back({"mixed", base, mixed});
+
+  // One table reused across shapes: it only grows, so later shapes see
+  // stale entries past their prefix.
+  std::vector<RegionEntry> storage;
+  for (const Shape& shape : shapes) {
+    const std::vector<Edge> old = sorted_arcs(shape.old_edges);
+    const std::vector<Edge> batch = sorted_arcs(shape.new_edges);
+    const auto [merged, at] = merge_arcs(old, batch);
+    std::vector<NodeId> nodes;  // the batch's distinct first nodes
+    for (const Edge& b : batch) {
+      if (nodes.empty() || nodes.back() != b.u) nodes.push_back(b.u);
+    }
+    for (const std::uint32_t tasklets : {1u, 3u, 16u, 24u}) {
+      const std::string what =
+          shape.name + " tasklets=" + std::to_string(tasklets);
+      std::vector<std::uint64_t> table_counts(tasklets, 7);
+      std::vector<std::uint64_t> key_counts(tasklets, 7);
+      const std::span<const RegionEntry> table =
+          build_regions(merged, table_counts, storage);
+      std::vector<KeyRegion> keys = {{3, 3, {}}};  // overwritten
+      const std::uint64_t num =
+          resolve_batch_keys(merged, batch, at, key_counts, keys);
+      EXPECT_EQ(num, table.size()) << what;
+      EXPECT_EQ(key_counts, table_counts) << what;
+      ASSERT_EQ(keys.size(), nodes.size()) << what;
+      for (std::size_t k = 0; k < keys.size(); ++k) {
+        const NodeId node = nodes[k];
+        const auto r = static_cast<std::uint64_t>(
+            std::lower_bound(table.begin(), table.end(), node,
+                             [](const RegionEntry& e, NodeId key) {
+                               return e.node < key;
+                             }) -
+            table.begin());
+        ASSERT_LT(r, table.size()) << what;
+        ASSERT_EQ(table[r].node, node) << what;
+        EXPECT_EQ(keys[k].node, node) << what;
+        EXPECT_EQ(keys[k].rank, r) << what << " node=" << node;
+        EXPECT_EQ(keys[k].region.begin, table[r].begin)
+            << what << " node=" << node;
+        EXPECT_EQ(keys[k].region.end,
+                  r + 1 < table.size() ? table[r + 1].begin : merged.size())
+            << what << " node=" << node;
+      }
+
+      // Every lookup of the launch charges the same through either form.
+      for (const bool enabled : {false, true}) {
+        pim::Dpu dpu(test_config(), 0);
+        RegionCache by_table;
+        RegionCache by_keys;
+        by_table.build(dpu, tasklets, 64, table, merged.size(), enabled);
+        by_keys.build(dpu, tasklets, 64, num, keys, enabled);
+        for (const NodeId node : nodes) {
+          std::uint64_t instr_t = 0;
+          std::uint64_t instr_k = 0;
+          DmaTally dma_t;
+          DmaTally dma_k;
+          const Region via_table = find_region(by_table, node, instr_t, dma_t);
+          const Region via_keys = find_region(by_keys, node, instr_k, dma_k);
+          const std::string at_node = what + (enabled ? " cached" : "") +
+                                      " node=" + std::to_string(node);
+          ASSERT_TRUE(via_table.found()) << at_node;
+          ASSERT_TRUE(via_keys.found()) << at_node;
+          EXPECT_EQ(via_keys.begin, via_table.begin) << at_node;
+          EXPECT_EQ(via_keys.end, via_table.end) << at_node;
+          EXPECT_EQ(instr_k, instr_t) << at_node;
+          EXPECT_EQ(dma_k.transfers, dma_t.transfers) << at_node;
+          EXPECT_EQ(dma_k.bytes, dma_t.bytes) << at_node;
         }
       }
     }
