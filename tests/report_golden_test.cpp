@@ -13,8 +13,8 @@
 // hides it.
 // On a deliberate model change, replace the golden file with the actual text
 // the failure message prints.  ThreadLayoutTest renders the same lines for
-// one exact session under several host thread layouts and requires them to
-// agree (host_threads aside).
+// an exact session and for an incremental one under several host thread
+// layouts and requires them to agree (host_threads aside).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -431,6 +431,57 @@ TEST(ThreadLayoutTest, ExactDeviceStateIndependentOfHostThreads) {
   EXPECT_EQ(run(4, false, false), reference);
   EXPECT_EQ(run(0, true, true), reference);
   EXPECT_EQ(run(0, false, true), reference);
+}
+
+TEST(ThreadLayoutTest, IncrementalBatchesIndependentOfHostThreads) {
+  // Each worker thread reuses the incremental kernel's host buffers (the
+  // merged arcs, the batch arcs' merged positions, the key list) from bank
+  // to bank and launch to launch.  An insert-only session, a preload and
+  // three batches that every core counts incrementally, must leave the same
+  // reports and device state on 1, 3 and 4 host threads and from inside a
+  // pool worker.
+  graph::EdgeList g = graph::gen::barabasi_albert(4000, 5, 31);
+  graph::gen::add_hubs(g, 3, 1000, 32);
+  graph::preprocess(g, 33);
+
+  const auto run = [&](std::uint32_t threads, bool in_task) {
+    engine::EngineConfig cfg = base_config();
+    cfg.host_threads = threads;
+    cfg.incremental = true;
+    const auto eng = engine::make_engine("pim", cfg);
+    std::vector<Line> lines;
+    const auto session = [&] {
+      const std::size_t m = g.num_edges();
+      const std::size_t preload = m / 2;
+      eng->add_edges(g.edges().subspan(0, preload));
+      append_report("preload", eng->recount(), lines);
+      for (std::size_t k = 0; k < 3; ++k) {
+        const std::size_t lo = preload + k * (m - preload) / 3;
+        const std::size_t hi = preload + (k + 1) * (m - preload) / 3;
+        eng->add_edges(g.edges().subspan(lo, hi - lo));
+        const engine::CountReport r = eng->recount();
+        EXPECT_TRUE(r.used_incremental);
+        EXPECT_EQ(r.dirty_full_recounts, 0u);
+        const std::string tag = "batch" + std::to_string(k);
+        append_report(tag, r, lines);
+        append_device(tag, *eng, lines);
+      }
+    };
+    if (in_task) {
+      ThreadPool::global().submit(session).get();
+    } else {
+      session();
+    }
+    std::erase_if(lines, [](const Line& l) {
+      return l.key.ends_with(".host_threads");
+    });
+    return render(lines);
+  };
+
+  const std::string reference = run(1, false);
+  EXPECT_EQ(run(3, false), reference);
+  EXPECT_EQ(run(4, false), reference);
+  EXPECT_EQ(run(0, true), reference);
 }
 
 }  // namespace
