@@ -89,11 +89,12 @@ std::uint64_t resolve_batch_keys(std::span<const Edge> sorted,
                                  std::span<std::uint64_t> counts,
                                  std::vector<KeyRegion>& keys) {
   const std::uint64_t n = sorted.size();
-  const auto below = [](const Edge& e, NodeId key) { return e.u < key; };
-  // Batch arcs [k, j) share first node x.  Ties merge S* first, so x's S*
-  // arcs may sit on both sides of its batch arcs: its region begins at or
-  // before at[k] and ends after at[j - 1].  Gallop out from each, then
-  // binary search the last step.
+  const auto it = [&](std::uint64_t i) {
+    return sorted.begin() + static_cast<std::ptrdiff_t>(i);
+  };
+  // Batch arcs [k, j) share first node x, and x's S* arcs may sit before,
+  // between and after them: x's region begins at or before at[k] and ends
+  // after at[j - 1].  Gallop out from each, then search the last step.
   keys.clear();
   for (std::uint64_t k = 0; k < batch.size();) {
     const NodeId x = batch[k].u;
@@ -101,29 +102,19 @@ std::uint64_t resolve_batch_keys(std::span<const Edge> sorted,
     while (j < batch.size() && batch[j].u == x) ++j;
     std::uint64_t hi = at[k];
     std::uint64_t step = 1;
-    while (step <= hi && sorted[hi - step].u == x) {
-      hi -= step;
-      step *= 2;
-    }
-    const std::uint64_t begin = static_cast<std::uint64_t>(
-        std::lower_bound(sorted.begin() + static_cast<std::ptrdiff_t>(
-                                              step <= hi ? hi - step + 1 : 0),
-                         sorted.begin() + static_cast<std::ptrdiff_t>(hi), x,
-                         below) -
-        sorted.begin());
+    for (; step <= hi && sorted[hi - step].u == x; step *= 2) hi -= step;
+    const auto first = std::partition_point(
+        it(step <= hi ? hi - step + 1 : 0), it(hi),
+        [x](const Edge& e) { return e.u < x; });
     std::uint64_t lo = at[j - 1];
     step = 1;
-    while (step < n - lo && sorted[lo + step].u == x) {
-      lo += step;
-      step *= 2;
-    }
-    const std::uint64_t end = static_cast<std::uint64_t>(
-        std::upper_bound(sorted.begin() + static_cast<std::ptrdiff_t>(lo + 1),
-                         sorted.begin() +
-                             static_cast<std::ptrdiff_t>(std::min(n, lo + step)),
-                         x, [](NodeId key, const Edge& e) { return key < e.u; }) -
-        sorted.begin());
-    keys.push_back({x, 0, {begin, end}});
+    for (; step < n - lo && sorted[lo + step].u == x; step *= 2) lo += step;
+    const auto last = std::partition_point(
+        it(lo + 1), it(std::min(n, lo + step)),
+        [x](const Edge& e) { return e.u == x; });
+    keys.push_back({x, 0,
+                    {static_cast<std::uint64_t>(first - sorted.begin()),
+                     static_cast<std::uint64_t>(last - sorted.begin())}});
     k = j;
   }
 
@@ -298,7 +289,8 @@ KeyRegion RegionCache::resolve(NodeId key) const {
   const std::uint64_t r = rank_of(key);
   const std::uint64_t num = regions_.size();
   if (r >= num || regions_[r].node != key) return {key, r, {}};
-  return {key, r, {regions_[r].begin, r + 1 < num ? regions_[r + 1].begin : n_}};
+  return {key, r,
+          {regions_[r].begin, r + 1 < num ? regions_[r + 1].begin : n_}};
 }
 
 void RegionCache::charge_lookup(std::uint64_t r, bool present,

@@ -224,7 +224,8 @@ std::uint64_t resolve_batch_keys(std::span<const Edge> sorted,
 /// counting its region starts, then writing their RegionEntry records at
 /// offsets from an exclusive prefix over the counts (tasklet-0 work).
 void charge_region_index(pim::Dpu& dpu, std::uint32_t buffer_edges,
-                         std::uint64_t n, std::span<const std::uint64_t> counts);
+                         std::uint64_t n,
+                         std::span<const std::uint64_t> counts);
 
 /// Shared WRAM cache of every k-th region-table entry.  A lookup binary
 /// searches the cache with WRAM-speed instructions, leaving only ~log2(k)
@@ -301,7 +302,7 @@ class RegionCache {
   NodeId base_ = 0;
   NodeId top_ = 0;
   unsigned shift_ = 0;
-  std::vector<std::uint8_t> steps_;  ///< cache_steps table, with the table
+  std::vector<std::uint8_t> steps_;  ///< cache_steps table, for table lookups
 };
 
 /// Region bounds of `key` (end = next region's begin, or n); not-found

@@ -608,8 +608,8 @@ std::uint64_t count_incremental(Dpu& dpu, const KernelParams& p,
         // lexicographically larger new edge (that edge's own pass owns the
         // triangle).  Matches are rare, so new-flags are fetched lazily per
         // match (two 1-byte reads, each one 8-byte transfer) instead of
-        // streamed alongside the edges; the host searches the batch arcs'
-        // positions instead.
+        // streamed alongside the edges.  The host tells a new arc by its
+        // merged position.
         intersect_regions(
             p.intersect, sorted, ru, rv, p.buffer_edges, tl, instr, dma,
             [&](std::uint64_t ia, const Edge& ea, std::uint64_t ib,
