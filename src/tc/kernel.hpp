@@ -21,8 +21,8 @@
 // Incremental kernel (dynamic updates; requires a valid S*):
 //   1. remap+copy+sort the new batch (sample[sorted_size..sample_size)),
 //   2. merge S* with the sorted batch in one streaming pass, marking batch
-//      entries in the new-flags array,
-//   3. rebuild the region index,
+//      entries in the new-flags array, and persist the result as S*,
+//   3. rebuild the region index over the merged S*,
 //   4. for every new edge e, merge the *full* regions of its endpoints and
 //      count a matching triangle iff each of the other two edges is either
 //      old or a new edge lexicographically smaller than e — every new
@@ -38,8 +38,15 @@
 // search).  Only state that outlives a launch reaches MRAM: the control
 // block and S*.  Scratch (the remap copy, sort buffers, region index,
 // merged arcs and flags) stays on the host, though MramLayout still sizes
-// it.  tests/golden/kernel_state.golden pins the charges and the live
-// state.
+// it.  The incremental kernel's host copies are the merged arcs alone: it
+// reads S* into their back and merges the batch forward in place, keeps
+// the batch arcs' merged positions instead of flags, and builds no region
+// table.  Step 3 is one counting pass over the merged arcs that yields
+// the region count, each tasklet block's region starts (all the index
+// charge needs) and the rank of every batch endpoint, whose region is
+// found by galloping out from its batch arcs (tc::resolve_batch_keys);
+// step 4 looks up only those endpoints.  tests/golden/kernel_state.golden
+// pins the charges and the live state.
 #pragma once
 
 #include "pim/dpu.hpp"
