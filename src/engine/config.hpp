@@ -71,7 +71,7 @@ struct EngineConfig {
   /// Misra-Gries high-degree remapping (paper Section 3.5).
   bool misra_gries_enabled = false;
   std::uint32_t mg_capacity = 1024;  ///< K: counters per host-thread summary
-  std::uint32_t mg_top = 16;         ///< t: nodes remapped on the PIM cores
+  std::uint32_t mg_top = 32;         ///< t: nodes remapped on the PIM cores
 
   /// Degree-ordered remap (requires misra_gries_enabled): remap the top
   /// min(mg_capacity, kMaxRemap) tracked nodes ordered by estimated degree

@@ -1,7 +1,5 @@
 #include "pim/fault.hpp"
 
-#include <cmath>
-#include <cstdlib>
 #include <stdexcept>
 #include <string>
 
@@ -12,9 +10,8 @@ namespace {
   throw std::invalid_argument(
       "fault spec: " + what +
       " (expected comma-separated key=value pairs; keys: seed, "
-      "launch-transient, launch-permanent, rank-outage, corrupt, bitflip, "
-      "checksum=on|off, recovery=retry|rematerialize|degrade, max-retries, "
-      "spares, from-step, until-step, backoff-us, checksum-gbps)");
+      "launch-transient, launch-permanent, corrupt, bitflip, "
+      "recovery=retry|rematerialize|degrade, spares)");
 }
 
 double parse_rate(const std::string& key, const std::string& value) {
@@ -32,20 +29,6 @@ double parse_rate(const std::string& key, const std::string& value) {
              "'");
   }
   return rate;
-}
-
-double parse_positive(const std::string& key, const std::string& value) {
-  std::size_t pos = 0;
-  double v = 0.0;
-  try {
-    v = std::stod(value, &pos);
-  } catch (const std::exception&) {
-    bad_spec("'" + key + "' needs a number, got '" + value + "'");
-  }
-  if (pos != value.size() || !std::isfinite(v) || v <= 0.0) {
-    bad_spec("'" + key + "' must be > 0, got '" + value + "'");
-  }
-  return v;
 }
 
 std::uint64_t parse_u64(const std::string& key, const std::string& value) {
@@ -70,12 +53,6 @@ std::uint64_t parse_u64(const std::string& key, const std::string& value) {
   return static_cast<std::uint64_t>(v);
 }
 
-bool parse_bool(const std::string& key, const std::string& value) {
-  if (value == "on" || value == "1" || value == "true") return true;
-  if (value == "off" || value == "0" || value == "false") return false;
-  bad_spec("'" + key + "' must be on|off, got '" + value + "'");
-}
-
 }  // namespace
 
 FaultSpec FaultSpec::parse(const std::string& spec) {
@@ -98,14 +75,10 @@ FaultSpec FaultSpec::parse(const std::string& spec) {
       out.launch_transient = parse_rate(key, value);
     } else if (key == "launch-permanent") {
       out.launch_permanent = parse_rate(key, value);
-    } else if (key == "rank-outage") {
-      out.rank_outage = parse_rate(key, value);
     } else if (key == "corrupt") {
       out.transfer_corrupt = parse_rate(key, value);
     } else if (key == "bitflip") {
       out.mram_bitflip = parse_rate(key, value);
-    } else if (key == "checksum") {
-      out.checksums = parse_bool(key, value);
     } else if (key == "recovery") {
       if (value == "retry") {
         out.recovery = Recovery::kRetry;
@@ -117,28 +90,13 @@ FaultSpec FaultSpec::parse(const std::string& spec) {
         bad_spec("'recovery' must be retry|rematerialize|degrade, got '" +
                  value + "'");
       }
-    } else if (key == "max-retries") {
-      const std::uint64_t v = parse_u64(key, value);
-      if (v > 16) bad_spec("'max-retries' must be <= 16, got '" + value + "'");
-      out.max_retries = static_cast<std::uint32_t>(v);
     } else if (key == "spares") {
       const std::uint64_t v = parse_u64(key, value);
       if (v > 2048) bad_spec("'spares' must be <= 2048, got '" + value + "'");
       out.spare_banks = static_cast<std::uint32_t>(v);
-    } else if (key == "from-step") {
-      out.from_step = parse_u64(key, value);
-    } else if (key == "until-step") {
-      out.until_step = parse_u64(key, value);
-    } else if (key == "backoff-us") {
-      out.backoff_base_s = parse_positive(key, value) * 1e-6;
-    } else if (key == "checksum-gbps") {
-      out.checksum_gb_s = parse_positive(key, value);
     } else {
       bad_spec("unknown key '" + key + "'");
     }
-  }
-  if (out.from_step >= out.until_step) {
-    bad_spec("'from-step' must be below 'until-step'");
   }
   return out;
 }

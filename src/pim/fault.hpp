@@ -1,15 +1,15 @@
 // Deterministic fault injection for the simulated PIM runtime.
 //
-// Real UPMEM deployments see DPU launch failures (transient and permanent),
-// whole-rank outages, and corrupted dpu_push_xfer transfers; TCIM-style
-// in-MRAM residency additionally motivates modeling bit errors on the
-// resident samples.  The simulator models a perfect machine by default (a
-// default-constructed FaultPlan) — this header is the switch that makes it
-// imperfect *reproducibly*:
+// Real UPMEM deployments see DPU launch failures (transient and permanent)
+// and corrupted dpu_push_xfer transfers; TCIM-style in-MRAM residency
+// additionally motivates modeling bit errors on the resident samples.  The
+// simulator models a perfect machine by default (a default-constructed
+// FaultPlan) — this header is the switch that makes it imperfect
+// *reproducibly*:
 //
 //   FaultSpec   the parsed `--inject-faults=` / EngineConfig.fault_spec
-//               string: per-event rates, the fault-stream seed, the
-//               recovery policy and its knobs,
+//               string: per-event rates, the fault-stream seed and the
+//               recovery policy,
 //   FaultPlan   a stateless oracle over the spec: every event is a pure
 //               function of (seed, event kind, step index, unit index)
 //               hashed through mix64, so two runs with the same spec see
@@ -20,8 +20,8 @@
 // "Steps" advance at the serial points of the runtime (each bulk transfer
 // and each kernel launch bumps PimSystem's step counter; each recount bumps
 // the counter-level epoch used for MRAM bit flips), which is what makes the
-// draws reproducible.  FaultStats is the recovery ledger surfaced through
-// CountReport; FaultCounters is the PimSystem-level subset.
+// draws reproducible.  FaultStats is the session's one fault ledger: the
+// PimSystem holds it and the counting host adds its recoveries to it.
 //
 // See DESIGN.md "Fault model & recovery".
 #pragma once
@@ -51,8 +51,6 @@ struct FaultSpec {
   double launch_transient = 0.0;
   /// Per-launch, per-DPU probability the DPU dies permanently.
   double launch_permanent = 0.0;
-  /// Per-launch, per-rank probability the whole rank dies permanently.
-  double rank_outage = 0.0;
   /// Per-transfer, per-DPU probability a bulk scatter/gather span is hit by
   /// a single-bit wire corruption.
   double transfer_corrupt = 0.0;
@@ -60,52 +58,36 @@ struct FaultSpec {
   /// MRAM sample.
   double mram_bitflip = 0.0;
 
-  /// XXH64 payload checksums on bulk transfers + resident-sample scrubbing:
-  /// when on, corruption is always detected (and repaired when possible) at
-  /// a modeled cost; when off, corruption silently reaches the estimator.
-  bool checksums = true;
-
   Recovery recovery = Recovery::kRematerialize;
-  /// Capped exponential-backoff retries for transient launch faults.
-  std::uint32_t max_retries = 3;
   /// Spare DPUs allocated beyond the triplet count for re-materialization
   /// (clamped to the machine's max_dpus; kRematerialize only).
   std::uint32_t spare_banks = 16;
 
-  /// Step window: events only fire at step/epoch indices in
-  /// [from_step, until_step).
-  std::uint64_t from_step = 0;
-  std::uint64_t until_step = ~0ull;
-
-  /// First retry backoff (doubles per attempt), charged to the count phase.
-  double backoff_base_s = 50e-6;
-  /// Modeled checksum compute+verify rate for the detection cost.
-  double checksum_gb_s = 10.0;
-
   /// Parses "key=value,key=value,..." (keys: seed, launch-transient,
-  /// launch-permanent, rank-outage, corrupt, bitflip, checksum=on|off,
-  /// recovery=retry|rematerialize|degrade, max-retries, spares, from-step,
-  /// until-step, backoff-us, checksum-gbps).  Throws std::invalid_argument
-  /// naming the offending key.  An empty string is "injection off" and is
-  /// rejected here — callers gate on emptiness before parsing.
+  /// launch-permanent, corrupt, bitflip, recovery=retry|rematerialize|degrade,
+  /// spares).  Throws std::invalid_argument naming the offending key.  An
+  /// empty string is "injection off" and is rejected here — callers gate on
+  /// emptiness before parsing.
   [[nodiscard]] static FaultSpec parse(const std::string& spec);
 
   [[nodiscard]] const char* recovery_name() const noexcept;
 };
 
-/// PimSystem-level fault/detection tallies (cumulative since construction).
-struct FaultCounters {
-  std::uint64_t launch_transients = 0;
-  std::uint64_t dead_dpus = 0;
-  std::uint64_t rank_outages = 0;
-  std::uint64_t transfer_corruptions = 0;
-  std::uint64_t transfer_retries = 0;
-  std::uint64_t checksum_bytes = 0;
-  double detection_s = 0.0;
-};
+/// Transient launch failures are retried at most this many times (not at
+/// all under kDegrade) before the bank counts as unusable.
+inline constexpr std::uint32_t kMaxLaunchRetries = 3;
+/// First retry backoff, doubling per attempt, charged to the count phase.
+inline constexpr double kFirstBackoffS = 50e-6;
+/// Modeled XXH64 compute+verify rate of the transfer checksums and the
+/// resident-sample scrub (10 GB/s).
+inline constexpr double kChecksumBytesPerS = 10e9;
 
-/// The recovery ledger of one counting session, surfaced through
-/// CountReport::faults (CLI text + JSON, serve stats).
+/// The fault ledger of one counting session, cumulative since its
+/// PimSystem was built: the machine counts launch faults, wire corruptions
+/// and checksummed bytes, and the counting host adds its recoveries.
+/// Surfaced through CountReport::faults (CLI text + JSON, serve stats),
+/// where the host also fills in the estimate's health (the first four
+/// fields and dropped_triplets).
 struct FaultStats {
   bool injected = false;   ///< a fault plan was active
   bool degraded = false;   ///< triplets were lost; the estimate is reweighted
@@ -115,9 +97,7 @@ struct FaultStats {
   std::uint64_t launch_transients = 0;
   std::uint64_t launch_retries = 0;  ///< bank launches retried after backoff
   std::uint64_t dead_dpus = 0;
-  std::uint64_t rank_outages = 0;
-  std::uint64_t rematerializations = 0;  ///< dead banks restored from mirror
-  std::uint64_t migrations = 0;          ///< placement patches onto spares
+  std::uint64_t rematerializations = 0;  ///< dead banks restored onto spares
   std::uint64_t dropped_triplets = 0;    ///< lost contributions (degraded)
   std::uint64_t transfer_corruptions = 0;
   std::uint64_t transfer_retries = 0;
@@ -134,12 +114,15 @@ struct FaultStats {
 class FaultPlan {
  public:
   /// The perfect machine, which every PimSystem holds unless given a spec:
-  /// all rates zero (no draw ever fires) and checksums off (no detection
-  /// cost is charged).
-  FaultPlan() noexcept { spec_.checksums = false; }
-  explicit FaultPlan(FaultSpec spec) noexcept : spec_(spec) {}
+  /// all rates zero (no draw ever fires) and unarmed (no detection cost is
+  /// charged).
+  FaultPlan() noexcept = default;
+  /// An armed plan: it checksums every bulk transfer, and charges that at
+  /// kChecksumBytesPerS even when all rates are zero.
+  explicit FaultPlan(FaultSpec spec) noexcept : spec_(spec), armed_(true) {}
 
   [[nodiscard]] const FaultSpec& spec() const noexcept { return spec_; }
+  [[nodiscard]] bool armed() const noexcept { return armed_; }
 
   [[nodiscard]] bool launch_transient(std::uint64_t step,
                                       std::uint32_t dpu) const noexcept {
@@ -148,10 +131,6 @@ class FaultPlan {
   [[nodiscard]] bool launch_permanent(std::uint64_t step,
                                       std::uint32_t dpu) const noexcept {
     return fire(kLaunchPermanent, step, dpu, spec_.launch_permanent);
-  }
-  [[nodiscard]] bool rank_outage(std::uint64_t step,
-                                 std::uint32_t rank) const noexcept {
-    return fire(kRankOutage, step, rank, spec_.rank_outage);
   }
   [[nodiscard]] bool transfer_corrupt(std::uint64_t step,
                                       std::uint32_t dpu) const noexcept {
@@ -172,10 +151,10 @@ class FaultPlan {
   }
 
  private:
+  // The values seed the draws: renumbering a kind changes its fault stream.
   enum Kind : std::uint64_t {
     kLaunchTransient = 1,
     kLaunchPermanent = 2,
-    kRankOutage = 3,
     kTransferCorrupt = 4,
     kMramBitflip = 5,
     kCorruptBit = 6,
@@ -191,7 +170,6 @@ class FaultPlan {
   [[nodiscard]] bool fire(std::uint64_t kind, std::uint64_t step,
                           std::uint64_t unit, double rate) const noexcept {
     if (rate <= 0.0) return false;
-    if (step < spec_.from_step || step >= spec_.until_step) return false;
     // Top 53 bits -> a uniform draw in [0, 1).
     const double u =
         static_cast<double>(draw(kind, step, unit) >> 11) * 0x1.0p-53;
@@ -199,6 +177,7 @@ class FaultPlan {
   }
 
   FaultSpec spec_;
+  bool armed_ = false;
 };
 
 }  // namespace pimtc::pim

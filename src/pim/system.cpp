@@ -64,14 +64,13 @@ double PimSystem::charge_bulk(std::span<const std::uint64_t> per_dpu_bytes,
   if (payload == 0) return 0.0;  // nothing staged anywhere: no driver call
 
   double seconds = config_.bulk_transfer_seconds(wire, active_ranks, push);
-  if (fault_plan_.spec().checksums) {
+  if (fault_plan_.armed()) {
     // XXH64 over the payload on both ends of the wire — the detection cost
-    // of checksummed transfers, modeled at the configured rate.
-    const double detect_s = static_cast<double>(payload) /
-                            (fault_plan_.spec().checksum_gb_s * 1e9);
+    // of checksummed transfers.
+    const double detect_s = static_cast<double>(payload) / kChecksumBytesPerS;
     seconds += detect_s;
-    fault_counters_.checksum_bytes += payload;
-    fault_counters_.detection_s += detect_s;
+    fault_stats_.checksum_bytes += payload;
+    fault_stats_.detection_s += detect_s;
   }
   TransferStats& s = stats_;
   if (push) {
@@ -111,12 +110,11 @@ void flip_bit(Dpu& /*dpu*/, const GatherSpan& s, std::uint64_t bit) {
 
 }  // namespace
 
-// Single-bit wire corruption is drawn per span after the transfer.  With
-// checksums the mismatch is always caught and the hit spans are moved again
+// Single-bit wire corruption is drawn per span after the transfer.  The
+// checksums always catch the mismatch and the hit spans are moved again
 // (each repair round is charged and redrawn, so a repair can itself be
-// hit); without checksums the corruption stays, silently.  The round cap
-// only matters at corruption rates near 1.0 — the last repair is then taken
-// as delivered.
+// hit).  The round cap only matters at corruption rates near 1.0 — the last
+// repair is then taken as delivered.
 template <typename Span>
 double PimSystem::transfer(std::span<const Span> spans,
                            double PhaseTimes::* phase) {
@@ -144,17 +142,15 @@ double PimSystem::transfer(std::span<const Span> spans,
       if (bytes[d] == 0 || !fault_plan_.transfer_corrupt(step, d)) continue;
       flip_bit(*dpus_[d], spans[d],
                fault_plan_.corrupt_bit(step, d, spans[d].bytes * 8));
-      ++fault_counters_.transfer_corruptions;
-      if (fault_plan_.spec().checksums) {
-        redo[d] = spans[d].bytes;
-        any = true;
-      }
+      ++fault_stats_.transfer_corruptions;
+      redo[d] = spans[d].bytes;
+      any = true;
     }
     if (!any) break;
     for (std::uint32_t d = 0; d < num_dpus(); ++d) {
       if (redo[d] == 0) continue;
       copy_span(*dpus_[d], spans[d]);
-      ++fault_counters_.transfer_retries;
+      ++fault_stats_.transfer_retries;
     }
     repair_s += charge_bulk(redo, kPush, phase);
     bytes.swap(redo);  // only the repaired spans can be hit again
@@ -190,23 +186,6 @@ PimSystem::LaunchReport PimSystem::launch(
   LaunchReport report;
   if (dpu_ids.empty()) return report;
   const std::uint64_t step = fault_step_++;
-  // Whole-rank outages first: a rank touched by this launch can die, taking
-  // every bank in it — listed in this launch or not.
-  std::vector<std::uint8_t> touched(num_ranks(), 0);
-  for (const std::uint32_t id : dpu_ids) touched[rank_of(id)] = 1;
-  for (std::uint32_t r = 0; r < touched.size(); ++r) {
-    if (!touched[r] || !fault_plan_.rank_outage(step, r)) continue;
-    const std::uint32_t lo = r * config_.dpus_per_rank;
-    const std::uint32_t hi = std::min(num_dpus(), lo + config_.dpus_per_rank);
-    bool newly_dead = false;
-    for (std::uint32_t d = lo; d < hi; ++d) {
-      if (dead_[d]) continue;
-      dead_[d] = 1;
-      ++fault_counters_.dead_dpus;
-      newly_dead = true;
-    }
-    if (newly_dead) ++fault_counters_.rank_outages;
-  }
   std::vector<std::uint32_t> run;
   run.reserve(dpu_ids.size());
   for (const std::uint32_t id : dpu_ids) {
@@ -214,10 +193,10 @@ PimSystem::LaunchReport PimSystem::launch(
       report.dead.push_back(id);
     } else if (fault_plan_.launch_permanent(step, id)) {
       dead_[id] = 1;
-      ++fault_counters_.dead_dpus;
+      ++fault_stats_.dead_dpus;
       report.dead.push_back(id);
     } else if (fault_plan_.launch_transient(step, id)) {
-      ++fault_counters_.launch_transients;
+      ++fault_stats_.launch_transients;
       report.transient.push_back(id);
     } else {
       report.ok.push_back(id);

@@ -135,13 +135,12 @@ class PimSystem {
   };
 
   /// Runs `kernel(dpu)` on the listed DPUs (host-thread parallel) under the
-  /// fault plan: rank outages and per-bank launch faults are drawn for this
-  /// launch step, the kernel runs only on the surviving banks, and the rest
-  /// are reported; callers own the recovery policy (see
-  /// tc::PimTriangleCounter).  Simulated duration = launch overhead + max
-  /// over ranks of (per-rank boot skew + the slowest kernel in the rank);
-  /// accumulated into `phase`.  An out-of-range id throws
-  /// std::invalid_argument before any state changes.
+  /// fault plan: per-bank launch faults are drawn for this launch step, the
+  /// kernel runs only on the surviving banks, and the rest are reported;
+  /// callers own the recovery policy (see tc::PimTriangleCounter).
+  /// Simulated duration = launch overhead + max over ranks of (per-rank boot
+  /// skew + the slowest kernel in the rank); accumulated into `phase`.  An
+  /// out-of-range id throws std::invalid_argument before any state changes.
   LaunchReport launch(std::span<const std::uint32_t> dpu_ids,
                       const std::function<void(Dpu&)>& kernel,
                       double PhaseTimes::* phase);
@@ -153,9 +152,13 @@ class PimSystem {
     return dead_[i] != 0;
   }
   [[nodiscard]] std::uint32_t dead_dpu_count() const noexcept;
-  [[nodiscard]] const FaultCounters& fault_counters() const noexcept {
-    return fault_counters_;
+  /// The session's fault ledger.  The machine counts launch faults, wire
+  /// corruptions and checksummed bytes; the counting host adds its
+  /// recoveries through the mutable overload.
+  [[nodiscard]] const FaultStats& fault_stats() const noexcept {
+    return fault_stats_;
   }
+  [[nodiscard]] FaultStats& fault_stats() noexcept { return fault_stats_; }
 
   [[nodiscard]] const PhaseTimes& times() const noexcept { return times_; }
   /// Zeroes the phase times *and* the transfer diagnostics (both are
@@ -181,7 +184,7 @@ class PimSystem {
 
   FaultPlan fault_plan_;
   std::vector<std::uint8_t> dead_;  ///< per-bank permanent-failure flags
-  FaultCounters fault_counters_;
+  FaultStats fault_stats_;
   /// Serial operation index feeding the deterministic draws: each launch
   /// consumes one step, and so do each bulk transfer and repair round while
   /// transfer corruption is armed.

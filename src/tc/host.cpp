@@ -94,23 +94,23 @@ PimTriangleCounter::PimTriangleCounter(const engine::EngineConfig& config)
   const pim::PimSystemConfig& machine = config_.pim;
   // An empty fault spec is the perfect machine, the default plan: no spare
   // banks and no host mirrors to pay for.
-  const bool armed = !config_.fault_spec.empty();
   const pim::FaultPlan faults =
-      armed ? pim::FaultPlan(pim::FaultSpec::parse(config_.fault_spec))
-            : pim::FaultPlan();
+      config_.fault_spec.empty()
+          ? pim::FaultPlan()
+          : pim::FaultPlan(pim::FaultSpec::parse(config_.fault_spec));
   const pim::FaultSpec& fspec = faults.spec();
   // Always-on mirrors make any bank restorable with zero device reads; both
   // ingest paths maintain them once valid, so the mirror is exact at every
   // point of the stream.
-  mirrors_valid_ =
-      armed && fspec.recovery == pim::FaultSpec::Recovery::kRematerialize;
-  if (mirrors_valid_ &&
-      (fspec.launch_permanent > 0.0 || fspec.rank_outage > 0.0)) {
+  mirrors_valid_ = faults.armed() &&
+                   fspec.recovery == pim::FaultSpec::Recovery::kRematerialize;
+  if (mirrors_valid_ && fspec.launch_permanent > 0.0) {
     // Spare banks are migration targets for dead-bank re-materialization,
-    // clamped to what the machine has beyond the triplet count.  Only
-    // provisioned when some rate can actually kill a bank: idle spares widen
-    // every per-rank padded transfer, which would break the inert-plan
-    // timing-identity guarantee.
+    // clamped to what the machine has beyond the triplet count.  They are
+    // provisioned only when launch-permanent > 0, the one rate that kills a
+    // bank: idle spares widen every per-rank padded transfer, and the golden
+    // `recovered` config (retries, repairs and scrubs, no dead bank) pins
+    // the wire bytes and modeled times of a plan without them.
     const std::uint32_t triplets = plan_.num_triplets();
     const std::uint64_t headroom =
         machine.max_dpus > triplets ? machine.max_dpus - triplets : 0;
@@ -730,6 +730,7 @@ void PimTriangleCounter::launch_kernels(bool persist,
   // moves the triplet to a spare (a full pass rebuilds its sorted arcs) or
   // drops it.  On the perfect machine this is one launch.
   const pim::FaultSpec& spec = system_->fault_plan().spec();
+  pim::FaultStats& ledger = system_->fault_stats();
   std::uint32_t backoff_round = 0;
   std::vector<std::uint32_t> next;
   const auto recover = [&](std::uint32_t bank) {
@@ -745,13 +746,13 @@ void PimTriangleCounter::launch_kernels(bool persist,
     for (const std::uint32_t bank : report.dead) recover(bank);
     if (!report.transient.empty() &&
         spec.recovery != pim::FaultSpec::Recovery::kDegrade &&
-        backoff_round < spec.max_retries) {
+        backoff_round < pim::kMaxLaunchRetries) {
       ++backoff_round;
       const double backoff_s =
-          spec.backoff_base_s * static_cast<double>(1u << (backoff_round - 1));
+          pim::kFirstBackoffS * static_cast<double>(1u << (backoff_round - 1));
       system_->charge_host(backoff_s, &PhaseTimes::count_s);
-      fault_tally_.recovery_s += backoff_s;
-      fault_tally_.launch_retries += report.transient.size();
+      ledger.recovery_s += backoff_s;
+      ledger.launch_retries += report.transient.size();
       next.insert(next.end(), report.transient.begin(),
                   report.transient.end());
     } else {
@@ -882,20 +883,12 @@ void PimTriangleCounter::finish_report(const std::vector<DpuMeta>& metas,
   result.times = system_->times();
   result.transfers = system_->transfer_stats();
 
-  if (!config_.fault_spec.empty()) {
-    pim::FaultStats f = fault_tally_;
+  if (system_->fault_plan().armed()) {
+    pim::FaultStats f = system_->fault_stats();
     f.injected = true;
     f.degraded = lost_triplets > 0;
     f.coverage = coverage;
     f.dropped_triplets = lost_triplets;
-    const pim::FaultCounters& c = system_->fault_counters();
-    f.launch_transients = c.launch_transients;
-    f.dead_dpus = c.dead_dpus;
-    f.rank_outages = c.rank_outages;
-    f.transfer_corruptions = c.transfer_corruptions;
-    f.transfer_retries = c.transfer_retries;
-    f.checksum_bytes = c.checksum_bytes + fault_tally_.checksum_bytes;
-    f.detection_s = c.detection_s + fault_tally_.detection_s;
     if (f.degraded) {
       // Widened relative bound on the coverage extrapolation: the missing
       // mass is at most (1-c)/c of the surviving mass times how much denser
@@ -912,8 +905,6 @@ void PimTriangleCounter::finish_report(const std::vector<DpuMeta>& metas,
           coverage > 0.0 ? 2.0 * ((1.0 - coverage) / coverage) * dispersion
                          : 1.0;
     }
-    // Both ledgers are cumulative over the session: the system's counters
-    // by construction, the host tally because it is only ever incremented.
     result.faults = f;
   }
   if (config_.misra_gries_enabled) {
@@ -951,9 +942,9 @@ std::uint32_t PimTriangleCounter::recover_unusable_bank(std::uint32_t t) {
       std::vector<std::uint32_t> placement = plan_.placement();
       placement[t] = b;
       plan_.set_placement(placement);
-      fault_tally_.recovery_s += materialize_bank(t, b);
-      ++fault_tally_.rematerializations;
-      ++fault_tally_.migrations;
+      pim::FaultStats& ledger = system_->fault_stats();
+      ledger.recovery_s += materialize_bank(t, b);
+      ++ledger.rematerializations;
       return b;
     }
   }
@@ -987,8 +978,8 @@ void PimTriangleCounter::inject_and_scrub_bitflips() {
   // not depend on what earlier epochs happened to hit.
   const std::uint64_t epoch = fault_epoch_++;
   const pim::FaultPlan& faults = system_->fault_plan();
-  const pim::FaultSpec& spec = faults.spec();
-  if (spec.mram_bitflip <= 0.0) return;
+  if (faults.spec().mram_bitflip <= 0.0) return;
+  pim::FaultStats& ledger = system_->fault_stats();
   for (std::uint32_t t = 0; t < plan_.num_triplets(); ++t) {
     if (triplet_lost_[t]) continue;
     const std::uint64_t stored = reservoirs_[t].stored();
@@ -1005,19 +996,17 @@ void PimTriangleCounter::inject_and_scrub_bitflips() {
     mram.read(addr, &byte, 1);
     byte = static_cast<std::uint8_t>(byte ^ (1u << (bit % 8)));
     mram.write(addr, &byte, 1);
-    ++fault_tally_.mram_bitflips;
-    if (!spec.checksums) continue;  // silent rot: the count reads garbage
+    ++ledger.mram_bitflips;
 
     // Scrub detects the flip (modeled checksum sweep of the resident
     // sample), then restores from the host mirror when one exists.
-    const double scrub_s =
-        static_cast<double>(bytes) / (spec.checksum_gb_s * 1e9);
+    const double scrub_s = static_cast<double>(bytes) / pim::kChecksumBytesPerS;
     system_->charge_host(scrub_s, &PhaseTimes::count_s);
-    fault_tally_.detection_s += scrub_s;
-    fault_tally_.checksum_bytes += bytes;
+    ledger.detection_s += scrub_s;
+    ledger.checksum_bytes += bytes;
     if (mirrors_valid_) {
-      fault_tally_.recovery_s += materialize_bank(t, bank);
-      ++fault_tally_.sample_restores;
+      ledger.recovery_s += materialize_bank(t, bank);
+      ++ledger.sample_restores;
       // The restored control block reset the kernel-owned sorted state;
       // force the full pipeline on this core.
       triplet_dirty_[t] = 1;

@@ -307,10 +307,8 @@ class PimTriangleCounter final : public engine::TriangleCountEngine {
   double materialize_bank(std::uint32_t t, std::uint32_t bank);
 
   /// Draws this recount's MRAM bit flips, applies them to the resident
-  /// samples, and — when checksums are on — charges the scrub scan and
-  /// restores flipped samples from the mirrors (or drops the triplet when
-  /// no mirror exists).  Without checksums the corruption rides silently
-  /// into the kernel.
+  /// samples, charges the scrub scan and restores flipped samples from the
+  /// mirrors (or drops the triplet when no mirror exists).
   void inject_and_scrub_bitflips();
 
   [[nodiscard]] bool any_reservoir_overflowed() const noexcept;
@@ -385,17 +383,13 @@ class PimTriangleCounter final : public engine::TriangleCountEngine {
   std::vector<NodeId> frozen_remap_;
 
   // ---- fault recovery state -----------------------------------------------
-  // The fault plan itself lives in the PimSystem: the perfect machine unless
-  // config.fault_spec names one.
+  // The fault plan and the fault ledger live in the PimSystem: the perfect
+  // machine unless config.fault_spec names one.
   /// Per-triplet "contribution lost to an unrecoverable fault" flags.
   /// Persistent: a lost triplet stays lost for the rest of the session.
   std::vector<std::uint8_t> triplet_lost_;
   /// Recount index feeding the deterministic bit-flip draws.
   std::uint64_t fault_epoch_ = 0;
-  /// Host-side recovery tallies accumulated across recounts (launch
-  /// retries, rematerializations, scrubs); the PimSystem keeps the
-  /// transfer/launch-level counters.
-  pim::FaultStats fault_tally_;
 };
 
 }  // namespace pimtc::tc

@@ -308,10 +308,10 @@ TEST(PimSystemTest, LaunchTakesMaxOverDpus) {
 }
 
 TEST(PimSystemTest, LaunchRejectsBadIdsBeforeTouchingState) {
-  // Every id is validated before the rank-outage draws index per-rank
-  // state, so a bad id throws instead of writing past it.
+  // Every id is validated before a launch draw can mark its bank dead, so
+  // a bad id throws instead of writing past the per-bank flags.
   PimSystem sys(small_config(), 4, nullptr,
-                FaultPlan(FaultSpec::parse("rank-outage=0.5")));
+                FaultPlan(FaultSpec::parse("launch-permanent=0.5")));
   const std::vector<std::uint32_t> ids = {1000};
   bool ran = false;
   EXPECT_THROW(
@@ -320,7 +320,7 @@ TEST(PimSystemTest, LaunchRejectsBadIdsBeforeTouchingState) {
       std::invalid_argument);
   EXPECT_FALSE(ran);
   EXPECT_EQ(sys.dead_dpu_count(), 0u);
-  EXPECT_EQ(sys.fault_counters().rank_outages, 0u);
+  EXPECT_EQ(sys.fault_stats().dead_dpus, 0u);
 }
 
 TEST(PimSystemTest, TransferTimeScalesWithBytes) {

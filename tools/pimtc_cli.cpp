@@ -367,7 +367,7 @@ engine::EngineConfig config_from_args(const Args& args) {
   cfg.degree_ordered_remap = args.flag("degree-remap");
   cfg.misra_gries_enabled =
       args.flag("misra-gries") || cfg.degree_ordered_remap;
-  cfg.mg_top = args.u32("mg-top", 32);
+  cfg.mg_top = args.u32("mg-top", cfg.mg_top);
   cfg.intersect = tc::intersect_policy_from_string(args.str("intersect", "auto"));
   cfg.region_cache = !args.flag("no-region-cache");
   cfg.incremental = args.flag("incremental");
@@ -518,8 +518,7 @@ void print_report_json(const engine::CountReport& r, std::uint64_t edges,
     std::printf(
         ",\"faults\":{\"degraded\":%s,\"coverage\":%.9g,\"error_bound\":%.9g,"
         "\"launch_transients\":%llu,\"launch_retries\":%llu,"
-        "\"dead_dpus\":%llu,\"rank_outages\":%llu,"
-        "\"rematerializations\":%llu,\"migrations\":%llu,"
+        "\"dead_dpus\":%llu,\"rematerializations\":%llu,"
         "\"dropped_triplets\":%llu,"
         "\"transfer_corruptions\":%llu,\"transfer_retries\":%llu,"
         "\"mram_bitflips\":%llu,\"sample_restores\":%llu,"
@@ -528,9 +527,7 @@ void print_report_json(const engine::CountReport& r, std::uint64_t edges,
         static_cast<unsigned long long>(f.launch_transients),
         static_cast<unsigned long long>(f.launch_retries),
         static_cast<unsigned long long>(f.dead_dpus),
-        static_cast<unsigned long long>(f.rank_outages),
         static_cast<unsigned long long>(f.rematerializations),
-        static_cast<unsigned long long>(f.migrations),
         static_cast<unsigned long long>(f.dropped_triplets),
         static_cast<unsigned long long>(f.transfer_corruptions),
         static_cast<unsigned long long>(f.transfer_retries),
@@ -649,14 +646,13 @@ void print_report_text(const engine::CountReport& r, std::uint64_t edges,
   }
   if (r.faults.injected) {
     const engine::CountReport::FaultStats& f = r.faults;
-    std::printf("faults:     %llu transients (%llu retries) | %llu dead cores "
-                "(%llu rank outages) | %llu rematerializations | "
+    std::printf("faults:     %llu transients (%llu retries) | "
+                "%llu dead cores | %llu rematerializations | "
                 "%llu corruptions (%llu repaired) | %llu bitflips "
                 "(%llu restores) | detect %.3f ms, recover %.3f ms\n",
                 static_cast<unsigned long long>(f.launch_transients),
                 static_cast<unsigned long long>(f.launch_retries),
                 static_cast<unsigned long long>(f.dead_dpus),
-                static_cast<unsigned long long>(f.rank_outages),
                 static_cast<unsigned long long>(f.rematerializations),
                 static_cast<unsigned long long>(f.transfer_corruptions),
                 static_cast<unsigned long long>(f.transfer_retries),
