@@ -1,6 +1,7 @@
 #include "pim/system.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <stdexcept>
 #include <string>
 #include <type_traits>
@@ -210,9 +211,16 @@ PimSystem::LaunchReport PimSystem::launch(
   for (std::size_t i = 0; i < run.size(); ++i) {
     before[i] = dpus_[run[i]]->cycles();
   }
-  pool_->parallel_for(run.size(), [&](std::size_t i) {
-    dpus_[run[i]]->wram().reset();
-    kernel(*dpus_[run[i]]);
+  // One task per pool worker, each claiming the next bank from a shared
+  // counter: a slow bank then holds up only its own worker, where fixed
+  // blocks of banks would leave the rest of a slow block waiting behind it.
+  std::atomic<std::size_t> next{0};
+  pool_->parallel_for(std::min(run.size(), pool_->size()), [&](std::size_t) {
+    for (std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
+         i < run.size(); i = next.fetch_add(1, std::memory_order_relaxed)) {
+      dpus_[run[i]]->wram().reset();
+      kernel(*dpus_[run[i]]);
+    }
   });
   // Ranks boot sequentially: rank r's kernels start r * launch_skew later,
   // so the launch completes when the last rank's slowest DPU does.  This is

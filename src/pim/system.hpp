@@ -134,10 +134,14 @@ class PimSystem {
     std::vector<std::uint32_t> dead;       ///< bank permanently lost
   };
 
-  /// Runs `kernel(dpu)` on the listed DPUs (host-thread parallel) under the
-  /// fault plan: per-bank launch faults are drawn for this launch step, the
-  /// kernel runs only on the surviving banks, and the rest are reported;
-  /// callers own the recovery policy (see tc::PimTriangleCounter).
+  /// Runs `kernel(dpu)` on the listed DPUs under the fault plan: per-bank
+  /// launch faults are drawn for this launch step, the kernel runs only on
+  /// the surviving banks, and the rest are reported; callers own the
+  /// recovery policy (see tc::PimTriangleCounter).  The host runs one task
+  /// per pool worker, and each claims the next surviving bank from a
+  /// shared counter, so a slow bank delays only the worker running it.
+  /// Banks run in any order and on any worker; a kernel must depend on
+  /// its bank alone.
   /// Simulated duration = launch overhead + max over ranks of (per-rank boot
   /// skew + the slowest kernel in the rank); accumulated into `phase`.  An
   /// out-of-range id throws std::invalid_argument before any state changes.

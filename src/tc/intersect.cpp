@@ -1,5 +1,6 @@
 #include "tc/intersect.hpp"
 
+#include <bit>
 #include <limits>
 #include <stdexcept>
 #include <string>
@@ -186,9 +187,11 @@ void RegionCache::charge_build(pim::Dpu& dpu, std::uint32_t tasklets,
                                std::uint64_t num_regions, bool enabled) {
   num_regions_ = num_regions;
   stride_ = 1;
+  stride_inv_ = 0;
   slots_ = 0;
   if (num_regions == 0 || !enabled) return;
   stride_ = ceil_div(num_regions, kSlots);
+  if (stride_ > 1) stride_inv_ = ~std::uint64_t{0} / stride_ + 1;
   slots_ = ceil_div(num_regions, stride_);
   dpu.wram().reset();
   dpu.parallel(tasklets, [&](Tasklet& t) {
@@ -209,31 +212,8 @@ void RegionCache::build(pim::Dpu& dpu, std::uint32_t tasklets,
   keyed_ = false;
   regions_ = regions;
   n_ = n;
-  bucket_.clear();
+  index_nodes();
   steps_.clear();
-  if (regions.empty()) return;
-
-  // The buckets cover the regions of real node ids, about two buckets per
-  // region over their node range.  Remapped hub ids sit just below 2^32,
-  // so counting them in the range would widen every bucket until all the
-  // real nodes shared one; their few regions are binary searched instead.
-  dense_ = static_cast<std::uint64_t>(
-      std::lower_bound(regions.begin(), regions.end(),
-                       remapped_id(MramLayout::kMaxRemap - 1), node_below) -
-      regions.begin());
-  if (dense_ != 0) {
-    base_ = regions.front().node;
-    top_ = regions[dense_ - 1].node;
-    const std::uint64_t range = top_ - base_;
-    shift_ = 0;
-    while ((range >> shift_) >= 2 * dense_) ++shift_;
-    const std::uint64_t buckets = (range >> shift_) + 1;
-    bucket_.assign(buckets + 1, 0);
-    for (const RegionEntry& e : regions.first(dense_)) {
-      ++bucket_[((e.node - base_) >> shift_) + 1];
-    }
-    for (std::uint64_t b = 1; b <= buckets; ++b) bucket_[b] += bucket_[b - 1];
-  }
   if (slots_ != 0) {
     steps_.resize(slots_ + 1);
     fill_search_steps(steps_.data(), slots_, 0);
@@ -248,35 +228,49 @@ void RegionCache::build(pim::Dpu& dpu, std::uint32_t tasklets,
   keyed_ = true;
   regions_ = {};
   n_ = 0;
-  bucket_.clear();
+  rank_.clear();
+  first_.clear();
+  exact_ = false;
   steps_.clear();
 }
 
-std::uint64_t RegionCache::rank_of(NodeId key) const noexcept {
-  auto first = regions_.begin();
-  auto last = regions_.end();
-  if (!bucket_.empty()) {
-    if (key <= base_) return 0;
-    if (key > top_) {
-      // Above every real node: the remapped tail.  The last bucket can
-      // reach into it, so the key must not be bucketed.
-      first = regions_.begin() + static_cast<std::ptrdiff_t>(dense_);
-    } else {
-      const std::uint64_t b = (key - base_) >> shift_;
-      first = regions_.begin() + bucket_[b];
-      last = regions_.begin() + bucket_[b + 1];
-      // Buckets hold about two regions, unless the nodes cluster.
-      if (last - first <= 8) {
-        while (first != last && first->node < key) ++first;
-        return static_cast<std::uint64_t>(first - regions_.begin());
-      }
+void RegionCache::index_nodes() {
+  rank_.clear();
+  first_.clear();
+  exact_ = false;
+  // Remapped hub ids sit just below 2^32, so counting them in the id range
+  // would coarsen the bitmap until all the real nodes shared one bucket;
+  // their few regions are binary searched instead.
+  dense_ = static_cast<std::uint64_t>(
+      std::lower_bound(regions_.begin(), regions_.end(),
+                       remapped_id(MramLayout::kMaxRemap - 1), node_below) -
+      regions_.begin());
+  if (dense_ == 0) return;
+  base_ = regions_.front().node;
+  top_ = regions_[dense_ - 1].node;
+  last_ = top_ - base_;  // the last id's bit at shift 0
+  const std::uint64_t max_words =
+      std::max<std::uint64_t>(kRankBitmapBytes / sizeof(std::uint64_t), n_);
+  shift_ = 0;
+  while ((last_ >> shift_) / 64 >= max_words) ++shift_;
+  exact_ = shift_ == 0;
+  rank_.resize((last_ >> shift_) / 64 + 1);
+  for (std::uint64_t i = 0; i < dense_; ++i) {
+    const std::uint64_t b = (regions_[i].node - base_) >> shift_;
+    if (shift_ != 0 && !bit(b)) {
+      first_.push_back(static_cast<std::uint32_t>(i));  // the bucket's first
     }
+    rank_[b / 64].bits |= std::uint64_t{1} << (b % 64);
   }
-  return static_cast<std::uint64_t>(
-      std::lower_bound(first, last, key, node_below) - regions_.begin());
+  if (shift_ != 0) first_.push_back(static_cast<std::uint32_t>(dense_));
+  std::uint32_t below = 0;
+  for (RankWord& w : rank_) {
+    w.below = below;
+    below += static_cast<std::uint32_t>(std::popcount(w.bits));
+  }
 }
 
-KeyRegion RegionCache::resolve(NodeId key) const {
+KeyRegion RegionCache::resolve_apart(NodeId key) const {
   if (keyed_) {
     const auto it = std::lower_bound(
         keys_.begin(), keys_.end(), key,
@@ -286,58 +280,37 @@ KeyRegion RegionCache::resolve(NodeId key) const {
     }
     return *it;
   }
-  const std::uint64_t r = rank_of(key);
-  const std::uint64_t num = regions_.size();
-  if (r >= num || regions_[r].node != key) return {key, r, {}};
-  return {key, r,
-          {regions_[r].begin, r + 1 < num ? regions_[r + 1].begin : n_}};
-}
-
-void RegionCache::charge_lookup(std::uint64_t r, bool present,
-                                std::uint64_t& instr,
-                                DmaTally& dma) const noexcept {
-  constexpr std::uint64_t kEntry = sizeof(RegionEntry);
-  const std::uint64_t num = num_regions_;
-
-  // The WRAM cache search: an upper bound over the cached nodes, leaving
-  // `below` of them at or below the key; the window spans the regions
-  // between the last of those and the next.
-  std::uint64_t w_lo = 0;
-  std::uint64_t w_hi = num;
-  if (slots_ != 0) {
-    const std::uint64_t at_or_below = r + (present ? 1 : 0);
-    const std::uint64_t below =
-        at_or_below == 0 ? 0 : (at_or_below - 1) / stride_ + 1;
-    instr += 3 * cache_steps(below);
-    w_lo = below == 0 ? 0 : (below - 1) * stride_;
-    w_hi = std::min(num, below * stride_ + 1);
+  const auto at = [&](std::uint64_t i) {
+    return regions_.begin() + static_cast<std::ptrdiff_t>(i);
+  };
+  std::uint64_t r = 0;  // below every real node: rank 0, absent
+  bool present = false;
+  if (rank_.empty() || key > top_) {
+    // Above every real node: the remapped tail.
+    r = static_cast<std::uint64_t>(
+        std::lower_bound(at(dense_), regions_.end(), key, node_below) -
+        regions_.begin());
+    present = r < regions_.size() && regions_[r].node == key;
+  } else if (key >= base_) {
+    // A coarse bucket: walk its regions, about one unless the nodes
+    // cluster.
+    const std::uint64_t b = (key - base_) >> shift_;
+    const std::uint64_t j = bits_below(b);
+    r = first_[j];
+    if (bit(b)) {
+      const std::uint64_t end = first_[j + 1];
+      if (end - r <= 8) {
+        while (r != end && regions_[r].node < key) ++r;
+      } else {
+        r = static_cast<std::uint64_t>(
+            std::lower_bound(at(r), at(end), key, node_below) -
+            regions_.begin());
+      }
+      present = r != end && regions_[r].node == key;
+    }
   }
-
-  if (w_hi - w_lo <= 6) {
-    // Narrow window: one burst over the window plus the successor entry,
-    // resolved in WRAM; a hit on the last fetched entry reads its
-    // successor separately.
-    const std::uint64_t fetch = std::min(w_hi - w_lo + 1, num - w_lo);
-    dma.add(1, fetch * kEntry);
-    instr += Cost::binary_search_step + fetch * 2;
-    if (present && r - w_lo + 1 == fetch && r + 1 < num) dma.add(1, kEntry);
-  } else {
-    // Wide window: an MRAM binary search of 8-byte probes, then entries r
-    // and r+1 in one burst (region end = next begin).
-    const std::uint64_t steps = search_steps(w_hi - w_lo, r - w_lo);
-    dma.add(steps, steps * kEntry);
-    instr += steps * Cost::binary_search_step;
-    if (r >= num) return;
-    dma.add(1, (r + 1 < num ? 2 : 1) * kEntry);
-    instr += Cost::binary_search_step;
-  }
-}
-
-Region find_region(const RegionCache& cache, NodeId key, std::uint64_t& instr,
-                   DmaTally& dma) {
-  const KeyRegion k = cache.resolve(key);
-  cache.charge_lookup(k.rank, k.region.found(), instr, dma);
-  return k.region;
+  if (!present) return {key, r, {}};
+  return {key, r, region_at(r)};
 }
 
 bool choose_gallop(IntersectPolicy policy, std::uint64_t small_size,

@@ -35,6 +35,7 @@
 #pragma once
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <span>
 #include <string_view>
@@ -235,16 +236,23 @@ void charge_region_index(pim::Dpu& dpu, std::uint32_t buffer_edges,
 /// The host does not run the search.  It resolves a lookup's rank and
 /// region, then charges what the cached search issues, which depends on
 /// the rank, the key's presence and the region count alone.  The full
-/// kernel resolves through its copy of the region table: a bucketed index
-/// over the real node ids' regions finds the first region at or above a
-/// key in O(1) expected time, and remapped hub ids (remapped_id) are
-/// searched apart, among at most MramLayout::kMaxRemap regions.  An
-/// incremental launch looks up only its batch's endpoints, so it resolves
-/// through its key list (resolve_batch_keys) and builds no table.  Reused
-/// across launches so its host storage is allocated once per worker thread.
+/// kernel resolves through its copy of the region table and a rank bitmap
+/// over the real node ids: one bit per id (a set bit is a region's node)
+/// while the bitmap fits in the larger of kRankBitmapBytes and one word
+/// per sorted record, else one bit per 2^k-id bucket with a short walk of
+/// the bucket's regions.  Each word stores the set bits before it, so a
+/// rank is one word read plus a popcount, and an absent key reads no
+/// region entry.  Remapped hub ids (remapped_id) are searched apart, among
+/// at most MramLayout::kMaxRemap regions.  An incremental launch looks up
+/// only its batch's endpoints, so it resolves through its key list
+/// (resolve_batch_keys) and builds no table.  Reused across launches so
+/// its host storage is allocated once per worker thread.
 class RegionCache {
  public:
   static constexpr std::uint64_t kSlots = 2048;  // 16 KB of WRAM
+  /// The rank bitmap keeps one bit per node id while it fits in the larger
+  /// of this and one 64-bit word per sorted record.
+  static constexpr std::uint64_t kRankBitmapBytes = 64 * 1024;
 
   /// Charges the cache build — each tasklet streams a block of the region
   /// table through a WRAM buffer and keeps the stride-aligned entries — and
@@ -268,18 +276,95 @@ class RegionCache {
   friend Region find_region(const RegionCache& cache, NodeId key,
                             std::uint64_t& instr, DmaTally& dma);
 
+  /// One word of the rank bitmap and the set bits of the words before it.
+  struct RankWord {
+    std::uint64_t bits = 0;
+    std::uint32_t below = 0;
+  };
+
   /// Sets the cache geometry for `num_regions` regions and charges the
   /// build.
   void charge_build(pim::Dpu& dpu, std::uint32_t tasklets,
                     std::uint32_t buffer_edges, std::uint64_t num_regions,
                     bool enabled);
-  /// Rank and region of `key`, from the key list or the table.
-  [[nodiscard]] KeyRegion resolve(NodeId key) const;
-  /// Index of the first table region whose node is >= key.
-  [[nodiscard]] std::uint64_t rank_of(NodeId key) const noexcept;
+  /// Builds the rank bitmap over the table's regions of real node ids.
+  void index_nodes();
+  /// Set bits of the rank bitmap below bit b, and bit b.
+  [[nodiscard]] std::uint64_t bits_below(std::uint64_t b) const noexcept {
+    const RankWord& w = rank_[b / 64];
+    const std::uint64_t mask = (std::uint64_t{1} << (b % 64)) - 1;
+    return w.below + static_cast<std::uint64_t>(std::popcount(w.bits & mask));
+  }
+  [[nodiscard]] bool bit(std::uint64_t b) const noexcept {
+    return ((rank_[b / 64].bits >> (b % 64)) & 1) != 0;
+  }
+
+  /// Rank and region of `key`.  A real node id under a one-bit-per-id
+  /// bitmap resolves here; the key list, the remapped tail and coarse
+  /// buckets resolve in resolve_apart().
+  [[nodiscard]] KeyRegion resolve(NodeId key) const {
+    const NodeId b = key - base_;  // wraps past last_ for keys below base_
+    if (!exact_ || b > last_) return resolve_apart(key);
+    const std::uint64_t r = bits_below(b);
+    if (!bit(b)) return {key, r, {}};
+    return {key, r, region_at(r)};
+  }
+  [[nodiscard]] KeyRegion resolve_apart(NodeId key) const;
+  /// Region r of the table (end = the next region's begin, or n).
+  [[nodiscard]] Region region_at(std::uint64_t r) const noexcept {
+    return {regions_[r].begin,
+            r + 1 < regions_.size() ? regions_[r + 1].begin : n_};
+  }
+
   /// Adds what the cached lookup of a key of rank `r` issues.
   void charge_lookup(std::uint64_t r, bool present, std::uint64_t& instr,
-                     DmaTally& dma) const noexcept;
+                     DmaTally& dma) const noexcept {
+    using Cost = pim::KernelCostModel;
+    constexpr std::uint64_t kEntry = sizeof(RegionEntry);
+    const std::uint64_t num = num_regions_;
+
+    // The WRAM cache search: an upper bound over the cached nodes, leaving
+    // `below` of them at or below the key; the window spans the regions
+    // between the last of those and the next.
+    std::uint64_t w_lo = 0;
+    std::uint64_t w_hi = num;
+    if (slots_ != 0) {
+      // below = ceil(at_or_below / stride_).
+      const std::uint64_t at_or_below = r + (present ? 1 : 0);
+      const std::uint64_t below =
+          at_or_below == 0 ? 0 : div_stride(at_or_below - 1) + 1;
+      instr += 3 * cache_steps(below);
+      w_lo = below == 0 ? 0 : (below - 1) * stride_;
+      w_hi = std::min(num, below * stride_ + 1);
+    }
+
+    if (w_hi - w_lo <= 6) {
+      // Narrow window: one burst over the window plus the successor entry,
+      // resolved in WRAM; a hit on the last fetched entry reads its
+      // successor separately.
+      const std::uint64_t fetch = std::min(w_hi - w_lo + 1, num - w_lo);
+      dma.add(1, fetch * kEntry);
+      instr += Cost::binary_search_step + fetch * 2;
+      if (present && r - w_lo + 1 == fetch && r + 1 < num) dma.add(1, kEntry);
+    } else {
+      // Wide window: an MRAM binary search of 8-byte probes, then entries r
+      // and r+1 in one burst (region end = next begin).
+      const std::uint64_t steps = search_steps(w_hi - w_lo, r - w_lo);
+      dma.add(steps, steps * kEntry);
+      instr += steps * Cost::binary_search_step;
+      if (r >= num) return;
+      dma.add(1, (r + 1 < num ? 2 : 1) * kEntry);
+      instr += Cost::binary_search_step;
+    }
+  }
+  /// x / stride_ for x < 2^32, which holds for every x the lookups divide:
+  /// the table indexes 32-bit record positions.
+  [[nodiscard]] std::uint64_t div_stride(std::uint64_t x) const noexcept {
+    if (stride_ == 1) return x;
+    __extension__ typedef unsigned __int128 U128;
+    return static_cast<std::uint64_t>((static_cast<U128>(x) * stride_inv_) >>
+                                      64);
+  }
   /// Probes of the WRAM cache search that leaves `below` cached entries
   /// below the key's window.
   [[nodiscard]] std::uint64_t cache_steps(std::uint64_t below) const noexcept {
@@ -288,20 +373,27 @@ class RegionCache {
 
   std::uint64_t num_regions_ = 0;
   std::uint64_t stride_ = 1;
+  /// ceil(2^64 / stride_) when stride_ > 1, so that x / stride_ is the
+  /// high word of x * stride_inv_ for every x below 2^32.
+  std::uint64_t stride_inv_ = 0;
   std::uint64_t slots_ = 0;  ///< cached entries; 0 = uncached searches
   std::span<const KeyRegion> keys_;
   bool keyed_ = false;  ///< lookups resolve through keys_, not the table
   std::span<const RegionEntry> regions_;
   std::uint64_t n_ = 0;
-  // Bucketed node index over the first dense_ regions, those of real node
-  // ids base_..top_: bucket b holds the first region whose (node - base_)
-  // >> shift_ is >= b (empty when every region is a remapped hub's).  Keys
-  // above top_ search the rest.
-  std::vector<std::uint32_t> bucket_;
+  // Rank bitmap over the first dense_ regions, those of real node ids
+  // base_..top_ (empty when every region is a remapped hub's): bit b is set
+  // when a region's (node - base_) >> shift_ is b.  With shift_ > 0,
+  // first_[j] is the first region of the j-th set bucket, and first_ ends
+  // with dense_.  Keys above top_ search the rest.
+  std::vector<RankWord> rank_;
+  std::vector<std::uint32_t> first_;
   std::uint64_t dense_ = 0;
   NodeId base_ = 0;
   NodeId top_ = 0;
+  NodeId last_ = 0;  ///< top_ - base_
   unsigned shift_ = 0;
+  bool exact_ = false;  ///< rank_ holds one bit per id (shift_ == 0)
   std::vector<std::uint8_t> steps_;  ///< cache_steps table, for table lookups
 };
 
@@ -311,8 +403,12 @@ class RegionCache {
 /// window (plus the successor entry when it falls outside) or a binary
 /// search of 8-byte MRAM probes over a wide one and a 2-entry read at the
 /// hit.
-[[nodiscard]] Region find_region(const RegionCache& cache, NodeId key,
-                                 std::uint64_t& instr, DmaTally& dma);
+[[nodiscard]] inline Region find_region(const RegionCache& cache, NodeId key,
+                                        std::uint64_t& instr, DmaTally& dma) {
+  const KeyRegion k = cache.resolve(key);
+  cache.charge_lookup(k.rank, k.region.found(), instr, dma);
+  return k.region;
+}
 
 // ---------------------------------------------------------------------------
 // Adaptive intersection

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
 #include <limits>
 #include <span>
 #include <string>
@@ -12,6 +13,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/math_util.hpp"
 #include "common/prng.hpp"
 #include "graph/generators.hpp"
 #include "graph/preprocess.hpp"
@@ -747,6 +749,36 @@ TEST(RegionCacheTest, LookupsMatchLowerBound) {
     to_top.push_back(static_cast<NodeId>(1 + rng.next_below(top_real)));
   }
   shapes.emplace_back("to-top", to_top);
+  shapes.emplace_back("one-region", std::vector<NodeId>{77});
+  // Real id ranges exactly at and one id past the one-bit-per-id cutoff.
+  // With few records the cutoff is kRankBitmapBytes of bits; with more
+  // records than that has words, it is one word per record, and the
+  // shape's last node is placed once its record count is known.
+  constexpr std::uint64_t kCutoffIds = RegionCache::kRankBitmapBytes * 8;
+  struct Cutoff {
+    std::string name;
+    NodeId first;
+    std::uint64_t regions;  ///< region count; 0 = the 64 KB cutoff
+    std::uint64_t past;     ///< ids past the cutoff: 0 or 1
+  };
+  std::vector<Cutoff> cutoffs;
+  for (const std::uint64_t past : {0u, 1u}) {
+    const std::string at = past == 0 ? "at" : "past";
+    cutoffs.push_back({at + "-64k-cutoff", 1000, 0, past});
+    cutoffs.push_back({at + "-record-cutoff", 5, 4000, past});
+  }
+  for (const Cutoff& c : cutoffs) {
+    std::vector<NodeId> nodes;
+    if (c.regions == 0) {
+      const auto last = static_cast<NodeId>(c.first + kCutoffIds - 1 + c.past);
+      nodes = {c.first, c.first + 1, c.first + 63, c.first + 64,
+               last / 2, last - 64, last - 1, last};
+    } else {
+      // Placeholders; the last node moves once n is known.
+      for (NodeId x = 0; x < c.regions; ++x) nodes.push_back(c.first + 3 * x);
+    }
+    shapes.emplace_back(c.name, nodes);
+  }
 
   for (auto [name, nodes] : shapes) {
     for (const bool tail : {false, true}) {
@@ -760,10 +792,21 @@ TEST(RegionCacheTest, LookupsMatchLowerBound) {
       }
       std::sort(all.begin(), all.end());
       all.erase(std::unique(all.begin(), all.end()), all.end());
-      const auto [regions, n] = region_table(all, rng);
+      auto [regions, n] = region_table(all, rng);
+      if (name.ends_with("-record-cutoff")) {
+        // One 64-bit word per record: n * 64 ids from the first node.
+        const std::uint64_t last_real =
+            regions.front().node + n * 64 - 1 + (name.starts_with("past") ? 1 : 0);
+        ASSERT_GT(n * 64, kCutoffIds) << name;
+        auto real_end = std::lower_bound(
+            regions.begin(), regions.end(),
+            remapped_id(MramLayout::kMaxRemap - 1),
+            [](const RegionEntry& e, NodeId k) { return e.node < k; });
+        std::prev(real_end)->node = static_cast<NodeId>(last_real);
+      }
 
-      // Keys on, just below and just above every region, below the first
-      // and above the last.
+      // Keys on, just below and just above every region (so the first and
+      // last real ids +- 1 too), below the first and above the last.
       std::vector<NodeId> keys = {0, kInvalidNode - 1};
       for (const RegionEntry& e : regions) {
         keys.push_back(e.node);
@@ -830,6 +873,74 @@ TEST(RegionCacheTest, LookupsMatchLowerBound) {
         EXPECT_THROW((void)find_region(empty_list, regions[0].node, instr, dma),
                      std::logic_error)
             << name;
+      }
+    }
+  }
+}
+
+/// What the cached lookup of a key of rank `r` issues in a table of `num`
+/// regions, with the cache window found by division: the reference for
+/// RegionCache::charge_lookup, which finds it by a reciprocal.
+void divided_lookup_charge(std::uint64_t num, std::uint64_t r, bool present,
+                           std::uint64_t& instr, DmaTally& dma) {
+  using Cost = pim::KernelCostModel;
+  constexpr std::uint64_t kEntry = sizeof(RegionEntry);
+  const std::uint64_t stride = ceil_div(num, RegionCache::kSlots);
+  const std::uint64_t slots = ceil_div(num, stride);
+  const std::uint64_t at_or_below = r + (present ? 1 : 0);
+  const std::uint64_t below =
+      at_or_below == 0 ? 0 : (at_or_below - 1) / stride + 1;
+  instr += 3 * search_steps(slots, below);
+  const std::uint64_t w_lo = below == 0 ? 0 : (below - 1) * stride;
+  const std::uint64_t w_hi = std::min(num, below * stride + 1);
+  if (w_hi - w_lo <= 6) {
+    const std::uint64_t fetch = std::min(w_hi - w_lo + 1, num - w_lo);
+    dma.add(1, fetch * kEntry);
+    instr += Cost::binary_search_step + fetch * 2;
+    if (present && r - w_lo + 1 == fetch && r + 1 < num) dma.add(1, kEntry);
+  } else {
+    const std::uint64_t steps = search_steps(w_hi - w_lo, r - w_lo);
+    dma.add(steps, steps * kEntry);
+    instr += steps * Cost::binary_search_step;
+    if (r >= num) return;
+    dma.add(1, (r + 1 < num ? 2 : 1) * kEntry);
+    instr += Cost::binary_search_step;
+  }
+}
+
+TEST(RegionCacheTest, ChargesMatchTheDividedWindow) {
+  // Region counts on both sides of every stride step up to stride 8: each
+  // key's cache window must be the one today's division finds, at every
+  // rank, for a present and an absent key.
+  Xoshiro256ss rng(11);
+  for (std::uint64_t k = 1; k <= 7; ++k) {
+    for (const std::uint64_t num : {2048 * k - 1, 2048 * k, 2048 * k + 1}) {
+      std::vector<NodeId> nodes;
+      for (std::uint64_t i = 0; i < num; ++i) {
+        nodes.push_back(static_cast<NodeId>(10 + 2 * i));
+      }
+      const auto [regions, n] = region_table(nodes, rng);
+      pim::Dpu dpu(test_config(), 0);
+      RegionCache cache;
+      cache.build(dpu, 16, 64, regions, n, /*enabled=*/true);
+      // Node 10 + 2r has rank r; 9 + 2r is absent with rank r.
+      for (std::uint64_t r = 0; r <= num; ++r) {
+        for (const bool present : {false, true}) {
+          if (present && r == num) continue;
+          const auto key = static_cast<NodeId>(9 + 2 * r + (present ? 1 : 0));
+          std::uint64_t instr = 0;
+          std::uint64_t want_instr = 0;
+          DmaTally dma;
+          DmaTally want_dma;
+          const Region got = find_region(cache, key, instr, dma);
+          divided_lookup_charge(num, r, present, want_instr, want_dma);
+          const std::string what = "regions=" + std::to_string(num) +
+                                   " key=" + std::to_string(key);
+          ASSERT_EQ(got.found(), present) << what;
+          ASSERT_EQ(instr, want_instr) << what;
+          ASSERT_EQ(dma.transfers, want_dma.transfers) << what;
+          ASSERT_EQ(dma.bytes, want_dma.bytes) << what;
+        }
       }
     }
   }

@@ -3,11 +3,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cstring>
 #include <numeric>
+#include <thread>
 #include <vector>
 
 #include "common/math_util.hpp"
+#include "common/thread_pool.hpp"
 #include "pim/config.hpp"
 #include "pim/dpu.hpp"
 #include "pim/mram.hpp"
@@ -321,6 +325,44 @@ TEST(PimSystemTest, LaunchRejectsBadIdsBeforeTouchingState) {
   EXPECT_FALSE(ran);
   EXPECT_EQ(sys.dead_dpu_count(), 0u);
   EXPECT_EQ(sys.fault_stats().dead_dpus, 0u);
+}
+
+TEST(PimSystemTest, LaunchHandsOutBanksOneAtATime) {
+  // Bank 0's kernel waits until the other 63 banks have run.  The workers
+  // claim banks one at a time, so the other three run them all while bank
+  // 0 waits; a worker handed a fixed block of banks would keep banks 1-15
+  // behind bank 0 until the wait timed out.
+  ThreadPool pool(4);
+  PimSystem sys(small_config(), 64, &pool);
+  std::vector<std::uint32_t> ids(64);
+  std::iota(ids.begin(), ids.end(), 0u);
+  std::vector<std::atomic<int>> runs(ids.size());
+  std::atomic<std::size_t> others{0};
+  bool timed_out = false;  // written by bank 0's kernel alone
+  const PimSystem::LaunchReport report = sys.launch(
+      ids,
+      [&](Dpu& dpu) {
+        runs[dpu.id()].fetch_add(1);
+        if (dpu.id() != 0) {
+          others.fetch_add(1);
+          return;
+        }
+        const auto deadline =
+            std::chrono::steady_clock::now() + std::chrono::seconds(5);
+        while (others.load() < ids.size() - 1) {
+          if (std::chrono::steady_clock::now() > deadline) {
+            timed_out = true;
+            return;
+          }
+          std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        }
+      },
+      &PhaseTimes::count_s);
+  EXPECT_FALSE(timed_out);
+  EXPECT_EQ(report.ok, ids);
+  for (std::size_t i = 0; i < runs.size(); ++i) {
+    EXPECT_EQ(runs[i].load(), 1) << "bank " << i;
+  }
 }
 
 TEST(PimSystemTest, TransferTimeScalesWithBytes) {
