@@ -51,6 +51,16 @@ namespace pimtc {
   return ceil_div(a, b) * b;
 }
 
+/// Set bits of `x`, by the SWAR reduction.  std::popcount compiles to a
+/// library call on x86-64 builds without -mpopcnt, the portable default;
+/// this stays a few inline instructions everywhere.
+[[nodiscard]] constexpr std::uint64_t popcount64(std::uint64_t x) noexcept {
+  x -= (x >> 1) & 0x5555555555555555ull;
+  x = (x & 0x3333333333333333ull) + ((x >> 2) & 0x3333333333333333ull);
+  x = (x + (x >> 4)) & 0x0f0f0f0f0f0f0f0full;
+  return (x * 0x0101010101010101ull) >> 56;
+}
+
 /// ceil(log2(n)) for n >= 1; 0 for n <= 1.  Sort-pass and binary-search
 /// depth bounds in the kernel cost model.
 [[nodiscard]] constexpr std::uint32_t ceil_log2(std::uint64_t n) noexcept {

@@ -1,6 +1,5 @@
 #include "tc/intersect.hpp"
 
-#include <bit>
 #include <limits>
 #include <stdexcept>
 #include <string>
@@ -266,7 +265,7 @@ void RegionCache::index_nodes() {
   std::uint32_t below = 0;
   for (RankWord& w : rank_) {
     w.below = below;
-    below += static_cast<std::uint32_t>(std::popcount(w.bits));
+    below += static_cast<std::uint32_t>(popcount64(w.bits));
   }
 }
 

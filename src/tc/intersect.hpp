@@ -35,7 +35,6 @@
 #pragma once
 
 #include <algorithm>
-#include <bit>
 #include <cstdint>
 #include <span>
 #include <string_view>
@@ -293,7 +292,7 @@ class RegionCache {
   [[nodiscard]] std::uint64_t bits_below(std::uint64_t b) const noexcept {
     const RankWord& w = rank_[b / 64];
     const std::uint64_t mask = (std::uint64_t{1} << (b % 64)) - 1;
-    return w.below + static_cast<std::uint64_t>(std::popcount(w.bits & mask));
+    return w.below + popcount64(w.bits & mask);
   }
   [[nodiscard]] bool bit(std::uint64_t b) const noexcept {
     return ((rank_[b / 64].bits >> (b % 64)) & 1) != 0;

@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cmath>
 #include <future>
 #include <numeric>
@@ -335,6 +336,17 @@ TEST(ThreadPoolTest, OnPoolThreadDistinguishesInsideFromOutside) {
 }
 
 // ---- math_util --------------------------------------------------------------
+
+TEST(MathTest, Popcount64MatchesStdPopcount) {
+  Xoshiro256ss rng(3);
+  std::vector<std::uint64_t> xs = {0, 1, ~0ull, 1ull << 63,
+                                   0x5555555555555555ull,
+                                   0xaaaaaaaaaaaaaaaaull};
+  for (int i = 0; i < 1000; ++i) xs.push_back(rng() & rng());
+  for (const std::uint64_t x : xs) {
+    EXPECT_EQ(popcount64(x), static_cast<std::uint64_t>(std::popcount(x))) << x;
+  }
+}
 
 TEST(MathTest, BinomialBasics) {
   EXPECT_EQ(binomial(0, 0), 1u);

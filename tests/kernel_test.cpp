@@ -723,9 +723,10 @@ std::pair<std::vector<RegionEntry>, std::uint64_t> region_table(
 
 TEST(RegionCacheTest, LookupsMatchLowerBound) {
   Xoshiro256ss rng(5);
-  // Node sets: dense ids, ids spread over 2^31, tight clusters far apart
-  // (many regions per bucket), and real ids reaching up to the remapped
-  // range, whose last bucket then also spans the remapped tail.
+  // Node sets: dense ids (one bit per id), ids spread over 2^31 (coarse
+  // buckets), tight clusters far apart (many regions per coarse bucket),
+  // and real ids reaching up to the remapped range, whose last coarse
+  // bucket can then reach into it.
   std::vector<std::pair<std::string, std::vector<NodeId>>> shapes;
   std::vector<NodeId> dense;
   for (NodeId x = 3; x < 3000; ++x) {
