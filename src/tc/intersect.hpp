@@ -288,7 +288,7 @@ class RegionCache {
                     bool enabled);
   /// Builds the rank bitmap over the table's regions of real node ids.
   void index_nodes();
-  /// Set bits of the rank bitmap below bit b, and bit b.
+  /// Set bits of the rank bitmap below bit b.
   [[nodiscard]] std::uint64_t bits_below(std::uint64_t b) const noexcept {
     const RankWord& w = rank_[b / 64];
     const std::uint64_t mask = (std::uint64_t{1} << (b % 64)) - 1;
