@@ -1,6 +1,8 @@
 #include "tc/kernel.hpp"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <span>
 #include <stdexcept>
 #include <utility>
@@ -94,32 +96,28 @@ class RemapTable {
 // ranks with search_steps.  The device-state goldens (tests/golden) pin
 // the charges and the live state.
 
-/// One record of the host sort: an edge's key and the index of the WRAM
-/// chunk run formation read it in.  Sorting by (key, chunk) orders equal
-/// keys by input position, as a stable sort does.
+/// One record of the comparison sort: an edge's key and its run tag.
+/// Records equal in both are interchangeable, so sorting by (key, tag)
+/// gives the stable order.
 struct SortRecord {
   std::uint64_t key;
-  std::uint64_t chunk;
+  std::uint64_t tag;
 };
-
-/// Below this many records the host sort is a comparison sort; at and
-/// above it, an LSD radix sort, whose 48 KB of histograms cost more than
-/// they save on small inputs (the two cross near 400 records on x86).
-constexpr std::uint64_t kRadixMinRecords = 512;
-constexpr unsigned kRadixBits = 11;
-constexpr unsigned kRadixDigits = (64 + kRadixBits - 1) / kRadixBits;
 
 /// Host memory the stages reuse.  One bank runs at a time on a worker
 /// thread, so each thread allocates these once, at the size of the largest
-/// bank it has run.
+/// bank it has run.  The sort replay holds 18 bytes per record: the keys
+/// and the run tags, each twice for the radix sort's ping-pong.
 struct HostScratch {
   std::vector<Edge> work;     ///< the array being copied, sorted, indexed
   std::vector<Edge> merged;   ///< S* read to its back, the batch merged in
   std::vector<std::uint64_t> at;  ///< the batch arcs' merged positions
   std::vector<KeyRegion> keys;    ///< an incremental launch's lookups
-  std::vector<SortRecord> records;
-  std::vector<SortRecord> records_tmp;
+  std::vector<std::uint64_t> sort_keys[2];
+  std::vector<std::uint8_t> tags[2];
+  std::vector<SortRecord> records;  ///< the comparison sort's input
   std::vector<std::uint32_t> histogram;
+  std::vector<std::uint32_t> checkpoints;
   std::vector<std::uint64_t> split_less;
   std::vector<RegionEntry> regions;  ///< grow-only; a launch uses a prefix
   RegionCache cache;
@@ -130,89 +128,178 @@ HostScratch& host_scratch() {
   return scratch;
 }
 
-/// Sorts `data` into s.records by (key, chunk), where chunk = position /
-/// `chunk`.
-void sort_records(std::span<const Edge> data, std::uint64_t chunk,
-                  HostScratch& s) {
-  const std::uint64_t n = data.size();
-  std::vector<SortRecord>& recs = s.records;
-  recs.resize(n);
-  std::uint64_t c = 0;
-  std::uint64_t left = chunk;
-  for (std::uint64_t i = 0; i < n; ++i) {
-    recs[i] = {edge_key(data[i]), c};
-    --left;
-    if (left == 0) {
-      ++c;
-      left = chunk;
-    }
-  }
-  if (n < kRadixMinRecords) {
-    std::sort(recs.begin(), recs.end(),
-              [](const SortRecord& a, const SortRecord& b) {
-                return a.key != b.key ? a.key < b.key : a.chunk < b.chunk;
-              });
-    return;
-  }
+// ---------------------------------------------------------------------------
+// Sort replay
+// ---------------------------------------------------------------------------
+//
+// The device sorts WRAM chunks and merges runs pairwise, taking the left
+// run's record on a tie, so its order is a stable sort's.  The host sorts
+// once and gives each record a 1-byte run tag: its run at the first
+// co-partitioned pass, of which there are at most `tasklets`.  Its run at
+// every later pass is the tag shifted right by the passes since, so a
+// split rank (how many right-run records order below a left run's split
+// record) is a count of tags.
 
-  // LSD radix sort on the key: stable, so equal keys keep input order.
-  constexpr std::uint64_t kBuckets = 1ull << kRadixBits;
-  constexpr std::uint64_t kMask = kBuckets - 1;
-  std::vector<std::uint32_t>& hist = s.histogram;
-  hist.assign(kRadixDigits * kBuckets, 0);
-  for (const SortRecord& r : recs) {
-    for (unsigned d = 0; d < kRadixDigits; ++d) {
-      ++hist[d * kBuckets + ((r.key >> (d * kRadixBits)) & kMask)];
+/// One merge pass: runs of `width` records merged pairwise, `ways`
+/// tasklets per pair; ways > 1 co-partitions a pair by merge-path splits.
+struct MergePass {
+  std::uint64_t width;
+  std::uint64_t pairs;
+  std::uint32_t ways;
+};
+
+MergePass merge_pass(std::uint64_t n, std::uint64_t width,
+                     std::uint32_t tasklets) {
+  const std::uint64_t pairs = ceil_div(n, width * 2);
+  return {width, pairs,
+          static_cast<std::uint32_t>(
+              std::max<std::uint64_t>(1, tasklets / pairs))};
+}
+
+constexpr std::uint32_t kMaxRuns = pim::PimSystemConfig::max_tasklets;
+static_assert(kMaxRuns <= 256, "run tags are bytes");
+
+/// LSD radix digits are at most this wide: 2^11 buckets of 4 bytes stay
+/// in L1 and a 32-bit half takes at most 3 passes.
+constexpr unsigned kRadixBits = 11;
+/// Records between two checkpoints of the per-run counts.
+constexpr std::uint64_t kCheckpointRecords = 64;
+
+/// Tags records [0, n) with their run, position / `run`.
+void fill_tags(std::uint8_t* tags, std::uint64_t n, std::uint64_t run) {
+  for (std::uint64_t begin = 0; begin < n; begin += run) {
+    std::fill(tags + begin, tags + std::min(n, begin + run),
+              static_cast<std::uint8_t>(begin / run));
+  }
+}
+
+/// Sorts `data` by a comparison sort on (key, tag), tag = position /
+/// `run`, and returns the sorted tags.
+std::span<const std::uint8_t> comparison_sort(std::vector<Edge>& data,
+                                              std::uint64_t run,
+                                              HostScratch& s) {
+  const std::uint64_t n = data.size();
+  std::vector<std::uint8_t>& tags = s.tags[0];
+  tags.resize(n);
+  fill_tags(tags.data(), n, run);
+  s.records.resize(n);
+  for (std::uint64_t i = 0; i < n; ++i) {
+    s.records[i] = {edge_key(data[i]), tags[i]};
+  }
+  std::sort(s.records.begin(), s.records.end(),
+            [](const SortRecord& a, const SortRecord& b) {
+              return a.key != b.key ? a.key < b.key : a.tag < b.tag;
+            });
+  for (std::uint64_t i = 0; i < n; ++i) {
+    data[i] = edge_from_key(s.records[i].key);
+    tags[i] = static_cast<std::uint8_t>(s.records[i].tag);
+  }
+  return tags;
+}
+
+/// Sorts `data` by a stable LSD radix sort of its keys that carries each
+/// record's tag, position / `run`, and returns the sorted tags.  The
+/// digits cover only the bits that vary within each 32-bit half, so a
+/// half that is constant over `data` costs no pass.
+std::span<const std::uint8_t> radix_sort(std::vector<Edge>& data,
+                                         std::uint64_t run, HostScratch& s) {
+  const std::uint64_t n = data.size();
+  for (int b = 0; b < 2; ++b) {
+    s.sort_keys[b].resize(n);
+    s.tags[b].resize(n);
+  }
+  std::uint64_t* src = s.sort_keys[0].data();
+  std::uint64_t* dst = s.sort_keys[1].data();
+  std::uint8_t* src_tag = s.tags[0].data();
+  std::uint8_t* dst_tag = s.tags[1].data();
+  std::uint64_t any = 0;
+  std::uint64_t all = ~0ull;
+  for (std::uint64_t i = 0; i < n; ++i) {
+    const std::uint64_t k = edge_key(data[i]);
+    src[i] = k;
+    any |= k;
+    all &= k;
+  }
+  fill_tags(src_tag, n, run);
+
+  // The digit plan, least significant first: each half's varying span
+  // split into equal digits of at most kRadixBits bits.
+  struct Digit {
+    unsigned shift;
+    std::uint64_t mask;
+    std::uint64_t offset;  ///< of its histogram in s.histogram
+  };
+  std::array<Digit, 2 * ceil_div(32, kRadixBits)> digits{};
+  unsigned num_digits = 0;
+  std::uint64_t buckets = 0;
+  const std::uint64_t varying = any ^ all;
+  for (unsigned half = 0; half < 64; half += 32) {
+    const auto bits = static_cast<std::uint32_t>(varying >> half);
+    if (bits == 0) continue;
+    const unsigned low = static_cast<unsigned>(std::countr_zero(bits));
+    const unsigned span = static_cast<unsigned>(std::bit_width(bits)) - low;
+    const auto width = static_cast<unsigned>(
+        ceil_div(span, ceil_div(span, kRadixBits)));
+    for (unsigned at = 0; at < span; at += width) {
+      const unsigned w = std::min(width, span - at);
+      digits[num_digits++] = {half + low + at, (1ull << w) - 1, buckets};
+      buckets += 1ull << w;
     }
   }
-  s.records_tmp.resize(n);
-  SortRecord* src = recs.data();
-  SortRecord* dst = s.records_tmp.data();
-  for (unsigned d = 0; d < kRadixDigits; ++d) {
-    std::uint32_t* h = hist.data() + d * kBuckets;
-    const unsigned shift = d * kRadixBits;
-    if (h[(src[0].key >> shift) & kMask] == n) continue;  // constant digit
+  std::vector<std::uint32_t>& hist = s.histogram;
+  hist.assign(buckets, 0);
+  for (std::uint64_t i = 0; i < n; ++i) {
+    for (unsigned d = 0; d < num_digits; ++d) {
+      const Digit& dig = digits[d];
+      ++hist[dig.offset + ((src[i] >> dig.shift) & dig.mask)];
+    }
+  }
+  for (unsigned d = 0; d < num_digits; ++d) {
+    const Digit dig = digits[d];
+    std::uint32_t* h = hist.data() + dig.offset;
+    if (h[(src[0] >> dig.shift) & dig.mask] == n) continue;  // constant digit
     std::uint32_t sum = 0;
-    for (std::uint64_t b = 0; b < kBuckets; ++b) {
+    for (std::uint64_t b = 0; b <= dig.mask; ++b) {
       const std::uint32_t count = h[b];
       h[b] = sum;
       sum += count;
     }
     for (std::uint64_t i = 0; i < n; ++i) {
-      dst[h[(src[i].key >> shift) & kMask]++] = src[i];
+      const std::uint32_t at = h[(src[i] >> dig.shift) & dig.mask]++;
+      dst[at] = src[i];
+      dst_tag[at] = src_tag[i];
     }
     std::swap(src, dst);
+    std::swap(src_tag, dst_tag);
   }
-  if (src != recs.data()) recs.swap(s.records_tmp);
+  for (std::uint64_t i = 0; i < n; ++i) data[i] = edge_from_key(src[i]);
+  return {src_tag, n};
 }
 
-/// Merge-path split replay of one co-partitioned merge pass: the pass
-/// merges runs of `width` records (run = chunk >> pass) pairwise, `ways`
-/// tasklets per pair, and tasklet `way` of a pair splits the left run at
-/// lo + way * nl / ways.  For every split strictly inside its left run,
-/// stores in split_less[pair * ways + way] how many right-run records order
-/// below the split key: the rank its lower-bound search returns.  One sweep
-/// over the sorted order counts, per run, the records seen so far; right-run
-/// records equal to a left-run key sort after it, as their chunks are later.
-void replay_splits(std::uint64_t n, std::uint64_t width, unsigned pass,
-                   std::uint64_t pairs, std::uint32_t ways, HostScratch& s) {
+/// The split ranks of one co-partitioned pass, `shift` passes after the
+/// first, by one sweep over the sorted tags: tasklet `way` of a pair
+/// splits the left run at lo + way * nl / ways, and for every split
+/// strictly inside its left run split_less[pair * ways + way] receives how
+/// many right-run records order below the split record, the rank its
+/// lower-bound search returns.  Right-run records equal to a left-run key
+/// sort after it, as the stable order keeps them.
+void sweep_splits(std::span<const std::uint8_t> tags, const MergePass& mp,
+                  unsigned shift, std::uint64_t* split_less) {
   constexpr std::uint64_t kNone = ~0ull;
-  s.split_less.assign(pairs * ways, 0);
+  const std::uint64_t n = tags.size();
   // Per run: records seen so far, and the rank of its next split (kNone
   // for right runs and for left runs with no split left).
-  std::vector<std::uint64_t> seen(2 * pairs, 0);
-  std::vector<std::uint64_t> target(2 * pairs, kNone);
-  std::vector<std::uint32_t> next_way(pairs, ways);
-  const auto left_len = [&](std::uint64_t pr) {
-    const std::uint64_t lo = pr * width * 2;
-    return std::min(lo + width, n) - lo;
-  };
+  std::array<std::uint64_t, kMaxRuns> seen{};
+  std::array<std::uint64_t, kMaxRuns> target;
+  target.fill(kNone);
+  std::array<std::uint32_t, kMaxRuns / 2> next_way{};
   // The first split of pair `pr` at or after way `w`; one at the run's
   // first record needs no search and one at its end is never reached.
   const auto seek = [&](std::uint64_t pr, std::uint32_t w) {
-    const std::uint64_t nl = left_len(pr);
-    for (; w < ways; ++w) {
-      const std::uint64_t rank = w * nl / ways;
+    const std::uint64_t lo = pr * mp.width * 2;
+    const std::uint64_t nl = std::min(lo + mp.width, n) - lo;
+    for (; w < mp.ways; ++w) {
+      const std::uint64_t rank = w * nl / mp.ways;
       if (rank >= nl) break;
       if (rank > 0) {
         next_way[pr] = w;
@@ -222,15 +309,93 @@ void replay_splits(std::uint64_t n, std::uint64_t width, unsigned pass,
     }
     target[2 * pr] = kNone;
   };
-  for (std::uint64_t pr = 0; pr < pairs; ++pr) seek(pr, 1);
-  for (const SortRecord& rec : s.records) {
-    const std::uint64_t run = rec.chunk >> pass;
+  for (std::uint64_t pr = 0; pr < mp.pairs; ++pr) seek(pr, 1);
+  for (const std::uint8_t tag : tags) {
+    const std::uint64_t run = tag >> shift;
     while (target[run] == seen[run]) {
       const std::uint64_t pr = run >> 1;
-      s.split_less[pr * ways + next_way[pr]] = seen[run + 1];
+      split_less[pr * mp.ways + next_way[pr]] = seen[run + 1];
       seek(pr, next_way[pr] + 1);
     }
     ++seen[run];
+  }
+}
+
+/// Stores in s.checkpoints, for every kCheckpointRecords-th sorted record
+/// k·kCheckpointRecords ≤ n, how many records before it carry a tag below
+/// t, for t = 0..runs (row k, column t).
+void build_checkpoints(std::span<const std::uint8_t> tags, std::uint32_t runs,
+                       HostScratch& s) {
+  const std::uint64_t n = tags.size();
+  const std::uint64_t rows = n / kCheckpointRecords + 1;
+  s.checkpoints.resize(rows * (runs + 1));
+  std::array<std::uint32_t, kMaxRuns> count{};
+  std::uint32_t* row = s.checkpoints.data();
+  for (std::uint64_t k = 0; k < rows; ++k, row += runs + 1) {
+    std::uint32_t below = 0;
+    for (std::uint32_t t = 0; t < runs; ++t) {
+      row[t] = below;
+      below += count[t];
+    }
+    row[runs] = below;
+    const std::uint64_t end = std::min(n, (k + 1) * kCheckpointRecords);
+    for (std::uint64_t i = k * kCheckpointRecords; i < end; ++i) {
+      ++count[tags[i]];
+    }
+  }
+}
+
+/// sweep_splits' ranks from the checkpoints: a binary search for the last
+/// checkpoint with at most `rank` left-run records before it, then a scan
+/// of the at most kCheckpointRecords tags to the split record.
+void checkpoint_splits(std::span<const std::uint8_t> tags, std::uint32_t runs,
+                       const MergePass& mp, unsigned shift,
+                       const HostScratch& s, std::uint64_t* split_less) {
+  const std::uint64_t n = tags.size();
+  const std::uint64_t rows = n / kCheckpointRecords + 1;
+  const std::uint32_t* cp = s.checkpoints.data();
+  const std::uint64_t stride = runs + 1;
+  for (std::uint64_t pr = 0; pr < mp.pairs; ++pr) {
+    // The pair's runs as tag ranges: left [l0, r0), right [r0, r1).
+    const auto tag_at = [&](std::uint64_t run) {
+      return static_cast<std::uint32_t>(
+          std::min<std::uint64_t>(runs, run << shift));
+    };
+    const std::uint32_t l0 = tag_at(2 * pr);
+    const std::uint32_t r0 = tag_at(2 * pr + 1);
+    const std::uint32_t r1 = tag_at(2 * pr + 2);
+    const auto in_left = [&](std::uint64_t k) {
+      return cp[k * stride + r0] - cp[k * stride + l0];
+    };
+    const std::uint64_t lo = pr * mp.width * 2;
+    const std::uint64_t nl = std::min(lo + mp.width, n) - lo;
+    std::uint64_t k = 0;  // splits ascend, so each search starts at the last
+    for (std::uint32_t w = 1; w < mp.ways; ++w) {
+      const std::uint64_t rank = w * nl / mp.ways;
+      if (rank >= nl) break;
+      if (rank == 0) continue;
+      std::uint64_t hi = rows;
+      while (hi - k > 1) {
+        const std::uint64_t mid = k + (hi - k) / 2;
+        if (in_left(mid) <= rank) {
+          k = mid;
+        } else {
+          hi = mid;
+        }
+      }
+      std::uint64_t left = in_left(k);
+      std::uint64_t right = cp[k * stride + r1] - cp[k * stride + r0];
+      for (std::uint64_t i = k * kCheckpointRecords;; ++i) {
+        const std::uint32_t t = tags[i];
+        if (t - l0 < r0 - l0) {
+          if (left == rank) break;
+          ++left;
+        } else if (t - r0 < r1 - r0) {
+          ++right;
+        }
+      }
+      split_less[pr * mp.ways + w] = right;
+    }
   }
 }
 
@@ -285,7 +450,7 @@ void copy_remap(Dpu& dpu, const KernelParams& p, const RemapTable& remap,
 /// idle pipeline issues one instruction per 11 cycles per tasklet), and
 /// merge passes with fewer runs than tasklets are co-partitioned with
 /// merge-path splitting so the last passes stay parallel.  The host sorts
-/// once.
+/// once (replay_sort), which also ranks every split.
 void external_sort(Dpu& dpu, const KernelParams& p, std::vector<Edge>& data,
                    HostScratch& s) {
   const std::uint64_t n = data.size();
@@ -310,17 +475,15 @@ void external_sort(Dpu& dpu, const KernelParams& p, std::vector<Edge>& data,
       t.instr(len * (ceil_log2(len) + 1) * Cost::sort_step);
     }
   });
-  sort_records(data, chunk, s);
+  replay_sort(data, chunk, p.tasklets, s.split_less);
 
   // Stage 2: ping-pong merge passes until a single run remains.
-  unsigned passes = 0;
-  std::uint64_t width = chunk;
-  for (; width < n; width *= 2, ++passes) {
+  const std::uint64_t* split_less = s.split_less.data();
+  for (std::uint64_t width = chunk; width < n; width *= 2) {
     dpu.wram().reset();
-    const std::uint64_t pairs = ceil_div(n, width * 2);
-    const std::uint32_t ways = static_cast<std::uint32_t>(
-        std::max<std::uint64_t>(1, tasklets / pairs));
-    if (ways > 1) replay_splits(n, width, passes, pairs, ways, s);
+    const MergePass mp = merge_pass(n, width, p.tasklets);
+    const std::uint64_t pairs = mp.pairs;
+    const std::uint32_t ways = mp.ways;
     dpu.parallel(p.tasklets, [&](Tasklet& t) {
       for (int i = 0; i < 3; ++i) (void)dpu.wram().alloc<Edge>(buffer);
       // Two readers and a writer; one merge pick per output record.
@@ -360,7 +523,7 @@ void external_sort(Dpu& dpu, const KernelParams& p, std::vector<Edge>& data,
         const std::uint64_t lx = left_split(w);
         if (lx <= lo) return mid;  // first boundary
         if (lx >= mid) return hi;  // left run exhausted: tail goes here
-        const std::uint64_t below = s.split_less[pair * ways + w];
+        const std::uint64_t below = split_less[pair * ways + w];
         const std::uint64_t steps = search_steps(hi - mid, below);
         t.charge_dma(1 + steps, (1 + steps) * sizeof(Edge));
         t.instr(steps * Cost::binary_search_step);
@@ -372,10 +535,7 @@ void external_sort(Dpu& dpu, const KernelParams& p, std::vector<Edge>& data,
       const std::uint64_t r1 = way + 1 == ways ? hi : right_split(way + 1);
       charge_merge(l1 - l0, r1 - r0);
     });
-  }
-
-  for (std::uint64_t i = 0; i < n; ++i) {
-    data[i] = edge_from_key(s.records[i].key);
+    if (ways > 1) split_less += pairs * ways;
   }
 }
 
@@ -713,6 +873,48 @@ void store_tally(DpuMeta& meta, const IntersectTally& tally,
 }
 
 }  // namespace
+
+void replay_sort(std::vector<Edge>& data, std::uint64_t chunk,
+                 std::uint32_t tasklets,
+                 std::vector<std::uint64_t>& split_less) {
+  if (chunk == 0 || tasklets == 0 || tasklets > kMaxRuns) {
+    throw std::invalid_argument(
+        "replay_sort: needs chunk >= 1 and 1..max_tasklets tasklets");
+  }
+  const std::uint64_t n = data.size();
+  // The run width at the first co-partitioned pass (0: none) and the split
+  // slots of that pass and every later one, which are all co-partitioned:
+  // `ways` grows as the pairs halve.
+  std::uint64_t run = 0;
+  std::uint64_t slots = 0;
+  for (std::uint64_t width = chunk; width < n; width *= 2) {
+    const MergePass mp = merge_pass(n, width, tasklets);
+    if (mp.ways == 1) continue;
+    if (run == 0) run = width;
+    slots += mp.pairs * mp.ways;
+  }
+  split_less.assign(slots, 0);
+
+  HostScratch& s = host_scratch();
+  const bool small = n < kRadixMinRecords;
+  const std::uint64_t tag_run = run != 0 ? run : std::max<std::uint64_t>(n, 1);
+  const std::span<const std::uint8_t> tags =
+      small ? comparison_sort(data, tag_run, s) : radix_sort(data, tag_run, s);
+  if (run == 0) return;
+  const auto runs = static_cast<std::uint32_t>(ceil_div(n, run));
+  if (!small) build_checkpoints(tags, runs, s);
+  std::uint64_t* out = split_less.data();
+  unsigned shift = 0;
+  for (std::uint64_t width = run; width < n; width *= 2, ++shift) {
+    const MergePass mp = merge_pass(n, width, tasklets);
+    if (small) {
+      sweep_splits(tags, mp, shift, out);
+    } else {
+      checkpoint_splits(tags, runs, mp, shift, s, out);
+    }
+    out += mp.pairs * mp.ways;
+  }
+}
 
 void run_count_kernel(pim::Dpu& dpu, const KernelParams& params_in) {
   const KernelParams params = clamp_buffers(params_in);

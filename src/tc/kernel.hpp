@@ -49,6 +49,9 @@
 // pins the charges and the live state.
 #pragma once
 
+#include <cstdint>
+#include <vector>
+
 #include "pim/dpu.hpp"
 #include "tc/intersect.hpp"
 #include "tc/layout.hpp"
@@ -75,6 +78,30 @@ struct KernelParams {
   /// kernel behavior).
   bool region_cache = true;
 };
+
+/// Below this many records the host replays the sort stage with a
+/// comparison sort and one sweep per co-partitioned merge pass; from it on,
+/// with an LSD radix sort and per-run checkpoints, whose histograms,
+/// checkpoint rows and scans of up to 64 tags per split cost more than
+/// they save on small inputs.  On x86 the two cross near 190 records for
+/// keys with 18 varying bits per half and near 290 for keys that vary in
+/// all 64 bits (remapped hub ids).
+inline constexpr std::uint64_t kRadixMinRecords = 384;
+
+/// The host part of the sort stage, whose order and merge-path splits the
+/// stage charges from.  Sorts `data` ascending as the device's WRAM chunk
+/// sorts of `chunk` records and pairwise merge passes with `tasklets`
+/// tasklets leave it, and sets `split_less` to the split ranks of every
+/// co-partitioned pass (fewer runs than tasklets), pass after pass: a pass
+/// with `pairs` pairs and `ways` tasklets per pair holds, at pair * ways +
+/// way, how many right-run records order below the left-run record at
+/// rank way * nl / ways (nl: the left run's length), or 0 where that rank
+/// is 0 or nl.  Equal records order by input position, as the merges keep
+/// them.  Needs chunk >= 1 and 1 <= tasklets <=
+/// pim::PimSystemConfig::max_tasklets.
+void replay_sort(std::vector<Edge>& data, std::uint64_t chunk,
+                 std::uint32_t tasklets,
+                 std::vector<std::uint64_t>& split_less);
 
 /// Executes the full kernel.  Reads DpuMeta at offset 0 and writes back
 /// `triangle_count` (total over the whole sample) plus `num_regions`; when

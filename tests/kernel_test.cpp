@@ -5,9 +5,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <iterator>
 #include <limits>
 #include <span>
+#include <stdexcept>
 #include <string>
 #include <tuple>
 #include <utility>
@@ -704,6 +706,163 @@ TEST(ClosedFormChargeTest, GallopReplayMatchesStreamedSearch) {
                           std::to_string(r.end) + ") w=" + std::to_string(w));
     }
   }
+}
+
+// ---- sort replay -----------------------------------------------------------
+//
+// replay_sort sorts keys with run tags and ranks the merge-path splits from
+// per-run checkpoints.  The reference below is the form it replaced: a
+// sort of (key, chunk) records and one sweep over them per co-partitioned
+// pass.
+
+struct SortReference {
+  std::vector<std::uint64_t> keys;        ///< sorted
+  std::vector<std::uint64_t> split_less;  ///< every co-partitioned pass's
+};
+
+SortReference reference_sort(std::span<const std::uint64_t> input,
+                             std::uint64_t chunk, std::uint32_t tasklets) {
+  struct Record {
+    std::uint64_t key;
+    std::uint64_t chunk;
+  };
+  const std::uint64_t n = input.size();
+  std::vector<Record> records(n);
+  for (std::uint64_t i = 0; i < n; ++i) records[i] = {input[i], i / chunk};
+  std::sort(records.begin(), records.end(),
+            [](const Record& a, const Record& b) {
+              return a.key != b.key ? a.key < b.key : a.chunk < b.chunk;
+            });
+  SortReference out;
+  for (const Record& r : records) out.keys.push_back(r.key);
+
+  unsigned pass = 0;
+  for (std::uint64_t width = chunk; width < n; width *= 2, ++pass) {
+    const std::uint64_t pairs = ceil_div(n, width * 2);
+    const auto ways = static_cast<std::uint32_t>(
+        std::max<std::uint64_t>(1, tasklets / pairs));
+    if (ways == 1) continue;
+    // The sweep: per run (chunk >> pass), the records seen so far and the
+    // rank of its next split; a split stores the right run's count.
+    constexpr std::uint64_t kNone = ~0ull;
+    std::vector<std::uint64_t> split_less(pairs * ways, 0);
+    std::vector<std::uint64_t> seen(2 * pairs, 0);
+    std::vector<std::uint64_t> target(2 * pairs, kNone);
+    std::vector<std::uint32_t> next_way(pairs, ways);
+    const auto seek = [&](std::uint64_t pr, std::uint32_t w) {
+      const std::uint64_t lo = pr * width * 2;
+      const std::uint64_t nl = std::min(lo + width, n) - lo;
+      for (; w < ways; ++w) {
+        const std::uint64_t rank = w * nl / ways;
+        if (rank >= nl) break;
+        if (rank > 0) {
+          next_way[pr] = w;
+          target[2 * pr] = rank;
+          return;
+        }
+      }
+      target[2 * pr] = kNone;
+    };
+    for (std::uint64_t pr = 0; pr < pairs; ++pr) seek(pr, 1);
+    for (const Record& rec : records) {
+      const std::uint64_t run = rec.chunk >> pass;
+      while (target[run] == seen[run]) {
+        const std::uint64_t pr = run >> 1;
+        split_less[pr * ways + next_way[pr]] = seen[run + 1];
+        seek(pr, next_way[pr] + 1);
+      }
+      ++seen[run];
+    }
+    out.split_less.insert(out.split_less.end(), split_less.begin(),
+                          split_less.end());
+  }
+  return out;
+}
+
+TEST(SortReplayTest, MatchesTheChunkRecordSweep) {
+  Xoshiro256ss rng(27);
+  const auto id_below = [&](std::uint64_t bound) {
+    return static_cast<NodeId>(rng.next_below(bound));
+  };
+  // Key shapes, each drawn per record: canonical edges over 2^17 ids; a
+  // pool of 40 keys, so equal keys land in different runs; a constant
+  // high half (one first node) or low half (one second node); arcs of
+  // real ids and remapped hub ids near 2^32, so both halves vary fully.
+  const std::vector<std::pair<std::string, std::function<std::uint64_t()>>>
+      shapes = {
+          {"canonical",
+           [&] {
+             return edge_key(
+                 Edge{id_below(1u << 17), id_below(1u << 17)}.canonical());
+           }},
+          {"duplicates",
+           [&] {
+             return edge_key(Edge{id_below(5), 5 + id_below(8)});
+           }},
+          {"high-constant",
+           [&] { return edge_key(Edge{1234, id_below(1u << 20)}); }},
+          {"low-constant",
+           [&] { return edge_key(Edge{id_below(1u << 20), 99}); }},
+          {"remapped",
+           [&] {
+             const auto node = [&] {
+               return rng.next_below(4) == 0
+                          ? remapped_id(static_cast<std::uint32_t>(
+                                rng.next_below(200)))
+                          : id_below(3000);
+             };
+             return edge_key(Edge{node(), node()});
+           }},
+      };
+  std::uint64_t inside_splits = 0;
+  for (const auto& [shape, draw] : shapes) {
+    for (const std::uint64_t n :
+         {std::uint64_t{3}, std::uint64_t{40}, kRadixMinRecords - 1,
+          kRadixMinRecords, kRadixMinRecords + 1, std::uint64_t{511},
+          std::uint64_t{512}, std::uint64_t{513}, std::uint64_t{12'289}}) {
+      std::vector<std::uint64_t> input(n);
+      for (std::uint64_t& key : input) key = draw();
+      for (const std::uint32_t tasklets : {1u, 2u, 11u, 16u, 24u}) {
+        // The kernel's chunk for 16 tasklets' WRAM share (at most 256),
+        // the 8-record floor and an odd size.
+        const std::uint64_t fitted = std::max<std::uint64_t>(
+            8, std::min<std::uint64_t>(256, ceil_div(n, tasklets)));
+        for (const std::uint64_t chunk :
+             {fitted, std::uint64_t{8}, std::uint64_t{37}}) {
+          const std::string where = shape + " n=" + std::to_string(n) +
+                                    " tasklets=" + std::to_string(tasklets) +
+                                    " chunk=" + std::to_string(chunk);
+          const SortReference want = reference_sort(input, chunk, tasklets);
+          std::vector<Edge> data(n);
+          for (std::uint64_t i = 0; i < n; ++i) {
+            data[i] = edge_from_key(input[i]);
+          }
+          std::vector<std::uint64_t> split_less{7};  // replaced
+          replay_sort(data, chunk, tasklets, split_less);
+          std::vector<std::uint64_t> got(n);
+          for (std::uint64_t i = 0; i < n; ++i) got[i] = edge_key(data[i]);
+          ASSERT_EQ(got, want.keys) << where;
+          ASSERT_EQ(split_less, want.split_less) << where;
+          inside_splits += static_cast<std::uint64_t>(std::count_if(
+              split_less.begin(), split_less.end(),
+              [](std::uint64_t r) { return r != 0; }));
+        }
+      }
+    }
+  }
+  // The ranks compared are mostly real searches, not the zeros of splits
+  // that need none.
+  EXPECT_GT(inside_splits, 5'000u);
+}
+
+TEST(SortReplayTest, RejectsAChunkOrTaskletCountItCannotTag) {
+  std::vector<Edge> data = {{2, 3}, {1, 2}};
+  std::vector<std::uint64_t> split_less;
+  EXPECT_THROW(replay_sort(data, 0, 16, split_less), std::invalid_argument);
+  EXPECT_THROW(replay_sort(data, 8, 0, split_less), std::invalid_argument);
+  EXPECT_THROW(replay_sort(data, 8, pim::PimSystemConfig::max_tasklets + 1,
+                           split_less),
+               std::invalid_argument);
 }
 
 // ---- region lookup ---------------------------------------------------------
