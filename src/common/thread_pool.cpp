@@ -60,16 +60,28 @@ ThreadPool::~ThreadPool() {
 
 void ThreadPool::worker_loop() {
   current_pool = this;
+  using Clock = std::chrono::steady_clock;
+  const auto polling = [this](Clock::time_point idle_since) {
+    return !stop_ && Clock::now() - idle_since < kIdlePoll;
+  };
+  Clock::time_point idle_since = Clock::now();
   for (;;) {
+    while (queued_ == 0 && polling(idle_since)) {
+      std::this_thread::yield();
+    }
     std::function<void()> task;
     {
       MutexLock lock(mutex_);
+      // Another worker took the task this one saw: poll on.
+      if (queue_.empty() && polling(idle_since)) continue;
       while (!stop_ && queue_.empty()) lock.wait(cv_task_);
       if (stop_ && queue_.empty()) return;
       task = std::move(queue_.front());
       queue_.pop_front();
+      queued_ = queue_.size();
     }
     task();
+    idle_since = Clock::now();
   }
 }
 
@@ -77,6 +89,7 @@ void ThreadPool::enqueue(std::function<void()> fn) {
   {
     MutexLock lock(mutex_);
     queue_.push_back(std::move(fn));
+    queued_ = queue_.size();
   }
   cv_task_.notify_one();
 }

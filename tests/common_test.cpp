@@ -4,7 +4,9 @@
 #include <algorithm>
 #include <atomic>
 #include <bit>
+#include <chrono>
 #include <cmath>
+#include <ctime>
 #include <future>
 #include <numeric>
 #include <set>
@@ -324,6 +326,19 @@ TEST(ThreadPoolTest, NestedParallelForRunsInlineInsteadOfDeadlocking) {
     return n.load();
   });
   EXPECT_EQ(f.get(), 10);
+}
+
+TEST(ThreadPoolTest, IdleWorkersBlockAfterPolling) {
+  // An idle worker polls for a task for at most ThreadPool::kIdlePoll (1 ms)
+  // and then blocks, so a pool with no work costs no CPU.
+  ThreadPool pool(4);
+  pool.parallel_for(4, [](std::size_t) {});
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  const std::clock_t before = std::clock();
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  const double cpu_s =
+      static_cast<double>(std::clock() - before) / CLOCKS_PER_SEC;
+  EXPECT_LT(cpu_s, 0.05) << "idle workers kept polling";
 }
 
 TEST(ThreadPoolTest, OnPoolThreadDistinguishesInsideFromOutside) {
