@@ -1,7 +1,7 @@
 // Out-of-core ingest throughput bench: edges/s of the chunked streaming
 // reader (graph/stream_reader.hpp + engine/ingest.hpp) per on-disk format —
-// text COO vs MatrixMarket vs `.pbin` buffered vs `.pbin` mmap — on a
-// hub-heavy BA+hubs graph 10-100x the figure benches' size.
+// text COO vs `.pbin` buffered vs `.pbin` mmap — on a hub-heavy BA+hubs
+// graph 10-100x the figure benches' size.
 //
 // Each cell drains the file through the full double-buffered ingest
 // pipeline (producer parse task + consumer filter stage, null sink) and
@@ -120,18 +120,17 @@ int main(int argc, char** argv) {
 
   const graph::EdgeList g = make_graph(opt.scale, opt.seed);
 
-  // Write the same edge list in every format, with declared counts so the
+  // Write the same edge list in both formats, with declared counts so the
   // headers are exact (no padding).
   graph::WriterOptions wopt;
   wopt.declared_edges = g.num_edges();
   wopt.declared_nodes = g.num_nodes();
   std::vector<Cell> cells = {
       {"text", dir / "g.txt", true},
-      {"mtx", dir / "g.mtx", true},
       {"pbin-buffered", dir / "g.pbin", false},
       {"pbin-mmap", dir / "g.pbin", true},
   };
-  for (const fs::path& p : {cells[0].path, cells[1].path, cells[2].path}) {
+  for (const fs::path& p : {cells[0].path, cells[1].path}) {
     auto w = graph::make_edge_writer(p, wopt);
     w->append(g.edges());
     w->finish();
@@ -161,7 +160,7 @@ int main(int argc, char** argv) {
 
   // Headline: mmap-streamed .pbin vs text, same pipeline either side.
   const double text_eps = edges_per_s(cells[0]);
-  const double pbin_eps = edges_per_s(cells[3]);
+  const double pbin_eps = edges_per_s(cells[2]);
   const double headline = text_eps > 0.0 ? pbin_eps / text_eps : 0.0;
   const double gate = 3.0;
   const bool pass = parity && counts_identical && headline >= gate;

@@ -17,43 +17,6 @@ using Clock = std::chrono::steady_clock;
   return std::chrono::duration<double>(Clock::now() - t0).count();
 }
 
-/// Parallel chunks below this run the histogram sequentially — the
-/// range-scan pattern only pays off once every worker has real work.
-constexpr std::size_t kParallelDegreeEdges = std::size_t{1} << 16;
-
-/// Folds one chunk into the running degree histogram.  Each pool worker
-/// owns a disjoint node range and scans the whole chunk counting only its
-/// own nodes (dodg.cpp phase-1 pattern): disjoint writes, no atomics, no
-/// per-thread histogram copies to merge.
-void accumulate_degrees(std::span<const Edge> chunk,
-                        std::vector<std::uint32_t>& degrees,
-                        ThreadPool& pool) {
-  if (chunk.empty()) return;
-  NodeId max_node = 0;
-  for (const Edge& e : chunk) {
-    if (e.u > max_node) max_node = e.u;
-    if (e.v > max_node) max_node = e.v;
-  }
-  if (degrees.size() <= max_node) {
-    degrees.resize(std::size_t{max_node} + 1, 0);
-  }
-  if (chunk.size() < kParallelDegreeEdges || pool.size() <= 1) {
-    for (const Edge& e : chunk) {
-      ++degrees[e.u];
-      ++degrees[e.v];
-    }
-    return;
-  }
-  pool.parallel_chunks(
-      degrees.size(),
-      [&](std::size_t, std::size_t lo, std::size_t hi) {
-        for (const Edge& e : chunk) {
-          if (e.u >= lo && e.u < hi) ++degrees[e.u];
-          if (e.v >= lo && e.v < hi) ++degrees[e.v];
-        }
-      });
-}
-
 }  // namespace
 
 IngestStats ingest_stream(
@@ -61,7 +24,6 @@ IngestStats ingest_stream(
     const std::function<void(std::span<const Edge>)>& sink,
     const IngestOptions& options) {
   IngestStats stats;
-  const bool filtering = options.drop_self_loops || options.dedup;
   std::vector<Edge> scratch;  // reused filtered-chunk buffer
   graph::EdgeFilter filter;
 
@@ -83,12 +45,10 @@ IngestStats ingest_stream(
 
       auto t0 = Clock::now();
       std::span<const Edge> feed = chunk;
-      if (filtering) {
+      if (options.dedup) {
         scratch.clear();
         for (const Edge& e : chunk) {
-          if (options.dedup ? filter.keep(e) : !e.is_loop()) {
-            scratch.push_back(e);
-          }
+          if (filter.keep(e)) scratch.push_back(e);
         }
         feed = scratch;
       }
@@ -114,9 +74,7 @@ IngestStats ingest_stream(
   }
 
   stats.edges_read = reader.edges_read();
-  stats.self_loops_dropped = options.dedup
-                                 ? filter.loops()
-                                 : stats.edges_read - stats.edges_ingested;
+  stats.self_loops_dropped = filter.loops();
   stats.duplicates_dropped = filter.duplicates();
   stats.mapped = reader.mapped();
   return stats;
@@ -132,19 +90,6 @@ IngestStats ingest_file(TriangleCountEngine& engine,
         if (!batch.empty()) engine.add_edges(batch);
       },
       {.reader = reader, .dedup = true});
-}
-
-std::vector<std::uint32_t> stream_degrees(const std::filesystem::path& path,
-                                          const graph::ReaderOptions& reader) {
-  graph::ChunkedEdgeReader source(path, reader);
-  std::vector<std::uint32_t> degrees;
-  ingest_stream(
-      source,
-      [&degrees](std::span<const Edge> chunk) {
-        accumulate_degrees(chunk, degrees, ThreadPool::global());
-      },
-      {.reader = reader, .drop_self_loops = true});
-  return degrees;
 }
 
 }  // namespace pimtc::engine

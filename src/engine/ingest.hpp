@@ -15,17 +15,12 @@
 // order and streamed ingest must be bit-identical to one-shot read_coo +
 // remove_loops_and_duplicates + count.  ingest_file always filters, so
 // engine ingest holds O(chunk) plus the filter's O(distinct edges) table.
-//
-// `pimtc convert --orient` streams the file once through stream_degrees
-// for the degree table, then re-streams it orienting each edge
-// lower-(degree, id) endpoint first.
 #pragma once
 
 #include <cstdint>
 #include <filesystem>
 #include <functional>
 #include <span>
-#include <vector>
 
 #include "engine/engine.hpp"
 #include "graph/stream_reader.hpp"
@@ -33,10 +28,7 @@
 namespace pimtc::engine {
 
 struct IngestOptions {
-  graph::ReaderOptions reader;  ///< chunk size, mmap, checksum verification
-
-  /// Drop self loops while streaming.
-  bool drop_self_loops = false;
+  graph::ReaderOptions reader;  ///< chunk size, mmap
 
   /// Drop self loops and every repeat of an undirected edge across the
   /// whole stream through one graph::EdgeFilter, keeping the first copy.
@@ -76,10 +68,5 @@ IngestStats ingest_stream(
 IngestStats ingest_file(TriangleCountEngine& engine,
                         const std::filesystem::path& path,
                         const graph::ReaderOptions& reader = {});
-
-/// One streaming pass over `path` returning the degree histogram (pass 1
-/// of `pimtc convert --orient`).  Self loops are excluded.
-[[nodiscard]] std::vector<std::uint32_t> stream_degrees(
-    const std::filesystem::path& path, const graph::ReaderOptions& reader = {});
 
 }  // namespace pimtc::engine

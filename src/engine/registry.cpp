@@ -1,11 +1,7 @@
 #include "engine/registry.hpp"
 
-#include <map>
 #include <stdexcept>
-#include <utility>
 
-#include "common/annotations.hpp"
-#include "common/mutex.hpp"
 #include "cpufast/cpu_fast_engine.hpp"
 #include "engine/cpu_engine.hpp"
 #include "tc/host.hpp"
@@ -14,74 +10,44 @@ namespace pimtc::engine {
 
 namespace {
 
-// Explicit registration of the built-ins (instead of self-registering
-// translation units, which a static-library link is free to drop).
-struct Registry {
-  Mutex mutex;
-  std::map<std::string, EngineFactory, std::less<>> factories
-      PIMTC_GUARDED_BY(mutex);
+template <typename Engine>
+std::unique_ptr<TriangleCountEngine> make(const EngineConfig& cfg) {
+  return std::make_unique<Engine>(cfg);
+}
 
-  Registry() {
-    factories.emplace("pim", [](const EngineConfig& cfg) {
-      return std::make_unique<tc::PimTriangleCounter>(cfg);
-    });
-    factories.emplace("cpu", [](const EngineConfig& cfg) {
-      return std::make_unique<CpuEngine>(cfg);
-    });
-    factories.emplace("cpu-incremental", [](const EngineConfig& cfg) {
-      return std::make_unique<IncrementalCpuEngine>(cfg);
-    });
-    factories.emplace("cpu-fast", [](const EngineConfig& cfg) {
-      return std::make_unique<cpufast::CpuFastEngine>(cfg);
-    });
-  }
+struct Backend {
+  std::string_view name;
+  std::unique_ptr<TriangleCountEngine> (*make)(const EngineConfig&);
 };
 
-Registry& registry() {
-  static Registry instance;
-  return instance;
-}
+// Sorted by name: registered_backends() and the unknown-name message list
+// the table in order.
+constexpr Backend kBackends[] = {
+    {"cpu", make<CpuEngine>},
+    {"cpu-fast", make<cpufast::CpuFastEngine>},
+    {"cpu-incremental", make<IncrementalCpuEngine>},
+    {"pim", make<tc::PimTriangleCounter>},
+};
 
 }  // namespace
 
 std::unique_ptr<TriangleCountEngine> make_engine(std::string_view name,
                                                  const EngineConfig& config) {
-  EngineFactory factory;
-  {
-    Registry& reg = registry();
-    const MutexLock lock(reg.mutex);
-    const auto it = reg.factories.find(name);
-    if (it == reg.factories.end()) {
-      std::string known;
-      for (const auto& [n, f] : reg.factories) {
-        if (!known.empty()) known += ", ";
-        known += n;
-      }
-      throw std::invalid_argument("unknown backend '" + std::string(name) +
-                                  "' (registered: " + known + ")");
-    }
-    factory = it->second;
+  for (const Backend& b : kBackends) {
+    if (b.name == name) return b.make(config);
   }
-  return factory(config);
-}
-
-void register_backend(std::string name, EngineFactory factory) {
-  if (name.empty() || !factory) {
-    throw std::invalid_argument("register_backend: empty name or factory");
+  std::string known;
+  for (const Backend& b : kBackends) {
+    if (!known.empty()) known += ", ";
+    known += b.name;
   }
-  Registry& reg = registry();
-  const MutexLock lock(reg.mutex);
-  if (!reg.factories.emplace(std::move(name), std::move(factory)).second) {
-    throw std::invalid_argument("register_backend: name already registered");
-  }
+  throw std::invalid_argument("unknown backend '" + std::string(name) +
+                              "' (registered: " + known + ")");
 }
 
 std::vector<std::string> registered_backends() {
-  Registry& reg = registry();
-  const MutexLock lock(reg.mutex);
   std::vector<std::string> names;
-  names.reserve(reg.factories.size());
-  for (const auto& [name, factory] : reg.factories) names.push_back(name);
+  for (const Backend& b : kBackends) names.emplace_back(b.name);
   return names;
 }
 

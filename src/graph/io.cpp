@@ -3,7 +3,6 @@
 #include <charconv>
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <stdexcept>
 #include <string>
@@ -16,7 +15,7 @@
 namespace pimtc::graph {
 namespace {
 
-/// Width of the count fields in padded (back-patched) text/mtx headers:
+/// Width of the count fields in padded (back-patched) text headers:
 /// wide enough for any uint64, and the patch rewrites exactly these bytes.
 constexpr int kPadWidth = 20;
 
@@ -55,12 +54,6 @@ class FileSink {
   void patch_at(long offset, const void* data, std::size_t bytes) {
     if (std::fseek(file_, offset, SEEK_SET) != 0) fail(path_, "write failed");
     write(data, bytes);
-  }
-
-  [[nodiscard]] long tell() {
-    const long pos = std::ftell(file_);
-    if (pos < 0) fail(path_, "write failed");
-    return pos;
   }
 
   void close() {
@@ -156,86 +149,11 @@ class TextSink final : public EdgeWriter {
   bool finished_ = false;
 };
 
-/// MatrixMarket sink: "pattern general" banner, square dimensions equal to
-/// the node bound, 1-based entries.
-class MtxSink final : public EdgeWriter {
- public:
-  MtxSink(const std::filesystem::path& path, const WriterOptions& options)
-      : sink_(path), patch_(!(options.declared_edges && options.declared_nodes)) {
-    const char* banner = "%%MatrixMarket matrix coordinate pattern general\n";
-    sink_.write(banner, std::strlen(banner));
-    size_line_offset_ = sink_.tell();
-    char line[96];
-    int len;
-    if (!patch_) {
-      len = std::snprintf(
-          line, sizeof line, "%llu %llu %llu\n",
-          static_cast<unsigned long long>(*options.declared_nodes),
-          static_cast<unsigned long long>(*options.declared_nodes),
-          static_cast<unsigned long long>(*options.declared_edges));
-    } else {
-      len = std::snprintf(line, sizeof line, "%*llu %*llu %*llu\n", kPadWidth,
-                          0ull, kPadWidth, 0ull, kPadWidth, 0ull);
-    }
-    sink_.write(line, static_cast<std::size_t>(len));
-    buf_.reserve(kSinkFlushBytes + 64);
-  }
-
-  ~MtxSink() override {
-    try {
-      finish();
-    } catch (...) {
-    }
-  }
-
-  void append(std::span<const Edge> chunk) override {
-    for (const Edge& e : chunk) {
-      append_u64(buf_, std::uint64_t{e.u} + 1);
-      buf_.push_back(' ');
-      append_u64(buf_, std::uint64_t{e.v} + 1);
-      buf_.push_back('\n');
-      if (buf_.size() >= kSinkFlushBytes) flush();
-    }
-    account(chunk);
-  }
-
-  void finish() override {
-    if (finished_) return;
-    finished_ = true;
-    flush();
-    if (patch_) {
-      char line[96];
-      const int len = std::snprintf(line, sizeof line, "%*llu %*llu %*llu\n",
-                                    kPadWidth,
-                                    static_cast<unsigned long long>(nodes_),
-                                    kPadWidth,
-                                    static_cast<unsigned long long>(nodes_),
-                                    kPadWidth,
-                                    static_cast<unsigned long long>(edges_));
-      sink_.patch_at(size_line_offset_, line, static_cast<std::size_t>(len));
-    }
-    sink_.close();
-  }
-
- private:
-  void flush() {
-    if (!buf_.empty()) sink_.write(buf_.data(), buf_.size());
-    buf_.clear();
-  }
-
-  FileSink sink_;
-  std::vector<char> buf_;
-  long size_line_offset_ = 0;
-  bool patch_;
-  bool finished_ = false;
-};
-
 /// `.pbin` sink: raw records behind a placeholder header that finish()
 /// overwrites with the real counts and the payload checksum.
 class PbinSink final : public EdgeWriter {
  public:
-  PbinSink(const std::filesystem::path& path, const WriterOptions& options)
-      : sink_(path), with_checksum_(options.with_checksum) {
+  explicit PbinSink(const std::filesystem::path& path) : sink_(path) {
     write_header(0);
   }
 
@@ -249,14 +167,14 @@ class PbinSink final : public EdgeWriter {
   void append(std::span<const Edge> chunk) override {
     if (chunk.empty()) return;
     sink_.write(chunk.data(), chunk.size_bytes());
-    if (with_checksum_) hash_.update(chunk.data(), chunk.size_bytes());
+    hash_.update(chunk.data(), chunk.size_bytes());
     account(chunk);
   }
 
   void finish() override {
     if (finished_) return;
     finished_ = true;
-    write_header(with_checksum_ ? hash_.digest() : 0);
+    write_header(hash_.digest());
     sink_.close();
   }
 
@@ -265,7 +183,7 @@ class PbinSink final : public EdgeWriter {
   void write_header(std::uint64_t checksum) {
     PbinInfo info;
     info.version = kPbinVersion;
-    info.flags = with_checksum_ ? kPbinFlagChecksum : 0;
+    info.flags = kPbinFlagChecksum;
     info.num_nodes = nodes_;
     info.num_edges = edges_;
     info.checksum = checksum;
@@ -276,7 +194,6 @@ class PbinSink final : public EdgeWriter {
 
   FileSink sink_;
   Xxh64 hash_;
-  bool with_checksum_;
   bool finished_ = false;
 };
 
@@ -337,9 +254,7 @@ std::unique_ptr<EdgeWriter> make_edge_writer(const std::filesystem::path& path,
                                              WriterOptions options) {
   switch (file_format_of(path)) {
     case FileFormat::kPbin:
-      return std::make_unique<PbinSink>(path, options);
-    case FileFormat::kMtx:
-      return std::make_unique<MtxSink>(path, options);
+      return std::make_unique<PbinSink>(path);
     case FileFormat::kText:
       return std::make_unique<TextSink>(path, options);
   }

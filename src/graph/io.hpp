@@ -6,17 +6,14 @@
 // whitespace-only lines are skipped — downloaded datasets routinely carry
 // a trailing blank line or indented comments.  The binary format is
 // ".pbin" (graph/pbin.hpp): versioned header, node/edge counts and an
-// XXH64 payload checksum.  MatrixMarket (".mtx") coordinate files — the
-// SuiteSparse collection's native format — load directly: the banner and
-// '%' comments are handled, entries are 1-based and converted, and any
-// value column (real/integer/pattern) is ignored.  Node ids run up to
-// 2^32-2 in every format; 2^32-1 is the reserved kInvalidNode.
+// XXH64 payload checksum.  Node ids run up to 2^32-2 in both formats;
+// 2^32-1 is the reserved kInvalidNode.
 //
 // read_coo drains the chunked streaming reader (graph/stream_reader.hpp),
-// which does every check; errors name the file and, for the line-oriented
-// formats, the 1-based line.  The EdgeWriter sinks from make_edge_writer
-// are the one write side — `pimtc convert` pipes reader chunks into one,
-// so any-format-to-any-format conversion runs in O(chunk) memory.
+// which does every check; errors name the file and, for text, the 1-based
+// line.  The EdgeWriter sinks from make_edge_writer are the one write
+// side — `pimtc convert` pipes reader chunks into one, so conversion in
+// either direction runs in O(chunk) memory.
 //
 // Update-stream format (fully-dynamic counting, `pimtc count --stream=`):
 // one update per line — "+u v" inserts, "-u v" deletes, a bare "u v" is an
@@ -38,12 +35,9 @@
 namespace pimtc::graph {
 
 /// The whole file as one list, read through ChunkedEdgeReader (format by
-/// extension: ".pbin", ".mtx" or a text extension; unknown extensions
-/// throw, naming the supported formats — they are not parsed as text).
-/// MatrixMarket needs a "matrix coordinate" banner and accepts any field
-/// and symmetry tag: each stored entry becomes one edge, values are
-/// discarded.  Self loops and duplicates are kept (graph::preprocess
-/// removes them).
+/// extension: ".pbin" or a text extension; unknown extensions throw,
+/// naming the supported formats — they are not parsed as text).  Self
+/// loops and duplicates are kept (graph::preprocess removes them).
 [[nodiscard]] EdgeList read_coo(const std::filesystem::path& path);
 
 /// Text COO with a "# pimtc COO edge list; <m> edges, <n> nodes" header.
@@ -56,22 +50,19 @@ void write_coo_text(const EdgeList& list, const std::filesystem::path& path);
 
 /// Options for make_edge_writer.
 struct WriterOptions {
-  /// `.pbin` only: checksum the payload (kPbinFlagChecksum).
-  bool with_checksum = true;
-
-  /// Exact counts, when the caller knows them up front (a `.pbin` or `.mtx`
-  /// source header).  With counts the text/mtx headers are emitted in final
-  /// form immediately — this is what makes text -> pbin -> text reproduce
-  /// the original byte-for-byte.  Without them the header is written padded
+  /// Exact counts, when the caller knows them up front (a `.pbin` source
+  /// header).  With counts the text header is emitted in final form
+  /// immediately — this is what makes text -> pbin -> text reproduce the
+  /// original byte-for-byte.  Without them the header is written padded
   /// and patched by finish().
   std::optional<EdgeCount> declared_edges;
   std::optional<std::uint64_t> declared_nodes;
 };
 
 /// Streaming edge sink: append() chunks in arrival order, then finish().
-/// Formats whose header carries counts (all except plain text with counts
-/// known up front) back-patch the header on finish(), so a source of
-/// unknown length converts in O(chunk) memory.  finish() is called
+/// A header that carries counts not known up front (and every `.pbin`
+/// header, which also carries the payload checksum) is back-patched on
+/// finish(), so a source of unknown length converts in O(chunk) memory.  finish() is called
 /// best-effort by the destructor; call it explicitly to see write errors.
 class EdgeWriter {
  public:
@@ -98,9 +89,8 @@ class EdgeWriter {
 };
 
 /// Streaming writer for `path`, dispatched by extension (same table as
-/// file_format_of; unknown extensions throw): text COO, MatrixMarket
-/// ("pattern general" banner, square dimensions equal to the node bound,
-/// 1-based entries) or `.pbin`.
+/// file_format_of; unknown extensions throw): text COO or `.pbin`, whose
+/// payload is always checksummed.
 [[nodiscard]] std::unique_ptr<EdgeWriter> make_edge_writer(
     const std::filesystem::path& path, WriterOptions options = {});
 

@@ -1,7 +1,7 @@
 // `.pbin` — the compact binary edge format of the out-of-core data path.
 //
-// Text and MatrixMarket parsing dominate end-to-end time once graphs stop
-// fitting in page cache (the GraphChallenge survey's ingest observation);
+// Text parsing dominates end-to-end time once graphs stop fitting in page
+// cache (the GraphChallenge survey's ingest observation);
 // `.pbin` stores the same COO stream as fixed-width little-endian records
 // behind a 40-byte header, so ingest becomes a sequential byte copy and the
 // chunked reader (stream_reader.hpp) can mmap it and hand out zero-copy
@@ -16,9 +16,9 @@
 //       32     8  XXH64 of the edge payload (seed 0), 0 when the flag is off
 //       40  m*8  edge records: u then v, 4 bytes each
 //
-// The checksum is optional (--no-checksum on `pimtc convert`) because
-// scratch conversions of huge files may not want the extra read pass; when
-// present, the chunked reader verifies it.  This file only defines the
+// The writer always sets the checksum flag.  The chunked reader verifies
+// the checksum whenever the flag is set; a file with the flag clear, which
+// version 1 allows, reads unchecked.  This file only defines the
 // format: the one reader is ChunkedEdgeReader (stream_reader.hpp), which
 // also checks every record against num_nodes, and the one writer is the
 // `.pbin` EdgeWriter from make_edge_writer (io.hpp), which back-patches the

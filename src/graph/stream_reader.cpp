@@ -1,7 +1,6 @@
 #include "graph/stream_reader.hpp"
 
 #include <cstring>
-#include <sstream>
 #include <stdexcept>
 
 #include "graph/io_error.hpp"
@@ -27,7 +26,6 @@ constexpr std::size_t kReadBlock = std::size_t{1} << 20;  // buffered IO block
 const char* to_string(FileFormat format) noexcept {
   switch (format) {
     case FileFormat::kText: return "text";
-    case FileFormat::kMtx: return "mtx";
     case FileFormat::kPbin: return "pbin";
   }
   return "?";
@@ -36,7 +34,6 @@ const char* to_string(FileFormat format) noexcept {
 FileFormat file_format_of(const std::filesystem::path& path) {
   const std::string ext = path.extension().string();
   if (ext == ".pbin") return FileFormat::kPbin;
-  if (ext == ".mtx") return FileFormat::kMtx;
   if (ext == ".txt" || ext == ".text" || ext == ".el" || ext == ".edges" ||
       ext == ".coo" || ext == ".graph" || ext == ".tsv") {
     return FileFormat::kText;
@@ -44,7 +41,7 @@ FileFormat file_format_of(const std::filesystem::path& path) {
   throw IoError(path,
                 "unsupported graph file extension '" + ext +
                     "' (supported: .txt/.text/.el/.edges/.coo/.graph/.tsv "
-                    "text COO, .mtx MatrixMarket, .pbin pimtc binary)");
+                    "text COO, .pbin pimtc binary)");
 }
 
 ChunkedEdgeReader::ChunkedEdgeReader(const std::filesystem::path& path,
@@ -54,16 +51,7 @@ ChunkedEdgeReader::ChunkedEdgeReader(const std::filesystem::path& path,
     throw std::invalid_argument("ChunkedEdgeReader: chunk_edges must be >= 1");
   }
   open_input();
-  switch (format_) {
-    case FileFormat::kPbin:
-      parse_pbin_header();
-      break;
-    case FileFormat::kMtx:
-      parse_mtx_header();
-      break;
-    case FileFormat::kText:
-      break;
-  }
+  if (format_ == FileFormat::kPbin) parse_pbin_header();
 }
 
 ChunkedEdgeReader::~ChunkedEdgeReader() {
@@ -128,88 +116,10 @@ void ChunkedEdgeReader::parse_pbin_header() {
   const PbinInfo info = decode_pbin_header(raw, file_bytes_, path_);
   declared_edges_ = info.num_edges;
   declared_nodes_ = info.num_nodes;
-  has_checksum_ = options_.verify_checksum && info.has_checksum();
+  has_checksum_ = info.has_checksum();
   checksum_expect_ = info.checksum;
   payload_offset_ = sizeof raw;
   payload_end_ = sizeof raw + info.num_edges * sizeof(Edge);
-}
-
-std::string ChunkedEdgeReader::take_header_line() {
-  for (;;) {
-    if (win_ != win_end_) {
-      const char* nl = static_cast<const char*>(
-          std::memchr(win_, '\n', static_cast<std::size_t>(win_end_ - win_)));
-      if (nl != nullptr) {
-        ++line_;
-        std::string out(win_, nl);
-        win_ = nl + 1;
-        return out;
-      }
-      if (input_exhausted_) {  // final line without a newline
-        ++line_;
-        std::string out(win_, win_end_);
-        win_ = win_end_;
-        return out;
-      }
-    } else if (input_exhausted_) {
-      fail("unexpected end of file in the MatrixMarket header");
-    }
-    if (!refill_window() && win_ == win_end_) {
-      fail("unexpected end of file in the MatrixMarket header");
-    }
-  }
-}
-
-void ChunkedEdgeReader::parse_mtx_header() {
-  if (file_bytes_ == 0) fail("empty file");
-  // Banner: "%%MatrixMarket <object> <format> [field] [symmetry]".  Only
-  // sparse matrices make sense as edge lists.
-  {
-    std::istringstream banner(take_header_line());
-    std::string tag;
-    std::string object;
-    std::string fmt;
-    banner >> tag >> object >> fmt;
-    if (tag != "%%MatrixMarket") {
-      fail_line("missing %%MatrixMarket banner");
-    }
-    if (object != "matrix" || fmt != "coordinate") {
-      fail_line("only 'matrix coordinate' MatrixMarket files are supported");
-    }
-  }
-  // Comments, then the "rows cols nnz" size line.
-  for (;;) {
-    const std::string raw = take_header_line();
-    if (raw.empty() || raw[0] == '%') continue;
-    const char* p = raw.data();
-    const char* end = raw.data() + raw.size();
-    std::uint64_t rows = 0;
-    std::uint64_t cols = 0;
-    std::uint64_t nnz = 0;
-    if (!parse_u64(p, end, rows) || !parse_u64(p, end, cols) ||
-        !parse_u64(p, end, nnz)) {
-      fail_line("malformed size line (expected 'rows cols nnz')");
-    }
-    // Indices are 1-based, so a dimension of 2^32-1 puts the largest id
-    // at 2^32-2 after the -1 shift: kInvalidNode stays reserved.
-    if (rows > kInvalidNode || cols > kInvalidNode) {
-      fail_line("matrix dimension > 2^32-1");
-    }
-    // Plausibility bound on nnz before anyone trusts it for a reserve():
-    // every entry needs at least "1 1" plus a separating newline, so a file
-    // of B bytes cannot hold more than B/4 + 1 entries.  A hostile size
-    // line (nnz ~ 2^60) would otherwise turn read_coo's reserve(nnz) into
-    // a giant allocation.
-    if (nnz > file_bytes_ / 4 + 1) {
-      fail_line("size line declares more entries than the file could hold");
-    }
-    mtx_rows_ = rows;
-    mtx_cols_ = cols;
-    mtx_remaining_ = nnz;
-    declared_edges_ = nnz;
-    declared_nodes_ = rows > cols ? rows : cols;
-    return;
-  }
 }
 
 bool ChunkedEdgeReader::refill_window() {
@@ -240,20 +150,7 @@ void ChunkedEdgeReader::consume_line(const char* p, const char* end,
   std::uint64_t u = 0;
   std::uint64_t v = 0;
   if (!parse_u64(p, end, u) || !parse_u64(p, end, v)) {
-    fail_line(format_ == FileFormat::kMtx
-                  ? "malformed entry (expected two integers)"
-                  : "malformed line (expected two integers)");
-  }
-  if (format_ == FileFormat::kMtx) {
-    // Trailing value column(s) of real/integer/complex fields are ignored.
-    if (u == 0 || v == 0) fail_line("MatrixMarket indices are 1-based");
-    if (u > mtx_rows_ || v > mtx_cols_) {
-      fail_line("entry index exceeds the declared matrix dimensions");
-    }
-    out.push_back(Edge{static_cast<NodeId>(u - 1),
-                       static_cast<NodeId>(v - 1)});
-    --mtx_remaining_;
-    return;
+    fail_line("malformed line (expected two integers)");
   }
   if (u >= kInvalidNode || v >= kInvalidNode) fail_line("node id > 2^32-2");
   out.push_back(Edge{static_cast<NodeId>(u), static_cast<NodeId>(v)});
@@ -266,16 +163,8 @@ std::span<const Edge> ChunkedEdgeReader::next_lines() {
   if (out.capacity() < options_.chunk_edges) out.reserve(options_.chunk_edges);
 
   while (out.size() < options_.chunk_edges) {
-    if (format_ == FileFormat::kMtx && mtx_remaining_ == 0) {
-      // The size line's promise is fulfilled; trailing content is ignored.
-      done_ = true;
-      break;
-    }
     if (win_ == win_end_) {
       if (refill_window()) continue;
-      if (format_ == FileFormat::kMtx && mtx_remaining_ > 0) {
-        fail("fewer entries than the size line promised");
-      }
       done_ = true;
       break;
     }
@@ -352,14 +241,7 @@ std::span<const Edge> ChunkedEdgeReader::next_pbin() {
 
 std::span<const Edge> ChunkedEdgeReader::next() {
   if (done_) return {};
-  switch (format_) {
-    case FileFormat::kPbin:
-      return next_pbin();
-    case FileFormat::kMtx:
-    case FileFormat::kText:
-      return next_lines();
-  }
-  return {};
+  return format_ == FileFormat::kPbin ? next_pbin() : next_lines();
 }
 
 }  // namespace pimtc::graph

@@ -1,15 +1,15 @@
 // ChunkedEdgeReader — the one reader of graph files.
 //
-// Reads every supported edge-file format (text COO, MatrixMarket, `.pbin`)
-// and yields fixed-size edge chunks without ever materializing the graph:
-// peak reader memory is O(chunk_edges), not O(m).  read_coo, the ingest
+// Reads both supported edge-file formats (text COO and `.pbin`) and yields
+// fixed-size edge chunks without ever materializing the graph: peak
+// reader memory is O(chunk_edges), not O(m).  read_coo, the ingest
 // pipeline and `pimtc convert` all drain it, so every graph file is
 // checked here: `.pbin` headers are decoded from the reader's
 // own open input, every `.pbin` chunk is checked against the header's node
 // bound, and no format yields the reserved id kInvalidNode (2^32-1).
 // `.pbin` is mmap-ed when the platform allows it (POSIX, with a silent
 // buffered-read fallback), in which case next() returns zero-copy views
-// straight into the mapping; text formats parse block-at-a-time from the
+// straight into the mapping; text parses block-at-a-time from the
 // mapping or from a reused read buffer — no per-line allocation.
 //
 // Chunk-view lifetime: the span returned by next() stays valid until the
@@ -18,11 +18,11 @@
 // double-buffered ingest pipeline (engine::ingest_stream) needs: the
 // consumer processes chunk k while a producer task parses chunk k+1.
 //
-// Errors are graph::IoError naming the file and, for line-oriented
-// formats, the 1-based line:
+// Errors are graph::IoError naming the file and, for text, the 1-based
+// line:
 //   "pimtc::graph IO error on 'web.txt': line 17482: malformed line ..."
-// `.pbin` payload checksums are verified incrementally; a mismatch throws
-// when the final chunk is consumed.
+// A `.pbin` payload checksum the header declares is verified incrementally;
+// a mismatch throws when the final chunk is consumed.
 #pragma once
 
 #include <cstddef>
@@ -43,7 +43,6 @@ namespace pimtc::graph {
 /// The supported on-disk edge formats, dispatched by extension.
 enum class FileFormat {
   kText,  ///< "u v" per line (.txt/.text/.el/.edges/.coo/.graph/.tsv)
-  kMtx,   ///< MatrixMarket coordinate (.mtx)
   kPbin,  ///< versioned header + checksum (.pbin, see pbin.hpp)
 };
 
@@ -89,10 +88,6 @@ struct ReaderOptions {
   /// mmap the file (POSIX).  Falls back to buffered reads when mapping is
   /// unavailable or fails; mapped() reports what actually happened.
   bool use_mmap = true;
-
-  /// Verify the `.pbin` payload checksum while streaming (ignored for
-  /// formats without one).
-  bool verify_checksum = true;
 };
 
 class ChunkedEdgeReader {
@@ -120,14 +115,13 @@ class ChunkedEdgeReader {
   /// Edges handed out so far.
   [[nodiscard]] EdgeCount edges_read() const noexcept { return edges_read_; }
 
-  /// Edge count declared by the header, when the format has one (.pbin,
-  /// .mtx nnz).  Lets callers reserve() exactly.
+  /// Edge count declared by the `.pbin` header.  Lets callers reserve()
+  /// exactly.
   [[nodiscard]] std::optional<EdgeCount> declared_edges() const noexcept {
     return declared_edges_;
   }
 
-  /// Node bound declared by the header (.pbin num_nodes, .mtx max(rows,
-  /// cols)).
+  /// Node bound declared by the `.pbin` header (num_nodes).
   [[nodiscard]] std::optional<std::uint64_t> declared_nodes() const noexcept {
     return declared_nodes_;
   }
@@ -135,7 +129,6 @@ class ChunkedEdgeReader {
  private:
   void open_input();
   void parse_pbin_header();
-  void parse_mtx_header();
   [[nodiscard]] std::span<const Edge> next_pbin();
   [[nodiscard]] std::span<const Edge> next_lines();
 
@@ -146,9 +139,6 @@ class ChunkedEdgeReader {
   /// Parses one full line [p, end) from the window (blank/comment lines
   /// count toward line_ but emit nothing).
   void consume_line(const char* p, const char* end, std::vector<Edge>& out);
-
-  /// Reads one header line (mtx banner/size) through the window machinery.
-  [[nodiscard]] std::string take_header_line();
 
   [[noreturn]] void fail(const std::string& what) const;
   [[noreturn]] void fail_line(const std::string& what) const;
@@ -178,9 +168,6 @@ class ChunkedEdgeReader {
   const char* win_end_ = nullptr;
   bool input_exhausted_ = false;
   std::uint64_t line_ = 0;  ///< 1-based, the line being parsed
-  std::uint64_t mtx_rows_ = 0;
-  std::uint64_t mtx_cols_ = 0;
-  EdgeCount mtx_remaining_ = 0;
 
   // Alternating output buffers (non-zero-copy paths).
   std::vector<Edge> out_[2];

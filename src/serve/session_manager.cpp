@@ -25,14 +25,18 @@ engine::EngineConfig SessionManager::resolve_engine_config(
 
 void SessionManager::open(std::string name, std::string_view backend,
                           engine::EngineConfig engine_config) {
+  // Build the engine outside the directory lock (validation + construction
+  // can be slow); insertion re-checks for a duplicate racer.
+  open(std::move(name),
+       engine::make_engine(backend, resolve_engine_config(engine_config)));
+}
+
+void SessionManager::open(std::string name,
+                          std::unique_ptr<engine::TriangleCountEngine> engine) {
   if (name.empty()) {
     throw std::invalid_argument("SessionManager: session name must not be "
                                 "empty");
   }
-  // Build the engine outside the directory lock (validation + construction
-  // can be slow); insertion re-checks for a duplicate racer.
-  auto engine =
-      engine::make_engine(backend, resolve_engine_config(engine_config));
   auto session =
       std::make_shared<Session>(name, std::move(engine), config_, pool());
   MutexLock lock(sessions_mutex_);

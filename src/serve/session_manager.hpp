@@ -61,6 +61,12 @@ class SessionManager {
   void open(std::string name, std::string_view backend,
             engine::EngineConfig engine_config = {});
 
+  /// Opens a session named `name` on an engine the caller built (the
+  /// backend overload builds it with make_engine).  Throws
+  /// std::invalid_argument on an empty or duplicate name.
+  void open(std::string name,
+            std::unique_ptr<engine::TriangleCountEngine> engine);
+
   /// Stages one update batch on `session`'s queue, waiting while it is
   /// full (see SubmitResult).  Throws std::invalid_argument for an unknown
   /// session.

@@ -228,18 +228,16 @@ void RegionCache::build(pim::Dpu& dpu, std::uint32_t tasklets,
   regions_ = {};
   n_ = 0;
   rank_.clear();
-  first_.clear();
   exact_ = false;
   steps_.clear();
 }
 
 void RegionCache::index_nodes() {
   rank_.clear();
-  first_.clear();
   exact_ = false;
   // Remapped hub ids sit just below 2^32, so counting them in the id range
-  // would coarsen the bitmap until all the real nodes shared one bucket;
-  // their few regions are binary searched instead.
+  // would stretch the bitmap past its limit; their few regions are binary
+  // searched instead.
   dense_ = static_cast<std::uint64_t>(
       std::lower_bound(regions_.begin(), regions_.end(),
                        remapped_id(MramLayout::kMaxRemap - 1), node_below) -
@@ -247,21 +245,16 @@ void RegionCache::index_nodes() {
   if (dense_ == 0) return;
   base_ = regions_.front().node;
   top_ = regions_[dense_ - 1].node;
-  last_ = top_ - base_;  // the last id's bit at shift 0
+  last_ = top_ - base_;
   const std::uint64_t max_words =
       std::max<std::uint64_t>(kRankBitmapBytes / sizeof(std::uint64_t), n_);
-  shift_ = 0;
-  while ((last_ >> shift_) / 64 >= max_words) ++shift_;
-  exact_ = shift_ == 0;
-  rank_.resize((last_ >> shift_) / 64 + 1);
+  if (last_ / 64 >= max_words) return;  // too wide: binary searched
+  exact_ = true;
+  rank_.resize(last_ / 64 + 1);
   for (std::uint64_t i = 0; i < dense_; ++i) {
-    const std::uint64_t b = (regions_[i].node - base_) >> shift_;
-    if (shift_ != 0 && !bit(b)) {
-      first_.push_back(static_cast<std::uint32_t>(i));  // the bucket's first
-    }
+    const std::uint64_t b = regions_[i].node - base_;
     rank_[b / 64].bits |= std::uint64_t{1} << (b % 64);
   }
-  if (shift_ != 0) first_.push_back(static_cast<std::uint32_t>(dense_));
   std::uint32_t below = 0;
   for (RankWord& w : rank_) {
     w.below = below;
@@ -279,36 +272,15 @@ KeyRegion RegionCache::resolve_apart(NodeId key) const {
     }
     return *it;
   }
-  const auto at = [&](std::uint64_t i) {
-    return regions_.begin() + static_cast<std::ptrdiff_t>(i);
-  };
-  std::uint64_t r = 0;  // below every real node: rank 0, absent
-  bool present = false;
-  if (rank_.empty() || key > top_) {
-    // Above every real node: the remapped tail.
-    r = static_cast<std::uint64_t>(
-        std::lower_bound(at(dense_), regions_.end(), key, node_below) -
-        regions_.begin());
-    present = r < regions_.size() && regions_[r].node == key;
-  } else if (key >= base_) {
-    // A coarse bucket: walk its regions, about one unless the nodes
-    // cluster.
-    const std::uint64_t b = (key - base_) >> shift_;
-    const std::uint64_t j = bits_below(b);
-    r = first_[j];
-    if (bit(b)) {
-      const std::uint64_t end = first_[j + 1];
-      if (end - r <= 8) {
-        while (r != end && regions_[r].node < key) ++r;
-      } else {
-        r = static_cast<std::uint64_t>(
-            std::lower_bound(at(r), at(end), key, node_below) -
-            regions_.begin());
-      }
-      present = r != end && regions_[r].node == key;
-    }
-  }
-  if (!present) return {key, r, {}};
+  // Below every real node: rank 0, absent.  Above them: the remapped tail.
+  // Between them (the bitmap does not cover their span): every real node.
+  if (dense_ != 0 && key < base_) return {key, 0, {}};
+  const std::uint64_t from = key > top_ ? dense_ : 0;
+  const std::uint64_t r = static_cast<std::uint64_t>(
+      std::lower_bound(regions_.begin() + static_cast<std::ptrdiff_t>(from),
+                       regions_.end(), key, node_below) -
+      regions_.begin());
+  if (r == regions_.size() || regions_[r].node != key) return {key, r, {}};
   return {key, r, region_at(r)};
 }
 

@@ -238,11 +238,11 @@ void charge_region_index(pim::Dpu& dpu, std::uint32_t buffer_edges,
 /// kernel resolves through its copy of the region table and a rank bitmap
 /// over the real node ids: one bit per id (a set bit is a region's node)
 /// while the bitmap fits in the larger of kRankBitmapBytes and one word
-/// per sorted record, else one bit per 2^k-id bucket with a short walk of
-/// the bucket's regions.  Each word stores the set bits before it, so a
-/// rank is one word read plus a popcount, and an absent key reads no
-/// region entry.  Remapped hub ids (remapped_id) are searched apart, among
-/// at most MramLayout::kMaxRemap regions.  An incremental launch looks up
+/// per sorted record.  Each word stores the set bits before it, so a rank
+/// is one word read plus a popcount, and an absent key reads no region
+/// entry.  Ids whose span the bitmap would not fit are binary searched,
+/// and so are remapped hub ids (remapped_id), among at most
+/// MramLayout::kMaxRemap regions.  An incremental launch looks up
 /// only its batch's endpoints, so it resolves through its key list
 /// (resolve_batch_keys) and builds no table.  Reused across launches so
 /// its host storage is allocated once per worker thread.
@@ -298,9 +298,8 @@ class RegionCache {
     return ((rank_[b / 64].bits >> (b % 64)) & 1) != 0;
   }
 
-  /// Rank and region of `key`.  A real node id under a one-bit-per-id
-  /// bitmap resolves here; the key list, the remapped tail and coarse
-  /// buckets resolve in resolve_apart().
+  /// Rank and region of `key`.  A real node id the bitmap covers resolves
+  /// here; the key list and the binary searches are resolve_apart().
   [[nodiscard]] KeyRegion resolve(NodeId key) const {
     const NodeId b = key - base_;  // wraps past last_ for keys below base_
     if (!exact_ || b > last_) return resolve_apart(key);
@@ -381,18 +380,15 @@ class RegionCache {
   std::span<const RegionEntry> regions_;
   std::uint64_t n_ = 0;
   // Rank bitmap over the first dense_ regions, those of real node ids
-  // base_..top_ (empty when every region is a remapped hub's): bit b is set
-  // when a region's (node - base_) >> shift_ is b.  With shift_ > 0,
-  // first_[j] is the first region of the j-th set bucket, and first_ ends
-  // with dense_.  Keys above top_ search the rest.
+  // base_..top_ (empty when every region is a remapped hub's or the ids
+  // span too many words): bit b is set when a region's node - base_ is b.
+  // Keys above top_ search the rest.
   std::vector<RankWord> rank_;
-  std::vector<std::uint32_t> first_;
   std::uint64_t dense_ = 0;
   NodeId base_ = 0;
   NodeId top_ = 0;
   NodeId last_ = 0;  ///< top_ - base_
-  unsigned shift_ = 0;
-  bool exact_ = false;  ///< rank_ holds one bit per id (shift_ == 0)
+  bool exact_ = false;  ///< rank_ holds the bitmap
   std::vector<std::uint8_t> steps_;  ///< cache_steps table, for table lookups
 };
 

@@ -62,29 +62,6 @@ TEST(RegistryTest, EnginesReportTheirRegistryName) {
   }
 }
 
-TEST(RegistryTest, RegisterBackendRejectsDuplicates) {
-  EXPECT_THROW(register_backend("pim", [](const EngineConfig& cfg) {
-                 return make_engine("cpu", cfg);
-               }),
-               std::invalid_argument);
-  EXPECT_THROW(register_backend("", nullptr), std::invalid_argument);
-}
-
-TEST(RegistryTest, CustomBackendIsReachable) {
-  // Registration is process-global and permanent; do it exactly once so
-  // --gtest_repeat runs don't trip the duplicate-name guard.
-  static const bool registered = [] {
-    register_backend("cpu-alias", [](const EngineConfig& cfg) {
-      return make_engine("cpu", cfg);
-    });
-    return true;
-  }();
-  ASSERT_TRUE(registered);
-  graph::EdgeList g = test_graph(1);
-  EXPECT_EQ(make_engine("cpu-alias")->count(g).rounded(),
-            graph::reference_triangle_count(g));
-}
-
 // ---- config validation ------------------------------------------------------
 
 TEST(ConfigValidationTest, RejectsTooFewColors) {

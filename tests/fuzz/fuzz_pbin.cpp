@@ -1,18 +1,18 @@
 // Fuzz harness for the graph-file front end: ChunkedEdgeReader, the one
-// reader of graph files, across every supported on-disk format.
+// reader of graph files, across both supported on-disk formats.
 //
-// The first input byte selects the format (so one corpus exercises all
-// three parsers): `data[0] % 4` picks `.pbin` for 0 and 1, MatrixMarket for
-// 2 and text for 3 — slot 1 was the retired legacy `.bin` format, and
-// keeping the modulus keeps every corpus file on its parser.  The rest is
+// The first input byte selects the format (so one corpus exercises both
+// parsers): `data[0] % 4` picks `.pbin` for 0 and 1 and text for 2 and 3 —
+// slot 1 was the retired legacy `.bin` format and slot 2 the retired
+// MatrixMarket `.mtx`; keeping the modulus keeps every corpus file on a
+// parser, and the MatrixMarket inputs now replay through text.  The rest is
 // the file body, written to a scratch file with that extension and fed
 // through read_coo and the chunked reader, mmap and buffered.  Expected
 // rejections throw graph::IoError and are swallowed; any other escape —
 // std::length_error from an unchecked reserve, bad_alloc from a wrapped
 // size check, a sanitizer report — is a finding.  This is the harness that
 // flagged the `num_edges * sizeof(Edge)` overflow in the binary size checks
-// and the unbounded MatrixMarket nnz reserve (fixed in src/graph/pbin.cpp
-// and src/graph/stream_reader.cpp, regression-pinned in
+// (fixed in src/graph/pbin.cpp, regression-pinned in
 // tests/parser_hardening_test.cpp).
 #include <cstdio>
 #include <filesystem>
@@ -72,7 +72,7 @@ void exercise(const fs::path& path) {
 extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
                                       std::size_t size) {
   if (size == 0) return 0;
-  static constexpr const char* kExtensions[] = {".pbin", ".pbin", ".mtx",
+  static constexpr const char* kExtensions[] = {".pbin", ".pbin", ".txt",
                                                 ".txt"};
   const fs::path path =
       scratch_dir() / (std::string("input") + kExtensions[data[0] % 4]);

@@ -420,64 +420,5 @@ TEST_F(IoTest, MissingFileThrows) {
   EXPECT_THROW(read_update_stream(dir_ / "nope.txt"), std::runtime_error);
 }
 
-TEST_F(IoTest, MatrixMarketPatternSymmetric) {
-  // SuiteSparse-style file: banner, comments, size line, 1-based entries.
-  const auto path = dir_ / "tri.mtx";
-  std::ofstream out(path);
-  out << "%%MatrixMarket matrix coordinate pattern symmetric\n"
-      << "% a triangle on nodes 1..3\n"
-      << "%\n"
-      << "3 3 3\n"
-      << "2 1\n"
-      << "3 1\n"
-      << "3 2\n";
-  out.close();
-  const EdgeList g = read_coo(path);  // dispatches on .mtx
-  ASSERT_EQ(g.num_edges(), 3u);
-  EXPECT_EQ(g[0], (Edge{1, 0}));
-  EXPECT_EQ(g[1], (Edge{2, 0}));
-  EXPECT_EQ(g[2], (Edge{2, 1}));
-}
-
-TEST_F(IoTest, MatrixMarketIgnoresValueColumn) {
-  const auto path = dir_ / "weighted.mtx";
-  std::ofstream out(path);
-  out << "%%MatrixMarket matrix coordinate real general\n"
-      << "4 4 2\n"
-      << "1 2 3.5\n"
-      << "4 3 -1.25e2\n";
-  out.close();
-  const EdgeList g = read_coo(path);
-  ASSERT_EQ(g.num_edges(), 2u);
-  EXPECT_EQ(g[0], (Edge{0, 1}));
-  EXPECT_EQ(g[1], (Edge{3, 2}));
-}
-
-TEST_F(IoTest, MatrixMarketRejectsBadFiles) {
-  const auto no_banner = dir_ / "nobanner.mtx";
-  std::ofstream(no_banner) << "3 3 1\n1 2\n";
-  EXPECT_THROW(read_coo(no_banner), std::runtime_error);
-
-  const auto dense = dir_ / "dense.mtx";
-  std::ofstream(dense) << "%%MatrixMarket matrix array real general\n3 3\n";
-  EXPECT_THROW(read_coo(dense), std::runtime_error);
-
-  const auto truncated = dir_ / "short.mtx";
-  std::ofstream(truncated)
-      << "%%MatrixMarket matrix coordinate pattern general\n3 3 5\n1 2\n";
-  EXPECT_THROW(read_coo(truncated), std::runtime_error);
-
-  const auto zero_based = dir_ / "zero.mtx";
-  std::ofstream(zero_based)
-      << "%%MatrixMarket matrix coordinate pattern general\n3 3 1\n0 2\n";
-  EXPECT_THROW(read_coo(zero_based), std::runtime_error);
-
-  const auto out_of_range = dir_ / "range.mtx";
-  std::ofstream(out_of_range)
-      << "%%MatrixMarket matrix coordinate pattern general\n3 3 1\n"
-      << "6000000000 1\n";
-  EXPECT_THROW(read_coo(out_of_range), std::runtime_error);
-}
-
 }  // namespace
 }  // namespace pimtc::graph

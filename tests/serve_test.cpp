@@ -62,18 +62,6 @@ class SlowExactEngine final : public engine::TriangleCountEngine {
   std::unique_ptr<engine::TriangleCountEngine> inner_;
 };
 
-/// Registers "slow-exact" exactly once (registration is process-global).
-const char* slow_backend() {
-  static const bool registered = [] {
-    engine::register_backend("slow-exact", [](const engine::EngineConfig& c) {
-      return std::unique_ptr<engine::TriangleCountEngine>(
-          new SlowExactEngine(c));
-    });
-    return true;
-  }();
-  (void)registered;
-  return "slow-exact";
-}
 
 /// One tenant's mixed ± workload: a community graph's edges as inserts,
 /// then seeded deletions of a quarter of them.  Deterministic per seed.
@@ -226,7 +214,8 @@ TEST(ServeAdmissionTest, FullQueueBlocksTheSubmitter) {
 
   SessionManager mgr;
   const engine::EngineConfig ecfg = small_engine_config();
-  mgr.open("t", slow_backend(), ecfg);
+  mgr.open("t",
+           std::make_unique<SlowExactEngine>(mgr.resolve_engine_config(ecfg)));
   for (const auto batch : batches_of(stream, kBatch)) {
     ASSERT_EQ(mgr.submit("t", batch), SubmitResult::kAccepted);
     EXPECT_LE(mgr.query("t").stats.queue_depth_batches, 1u);
@@ -392,8 +381,8 @@ TEST(ServeLifecycleTest, SessionHostThreadsDefaultIsResolvedToOne) {
 // ---- fault containment ------------------------------------------------------
 
 /// cpu-incremental whose apply()/recount() throw on command — including a
-/// non-std object, which engines are not obliged to avoid.  Registration is
-/// process-global, so the arming knobs are static; each test arms them
+/// non-std object, which engines are not obliged to avoid.  The session
+/// owns the engine, so the arming knobs are static; each test arms them
 /// before submitting and the single-drain invariant keeps the order
 /// deterministic.
 class ThrowingEngine final : public engine::TriangleCountEngine {
@@ -439,19 +428,13 @@ class ThrowingEngine final : public engine::TriangleCountEngine {
   std::unique_ptr<engine::TriangleCountEngine> inner_;
 };
 
-const char* throwing_backend() {
-  static const bool registered = [] {
-    engine::register_backend("throwing", [](const engine::EngineConfig& c) {
-      return std::unique_ptr<engine::TriangleCountEngine>(
-          new ThrowingEngine(c));
-    });
-    return true;
-  }();
-  (void)registered;
+/// A disarmed ThrowingEngine under the manager-resolved config.
+std::unique_ptr<ThrowingEngine> throwing_engine(
+    const SessionManager& mgr, const engine::EngineConfig& cfg) {
   ThrowingEngine::apply_raw_throws = 0;
   ThrowingEngine::apply_std_throws = 0;
   ThrowingEngine::recount_throws = 0;
-  return "throwing";
+  return std::make_unique<ThrowingEngine>(mgr.resolve_engine_config(cfg));
 }
 
 TEST(ServeFaultTest, ThrowingApplyDoesNotKillWorkerOrWedgeSession) {
@@ -460,7 +443,7 @@ TEST(ServeFaultTest, ThrowingApplyDoesNotKillWorkerOrWedgeSession) {
   // with every later batch applied and the session still serving.
   const engine::EngineConfig ecfg = small_engine_config();
   SessionManager mgr;
-  mgr.open("t", throwing_backend(), ecfg);
+  mgr.open("t", throwing_engine(mgr, ecfg));
   ThrowingEngine::apply_raw_throws = 1;
   ThrowingEngine::apply_std_throws = 1;
 
@@ -501,7 +484,7 @@ TEST(ServeFaultTest, FaultedRecountKeepsPriorSnapshotLive) {
   // retry and the failure, and recover on the next publish.
   SessionManager mgr;
   const engine::EngineConfig ecfg = small_engine_config();
-  mgr.open("t", throwing_backend(), ecfg);
+  mgr.open("t", throwing_engine(mgr, ecfg));
 
   const std::vector<EdgeUpdate> first{insert_of(Edge{0, 1}),
                                       insert_of(Edge{1, 2}),
@@ -537,7 +520,7 @@ TEST(ServeFaultTest, FaultedRecountKeepsPriorSnapshotLive) {
 
 TEST(ServeFaultTest, RecountRetrySalvagesTransientFailure) {
   SessionManager mgr;
-  mgr.open("t", throwing_backend(), small_engine_config());
+  mgr.open("t", throwing_engine(mgr, small_engine_config()));
   ThrowingEngine::recount_throws = 1;  // fails once, the retry succeeds
   const std::vector<EdgeUpdate> tri{insert_of(Edge{0, 1}),
                                     insert_of(Edge{1, 2}),

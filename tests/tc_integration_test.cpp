@@ -91,14 +91,15 @@ TEST(TcIntegrationTest, ExactWithMisraGriesRemapEnabled) {
 }
 
 TEST(TcIntegrationTest, ExactWithMisraGriesRemapOnIdsAbove2To31) {
-  // Real ids reaching up to the remapped range put the remapped hubs in
-  // the region index's last bucket; every hub region must still be found.
+  // Real ids reaching up to the remapped range are too wide for the rank
+  // bitmap, so lookups binary search the table that also holds the
+  // remapped hubs; every hub region must still be found.
   graph::EdgeList g = graph::gen::barabasi_albert(600, 5, 11);
   graph::preprocess(g, 13);
   const TriangleCount expected = graph::reference_triangle_count(g);
 
   // An isomorphic copy whose upper half of the ids moves to just below the
-  // remapped range, so most buckets are empty and the last one is wide.
+  // remapped range, so the real ids span nearly 2^32.
   const NodeId top = remapped_id(MramLayout::kMaxRemap - 1) - 1;
   const NodeId last = g.num_nodes() - 1;
   const auto spread = [&](NodeId x) {

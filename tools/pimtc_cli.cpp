@@ -1,7 +1,7 @@
 // pimtc — command-line front end for the library.
 //
 //   pimtc generate --kind=rmat --edges=100000 --out=g.txt [--seed=42]
-//   pimtc convert  --in=g.txt --out=g.pbin [--dedup] [--orient] [--drop-loops]
+//   pimtc convert  --in=g.txt --out=g.pbin
 //   pimtc stats    --graph=g.txt
 //   pimtc count    --graph=g.txt [--backend=pim|cpu|cpu-fast|cpu-incremental]
 //                  [--colors=8] [--p=1.0] [--capacity=0] [--misra-gries]
@@ -12,15 +12,13 @@
 //                  [--batch-updates=512] [--delete-frac=0.2] [--json] ...
 //   pimtc backends
 //
-// `convert` streams any supported format into any other in O(chunk)
-// memory (text / .mtx / .pbin, both directions); --dedup
-// drops duplicate undirected edges, --orient rewrites each edge
-// lower-(degree, id) endpoint first (the DODG orientation, precomputed
-// once at rest instead of at every load).  `count --chunk-edges=N`
-// switches the graph phase to the same out-of-core path: the file is
-// chunk-streamed into the engine session via add_edges() instead of being
-// materialized, dropping loops and duplicates on the way, so peak memory
-// follows the chunk size plus the duplicate filter, not the file.
+// `convert` copies a graph file edge for edge into either format in
+// O(chunk) memory; a text file `generate` wrote survives text -> .pbin ->
+// text byte for byte.  `count --chunk-edges=N` switches the graph phase to
+// the same out-of-core path: the file is chunk-streamed into the engine
+// session via add_edges() instead of being materialized, dropping loops
+// and duplicates on the way, so peak memory follows the chunk size plus
+// the duplicate filter, not the file.
 //
 // `count` runs the chosen backend through the engine registry and prints
 // the unified report (estimate, phase breakdown, load profile) as text or,
@@ -83,9 +81,7 @@ using namespace pimtc;
       "usage:\n"
       "  pimtc generate --kind=<rmat|er|ba|ba-hubs|community|road|paper:NAME>\n"
       "                 --edges=<n> --out=<file> [--seed=<s>] [--scale=<f>]\n"
-      "  pimtc convert  --in=<file> --out=<file> [--chunk-edges=<n>]\n"
-      "                 [--no-mmap] [--dedup] [--drop-loops] [--orient]\n"
-      "                 [--no-checksum] [--no-verify]\n"
+      "  pimtc convert  --in=<file> --out=<file>\n"
       "  pimtc stats    --graph=<file>\n"
       "  pimtc count    [--graph=<file>] [--stream=<file>] [--delete-frac=<f>]\n"
       "                 [--chunk-edges=<n>] [--no-mmap]\n"
@@ -104,9 +100,9 @@ using namespace pimtc;
       "                 [--queriers=<n>] [--json]\n"
       "                 plus any engine flag accepted by count\n"
       "  pimtc backends\n"
-      "graphs load by extension: .pbin (pimtc binary v1), .mtx\n"
-      "(MatrixMarket), .txt/.text/.el/.edges/.coo/.graph/.tsv ('u v' text);\n"
-      "other extensions are rejected\n"
+      "graphs load by extension: .pbin (pimtc binary v1),\n"
+      ".txt/.text/.el/.edges/.coo/.graph/.tsv ('u v' text); other\n"
+      "extensions are rejected\n"
       "count needs --graph and/or --stream; --stream replays a fully-dynamic\n"
       "update file ('+u v' inserts, '-u v' deletes, bare 'u v' inserts)\n"
       "after the graph; --delete-frac=<f> then deletes a seeded random\n"
@@ -227,7 +223,7 @@ int cmd_generate(const Args& args) {
 
   const graph::EdgeList g =
       generate_graph(kind, edges, seed, args.f64("scale", 0.5));
-  // Extension-dispatched sink: text, .mtx or .pbin.
+  // Extension-dispatched sink: text or .pbin.
   graph::WriterOptions wopt;
   wopt.declared_edges = g.num_edges();
   wopt.declared_nodes = g.num_nodes();
@@ -240,78 +236,36 @@ int cmd_generate(const Args& args) {
 }
 
 int cmd_convert(const Args& args) {
-  check_flags(args,
-              "--in= --out= --chunk-edges= --no-mmap --dedup --drop-loops "
-              "--orient --no-checksum --no-verify");
+  check_flags(args, "--in= --out=");
   const std::string in = args.str("in");
   const std::string out = args.str("out");
   if (in.empty() || out.empty()) usage();
   require_input_file(in);
 
-  engine::IngestOptions iopt;
-  iopt.reader.chunk_edges = args.u64("chunk-edges", std::size_t{1} << 20);
-  iopt.reader.use_mmap = !args.flag("no-mmap");
-  iopt.reader.verify_checksum = !args.flag("no-verify");
-  const bool orient = args.flag("orient");
-  // Orientation only makes sense loop-free (a loop has no lower endpoint);
-  // --dedup drops loops too.
-  iopt.drop_self_loops = args.flag("drop-loops") || orient;
-  iopt.dedup = args.flag("dedup");
-
-  // --orient pass 1: one streaming pass for the global degree table.
-  std::vector<std::uint32_t> degrees;
-  if (orient) degrees = engine::stream_degrees(in, iopt.reader);
-
-  graph::ChunkedEdgeReader reader(in, iopt.reader);
+  graph::ChunkedEdgeReader reader(in);
+  // Counts survive the copy unchanged, so headers can be emitted in final
+  // form (this is the byte-stable text -> pbin -> text path).
   graph::WriterOptions wopt;
-  wopt.with_checksum = !args.flag("no-checksum");
-  if (!iopt.drop_self_loops && !iopt.dedup) {
-    // Counts survive the copy unchanged, so headers can be emitted in
-    // final form (this is the byte-stable text -> pbin -> text path).
-    wopt.declared_edges = reader.declared_edges();
-    wopt.declared_nodes = reader.declared_nodes();
-  }
+  wopt.declared_edges = reader.declared_edges();
+  wopt.declared_nodes = reader.declared_nodes();
   const auto writer = graph::make_edge_writer(out, wopt);
 
   const auto t0 = std::chrono::steady_clock::now();
-  std::vector<Edge> oriented;  // reused per-chunk transform buffer
   const engine::IngestStats s = engine::ingest_stream(
-      reader,
-      [&](std::span<const Edge> chunk) {
-        if (!orient) {
-          writer->append(chunk);
-          return;
-        }
-        oriented.clear();
-        oriented.reserve(chunk.size());
-        for (const Edge& e : chunk) {
-          // DODG orientation: lower (degree, id) endpoint first.
-          const bool swap = degrees[e.v] < degrees[e.u] ||
-                            (degrees[e.v] == degrees[e.u] && e.v < e.u);
-          oriented.push_back(swap ? Edge{e.v, e.u} : e);
-        }
-        writer->append(oriented);
-      },
-      iopt);
+      reader, [&](std::span<const Edge> chunk) { writer->append(chunk); });
   writer->finish();
   const double wall_s = std::chrono::duration<double>(
                             std::chrono::steady_clock::now() - t0)
                             .count();
 
-  std::printf(
-      "converted %s (%s%s) -> %s: %llu edges in, %llu out "
-      "(%llu loops, %llu dups dropped)%s, %llu nodes, %.3f s (%.2f Medges/s)\n",
-      in.c_str(), graph::to_string(reader.format()),
-      s.mapped ? ", mmap" : "", out.c_str(),
-      static_cast<unsigned long long>(s.edges_read),
-      static_cast<unsigned long long>(s.edges_ingested),
-      static_cast<unsigned long long>(s.self_loops_dropped),
-      static_cast<unsigned long long>(s.duplicates_dropped),
-      orient ? ", oriented" : "",
-      static_cast<unsigned long long>(writer->node_bound()), wall_s,
-      wall_s > 0.0
-          ? static_cast<double>(s.edges_read) / wall_s / 1e6
-          : 0.0);
+  std::printf("converted %s (%s%s) -> %s: %llu edges, %llu nodes, %.3f s "
+              "(%.2f Medges/s)\n",
+              in.c_str(), graph::to_string(reader.format()),
+              s.mapped ? ", mmap" : "", out.c_str(),
+              static_cast<unsigned long long>(s.edges_read),
+              static_cast<unsigned long long>(writer->node_bound()), wall_s,
+              wall_s > 0.0 ? static_cast<double>(s.edges_read) / wall_s / 1e6
+                           : 0.0);
   return 0;
 }
 
