@@ -90,13 +90,13 @@ struct Cell {
 
 /// One timed drain of `cell` through the full ingest pipeline (null sink).
 void run_once(Cell& cell, std::size_t chunk_edges) {
-  engine::IngestOptions iopt;
-  iopt.reader.chunk_edges = chunk_edges;
-  iopt.reader.use_mmap = cell.use_mmap;
+  graph::ReaderOptions ropt;
+  ropt.chunk_edges = chunk_edges;
+  ropt.use_mmap = cell.use_mmap;
   const auto t0 = std::chrono::steady_clock::now();
-  graph::ChunkedEdgeReader reader(cell.path, iopt.reader);
+  graph::ChunkedEdgeReader reader(cell.path, ropt);
   const engine::IngestStats stats =
-      engine::ingest_stream(reader, [](std::span<const Edge>) {}, iopt);
+      engine::ingest_stream(reader, [](std::span<const Edge>) {});
   const std::chrono::duration<double> dt =
       std::chrono::steady_clock::now() - t0;
   cell.seconds = std::min(cell.seconds, dt.count());

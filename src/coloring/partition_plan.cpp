@@ -57,11 +57,8 @@ double PartitionPlan::load_imbalance(
   return static_cast<double>(max) / mean;
 }
 
-PartitionPlan::PartitionPlan(std::uint32_t num_colors, PlacementPolicy policy,
-                             std::uint32_t dpus_per_rank)
-    : table_(num_colors),
-      policy_(policy),
-      dpus_per_rank_(dpus_per_rank == 0 ? 1 : dpus_per_rank) {
+PartitionPlan::PartitionPlan(std::uint32_t num_colors, PlacementPolicy policy)
+    : table_(num_colors), policy_(policy) {
   const std::uint32_t n = table_.num_triplets();
   dpu_of_.resize(n);
   triplet_of_.resize(n);
@@ -71,7 +68,7 @@ PartitionPlan::PartitionPlan(std::uint32_t num_colors, PlacementPolicy policy,
     return;
   }
   // Both load-aware policies start from the static expected-load order;
-  // greedy_balance later re-plans from observed loads (set_placement).
+  // greedy_balance re-plans once from the first batch's observed loads.
   std::vector<std::uint64_t> weights(n);
   for (std::uint32_t t = 0; t < n; ++t) {
     weights[t] = kind_weight(table_.triplet(t).kind());
@@ -107,7 +104,7 @@ std::vector<std::uint32_t> PartitionPlan::balanced_placement(
   return dpu_of;
 }
 
-bool PartitionPlan::set_placement(
+void PartitionPlan::set_placement(
     std::span<const std::uint32_t> dpu_of_triplet) {
   const std::uint32_t n = num_triplets();
   const std::uint32_t banks = num_dpus();
@@ -125,37 +122,8 @@ bool PartitionPlan::set_placement(
     }
     inverse[d] = t;
   }
-  if (std::equal(dpu_of_.begin(), dpu_of_.end(), dpu_of_triplet.begin())) {
-    return false;
-  }
   dpu_of_.assign(dpu_of_triplet.begin(), dpu_of_triplet.end());
   triplet_of_ = std::move(inverse);
-  return true;
-}
-
-std::uint64_t PartitionPlan::padded_wire_bytes(
-    std::span<const std::uint64_t> per_triplet_bytes,
-    std::span<const std::uint32_t> dpu_of_triplet,
-    std::uint32_t alignment) const noexcept {
-  const std::uint32_t n = num_triplets();
-  const std::uint32_t banks = num_dpus();
-  const std::uint64_t align = alignment == 0 ? 1 : alignment;
-  // Per-rank slowest-DPU padding over aligned spans, mirroring
-  // PimSystem::charge_bulk.
-  std::uint64_t wire = 0;
-  std::vector<std::uint64_t> per_dpu(banks, 0);
-  for (std::uint32_t t = 0; t < n && t < per_triplet_bytes.size(); ++t) {
-    per_dpu[dpu_of_triplet[t]] = per_triplet_bytes[t];
-  }
-  for (std::uint32_t lo = 0; lo < banks; lo += dpus_per_rank_) {
-    const std::uint32_t hi = std::min(banks, lo + dpus_per_rank_);
-    std::uint64_t rank_max = 0;
-    for (std::uint32_t d = lo; d < hi; ++d) {
-      rank_max = std::max(rank_max, round_up(per_dpu[d], align));
-    }
-    wire += rank_max * (hi - lo);
-  }
-  return wire;
 }
 
 }  // namespace pimtc::color

@@ -21,9 +21,11 @@
 //   kind_interleave kind-major static order — ranks are filled kind by
 //                   kind so equal-expected-load cores share a rank,
 //   greedy_balance  LPT packing by *observed* per-triplet load: the first
-//                   non-empty batch (and any later rebalance()) sorts
-//                   triplets by measured load, heaviest first, and chunks
-//                   the sorted order into ranks.
+//                   non-empty batch sorts triplets by measured load,
+//                   heaviest first, and chunks the sorted order into ranks.
+//
+// The engine fixes the placement before any sample is resident; only fault
+// recovery moves a triplet afterwards, to a spare bank.
 //
 // The plan also owns auto color selection: num_colors == 0 derives the
 // largest C with binom(C+2, 3) <= max_dpus, so the default machine is
@@ -55,9 +57,8 @@ enum class PlacementPolicy : std::uint8_t {
 class PartitionPlan {
  public:
   /// Builds the plan for `num_colors` colors (must be >= 1; resolve 0 via
-  /// auto_colors() first) laid out over ranks of `dpus_per_rank` DPUs.
-  PartitionPlan(std::uint32_t num_colors, PlacementPolicy policy,
-                std::uint32_t dpus_per_rank);
+  /// auto_colors() first).
+  PartitionPlan(std::uint32_t num_colors, PlacementPolicy policy);
 
   /// Largest C whose binom(C+2, 3) triplets fit `max_dpus` cores, capped at
   /// the triplet table's 256-color limit.  Returns 0 when not even C = 1
@@ -102,9 +103,6 @@ class PartitionPlan {
   /// unassigned (triplet_of() == kNoTriplet).
   void add_spare_banks(std::uint32_t n);
   [[nodiscard]] PlacementPolicy policy() const noexcept { return policy_; }
-  [[nodiscard]] std::uint32_t dpus_per_rank() const noexcept {
-    return dpus_per_rank_;
-  }
 
   /// Physical DPU executing triplet `t` (an injection of [0, num_triplets())
   /// into [0, num_dpus()); a bijection when there are no spares), and its
@@ -127,30 +125,15 @@ class PartitionPlan {
       std::span<const std::uint64_t> per_triplet_load) const;
 
   /// Installs an explicit triplet->DPU map (validated injection into
-  /// [0, num_dpus()); throws std::invalid_argument otherwise).  Returns
-  /// false when it equals the current placement.  Callers owning device
-  /// state must migrate it — see tc::PimTriangleCounter::rebalance().
-  bool set_placement(std::span<const std::uint32_t> dpu_of_triplet);
-
-  /// Wire bytes the rank-padded transfer engine would move for one scatter
-  /// of `per_triplet_bytes`, under the current placement or an explicit
-  /// candidate — the objective rebalancing minimizes.  `alignment` is the
-  /// engine's transfer granularity (PimSystemConfig::dma_alignment_bytes);
-  /// pass it to match the modeled wire exactly.
-  [[nodiscard]] std::uint64_t padded_wire_bytes(
-      std::span<const std::uint64_t> per_triplet_bytes,
-      std::uint32_t alignment = 1) const noexcept {
-    return padded_wire_bytes(per_triplet_bytes, dpu_of_, alignment);
-  }
-  [[nodiscard]] std::uint64_t padded_wire_bytes(
-      std::span<const std::uint64_t> per_triplet_bytes,
-      std::span<const std::uint32_t> dpu_of_triplet,
-      std::uint32_t alignment = 1) const noexcept;
+  /// [0, num_dpus()); throws std::invalid_argument otherwise).  It moves no
+  /// device state: tc::PimTriangleCounter installs greedy_balance's plan
+  /// before any sample is resident, and fault recovery restores a moved
+  /// triplet's sample on its spare from the host mirror.
+  void set_placement(std::span<const std::uint32_t> dpu_of_triplet);
 
  private:
   TripletTable table_;
   PlacementPolicy policy_;
-  std::uint32_t dpus_per_rank_;
   std::uint32_t spare_banks_ = 0;
   std::vector<std::uint32_t> dpu_of_;      // triplet -> DPU
   std::vector<std::uint32_t> triplet_of_;  // DPU -> triplet (or kNoTriplet)

@@ -122,15 +122,4 @@ void CpuFastEngine::reset_timers() {
   if (has_report_) cached_.times = {};
 }
 
-engine::EngineCapabilities CpuFastEngine::capabilities() const {
-  engine::EngineCapabilities caps;
-  caps.exact = true;
-  caps.streaming = true;
-  caps.incremental_recount = false;  // mark-dirty + full DODG rebuild
-  caps.deletions = true;             // canonical-key set, rebuild on recount
-  caps.simulated_time = false;
-  caps.work_profile = true;
-  return caps;
-}
-
 }  // namespace pimtc::cpufast

@@ -34,7 +34,6 @@ class CpuFastEngine final : public engine::TriangleCountEngine {
   void add_edges(std::span<const Edge> batch) override;
   void apply(std::span<const EdgeUpdate> updates) override;
   engine::CountReport recount() override;
-  [[nodiscard]] engine::EngineCapabilities capabilities() const override;
   [[nodiscard]] const char* name() const noexcept override {
     return "cpu-fast";
   }

@@ -59,14 +59,10 @@ struct EngineConfig {
 
   /// Triplet->DPU placement policy (coloring/partition_plan.hpp): identity
   /// keeps the legacy triplet-index layout, kind_interleave packs equal-
-  /// expected-load kinds into the same ranks, greedy_balance re-plans from
-  /// observed loads.  Timing-only — the estimate is bit-identical.
+  /// expected-load kinds into the same ranks, greedy_balance plans once
+  /// from the first non-empty batch's loads.  The placement is fixed before
+  /// any sample is resident.  Timing-only — the estimate is bit-identical.
   color::PlacementPolicy placement = color::PlacementPolicy::kIdentity;
-
-  /// Runtime rebalancing: recount() re-plans placement from observed loads
-  /// and migrates resident samples (modeled gather + scatter) when the
-  /// projected scatter wire bytes shrink by a fixed 1.05x.
-  bool rebalance_enabled = false;
 
   /// Misra-Gries high-degree remapping (paper Section 3.5).
   bool misra_gries_enabled = false;

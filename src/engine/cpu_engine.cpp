@@ -56,16 +56,6 @@ void CpuEngine::reset_timers() {
   if (has_report_) cached_.times = {};
 }
 
-EngineCapabilities CpuEngine::capabilities() const {
-  EngineCapabilities caps;
-  caps.exact = true;
-  caps.streaming = true;
-  caps.incremental_recount = false;  // every recount rebuilds the CSR
-  caps.simulated_time = false;
-  caps.work_profile = true;
-  return caps;
-}
-
 // ---- IncrementalCpuEngine ---------------------------------------------------
 
 IncrementalCpuEngine::IncrementalCpuEngine(const EngineConfig& config)
@@ -176,17 +166,6 @@ CountReport IncrementalCpuEngine::recount() {
   report.delete_misses = delete_misses_;
   report.used_incremental = true;
   return report;
-}
-
-EngineCapabilities IncrementalCpuEngine::capabilities() const {
-  EngineCapabilities caps;
-  caps.exact = true;
-  caps.streaming = true;
-  caps.incremental_recount = true;
-  caps.deletions = true;  // exact hash-adjacency deletions
-  caps.simulated_time = false;
-  caps.work_profile = true;
-  return caps;
 }
 
 }  // namespace pimtc::engine

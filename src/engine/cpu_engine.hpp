@@ -35,7 +35,6 @@ class CpuEngine final : public TriangleCountEngine {
 
   void add_edges(std::span<const Edge> batch) override;
   CountReport recount() override;
-  [[nodiscard]] EngineCapabilities capabilities() const override;
   [[nodiscard]] const char* name() const noexcept override { return "cpu"; }
   void reset_timers() override;
 
@@ -60,7 +59,6 @@ class IncrementalCpuEngine final : public TriangleCountEngine {
   void add_edges(std::span<const Edge> batch) override;
   void apply(std::span<const EdgeUpdate> updates) override;
   CountReport recount() override;
-  [[nodiscard]] EngineCapabilities capabilities() const override;
   [[nodiscard]] const char* name() const noexcept override {
     return "cpu-incremental";
   }

@@ -23,7 +23,7 @@ void TriangleCountEngine::apply(std::span<const EdgeUpdate> updates) {
       throw std::invalid_argument(
           std::string(name()) +
           " backend does not support edge deletions under this "
-          "configuration (capabilities().deletions is false)");
+          "configuration");
     }
     inserts.push_back(u.edge);
   }

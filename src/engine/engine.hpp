@@ -27,9 +27,8 @@
 // An engine is a stateful session: edges accumulate across add_edges()
 // calls (count() is add_edges + recount in one step) and recount() is
 // idempotent — recounting without new edges returns the same estimate.
-// apply() generalizes add_edges to signed updates; backends that cannot
-// delete (capabilities().deletions == false) accept all-insert batches and
-// reject mixed ones.
+// apply() generalizes add_edges to signed updates; a backend that cannot
+// delete under its config accepts all-insert batches and rejects mixed ones.
 #pragma once
 
 #include <span>
@@ -40,24 +39,6 @@
 
 namespace pimtc::engine {
 
-/// What a backend can do, given the config it was constructed with.
-/// Drivers branch on these instead of on backend names.
-struct EngineCapabilities {
-  /// Results are exact for this configuration (no sampling in effect).
-  bool exact = false;
-  /// add_edges()/recount() streaming sessions are supported.
-  bool streaming = false;
-  /// recount() cost is proportional to the new edges, not the whole graph.
-  bool incremental_recount = false;
-  /// apply() accepts deletions under this configuration (fully-dynamic
-  /// streams); without it apply() only forwards all-insert batches.
-  bool deletions = false;
-  /// Reported device phase times are model-simulated, not wall-clock.
-  bool simulated_time = false;
-  /// CountReport::work is populated with a meaningful operation profile.
-  bool work_profile = false;
-};
-
 class TriangleCountEngine {
  public:
   virtual ~TriangleCountEngine() = default;
@@ -67,7 +48,7 @@ class TriangleCountEngine {
 
   /// One-shot static counting: stream the whole graph into the session,
   /// then count.  Equivalent to add_edges(graph.edges()) + recount().
-  virtual CountReport count(const graph::EdgeList& graph);
+  CountReport count(const graph::EdgeList& graph);
 
   /// Streams one batch of edges into the session (dynamic updates).  Self
   /// loops are dropped; edges are expected deduplicated across the whole
@@ -77,11 +58,11 @@ class TriangleCountEngine {
   /// Streams one batch of a fully-dynamic (±) update stream.  The base
   /// implementation forwards all-insert batches to add_edges() — so every
   /// backend replays insert-only streams through its legacy path,
-  /// bit-identically — and throws std::invalid_argument on deletions;
-  /// backends with capabilities().deletions override it.  A deletion must
-  /// target a previously inserted edge (either orientation); deleting an
-  /// edge that was never inserted is a no-op only where the backend can
-  /// detect it exactly (cpu-incremental).
+  /// bit-identically — and throws std::invalid_argument on deletions.
+  /// pim, cpu-fast and cpu-incremental override it to delete (pim throws
+  /// too when uniform_p < 1).  A deletion must target a previously inserted
+  /// edge (either orientation); deleting an edge that was never inserted is
+  /// a no-op only where the backend can detect it exactly (cpu-incremental).
   virtual void apply(std::span<const EdgeUpdate> updates);
 
   /// Convenience: apply() with every update a deletion.
@@ -91,9 +72,6 @@ class TriangleCountEngine {
   /// estimate.  Idempotent: recounting without new edges returns the same
   /// result.
   virtual CountReport recount() = 0;
-
-  /// Capabilities under the config this engine was constructed with.
-  [[nodiscard]] virtual EngineCapabilities capabilities() const = 0;
 
   /// Registry name this engine was constructed under ("pim", "cpu", ...).
   [[nodiscard]] virtual const char* name() const noexcept = 0;

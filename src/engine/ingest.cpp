@@ -21,8 +21,7 @@ using Clock = std::chrono::steady_clock;
 
 IngestStats ingest_stream(
     graph::ChunkedEdgeReader& reader,
-    const std::function<void(std::span<const Edge>)>& sink,
-    const IngestOptions& options) {
+    const std::function<void(std::span<const Edge>)>& sink, bool dedup) {
   IngestStats stats;
   std::vector<Edge> scratch;  // reused filtered-chunk buffer
   graph::EdgeFilter filter;
@@ -45,7 +44,7 @@ IngestStats ingest_stream(
 
       auto t0 = Clock::now();
       std::span<const Edge> feed = chunk;
-      if (options.dedup) {
+      if (dedup) {
         scratch.clear();
         for (const Edge& e : chunk) {
           if (filter.keep(e)) scratch.push_back(e);
@@ -89,7 +88,7 @@ IngestStats ingest_file(TriangleCountEngine& engine,
       [&engine](std::span<const Edge> batch) {
         if (!batch.empty()) engine.add_edges(batch);
       },
-      {.reader = reader, .dedup = true});
+      /*dedup=*/true);
 }
 
 }  // namespace pimtc::engine

@@ -27,15 +27,6 @@
 
 namespace pimtc::engine {
 
-struct IngestOptions {
-  graph::ReaderOptions reader;  ///< chunk size, mmap
-
-  /// Drop self loops and every repeat of an undirected edge across the
-  /// whole stream through one graph::EdgeFilter, keeping the first copy.
-  /// Holds O(distinct edges) memory.
-  bool dedup = false;
-};
-
 struct IngestStats {
   EdgeCount edges_read = 0;          ///< parsed from the file
   EdgeCount edges_ingested = 0;      ///< handed to the sink after filters
@@ -50,13 +41,16 @@ struct IngestStats {
   double feed_seconds = 0.0;        ///< sink / add_edges time
 };
 
-/// The generic pipeline: drains `reader` through the preprocessing stages
-/// into `sink` (called once per chunk, in order, possibly with an empty
-/// span filtered down to nothing — sinks must tolerate that).
+/// The generic pipeline: drains `reader` into `sink` (called once per
+/// chunk, in order, possibly with an empty span filtered down to nothing —
+/// sinks must tolerate that).  `dedup` drops self loops and every repeat of
+/// an undirected edge across the whole stream through one
+/// graph::EdgeFilter, keeping the first copy; it holds O(distinct edges)
+/// memory.
 IngestStats ingest_stream(
     graph::ChunkedEdgeReader& reader,
     const std::function<void(std::span<const Edge>)>& sink,
-    const IngestOptions& options = {});
+    bool dedup = false);
 
 /// Streams `path` into an engine session chunk-at-a-time via add_edges(),
 /// dropping self loops and duplicate edges on the way (every engine's

@@ -5,8 +5,8 @@
 // breakdown, a platform-independent work profile, and the load-balance /
 // sampling diagnostics that the benches and the CLI print.
 // Fields a backend cannot populate stay at their zero defaults; the
-// capability flags on the engine (see engine.hpp) say which groups are
-// meaningful.  See DESIGN.md "Engine architecture".
+// comment on each group names the backends that fill it.  See DESIGN.md
+// "Engine architecture".
 #pragma once
 
 #include <array>
@@ -126,7 +126,6 @@ struct CountReport {
   /// of cores of that kind.
   std::array<std::uint64_t, 3> kind_edges_seen{};
   std::array<std::uint32_t, 3> kind_units{};
-  std::uint32_t rebalances = 0;  ///< sample migrations performed this session
 
   /// Adaptive-intersection kernel diagnostics (PIM backend).
   KernelStats kernel;

@@ -108,35 +108,6 @@ EdgeList barabasi_albert(NodeId n, std::uint32_t m_per_node,
   return EdgeList(std::move(edges));
 }
 
-EdgeList watts_strogatz(NodeId n, std::uint32_t k, double beta,
-                        std::uint64_t seed) {
-  if (k % 2 != 0 || k == 0) throw std::invalid_argument("ws: k must be even");
-  if (n <= k) throw std::invalid_argument("ws: need n > k");
-
-  Xoshiro256ss rng(seed);
-  EdgeFilter seen(static_cast<std::size_t>(n) * k / 2);
-  std::vector<Edge> edges;
-  edges.reserve(static_cast<std::size_t>(n) * k / 2);
-
-  for (NodeId u = 0; u < n; ++u) {
-    for (std::uint32_t j = 1; j <= k / 2; ++j) {
-      NodeId v = static_cast<NodeId>((u + j) % n);
-      if (rng.next_bernoulli(beta)) {
-        // Rewire the far endpoint uniformly; retry on loop/duplicate.
-        for (int attempts = 0; attempts < 32; ++attempts) {
-          const NodeId cand = static_cast<NodeId>(rng.next_below(n));
-          if (cand != u && !seen.contains(Edge{u, cand})) {
-            v = cand;
-            break;
-          }
-        }
-      }
-      if (seen.keep(Edge{u, v})) edges.push_back(Edge{u, v});
-    }
-  }
-  return EdgeList(std::move(edges));
-}
-
 EdgeList community(NodeId n, NodeId block_size, double p_in,
                    EdgeCount inter_edges, std::uint64_t seed) {
   if (block_size < 2 || block_size > n) {

@@ -42,12 +42,6 @@ struct RmatParams {
 [[nodiscard]] EdgeList barabasi_albert(NodeId n, std::uint32_t m_per_node,
                                        std::uint64_t seed);
 
-/// Watts-Strogatz small world: ring of n nodes, k nearest neighbours
-/// (k even), each edge rewired with probability beta.  Low beta keeps the
-/// lattice's high clustering coefficient.
-[[nodiscard]] EdgeList watts_strogatz(NodeId n, std::uint32_t k, double beta,
-                                      std::uint64_t seed);
-
 /// Planted-partition community graph: blocks of `block_size` nodes, each
 /// internal pair connected with probability p_in, plus `inter_edges` random
 /// cross-block edges.  High global clustering, bounded max degree — the

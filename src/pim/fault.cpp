@@ -101,16 +101,4 @@ FaultSpec FaultSpec::parse(const std::string& spec) {
   return out;
 }
 
-const char* FaultSpec::recovery_name() const noexcept {
-  switch (recovery) {
-    case Recovery::kRetry:
-      return "retry";
-    case Recovery::kRematerialize:
-      return "rematerialize";
-    case Recovery::kDegrade:
-      return "degrade";
-  }
-  return "unknown";
-}
-
 }  // namespace pimtc::pim

@@ -69,8 +69,6 @@ struct FaultSpec {
   /// empty string is "injection off" and is rejected here — callers gate on
   /// emptiness before parsing.
   [[nodiscard]] static FaultSpec parse(const std::string& spec);
-
-  [[nodiscard]] const char* recovery_name() const noexcept;
 };
 
 /// Transient launch failures are retried at most this many times (not at

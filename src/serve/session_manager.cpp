@@ -104,14 +104,6 @@ void SessionManager::close_all() {
   }
 }
 
-std::vector<std::string> SessionManager::session_names() const {
-  MutexLock lock(sessions_mutex_);
-  std::vector<std::string> names;
-  names.reserve(sessions_.size());
-  for (const auto& [name, session] : sessions_) names.push_back(name);
-  return names;
-}
-
 std::vector<double> SessionManager::latencies(std::string_view session) const {
   return find(session)->latencies();
 }

@@ -88,9 +88,6 @@ class SessionManager {
   /// close() for every open session, in name order.
   void close_all();
 
-  /// Names of the open sessions, sorted.
-  [[nodiscard]] std::vector<std::string> session_names() const;
-
   /// Update->visible latency samples of one session, in seconds.
   [[nodiscard]] std::vector<double> latencies(std::string_view session) const;
 

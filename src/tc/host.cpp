@@ -86,8 +86,7 @@ PimTriangleCounter::PimTriangleCounter(const engine::EngineConfig& config)
       pool_(config.host_threads == 0
                 ? nullptr
                 : std::make_unique<ThreadPool>(config.host_threads)),
-      plan_(resolve_colors(config), config.placement,
-            config.pim.dpus_per_rank),
+      plan_(resolve_colors(config), config.placement),
       hash_(plan_.num_colors(), derive_seed(config.seed, 0xc01u)),
       global_mg_(std::max<std::uint32_t>(1, config.mg_capacity)) {
   config_.num_colors = plan_.num_colors();
@@ -265,12 +264,24 @@ void PimTriangleCounter::flush_in_rounds(
   }
 
   // greedy_balance defers its load-aware placement to the first batch with
-  // data: nothing is resident yet, so re-planning from the observed
-  // per-triplet loads is free (no migration traffic).
+  // data: nothing is resident yet, so the plan changes without moving a
+  // sample.  After that only fault recovery moves a triplet.
   if (plan_.policy() == color::PlacementPolicy::kGreedyBalance &&
       !placement_observed_) {
     placement_observed_ = true;
-    apply_placement(plan_.balanced_placement(batch_totals_));
+    const std::vector<std::uint32_t> greedy =
+        plan_.balanced_placement(batch_totals_);
+    if (greedy != plan_.placement()) {
+      if (system_->dead_dpu_count() > 0) {
+        throw std::logic_error(
+            "PimTriangleCounter: greedy placement after bank failures is "
+            "unsupported (recovery owns the placement)");
+      }
+      plan_.set_placement(greedy);
+      // The banks' kernel-owned sorted state stays behind: the next recount
+      // is a full pass, which writes every bank a fresh control block.
+      sorted_valid_ = false;
+    }
   }
 
   // Host work since the previous settle is the window that hides the
@@ -517,78 +528,12 @@ void PimTriangleCounter::apply_updates_to_samples(double host_window_s) {
   release(update_parts_);
 }
 
-bool PimTriangleCounter::rebalance() {
-  return migrate_to(plan_.balanced_placement(per_dpu_edges_seen()));
-}
-
-bool PimTriangleCounter::migrate_to(
-    std::span<const std::uint32_t> dpu_of_triplet) {
-  // An explicit re-plan counts as an observation: greedy_balance must not
-  // overwrite it at the next batch.
-  placement_observed_ = true;
-  if (!apply_placement(dpu_of_triplet)) return false;
-  ++rebalances_;
-  return true;
-}
-
-bool PimTriangleCounter::apply_placement(
-    std::span<const std::uint32_t> dpu_of_triplet) {
-  const std::uint32_t num_dpus = plan_.num_dpus();
-  const std::uint32_t num_triplets = plan_.num_triplets();
-  if (dpu_of_triplet.size() != num_triplets) {
-    throw std::invalid_argument(
-        "PimTriangleCounter: placement needs one DPU per triplet");
-  }
-  const std::vector<std::uint32_t> old = plan_.placement();
-  if (std::equal(old.begin(), old.end(), dpu_of_triplet.begin())) {
-    return false;  // no-op re-plan: no sync point, no migration
-  }
-  if (system_->dead_dpu_count() > 0) {
-    throw std::logic_error(
-        "PimTriangleCounter: placement migration after bank failures is "
-        "unsupported (recovery owns the placement)");
-  }
-  // A placement change is a sync point: the previous flush must have landed
-  // before its sample can move banks.
-  drain_in_flight(0.0);
-  plan_.set_placement(dpu_of_triplet);
-
-  // Migrate resident samples between banks: pull every moved triplet's
-  // sample to the host in one rank-parallel gather, push them to their new
-  // banks in one scatter.  Both are modeled (and charged to the ingest
-  // phase) exactly like any other bulk transfer.
-  std::vector<std::vector<Edge>> moved(num_triplets);
-  std::vector<pim::GatherSpan> gathers(num_dpus);
-  std::vector<pim::ScatterSpan> scatters(num_dpus);
-  bool any_resident = false;
-  for (std::uint32_t t = 0; t < num_triplets; ++t) {
-    if (old[t] == plan_.dpu_of(t)) continue;
-    const std::uint64_t bytes = reservoirs_[t].stored() * sizeof(Edge);
-    if (bytes == 0) continue;
-    any_resident = true;
-    moved[t].resize(static_cast<std::size_t>(reservoirs_[t].stored()));
-    gathers[old[t]] = {MramLayout::sample_offset(), moved[t].data(), bytes};
-    scatters[plan_.dpu_of(t)] = {MramLayout::sample_offset(), moved[t].data(),
-                                 bytes};
-  }
-  if (any_resident) {
-    system_->gather(gathers, &PhaseTimes::ingest_s);
-    system_->scatter(scatters, &PhaseTimes::ingest_s);
-  }
-
-  // The persistent sorted arcs did not move with the samples: the next
-  // recount is a full pass, which writes every bank a fresh control block.
-  sorted_valid_ = false;
-  return true;
-}
-
 engine::CountReport PimTriangleCounter::recount() {
   // Sync point: an in-flight batch receive must land before the kernel can
   // run, and the count depends on it — nothing left to hide it under, so
   // any remainder is charged in full.
   drain_in_flight(0.0);
   inject_and_scrub_bitflips();
-  rebalance_if_worthwhile();
   // Persistent sorted arcs need append-only samples.  The gate is
   // effective_seen (net size + pending deletions): it is non-decreasing and
   // exceeds the capacity exactly when a reservoir has ever replaced — on
@@ -600,33 +545,6 @@ engine::CountReport PimTriangleCounter::recount() {
   launch_kernels(persist, result);
   finish_report(gather_results(result), result);
   return result;
-}
-
-void PimTriangleCounter::rebalance_if_worthwhile() {
-  // Automatic rebalancing: re-plan from observed loads and migrate when the
-  // projected rank-padded scatter wire shrinks by at least kRebalanceMinGain
-  // (hysteresis — near-ties never thrash the placement).  The bar is
-  // deliberately on the *recurring* scatter shape, not the one-time
-  // migration cost: that cost (and the full recount it forces in
-  // incremental mode) is charged to the timeline where reports make the
-  // trade visible, and once balanced, later recounts no-op so it is paid
-  // at most once per load shift.  Recovery owns the placement once a bank
-  // has died.
-  if (!config_.rebalance_enabled || system_->dead_dpu_count() > 0) return;
-  const std::vector<std::uint64_t> loads = per_dpu_edges_seen();
-  std::vector<std::uint64_t> bytes(loads.size());
-  for (std::size_t t = 0; t < loads.size(); ++t) {
-    bytes[t] = loads[t] * sizeof(Edge);
-  }
-  const std::vector<std::uint32_t> proposed = plan_.balanced_placement(loads);
-  const std::uint64_t current_wire =
-      plan_.padded_wire_bytes(bytes, config_.pim.dma_alignment_bytes);
-  const std::uint64_t proposed_wire = plan_.padded_wire_bytes(
-      bytes, proposed, config_.pim.dma_alignment_bytes);
-  if (static_cast<double>(current_wire) >
-      static_cast<double>(proposed_wire) * kRebalanceMinGain) {
-    migrate_to(proposed);
-  }
 }
 
 void PimTriangleCounter::freeze_remap() {
@@ -807,7 +725,6 @@ void PimTriangleCounter::finish_report(const std::vector<DpuMeta>& metas,
   result.placement = color::to_string(plan_.policy());
   result.dpu_utilization = static_cast<double>(system_->num_dpus()) /
                            static_cast<double>(config_.pim.max_dpus);
-  result.rebalances = rebalances_;
   result.kernel.intersect = to_string(config_.intersect);
 
   // ---- statistical corrections (DESIGN.md, "Correction math") -------------
@@ -912,23 +829,6 @@ void PimTriangleCounter::finish_report(const std::vector<DpuMeta>& metas,
       result.heavy_hitters.push_back({node, global_mg_.estimate(node)});
     }
   }
-}
-
-engine::EngineCapabilities PimTriangleCounter::capabilities() const {
-  engine::EngineCapabilities caps;
-  // Exact as configured: no uniform sampling and no explicit reservoir cap
-  // (a capped sample is approximate by construction once it overflows).
-  // With the bank-derived capacity a huge graph can still overflow at
-  // runtime, which downgrades the individual report's `exact` flag.
-  caps.exact = config_.uniform_p >= 1.0 && config_.sample_capacity_edges == 0;
-  caps.streaming = true;
-  caps.incremental_recount = config_.incremental;
-  // Deletions run random pairing on the resident samples; they cannot
-  // compose with the DOULION coin (the original insertion's keep decision
-  // is not reconstructible), so exact-ingest configs only.
-  caps.deletions = config_.uniform_p >= 1.0;
-  caps.simulated_time = true;
-  return caps;
 }
 
 std::uint32_t PimTriangleCounter::recover_unusable_bank(std::uint32_t t) {

@@ -32,11 +32,10 @@
 // decision (coloring/partition_plan.hpp): every estimator-visible quantity
 // (reservoirs, seeds, corrections) is keyed by *triplet* index, so the
 // estimate is bit-identical under any placement — placement only moves the
-// modeled transfer padding and launch skew.  rebalance() re-plans from the
-// observed per-triplet loads and migrates resident samples between banks
-// with one modeled gather + scatter; with `rebalance_enabled` recount()
-// does this automatically whenever the projected scatter wire bytes shrink
-// by at least a fixed 1.05x (`kRebalanceMinGain`).
+// modeled transfer padding and launch skew.  The placement is fixed before
+// any sample is resident: identity and kind_interleave at construction,
+// greedy_balance from the first non-empty batch's loads.  After that only
+// fault recovery moves a triplet, to a spare bank, restored from its mirror.
 //
 // With pipelined ingestion enabled the modeled transfer + receive time of a
 // flush is not charged immediately: it is held "in flight" and overlapped
@@ -49,13 +48,12 @@
 // `recount()` is a fixed sequence of named stages (the paper's "triangle
 // count" phase, Section 4.1):
 //   1. sync — settle the in-flight flush — and bit-flip scrub,
-//   2. rebalance check (rebalance_enabled),
-//   3. remap freeze (Misra-Gries),
-//   4. control-block push,
-//   5. kernel launch, with the fault-recovery loop (one launch on the
+//   2. remap freeze (Misra-Gries),
+//   3. control-block push,
+//   4. kernel launch, with the fault-recovery loop (one launch on the
 //      perfect machine),
-//   6. result gather,
-//   7. correction and report: reservoir factor, monochromatic-triangle
+//   5. result gather,
+//   6. correction and report: reservoir factor, monochromatic-triangle
 //      overcount, uniform-sampling factor, degraded-coverage extrapolation.
 //
 // The class is stateful to support the dynamic-graph use case (Figure 7):
@@ -122,21 +120,7 @@ class PimTriangleCounter final : public engine::TriangleCountEngine {
   /// returns the same result.
   engine::CountReport recount() override;
 
-  [[nodiscard]] engine::EngineCapabilities capabilities() const override;
   [[nodiscard]] const char* name() const noexcept override { return "pim"; }
-
-  /// Re-plans placement from the observed per-triplet loads (LPT: heaviest
-  /// first, chunked into ranks) and migrates resident samples to their new
-  /// banks via one modeled gather + scatter.  Returns false when the plan
-  /// is already in that order.  Migration invalidates the persistent sorted
-  /// arcs (the next recount is a full pass); the estimate is unchanged.
-  bool rebalance();
-
-  /// Installs an explicit triplet->DPU placement (validated bijection) and
-  /// migrates resident samples accordingly.  rebalance() is this applied to
-  /// the LPT plan; tests use it to assert placement invariance under
-  /// arbitrary permutations.
-  bool migrate_to(std::span<const std::uint32_t> dpu_of_triplet);
 
   // ---- fault recovery ------------------------------------------------------
   /// Materializes the host-side sample mirrors now (one modeled gather) —
@@ -182,10 +166,6 @@ class PimTriangleCounter final : public engine::TriangleCountEngine {
   /// Edges ever offered to each PIM core, indexed by *triplet* (the t_d of
   /// the estimator; map through plan().dpu_of() for the physical core).
   [[nodiscard]] std::vector<std::uint64_t> per_dpu_edges_seen() const;
-  /// Sample migrations performed so far (rebalance / migrate_to).
-  [[nodiscard]] std::uint32_t rebalances() const noexcept {
-    return rebalances_;
-  }
 
  private:
   /// Stages items [begin, end) of triplet `t`'s flush onto its bank `dpu`
@@ -253,17 +233,7 @@ class PimTriangleCounter final : public engine::TriangleCountEngine {
   /// `host_overlap_s` of it under host work (pipelined ingest).
   void drain_in_flight(double host_overlap_s);
 
-  /// set_placement + sample migration; returns false when nothing changed.
-  bool apply_placement(std::span<const std::uint32_t> dpu_of_triplet);
-
   // ---- recount() stages, in call order -------------------------------------
-  /// Projected scatter-wire shrink that justifies a migration.
-  static constexpr double kRebalanceMinGain = 1.05;
-
-  /// Migrates to the balanced plan when rebalance_enabled and the projected
-  /// scatter wire shrinks by at least kRebalanceMinGain.
-  void rebalance_if_worthwhile();
-
   /// Freezes the Misra-Gries remap table until the sorted arcs go stale.
   void freeze_remap();
 
@@ -370,10 +340,8 @@ class PimTriangleCounter final : public engine::TriangleCountEngine {
   std::uint64_t edges_replicated_ = 0;
   std::uint64_t edges_deleted_ = 0;  ///< delete updates applied (stream space)
   std::uint64_t batch_counter_ = 0;
-  std::uint32_t rebalances_ = 0;
-  /// greedy_balance: placement is re-planned once, from the first non-empty
-  /// batch's observed loads (free: nothing is resident yet), then frozen
-  /// until an explicit/automatic rebalance.
+  /// greedy_balance: placement is planned once, from the first non-empty
+  /// batch's observed loads (nothing is resident yet), then fixed.
   bool placement_observed_ = false;
 
   /// Dynamic mode: true once every core holds a valid persistent sorted arc

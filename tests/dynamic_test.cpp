@@ -5,10 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <numeric>
 #include <vector>
 
-#include "common/prng.hpp"
 #include "engine/registry.hpp"
 #include "graph/generators.hpp"
 #include "graph/preprocess.hpp"
@@ -246,8 +244,7 @@ TEST(PimDynamicTest, ReversedOrientationDeletesMatch) {
 
 TEST(PimDynamicTest, MixedStreamInvariantUnderPlacementPolicies) {
   // Estimator state is keyed by triplet, so a ± stream must produce
-  // bit-identical estimates under every placement policy and under an
-  // arbitrary mid-stream migration.
+  // bit-identical estimates under every placement policy.
   graph::EdgeList g = graph::gen::barabasi_albert(500, 4, 51);
   graph::preprocess(g, 52);
   const auto edges = g.edges();
@@ -278,22 +275,6 @@ TEST(PimDynamicTest, MixedStreamInvariantUnderPlacementPolicies) {
       EXPECT_EQ(r.estimate, ref) << color::to_string(policy);
     }
   }
-
-  // Arbitrary permutation mid-stream: migrate, continue the ± stream.
-  engine::EngineConfig cfg = small_engine(3);
-  tc::PimTriangleCounter counter(cfg);
-  counter.add_edges(edges.subspan(0, cut));
-  counter.remove_edges(edges.subspan(cut / 2, 100));
-  std::vector<std::uint32_t> perm(counter.plan().num_dpus());
-  std::iota(perm.begin(), perm.end(), 0u);
-  Xoshiro256ss rng(7);
-  for (std::size_t i = perm.size(); i > 1; --i) {
-    std::swap(perm[i - 1], perm[rng.next_below(i)]);
-  }
-  EXPECT_TRUE(counter.migrate_to(perm));
-  counter.add_edges(edges.subspan(cut));
-  counter.remove_edges(edges.subspan(0, 50));
-  EXPECT_EQ(counter.recount().estimate, ref);
 }
 
 TEST(PimDynamicTest, MixedStreamInvariantUnderIntersectPolicy) {
@@ -514,19 +495,6 @@ TEST(PimDynamicTest, PipelinedOverlapNeverExceedsHostTime) {
 }
 
 // ---- engine API contract ----------------------------------------------------
-
-TEST(EngineDynamicTest, CapabilitiesAdvertiseDeletions) {
-  const engine::EngineConfig cfg = small_engine();
-  EXPECT_TRUE(engine::make_engine("pim", cfg)->capabilities().deletions);
-  EXPECT_TRUE(
-      engine::make_engine("cpu-incremental", cfg)->capabilities().deletions);
-  EXPECT_FALSE(engine::make_engine("cpu", cfg)->capabilities().deletions);
-
-  engine::EngineConfig sampled = cfg;
-  sampled.uniform_p = 0.5;
-  // DOULION cannot compose with deletions: the capability drops.
-  EXPECT_FALSE(engine::make_engine("pim", sampled)->capabilities().deletions);
-}
 
 TEST(EngineDynamicTest, BaseApplyForwardsInsertsAndRejectsDeletes) {
   graph::EdgeList g = graph::gen::complete(9);

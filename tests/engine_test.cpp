@@ -183,33 +183,6 @@ TEST(BackendParityTest, EmptyGraph) {
   }
 }
 
-// ---- capabilities -----------------------------------------------------------
-
-TEST(CapabilitiesTest, MatchBackendSemantics) {
-  EngineConfig cfg = small_config();
-  cfg.incremental = true;
-
-  const auto pim = make_engine("pim", cfg)->capabilities();
-  EXPECT_TRUE(pim.exact);
-  EXPECT_TRUE(pim.streaming);
-  EXPECT_TRUE(pim.incremental_recount);
-  EXPECT_TRUE(pim.simulated_time);
-
-  const auto cpu = make_engine("cpu", cfg)->capabilities();
-  EXPECT_TRUE(cpu.exact);
-  EXPECT_TRUE(cpu.streaming);
-  EXPECT_FALSE(cpu.incremental_recount);  // rebuilds the CSR every recount
-  EXPECT_FALSE(cpu.simulated_time);
-  EXPECT_TRUE(cpu.work_profile);
-
-  const auto inc = make_engine("cpu-incremental", cfg)->capabilities();
-  EXPECT_TRUE(inc.incremental_recount);
-
-  EngineConfig approx = small_config();
-  approx.uniform_p = 0.5;
-  EXPECT_FALSE(make_engine("pim", approx)->capabilities().exact);
-}
-
 // ---- streaming sessions -----------------------------------------------------
 
 TEST(StreamingSessionTest, BatchedStreamMatchesOneShotAcrossBackends) {
@@ -374,7 +347,6 @@ TEST(ReportTest, PimReportCarriesPartitionDiagnostics) {
   const graph::EdgeList g = test_graph(16);
   EngineConfig cfg = small_config();
   cfg.placement = color::PlacementPolicy::kGreedyBalance;
-  cfg.rebalance_enabled = true;
   const CountReport r = make_engine("pim", cfg)->count(g);
   EXPECT_EQ(r.num_colors, 4u);
   EXPECT_EQ(r.placement, "greedy_balance");

@@ -68,7 +68,6 @@ TEST(FaultSpecTest, ParsesEveryKey) {
   EXPECT_DOUBLE_EQ(s.transfer_corrupt, 0.01);
   EXPECT_DOUBLE_EQ(s.mram_bitflip, 0.02);
   EXPECT_EQ(s.recovery, pim::FaultSpec::Recovery::kRetry);
-  EXPECT_STREQ(s.recovery_name(), "retry");
   EXPECT_EQ(s.spare_banks, 3u);
 }
 

@@ -67,13 +67,6 @@ TEST(GeneratorsTest, BarabasiAlbertSimpleAndPowerLawTail) {
   EXPECT_GT(static_cast<double>(s.max_degree), 5.0 * s.avg_degree);
 }
 
-TEST(GeneratorsTest, WattsStrogatzLatticeIsClustered) {
-  const EdgeList g = gen::watts_strogatz(1000, 8, 0.05, 5);
-  expect_simple(g);
-  const TriangleCount t = reference_triangle_count(g);
-  EXPECT_GT(global_clustering(g, t), 0.3);  // near-lattice regime
-}
-
 TEST(GeneratorsTest, CommunityGraphHighClustering) {
   const EdgeList g = gen::community(2000, 50, 0.6, 500, 6);
   expect_simple(g);

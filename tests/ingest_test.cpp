@@ -397,15 +397,14 @@ TEST_F(IngestTest, FiltersDropLoopsAndDuplicatesOrderPreserving) {
   const auto path = dir_ / "g.pbin";
   write_graph(g, path);
 
-  engine::IngestOptions iopt;
-  iopt.reader.chunk_edges = 16;
-  iopt.dedup = true;
+  graph::ReaderOptions ropt;
+  ropt.chunk_edges = 16;
   std::vector<Edge> fed;
-  graph::ChunkedEdgeReader reader(path, iopt.reader);
+  graph::ChunkedEdgeReader reader(path, ropt);
   const engine::IngestStats stats = engine::ingest_stream(
       reader,
       [&](std::span<const Edge> c) { fed.insert(fed.end(), c.begin(), c.end()); },
-      iopt);
+      /*dedup=*/true);
 
   EXPECT_EQ(stats.edges_read, g.num_edges());
   EXPECT_EQ(stats.self_loops_dropped, 2u);

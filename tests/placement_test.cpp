@@ -1,6 +1,6 @@
 // Tests for the partition planner: auto color selection, placement
 // policies, the placement-invariance property of the estimator, and the
-// runtime rebalancing path (sample migration between banks).
+// placement's effect on the timing model.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,7 +12,6 @@
 #include "coloring/partition_plan.hpp"
 #include "graph/generators.hpp"
 #include "graph/preprocess.hpp"
-#include "graph/reference_tc.hpp"
 #include "tc/host.hpp"
 
 namespace pimtc::color {
@@ -54,7 +53,7 @@ TEST(PartitionPlanTest, EveryPolicyIsABijection) {
        {PlacementPolicy::kIdentity, PlacementPolicy::kKindInterleave,
         PlacementPolicy::kGreedyBalance}) {
     for (const std::uint32_t colors : {1u, 3u, 6u, 9u}) {
-      EXPECT_TRUE(is_bijection(PartitionPlan(colors, policy, 8)))
+      EXPECT_TRUE(is_bijection(PartitionPlan(colors, policy)))
           << to_string(policy) << " C=" << colors;
     }
   }
@@ -64,23 +63,38 @@ TEST(PartitionPlanTest, KindInterleavePacksEqualKindsIntoRanks) {
   // Kind-major order: ranks hold same-expected-load cores, so a scatter
   // proportional to the kind weights pads (near-)nothing, while identity
   // order mixes N with 6N in the same rank.
-  const PartitionPlan kind(8, PlacementPolicy::kKindInterleave, 8);
-  const PartitionPlan identity(8, PlacementPolicy::kIdentity, 8);
+  constexpr std::uint32_t kDpusPerRank = 8;
+  const PartitionPlan kind(8, PlacementPolicy::kKindInterleave);
+  const PartitionPlan identity(8, PlacementPolicy::kIdentity);
   std::vector<std::uint64_t> bytes(kind.num_dpus());
   for (std::uint32_t t = 0; t < kind.num_dpus(); ++t) {
     bytes[t] = 1000ull * PartitionPlan::kind_weight(kind.table().triplet(t).kind());
   }
-  EXPECT_LT(kind.padded_wire_bytes(bytes), identity.padded_wire_bytes(bytes));
+  // One rank-parallel scatter pads every DPU of a rank to its largest span.
+  const auto padded_wire = [&](const PartitionPlan& plan) {
+    std::vector<std::uint64_t> per_dpu(plan.num_dpus());
+    for (std::uint32_t t = 0; t < plan.num_triplets(); ++t) {
+      per_dpu[plan.dpu_of(t)] = bytes[t];
+    }
+    std::uint64_t wire = 0;
+    for (std::uint32_t lo = 0; lo < plan.num_dpus(); lo += kDpusPerRank) {
+      const std::uint32_t hi = std::min(plan.num_dpus(), lo + kDpusPerRank);
+      wire += *std::max_element(per_dpu.begin() + lo, per_dpu.begin() + hi) *
+              (hi - lo);
+    }
+    return wire;
+  };
+  EXPECT_LT(padded_wire(kind), padded_wire(identity));
   // Perfect packing except at kind-group boundaries: wire within 1.5x of
   // payload for the kind plan.
   const std::uint64_t payload =
       std::accumulate(bytes.begin(), bytes.end(), std::uint64_t{0});
-  EXPECT_LT(static_cast<double>(kind.padded_wire_bytes(bytes)),
+  EXPECT_LT(static_cast<double>(padded_wire(kind)),
             1.5 * static_cast<double>(payload));
 }
 
 TEST(PartitionPlanTest, BalancedPlacementIsLoadSortedAndDeterministic) {
-  const PartitionPlan plan(5, PlacementPolicy::kGreedyBalance, 4);
+  const PartitionPlan plan(5, PlacementPolicy::kGreedyBalance);
   std::vector<std::uint64_t> loads(plan.num_dpus());
   Xoshiro256ss rng(7);
   for (auto& l : loads) l = rng.next_below(1000);
@@ -94,7 +108,7 @@ TEST(PartitionPlanTest, BalancedPlacementIsLoadSortedAndDeterministic) {
 }
 
 TEST(PartitionPlanTest, SetPlacementRejectsNonBijections) {
-  PartitionPlan plan(3, PlacementPolicy::kIdentity, 4);
+  PartitionPlan plan(3, PlacementPolicy::kIdentity);
   std::vector<std::uint32_t> dup(plan.num_dpus(), 0);
   EXPECT_THROW(plan.set_placement(dup), std::invalid_argument);
   std::vector<std::uint32_t> short_map(plan.num_dpus() - 1);
@@ -160,126 +174,6 @@ TEST(PlacementInvarianceTest, EstimateBitIdenticalAcrossPolicies) {
       }
     }
   }
-}
-
-TEST(PlacementInvarianceTest, EstimateSurvivesArbitraryPermutationMidStream) {
-  graph::EdgeList g = graph::gen::barabasi_albert(1500, 5, 41);
-  graph::gen::add_hubs(g, 1, 400, 42);
-  graph::preprocess(g, 43);
-  const auto edges = g.edges();
-
-  tc::PimTriangleCounter baseline(stress_config(21));
-  const double expected = run_stream(baseline, edges);
-
-  // Same stream, but a seeded random permutation is installed (and the
-  // resident samples migrated) between the batches.
-  engine::EngineConfig cfg = stress_config(21);
-  tc::PimTriangleCounter counter(cfg);
-  counter.add_edges(edges.subspan(0, edges.size() / 3));
-  counter.add_edges(
-      edges.subspan(edges.size() / 3, edges.size() / 3));
-
-  std::vector<std::uint32_t> perm(counter.plan().num_dpus());
-  std::iota(perm.begin(), perm.end(), 0u);
-  Xoshiro256ss rng(99);
-  for (std::size_t i = perm.size(); i > 1; --i) {
-    std::swap(perm[i - 1], perm[rng.next_below(i)]);
-  }
-  EXPECT_TRUE(counter.migrate_to(perm));
-  EXPECT_EQ(counter.rebalances(), 1u);
-
-  counter.add_edges(edges.subspan(2 * (edges.size() / 3)));
-  EXPECT_EQ(counter.recount().estimate, expected);
-}
-
-TEST(PlacementInvarianceTest, RebalanceKeepsEstimateAndExactness) {
-  graph::EdgeList g = graph::gen::barabasi_albert(1200, 6, 51);
-  graph::gen::add_hubs(g, 2, 400, 52);
-  graph::preprocess(g, 53);
-  const TriangleCount truth = graph::reference_triangle_count(g);
-  const auto edges = g.edges();
-  const std::size_t half = edges.size() / 2;
-
-  graph::EdgeList first_half;
-  first_half.append(edges.subspan(0, half));
-
-  engine::EngineConfig cfg = small_config(4);
-  cfg.seed = 5;
-  tc::PimTriangleCounter counter(cfg);
-  counter.add_edges(edges.subspan(0, half));
-  EXPECT_EQ(counter.recount().rounded(),
-            graph::reference_triangle_count(first_half));
-  counter.rebalance();
-  counter.add_edges(edges.subspan(half));
-  const engine::CountReport r = counter.recount();
-  EXPECT_TRUE(r.exact);
-  EXPECT_EQ(r.rounded(), truth);
-}
-
-TEST(PlacementInvarianceTest, RebalanceUnderReservoirOverflow) {
-  graph::EdgeList g = graph::gen::community(1500, 40, 0.5, 1200, 61);
-  graph::preprocess(g, 62);
-  const auto edges = g.edges();
-  const std::size_t half = edges.size() / 2;
-
-  const auto run = [&](bool rebalance_mid_stream) {
-    tc::PimTriangleCounter counter(stress_config(77));
-    counter.add_edges(edges.subspan(0, half));
-    if (rebalance_mid_stream) counter.rebalance();
-    counter.add_edges(edges.subspan(half));
-    return counter.recount();
-  };
-  const engine::CountReport plain = run(false);
-  const engine::CountReport rebalanced = run(true);
-  EXPECT_GT(plain.reservoir_overflows, 0u);
-  EXPECT_EQ(plain.estimate, rebalanced.estimate);
-}
-
-// ---- migration mechanics ----------------------------------------------------
-
-TEST(RebalanceTest, MigrationMovesSamplesWithModeledTransfers) {
-  graph::EdgeList g = graph::gen::barabasi_albert(1500, 5, 71);
-  graph::gen::add_hubs(g, 1, 500, 72);
-  graph::preprocess(g, 73);
-
-  engine::EngineConfig cfg = small_config(4);
-  cfg.seed = 9;
-  cfg.placement = PlacementPolicy::kIdentity;
-  tc::PimTriangleCounter counter(cfg);
-  counter.add_edges(g.edges());
-  const pim::TransferStats before = counter.system().transfer_stats();
-
-  ASSERT_TRUE(counter.rebalance());
-  const pim::TransferStats after = counter.system().transfer_stats();
-  // One gather (pull) of the moved samples, one scatter (push) to the new
-  // banks — both modeled.
-  EXPECT_EQ(after.pull_transfers, before.pull_transfers + 1);
-  EXPECT_EQ(after.push_transfers, before.push_transfers + 1);
-  EXPECT_GT(after.pull_payload_bytes, before.pull_payload_bytes);
-
-  // Idempotent: the plan is already load-sorted, nothing moves again.
-  EXPECT_FALSE(counter.rebalance());
-  EXPECT_EQ(counter.rebalances(), 1u);
-}
-
-TEST(RebalanceTest, AutoRebalanceTriggersOnImbalanceAndCountsStayExact) {
-  graph::EdgeList g = graph::gen::barabasi_albert(1500, 5, 81);
-  graph::gen::add_hubs(g, 2, 500, 82);
-  graph::preprocess(g, 83);
-  const TriangleCount truth = graph::reference_triangle_count(g);
-
-  engine::EngineConfig cfg = small_config(4);
-  cfg.seed = 3;
-  cfg.rebalance_enabled = true;
-  tc::PimTriangleCounter counter(cfg);
-  const engine::CountReport r = counter.count(g);
-  EXPECT_TRUE(r.exact);
-  EXPECT_EQ(r.rounded(), truth);
-  EXPECT_GE(r.rebalances, 1u);
-  // A second recount must not thrash: placement is already balanced.
-  const engine::CountReport again = counter.recount();
-  EXPECT_EQ(again.rebalances, r.rebalances);
-  EXPECT_EQ(again.rounded(), truth);
 }
 
 // ---- timing-model effects ---------------------------------------------------

@@ -50,9 +50,6 @@ class SlowExactEngine final : public engine::TriangleCountEngine {
     inner_->apply(updates);
   }
   engine::CountReport recount() override { return inner_->recount(); }
-  [[nodiscard]] engine::EngineCapabilities capabilities() const override {
-    return inner_->capabilities();
-  }
   [[nodiscard]] const char* name() const noexcept override {
     return "slow-exact";
   }
@@ -245,9 +242,6 @@ class GatedEngine final : public engine::TriangleCountEngine {
     inner_->apply(updates);
   }
   engine::CountReport recount() override { return inner_->recount(); }
-  [[nodiscard]] engine::EngineCapabilities capabilities() const override {
-    return inner_->capabilities();
-  }
   [[nodiscard]] const char* name() const noexcept override { return "gated"; }
   void reset_timers() override { inner_->reset_timers(); }
 
@@ -358,7 +352,6 @@ TEST(ServeLifecycleTest, DirectoryErrors) {
                std::invalid_argument);                       // bad backend
   EXPECT_THROW((void)mgr.query("ghost"), std::invalid_argument);
   EXPECT_THROW((void)mgr.close("ghost"), std::invalid_argument);
-  EXPECT_EQ(mgr.session_names(), std::vector<std::string>{"t"});
 }
 
 TEST(ServeLifecycleTest, SessionHostThreadsDefaultIsResolvedToOne) {
@@ -415,9 +408,6 @@ class ThrowingEngine final : public engine::TriangleCountEngine {
       throw std::runtime_error("recount boom");
     }
     return inner_->recount();
-  }
-  [[nodiscard]] engine::EngineCapabilities capabilities() const override {
-    return inner_->capabilities();
   }
   [[nodiscard]] const char* name() const noexcept override {
     return "throwing";

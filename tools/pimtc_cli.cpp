@@ -87,8 +87,7 @@ using namespace pimtc;
       "                 [--chunk-edges=<n>] [--no-mmap]\n"
       "                 [--backend=<name>] [--colors=<C>|auto]\n"
       "                 [--placement=identity|kind_interleave|greedy_balance]\n"
-      "                 [--rebalance] [--p=<keep prob>]\n"
-      "                 [--capacity=<edges/core>]\n"
+      "                 [--p=<keep prob>] [--capacity=<edges/core>]\n"
       "                 [--misra-gries] [--mg-top=<t>] [--degree-remap]\n"
       "                 [--intersect=auto|merge|gallop] [--no-region-cache]\n"
       "                 [--incremental] [--threads=<n>] [--dpus-per-rank=<n>]\n"
@@ -303,7 +302,7 @@ int cmd_backends(const Args& args) {
 /// The engine flags count and serve share: --backend= picks the engine and
 /// config_from_args reads the rest.
 constexpr std::string_view kEngineFlags =
-    "--backend= --colors= --placement= --rebalance --p= --capacity= "
+    "--backend= --colors= --placement= --p= --capacity= "
     "--misra-gries --mg-top= --degree-remap --intersect= --no-region-cache "
     "--incremental --threads= --seed= --staging= --no-pipeline "
     "--dpus-per-rank= --inject-faults=";
@@ -314,7 +313,6 @@ engine::EngineConfig config_from_args(const Args& args) {
   cfg.num_colors = args.str("colors") == "auto" ? 0 : args.u32("colors", 8);
   cfg.placement = color::placement_from_string(
       args.str("placement", color::to_string(cfg.placement)));
-  cfg.rebalance_enabled = args.flag("rebalance");
   cfg.uniform_p = args.f64("p", 1.0);
   cfg.sample_capacity_edges = args.u64("capacity", 0);
   // --degree-remap needs the Misra-Gries summaries, so it implies them.
@@ -426,13 +424,13 @@ void print_report_json(const engine::CountReport& r, std::uint64_t edges,
   }
   if (r.num_colors > 0) {
     // Partition-planner diagnostics: per-kind load histogram (expected
-    // N/3N/6N per core of kind 1/2/3), imbalance, placement, rebalances.
+    // N/3N/6N per core of kind 1/2/3), imbalance, placement.
     std::printf(
         ",\"partition\":{\"colors\":%u,\"placement\":\"%s\","
         "\"dpu_utilization\":%.4g,\"load_imbalance\":%.4g,"
-        "\"rebalances\":%u,\"kind_load\":[",
+        "\"kind_load\":[",
         r.num_colors, r.placement.c_str(), r.dpu_utilization,
-        r.load_imbalance, r.rebalances);
+        r.load_imbalance);
     for (int k = 0; k < 3; ++k) {
       std::printf("%s{\"kind\":%d,\"units\":%u,\"edges_seen\":%llu}",
                   k ? "," : "", k + 1, r.kind_units[k],
@@ -533,9 +531,9 @@ void print_report_text(const engine::CountReport& r, std::uint64_t edges,
   }
   if (r.num_colors > 0) {
     std::printf("partition:  C=%u (%u cores, %.0f%% of machine) | %s | "
-                "imbalance %.2fx | %u rebalances\n",
+                "imbalance %.2fx\n",
                 r.num_colors, r.num_units, r.dpu_utilization * 100.0,
-                r.placement.c_str(), r.load_imbalance, r.rebalances);
+                r.placement.c_str(), r.load_imbalance);
     std::printf("kind load:  1:%llu / 2:%llu / 3:%llu edges on %u/%u/%u "
                 "cores (expected N/3N/6N per core)\n",
                 static_cast<unsigned long long>(r.kind_edges_seen[0]),
